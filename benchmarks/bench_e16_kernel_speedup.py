@@ -1,4 +1,8 @@
-"""E16 — the vectorized batch kernel vs the scalar reference loop.
+"""E16 — the vectorized ``sp_xmatch`` body vs the scalar reference loop.
+
+The scalar arm is not a federation option: the experiment installs
+``sp_xmatch_reference`` over ``sp_xmatch`` on every archive database
+through ``db.register_procedure`` (see ``_e16_federation``).
 
 ``SKYQUERY_BENCH_QUICK=1`` shrinks the scenario to smoke-test sizes (the
 CI benchmark job); wall-clock ratios are noisy at that scale, so quick
@@ -33,7 +37,7 @@ def test_e16_kernel_speedup(benchmark, report_sink):
     # Hot path: the vectorized 3-archive chain end to end.
     from repro.bench.experiments import _e16_federation
 
-    fed = _e16_federation(3, 400 if QUICK else 1200, "vectorized")
+    fed = _e16_federation(3, 400 if QUICK else 1200, reference=False)
     client = fed.client()
     sql = (
         "SELECT S0.object_id "

@@ -3,7 +3,8 @@
 ``SKYQUERY_BENCH_QUICK=1`` shrinks every layer to smoke-test sizes (the
 CI benchmark job); at that scale the zone engine's index-build overhead
 dominates and wall-clock ratios are meaningless, so quick mode checks
-only the identity half of each row.
+only the identity half of each row. The scalar arms run the reference
+procedure installed over ``sp_xmatch`` through ``db.register_procedure``.
 """
 
 import os
@@ -47,8 +48,7 @@ def test_e20_zone_engine(benchmark, report_sink):
             PROCEDURE_NAME, temp_table=temp.name, primary_table="objects",
             id_column="object_id", ra_column="ra", dec_column="dec",
             alias="X", sigma_arcsec=0.3, threshold=3.5, area=None,
-            residual=None, attr_columns=(), kernel="vectorized",
-            engine="zone",
+            residual=None, attr_columns=(), engine="zone",
         )
 
     benchmark(probe)

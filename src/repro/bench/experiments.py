@@ -878,6 +878,32 @@ def run_e14_byte_ordering(n_bodies: int = 1500) -> ExperimentReport:
 # -- E11: scalability with federation size --------------------------------------------
 
 
+def _e11_federation(n_nodes: int, n_bodies: int, **config):
+    """The scalability scenario E11 and its descendants (E16, E17, E20)
+    share: ``n_nodes`` single-band archives of growing positional error
+    over one field; ``config`` overrides any other FederationConfig field."""
+    surveys = [
+        SurveySpec(
+            archive=f"SURV{i}",
+            sigma_arcsec=0.1 + 0.2 * i,
+            detection_rate=0.9,
+            primary_table="objects",
+            bands=("i",),
+            has_type=False,
+        )
+        for i in range(n_nodes)
+    ]
+    return build_federation(
+        FederationConfig(
+            surveys=surveys,
+            n_bodies=n_bodies,
+            seed=99,
+            sky_field=SkyField(185.0, -0.5, 1800.0),
+            **config,
+        )
+    )
+
+
 def run_e11_scalability(
     node_counts: Sequence[int] = (2, 3, 4, 5), n_bodies: int = 1000
 ) -> ExperimentReport:
@@ -893,25 +919,7 @@ def run_e11_scalability(
         ],
     )
     for n_nodes in node_counts:
-        surveys = [
-            SurveySpec(
-                archive=f"SURV{i}",
-                sigma_arcsec=0.1 + 0.2 * i,
-                detection_rate=0.9,
-                primary_table="objects",
-                bands=("i",),
-                has_type=False,
-            )
-            for i in range(n_nodes)
-        ]
-        fed = build_federation(
-            FederationConfig(
-                surveys=surveys,
-                n_bodies=n_bodies,
-                seed=99,
-                sky_field=SkyField(185.0, -0.5, 1800.0),
-            )
-        )
+        fed = _e11_federation(n_nodes, n_bodies)
         aliases = [f"S{i}" for i in range(n_nodes)]
         froms = ", ".join(
             f"SURV{i}:objects S{i}" for i in range(n_nodes)
@@ -1051,28 +1059,20 @@ def run_e15_fault_recovery(n_bodies: int = 600) -> ExperimentReport:
 # -- E16: extension — the vectorized cross-match kernel vs the scalar loop ----------
 
 
-def _e16_federation(n_nodes: int, n_bodies: int, kernel: str):
-    """The E11 scenario's federation, with a selectable cross-match kernel."""
-    surveys = [
-        SurveySpec(
-            archive=f"SURV{i}",
-            sigma_arcsec=0.1 + 0.2 * i,
-            detection_rate=0.9,
-            primary_table="objects",
-            bands=("i",),
-            has_type=False,
-        )
-        for i in range(n_nodes)
-    ]
-    return build_federation(
-        FederationConfig(
-            surveys=surveys,
-            n_bodies=n_bodies,
-            seed=99,
-            sky_field=SkyField(185.0, -0.5, 1800.0),
-            xmatch_kernel=kernel,
-        )
-    )
+def _e16_federation(
+    n_nodes: int, n_bodies: int, *, reference: bool, match_engine: str = "htm"
+):
+    """The E11 federation; ``reference`` swaps the scalar loop in for
+    ``sp_xmatch`` on every archive through the engine's own seam — the
+    oracle arm, which is not a federation option."""
+    from repro.skynode.xmatch_proc import PROCEDURE_NAME, sp_xmatch_reference
+
+    fed = _e11_federation(n_nodes, n_bodies, match_engine=match_engine)
+    if reference:
+        for node in fed.nodes.values():
+            node.db.drop_procedure(PROCEDURE_NAME)
+            node.db.register_procedure(PROCEDURE_NAME, sp_xmatch_reference)
+    return fed
 
 
 def run_e16_kernel_speedup(
@@ -1107,7 +1107,9 @@ def run_e16_kernel_speedup(
         )
         arms: Dict[str, Dict[str, Any]] = {}
         for kernel in ("scalar", "vectorized"):
-            fed = _e16_federation(n_nodes, n_bodies, kernel)
+            fed = _e16_federation(
+                n_nodes, n_bodies, reference=(kernel == "scalar")
+            )
             client = fed.client()
             best = float("inf")
             result = None
@@ -1159,25 +1161,8 @@ def _e17_federation(
     n_nodes: int, n_bodies: int, bandwidth_bps: float
 ):
     """The E11 scenario's federation with a configurable link bandwidth."""
-    surveys = [
-        SurveySpec(
-            archive=f"SURV{i}",
-            sigma_arcsec=0.1 + 0.2 * i,
-            detection_rate=0.9,
-            primary_table="objects",
-            bands=("i",),
-            has_type=False,
-        )
-        for i in range(n_nodes)
-    ]
-    return build_federation(
-        FederationConfig(
-            surveys=surveys,
-            n_bodies=n_bodies,
-            seed=99,
-            sky_field=SkyField(185.0, -0.5, 1800.0),
-            default_bandwidth_bps=bandwidth_bps,
-        )
+    return _e11_federation(
+        n_nodes, n_bodies, default_bandwidth_bps=bandwidth_bps
     )
 
 
@@ -1779,31 +1764,6 @@ def _e20_database(n: int, m: int):
     return db, temp
 
 
-def _e20_federation(n_bodies: int, match_engine: str, xmatch_kernel: str):
-    """The E16 scenario's federation with a selectable match engine."""
-    surveys = [
-        SurveySpec(
-            archive=f"SURV{i}",
-            sigma_arcsec=0.1 + 0.2 * i,
-            detection_rate=0.9,
-            primary_table="objects",
-            bands=("i",),
-            has_type=False,
-        )
-        for i in range(3)
-    ]
-    return build_federation(
-        FederationConfig(
-            surveys=surveys,
-            n_bodies=n_bodies,
-            seed=99,
-            sky_field=SkyField(185.0, -0.5, 1800.0),
-            match_engine=match_engine,
-            xmatch_kernel=xmatch_kernel,
-        )
-    )
-
-
 def run_e20_zone_engine(
     kernel_sizes: Sequence[int] = (200, 1_000, 5_000, 20_000, 100_000),
     proc_sizes: Sequence[int] = (20_000, 100_000, 300_000),
@@ -1887,14 +1847,14 @@ def run_e20_zone_engine(
         )
 
     # --- layer 2: one sp_xmatch call on a single archive -----------------
-    def proc_call(db, temp, engine, kernel="vectorized"):
-        from repro.skynode.xmatch_proc import PROCEDURE_NAME
+    from repro.skynode.xmatch_proc import PROCEDURE_NAME, sp_xmatch_reference
 
+    def proc_call(db, temp, engine):
         return db.call_procedure(
             PROCEDURE_NAME, temp_table=temp.name, primary_table="objects",
             id_column="object_id", ra_column="ra", dec_column="dec",
             alias="X", sigma_arcsec=0.3, threshold=3.5, area=None,
-            residual=None, attr_columns=(), kernel=kernel, engine=engine,
+            residual=None, attr_columns=(), engine=engine,
         )
 
     def proc_key(result):
@@ -1909,9 +1869,9 @@ def run_e20_zone_engine(
         db, temp = _e20_database(n, proc_tuples)
         htm_s, htm_result = best_of(lambda: proc_call(db, temp, "htm"))
         zone_s, zone_result = best_of(lambda: proc_call(db, temp, "zone"))
-        scalar_s, scalar_result = best_of(
-            lambda: proc_call(db, temp, "htm", kernel="scalar")
-        )
+        db.drop_procedure(PROCEDURE_NAME)
+        db.register_procedure(PROCEDURE_NAME, sp_xmatch_reference)
+        scalar_s, scalar_result = best_of(lambda: proc_call(db, temp, "htm"))
         identical = (
             proc_key(zone_result) == proc_key(htm_result) == proc_key(scalar_result)
         )
@@ -1929,8 +1889,10 @@ def run_e20_zone_engine(
         "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(S0, S1, S2) < 3.5"
     )
 
-    def fed_observe(n, engine, kernel):
-        fed = _e20_federation(n, engine, kernel)
+    def fed_observe(n, engine, reference=False):
+        fed = _e16_federation(
+            3, n, reference=reference, match_engine=engine
+        )
         client = fed.client()
         best = float("inf")
         result = None
@@ -1945,12 +1907,12 @@ def run_e20_zone_engine(
         )
 
     for n in chain_sizes:
-        htm_s, htm_obs = fed_observe(n, "htm", "vectorized")
-        zone_s, zone_obs = fed_observe(n, "zone", "vectorized")
+        htm_s, htm_obs = fed_observe(n, "htm")
+        zone_s, zone_obs = fed_observe(n, "zone")
         scalar_s = None
         identical = [zone_obs == htm_obs]
         if n <= scalar_cap * 4:
-            scalar_s, scalar_obs = fed_observe(n, "htm", "scalar")
+            scalar_s, scalar_obs = fed_observe(n, "htm", reference=True)
             identical.append(zone_obs == scalar_obs)
         report.add_row(
             "federated", n, "htm",
@@ -2257,25 +2219,17 @@ def _e22_residuals(federation, qid: str) -> Tuple[int, float]:
     items = 0
     held_bytes = 0
     for node in _e22_nodes(federation):
-        crossmatch = node.crossmatch
-        for stream in crossmatch._streams.values():
-            if stream.qid != qid or stream.done:
-                continue
-            items += 1
-            cached = (stream.last_response or {}).get("rows")
-            if isinstance(cached, WireRowSet):
-                held_bytes += envelope_bytes(cached)
-        for key, checkpoint in crossmatch._checkpoints.items():
-            if key.startswith(f"{qid}:"):
+        for leases in (node.crossmatch.leases, node.query.sender.leases):
+            for kind, _, lease in leases.owned_by(qid):
                 items += 1
-                held_bytes += envelope_bytes(checkpoint.rowset)
-        for sender in (crossmatch.sender, node.query.sender):
-            for tid, owner in sender._owners.items():
-                if owner != qid:
-                    continue
-                items += 1
-                for chunk in sender._transfers.get(tid, []):
-                    held_bytes += envelope_bytes(chunk)
+                if kind == "stream":
+                    cached = (lease.value.last_response or {}).get("rows")
+                    payloads = [cached] if isinstance(cached, WireRowSet) else []
+                elif kind == "checkpoint":
+                    payloads = [lease.value.rowset]
+                else:
+                    payloads = lease.value  # a pending transfer's chunks
+                held_bytes += sum(envelope_bytes(p) for p in payloads)
     return items, held_bytes / 1024.0
 
 
@@ -2366,12 +2320,8 @@ def run_e22_deadline_cancellation(
                 # full reaper horizon. Prove the backstop actually fires.
                 fed.network.clock.advance(STREAM_TTL_S + 1.0)
                 for node in _e22_nodes(fed):
-                    node.crossmatch._reap_streams()
-                    node.crossmatch._reap_checkpoints()
-                    for sender in (
-                        node.crossmatch.sender, node.query.sender,
-                    ):
-                        sender.reap()
+                    node.crossmatch.leases.reap()
+                    node.query.sender.leases.reap()
                 after_items, _ = _e22_residuals(fed, qid)
                 assert after_items == 0, "TTL backstop failed to reap"
                 reclaim_s = STREAM_TTL_S

@@ -187,12 +187,6 @@ def _federation_args(parser: argparse.ArgumentParser) -> None:
              "(default: no timeout)",
     )
     parser.add_argument(
-        "--kernel", default="vectorized",
-        choices=["vectorized", "scalar"],
-        help="cross-match kernel at every node: the numpy batch kernel "
-             "(default) or the per-tuple scalar reference loop",
-    )
-    parser.add_argument(
         "--match-engine", default=None,
         choices=["htm", "zone"],
         help="spatial index for the cross-match at every node: HTM trixel "
@@ -259,7 +253,6 @@ def _make_federation(args: argparse.Namespace, *, ingest: bool = False,
         seed=args.seed,
         sky_field=SkyField(185.0, -0.5, args.radius),
         retry_policy=_retry_policy(args),
-        xmatch_kernel=args.kernel,
         chain_mode=args.chain_mode,
         stream_batch_size=args.batch_size,
         stream_wire_format=args.wire_format,

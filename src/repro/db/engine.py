@@ -474,6 +474,11 @@ class Database:
             raise SchemaError(f"procedure {name!r} already registered")
         self._procedures[key] = fn
 
+    def drop_procedure(self, name: str) -> None:
+        """Remove a stored procedure, so another body can take its name."""
+        if self._procedures.pop(name.lower(), None) is None:
+            raise QueryError(f"unknown procedure {name!r}")
+
     def call_procedure(self, name: str, **params: Any) -> Any:
         """Invoke a stored procedure by name."""
         try:

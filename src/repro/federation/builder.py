@@ -8,7 +8,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.client.client import SkyQueryClient
 from repro.db.engine import Database
+from repro.db.schema import Column
 from repro.db.table import SpatialSpec
+from repro.db.types import ColumnType
 from repro.errors import ConfigurationError, RegistrationError
 from repro.federation.surveys import default_surveys
 from repro.portal.cache import CacheConfig, SemanticCache
@@ -16,6 +18,7 @@ from repro.portal.portal import Portal
 from repro.portal.scheduler import QueryScheduler, SchedulerConfig
 from repro.services.retry import RetryPolicy
 from repro.shard import SHARD_KEYS
+from repro.skynode.crossmatch import SHARD_POS_COLUMN
 from repro.skynode.node import DEFAULT_PARSER_MEMORY_LIMIT, SkyNode
 from repro.skynode.wrapper import ArchiveInfo
 from repro.sql.ast import AreaClause
@@ -55,9 +58,6 @@ class FederationConfig:
     retry_policy: Optional[RetryPolicy] = None
     #: Portal pings archives before planning (graceful degradation).
     health_probes: bool = True
-    #: Which sp_xmatch kernel every node runs: ``vectorized`` (the numpy
-    #: batch kernel, default) or ``scalar`` (the per-tuple reference loop).
-    xmatch_kernel: str = "vectorized"
     #: Which spatial index every node's cross-match uses: ``htm`` (trixel
     #: covers, the default and reference oracle) or ``zone`` (declination
     #: zones with sorted-merge windows). Federated results, node stats,
@@ -198,7 +198,6 @@ class Federation:
 #: through silently into node config and only blow up (or worse, be
 #: ignored) deep inside the first query.
 _CONFIG_CHOICES = {
-    "xmatch_kernel": ("vectorized", "scalar"),
     "match_engine": ("htm", "zone"),
     "chain_mode": ("store-forward", "pipelined"),
     "stream_wire_format": ("columnar", "rows"),
@@ -271,7 +270,6 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
         chain_mode=config.chain_mode,
         stream_batch_size=config.stream_batch_size,
         stream_wire_format=config.stream_wire_format,
-        xmatch_kernel=config.xmatch_kernel,
         match_engine=config.match_engine,
     )
     if config.cache:
@@ -291,21 +289,7 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
     nodes: Dict[str, SkyNode] = {}
     truth: Dict[str, Dict[int, int]] = {}
     for survey in config.surveys:
-        db = Database(
-            survey.archive.lower(),
-            dialect=survey.dialect,
-            page_size=config.page_size,
-            buffer_pages=config.buffer_pages,
-        )
-        db.create_table(
-            survey.primary_table,
-            survey.columns(),
-            spatial=SpatialSpec(
-                survey.ra_column, survey.dec_column, htm_depth=config.htm_depth
-            ),
-        )
         observation = observe_survey(survey, bodies, config.seed)
-        db.insert(survey.primary_table, observation.rows)
         truth[survey.archive] = observation.truth
 
         footprint = survey.footprint
@@ -322,18 +306,15 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
                 footprint.radius_arcsec if footprint else None
             ),
         )
-        node = SkyNode(
-            db,
+        node = _make_node(
+            config,
+            network,
+            survey,
             info,
-            parser_memory_limit=config.parser_memory_limit,
-            parser_overhead_factor=config.parser_overhead_factor,
-            chunk_budget_bytes=config.chunk_budget_bytes,
-            processing_seconds_per_row=config.processing_seconds_per_row,
-            retry_policy=config.retry_policy,
-            xmatch_kernel=config.xmatch_kernel,
-            match_engine=config.match_engine,
+            survey.archive.lower(),
+            survey.columns(),
         )
-        node.attach(network)
+        node.db.insert(survey.primary_table, observation.rows)
         node.register_with_portal(portal.service_url("registration"))
         nodes[survey.archive] = node
 
@@ -369,7 +350,7 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
                 replica_urls.append(replica.enable_transactions())
                 replica.transaction.keep_epochs = config.keep_epochs
                 replica.transaction.on_epoch_commit = (
-                    lambda _epoch, r=replica: r.crossmatch.reap_stale_epochs()
+                    lambda _epoch, r=replica: r.crossmatch.leases.reap()
                 )
             node.enable_ingest(
                 keep_epochs=config.keep_epochs,
@@ -441,32 +422,15 @@ def _provision_replicas(
     column_names = [column.name for column in survey.columns()]
     replica_nodes: List[SkyNode] = []
     for index in range(1, config.replicas + 1):
-        replica_db = Database(
-            f"{survey.archive.lower()}_r{index}",
-            dialect=survey.dialect,
-            page_size=config.page_size,
-            buffer_pages=config.buffer_pages,
-        )
-        replica_db.create_table(
-            survey.primary_table,
-            survey.columns(),
-            spatial=SpatialSpec(
-                survey.ra_column, survey.dec_column, htm_depth=config.htm_depth
-            ),
-        )
-        replica = SkyNode(
-            replica_db,
+        replica = _make_node(
+            config,
+            network,
+            survey,
             info,
+            f"{survey.archive.lower()}_r{index}",
+            survey.columns(),
             hostname=f"{survey.archive.lower()}-r{index}.skyquery.net",
-            parser_memory_limit=config.parser_memory_limit,
-            parser_overhead_factor=config.parser_overhead_factor,
-            chunk_budget_bytes=config.chunk_budget_bytes,
-            processing_seconds_per_row=config.processing_seconds_per_row,
-            retry_policy=config.retry_policy,
-            xmatch_kernel=config.xmatch_kernel,
-            match_engine=config.match_engine,
         )
-        replica.attach(network)
         replica_key = f"{survey.archive}-r{index}"
         exchange = DataExchange(
             portal, {replica_key: replica.enable_transactions()}
@@ -491,26 +455,19 @@ def _provision_replicas(
     return replica_nodes
 
 
-def _make_shard_node(
+def _make_node(
     config: FederationConfig,
     network: SimulatedNetwork,
     survey: SurveySpec,
     info: ArchiveInfo,
     db_name: str,
-    hostname: str,
-    pos_column: str,
+    columns: Sequence[Column],
+    hostname: Optional[str] = None,
 ) -> SkyNode:
-    """One empty shard (or shard-replica) SkyNode for an archive slice.
-
-    The table schema is the survey's plus a trailing position column
-    recording each row's index in the *primary's* scan order — what lets
-    a scatter-gather merge reproduce the monolithic result order. Every
-    execution knob matches the primary's, so a shard computes exactly
-    what the primary would over its slice.
-    """
-    from repro.db.schema import Column
-    from repro.db.types import ColumnType
-
+    """One SkyNode on the network over an empty, spatially indexed primary
+    table — primary, replica, shard or shard mirror alike. Every
+    execution knob comes from the one config, so whichever of them serves
+    a slice computes exactly what the primary would over it."""
     db = Database(
         db_name,
         dialect=survey.dialect,
@@ -519,8 +476,7 @@ def _make_shard_node(
     )
     db.create_table(
         survey.primary_table,
-        list(survey.columns())
-        + [Column(pos_column, ColumnType.INT, nullable=True)],
+        columns,
         spatial=SpatialSpec(
             survey.ra_column, survey.dec_column, htm_depth=config.htm_depth
         ),
@@ -534,7 +490,6 @@ def _make_shard_node(
         chunk_budget_bytes=config.chunk_budget_bytes,
         processing_seconds_per_row=config.processing_seconds_per_row,
         retry_policy=config.retry_policy,
-        xmatch_kernel=config.xmatch_kernel,
         match_engine=config.match_engine,
     )
     node.attach(network)
@@ -569,7 +524,6 @@ def _provision_shards(
         plan_zone_ownership,
     )
     from repro.shard.topology import ShardMember, ShardSet
-    from repro.skynode.crossmatch import SHARD_POS_COLUMN
     from repro.soap.encoding import WireRowSet
     from repro.sphere.coords import radec_to_vector
     from repro.transactions.exchange import DataExchange
@@ -614,6 +568,12 @@ def _provision_shards(
                 f"row at dec {dec} of {survey.archive!r} has no owning shard"
             )
 
+    # A shard's table is the survey's plus a trailing position column
+    # recording each row's index in the *primary's* scan order — what
+    # lets a scatter-gather merge reproduce the monolithic result order.
+    shard_columns = list(survey.columns()) + [
+        Column(SHARD_POS_COLUMN, ColumnType.INT, nullable=True)
+    ]
     shard_primaries: List[SkyNode] = []
     shard_mirrors: Dict[str, List[SkyNode]] = {}
     members: List[ShardMember] = []
@@ -621,14 +581,14 @@ def _provision_shards(
     assignments: Dict[str, WireRowSet] = {}
     for index, ownership in enumerate(ownerships, start=1):
         shard_name = f"{survey.archive}-shard{index}"
-        shard = _make_shard_node(
+        shard = _make_node(
             config,
             network,
             survey,
             info,
-            db_name=f"{survey.archive.lower()}_s{index}",
+            f"{survey.archive.lower()}_s{index}",
+            shard_columns,
             hostname=f"{survey.archive.lower()}-shard{index}.skyquery.net",
-            pos_column=SHARD_POS_COLUMN,
         )
         transaction_urls[shard_name] = shard.enable_transactions()
         slice_rows = WireRowSet(
@@ -637,17 +597,17 @@ def _provision_shards(
         assignments[shard_name] = slice_rows
         mirrors: List[SkyNode] = []
         for rep in range(1, config.replicas + 1):
-            mirror = _make_shard_node(
+            mirror = _make_node(
                 config,
                 network,
                 survey,
                 info,
-                db_name=f"{survey.archive.lower()}_s{index}_r{rep}",
+                f"{survey.archive.lower()}_s{index}_r{rep}",
+                shard_columns,
                 hostname=(
                     f"{survey.archive.lower()}-shard{index}-r{rep}"
                     ".skyquery.net"
                 ),
-                pos_column=SHARD_POS_COLUMN,
             )
             mirror_key = f"{shard_name}-r{rep}"
             transaction_urls[mirror_key] = mirror.enable_transactions()

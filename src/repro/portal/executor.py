@@ -41,7 +41,8 @@ from repro.errors import (
 from repro.portal.decompose import DecomposedQuery
 from repro.portal.plan import ExecutionPlan
 from repro.services.chunked import receive_rowset
-from repro.sql.ast import ColumnRef, SelectItem
+from repro.soap.encoding import WireRowSet
+from repro.sql.ast import ColumnRef, Query, SelectItem
 from repro.xmatch.tuples import PartialTuple
 from repro.xmatch.wire import rowset_to_tuples
 
@@ -101,7 +102,7 @@ class FederatedResult:
 
 
 #: Chain execution modes: the store-and-forward reference path and the
-#: batch-pipelined streaming path. Selectable like the xmatch kernel.
+#: batch-pipelined streaming path.
 CHAIN_MODES = ("store-forward", "pipelined")
 
 #: Phase label for the per-batch payload traffic of a pipelined chain, so
@@ -151,7 +152,7 @@ class ChainExecutor:
         the hop that ran out of budget — the query never hangs.
         """
         network = self._portal.require_network()
-        mode = getattr(self._portal, "chain_mode", "store-forward")
+        mode = self._portal.chain_mode
         if mode not in CHAIN_MODES:
             raise ExecutionError(
                 f"unknown chain mode {mode!r}; expected one of {CHAIN_MODES}"
@@ -165,7 +166,7 @@ class ChainExecutor:
         #: a chain failure so the retry pulls only what is still missing.
         #: With ``checkpoint_resume`` off every attempt starts from scratch
         #: (the full-restart comparison arm of benchmarks/E18).
-        resume = getattr(self._portal, "checkpoint_resume", True)
+        resume = self._portal.checkpoint_resume
         stream_state: Optional[Dict[str, Any]] = (
             {"fingerprint": None, "responses": None} if resume else None
         )
@@ -192,39 +193,27 @@ class ChainExecutor:
                             current, xid
                         )
                 break
-            except DeadlineExceededError as exc:
-                # The budget ran out somewhere down the chain (the message
-                # names the hop). Don't wait out server TTLs: fan a
-                # CancelQuery down the chain and at any replicas holding
-                # checkpoints, then degrade instead of hanging or raising.
-                warnings.append(f"query deadline exceeded: {exc}")
-                if getattr(self._portal, "eager_cancel", True):
-                    self._cancel_chain(current, qid or xid)
-                return FederatedResult(
-                    columns=self._output_columns(decomposed.query.items),
-                    rows=[],
-                    plan=current,
-                    warnings=list(warnings),
-                    degraded=True,
-                    failovers=counters["failovers"],
+            except (DeadlineExceededError, ShardUnavailableError) as exc:
+                # Two failures no retry can fix. A deadline: the budget ran
+                # out somewhere down the chain (the message names the hop).
+                # A shard: a coordinating hop exhausted one shard's endpoint
+                # candidates, and replica *coordinators* share the same
+                # shard endpoints, so archive-level failover cannot
+                # resurrect the slice — the warning names the shard, not
+                # the whole archive (every other slice was reachable).
+                # Either way don't wait out server TTLs: fan a CancelQuery
+                # down the chain and at any replicas holding checkpoints,
+                # then degrade instead of hanging or raising.
+                label = (
+                    "query deadline exceeded"
+                    if isinstance(exc, DeadlineExceededError)
+                    else "shard unavailable"
                 )
-            except ShardUnavailableError as exc:
-                # A coordinating hop exhausted one shard's endpoint
-                # candidates. Replica *coordinators* share the same shard
-                # endpoints, so archive-level failover cannot resurrect
-                # the slice — degrade now, with a warning that names the
-                # shard (not the whole archive: every other slice was
-                # reachable), and free the surviving hops' state.
-                warnings.append(f"shard unavailable: {exc}")
-                if getattr(self._portal, "eager_cancel", True):
+                warnings.append(f"{label}: {exc}")
+                if self._portal.eager_cancel:
                     self._cancel_chain(current, qid or xid)
-                return FederatedResult(
-                    columns=self._output_columns(decomposed.query.items),
-                    rows=[],
-                    plan=current,
-                    warnings=list(warnings),
-                    degraded=True,
-                    failovers=counters["failovers"],
+                return self.degraded(
+                    decomposed.query, warnings, counters["failovers"], current
                 )
             except (TransportError, SoapFaultError) as exc:
                 attempts += 1
@@ -233,7 +222,6 @@ class ChainExecutor:
                     counters, tried_dead,
                 )
                 if fallback is not None:
-                    fallback.failovers = counters["failovers"]
                     return fallback
                 if next_plan is not current:
                     attempts = 0
@@ -289,8 +277,6 @@ class ChainExecutor:
         substitution (same content, new endpoint) but resets if the plan's
         content changes (a drop-out was pruned).
         """
-        from repro.soap.encoding import WireRowSet
-
         state = state if state is not None else {}
         fingerprint = plan.fingerprint(0)
         if state.get("fingerprint") != fingerprint:
@@ -306,19 +292,25 @@ class ChainExecutor:
             ):
                 high_water += 1
         proxy = self._portal.proxy(plan.step(0).url)
-        opened = proxy.call(
-            "OpenStream",
-            plan=plan.to_wire(),
-            position=0,
-            batch_size=getattr(self._portal, "stream_batch_size", 200),
-            wire_format=getattr(self._portal, "stream_wire_format", "columnar"),
-            start_seq=high_water,
-            qid=qid,
-        )
-        if not isinstance(opened, dict):
-            raise ExecutionError(f"malformed OpenStream response: {opened!r}")
-        stream_id = str(opened["stream_id"])
-        batch_count = int(opened["batch_count"])
+        plan_wire = plan.to_wire()
+
+        def open_at(start_seq: int) -> Tuple[str, int]:
+            opened = proxy.call(
+                "OpenStream",
+                plan=plan_wire,
+                position=0,
+                batch_size=self._portal.stream_batch_size,
+                wire_format=self._portal.stream_wire_format,
+                start_seq=start_seq,
+                qid=qid,
+            )
+            if not isinstance(opened, dict):
+                raise ExecutionError(
+                    f"malformed OpenStream response: {opened!r}"
+                )
+            return str(opened["stream_id"]), int(opened["batch_count"])
+
+        stream_id, batch_count = open_at(high_water)
         if responses is None or len(responses) != batch_count:
             # Nothing usable to resume from (first attempt, or a stale
             # partition that no longer matches): start over from batch 0.
@@ -327,19 +319,7 @@ class ChainExecutor:
                     proxy.call("AbortStream", stream_id=stream_id)
                 except (TransportError, SoapFaultError):
                     pass
-                opened = proxy.call(
-                    "OpenStream",
-                    plan=plan.to_wire(),
-                    position=0,
-                    batch_size=getattr(self._portal, "stream_batch_size", 200),
-                    wire_format=getattr(
-                        self._portal, "stream_wire_format", "columnar"
-                    ),
-                    start_seq=0,
-                    qid=qid,
-                )
-                stream_id = str(opened["stream_id"])
-                batch_count = int(opened["batch_count"])
+                stream_id, batch_count = open_at(0)
             responses = [None] * batch_count
             high_water = 0
             state["responses"] = responses
@@ -348,7 +328,7 @@ class ChainExecutor:
         #: bounded window acknowledges batches wave by wave, so a crash
         #: mid-stream loses only the wave in flight — the completed waves
         #: stay below the high-water mark and are never re-pulled.
-        window = int(getattr(self._portal, "stream_pull_window", 0) or 0)
+        window = int(self._portal.stream_pull_window or 0)
         pending = list(range(high_water, batch_count))
         waves = (
             [pending]
@@ -407,29 +387,24 @@ class ChainExecutor:
         if not qid:
             return
         network = self._portal.require_network()
-        wire = plan.to_wire()
-        with network.phase("cancel"), use_budget(None):
+        seen = {step.url for step in plan.steps}
+
+        def cancel(url: str, **chain: Any) -> None:
             try:
-                self._portal.proxy(plan.step(0).url).call(
-                    "CancelQuery", query_id=qid, plan=wire, position=0
+                self._portal.proxy(url).call(
+                    "CancelQuery", query_id=qid, **chain
                 )
             except Exception:
-                pass
-            seen = {step.url for step in plan.steps}
-            cancelled_shard_archives: set = set()
+                pass  # fire-and-forget; the hop's TTL reaper is the backstop
+
+        with network.phase("cancel"), use_budget(None):
+            cancel(plan.step(0).url, plan=plan.to_wire(), position=0)
             for step in plan.steps:
                 record = self._portal.catalog.node(step.archive)
-                for services in record.endpoint_candidates():
-                    url = services["crossmatch"]
-                    if url in seen:
-                        continue
-                    seen.add(url)
-                    try:
-                        self._portal.proxy(url).call(
-                            "CancelQuery", query_id=qid
-                        )
-                    except Exception:
-                        pass
+                urls = [
+                    services["crossmatch"]
+                    for services in record.endpoint_candidates()
+                ]
                 # Shard endpoints are NOT in endpoint_candidates() (each
                 # serves one slice, not the whole archive), yet shards
                 # hold stagings keyed by this qid. A live coordinator
@@ -437,23 +412,13 @@ class ChainExecutor:
                 # cannot — so the Portal cancels every shard candidate
                 # directly too (idempotent; a double cancel frees
                 # nothing twice).
-                if step.archive in cancelled_shard_archives:
-                    continue
-                cancelled_shard_archives.add(step.archive)
-                shard_set = record.shard_set
-                if shard_set is None:
-                    continue
-                for member in shard_set.members:
-                    for url in member.candidate_urls("crossmatch"):
-                        if url in seen:
-                            continue
+                if record.shard_set is not None:
+                    for member in record.shard_set.members:
+                        urls.extend(member.candidate_urls("crossmatch"))
+                for url in urls:
+                    if url not in seen:
                         seen.add(url)
-                        try:
-                            self._portal.proxy(url).call(
-                                "CancelQuery", query_id=qid
-                            )
-                        except Exception:
-                            pass
+                        cancel(url)
 
     def _probe_plan_endpoints(self, plan: ExecutionPlan) -> List[bool]:
         """Ping each step's CURRENT endpoint (not just the archive primary).
@@ -462,20 +427,13 @@ class ChainExecutor:
         of the same archive is still diagnosed correctly. Probes run
         concurrently like the Portal's plan-time health checks.
         """
-        from repro.errors import SoapFaultError as _Fault
-
         network = self._portal.require_network()
         alive: List[bool] = [False] * len(plan.steps)
         with network.phase("health-probe"), network.parallel():
             for index, step in enumerate(plan.steps):
-                info_url = self._portal.information_url_for(
-                    step.archive, step.url
+                alive[index] = self._portal.is_alive(
+                    self._portal.information_url_for(step.archive, step.url)
                 )
-                proxy = self._portal.proxy(info_url)
-                try:
-                    alive[index] = bool(proxy.call("IsAlive"))
-                except (TransportError, _Fault):
-                    alive[index] = False
         return alive
 
     def _recover(
@@ -546,12 +504,8 @@ class ChainExecutor:
                     f"{step.alias!r}) is unreachable with no live replica; "
                     "cross-match aborted"
                 )
-            return plan, FederatedResult(
-                columns=self._output_columns(decomposed.query.items),
-                rows=[],
-                plan=plan,
-                warnings=list(warnings),
-                degraded=True,
+            return plan, self.degraded(
+                decomposed.query, warnings, counters["failovers"], plan
             )
         if lost_dropout:
             # Drop-out archives with no replica left: prune them and
@@ -578,6 +532,24 @@ class ChainExecutor:
                 profile=new_plan.profile,
             )
         return new_plan, None
+
+    def degraded(
+        self,
+        query: Query,
+        warnings: List[str],
+        failovers: int = 0,
+        plan: Optional[ExecutionPlan] = None,
+    ) -> FederatedResult:
+        """The empty, degraded answer of a query that could not be finished
+        (here or at plan time); its warnings name what was lost."""
+        return FederatedResult(
+            columns=self._output_columns(query.items),
+            rows=[],
+            plan=plan,
+            warnings=list(warnings),
+            degraded=True,
+            failovers=failovers,
+        )
 
     def _finish(
         self,
@@ -631,7 +603,7 @@ class ChainExecutor:
             plan=plan,
             matched_tuples=len(tuples),
         )
-        cache = getattr(self._portal, "cache", None)
+        cache = self._portal.cache
         if cache is not None and cache.config.containment:
             # Keep the pre-projection tuples: they are the raw material a
             # later contained-AREA query is served from.

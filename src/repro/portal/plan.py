@@ -137,7 +137,7 @@ class ExecutionPlan:
     #: Portal-side execution profile: sorted ``(knob, value)`` pairs for
     #: every setting that changes observable result bytes without changing
     #: the node queries — chain mode, stream wire format and batch size,
-    #: cross-match kernel and match engine. Folded into ``fingerprint()``
+    #: match engine. Folded into ``fingerprint()``
     #: so a semantic cache never serves a result produced under a
     #: different profile, but deliberately NOT serialized to the wire:
     #: nodes derive these from the call surface (PerformXMatch args,

@@ -55,7 +55,6 @@ class Portal:
         chain_mode: str = "store-forward",
         stream_batch_size: int = 200,
         stream_wire_format: str = "columnar",
-        xmatch_kernel: str = "vectorized",
         match_engine: Optional[str] = None,
     ) -> None:
         self.hostname = hostname
@@ -94,13 +93,12 @@ class Portal:
         self.queries_served = 0
         self.retry_policy = retry_policy
         self.health_probes = health_probes
-        #: The node-side execution knobs this Portal assumes for its
-        #: archives (what build_federation configured every SkyNode
-        #: with). They never change node queries or result rows, but the
-        #: pipelined stats and wire encodings they select DO change
-        #: observable bytes — so they fold into every plan's
-        #: ``profile`` and thereby its fingerprint.
-        self.xmatch_kernel = xmatch_kernel
+        #: The node-side match engine this Portal assumes for its archives
+        #: (what build_federation configured every SkyNode with). It never
+        #: changes node queries or result rows, but like the chain mode
+        #: and wire format it is an execution setting a cached entry must
+        #: not cross — so it folds into every plan's ``profile`` and
+        #: thereby its fingerprint.
         self.match_engine = (
             match_engine
             if match_engine is not None
@@ -145,7 +143,6 @@ class Portal:
             "chain_mode": str(self.chain_mode),
             "stream_batch_size": str(self.stream_batch_size),
             "stream_wire_format": str(self.stream_wire_format),
-            "xmatch_kernel": str(self.xmatch_kernel),
             "match_engine": str(self.match_engine),
         }
         for archive in self.catalog.archives():
@@ -203,19 +200,15 @@ class Portal:
         health: Dict[str, bool] = {}
         with network.phase("health-probe"), network.parallel():
             for archive in unique:
-                record = self.catalog.node(archive)
-                proxy = self.proxy(record.services["information"])
-                try:
-                    health[archive] = bool(proxy.call("IsAlive"))
-                except (TransportError, SoapFaultError):
-                    health[archive] = False
+                health[archive] = self.is_alive(
+                    self.catalog.node(archive).services["information"]
+                )
         return health
 
-    def _probe_endpoint(self, services: Dict[str, str]) -> bool:
-        """One ``IsAlive`` ping against an endpoint set's Information URL."""
-        proxy = self.proxy(services["information"])
+    def is_alive(self, information_url: str) -> bool:
+        """One ``IsAlive`` ping against an Information service URL."""
         try:
-            return bool(proxy.call("IsAlive"))
+            return bool(self.proxy(information_url).call("IsAlive"))
         except (TransportError, SoapFaultError):
             return False
 
@@ -244,7 +237,7 @@ class Portal:
                 with network.branch():
                     chosen[archive] = None
                     for services in record.endpoint_candidates():
-                        if self._probe_endpoint(services):
+                        if self.is_alive(services["information"]):
                             chosen[archive] = services
                             break
         return chosen
@@ -265,7 +258,7 @@ class Portal:
             for services in record.endpoint_candidates():
                 if services["crossmatch"] in exclude:
                     continue
-                if self._probe_endpoint(services):
+                if self.is_alive(services["information"]):
                     return services
         return None
 
@@ -344,7 +337,7 @@ class Portal:
                 # a performance query, a direct query. No tagged chain
                 # state exists yet, so there is nothing to cancel: the
                 # TTL reaper covers any untagged leftovers. Degrade.
-                return self._degraded_result(
+                return self.executor.degraded(
                     query, [f"query deadline exceeded: {exc}"]
                 )
 
@@ -496,9 +489,7 @@ class Portal:
                             f"mandatory archive {archive!r} (alias "
                             f"{alias!r}) is unreachable; cross-match aborted"
                         )
-                    result = self._degraded_result(query, warnings)
-                    result.failovers = failovers
-                    return result
+                    return self.executor.degraded(query, warnings, failovers)
                 for alias in decomposed.dropout_aliases:
                     archive = decomposed.subqueries[alias].archive
                     if endpoints[archive] is None:
@@ -547,10 +538,9 @@ class Portal:
                         f"failed its performance query: "
                         f"{perf_failures[alias]}"
                     )
-                result = self._degraded_result(query, warnings)
+                result = self.executor.degraded(query, warnings, failovers)
                 result.counts = counts
                 result.epochs = epochs
-                result.failovers = failovers
                 return result
             if any(
                 counts.get(alias) == 0
@@ -671,17 +661,6 @@ class Portal:
             }
         ]
         return result
-
-    def _degraded_result(
-        self, query: Query, warnings: List[str]
-    ) -> FederatedResult:
-        """An empty, degraded answer naming the lost node(s)."""
-        return FederatedResult(
-            columns=self.executor._output_columns(query.items),
-            rows=[],
-            warnings=list(warnings),
-            degraded=True,
-        )
 
     def explain(
         self,

@@ -7,22 +7,23 @@ when a caller pulls a large result. The sender returns either the rowset
 inline or a ``{chunked, transfer_id, chunk_count}`` descriptor; the caller
 then drains numbered ``FetchChunk`` calls and reassembles.
 
-Sender-side state is bounded: a transfer a caller abandons mid-drain
-(crash, circuit opened, chain retried from scratch) is reclaimed either by
-an explicit ``AbortTransfer`` or by a TTL keyed off the simulated clock
-(:meth:`ChunkedSender.bind_clock`), with every reclaim counted in
-``NetworkMetrics.reclaimed_transfers``. A fully drained transfer parks its
-final chunk in a small completed-cache so a retry of the *last* fetch
-(response lost in flight) is served idempotently instead of failing with
-"unknown transfer".
+Sender-side state is bounded: the prepared chunks are held as a lease
+(:mod:`repro.services.leases`), so a transfer a caller abandons mid-drain
+(crash, circuit opened, chain retried from scratch) is reclaimed by an
+explicit ``AbortTransfer``, by the owning query's ``CancelQuery``, or by
+the TTL on the simulated clock. A fully drained transfer settles onto its
+final chunk so a retry of the *last* fetch (response lost in flight) is
+served idempotently instead of failing with "unknown transfer".
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ExecutionError, SoapError
+from repro.services.leases import LeaseTable
 from repro.soap.encoding import WireRowSet
 from repro.transport.chunking import envelope_bytes, split_for_budget
 
@@ -31,12 +32,21 @@ from repro.transport.chunking import envelope_bytes, split_for_budget
 CHUNK_TRANSFER_PHASE = "chunk-transfer"
 
 #: How long (simulated seconds) an unfetched transfer survives once the
-#: sender is bound to a clock. Generous relative to any retry budget.
+#: sender's lease table is bound to a clock. Generous relative to any
+#: retry budget.
 DEFAULT_TRANSFER_TTL_S = 600.0
+
+#: The lease kind of a chunked transfer's prepared chunks.
+TRANSFER = "transfer"
 
 
 class ChunkedSender:
-    """Sender half: hold prepared chunks until the caller fetches them."""
+    """Sender half: lease prepared chunks until the caller fetches them.
+
+    ``leases`` is the table the chunks are held in — a service that also
+    holds other per-query state passes its own, so one ``CancelQuery``,
+    one TTL reaper, and one ``crash()`` cover all of it.
+    """
 
     def __init__(
         self,
@@ -44,66 +54,31 @@ class ChunkedSender:
         chunk_budget_bytes: Optional[int],
         *,
         ttl_s: float = DEFAULT_TRANSFER_TTL_S,
+        leases: Optional[LeaseTable] = None,
     ) -> None:
         self.owner_name = owner_name
         self.chunk_budget_bytes = chunk_budget_bytes
         self.ttl_s = ttl_s
-        self._transfers: Dict[str, List[WireRowSet]] = {}
-        self._deadlines: Dict[str, float] = {}
-        #: transfer_id -> owning query id (only for tagged transfers);
-        #: what :meth:`cancel_query` fans over.
-        self._owners: Dict[str, str] = {}
-        #: Fully drained transfers: transfer_id -> (final seq, final chunk,
-        #: expiry). Lets a lost final-fetch response be retried.
-        self._completed: Dict[str, Tuple[int, WireRowSet, float]] = {}
+        self.leases = leases if leases is not None else LeaseTable()
         self._transfer_ids = itertools.count(1)
-        self._clock_fn: Optional[Callable[[], float]] = None
-        self._on_reclaim: Optional[Callable[[int], None]] = None
 
-    def bind_clock(
-        self,
-        clock_fn: Callable[[], float],
-        on_reclaim: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Arm TTL expiry against a clock; report reclaimed transfers.
-
-        Without a clock the sender keeps the original behaviour: transfers
-        live until their last chunk is fetched (or aborted explicitly).
-        """
-        self._clock_fn = clock_fn
-        self._on_reclaim = on_reclaim
-
-    def _now(self) -> Optional[float]:
-        return self._clock_fn() if self._clock_fn is not None else None
-
-    def _reclaimed(self, count: int) -> None:
-        if count and self._on_reclaim is not None:
-            self._on_reclaim(count)
-
-    def reap(self) -> int:
-        """Free transfers whose TTL passed; returns how many were pending.
-
-        Completed-cache entries expire silently (their payload was fully
-        delivered); abandoned *pending* transfers count as reclaimed.
-        """
-        now = self._now()
-        if now is None:
-            return 0
-        expired = [
-            tid for tid, deadline in self._deadlines.items() if deadline <= now
-        ]
-        for tid in expired:
-            del self._transfers[tid]
-            del self._deadlines[tid]
-            self._owners.pop(tid, None)
-        self._reclaimed(len(expired))
-        for tid in [
-            tid
-            for tid, (_, _, deadline) in self._completed.items()
-            if deadline <= now
-        ]:
-            del self._completed[tid]
-        return len(expired)
+    def mount(self, service: Any, what: str) -> None:
+        """Register the receiver-facing half on ``service``: the two
+        operations a caller drains (or abandons) a chunked ``what`` with."""
+        service.register(
+            "FetchChunk",
+            self.fetch_chunk,
+            params=(("transfer_id", "string"), ("seq", "int")),
+            returns="rowset",
+            doc=f"Fetch one chunk of a chunked {what}.",
+        )
+        service.register(
+            "AbortTransfer",
+            lambda transfer_id: {"aborted": self.abort(str(transfer_id))},
+            params=(("transfer_id", "string"),),
+            returns="struct",
+            doc="Free an abandoned chunked transfer before its TTL.",
+        )
 
     def respond(
         self,
@@ -114,21 +89,23 @@ class ChunkedSender:
     ) -> Dict[str, Any]:
         """Wrap a rowset for the wire, chunking when over budget.
 
-        ``query_id`` tags the transfer with the query it belongs to, so a
-        later :meth:`cancel_query` can free it without knowing its id.
+        ``query_id`` tags the transfer with the query it belongs to, so
+        cancelling the query frees it without knowing its id.
         """
-        self.reap()
+        self.leases.reap()
         response: Dict[str, Any] = dict(extra or {})
         budget = self.chunk_budget_bytes
         if budget is not None and envelope_bytes(rowset) > budget:
             chunks = split_for_budget(rowset, budget)
             transfer_id = f"{self.owner_name}-{next(self._transfer_ids)}"
-            self._transfers[transfer_id] = chunks
-            if query_id:
-                self._owners[transfer_id] = query_id
-            now = self._now()
-            if now is not None:
-                self._deadlines[transfer_id] = now + self.ttl_s
+            self.leases.grant(
+                TRANSFER,
+                transfer_id,
+                chunks,
+                ttl_s=self.ttl_s,
+                qid=query_id,
+                abandonable=True,
+            )
             response.update(
                 chunked=True,
                 transfer_id=transfer_id,
@@ -140,105 +117,47 @@ class ChunkedSender:
         return response
 
     def fetch_chunk(self, transfer_id: str, seq: int) -> WireRowSet:
-        """The ``FetchChunk`` operation body; frees the transfer at the end.
+        """The ``FetchChunk`` operation body; settles the transfer at the end.
 
-        A repeat of the *final* fetch re-serves the cached last chunk (the
+        A repeat of the *final* fetch re-serves the parked last chunk (the
         caller's retry after a lost response must not fault); any other
         touch of an unknown or expired transfer fails deterministically.
         """
-        self.reap()
+        lease = self.leases.require(TRANSFER, transfer_id)
         seq = int(seq)
-        completed = self._completed.get(transfer_id)
-        if completed is not None:
-            final_seq, final_chunk, _ = completed
+        if not lease.live:
+            final_seq, final_chunk = lease.value
             if seq != final_seq:
                 raise ExecutionError(
                     f"chunk {seq} of completed transfer {transfer_id!r} is "
                     f"gone (only the final chunk {final_seq} is re-servable)"
                 )
-            now = self._now()
-            if now is not None:
-                self._completed[transfer_id] = (
-                    final_seq, final_chunk, now + self.ttl_s,
-                )
+            self.leases.touch(lease)
             return final_chunk
-        chunks = self._transfers.get(transfer_id)
-        if chunks is None:
-            raise ExecutionError(f"unknown transfer {transfer_id!r}")
+        chunks: List[WireRowSet] = lease.value
         if not 0 <= seq < len(chunks):
             raise ExecutionError(
                 f"chunk {seq} out of range for transfer {transfer_id!r}"
             )
-        chunk = chunks[seq]
-        now = self._now()
         if seq == len(chunks) - 1:
-            del self._transfers[transfer_id]
-            self._deadlines.pop(transfer_id, None)
-            self._owners.pop(transfer_id, None)
-            if now is not None:
-                self._completed[transfer_id] = (seq, chunk, now + self.ttl_s)
-        elif now is not None:
-            self._deadlines[transfer_id] = now + self.ttl_s
-        return chunk
+            lease.value = (seq, chunks[seq])  # all that stays re-servable
+            self.leases.settle(lease)
+        else:
+            self.leases.touch(lease)
+        return chunks[seq]
 
     def abort(self, transfer_id: str) -> bool:
-        """Free a transfer early (the ``AbortTransfer`` operation body).
+        """The ``AbortTransfer`` operation body (idempotent).
 
-        Idempotent: returns False for ids already gone. Aborting a pending
-        transfer counts as a reclaim; dropping a completed-cache entry does
-        not (its payload was delivered).
+        Aborting a pending transfer counts as a reclaim; dropping a fully
+        drained one does not (its payload was delivered).
         """
-        self.reap()
-        if transfer_id in self._transfers:
-            del self._transfers[transfer_id]
-            self._deadlines.pop(transfer_id, None)
-            self._owners.pop(transfer_id, None)
-            self._reclaimed(1)
-            return True
-        if transfer_id in self._completed:
-            del self._completed[transfer_id]
-            return True
-        return False
-
-    def cancel_query(self, query_id: str) -> int:
-        """Free every pending transfer tagged with ``query_id``.
-
-        Returns the number of *pending* transfers freed (what eager
-        cancellation saved from the TTL reaper); completed-cache entries
-        for the query are dropped silently — their payload was delivered.
-        The caller, not this method, accounts the reclaims: cancellation
-        is an ``eager_reclaims`` event, not a ``reclaimed_transfers`` one.
-        Idempotent — a repeat (or a cancel racing the reaper) frees 0.
-        """
-        self.reap()
-        if not query_id:
-            return 0
-        mine = [
-            tid for tid, owner in self._owners.items() if owner == query_id
-        ]
-        for tid in mine:
-            self._transfers.pop(tid, None)
-            self._deadlines.pop(tid, None)
-            del self._owners[tid]
-        return len(mine)
-
-    def crash(self) -> None:
-        """Drop all transfer state silently, as a process crash would.
-
-        Unlike :meth:`abort`, nothing is counted as reclaimed: the process
-        died, it did not tidy up. Callers mid-drain will hit "unknown
-        transfer" after the host recovers — exactly the failure a resumable
-        protocol has to survive.
-        """
-        self._transfers.clear()
-        self._deadlines.clear()
-        self._owners.clear()
-        self._completed.clear()
+        return self.leases.abort(TRANSFER, transfer_id) is not None
 
     @property
     def pending_transfers(self) -> int:
         """Number of transfers awaiting pickup (0 after clean runs)."""
-        return len(self._transfers)
+        return self.leases.held(TRANSFER)
 
 
 def receive_rowset(
@@ -268,14 +187,11 @@ def receive_rowset(
     parts: List[WireRowSet] = []
     try:
         for seq in range(chunk_count):
-            if network is not None:
-                with network.phase(CHUNK_TRANSFER_PHASE):
-                    parts.append(
-                        proxy.call(
-                            fetch_operation, transfer_id=transfer_id, seq=seq
-                        )
-                    )
-            else:
+            with (
+                network.phase(CHUNK_TRANSFER_PHASE)
+                if network is not None
+                else nullcontext()
+            ):
                 parts.append(
                     proxy.call(
                         fetch_operation, transfer_id=transfer_id, seq=seq

@@ -8,18 +8,40 @@ extends/filters the partial tuples via the ``sp_xmatch`` stored procedure
 tuples to its caller as a serialized rowset — chunked when a monolithic
 envelope would blow the caller's XML parser memory budget.
 
-That classic ``PerformXMatch`` path is store-and-forward: every node sits
-idle until its downstream neighbour has computed and shipped its *entire*
+There is exactly one hop (see DESIGN.md, "the one hop")::
+
+    partitions -> probe -> canonical merge -> extend/filter -> stats
+
+*Partitions* are where this archive's rows live: the node's own database
+(a monolithic archive is the one-partition layout — no routing, no
+staging, no wire) or its spatial shards (pruned by AREA, routed per
+tuple, probed in parallel with per-shard endpoint failover). The *probe*
+— the node query for a seed hop, temp table + ``sp_xmatch`` for a match or
+drop-out hop — is written once and runs wherever the partition's rows
+are: in process for the monolithic node, behind ``ShardSeed`` /
+``ShardXMatch`` for a shard. The *merge* puts gathered partitions back
+into the monolithic emission order (the identity for one partition), and
+the extend/filter and stats tails never know how many partitions there
+were.
+
+How the hop's tuples travel is a second, independent parameter. The
+classic ``PerformXMatch`` path is store-and-forward: every node sits idle
+until its downstream neighbour has computed and shipped its *entire*
 tuple set. The streaming operation set (``OpenStream`` / ``PullBatch`` /
-``AbortStream``) pipelines the same computation instead: the open cascades
-down the chain once (the last node seeds and partitions its tuples into
+``AbortStream``) pipelines the same hop instead: the open cascades down
+the chain once (the last node seeds and partitions its tuples into
 batches), then each batch flows up hop by hop on demand, so one batch's
 transfer overlaps another's compute under the network's makespan
 semantics. Batches are pulled strictly in order; a *retry* of the batch
 just served is answered from a cached response (a lost response must not
 re-run the step or duplicate rows), anything else out of order faults
-deterministically. Stream state expires against the simulated clock so an
-abandoned stream cannot pin tuples forever.
+deterministically.
+
+Everything the service holds between two requests — open streams,
+store-and-forward checkpoints, staged shard rows, chunked transfers — is
+a lease in one :class:`~repro.services.leases.LeaseTable`, so TTL expiry,
+``CancelQuery`` release, epoch-floor reaping and ``crash()`` each exist
+once.
 """
 
 from __future__ import annotations
@@ -27,8 +49,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.db.schema import Column
+from repro.db.types import ColumnType
 from repro.errors import (
     ExecutionError,
     GeometryError,
@@ -39,6 +73,7 @@ from repro.htm.cover import cover
 from repro.portal.plan import ExecutionPlan, PlanStep
 from repro.services.chunked import ChunkedSender, receive_rowset
 from repro.services.framework import WebService
+from repro.services.leases import LeaseTable
 from repro.shard import (
     members_for_tuple,
     merge_match_lists,
@@ -46,6 +81,7 @@ from repro.shard import (
     prune_members,
 )
 from repro.shard.topology import ShardMember
+from repro.skynode.xmatch_proc import PROCEDURE_NAME, _cap_bounds
 from repro.tracing.tracer import active_tracer
 from repro.soap.encoding import WireRowSet
 from repro.sphere.coords import radec_to_vector
@@ -71,6 +107,7 @@ from repro.xmatch.wire import (
 )
 
 if TYPE_CHECKING:
+    from repro.services.client import ServiceProxy
     from repro.skynode.node import SkyNode
 
 #: How long (simulated seconds) an open stream survives between touches.
@@ -85,6 +122,12 @@ CHECKPOINT_TTL_S = 600.0
 #: it so a retry after a lost response can deterministically re-run.
 STAGING_TTL_S = 600.0
 
+#: The lease kinds this service holds (chunked transfers are the fourth,
+#: held by the sender in the same table).
+STREAM = "stream"
+CHECKPOINT = "checkpoint"
+STAGING = "staging"
+
 #: Rows per ``ShardStage`` call: keeps every staged request far below the
 #: receiving shard's XML-parser memory budget (5 numeric columns per row).
 SHARD_STAGE_ROWS = 2048
@@ -94,60 +137,54 @@ SHARD_STAGE_ROWS = 2048
 #: rows can be merged back into exactly the monolithic emission order.
 SHARD_POS_COLUMN = "_skyq_pos"
 
+#: What one incoming partial tuple looks like to the match probe: its
+#: chain sequence number and cumulative values — the temp table's schema
+#: and, typecode for typecode, the ``ShardStage`` rowset's.
+_ACC_NAMES = ("a", "ax", "ay", "az")
+_TEMP_COLUMNS = [Column("seq", ColumnType.INT, nullable=False)] + [
+    Column(name, ColumnType.FLOAT, nullable=False) for name in _ACC_NAMES
+]
+_STAGE_WIRE_COLUMNS = [("seq", "int")] + [
+    (name, "double") for name in _ACC_NAMES
+]
+
+#: The per-probe cost counters every hop reports, in wire order.
+_COST_KEYS = (
+    "rows_examined", "candidates_tested", "logical_reads", "physical_reads",
+)
+
+#: One staged/temp-table row: ``(seq, a, ax, ay, az)``.
+AccRow = Tuple[int, float, float, float, float]
+#: A hop's matches in emission order: ascending seq, each tuple's
+#: candidates in ascending row-position order.
+Matches = List[Tuple[int, List[LocalObject]]]
+
 
 @dataclass
 class _Checkpoint:
     """One hop's completed store-and-forward result, kept for resume.
 
-    Keyed by (execution id, chain-suffix fingerprint): when an upstream
-    hop dies after this node already finished its step, the retried chain
-    — possibly re-routed through a replica — is answered from here, so
-    only the failed hop's bytes travel again.
+    Leased under (execution id, chain-suffix fingerprint): when an
+    upstream hop dies after this node already finished its step, the
+    retried chain — possibly re-routed through a replica — is answered
+    from here, so only the failed hop's bytes travel again.
     """
 
     rowset: WireRowSet
     stats: List[Dict[str, Any]]
-    deadline: Optional[float] = None
-    #: The snapshot epoch the step ran at; a checkpoint whose epoch has
-    #: been garbage-collected is reaped rather than served to a resume.
-    epoch: Optional[int] = None
-
-
-@dataclass
-class _ShardStaging:
-    """Tuple rows staged on a shard ahead of one ``ShardXMatch`` call.
-
-    Keyed by the coordinator's ``xmid``; rows are deduplicated by ``seq``
-    so a retried ``ShardStage`` (lost response) cannot double-insert.
-    Deliberately *not* freed when ``ShardXMatch`` consumes it: the match
-    is deterministic, so a retry after a lost response simply re-runs
-    against the same staged rows. The TTL reaper, ``CancelQuery``, and
-    ``crash()`` are what free it.
-    """
-
-    qid: str = ""
-    deadline: Optional[float] = None
-    rows: Dict[int, Tuple[Any, ...]] = field(default_factory=dict)
 
 
 @dataclass
 class _Stream:
-    """Server-side state of one open tuple stream."""
+    """Server-side state of one open tuple stream (a lease's value; the
+    owning query, pinned epoch and drained-or-not live on the lease)."""
 
-    plan_wire: Dict[str, Any]
     plan: ExecutionPlan
     me: PlanStep
     position: int
     wire_format: str
     batch_count: int
-    #: The owning query's id (empty for unbudgeted streams); what
-    #: ``CancelQuery`` matches on when freeing a query's streams.
-    qid: str = ""
-    deadline: Optional[float] = None
-    #: The snapshot epoch this stream's step is pinned at (see _Checkpoint).
-    epoch: Optional[int] = None
     next_seq: int = 0
-    done: bool = False
     #: Cached response of the batch most recently served, so a caller's
     #: retry after a lost response is answered without re-running the step.
     last_response: Optional[Dict[str, Any]] = None
@@ -179,8 +216,12 @@ class CrossMatchService(WebService):
             parser_memory_limit=parser_memory_limit,
         )
         self._node = node
+        #: Every stream, checkpoint, staging and chunked transfer this
+        #: service holds. Leases pinned to a snapshot epoch die when the
+        #: epoch falls off the engine's pinnable window.
+        self.leases = LeaseTable(lambda: node.wrapper.db.oldest_epoch)
         self.sender = ChunkedSender(
-            f"{node.info.archive}-xm", chunk_budget_bytes
+            f"{node.info.archive}-xm", chunk_budget_bytes, leases=self.leases
         )
         self.register(
             "PerformXMatch",
@@ -196,20 +237,7 @@ class CrossMatchService(WebService):
                 "is served from this node's checkpoint instead of "
                 "recomputed.",
         )
-        self.register(
-            "FetchChunk",
-            self._fetch_chunk,
-            params=(("transfer_id", "string"), ("seq", "int")),
-            returns="rowset",
-            doc="Fetch one chunk of a chunked partial-result transfer.",
-        )
-        self.register(
-            "AbortTransfer",
-            self._abort_transfer,
-            params=(("transfer_id", "string"),),
-            returns="struct",
-            doc="Free an abandoned chunked transfer before its TTL.",
-        )
+        self.sender.mount(self, "partial-result transfer")
         self.register(
             "OpenStream",
             self._open_stream,
@@ -295,74 +323,52 @@ class CrossMatchService(WebService):
                 "tuples, shipping matches tagged with seq and monolithic "
                 "row position for the coordinator's canonical merge.",
         )
-        self._streams: Dict[str, _Stream] = {}
         self._stream_ids = itertools.count(1)
-        self._stagings: Dict[str, _ShardStaging] = {}
         self._xmid_counter = itertools.count(1)
-        self._checkpoints: Dict[str, _Checkpoint] = {}
-        self._clock_fn: Optional[Callable[[], float]] = None
-        self._on_reclaim: Optional[Callable[[int], None]] = None
-        self._on_stale_reap: Optional[Callable[[int], None]] = None
-        self._on_cancel: Optional[Callable[[], None]] = None
-        self._on_eager: Optional[Callable[[int], None]] = None
 
-    def bind_clock(
-        self,
-        clock_fn: Callable[[], float],
-        on_reclaim: Optional[Callable[[int], None]] = None,
-        on_stale_reap: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Expire abandoned streams against a clock, reporting reclaims.
+    # -- what the service is holding (0 after clean runs) --------------------------
 
-        ``on_stale_reap`` is called with a count whenever checkpoints or
-        streams are dropped because their pinned epoch was
-        garbage-collected (see :meth:`reap_stale_epochs`).
-        """
-        self._clock_fn = clock_fn
-        self._on_reclaim = on_reclaim
-        self._on_stale_reap = on_stale_reap
+    @property
+    def open_streams(self) -> int:
+        """Streams still holding undrained server-side state."""
+        return self.leases.held(STREAM)
 
-    def bind_cancel(
-        self,
-        on_cancel: Optional[Callable[[], None]] = None,
-        on_eager: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Report cancellation activity to the node's metrics.
+    @property
+    def open_checkpoints(self) -> int:
+        """Checkpoints currently held (bounded by the TTL reaper)."""
+        return self.leases.held(CHECKPOINT)
 
-        ``on_cancel`` fires once per ``CancelQuery`` handled (idempotent
-        repeats included); ``on_eager`` receives the count of streams,
-        checkpoints, and transfers a cancel freed ahead of their TTLs.
-        """
-        self._on_cancel = on_cancel
-        self._on_eager = on_eager
+    @property
+    def open_stagings(self) -> int:
+        """Staged shard fan-out row sets currently held."""
+        return self.leases.held(STAGING)
 
-    # -- operations ------------------------------------------------------------
+    # -- store-and-forward -----------------------------------------------------------
 
     def _perform(
         self, plan: Dict[str, Any], position: int, xid: str = ""
     ) -> Dict[str, Any]:
-        plan_obj = ExecutionPlan.from_wire(plan)
-        position = int(position)
-        me = self._validate_step(plan_obj, position)
-        self._reap_checkpoints()
-        self.reap_stale_epochs()
+        plan_obj, position, me = self._decode_step(plan, position)
         checkpoint_key = (
             f"{xid}:{plan_obj.fingerprint(position)}" if xid else None
         )
-        if checkpoint_key is not None:
-            checkpoint = self._checkpoints.get(checkpoint_key)
-            if checkpoint is not None:
-                # A retried chain (upstream hop died after this node already
-                # finished): serve the completed payload as-is. No downstream
-                # call, no recompute — only the failed hop's bytes travel
-                # again. The fingerprint is URL-independent, so the hit
-                # survives replica substitution anywhere in the suffix.
-                self._touch_checkpoint(checkpoint)
-                return self._respond(
-                    checkpoint.rowset,
-                    [dict(s) for s in checkpoint.stats],
-                    qid=xid,
-                )
+        held = (
+            self.leases.find(CHECKPOINT, checkpoint_key)
+            if checkpoint_key is not None
+            else None
+        )
+        if held is not None:
+            # A retried chain (upstream hop died after this node already
+            # finished): serve the completed payload as-is. No downstream
+            # call, no recompute — only the failed hop's bytes travel
+            # again. The fingerprint is URL-independent, so the hit
+            # survives replica substitution anywhere in the suffix.
+            self.leases.touch(held)
+            return self._respond(
+                held.value.rowset,
+                [dict(s) for s in held.value.stats],
+                qid=xid,
+            )
         stats_chain: List[Dict[str, Any]] = []
         if position == len(plan_obj.steps) - 1:
             tuples, my_stats = self._seed_step(plan_obj, me, qid=xid)
@@ -371,7 +377,7 @@ class CrossMatchService(WebService):
                 plan, plan_obj, position, xid
             )
             tuples, my_stats = self._local_step(
-                plan_obj, me, incoming, position=position, qid=xid
+                plan_obj, me, incoming, position, qid=xid
             )
         out_rowset = tuples_to_rowset(
             tuples,
@@ -381,134 +387,32 @@ class CrossMatchService(WebService):
         my_stats["tuples_out"] = len(tuples)
         stats_chain.append(my_stats)
         if checkpoint_key is not None:
-            checkpoint = _Checkpoint(
-                rowset=out_rowset,
-                stats=[dict(s) for s in stats_chain],
+            self.leases.grant(
+                CHECKPOINT,
+                checkpoint_key,
+                _Checkpoint(out_rowset, [dict(s) for s in stats_chain]),
+                ttl_s=CHECKPOINT_TTL_S,
+                qid=xid,
                 epoch=me.epoch,
+                abandonable=False,  # a retry cache: aging out is silent
             )
-            self._touch_checkpoint(checkpoint)
-            self._checkpoints[checkpoint_key] = checkpoint
         return self._respond(out_rowset, stats_chain, qid=xid)
 
-    def _fetch_chunk(self, transfer_id: str, seq: int) -> WireRowSet:
-        return self.sender.fetch_chunk(transfer_id, seq)
-
-    def _abort_transfer(self, transfer_id: str) -> Dict[str, Any]:
-        return {"aborted": self.sender.abort(str(transfer_id))}
-
-    # -- the streaming operation set ----------------------------------------------
-
-    def _validate_step(self, plan: ExecutionPlan, position: int) -> PlanStep:
-        me = plan.step(position)
+    def _decode_step(
+        self, plan: Dict[str, Any], position: int
+    ) -> Tuple[ExecutionPlan, int, PlanStep]:
+        """Decode a wire plan and check this node really is its ``position``."""
+        plan_obj = ExecutionPlan.from_wire(plan)
+        position = int(position)
+        me = plan_obj.step(position)
         if me.archive != self._node.info.archive:
             raise ExecutionError(
                 f"plan step {position} targets {me.archive!r} but reached "
                 f"{self._node.info.archive!r}"
             )
-        return me
+        return plan_obj, position, me
 
-    def _stream_now(self) -> Optional[float]:
-        return self._clock_fn() if self._clock_fn is not None else None
-
-    def _reap_streams(self) -> None:
-        now = self._stream_now()
-        if now is None:
-            return
-        expired = [
-            sid
-            for sid, stream in self._streams.items()
-            if stream.deadline is not None and stream.deadline <= now
-        ]
-        abandoned = 0
-        for sid in expired:
-            if not self._streams.pop(sid).done:
-                abandoned += 1
-        if abandoned and self._on_reclaim is not None:
-            self._on_reclaim(abandoned)
-
-    def _touch(self, stream: _Stream) -> None:
-        now = self._stream_now()
-        if now is not None:
-            stream.deadline = now + STREAM_TTL_S
-
-    def _reap_stagings(self) -> None:
-        now = self._stream_now()
-        if now is None:
-            return
-        for xmid in [
-            xmid
-            for xmid, staging in self._stagings.items()
-            if staging.deadline is not None and staging.deadline <= now
-        ]:
-            del self._stagings[xmid]
-
-    def _touch_staging(self, staging: _ShardStaging) -> None:
-        now = self._stream_now()
-        if now is not None:
-            staging.deadline = now + STAGING_TTL_S
-
-    def _reap_checkpoints(self) -> None:
-        now = self._stream_now()
-        if now is None:
-            return
-        for key in [
-            key
-            for key, checkpoint in self._checkpoints.items()
-            if checkpoint.deadline is not None and checkpoint.deadline <= now
-        ]:
-            del self._checkpoints[key]
-
-    def _touch_checkpoint(self, checkpoint: _Checkpoint) -> None:
-        now = self._stream_now()
-        if now is not None:
-            checkpoint.deadline = now + CHECKPOINT_TTL_S
-
-    def reap_stale_epochs(self) -> int:
-        """Drop checkpoints and streams whose pinned epoch has been GC'd.
-
-        Once a snapshot falls off the engine's pinnable window, a resume
-        against a checkpoint or stream pinned there could no longer be
-        recomputed consistently by any other hop — so rather than serve a
-        stale-epoch resume, the state is reaped and the caller gets
-        "unknown stream"/recompute semantics. Runs on every operation
-        entry and after each ingest commit's epoch GC. Returns the number
-        of entries reaped (also reported via ``on_stale_reap``).
-        """
-        oldest = self._node.wrapper.db.oldest_epoch
-        stale_keys = [
-            key
-            for key, checkpoint in self._checkpoints.items()
-            if checkpoint.epoch is not None and checkpoint.epoch < oldest
-        ]
-        for key in stale_keys:
-            del self._checkpoints[key]
-        stale_streams = [
-            sid
-            for sid, stream in self._streams.items()
-            if stream.epoch is not None and stream.epoch < oldest
-        ]
-        reaped = len(stale_keys)
-        for sid in stale_streams:
-            if not self._streams.pop(sid).done:
-                reaped += 1
-        if reaped and self._on_stale_reap is not None:
-            self._on_stale_reap(reaped)
-        return reaped
-
-    @property
-    def open_checkpoints(self) -> int:
-        """Checkpoints currently held (bounded by the TTL reaper)."""
-        return len(self._checkpoints)
-
-    def crash(self) -> None:
-        """Drop all volatile stream/checkpoint state, as a crash would.
-
-        Nothing is counted as reclaimed — the process died, it did not
-        tidy up. Callers mid-stream get "unknown stream" after recovery.
-        """
-        self._streams.clear()
-        self._checkpoints.clear()
-        self._stagings.clear()
+    # -- the streaming operation set ----------------------------------------------
 
     def _open_stream(
         self,
@@ -519,11 +423,8 @@ class CrossMatchService(WebService):
         start_seq: int = 0,
         qid: str = "",
     ) -> Dict[str, Any]:
-        self._reap_streams()
-        self.reap_stale_epochs()
-        plan_obj = ExecutionPlan.from_wire(plan)
-        position = int(position)
-        me = self._validate_step(plan_obj, position)
+        self.leases.reap()
+        plan_obj, position, me = self._decode_step(plan, position)
         batch_size = int(batch_size)
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
@@ -536,14 +437,11 @@ class CrossMatchService(WebService):
         if start_seq < 0:
             raise ExecutionError(f"start_seq must be >= 0, got {start_seq}")
         stream = _Stream(
-            plan_wire=plan,
             plan=plan_obj,
             me=me,
             position=position,
             wire_format=wire_format,
             batch_count=0,
-            qid=str(qid),
-            epoch=me.epoch,
         )
         if position == len(plan_obj.steps) - 1:
             # Last node on the list: seed once, partition into batches. The
@@ -587,32 +485,37 @@ class CrossMatchService(WebService):
                 f"{stream.batch_count} batches"
             )
         stream.next_seq = start_seq
-        stream.done = start_seq >= stream.batch_count
         stream.stats["batches"] = stream.batch_count
         stream_id = f"{self._node.info.archive}-s{next(self._stream_ids)}"
-        self._streams[stream_id] = stream
-        self._touch(stream)
+        lease = self.leases.grant(
+            STREAM,
+            stream_id,
+            stream,
+            ttl_s=STREAM_TTL_S,
+            qid=str(qid),
+            epoch=me.epoch,
+            abandonable=True,
+        )
+        if start_seq >= stream.batch_count:
+            self.leases.settle(lease)  # nothing left to pull
         return {"stream_id": stream_id, "batch_count": stream.batch_count}
 
     def _pull_batch(self, stream_id: str, seq: int) -> Dict[str, Any]:
-        self._reap_streams()
-        self.reap_stale_epochs()
-        stream = self._streams.get(str(stream_id))
-        if stream is None:
-            raise ExecutionError(f"unknown stream {stream_id!r}")
+        lease = self.leases.require(STREAM, str(stream_id))
+        stream: _Stream = lease.value
         seq = int(seq)
         if seq == stream.next_seq - 1 and stream.last_response is not None:
             # The caller is retrying the batch we just served (its response
             # was lost in flight): re-serve the cached answer verbatim —
             # no reprocessing, no duplicated rows, no stats double-count.
-            self._touch(stream)
+            self.leases.touch(lease)
             return stream.last_response
         if seq != stream.next_seq:
             raise ExecutionError(
                 f"batch {seq} out of order for stream {stream_id!r} "
                 f"(expected {stream.next_seq})"
             )
-        if stream.done or seq >= stream.batch_count:
+        if not lease.live or seq >= stream.batch_count:
             raise ExecutionError(
                 f"batch {seq} out of order for stream {stream_id!r} "
                 f"(the stream has only {stream.batch_count} batches)"
@@ -626,9 +529,11 @@ class CrossMatchService(WebService):
             if downstream_stats is not None:
                 stream.downstream_stats = downstream_stats
             out_tuples, step_stats = self._local_step(
-                plan, me, incoming, position=position, qid=stream.qid
+                plan, me, incoming, position, qid=lease.qid
             )
-            self._accumulate(stream.stats, step_stats, len(out_tuples))
+            stream.stats["tuples_in"] += step_stats["tuples_in"]
+            self._fold_costs(stream.stats, step_stats)
+            stream.stats["tuples_out"] += len(out_tuples)
         stream.batch_rows.append(len(out_tuples))
         payload = tuples_to_payload(
             out_tuples,
@@ -638,15 +543,16 @@ class CrossMatchService(WebService):
         )
         response: Dict[str, Any] = {"rows": payload, "batch": seq}
         stream.next_seq = seq + 1
+        stream.last_response = response
         if seq == stream.batch_count - 1:
-            stream.done = True
             stream.tuples = None  # the batches are out; free the seed set
             stream.stats["batch_rows"] = list(stream.batch_rows)
             chain = list(stream.downstream_stats or [])
             chain.append(stream.stats)
             response["stats"] = chain
-        stream.last_response = response
-        self._touch(stream)
+            self.leases.settle(lease)
+        else:
+            self.leases.touch(lease)
         return response
 
     def _pull_downstream(
@@ -670,28 +576,11 @@ class CrossMatchService(WebService):
         stats = response.get("stats")
         return incoming, list(stats) if stats else None
 
-    @staticmethod
-    def _accumulate(
-        total: Dict[str, Any], step: Dict[str, Any], tuples_out: int
-    ) -> None:
-        """Fold one batch's step stats into the stream's running totals."""
-        for key in (
-            "tuples_in",
-            "rows_examined",
-            "candidates_tested",
-            "logical_reads",
-            "physical_reads",
-        ):
-            total[key] += step[key]
-        total["tuples_out"] += tuples_out
-
     def _abort_stream(self, stream_id: str) -> Dict[str, Any]:
-        self._reap_streams()
-        stream = self._streams.pop(str(stream_id), None)
-        if stream is None:
+        lease = self.leases.abort(STREAM, str(stream_id))
+        if lease is None:
             return {"aborted": False}
-        if not stream.done and self._on_reclaim is not None:
-            self._on_reclaim(1)
+        stream: _Stream = lease.value
         if stream.downstream_id is not None and stream.downstream_url:
             try:
                 self._node.proxy(stream.downstream_url).call(
@@ -709,20 +598,32 @@ class CrossMatchService(WebService):
     ) -> Dict[str, Any]:
         """The ``CancelQuery`` operation body.
 
-        Frees this node's state for the query *first* (the local reclaim
+        Frees this node's leases for the query *first* (the local reclaim
         must not depend on downstream reachability), then forwards the
         cancel to the next chain hop when a plan is supplied. The
         forward is best effort: a lost or delayed cancel leaves the TTL
         reaper as the backstop, exactly as an abandoned drain does.
         """
         query_id = str(query_id)
-        freed = self.release_query(query_id)
-        if self._on_cancel is not None:
-            self._on_cancel()
+        freed = self.leases.release_query(query_id)
+        if self._node.network is not None:
+            self._node.network.metrics.cancels += 1
         tracer = active_tracer()
         if tracer is not None:
             tracer.annotate("cancel", query_id=query_id, freed=freed)
-        self._cancel_shards(query_id)
+        shard_set = self._node.shard_set
+        if shard_set is not None and query_id:
+            # A coordinating node's stagings (and shard-side transfers)
+            # live on its shards; eager reclaim there is worth one
+            # parallel round of cheap, idempotent cancels. Every failure
+            # is swallowed — the shards' TTL reapers remain the backstop.
+            self._scatter(
+                shard_set.members,
+                lambda member, proxy: proxy.call(
+                    "CancelQuery", query_id=query_id, plan=None, position=-1
+                ),
+                Exception,
+            )
         forwarded = False
         if plan:
             plan_obj = ExecutionPlan.from_wire(plan)
@@ -740,75 +641,6 @@ class CrossMatchService(WebService):
                 except Exception:
                     pass  # best effort; the downstream TTL is the backstop
         return {"cancelled": True, "freed": freed, "forwarded": forwarded}
-
-    def _cancel_shards(self, query_id: str) -> None:
-        """Fan a cancel to every shard endpoint candidate, best effort.
-
-        A coordinating node's streams, checkpoints, and stagings live on
-        its shards too; eager reclaim there is worth one parallel round
-        of (cheap, idempotent) cancels. Every failure is swallowed — the
-        shards' TTL reapers remain the backstop.
-        """
-        shard_set = self._node.shard_set
-        network = self._node.network
-        if shard_set is None or network is None or not query_id:
-            return
-        with network.parallel():
-            for member in shard_set.members:
-                with network.branch():
-                    for url in member.candidate_urls("crossmatch"):
-                        try:
-                            self._node.proxy(url).call(
-                                "CancelQuery",
-                                query_id=query_id,
-                                plan=None,
-                                position=-1,
-                            )
-                            break
-                        except Exception:
-                            continue
-
-    def release_query(self, query_id: str) -> int:
-        """Free every stream, checkpoint, and transfer owned by a query.
-
-        Returns how many pieces of state were freed eagerly (reported
-        through ``on_eager`` — kept disjoint from the TTL reaper's
-        ``reclaimed_transfers`` so the metrics can prove what eager
-        cancellation actually saved). Idempotent: a repeat frees 0.
-        """
-        self._reap_streams()
-        self._reap_checkpoints()
-        self._reap_stagings()
-        if not query_id:
-            return 0
-        freed = 0
-        for sid in [
-            sid
-            for sid, stream in self._streams.items()
-            if stream.qid == query_id
-        ]:
-            if not self._streams.pop(sid).done:
-                freed += 1
-        prefix = f"{query_id}:"
-        for key in [k for k in self._checkpoints if k.startswith(prefix)]:
-            del self._checkpoints[key]
-            freed += 1
-        for xmid in [
-            xmid
-            for xmid, staging in self._stagings.items()
-            if staging.qid == query_id
-        ]:
-            del self._stagings[xmid]
-            freed += 1
-        freed += self.sender.cancel_query(query_id)
-        if freed and self._on_eager is not None:
-            self._on_eager(freed)
-        return freed
-
-    @property
-    def open_streams(self) -> int:
-        """Streams still holding server-side state (0 after clean runs)."""
-        return sum(1 for stream in self._streams.values() if not stream.done)
 
     # -- chain plumbing -----------------------------------------------------------
 
@@ -836,40 +668,63 @@ class CrossMatchService(WebService):
     def _respond(
         self,
         rowset: WireRowSet,
-        stats: List[Dict[str, Any]],
+        stats: Any,
         qid: str = "",
     ) -> Dict[str, Any]:
         return self.sender.respond(rowset, {"stats": stats}, query_id=qid)
 
-    # -- the two step kinds ---------------------------------------------------------
+    # -- the one hop: partitions -> probe -> merge -> extend/filter -> stats --------
 
     def _seed_step(
         self, plan: ExecutionPlan, me: PlanStep, qid: str = ""
     ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
         """Last node on the list: run the node query, emit 1-tuples."""
-        if self._node.shard_set is not None:
-            return self._sharded_seed(plan, me, qid=qid)
-        wrapper = self._node.wrapper
-        db = wrapper.db
-        before = (db.buffer.stats.logical_reads, db.buffer.stats.physical_reads)
-        query = self._node_query_ast(plan, me)
-        result = wrapper.execute_ast(query, epoch=me.epoch)
+        stats = self._stats_dict(me, role="seed", tuples_in=0)
+        shard_set = self._node.shard_set
+        if shard_set is None:
+            result, costs = self._probe_seed(
+                self._node_query_ast(plan, me), me.epoch
+            )
+            self._fold_costs(stats, costs)
+            rows: Sequence[Tuple[Any, ...]] = result.rows
+        else:
+            # Shards whose ownership cannot intersect the AREA are pruned;
+            # the rest run their seed slices in parallel and the gathered
+            # rows are re-sorted into the monolithic probe order.
+            plan_wire = plan.to_wire()
+            position = len(plan.steps) - 1
+            gathered = self._gather(
+                prune_members(shard_set.members, plan.area),
+                me,
+                stats,
+                lambda member, proxy: self._shard_reply(
+                    proxy,
+                    proxy.call(
+                        "ShardSeed", plan=plan_wire, position=position, qid=qid
+                    ),
+                ),
+            )
+            db = self._node.wrapper.db
+            spec = db.table(me.table).spatial
+            if plan.area is not None and spec is not None and db.use_spatial_index:
+                rows = merge_seed_rows(
+                    gathered,
+                    htm_depth=spec.htm_depth,
+                    full_ranges=cover(region_for(plan.area), spec.htm_depth).full,
+                )
+            else:
+                rows = merge_seed_rows(gathered, htm_depth=0, full_ranges=None)
         attr_names = [column for column, _, _ in me.attr_select]
+        attr_end = 3 + len(attr_names)  # gathered rows trail a position column
         objects = [
             LocalObject(
                 object_id=row[0],
                 position=radec_to_vector(row[1], row[2]),
-                attributes=dict(zip(attr_names, row[3:])),
+                attributes=dict(zip(attr_names, row[3:attr_end])),
             )
-            for row in result.rows
+            for row in rows
         ]
         tuples = seed_tuples(me.alias, objects, arcsec_to_rad(me.sigma_arcsec))
-        stats = self._stats_dict(me, role="seed", tuples_in=0)
-        stats["rows_examined"] = result.stats.rows_examined
-        stats["candidates_tested"] = result.stats.rows_returned
-        stats["logical_reads"] = db.buffer.stats.logical_reads - before[0]
-        stats["physical_reads"] = db.buffer.stats.physical_reads - before[1]
-        self._node.charge_processing(result.stats.rows_examined)
         return tuples, stats
 
     def _local_step(
@@ -877,228 +732,33 @@ class CrossMatchService(WebService):
         plan: ExecutionPlan,
         me: PlanStep,
         incoming: List[PartialTuple],
-        position: Optional[int] = None,
-        qid: str = "",
-    ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
-        """Middle/first nodes: temp table + sp_xmatch + extend/filter."""
-        if self._node.shard_set is not None:
-            if position is None:
-                position = plan.steps.index(me)
-            return self._sharded_local(plan, me, incoming, position, qid=qid)
-        from repro.db.schema import Column
-        from repro.db.types import ColumnType
-        from repro.skynode.xmatch_proc import PROCEDURE_NAME
-
-        db = self._node.wrapper.db
-        before = (db.buffer.stats.logical_reads, db.buffer.stats.physical_reads)
-        temp = db.create_temp_table(
-            "xmatch",
-            [
-                Column("seq", ColumnType.INT, nullable=False),
-                Column("a", ColumnType.FLOAT, nullable=False),
-                Column("ax", ColumnType.FLOAT, nullable=False),
-                Column("ay", ColumnType.FLOAT, nullable=False),
-                Column("az", ColumnType.FLOAT, nullable=False),
-            ],
-        )
-        try:
-            for seq, partial in enumerate(incoming):
-                temp.insert((seq, partial.acc.a, partial.acc.ax,
-                             partial.acc.ay, partial.acc.az))
-            area_region = (
-                region_for(plan.area) if plan.area is not None else None
-            )
-            residual = (
-                parse_expression(me.residual_sql) if me.residual_sql else None
-            )
-            proc_result = db.call_procedure(
-                PROCEDURE_NAME,
-                temp_table=temp.name,
-                primary_table=me.table,
-                id_column=me.id_column,
-                ra_column=me.ra_column,
-                dec_column=me.dec_column,
-                alias=me.alias,
-                sigma_arcsec=me.sigma_arcsec,
-                threshold=plan.threshold,
-                area=area_region,
-                residual=residual,
-                attr_columns=[column for column, _, _ in me.attr_select],
-                kernel=self._node.xmatch_kernel,
-                engine=self._node.match_engine,
-                epoch=me.epoch,
-            )
-        finally:
-            db.drop_table(temp.name)  # "The temporary table is deleted."
-
-        if me.dropout:
-            tuples = [
-                partial
-                for seq, partial in enumerate(incoming)
-                if seq not in proc_result.matches
-            ]
-        else:
-            sigma_rad = arcsec_to_rad(me.sigma_arcsec)
-            tuples = [
-                incoming[seq].extended(me.alias, obj, sigma_rad)
-                for seq, objects in sorted(proc_result.matches.items())
-                for obj in objects
-            ]
-        stats = self._stats_dict(
-            me,
-            role="dropout" if me.dropout else "match",
-            tuples_in=len(incoming),
-        )
-        stats["rows_examined"] = proc_result.stats.rows_examined
-        stats["candidates_tested"] = proc_result.stats.candidates_tested
-        stats["logical_reads"] = db.buffer.stats.logical_reads - before[0]
-        stats["physical_reads"] = db.buffer.stats.physical_reads - before[1]
-        self._node.charge_processing(proc_result.stats.rows_examined)
-        return tuples, stats
-
-    # -- scatter-gather: the coordinating side ------------------------------------
-
-    def _require_network(self):
-        network = self._node.network
-        if network is None:
-            raise ExecutionError(
-                "sharded execution requires an attached network"
-            )
-        return network
-
-    def _sharded_seed(
-        self, plan: ExecutionPlan, me: PlanStep, qid: str = ""
-    ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
-        """Seed hop as a scatter-gather fan-out over this node's shards.
-
-        Shards whose ownership cannot intersect the AREA are pruned; the
-        rest run their seed slices in parallel (failing over across each
-        shard's endpoint candidates), and the gathered rows are re-sorted
-        into the monolithic probe order before seeding 1-tuples. Stats
-        are summed across shards — the partition makes the sums equal the
-        monolithic counts — and processing time is charged on the shards
-        (inside their branches), never again here.
-        """
-        network = self._require_network()
-        shard_set = self._node.shard_set
-        stats = self._stats_dict(me, role="seed", tuples_in=0)
-        members = prune_members(shard_set.members, plan.area)
-        if not members:
-            return [], stats
-        plan_wire = plan.to_wire()
-        position = len(plan.steps) - 1
-        outcomes: Dict[str, Any] = {}
-        with network.parallel():
-            for member in members:
-                with network.branch():
-                    outcomes[member.name] = self._seed_one_shard(
-                        member, plan_wire, position, qid
-                    )
-        self._check_shard_outcomes(outcomes, me)
-        rows = [row for outcome in outcomes.values() for row in outcome[0]]
-        spec = self._node.wrapper.db.table(me.table).spatial
-        use_probe_order = (
-            plan.area is not None
-            and spec is not None
-            and self._node.wrapper.db.use_spatial_index
-        )
-        if use_probe_order:
-            merged = merge_seed_rows(
-                rows,
-                htm_depth=spec.htm_depth,
-                full_ranges=cover(region_for(plan.area), spec.htm_depth).full,
-            )
-        else:
-            merged = merge_seed_rows(rows, htm_depth=0, full_ranges=None)
-        attr_names = [column for column, _, _ in me.attr_select]
-        objects = [
-            LocalObject(
-                object_id=row[0],
-                position=radec_to_vector(float(row[1]), float(row[2])),
-                attributes=dict(zip(attr_names, row[3:3 + len(attr_names)])),
-            )
-            for row in merged
-        ]
-        tuples = seed_tuples(me.alias, objects, arcsec_to_rad(me.sigma_arcsec))
-        for outcome in outcomes.values():
-            self._fold_shard_stats(stats, outcome[1])
-        return tuples, stats
-
-    def _seed_one_shard(
-        self,
-        member: ShardMember,
-        plan_wire: Dict[str, Any],
-        position: int,
-        qid: str,
-    ) -> Optional[Tuple[List[Tuple[Any, ...]], Dict[str, Any]]]:
-        """One shard's seed slice, failing over across its candidates."""
-        for url in member.candidate_urls("crossmatch"):
-            proxy = self._node.proxy(url)
-            try:
-                response = proxy.call(
-                    "ShardSeed", plan=plan_wire, position=position, qid=qid
-                )
-                rowset = receive_rowset(response, proxy)
-                return list(rowset.rows), dict(response.get("stats") or {})
-            except TransportError:
-                continue
-        return None
-
-    def _sharded_local(
-        self,
-        plan: ExecutionPlan,
-        me: PlanStep,
-        incoming: List[PartialTuple],
         position: int,
         qid: str = "",
     ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
-        """Match/dropout hop as a scatter-gather fan-out over shards.
-
-        Each incoming tuple is routed to the shards whose ownership its
-        search cap can touch (zone key; the HTM key broadcasts), shipped
-        in staged slices, matched shard-locally, and the gathered match
-        rows are merged back into the monolithic ``sorted(matches)``
-        emission order before the extend/filter logic runs here.
-        """
-        network = self._require_network()
-        shard_set = self._node.shard_set
+        """Middle/first nodes: sp_xmatch over every partition, then
+        extend (mandatory archive) or filter (drop-out archive)."""
         stats = self._stats_dict(
             me,
             role="dropout" if me.dropout else "match",
             tuples_in=len(incoming),
         )
         sigma_rad = arcsec_to_rad(me.sigma_arcsec)
-        assignments: Dict[str, List[Tuple[int, PartialTuple]]] = {
-            member.name: [] for member in shard_set.members
-        }
-        for seq, partial in enumerate(incoming):
-            routed = self._route_tuple(
-                shard_set.members, partial, sigma_rad, plan.threshold
-            )
-            for member in routed:
-                assignments[member.name].append((seq, partial))
-        active = [
-            member
-            for member in shard_set.members
-            if assignments[member.name]
+        staged: List[AccRow] = [
+            (seq, partial.acc.a, partial.acc.ax, partial.acc.ay, partial.acc.az)
+            for seq, partial in enumerate(incoming)
         ]
-        if not active:
-            return (list(incoming) if me.dropout else []), stats
-        plan_wire = plan.to_wire()
-        outcomes: Dict[str, Any] = {}
-        with network.parallel():
-            for member in active:
-                with network.branch():
-                    outcomes[member.name] = self._xmatch_one_shard(
-                        member,
-                        plan_wire,
-                        position,
-                        assignments[member.name],
-                        qid,
-                    )
-        self._check_shard_outcomes(outcomes, me)
-        rows = [row for outcome in outcomes.values() for row in outcome[0]]
-        merged = merge_match_lists(rows)
+        shard_set = self._node.shard_set
+        if shard_set is None:
+            # The one in-process partition: the procedure's matches go
+            # straight to extend/filter, and sorting them by seq is the
+            # whole merge.
+            matches, costs = self._probe_match(plan, me, staged)
+            self._fold_costs(stats, costs)
+            merged: Matches = sorted(matches.items())
+        else:
+            merged = self._scatter_match(
+                plan, me, incoming, staged, position, qid, sigma_rad, stats
+            )
         if me.dropout:
             matched = {seq for seq, _ in merged}
             tuples = [
@@ -1107,21 +767,247 @@ class CrossMatchService(WebService):
                 if seq not in matched
             ]
         else:
-            attr_names = [column for column, _, _ in me.attr_select]
-            tuples = []
-            for seq, seq_rows in merged:
-                for row in seq_rows:
-                    obj = LocalObject(
+            tuples = [
+                incoming[seq].extended(me.alias, obj, sigma_rad)
+                for seq, objects in merged
+                for obj in objects
+            ]
+        return tuples, stats
+
+    # -- the probe: one local database, wherever the partition lives ---------------
+
+    def _measured(
+        self, run: Callable[[], Tuple[Any, int, int]]
+    ) -> Tuple[Any, Dict[str, int]]:
+        """Run one local-database probe; returns its payload and its costs.
+
+        ``run`` returns ``(payload, rows_examined, candidates_tested)``;
+        the buffer reads are the pool's delta across it. The scan is
+        charged to the simulated clock here and nowhere else, so a
+        coordinator never charges again for what its shards scanned
+        inside their own branches.
+        """
+        pool = self._node.wrapper.db.buffer
+        logical, physical = pool.stats.logical_reads, pool.stats.physical_reads
+        payload, rows_examined, candidates_tested = run()
+        self._node.charge_processing(rows_examined)
+        return payload, {
+            "rows_examined": rows_examined,
+            "candidates_tested": candidates_tested,
+            "logical_reads": pool.stats.logical_reads - logical,
+            "physical_reads": pool.stats.physical_reads - physical,
+        }
+
+    def _probe_seed(
+        self, query: Query, epoch: Optional[int]
+    ) -> Tuple[Any, Dict[str, int]]:
+        """The seed probe: this partition's slice of the node query."""
+
+        def run() -> Tuple[Any, int, int]:
+            result = self._node.wrapper.execute_ast(query, epoch=epoch)
+            return result, result.stats.rows_examined, result.stats.rows_returned
+
+        return self._measured(run)
+
+    def _probe_match(
+        self,
+        plan: ExecutionPlan,
+        me: PlanStep,
+        staged: Iterable[AccRow],
+        extra_columns: Tuple[str, ...] = (),
+    ) -> Tuple[Dict[int, List[LocalObject]], Dict[str, int]]:
+        """The match probe (paper Section 5.3): load the incoming tuples
+        into a temp table, run ``sp_xmatch`` against this partition's
+        primary table, drop the temp table."""
+        db = self._node.wrapper.db
+        attr_columns = [column for column, _, _ in me.attr_select]
+        attr_columns += [c for c in extra_columns if c not in attr_columns]
+
+        def run() -> Tuple[Any, int, int]:
+            temp = db.create_temp_table("xmatch", _TEMP_COLUMNS)
+            try:
+                for row in staged:
+                    temp.insert(row)
+                result = db.call_procedure(
+                    PROCEDURE_NAME,
+                    temp_table=temp.name,
+                    primary_table=me.table,
+                    id_column=me.id_column,
+                    ra_column=me.ra_column,
+                    dec_column=me.dec_column,
+                    alias=me.alias,
+                    sigma_arcsec=me.sigma_arcsec,
+                    threshold=plan.threshold,
+                    area=(
+                        region_for(plan.area) if plan.area is not None else None
+                    ),
+                    residual=(
+                        parse_expression(me.residual_sql)
+                        if me.residual_sql
+                        else None
+                    ),
+                    attr_columns=attr_columns,
+                    engine=self._node.match_engine,
+                    epoch=me.epoch,
+                )
+            finally:
+                db.drop_table(temp.name)  # "The temporary table is deleted."
+            return (
+                result.matches,
+                result.stats.rows_examined,
+                result.stats.candidates_tested,
+            )
+
+        return self._measured(run)
+
+    # -- scatter-gather: the coordinating side ------------------------------------
+
+    def _scatter(
+        self,
+        members: Sequence[ShardMember],
+        call: Callable[[ShardMember, "ServiceProxy"], Any],
+        errors: Any,
+    ) -> Dict[str, Any]:
+        """Run ``call`` against every member, in parallel branches.
+
+        Each member is tried on its endpoint candidates in order; a
+        failure matching ``errors`` moves on to the next candidate (for a
+        stage-then-match sequence that restarts the whole sequence — a
+        fresh replica holds no staged rows), anything else propagates. A
+        member none of whose candidates answered maps to ``None``.
+        """
+        network = self._node.network
+        if network is None:
+            raise ExecutionError(
+                "sharded execution requires an attached network"
+            )
+        outcomes: Dict[str, Any] = {}
+        with network.parallel():
+            for member in members:
+                with network.branch():
+                    outcomes[member.name] = None
+                    for url in member.candidate_urls("crossmatch"):
+                        try:
+                            outcomes[member.name] = call(
+                                member, self._node.proxy(url)
+                            )
+                            break
+                        except errors:
+                            continue
+        return outcomes
+
+    def _gather(
+        self,
+        members: Sequence[ShardMember],
+        me: PlanStep,
+        stats: Dict[str, Any],
+        call: Callable[[ShardMember, "ServiceProxy"], Any],
+    ) -> List[Tuple[Any, ...]]:
+        """Probe ``members`` remotely; returns their rows, unmerged.
+
+        Stats are summed across shards into ``stats`` — the partition
+        makes the sums equal the monolithic counts. A shard unreachable
+        on every candidate fails the hop by name: a silent partial
+        answer is never acceptable.
+        """
+        if not members:
+            return []
+        outcomes = self._scatter(members, call, TransportError)
+        dead = sorted(name for name, got in outcomes.items() if got is None)
+        if dead:
+            raise ShardUnavailableError(
+                f"shard {dead[0]!r} of archive {me.archive!r} is "
+                "unreachable on every endpoint candidate",
+                shard=dead[0],
+            )
+        rows: List[Tuple[Any, ...]] = []
+        for shard_rows, shard_costs in outcomes.values():
+            rows.extend(shard_rows)
+            self._fold_costs(stats, shard_costs)
+        return rows
+
+    @staticmethod
+    def _shard_reply(
+        proxy: "ServiceProxy", response: Dict[str, Any]
+    ) -> Tuple[List[Tuple[Any, ...]], Dict[str, Any]]:
+        """A shard probe's answer: its (possibly chunked) rows + costs."""
+        rowset = receive_rowset(response, proxy)
+        return list(rowset.rows), dict(response.get("stats") or {})
+
+    def _scatter_match(
+        self,
+        plan: ExecutionPlan,
+        me: PlanStep,
+        incoming: List[PartialTuple],
+        staged: List[AccRow],
+        position: int,
+        qid: str,
+        sigma_rad: float,
+        stats: Dict[str, Any],
+    ) -> Matches:
+        """The match probe over shards: route, stage, match, merge.
+
+        Each incoming tuple is routed to the shards whose ownership its
+        search cap can touch (zone key; the HTM key broadcasts), shipped
+        in staged slices under the tuple's original chain seq, matched
+        shard-locally, and the gathered match rows are merged back into
+        the monolithic emission order.
+        """
+        members = self._node.shard_set.members
+        assignments: Dict[str, List[AccRow]] = {m.name: [] for m in members}
+        for row, partial in zip(staged, incoming):
+            for member in self._route_tuple(
+                members, partial, sigma_rad, plan.threshold
+            ):
+                assignments[member.name].append(row)
+        active = [m for m in members if assignments[m.name]]
+        plan_wire = plan.to_wire()
+        archive = self._node.info.archive
+        xmids = {
+            m.name: f"{archive}-xm{next(self._xmid_counter)}" for m in active
+        }
+
+        def stage_and_match(member: ShardMember, proxy: "ServiceProxy"):
+            # Staging and matching must land on the *same* endpoint.
+            rows, xmid = assignments[member.name], xmids[member.name]
+            for start in range(0, len(rows), SHARD_STAGE_ROWS):
+                proxy.call(
+                    "ShardStage",
+                    xmid=xmid,
+                    rows=WireRowSet(
+                        _STAGE_WIRE_COLUMNS,
+                        rows[start:start + SHARD_STAGE_ROWS],
+                    ),
+                    qid=qid,
+                )
+            return self._shard_reply(
+                proxy,
+                proxy.call(
+                    "ShardXMatch",
+                    xmid=xmid,
+                    plan=plan_wire,
+                    position=position,
+                    qid=qid,
+                ),
+            )
+
+        attr_names = [column for column, _, _ in me.attr_select]
+        return [
+            (
+                seq,
+                [
+                    LocalObject(
                         object_id=row[2],
-                        position=radec_to_vector(float(row[3]), float(row[4])),
+                        position=radec_to_vector(row[3], row[4]),
                         attributes=dict(zip(attr_names, row[5:])),
                     )
-                    tuples.append(
-                        incoming[seq].extended(me.alias, obj, sigma_rad)
-                    )
-        for outcome in outcomes.values():
-            self._fold_shard_stats(stats, outcome[1])
-        return tuples, stats
+                    for row in seq_rows
+                ],
+            )
+            for seq, seq_rows in merge_match_lists(
+                self._gather(active, me, stats, stage_and_match)
+            )
+        ]
 
     def _route_tuple(
         self,
@@ -1131,8 +1017,6 @@ class CrossMatchService(WebService):
         threshold: float,
     ) -> List[ShardMember]:
         """The shards one tuple's search cap can touch (superset, exact-safe)."""
-        from repro.skynode.xmatch_proc import _cap_bounds
-
         radius = partial.acc.search_radius(sigma_rad, threshold)
         try:
             center = partial.acc.best_position()
@@ -1143,130 +1027,46 @@ class CrossMatchService(WebService):
         dec_c = math.degrees(math.asin(max(-1.0, min(1.0, center[2]))))
         return members_for_tuple(members, dec_c, math.degrees(r_eff))
 
-    def _xmatch_one_shard(
-        self,
-        member: ShardMember,
-        plan_wire: Dict[str, Any],
-        position: int,
-        pairs: List[Tuple[int, PartialTuple]],
-        qid: str,
-    ) -> Optional[Tuple[List[Tuple[Any, ...]], Dict[str, Any]]]:
-        """Stage one shard's tuple subset, match it, gather the rows.
-
-        Staging and matching must land on the *same* endpoint, so a
-        transport failure anywhere in the sequence restarts the whole
-        stage-and-match on the next candidate (a fresh replica holds no
-        staged rows). Seqs are the original chain seqs, so the shard's
-        match keys line up with ``incoming`` at the coordinator.
-        """
-        xmid = f"{self._node.info.archive}-xm{next(self._xmid_counter)}"
-        columns = [
-            ("seq", "int"),
-            ("a", "double"),
-            ("ax", "double"),
-            ("ay", "double"),
-            ("az", "double"),
-        ]
-        staged_rows = [
-            (seq, partial.acc.a, partial.acc.ax, partial.acc.ay,
-             partial.acc.az)
-            for seq, partial in pairs
-        ]
-        for url in member.candidate_urls("crossmatch"):
-            proxy = self._node.proxy(url)
-            try:
-                for start in range(0, len(staged_rows), SHARD_STAGE_ROWS):
-                    proxy.call(
-                        "ShardStage",
-                        xmid=xmid,
-                        rows=WireRowSet(
-                            columns,
-                            staged_rows[start:start + SHARD_STAGE_ROWS],
-                        ),
-                        qid=qid,
-                    )
-                response = proxy.call(
-                    "ShardXMatch",
-                    xmid=xmid,
-                    plan=plan_wire,
-                    position=position,
-                    qid=qid,
-                )
-                rowset = receive_rowset(response, proxy)
-                return list(rowset.rows), dict(response.get("stats") or {})
-            except TransportError:
-                continue
-        return None
-
-    @staticmethod
-    def _check_shard_outcomes(
-        outcomes: Dict[str, Any], me: PlanStep
-    ) -> None:
-        dead = sorted(
-            name for name, outcome in outcomes.items() if outcome is None
-        )
-        if dead:
-            raise ShardUnavailableError(
-                f"shard {dead[0]!r} of archive {me.archive!r} is "
-                "unreachable on every endpoint candidate",
-                shard=dead[0],
-            )
-
-    @staticmethod
-    def _fold_shard_stats(
-        total: Dict[str, Any], shard_stats: Dict[str, Any]
-    ) -> None:
-        for key in (
-            "rows_examined",
-            "candidates_tested",
-            "logical_reads",
-            "physical_reads",
-        ):
-            total[key] += int(shard_stats.get(key, 0))
-
     # -- scatter-gather: the shard side -------------------------------------------
 
     def _shard_seed(
         self, plan: Dict[str, Any], position: int, qid: str = ""
     ) -> Dict[str, Any]:
-        plan_obj = ExecutionPlan.from_wire(plan)
-        position = int(position)
-        me = self._validate_step(plan_obj, position)
-        wrapper = self._node.wrapper
-        db = wrapper.db
-        before = (
-            db.buffer.stats.logical_reads, db.buffer.stats.physical_reads
-        )
-        query = self._node_query_ast(
-            plan_obj, me, extra_columns=(SHARD_POS_COLUMN,)
-        )
-        result = wrapper.execute_ast(query, epoch=me.epoch)
-        rowset = wrapper.resultset_to_wire(result, query)
-        stats = {
-            "rows_examined": result.stats.rows_examined,
-            "candidates_tested": result.stats.rows_returned,
-            "logical_reads": db.buffer.stats.logical_reads - before[0],
-            "physical_reads": db.buffer.stats.physical_reads - before[1],
-        }
-        self._node.charge_processing(result.stats.rows_examined)
-        return self.sender.respond(
-            rowset, {"stats": stats}, query_id=str(qid)
+        plan_obj, _, me = self._decode_step(plan, position)
+        query = self._node_query_ast(plan_obj, me, (SHARD_POS_COLUMN,))
+        result, costs = self._probe_seed(query, me.epoch)
+        return self._respond(
+            self._node.wrapper.resultset_to_wire(result, query),
+            costs,
+            qid=str(qid),
         )
 
     def _shard_stage(
         self, xmid: str, rows: WireRowSet, qid: str = ""
     ) -> Dict[str, Any]:
-        self._reap_stagings()
+        """Stage accumulator rows, deduplicated by ``seq`` so a retried
+        ``ShardStage`` (lost response) cannot double-insert. Deliberately
+        *not* freed when ``ShardXMatch`` consumes it: the match is
+        deterministic, so a retry after a lost response simply re-runs
+        against the same staged rows until a cancel, the TTL, or a crash
+        frees them."""
         if not isinstance(rows, WireRowSet):
             raise ExecutionError(f"malformed ShardStage rowset: {rows!r}")
-        staging = self._stagings.get(str(xmid))
-        if staging is None:
-            staging = _ShardStaging(qid=str(qid))
-            self._stagings[str(xmid)] = staging
+        lease = self.leases.find(STAGING, str(xmid)) or self.leases.grant(
+            STAGING,
+            str(xmid),
+            {},
+            ttl_s=STAGING_TTL_S,
+            qid=str(qid),
+            abandonable=False,  # a retry cache: aging out is silent
+        )
         for row in rows.rows:
-            staging.rows[int(row[0])] = tuple(row)
-        self._touch_staging(staging)
-        return {"staged": len(staging.rows)}
+            lease.value[int(row[0])] = (
+                int(row[0]), float(row[1]), float(row[2]),
+                float(row[3]), float(row[4]),
+            )
+        self.leases.touch(lease)
+        return {"staged": len(lease.value)}
 
     def _shard_xmatch(
         self,
@@ -1275,68 +1075,20 @@ class CrossMatchService(WebService):
         position: int,
         qid: str = "",
     ) -> Dict[str, Any]:
-        from repro.db.schema import Column
-        from repro.db.types import ColumnType
-        from repro.skynode.xmatch_proc import PROCEDURE_NAME
-
-        self._reap_stagings()
-        plan_obj = ExecutionPlan.from_wire(plan)
-        position = int(position)
-        me = self._validate_step(plan_obj, position)
-        staging = self._stagings.get(str(xmid))
-        staged = sorted(staging.rows.items()) if staging is not None else []
-        if staging is not None:
-            self._touch_staging(staging)
-        db = self._node.wrapper.db
-        before = (
-            db.buffer.stats.logical_reads, db.buffer.stats.physical_reads
-        )
-        temp = db.create_temp_table(
-            "xmatch",
-            [
-                Column("seq", ColumnType.INT, nullable=False),
-                Column("a", ColumnType.FLOAT, nullable=False),
-                Column("ax", ColumnType.FLOAT, nullable=False),
-                Column("ay", ColumnType.FLOAT, nullable=False),
-                Column("az", ColumnType.FLOAT, nullable=False),
-            ],
+        plan_obj, _, me = self._decode_step(plan, position)
+        # The coordinator always stages at least one row first, so a
+        # missing staging means this shard *lost* it (crash, cancel, TTL).
+        # Faulting makes the chain retry re-stage and recompute; answering
+        # "no matches" would silently drop rows from the query.
+        lease = self.leases.require(STAGING, str(xmid))
+        self.leases.touch(lease)
+        matches, costs = self._probe_match(
+            plan_obj,
+            me,
+            [lease.value[seq] for seq in sorted(lease.value)],
+            (me.ra_column, me.dec_column, SHARD_POS_COLUMN),
         )
         attr_columns = [column for column, _, _ in me.attr_select]
-        try:
-            for seq, row in staged:
-                temp.insert((seq, float(row[1]), float(row[2]),
-                             float(row[3]), float(row[4])))
-            fetch_columns = list(attr_columns)
-            for column in (me.ra_column, me.dec_column, SHARD_POS_COLUMN):
-                if column not in fetch_columns:
-                    fetch_columns.append(column)
-            proc_result = db.call_procedure(
-                PROCEDURE_NAME,
-                temp_table=temp.name,
-                primary_table=me.table,
-                id_column=me.id_column,
-                ra_column=me.ra_column,
-                dec_column=me.dec_column,
-                alias=me.alias,
-                sigma_arcsec=me.sigma_arcsec,
-                threshold=plan_obj.threshold,
-                area=(
-                    region_for(plan_obj.area)
-                    if plan_obj.area is not None
-                    else None
-                ),
-                residual=(
-                    parse_expression(me.residual_sql)
-                    if me.residual_sql
-                    else None
-                ),
-                attr_columns=fetch_columns,
-                kernel=self._node.xmatch_kernel,
-                engine=self._node.match_engine,
-                epoch=me.epoch,
-            )
-        finally:
-            db.drop_table(temp.name)
         columns = [
             ("seq", "int"),
             (SHARD_POS_COLUMN, "int"),
@@ -1345,7 +1097,7 @@ class CrossMatchService(WebService):
             (me.dec_column, "double"),
         ] + [(column, typecode) for column, _, typecode in me.attr_select]
         out_rows: List[Tuple[Any, ...]] = []
-        for seq, objects in sorted(proc_result.matches.items()):
+        for seq, objects in sorted(matches.items()):
             for obj in objects:
                 attrs = obj.attributes
                 values = [
@@ -1362,16 +1114,8 @@ class CrossMatchService(WebService):
                     and not isinstance(v, bool) else v
                     for i, v in enumerate(values)
                 ))
-        stats = {
-            "rows_examined": proc_result.stats.rows_examined,
-            "candidates_tested": proc_result.stats.candidates_tested,
-            "logical_reads": db.buffer.stats.logical_reads - before[0],
-            "physical_reads": db.buffer.stats.physical_reads - before[1],
-        }
-        self._node.charge_processing(proc_result.stats.rows_examined)
-        return self.sender.respond(
-            WireRowSet(columns, out_rows), {"stats": stats},
-            query_id=str(qid),
+        return self._respond(
+            WireRowSet(columns, out_rows), costs, qid=str(qid)
         )
 
     def _node_query_ast(
@@ -1405,6 +1149,12 @@ class CrossMatchService(WebService):
         )
 
     @staticmethod
+    def _fold_costs(total: Dict[str, Any], costs: Dict[str, Any]) -> None:
+        """Add one probe's (or one batch's) cost counters into a hop's stats."""
+        for key in _COST_KEYS:
+            total[key] += int(costs.get(key, 0))
+
+    @staticmethod
     def _stats_dict(me: PlanStep, *, role: str, tuples_in: int) -> Dict[str, Any]:
         return {
             "archive": me.archive,
@@ -1412,9 +1162,6 @@ class CrossMatchService(WebService):
             "role": role,
             "tuples_in": tuples_in,
             "tuples_out": 0,
-            "rows_examined": 0,
-            "candidates_tested": 0,
-            "logical_reads": 0,
-            "physical_reads": 0,
+            **dict.fromkeys(_COST_KEYS, 0),
             "sql": me.sql,
         }

@@ -44,16 +44,11 @@ class SkyNode:
         chunk_budget_bytes: Optional[int] = None,
         processing_seconds_per_row: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
-        xmatch_kernel: str = "vectorized",
         match_engine: str = "htm",
     ) -> None:
         self.wrapper = ArchiveWrapper(db, info)
         self.info = info
         self.hostname = hostname or f"{info.archive.lower()}.skyquery.net"
-        #: Which sp_xmatch kernel this node's cross-match steps run:
-        #: ``vectorized`` (numpy batch, the default) or ``scalar`` (the
-        #: reference loop). Identical results either way.
-        self.xmatch_kernel = xmatch_kernel
         #: Which spatial index narrows the cross-match search: ``htm``
         #: (trixel covers, the reference oracle) or ``zone`` (declination
         #: zones). Byte-identical results and stats either way.
@@ -148,7 +143,7 @@ class SkyNode:
         # After an epoch is GC'd, checkpoints and streams pinned to it can
         # never be read again — reap them the moment the epoch commits.
         self.transaction.on_epoch_commit = (
-            lambda _epoch: self.crossmatch.reap_stale_epochs()
+            lambda _epoch: self.crossmatch.leases.reap()
         )
         if self.ingest is None:
             from repro.ingest.service import IngestService
@@ -188,8 +183,9 @@ class SkyNode:
         network.add_host(self.hostname, self.host.handle)
         self.network = network
 
-        # Abandoned chunked transfers / streams now expire against the sim
-        # clock, and every reclaim is counted in the network's metrics.
+        # Abandoned transfers, streams, checkpoints and stagings now expire
+        # against the sim clock, and every way a lease ends is counted in
+        # the network's metrics.
         def clock_fn() -> float:
             return network.clock.now
 
@@ -199,25 +195,21 @@ class SkyNode:
         def on_stale_reap(count: int) -> None:
             network.metrics.stale_epoch_reaps += count
 
-        def on_cancel() -> None:
-            network.metrics.cancels += 1
-
         def on_eager(count: int) -> None:
             network.metrics.eager_reclaims += count
 
-        self.query.sender.bind_clock(clock_fn, on_reclaim)
-        self.crossmatch.sender.bind_clock(clock_fn, on_reclaim)
-        self.crossmatch.bind_clock(clock_fn, on_reclaim, on_stale_reap)
-        self.crossmatch.bind_cancel(on_cancel, on_eager)
-        # A crash wipes everything volatile: open chunked transfers,
-        # streams, and checkpoint caches all die with the process.
+        self.query.sender.leases.bind_clock(clock_fn, on_reclaim)
+        self.crossmatch.leases.bind_clock(
+            clock_fn, on_reclaim, on_stale_reap, on_eager
+        )
         network.on_crash(self.hostname, self.crash_volatile_state)
 
     def crash_volatile_state(self) -> None:
-        """Drop all in-memory service state, as a process crash would."""
-        self.query.sender.crash()
-        self.crossmatch.sender.crash()
-        self.crossmatch.crash()
+        """Drop all in-memory service state, as a process crash would:
+        every lease (transfers, streams, checkpoints, stagings) dies with
+        the process, uncounted."""
+        self.query.sender.leases.crash()
+        self.crossmatch.leases.crash()
         if self.transaction is not None:
             self.transaction.simulate_crash()
         if self.ingest is not None:

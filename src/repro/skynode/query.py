@@ -64,20 +64,7 @@ class QueryService(WebService):
             returns="struct",
             doc="Run a query, chunking large results for the caller.",
         )
-        self.register(
-            "FetchChunk",
-            self.sender.fetch_chunk,
-            params=(("transfer_id", "string"), ("seq", "int")),
-            returns="rowset",
-            doc="Fetch one chunk of a chunked query result.",
-        )
-        self.register(
-            "AbortTransfer",
-            self._abort_transfer,
-            params=(("transfer_id", "string"),),
-            returns="struct",
-            doc="Free an abandoned chunked transfer before its TTL.",
-        )
+        self.sender.mount(self, "query result")
 
     def _run(self, sql: str, epoch: Optional[int] = None) -> WireRowSet:
         query = parse_query(sql)
@@ -102,6 +89,3 @@ class QueryService(WebService):
 
     def _execute_chunked(self, sql: str) -> Dict[str, Any]:
         return self.sender.respond(self._run(sql))
-
-    def _abort_transfer(self, transfer_id: str) -> Dict[str, Any]:
-        return {"aborted": self.sender.abort(str(transfer_id))}

@@ -13,23 +13,24 @@ and returns — per incoming tuple — the candidates that keep the tuple
 alive. All row touches go through the engine's buffer pool so processing
 costs (and cache warming) are observable.
 
-Two orthogonal choices select the body:
+``engine`` picks the *spatial index* that narrows each tuple's search:
+``htm`` (trixel cover ranges, the reference oracle) or ``zone``
+(declination-zone sorted-merge windows).
 
-* ``engine`` picks the *spatial index* that narrows each tuple's search:
-  ``htm`` (trixel cover ranges, the reference oracle) or ``zone``
-  (declination-zone sorted-merge windows).
-* ``kernel`` picks the *arithmetic style*: ``vectorized`` (set-at-a-time
-  numpy, the default) or ``scalar`` (the per-tuple/per-candidate Python
-  loop kept as the testing oracle).
+``sp_xmatch`` is always the set-at-a-time numpy body. The per-tuple /
+per-candidate Python loop it replaced stays here as
+:func:`sp_xmatch_reference` — the oracle that tests and the E16/E20
+experiments install over it through the engine's own seam,
+``db.register_procedure(PROCEDURE_NAME, sp_xmatch_reference)``.
 
-All four combinations are interchangeable by construction: whatever the
-index returns is only a superset hint — every engine then keeps exactly
-the rows inside the tuple's search cap (one cosine test per row against
-the index-stored unit vectors, identical float64 operations everywhere)
-and visits them in ascending row-position order. The examined row set,
-the buffer-pool charges, the cost stats, and the matches — and therefore
-the node stats and wire traffic of a federated query — are byte-identical
-across engines and kernels.
+Both bodies and both engines are interchangeable by construction:
+whatever the index returns is only a superset hint — every body then keeps
+exactly the rows inside the tuple's search cap (one cosine test per row
+against the index-stored unit vectors, identical float64 operations
+everywhere) and visits them in ascending row-position order. The examined
+row set, the buffer-pool charges, the cost stats, and the matches — and
+therefore the node stats and wire traffic of a federated query — are
+byte-identical across engines and bodies.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ from repro.xmatch.tuples import LocalObject
 
 PROCEDURE_NAME = "sp_xmatch"
 
-KERNEL_VECTORIZED = "vectorized"
-KERNEL_SCALAR = "scalar"
-KERNELS = (KERNEL_VECTORIZED, KERNEL_SCALAR)
-
 MATCH_ENGINE_HTM = "htm"
 MATCH_ENGINE_ZONE = "zone"
 MATCH_ENGINES = (MATCH_ENGINE_HTM, MATCH_ENGINE_ZONE)
@@ -79,8 +76,8 @@ def _cap_bounds(radius: float) -> Tuple[float, float]:
     (``acos`` of that threshold) is the radius whose ball contains every
     such row — the index is probed with it so no engine's superset can
     miss a row another engine would keep. Evaluated per tuple with the
-    same scalar ``math`` calls in every kernel, so the admitted set is
-    bitwise engine- and kernel-independent.
+    same scalar ``math`` calls in both bodies, so the admitted set is
+    bitwise engine- and body-independent.
     """
     cos_r = math.cos(min(radius, math.pi)) - _COS_SLACK
     return cos_r, math.acos(max(-1.0, cos_r))
@@ -109,66 +106,66 @@ def register_xmatch_procedure(db: Database) -> None:
     db.register_procedure(PROCEDURE_NAME, _sp_xmatch)
 
 
-def _sp_xmatch(
-    db: Database,
-    *,
-    temp_table: str,
-    primary_table: str,
-    id_column: str,
-    ra_column: str,
-    dec_column: str,
-    alias: str,
-    sigma_arcsec: float,
-    threshold: float,
-    area: Optional[Region] = None,
-    residual: Optional[Expr] = None,
-    attr_columns: Sequence[str] = (),
-    kernel: str = KERNEL_VECTORIZED,
-    engine: str = MATCH_ENGINE_HTM,
-    epoch: Optional[int] = None,
-) -> XMatchProcResult:
-    """The stored procedure body (invoked via ``db.call_procedure``).
+def _as_procedure(body):
+    """Wrap a match body as a stored procedure (``db.call_procedure``)."""
 
-    ``engine`` picks the spatial index (``htm`` or ``zone``); results,
-    stats, and buffer traffic are byte-identical either way. ``epoch``
-    pins the primary-table scan to a committed snapshot: rows ingested
-    after that epoch are invisible to the probe, so a chain that pinned
-    its epochs at plan time matches against one consistent version even
-    while live ingest commits the next.
-    """
-    if kernel not in KERNELS:
-        raise QueryError(
-            f"unknown xmatch kernel {kernel!r}; expected one of {KERNELS}"
+    def procedure(
+        db: Database,
+        *,
+        temp_table: str,
+        primary_table: str,
+        id_column: str,
+        ra_column: str,
+        dec_column: str,
+        alias: str,
+        sigma_arcsec: float,
+        threshold: float,
+        area: Optional[Region] = None,
+        residual: Optional[Expr] = None,
+        attr_columns: Sequence[str] = (),
+        engine: str = MATCH_ENGINE_HTM,
+        epoch: Optional[int] = None,
+    ) -> XMatchProcResult:
+        """``engine`` picks the spatial index (``htm`` or ``zone``); results,
+        stats, and buffer traffic are byte-identical either way. ``epoch``
+        pins the primary-table scan to a committed snapshot: rows ingested
+        after that epoch are invisible to the probe, so a chain that pinned
+        its epochs at plan time matches against one consistent version even
+        while live ingest commits the next.
+        """
+        if engine not in MATCH_ENGINES:
+            raise QueryError(
+                f"unknown match engine {engine!r}; expected one of "
+                f"{MATCH_ENGINES}"
+            )
+        temp = db.table(temp_table)
+        primary = db.table(primary_table)
+        if primary.spatial is None:
+            raise QueryError(
+                f"primary table {primary_table!r} has no spatial index"
+            )
+        limit = (
+            None if epoch is None
+            else primary.visible_count(db.resolve_epoch(epoch))
         )
-    if engine not in MATCH_ENGINES:
-        raise QueryError(
-            f"unknown match engine {engine!r}; expected one of {MATCH_ENGINES}"
+        return body(
+            db,
+            temp,
+            primary,
+            id_column=id_column,
+            ra_column=ra_column,
+            dec_column=dec_column,
+            alias=alias,
+            sigma_arcsec=sigma_arcsec,
+            threshold=threshold,
+            area=area,
+            residual=residual,
+            attr_columns=attr_columns,
+            engine=engine,
+            limit=limit,
         )
-    temp = db.table(temp_table)
-    primary = db.table(primary_table)
-    if primary.spatial is None:
-        raise QueryError(f"primary table {primary_table!r} has no spatial index")
-    limit = (
-        None if epoch is None
-        else primary.visible_count(db.resolve_epoch(epoch))
-    )
-    run = _sp_xmatch_vectorized if kernel == KERNEL_VECTORIZED else _sp_xmatch_scalar
-    return run(
-        db,
-        temp,
-        primary,
-        id_column=id_column,
-        ra_column=ra_column,
-        dec_column=dec_column,
-        alias=alias,
-        sigma_arcsec=sigma_arcsec,
-        threshold=threshold,
-        area=area,
-        residual=residual,
-        attr_columns=attr_columns,
-        engine=engine,
-        limit=limit,
-    )
+
+    return procedure
 
 
 def _sp_xmatch_scalar(
@@ -218,7 +215,7 @@ def _sp_xmatch_scalar(
             window_rows = probe.exact + probe.candidates
         # The index window is only a superset hint; the examined set is
         # the rows inside the cap, visited in row-position order — the
-        # engine-independent contract every kernel shares.
+        # engine-independent contract both bodies share.
         candidate_rows = []
         for window_pos in window_rows:
             px, py, pz = primary.position_of(window_pos)
@@ -336,8 +333,8 @@ def _sp_xmatch_vectorized(
     except GeometryError as exc:
         raise GeometryError(f"{exc} [temp table {temp.name!r}]") from exc
     radii = xkernel.search_radii(a, sigma_rad, threshold)
-    # Per-tuple cap bounds via the same scalar math calls the scalar
-    # kernel makes, so the admitted candidate sets agree bitwise.
+    # Per-tuple cap bounds via the same scalar math calls the reference
+    # loop makes, so the admitted candidate sets agree bitwise.
     cap_bounds = [_cap_bounds(r) for r in radii.tolist()]
 
     # Stage 2: one batched index probe over every tuple's effective cap,
@@ -443,3 +440,12 @@ def _sp_xmatch_vectorized(
         )
         result.stats.matches_found += 1
     return result
+
+
+#: The production procedure body.
+_sp_xmatch = _as_procedure(_sp_xmatch_vectorized)
+
+#: The scalar loop as an installable procedure — the testing oracle, never
+#: a production option: ``db.register_procedure(PROCEDURE_NAME,
+#: sp_xmatch_reference)`` swaps it in on one database.
+sp_xmatch_reference = _as_procedure(_sp_xmatch_scalar)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,13 @@ class TraceContext:
     parent_span_id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed operation in a trace, on the simulated clock."""
+    """One timed operation in a trace, on the simulated clock.
+
+    Slotted: the tracer keeps every span of every query for the life of
+    the federation, so a span's footprint is the telemetry's footprint.
+    """
 
     trace_id: str
     span_id: str
@@ -63,8 +67,9 @@ class Span:
     status: str = "ok"  # "ok" | "error"
     error: str = ""
     #: Timestamped events: faults, backoff waits, batch sequence numbers,
-    #: failovers — whatever the instrumented code annotates.
-    annotations: List[Dict[str, Any]] = field(default_factory=list)
+    #: failovers — whatever the instrumented code annotates. A tuple, so
+    #: the many spans that never get an event share one empty default.
+    annotations: Tuple[Dict[str, Any], ...] = ()
 
     @property
     def duration_s(self) -> float:
@@ -80,7 +85,7 @@ class Span:
         if t is not None:
             record["t"] = t
         record.update(fields)
-        self.annotations.append(record)
+        self.annotations += (record,)
 
     def events(self, event: Optional[str] = None) -> List[Dict[str, Any]]:
         """The span's annotations, optionally filtered by event name."""
@@ -132,7 +137,7 @@ def span_from_dict(data: Dict[str, Any]) -> Span:
         retries=int(data.get("retries", 0)),
         status=str(data.get("status", "ok")),
         error=str(data.get("error", "")),
-        annotations=[dict(a) for a in data.get("annotations", [])],
+        annotations=tuple(dict(a) for a in data.get("annotations", ())),
     )
 
 
@@ -248,6 +253,10 @@ class Tracer:
         self.clock_fn: Callable[[], float] = clock_fn or (lambda: 0.0)
         self.phase_fn: Callable[[], str] = phase_fn or (lambda: "")
         self.spans: List[Span] = []
+        #: trace id -> that trace's spans in recording order (insertion
+        #: order = first-seen order), maintained by ``begin``/``reset`` so
+        #: the assembled views never rescan ``spans``.
+        self._by_trace: Dict[str, List[Span]] = {}
         #: Bytes delivered while no span was active (reconciles span byte
         #: totals with the flat NetworkMetrics counters).
         self.untraced_bytes: int = 0
@@ -303,6 +312,7 @@ class Tracer:
             phase=self.phase_fn(),
         )
         self.spans.append(span)
+        self._by_trace.setdefault(trace_id, []).append(span)
         self._stack.append(span)
         return span
 
@@ -357,15 +367,16 @@ class Tracer:
 
     def trace_ids(self) -> List[str]:
         """Distinct trace ids in first-seen order."""
-        return list(dict.fromkeys(s.trace_id for s in self.spans))
+        return list(self._by_trace)
 
     def trace(self, trace_id: Optional[str] = None) -> Trace:
         """One assembled trace (default: the most recently started)."""
-        ids = self.trace_ids()
-        if not ids:
+        if not self._by_trace:
             raise ValueError("no spans recorded")
-        chosen = trace_id if trace_id is not None else ids[-1]
-        spans = [s for s in self.spans if s.trace_id == chosen]
+        chosen = trace_id if trace_id is not None else next(
+            reversed(self._by_trace)
+        )
+        spans = self._by_trace.get(chosen)
         if not spans:
             raise ValueError(f"no spans for trace {chosen!r}")
         return Trace(chosen, spans)
@@ -377,6 +388,7 @@ class Tracer:
     def reset(self) -> None:
         """Forget all recorded spans (open spans are abandoned too)."""
         self.spans.clear()
+        self._by_trace.clear()
         self._stack.clear()
         self.untraced_bytes = 0
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageRecord:
-    """One HTTP message observed on a link."""
+    """One HTTP message observed on a link (slotted: ``messages`` keeps
+    one per message for the life of the network)."""
 
     src: str
     dst: str
@@ -141,17 +142,11 @@ class NetworkMetrics:
         return dict(totals)
 
     def reset(self) -> None:
-        """Forget all records and zero the accumulators."""
-        self.messages.clear()
-        self.simulated_seconds = 0.0
-        self.processing_seconds = 0.0
-        self.faults.clear()
-        self.timeouts = 0
-        self.retries = 0
-        self.backoff_seconds = 0.0
-        self.failovers = 0
-        self.breaker_events.clear()
-        self.reclaimed_transfers = 0
-        self.stale_epoch_reaps = 0
-        self.cancels = 0
-        self.eager_reclaims = 0
+        """Forget all records and zero the accumulators: every field goes
+        back to its declared default, so a new counter cannot be missed.
+        Containers are emptied in place — callers may hold them."""
+        for spec in fields(self):
+            if spec.default is MISSING:
+                getattr(self, spec.name).clear()
+            else:
+                setattr(self, spec.name, spec.default)

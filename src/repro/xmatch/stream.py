@@ -118,7 +118,6 @@ def run_chain(
     threshold: float,
     *,
     engine: str = "vectorized",
-    use_kdtree: Optional[bool] = None,
     batch_size: Optional[int] = None,
 ) -> List[PartialTuple]:
     """End-to-end matcher over in-memory archives.
@@ -135,8 +134,7 @@ def run_chain(
     kernel (``zone``, also numpy-only), the per-tuple brute-force scan
     (``scalar``, the reference oracle), or the per-tuple scipy cKDTree
     search (``kdtree``, the optional extra). All four return identical
-    match sets; the tests verify it. ``use_kdtree`` is the legacy toggle
-    between the two per-tuple engines and overrides ``engine`` when given.
+    match sets; the tests verify it.
 
     ``batch_size`` mirrors the pipelined wire protocol in memory: the seed
     tuples are partitioned into batches and the rest of the chain runs per
@@ -144,8 +142,6 @@ def run_chain(
     result is identical to the unbatched run (the tests verify it) — the
     knob exists so the streaming protocol has an in-process oracle.
     """
-    if use_kdtree is not None:
-        engine = "kdtree" if use_kdtree else "scalar"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown xmatch engine {engine!r}; expected one of {ENGINES}"

@@ -140,11 +140,10 @@ def test_query_explain(capsys):
 
 
 def test_bad_enumerated_flags_rejected_with_choices(capsys):
-    """argparse rejects unsupported engine/kernel/mode values up front,
+    """argparse rejects unsupported engine/mode values up front,
     naming the legal choices instead of failing deep inside a query."""
     for flag, bad in [
         ("--match-engine", "quadtree"),
-        ("--kernel", "simd"),
         ("--chain-mode", "broadcast"),
         ("--wire-format", "json"),
     ]:

@@ -184,6 +184,14 @@ def test_procedures():
         db.register_procedure("double", lambda _db: None)
     with pytest.raises(QueryError):
         db.call_procedure("nope")
+    # Dropping frees the name for another body (how oracle procedures
+    # are swapped in); dropping twice is an error like any unknown name.
+    db.drop_procedure("Double")
+    assert not db.has_procedure("double")
+    db.register_procedure("double", lambda _db, value: value + value)
+    assert db.call_procedure("double", value="ab") == "abab"
+    with pytest.raises(QueryError):
+        db.drop_procedure("nope")
 
 
 def test_scalar_requires_1x1(db):

@@ -58,20 +58,12 @@ def all_nodes(federation):
 
 def residual_state_for(federation, qid: str):
     """Every piece of server state still owned by ``qid``, across nodes."""
-    leftovers = []
-    for node in all_nodes(federation):
-        crossmatch = node.crossmatch
-        for sid, stream in crossmatch._streams.items():
-            if stream.qid == qid and not stream.done:
-                leftovers.append((node.hostname, "stream", sid))
-        for key in crossmatch._checkpoints:
-            if key.startswith(f"{qid}:"):
-                leftovers.append((node.hostname, "checkpoint", key))
-        for sender in (crossmatch.sender, node.query.sender):
-            for tid, owner in sender._owners.items():
-                if owner == qid:
-                    leftovers.append((node.hostname, "transfer", tid))
-    return leftovers
+    return [
+        (node.hostname, kind, key)
+        for node in all_nodes(federation)
+        for leases in (node.crossmatch.leases, node.query.sender.leases)
+        for kind, key, _ in leases.owned_by(qid)
+    ]
 
 
 # -- the QueryBudget SOAP header ------------------------------------------------
@@ -279,8 +271,8 @@ class TestCancelQuery:
             node.hostname
             for node in all_nodes(federation)
             if any(
-                s.qid == qid and not s.done
-                for s in node.crossmatch._streams.values()
+                kind == "stream"
+                for kind, _, _ in node.crossmatch.leases.owned_by(qid)
             )
         ]
 
@@ -355,7 +347,7 @@ class TestCancelQuery:
         # ... until their TTL reaper catches up.
         federation.network.clock.advance(STREAM_TTL_S + 1.0)
         for node in all_nodes(federation):
-            node.crossmatch._reap_streams()
+            node.crossmatch.leases.reap()
         assert self.streams_holding(federation, qid) == []
         assert metrics.reclaimed_transfers == 2
         assert metrics.eager_reclaims == 1  # TTL reaps never count as eager
@@ -407,7 +399,7 @@ class TestChunkedSenderIdempotency:
         state = {"now": 0.0}
         sender = ChunkedSender("svc", 700, ttl_s=10.0)
         reclaims = []
-        sender.bind_clock(lambda: state["now"], reclaims.append)
+        sender.leases.bind_clock(lambda: state["now"], reclaims.append)
         rowset = WireRowSet(
             [("a", "int"), ("b", "int")],
             [(i, i * 2) for i in range(100)],
@@ -419,37 +411,37 @@ class TestChunkedSenderIdempotency:
     def test_abort_after_reap_is_noop(self):
         sender, state, reclaims, tid = self.make_sender()
         state["now"] = 11.0
-        assert sender.reap() == 1
+        assert sender.leases.reap() == 1
         assert reclaims == [1]
         assert sender.abort(tid) is False
         assert reclaims == [1]  # no double count
-        assert sender.cancel_query("q-1") == 0
+        assert sender.leases.release_query("q-1") == 0
 
     def test_reap_after_abort_is_noop(self):
         sender, state, reclaims, tid = self.make_sender()
         assert sender.abort(tid) is True
         assert reclaims == [1]
         state["now"] = 11.0
-        assert sender.reap() == 0
+        assert sender.leases.reap() == 0
         assert reclaims == [1]
 
     def test_cancel_query_then_abort_then_reap(self):
         sender, state, reclaims, tid = self.make_sender()
-        assert sender.cancel_query("q-1") == 1
+        assert sender.leases.release_query("q-1") == 1
         # Eager cancellation is the *caller's* metric (eager_reclaims);
         # the sender's own reclaim callback stays TTL/abort-only.
         assert reclaims == []
         assert sender.abort(tid) is False
         state["now"] = 11.0
-        assert sender.reap() == 0
+        assert sender.leases.reap() == 0
         assert reclaims == []
         assert sender.pending_transfers == 0
 
     def test_double_cancel_query_is_stable(self):
         sender, _, reclaims, _ = self.make_sender()
-        assert sender.cancel_query("q-1") == 1
-        assert sender.cancel_query("q-1") == 0
-        assert sender.cancel_query("") == 0
+        assert sender.leases.release_query("q-1") == 1
+        assert sender.leases.release_query("q-1") == 0
+        assert sender.leases.release_query("") == 0
         assert reclaims == []
 
     def test_cancel_does_not_touch_other_queries(self):
@@ -458,7 +450,7 @@ class TestChunkedSenderIdempotency:
             [("a", "int")], [(i,) for i in range(100)]
         )
         other = sender.respond(rowset, query_id="q-2")
-        assert sender.cancel_query("q-1") == 1
+        assert sender.leases.release_query("q-1") == 1
         assert sender.pending_transfers == 1
         chunk = sender.fetch_chunk(other["transfer_id"], 0)
         assert chunk.rows  # q-2 still drains normally
@@ -470,12 +462,12 @@ class TestChunkedSenderIdempotency:
             chunk = sender.fetch_chunk(tid, seq)
             if not chunk.rows:
                 break
-            if tid not in sender._transfers:
+            if sender.pending_transfers == 0:
                 count = seq + 1
                 break
         assert count is not None
         # Delivered payloads are not reclaimable state: nothing to free.
-        assert sender.cancel_query("q-1") == 0
+        assert sender.leases.release_query("q-1") == 0
         assert reclaims == []
 
 

@@ -70,20 +70,12 @@ def _all_nodes(federation):
 
 
 def _residuals(federation, qid):
-    leftovers = []
-    for node in _all_nodes(federation):
-        crossmatch = node.crossmatch
-        for sid, stream in crossmatch._streams.items():
-            if stream.qid == qid and not stream.done:
-                leftovers.append((node.hostname, "stream", sid))
-        for key in crossmatch._checkpoints:
-            if key.startswith(f"{qid}:"):
-                leftovers.append((node.hostname, "checkpoint", key))
-        for sender in (crossmatch.sender, node.query.sender):
-            for tid, owner in sender._owners.items():
-                if owner == qid:
-                    leftovers.append((node.hostname, "transfer", tid))
-    return leftovers
+    return [
+        (node.hostname, kind, key)
+        for node in _all_nodes(federation)
+        for leases in (node.crossmatch.leases, node.query.sender.leases)
+        for kind, key, _ in leases.owned_by(qid)
+    ]
 
 
 _oracles = {}
@@ -125,11 +117,6 @@ def test_deadline_leaves_zero_residual_state(
         # and nothing left behind anywhere in the federation.
         assert result.rows == []
         assert _residuals(federation, qid) == []
-        for node in _all_nodes(federation):
-            assert not any(
-                not s.done and s.qid == qid
-                for s in node.crossmatch._streams.values()
-            )
     else:
         # Shape two: the complete oracle answer (possibly a cooperative
         # overrun, but never a truncated one).

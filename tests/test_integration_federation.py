@@ -230,7 +230,6 @@ def test_unsupported_config_knobs_rejected():
 
     for knob, bad in [
         ("match_engine", "quadtree"),
-        ("xmatch_kernel", "simd"),
         ("chain_mode", "broadcast"),
         ("stream_wire_format", "json"),
     ]:

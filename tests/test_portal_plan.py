@@ -112,7 +112,6 @@ BASE_PROFILE = (
     ("match_engine", "htm"),
     ("stream_batch_size", "200"),
     ("stream_wire_format", "columnar"),
-    ("xmatch_kernel", "vectorized"),
 )
 
 PROFILE_FLIPS = {
@@ -120,7 +119,6 @@ PROFILE_FLIPS = {
     "match_engine": "zone",
     "stream_batch_size": "64",
     "stream_wire_format": "rows",
-    "xmatch_kernel": "scalar",
 }
 
 

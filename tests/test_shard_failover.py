@@ -21,10 +21,14 @@ The resilience contract for sharded archives extends docs/RESILIENCE.md:
 
 import os
 
+import pytest
+
+from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
 from repro.services.retry import RetryPolicy
 from repro.shard import prune_members
 from repro.sql.ast import AreaClause
+from repro.transport.faults import FaultPlan
 from repro.workloads.skysim import SkyField
 
 CHAOS_SEED = int(os.environ.get("SKYQUERY_CHAOS_SEED", "0"))
@@ -78,6 +82,65 @@ def _host_of(url):
 
 def _kill(fed, member, candidate=0):
     fed.network.remove_host(_host_of(member.candidate_urls("query")[candidate]))
+
+
+class TestLostStaging:
+    """A shard that lost its staged rows must fault, never answer "no
+    matches": the coordinator always stages before it matches, so a
+    missing staging is lost state, and an empty 200 is a wrong answer."""
+
+    def test_crash_between_stage_and_match_recomputes(self):
+        rows, columns = _oracle()
+        # A fault-free twin tells us when the victim shard's ShardStage
+        # response and ShardXMatch request cross the wire (the simulation
+        # is deterministic, so the faulted run follows the same schedule).
+        twin = _build(shards=2)
+        before = len(twin.network.metrics.messages)
+        twin.portal.submit(XMATCH_SQL)
+        messages = twin.network.metrics.messages[before:]
+        match_request = next(
+            m for m in messages
+            if m.operation == "ShardXMatch" and m.kind == "request"
+        )
+        victim = match_request.dst
+        staged_at = max(
+            m.sim_time for m in messages
+            if m.operation == "ShardStage" and m.src == victim
+        )
+        assert staged_at < match_request.sim_time
+        crash_at = (staged_at + match_request.sim_time) / 2.0
+
+        fed = _build(shards=2)
+        # The crash wipes the staging; the host is back before the retry
+        # policy re-sends the ShardXMatch, which therefore *arrives*.
+        fed.network.set_fault_plan(
+            FaultPlan(seed=1)
+            .crash(victim, crash_at)
+            .recover(victim, crash_at + 1.0)
+        )
+        result = fed.portal.submit(XMATCH_SQL)
+        assert fed.network.metrics.fault_count("crash") == 1
+        assert not result.degraded
+        assert list(result.rows) == rows
+        assert list(result.columns) == columns
+
+    def test_unknown_xmid_is_a_typed_fault(self):
+        fed = _build(shards=2)
+        shard = fed.shards["SDSS"][0]
+        plan = fed.portal.explain(XMATCH_SQL)["plan"]
+        position = next(
+            index for index, step in enumerate(plan["steps"])
+            if step["archive"] == "SDSS"
+        )
+        with pytest.raises(SoapFaultError, match="unknown staging"):
+            fed.portal.proxy(shard.service_url("crossmatch")).call(
+                "ShardXMatch",
+                xmid="SDSS-xm999",
+                plan=plan,
+                position=position,
+                qid="",
+            )
+        assert shard.crossmatch.open_stagings == 0
 
 
 class TestShardFailover:
@@ -226,11 +289,6 @@ class TestEndpointCandidateOrdering:
             for mirrors in mirrors_by_shard.values():
                 shard_nodes.extend(mirrors)
         for node in shard_nodes:
-            crossmatch = node.crossmatch
-            for xmid, staging in crossmatch._stagings.items():
-                if staging.qid == qid:
-                    leftovers.append((node.hostname, "staging", xmid))
-            for sid, stream in crossmatch._streams.items():
-                if stream.qid == qid and not stream.done:
-                    leftovers.append((node.hostname, "stream", sid))
+            for kind, key, _ in node.crossmatch.leases.owned_by(qid):
+                leftovers.append((node.hostname, kind, key))
         assert leftovers == []

@@ -78,7 +78,7 @@ def _strip_buffer_stats(node_stats):
     ]
 
 
-def _observe(n_bodies, seed, sql, **kwargs):
+def _observe(n_bodies, seed, sql, buffer_stats=False, **kwargs):
     """Everything externally observable about one federated query."""
     fed = _build(n_bodies, seed, **kwargs)
     result = fed.portal.submit(sql)
@@ -88,7 +88,9 @@ def _observe(n_bodies, seed, sql, **kwargs):
         list(result.warnings),
         result.degraded,
         dict(result.epochs),
-        _strip_buffer_stats(result.node_stats),
+        list(result.node_stats)
+        if buffer_stats
+        else _strip_buffer_stats(result.node_stats),
     )
 
 
@@ -110,6 +112,29 @@ class TestShardOracle:
                            shards=shards, shard_key=shard_key)
         assert sharded == mono
         assert mono[0], "oracle must exercise a non-trivial match"
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        sql=st.sampled_from([XMATCH_SQL, DROPOUT_SQL, FULL_SCAN_SQL]),
+        shard_key=st.sampled_from(["zone", "htm"]),
+        chain_mode=st.sampled_from(["store-forward", "pipelined"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_one_shard_is_the_monolithic_node_buffer_reads_included(
+        self, sql, shard_key, chain_mode, seed
+    ):
+        """A monolithic node is the one-partition layout: the same probe
+        runs over the same pages, so with a single shard even the
+        buffer-pool counters agree — nothing is stripped."""
+        mono = _observe(150, seed, sql, buffer_stats=True,
+                        chain_mode=chain_mode)
+        sharded = _observe(150, seed, sql, buffer_stats=True, shards=1,
+                           shard_key=shard_key, chain_mode=chain_mode)
+        assert sharded == mono
+        assert all(
+            stats["logical_reads"] > 0 for stats in mono[5]
+        ), "the comparison must not be over empty counters"
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

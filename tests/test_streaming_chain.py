@@ -224,7 +224,7 @@ def test_dropped_batch_response_retried_without_duplication():
     # it instead of pinning tuples forever.
     fed.network.clock.advance(601.0)
     for node in fed.nodes.values():
-        node.crossmatch._reap_streams()
+        node.crossmatch.leases.reap()
         assert node.crossmatch.open_streams == 0
 
 

@@ -131,7 +131,7 @@ def make_sender(budget=2048, ttl_s=60.0):
     clock = FakeClock()
     reclaims = []
     sender = ChunkedSender("t", budget, ttl_s=ttl_s)
-    sender.bind_clock(lambda: clock.now, reclaims.append)
+    sender.leases.bind_clock(lambda: clock.now, reclaims.append)
     return sender, clock, reclaims
 
 
@@ -149,7 +149,7 @@ def test_sender_ttl_reclaims_abandoned_transfer():
     assert response["chunked"] is True
     assert sender.pending_transfers == 1
     clock.advance(61.0)
-    assert sender.reap() == 1
+    assert sender.leases.reap() == 1
     assert sender.pending_transfers == 0
     assert reclaims == [1]
     with pytest.raises(ExecutionError, match="unknown transfer"):
@@ -231,7 +231,7 @@ def bulk_service_net(rowset, budget=4096):
     def on_reclaim(count):
         net.metrics.reclaimed_transfers += count
 
-    sender.bind_clock(lambda: net.clock.now, on_reclaim)
+    sender.leases.bind_clock(lambda: net.clock.now, on_reclaim)
     service = WebService("Bulk")
     service.register(
         "Get", lambda: sender.respond(rowset), params=(), returns="struct"

@@ -128,6 +128,30 @@ def test_metrics_reset():
     assert net.metrics.simulated_seconds == 0.0
 
 
+def test_metrics_reset_returns_every_field_to_its_default():
+    """reset() walks the dataclass fields, so no counter can be missed:
+    dirty every field, reset, and compare against a fresh instance."""
+    import dataclasses
+
+    from repro.transport.metrics import MessageRecord, NetworkMetrics
+
+    metrics = NetworkMetrics()
+    for spec in dataclasses.fields(metrics):
+        value = getattr(metrics, spec.name)
+        if isinstance(value, list):
+            value.append(MessageRecord("a", "b", 1, "request", "p", "Op", 0.0))
+        elif isinstance(value, dict):
+            value["request-drop"] = 3
+        else:
+            setattr(metrics, spec.name, value + 7)
+    assert all(
+        getattr(metrics, spec.name) != getattr(NetworkMetrics(), spec.name)
+        for spec in dataclasses.fields(metrics)
+    )
+    metrics.reset()
+    assert metrics == NetworkMetrics()
+
+
 def test_hostnames_sorted():
     net = SimulatedNetwork()
     net.add_host("b", echo_handler)

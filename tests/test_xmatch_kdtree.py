@@ -65,10 +65,10 @@ def test_run_chain_same_results_with_and_without_kdtree():
         ]
         archives.append((alias, objects, sigma, False))
     with_tree = {
-        frozenset(t.members) for t in run_chain(archives, 3.5, use_kdtree=True)
+        frozenset(t.members) for t in run_chain(archives, 3.5, engine="kdtree")
     }
     without = {
-        frozenset(t.members) for t in run_chain(archives, 3.5, use_kdtree=False)
+        frozenset(t.members) for t in run_chain(archives, 3.5, engine="scalar")
     }
     assert with_tree == without
 

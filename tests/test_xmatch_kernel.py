@@ -152,12 +152,12 @@ def test_run_chain_rejects_unknown_engine():
         run_chain(spec, 3.5, engine="quantum")
 
 
-def test_use_kdtree_false_selects_scalar():
+def test_scalar_engine_matches_the_default_engine():
     archives = make_sky(n_bodies=10, seed=10)
     spec = [("A", archives[0][0], archives[0][1], False),
             ("B", archives[1][0], archives[1][1], False)]
-    legacy = run_chain(spec, 3.5, use_kdtree=False)
-    assert_same_tuples(legacy, run_chain(spec, 3.5, engine="scalar"))
+    scalar = run_chain(spec, 3.5, engine="scalar")
+    assert_same_tuples(scalar, run_chain(spec, 3.5))
 
 
 # -- batched HTM cap covers ------------------------------------------------

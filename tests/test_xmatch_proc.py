@@ -9,7 +9,11 @@ from repro.db.schema import Column
 from repro.db.table import SpatialSpec
 from repro.db.types import ColumnType
 from repro.errors import QueryError
-from repro.skynode.xmatch_proc import PROCEDURE_NAME, register_xmatch_procedure
+from repro.skynode.xmatch_proc import (
+    PROCEDURE_NAME,
+    register_xmatch_procedure,
+    sp_xmatch_reference,
+)
 from repro.sphere.coords import radec_to_vector, vector_to_radec
 from repro.sphere.random import perturb_gaussian
 from repro.sphere.regions import Cap
@@ -18,8 +22,9 @@ from repro.units import arcsec_to_rad
 from repro.xmatch.chi2 import Accumulator
 
 
-@pytest.fixture()
-def db():
+def make_database(reference=False, extra_columns=("flux",)):
+    """One archive database; ``reference`` installs the scalar loop as
+    ``sp_xmatch`` through the same seam production registration uses."""
     database = Database("arch", page_size=16)
     database.create_table(
         "objects",
@@ -27,12 +32,20 @@ def db():
             Column("object_id", ColumnType.INT, nullable=False),
             Column("ra", ColumnType.FLOAT, nullable=False),
             Column("dec", ColumnType.FLOAT, nullable=False),
-            Column("flux", ColumnType.FLOAT),
-        ],
+        ]
+        + [Column(name, ColumnType.FLOAT) for name in extra_columns],
         spatial=SpatialSpec("ra", "dec", htm_depth=12),
     )
-    register_xmatch_procedure(database)
+    if reference:
+        database.register_procedure(PROCEDURE_NAME, sp_xmatch_reference)
+    else:
+        register_xmatch_procedure(database)
     return database
+
+
+@pytest.fixture()
+def db():
+    return make_database()
 
 
 def insert_objects(db, positions, fluxes=None):
@@ -217,84 +230,39 @@ def snapshot(result):
     {"residual": parse_expression("X.flux > 10")},
     {"attr_columns": ("flux",)},
 ])
-def test_vectorized_kernel_matches_scalar(db, overrides):
-    """Both kernels: identical matches, stats, and buffer-pool traffic."""
-    results = {}
-    for kernel in ("scalar", "vectorized"):
-        database = Database("arch", page_size=16)
-        database.create_table(
-            "objects",
-            [
-                Column("object_id", ColumnType.INT, nullable=False),
-                Column("ra", ColumnType.FLOAT, nullable=False),
-                Column("dec", ColumnType.FLOAT, nullable=False),
-                Column("flux", ColumnType.FLOAT),
-            ],
-            spatial=SpatialSpec("ra", "dec", htm_depth=12),
-        )
-        register_xmatch_procedure(database)
-        incoming = make_crowded(database)
-        temp = make_temp(database, incoming)
-        result = call_proc(database, temp, kernel=kernel, **overrides)
-        stats = database.buffer.stats
-        results[kernel] = (
-            snapshot(result), stats.logical_reads, stats.physical_reads
-        )
-    assert results["vectorized"] == results["scalar"]
-    (matches, _), _, _ = results["vectorized"]
-    assert matches  # the scenario is non-trivial
-
-
-def test_vectorized_kernel_empty_temp(db):
-    temp = make_temp(db, [])
-    result = call_proc(db, temp, kernel="vectorized")
-    assert result.matches == {} and result.stats.tuples_in == 0
-
-
-def test_unknown_kernel_rejected(db):
-    temp = make_temp(db, [])
-    with pytest.raises(QueryError):
-        call_proc(db, temp, kernel="simd")
-
-
-@pytest.mark.parametrize("overrides", [
-    {},
-    {"area": Cap.from_radec(185.0, -0.5, 300.0)},
-    {"residual": parse_expression("X.flux > 10")},
-    {"attr_columns": ("flux",)},
-])
-def test_all_engine_kernel_combos_agree(overrides):
-    """htm/zone x scalar/vectorized: identical matches, stats, and
+def test_reference_procedure_agrees_with_production(overrides):
+    """The scalar loop installed via ``register_procedure`` vs the
+    production body, under both engines: identical matches, stats, and
     buffer-pool traffic across all four combinations."""
     results = {}
     for engine in ("htm", "zone"):
-        for kernel in ("scalar", "vectorized"):
-            database = Database("arch", page_size=16)
-            database.create_table(
-                "objects",
-                [
-                    Column("object_id", ColumnType.INT, nullable=False),
-                    Column("ra", ColumnType.FLOAT, nullable=False),
-                    Column("dec", ColumnType.FLOAT, nullable=False),
-                    Column("flux", ColumnType.FLOAT),
-                ],
-                spatial=SpatialSpec("ra", "dec", htm_depth=12),
-            )
-            register_xmatch_procedure(database)
+        for reference in (True, False):
+            database = make_database(reference)
             incoming = make_crowded(database)
             temp = make_temp(database, incoming)
-            result = call_proc(
-                database, temp, kernel=kernel, engine=engine, **overrides
-            )
+            result = call_proc(database, temp, engine=engine, **overrides)
             stats = database.buffer.stats
-            results[(engine, kernel)] = (
+            results[(engine, reference)] = (
                 snapshot(result), stats.logical_reads, stats.physical_reads
             )
-    baseline = results[("htm", "scalar")]
+    baseline = results[("htm", True)]
     for combo, outcome in results.items():
         assert outcome == baseline, combo
     (matches, _), _, _ = baseline
     assert matches  # the scenario is non-trivial
+
+
+def test_production_procedure_empty_temp(db):
+    temp = make_temp(db, [])
+    result = call_proc(db, temp)
+    assert result.matches == {} and result.stats.tuples_in == 0
+
+
+def test_kernel_is_not_a_procedure_parameter(db):
+    """The body is chosen by what is registered, never by an argument."""
+    temp = make_temp(db, [])
+    with pytest.raises(TypeError):
+        call_proc(db, temp, kernel="scalar")
 
 
 def test_zone_engine_empty_temp(db):
@@ -309,24 +277,12 @@ def test_unknown_engine_rejected(db):
         call_proc(db, temp, engine="rtree")
 
 
-def test_vectorized_kernel_alternate_position_columns():
+def test_alternate_position_columns_agree_with_reference():
     """A caller naming non-spatial position columns takes the row-by-row
     fallback and still agrees with the scalar loop."""
     results = {}
-    for kernel in ("scalar", "vectorized"):
-        database = Database("arch", page_size=16)
-        database.create_table(
-            "objects",
-            [
-                Column("object_id", ColumnType.INT, nullable=False),
-                Column("ra", ColumnType.FLOAT, nullable=False),
-                Column("dec", ColumnType.FLOAT, nullable=False),
-                Column("ra2", ColumnType.FLOAT),
-                Column("dec2", ColumnType.FLOAT),
-            ],
-            spatial=SpatialSpec("ra", "dec", htm_depth=12),
-        )
-        register_xmatch_procedure(database)
+    for reference in (True, False):
+        database = make_database(reference, extra_columns=("ra2", "dec2"))
         rng = random.Random(11)
         sigma = arcsec_to_rad(0.5)
         center = radec_to_vector(185.0, -0.5)
@@ -344,20 +300,8 @@ def test_vectorized_kernel_alternate_position_columns():
             for b in bodies
         ]
         temp = make_temp(database, incoming)
-        result = database.call_procedure(
-            PROCEDURE_NAME,
-            temp_table=temp.name,
-            primary_table="objects",
-            id_column="object_id",
-            ra_column="ra2",
-            dec_column="dec2",
-            alias="X",
-            sigma_arcsec=0.5,
-            threshold=3.5,
-            area=None,
-            residual=None,
-            attr_columns=(),
-            kernel=kernel,
+        result = call_proc(
+            database, temp, ra_column="ra2", dec_column="dec2"
         )
-        results[kernel] = snapshot(result)
-    assert results["vectorized"] == results["scalar"]
+        results[reference] = snapshot(result)
+    assert results[False] == results[True]
