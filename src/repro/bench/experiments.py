@@ -1,4 +1,5 @@
-"""The eleven experiment runners (one per figure/claim — see DESIGN.md)."""
+"""The experiment runners E1–E22 and E11-sharded (one per figure/claim — see
+DESIGN.md)."""
 
 from __future__ import annotations
 
@@ -1929,7 +1930,10 @@ def run_e20_zone_engine(
             f"that, building the per-archive zone arrays and the window "
             f"trigonometry cost more than simply broadcasting the few "
             f"(tuple, candidate) pairs — the zone engine LOSES on small "
-            f"batches, which is why HTM/broadcast stays the default."
+            f"in-memory batches, which is why broadcast stays run_chain's "
+            f"default. The federation's stored procedure defaults to zone: "
+            f"there the baseline is the per-tuple HTM probe, and zone wins "
+            f"every sp_xmatch and federated row below."
         )
     report.note(
         "The broadcast kernel is O(m*n) per step and infeasible past "

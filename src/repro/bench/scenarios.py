@@ -198,32 +198,30 @@ def fresh_federation(
     keep_epochs: Optional[int] = 8,
     scheduler=None,
     cache=None,
-    match_engine: Optional[str] = None,
+    match_engine: str = "zone",
 ) -> Federation:
     """An uncached federation with experiment-specific knobs."""
     from repro.skynode.node import DEFAULT_PARSER_MEMORY_LIMIT
 
-    config = FederationConfig(
-            n_bodies=n_bodies,
-            seed=seed,
-            sky_field=SkyField(185.0, -0.5, radius_arcsec),
-            parser_memory_limit=(
-                parser_memory_limit
-                if parser_memory_limit is not None
-                else DEFAULT_PARSER_MEMORY_LIMIT
-            ),
-            chunk_budget_bytes=chunk_budget_bytes,
-            buffer_pages=buffer_pages,
-            retry_policy=retry_policy,
-            health_probes=health_probes,
-            fault_plan=fault_plan,
-            replicas=replicas,
-            chain_mode=chain_mode,
-            ingest=ingest,
-            keep_epochs=keep_epochs,
-            scheduler=scheduler,
-            cache=cache,
-        )
-    if match_engine is not None:
-        config.match_engine = match_engine
-    return build_federation(config)
+    return build_federation(FederationConfig(
+        n_bodies=n_bodies,
+        seed=seed,
+        sky_field=SkyField(185.0, -0.5, radius_arcsec),
+        parser_memory_limit=(
+            parser_memory_limit
+            if parser_memory_limit is not None
+            else DEFAULT_PARSER_MEMORY_LIMIT
+        ),
+        chunk_budget_bytes=chunk_budget_bytes,
+        buffer_pages=buffer_pages,
+        retry_policy=retry_policy,
+        health_probes=health_probes,
+        fault_plan=fault_plan,
+        replicas=replicas,
+        chain_mode=chain_mode,
+        ingest=ingest,
+        keep_epochs=keep_epochs,
+        scheduler=scheduler,
+        cache=cache,
+        match_engine=match_engine,
+    ))

@@ -187,12 +187,12 @@ def _federation_args(parser: argparse.ArgumentParser) -> None:
              "(default: no timeout)",
     )
     parser.add_argument(
-        "--match-engine", default=None,
+        "--match-engine", default="zone",
         choices=["htm", "zone"],
-        help="spatial index for the cross-match at every node: HTM trixel "
-             "covers (the reference oracle) or declination zones with "
-             "sorted-merge windows — byte-identical results either way "
-             "(default: the SKYQUERY_MATCH_ENGINE env var, else htm)",
+        help="spatial index for the cross-match at every node: "
+             "declination zones with sorted-merge windows (default) or "
+             "HTM trixel covers (the reference oracle) — byte-identical "
+             "results either way",
     )
     parser.add_argument(
         "--chain-mode", default="store-forward",
@@ -204,12 +204,6 @@ def _federation_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-size", type=int, default=200, metavar="TUPLES",
         help="tuples per batch when the chain is pipelined (default 200)",
-    )
-    parser.add_argument(
-        "--wire-format", default="columnar",
-        choices=["columnar", "rows"],
-        help="encoding for streamed partial tuples: compact column-major "
-             "colset (default) or the classic row-major rowset",
     )
     parser.add_argument(
         "--replicas", type=int, default=0, metavar="N",
@@ -248,23 +242,20 @@ def _retry_policy(args: argparse.Namespace):
 
 def _make_federation(args: argparse.Namespace, *, ingest: bool = False,
                      **extra):
-    config = FederationConfig(
+    return build_federation(FederationConfig(
         n_bodies=args.bodies,
         seed=args.seed,
         sky_field=SkyField(185.0, -0.5, args.radius),
         retry_policy=_retry_policy(args),
         chain_mode=args.chain_mode,
         stream_batch_size=args.batch_size,
-        stream_wire_format=args.wire_format,
+        match_engine=args.match_engine,
         replicas=args.replicas,
         shards=getattr(args, "shards", 0),
         shard_key=getattr(args, "shard_key", "zone"),
         ingest=ingest,
         **extra,
-    )
-    if args.match_engine is not None:
-        config.match_engine = args.match_engine
-    return build_federation(config)
+    ))
 
 
 DEMO_SQL = """
@@ -310,8 +301,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("performance queries:")
         for alias, sql in plan["performance_queries"].items():
             print(f"  {alias}: {sql}")
+        for warning in plan["warnings"]:
+            print(f"warning: {warning}")
         print("plan list (first = largest, executes last):")
-        for step in plan["plan"]["steps"]:
+        for step in (plan["plan"] or {"steps": []})["steps"]:
             role = "dropout" if step["dropout"] else f"count={step['count_star']}"
             print(f"  {step['alias']} @ {step['archive']} ({role}): "
                   f"{step['sql']}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -58,15 +57,11 @@ class FederationConfig:
     retry_policy: Optional[RetryPolicy] = None
     #: Portal pings archives before planning (graceful degradation).
     health_probes: bool = True
-    #: Which spatial index every node's cross-match uses: ``htm`` (trixel
-    #: covers, the default and reference oracle) or ``zone`` (declination
-    #: zones with sorted-merge windows). Federated results, node stats,
-    #: and wire traffic are byte-identical either way. Defaults to the
-    #: ``SKYQUERY_MATCH_ENGINE`` environment variable when set, so test
-    #: suites can run under both engines without code changes.
-    match_engine: str = field(
-        default_factory=lambda: os.environ.get("SKYQUERY_MATCH_ENGINE", "htm")
-    )
+    #: Which spatial index every node's cross-match uses: ``zone``
+    #: (declination zones with sorted-merge windows, the default) or
+    #: ``htm`` (trixel covers, the reference oracle). Federated results,
+    #: node stats, and wire traffic are byte-identical either way.
+    match_engine: str = "zone"
     #: Scripted transient faults, installed only AFTER registration
     #: completes so federation construction is never fault-injected.
     fault_plan: Optional[FaultPlan] = None
@@ -77,9 +72,6 @@ class FederationConfig:
     chain_mode: str = "store-forward"
     #: Tuples per batch when the chain is pipelined.
     stream_batch_size: int = 200
-    #: Wire encoding for streamed partial tuples: ``columnar`` (compact
-    #: column-major colset) or ``rows`` (classic rowset).
-    stream_wire_format: str = "columnar"
     #: Replica SkyNodes provisioned per archive (0 = none). Each replica is
     #: a full mirror: its own database is populated from the primary over
     #: the transactional region-replication exchange (2PC), and its
@@ -200,7 +192,6 @@ class Federation:
 _CONFIG_CHOICES = {
     "match_engine": ("htm", "zone"),
     "chain_mode": ("store-forward", "pipelined"),
-    "stream_wire_format": ("columnar", "rows"),
 }
 
 
@@ -269,7 +260,6 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
         health_probes=config.health_probes,
         chain_mode=config.chain_mode,
         stream_batch_size=config.stream_batch_size,
-        stream_wire_format=config.stream_wire_format,
         match_engine=config.match_engine,
     )
     if config.cache:

@@ -15,7 +15,7 @@ against the paper's count ordering (experiment E14).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.errors import PlanningError
 from repro.portal.decompose import DecomposedQuery, NodeSubquery
@@ -61,26 +61,34 @@ class CostCalibrator:
         self.sample_limit = sample_limit
 
     def calibrate(
-        self, decomposed: DecomposedQuery
+        self,
+        decomposed: DecomposedQuery,
+        services_for: Optional[Mapping[str, Mapping[str, str]]] = None,
     ) -> Dict[str, ArchiveCostModel]:
-        """Measure bytes-per-row and RTT at every mandatory archive."""
+        """Measure bytes-per-row and RTT at every mandatory archive.
+
+        ``services_for`` (alias -> endpoint set) names the replica a
+        failed-over archive is planned against: its sample goes there,
+        not to the dead primary.
+        """
         network = self._portal.require_network()
         models: Dict[str, ArchiveCostModel] = {}
         with network.phase(PHASE):
             for alias in decomposed.mandatory_aliases:
                 subquery = decomposed.subqueries[alias]
                 models[alias] = self._calibrate_archive(
-                    alias, subquery, decomposed, network
+                    alias, subquery, decomposed, network,
+                    (services_for or {}).get(alias),
                 )
         return models
 
     def _calibrate_archive(
         self, alias: str, subquery: NodeSubquery, decomposed: DecomposedQuery,
-        network,
+        network, services: Optional[Mapping[str, str]],
     ) -> ArchiveCostModel:
         record = self._portal.catalog.node(subquery.archive)
         sample_sql = to_sql(self._sample_query(subquery, decomposed, record))
-        proxy = self._portal.proxy(record.services["query"])
+        proxy = self._portal.proxy((services or record.services)["query"])
         started = network.clock.now
         rowset = proxy.call("ExecuteQuery", sql=sample_sql)
         round_trip = network.clock.now - started

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import RegistrationError, ValidationError
+from repro.shard import prune_members
 from repro.shard.topology import ShardSet
 from repro.skynode.wrapper import ArchiveInfo
 
@@ -26,8 +27,9 @@ class NodeRecord:
     per-shard ownership plus per-shard endpoint-candidate lists. Unlike
     ``replica_services`` the shard endpoints are *not* interchangeable
     whole-archive substitutes — each serves one slice of the sky — so
-    they never appear in :meth:`endpoint_candidates`; the Planner uses
-    them for count-probe fan-out and layout fingerprinting instead.
+    they never appear in :meth:`endpoint_candidates`; they are the
+    :meth:`partitions` a count probe fans out over, and fold into the
+    plan fingerprint through the layout signature.
     """
 
     archive: str
@@ -83,42 +85,62 @@ class NodeRecord:
         """Every complete endpoint set for this archive, primary first."""
         return [self.services, *self.replica_services]
 
-    def resolve_table(self, table: str) -> str:
-        """Canonical table name, raising :class:`ValidationError` if unknown."""
+    def partitions(
+        self, area: object = None
+    ) -> List[Tuple[str, Sequence[Mapping[str, str]]]]:
+        """``(label, ordered endpoint candidates)`` per partition of the
+        table that can hold rows inside ``area`` (``None`` = all of them).
+
+        A monolithic archive is the one-partition layout: itself, primary
+        then replicas. A sharded one lists the shards whose ownership
+        intersects the area — together they hold exactly the archive's
+        rows — and falls back to the full copy at the archive's own
+        endpoints when no shard owns any part of it (the full copy's
+        spatial index answers that zero cheaply, and the answer carries
+        the epoch a plan still needs to pin).
+        """
+        members = (
+            prune_members(self.shard_set.members, area)
+            if self.shard_set is not None
+            else []
+        )
+        if not members:
+            return [
+                (f"archive {self.archive!r}", self.endpoint_candidates())
+            ]
+        return [
+            (f"shard {m.name!r} of archive {self.archive!r}", m.endpoints)
+            for m in members
+        ]
+
+    def _table(self, table: str) -> Tuple[str, Dict[str, Tuple[str, str]]]:
         entry = self.schema.get(table.lower())
         if entry is None:
             raise ValidationError(
                 f"archive {self.archive!r} has no table {table!r}"
             )
-        return entry[0]
+        return entry
+
+    def _column(self, table: str, column: str) -> Tuple[str, str]:
+        name, columns = self._table(table)
+        col = columns.get(column.lower())
+        if col is None:
+            raise ValidationError(
+                f"table {self.archive}:{name} has no column {column!r}"
+            )
+        return col
+
+    def resolve_table(self, table: str) -> str:
+        """Canonical table name, raising :class:`ValidationError` if unknown."""
+        return self._table(table)[0]
 
     def column_type(self, table: str, column: str) -> str:
         """Wire typecode of a column, raising if table/column unknown."""
-        entry = self.schema.get(table.lower())
-        if entry is None:
-            raise ValidationError(
-                f"archive {self.archive!r} has no table {table!r}"
-            )
-        col = entry[1].get(column.lower())
-        if col is None:
-            raise ValidationError(
-                f"table {self.archive}:{entry[0]} has no column {column!r}"
-            )
-        return col[1]
+        return self._column(table, column)[1]
 
     def column_name(self, table: str, column: str) -> str:
         """Canonical column name (original casing)."""
-        entry = self.schema.get(table.lower())
-        if entry is None:
-            raise ValidationError(
-                f"archive {self.archive!r} has no table {table!r}"
-            )
-        col = entry[1].get(column.lower())
-        if col is None:
-            raise ValidationError(
-                f"table {self.archive}:{entry[0]} has no column {column!r}"
-            )
-        return col[0]
+        return self._column(table, column)[0]
 
 
 class FederationCatalog:

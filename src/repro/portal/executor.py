@@ -25,8 +25,17 @@ identical order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.budget import use_budget
 from repro.db.expr import RowContext, evaluate, is_true
@@ -130,17 +139,22 @@ class ChainExecutor:
         degraded: bool = False,
         failovers: int = 0,
         qid: str = "",
+        dead: Optional[Set[str]] = None,
     ) -> FederatedResult:
         """Start the chain at the first plan step and post-process.
 
-        On chain failure the executor probes each step's *current*
-        endpoint: a dead hop with a live replica is re-routed in place
-        (recorded in ``failovers``, NOT as degradation — the answer stays
-        complete), transient faults retry the chain, dead drop-out archives
-        with no replica left are pruned, and a mandatory archive with no
-        live endpoint at all yields a degraded empty result whose warnings
-        name the lost node. Failing over resets the transient-retry budget:
-        a re-routed plan is a fresh chain.
+        On chain failure the executor re-enters the planner's routing
+        decision (:meth:`Planner.route`) for the plan's hops: a dead hop
+        with a live replica is re-routed in place (recorded in
+        ``failovers``, NOT as degradation — the answer stays complete),
+        transient faults retry the chain, dead drop-out archives with no
+        replica left are pruned, and a mandatory archive with no live
+        endpoint at all yields a degraded empty result whose warnings name
+        the lost node. Failing over resets the transient-retry budget: a
+        re-routed plan is a fresh chain. ``dead`` is the query's set of
+        endpoint URLs already seen dead — planning hands over what its
+        probes learned, so recovery never re-asks (nor fails back onto)
+        an endpoint this query already watched die.
 
         ``qid`` is the Portal-minted query id of a budgeted submission: it
         doubles as the execution id (so the nodes' checkpoints are keyed to
@@ -159,9 +173,7 @@ class ChainExecutor:
             )
         warnings = list(warnings or [])
         counters = {"failovers": failovers, "degraded": degraded}
-        #: crossmatch endpoints seen dead this query, per archive — never
-        #: failed back onto within the same execution.
-        tried_dead: Dict[str, set] = {}
+        dead = set() if dead is None else dead
         #: Pipelined-mode resume state: completed batch responses survive
         #: a chain failure so the retry pulls only what is still missing.
         #: With ``checkpoint_resume`` off every attempt starts from scratch
@@ -219,7 +231,7 @@ class ChainExecutor:
                 attempts += 1
                 next_plan, fallback = self._recover(
                     current, decomposed, warnings, exc, attempts,
-                    counters, tried_dead,
+                    counters, dead,
                 )
                 if fallback is not None:
                     return fallback
@@ -300,7 +312,6 @@ class ChainExecutor:
                 plan=plan_wire,
                 position=0,
                 batch_size=self._portal.stream_batch_size,
-                wire_format=self._portal.stream_wire_format,
                 start_seq=start_seq,
                 qid=qid,
             )
@@ -397,44 +408,31 @@ class ChainExecutor:
             except Exception:
                 pass  # fire-and-forget; the hop's TTL reaper is the backstop
 
+        def cancel_once(endpoints: Mapping[str, str]) -> None:
+            url = endpoints.get("crossmatch")
+            if url is not None and url not in seen:
+                seen.add(url)
+                cancel(url)
+
         with network.phase("cancel"), use_budget(None):
             cancel(plan.step(0).url, plan=plan.to_wire(), position=0)
             for step in plan.steps:
                 record = self._portal.catalog.node(step.archive)
-                urls = [
-                    services["crossmatch"]
-                    for services in record.endpoint_candidates()
-                ]
-                # Shard endpoints are NOT in endpoint_candidates() (each
-                # serves one slice, not the whole archive), yet shards
-                # hold stagings keyed by this qid. A live coordinator
-                # fans its own cancel to them, but a *dead* coordinator
-                # cannot — so the Portal cancels every shard candidate
-                # directly too (idempotent; a double cancel frees
-                # nothing twice).
-                if record.shard_set is not None:
-                    for member in record.shard_set.members:
-                        urls.extend(member.candidate_urls("crossmatch"))
-                for url in urls:
-                    if url not in seen:
-                        seen.add(url)
-                        cancel(url)
-
-    def _probe_plan_endpoints(self, plan: ExecutionPlan) -> List[bool]:
-        """Ping each step's CURRENT endpoint (not just the archive primary).
-
-        A step already failed over probes its replica, so a second failure
-        of the same archive is still diagnosed correctly. Probes run
-        concurrently like the Portal's plan-time health checks.
-        """
-        network = self._portal.require_network()
-        alive: List[bool] = [False] * len(plan.steps)
-        with network.phase("health-probe"), network.parallel():
-            for index, step in enumerate(plan.steps):
-                alive[index] = self._portal.is_alive(
-                    self._portal.information_url_for(step.archive, step.url)
-                )
-        return alive
+                # Every candidate, seen dead or not (hence the empty dead
+                # set): a host that dropped off mid-query may be back and
+                # still hold what it checkpointed. Shard endpoints are NOT
+                # archive candidates (each serves one slice, not the whole
+                # archive), yet shards hold stagings keyed by this qid. A
+                # live coordinator fans its own cancel to them, but a
+                # *dead* coordinator cannot — so the Portal cancels every
+                # shard candidate directly too (idempotent; a double
+                # cancel frees nothing twice).
+                for candidates in [
+                    record.endpoint_candidates(),
+                    *(members for _, members in record.partitions()),
+                ]:
+                    for _ in self._portal.walk(candidates, set(), cancel_once):
+                        pass
 
     def _recover(
         self,
@@ -444,94 +442,57 @@ class ChainExecutor:
         exc: Exception,
         attempts: int,
         counters: Dict[str, Any],
-        tried_dead: Dict[str, set],
+        dead: Set[str],
     ) -> Tuple[ExecutionPlan, Optional[FederatedResult]]:
         """Decide how a failed chain continues: fail over, retry, or degrade.
 
-        Order of preference per dead hop: substitute a live replica
-        endpoint in place (same plan content, so checkpoints and stream
-        positions stay valid — counted in ``failovers``, not degradation);
-        else prune if the hop is a drop-out (degraded); else give up with
-        a degraded empty result (mandatory archive wholly lost).
+        Re-enters :meth:`Planner.route` with the plan's hops at their
+        CURRENT endpoints (a step already failed over is probed at its
+        replica, so a second failure of the same archive is still
+        diagnosed correctly) and the query's dead set. Per dead hop, in
+        order of preference: substitute a live replica endpoint in place
+        (same plan content, so checkpoints and stream positions stay
+        valid — counted in ``failovers``, not degradation); else prune if
+        the hop is a drop-out (degraded); else give up with a degraded
+        empty result (mandatory archive wholly lost).
         """
-        alive = self._probe_plan_endpoints(plan)
-        dead_positions = [
-            index for index, ok in enumerate(alive) if not ok
-        ]
-        if not dead_positions:
+        moved, skipped, lost = self._portal.planner.route(
+            [
+                (step.alias, step.archive, step.dropout, step.url)
+                for step in plan.steps
+            ],
+            dead,
+            warnings,
+            mid_chain=True,
+        )
+        counters["failovers"] += len(moved)
+        if lost:
+            return plan, self.degraded(
+                decomposed.query, warnings, counters["failovers"], plan
+            )
+        if not moved and not skipped:
             if attempts >= self.MAX_CHAIN_ATTEMPTS:
                 raise ExecutionError(
                     f"cross-match chain failed after {attempts} attempt(s): "
                     f"{exc}"
                 ) from exc
             return plan, None  # transient: retry the same plan
-        network = self._portal.require_network()
-        new_plan = plan
-        lost_mandatory: List[int] = []
-        lost_dropout: List[int] = []
-        for index in dead_positions:
-            step = plan.step(index)
-            tried = tried_dead.setdefault(step.archive, set())
-            tried.add(step.url)
-            replacement = self._portal.live_endpoints(
-                step.archive, exclude=tried
-            )
-            if replacement is not None:
-                new_url = replacement["crossmatch"]
-                new_plan = new_plan.replace_url(index, new_url)
-                warnings.append(
-                    f"archive {step.archive!r} endpoint {step.url} failed "
-                    f"mid-chain; failing over to replica {new_url}"
-                )
-                counters["failovers"] += 1
-                network.metrics.failovers += 1
-                if network.tracer is not None:
-                    network.tracer.annotate(
-                        "failover",
-                        archive=step.archive,
-                        from_url=step.url,
-                        to_url=new_url,
-                    )
-            elif step.dropout:
-                lost_dropout.append(index)
-            else:
-                lost_mandatory.append(index)
-        if lost_mandatory:
-            for index in lost_mandatory:
-                step = plan.step(index)
-                warnings.append(
-                    f"mandatory archive {step.archive!r} (alias "
-                    f"{step.alias!r}) is unreachable with no live replica; "
-                    "cross-match aborted"
-                )
-            return plan, self.degraded(
-                decomposed.query, warnings, counters["failovers"], plan
-            )
-        if lost_dropout:
+        for index, step in enumerate(plan.steps):
+            if step.alias in moved:
+                plan = plan.replace_url(index, moved[step.alias]["crossmatch"])
+        if skipped:
             # Drop-out archives with no replica left: prune them and
             # restart the chain from the surviving nodes (the paper's !X
             # semantics are advisory filters, so the query can still
             # answer — degraded).
-            for index in lost_dropout:
-                step = plan.step(index)
-                warnings.append(
-                    f"drop-out archive {step.archive!r} (alias "
-                    f"{step.alias!r}) became unreachable mid-chain with no "
-                    "live replica; skipped"
-                )
             counters["degraded"] = True
-            pruned_out = {plan.step(index).alias for index in lost_dropout}
-            new_plan = ExecutionPlan(
+            plan = replace(
+                plan,
                 steps=tuple(
-                    step
-                    for step in new_plan.steps
-                    if step.alias not in pruned_out
+                    step for step in plan.steps if step.alias not in skipped
                 ),
-                threshold=new_plan.threshold,
-                area=new_plan.area,
-                profile=new_plan.profile,
             )
-        return new_plan, None
+        return plan, None
 
     def degraded(
         self,

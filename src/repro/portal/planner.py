@@ -12,8 +12,20 @@ from __future__ import annotations
 
 import numbers
 import random
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import (
     PlanningError,
@@ -21,16 +33,33 @@ from repro.errors import (
     StaleEpochError,
     TransportError,
 )
-from repro.portal.calibration import ArchiveCostModel
+from repro.portal.calibration import ArchiveCostModel, CostCalibrator
 from repro.portal.decompose import DecomposedQuery, NodeSubquery
 from repro.portal.plan import ExecutionPlan, PlanStep
-from repro.shard import prune_members
 from repro.soap.encoding import WireRowSet
 
 if TYPE_CHECKING:
     from repro.portal.catalog import NodeRecord
     from repro.portal.portal import Portal
-    from repro.shard.topology import ShardMember
+
+#: One chain hop as :meth:`Planner.route` sees it:
+#: ``(alias, archive, is drop-out, crossmatch URL currently in use)``.
+Hop = Tuple[str, str, bool, str]
+
+#: Warning fragments of :meth:`Planner.route`, keyed by ``mid_chain``: a
+#: hop's endpoint died / a mandatory archive is gone / a drop-out one is.
+_WORDING = {
+    False: (
+        "primary endpoint {url} is unreachable",
+        "is unreachable",
+        "is unreachable",
+    ),
+    True: (
+        "endpoint {url} failed mid-chain",
+        "is unreachable with no live replica",
+        "became unreachable mid-chain with no live replica",
+    ),
+}
 
 
 class OrderingStrategy(Enum):
@@ -43,11 +72,186 @@ class OrderingStrategy(Enum):
     BYTES_DESC = "bytes_desc"  # calibrated extension: count x row width
 
 
+@dataclass
+class PlanPass:
+    """What one :meth:`Planner.plan` pass learned and decided."""
+
+    counts: Dict[str, int] = field(default_factory=dict)
+    #: Alias -> snapshot epoch pinned by that archive's count probe.
+    epochs: Dict[str, int] = field(default_factory=dict)
+    warnings: List[str] = field(default_factory=list)
+    #: Hops planned against a replica (complete answer, NOT degraded).
+    failovers: int = 0
+    #: Drop-out aliases left off the plan: their archive is unreachable.
+    skipped: List[str] = field(default_factory=list)
+    degraded: bool = False
+    #: Endpoint URLs seen dead so far; the chain's recovery inherits it.
+    dead: Set[str] = field(default_factory=set)
+    calibration: Optional[Dict[str, ArchiveCostModel]] = None
+    #: None when no chain would run: a mandatory archive is lost
+    #: (``degraded``) or has nothing inside the AREA.
+    plan: Optional[ExecutionPlan] = None
+
+
 class Planner:
     """Runs performance queries and builds the ordered execution plan."""
 
     def __init__(self, portal: "Portal") -> None:
         self._portal = portal
+
+    def plan(
+        self,
+        decomposed: DecomposedQuery,
+        *,
+        strategy: OrderingStrategy = OrderingStrategy.COUNT_DESC,
+        random_seed: int = 0,
+        pin_epochs: Optional[Dict[str, int]] = None,
+    ) -> PlanPass:
+        """The one plan pass: route ∥ count → decide → calibrate → build.
+
+        ``Portal.submit`` executes its outcome, ``Portal.explain`` renders
+        it, and the executor's recovery re-enters :meth:`route` with the
+        same dead set. Health probes and count-star probes are
+        independent round trips to the same archives, so both go out in
+        one parallel block and the probing hides under the count-star
+        makespan. The pass ends without a plan when a mandatory archive
+        is lost or fails its count probe on every candidate (degraded),
+        or has nothing inside the AREA: no tuple can survive the inner
+        join — the count-star probes pay for themselves here.
+        """
+        portal = self._portal
+        network = portal.require_network()
+        probing = portal.health_probes
+        done = PlanPass()
+        # With probes disabled the Portal keeps the seed's strict
+        # behaviour: a failed performance query raises, not degrades.
+        failures: Optional[Dict[str, str]] = {} if probing else None
+        hops = sorted(
+            (
+                (s.alias, s.archive, s.dropout,
+                 portal.catalog.node(s.archive).services["crossmatch"])
+                for s in decomposed.subqueries.values()
+            ),
+            key=lambda hop: hop[1],
+        )
+        tracer = network.tracer
+        with (
+            tracer.span("plan", host=portal.hostname)
+            if tracer is not None
+            else nullcontext()
+        ):
+            with network.parallel() if probing else nullcontext():
+                moved, done.skipped, lost = self.route(
+                    hops, done.dead, done.warnings, probe=probing
+                )
+                done.counts = self.performance_counts(
+                    decomposed,
+                    failures=failures,
+                    epochs=done.epochs,
+                    pin_epochs=pin_epochs,
+                    dead=done.dead,
+                )
+            done.failovers = len(moved)
+            done.degraded = bool(done.skipped or lost or failures)
+            if failures and not lost:
+                done.warnings.extend(
+                    f"mandatory archive "
+                    f"{decomposed.subqueries[alias].archive!r} (alias "
+                    f"{alias!r}) failed its performance query: {reason}"
+                    for alias, reason in sorted(failures.items())
+                )
+            if lost or failures or not all(
+                done.counts[alias] for alias in decomposed.mandatory_aliases
+            ):
+                return done
+            if strategy is OrderingStrategy.BYTES_DESC:
+                done.calibration = CostCalibrator(portal).calibrate(
+                    decomposed, services_for=moved
+                )
+            done.plan = self.build_plan(
+                decomposed,
+                done.counts,
+                strategy=strategy,
+                random_seed=random_seed,
+                cost_models=done.calibration,
+                skip_aliases=done.skipped,
+                services_for=moved,
+                epochs=done.epochs,
+            )
+        return done
+
+    def route(
+        self,
+        hops: Sequence[Hop],
+        dead: Set[str],
+        warnings: List[str],
+        *,
+        mid_chain: bool = False,
+        probe: bool = True,
+    ) -> Tuple[Dict[str, Mapping[str, str]], List[str], List[str]]:
+        """Find each hop's first live endpoint set and decide what a dead
+        one costs — for planning and for mid-chain recovery alike.
+
+        Archives are probed concurrently; within one archive the walk is
+        a single branch (a replica is only asked once everything before
+        it is dead). ``probe=False`` trusts the first candidate not in
+        ``dead`` without sending anything. Returns ``(moved, skipped,
+        lost)``: alias -> replica endpoint set substituted for a dead one
+        (a failover: warned, annotated, counted, the answer stays
+        complete); drop-out aliases with no endpoint left (skip them:
+        degraded); mandatory aliases with none (no answer possible).
+        """
+        portal = self._portal
+        network = portal.require_network()
+        attempt = portal.ping if probe else (lambda endpoints: None)
+        routes: Dict[str, Optional[Mapping[str, str]]] = {}
+        with network.phase("health-probe"), (
+            network.parallel() if probe else nullcontext()
+        ):
+            for archive in dict.fromkeys(hop[1] for hop in hops):
+                candidates = portal.catalog.node(archive).endpoint_candidates()
+                with network.branch():
+                    try:
+                        routes[archive], _ = next(
+                            portal.walk(candidates, dead, attempt)
+                        )
+                    except TransportError:
+                        routes[archive] = None
+        died, no_mandatory, no_dropout = _WORDING[mid_chain]
+        moved: Dict[str, Mapping[str, str]] = {}
+        skipped: List[str] = []
+        lost: List[str] = []
+        for alias, archive, dropout, url in hops:
+            chosen = routes[archive]
+            if chosen is None:
+                (skipped if dropout else lost).append(alias)
+            elif chosen["crossmatch"] != url:
+                moved[alias] = chosen
+                network.metrics.failovers += 1
+                if network.tracer is not None:
+                    network.tracer.annotate(
+                        "failover",
+                        archive=archive,
+                        from_url=url,
+                        to_url=chosen["crossmatch"],
+                    )
+                warnings.append(
+                    f"archive {archive!r} {died.format(url=url)}; "
+                    f"failing over to replica {chosen['crossmatch']}"
+                )
+        archive_of = {alias: archive for alias, archive, _, _ in hops}
+        warnings.extend(
+            f"mandatory archive {archive_of[alias]!r} (alias {alias!r}) "
+            f"{no_mandatory}; cross-match aborted"
+            for alias in lost
+        )
+        if not lost:
+            warnings.extend(
+                f"drop-out archive {archive_of[alias]!r} (alias {alias!r}) "
+                f"{no_dropout}; skipped"
+                for alias in skipped
+            )
+        return moved, skipped, lost
 
     def performance_counts(
         self,
@@ -56,6 +260,7 @@ class Planner:
         failures: Optional[Dict[str, str]] = None,
         epochs: Optional[Dict[str, int]] = None,
         pin_epochs: Optional[Dict[str, int]] = None,
+        dead: Optional[Set[str]] = None,
     ) -> Dict[str, int]:
         """Run the count-star queries at every mandatory archive.
 
@@ -71,20 +276,23 @@ class Planner:
         "whatever is committed now" (time-travel reads; the repeatable-
         reads oracle).
 
-        When ``failures`` is a dict, an archive whose probe fails (after
-        whatever retries its proxy is configured with) is recorded there
+        ``dead`` is the query's set of endpoint URLs already seen dead
+        (see :meth:`Portal.walk`): a probe skips those candidates and
+        adds the ones it finds dead itself. When ``failures`` is a dict,
+        an archive whose probe fails on every candidate (after whatever
+        retries its proxies are configured with) is recorded there
         instead of aborting the whole query — the Portal's graceful-
         degradation path. With the default ``None``, failures raise.
         """
         network = self._portal.require_network()
-        cache = getattr(self._portal, "cache", None)
+        cache = self._portal.cache
         tracer = network.tracer
+        dead = set() if dead is None else dead
         counts: Dict[str, int] = {}
         with network.phase("performance-query"), network.parallel():
             for alias in decomposed.mandatory_aliases:
                 subquery = decomposed.subqueries[alias]
                 record = self._portal.catalog.node(subquery.archive)
-                proxy = self._portal.proxy(record.services["query"])
                 assert subquery.perf_sql is not None
                 pin = (pin_epochs or {}).get(alias, -1)
                 if cache is not None:
@@ -106,22 +314,12 @@ class Planner:
                             )
                         continue
                 try:
-                    if record.shard_set is not None:
-                        # Scatter-gather count: each shard counts its own
-                        # slice in parallel (the whole fan-out is one
-                        # branch of the per-alias probe dispatch), and the
-                        # partition makes the sum the archive's count.
-                        with network.branch():
-                            count, epoch = self._sharded_count(
-                                record, subquery, pin, decomposed.area
-                            )
-                    else:
-                        response = proxy.call(
-                            "ExecuteQueryPinned",
-                            sql=subquery.perf_sql,
-                            epoch=pin,
+                    # One archive's whole probe — failover walks, shard
+                    # fan-out — is one branch of the per-alias dispatch.
+                    with network.branch():
+                        count, epoch = self._count(
+                            record, subquery, pin, decomposed.area, dead
                         )
-                        count, epoch = self._pinned_count(response, subquery)
                 except (TransportError, SoapFaultError) as exc:
                     if (
                         isinstance(exc, SoapFaultError)
@@ -147,85 +345,55 @@ class Planner:
                     )
         return counts
 
-    def count_for(
-        self,
-        subquery: NodeSubquery,
-        query_url: str,
-        *,
-        pin_epoch: Optional[int] = None,
-    ) -> Tuple[int, int]:
-        """One count-star probe against a specific Query endpoint.
-
-        The failover path: when a primary's performance query failed but a
-        replica answered the health probe, the Portal re-asks the replica
-        instead of degrading the whole query. Returns ``(count, epoch)``
-        — the count and the snapshot it was taken at.
-        """
-        network = self._portal.require_network()
-        assert subquery.perf_sql is not None
-        proxy = self._portal.proxy(query_url)
-        with network.phase("performance-query"):
-            response = proxy.call(
-                "ExecuteQueryPinned",
-                sql=subquery.perf_sql,
-                epoch=-1 if pin_epoch is None else pin_epoch,
-            )
-        count, epoch = self._pinned_count(response, subquery)
-        cache = getattr(self._portal, "cache", None)
-        if cache is not None and pin_epoch is None:
-            cache.probe_store(subquery.archive, subquery.perf_sql, count, epoch)
-        return count, epoch
-
-    def _sharded_count(
+    def _count(
         self,
         record: "NodeRecord",
         subquery: NodeSubquery,
         pin: int,
         area: object,
+        dead: Set[str],
     ) -> Tuple[int, int]:
-        """Scatter one archive's count-star probe over its spatial shards.
+        """One archive's count-star probe: ``(count, epoch)``.
 
-        Members whose ownership cannot intersect the query AREA are
-        pruned before the fan-out; each surviving shard is probed through
-        its own endpoint-candidate list, failing over on transport faults
-        only (a SOAP fault is an *answer* and must surface). Because the
-        ownership ranges partition the table, the sum of per-shard counts
-        is exactly the archive's count. Every shard must answer at one
-        committed epoch — a split answer cannot pin a consistent snapshot
-        and aborts planning rather than mis-pinning the chain.
+        Scatters over :meth:`NodeRecord.partitions` — the shards whose
+        ownership can intersect the AREA, or the archive itself as the
+        one partition of a monolithic layout — each walking its own
+        endpoint candidates and failing over on transport faults only (a
+        SOAP fault is an *answer* and must surface). Partitions hold
+        disjoint rows, so their counts sum to exactly the archive's.
+        Every partition must answer at one committed epoch — a split
+        answer cannot pin a consistent snapshot and aborts planning.
         """
-        assert record.shard_set is not None
-        assert subquery.perf_sql is not None
         network = self._portal.require_network()
-        members = prune_members(record.shard_set.members, area)
-        if not members:
-            # No shard owns any part of the AREA. Ask the primary (the
-            # full local copy): its own spatial index answers the zero
-            # cheaply, and the response carries the committed epoch the
-            # plan still needs to pin.
-            response = self._portal.proxy(record.services["query"]).call(
+
+        def ask(endpoints: Mapping[str, str]) -> Tuple[int, int]:
+            if "query" not in endpoints:  # a shard may advertise gaps
+                raise TransportError("no Query endpoint advertised")
+            response = self._portal.proxy(endpoints["query"]).call(
                 "ExecuteQueryPinned", sql=subquery.perf_sql, epoch=pin
             )
             return self._pinned_count(response, subquery)
-        outcomes: Dict[str, Optional[Tuple[int, int]]] = {}
-        with network.parallel():
-            for member in members:
+
+        partitions = record.partitions(area)
+        answers: List[Tuple[int, int]] = []
+        silent: Dict[str, TransportError] = {}
+        with network.parallel() if len(partitions) > 1 else nullcontext():
+            for label, candidates in partitions:
                 with network.branch():
-                    outcomes[member.name] = self._shard_count_probe(
-                        member, subquery, pin
-                    )
-        dead = sorted(
-            name for name, got in outcomes.items() if got is None
-        )
-        if dead:
-            # Surfaces as a TransportError so the Portal's archive-level
-            # failover (replica full copies) gets its chance before the
-            # query degrades.
+                    try:
+                        answers.append(
+                            next(self._portal.walk(candidates, dead, ask))[1]
+                        )
+                    except TransportError as exc:
+                        silent[label] = exc
+        if silent:
+            # Names the partition: operators must see which slice of the
+            # sky went dark, not merely which archive.
+            label = min(silent)
             raise TransportError(
-                f"shard {dead[0]!r} of archive {record.archive!r} "
-                "answered no count probe on any endpoint candidate"
+                f"{label} answered no count probe on any endpoint "
+                f"candidate: {silent[label]}"
             )
-        answers = [got for got in outcomes.values() if got is not None]
         epochs = {epoch for _, epoch in answers}
         if len(epochs) != 1:
             raise PlanningError(
@@ -234,22 +402,6 @@ class Planner:
                 "snapshot"
             )
         return sum(count for count, _ in answers), epochs.pop()
-
-    def _shard_count_probe(
-        self, member: "ShardMember", subquery: NodeSubquery, pin: int
-    ) -> Optional[Tuple[int, int]]:
-        """Probe one shard, walking its candidates; None if all are dead."""
-        assert subquery.perf_sql is not None
-        for url in member.candidate_urls("query"):
-            proxy = self._portal.proxy(url)
-            try:
-                response = proxy.call(
-                    "ExecuteQueryPinned", sql=subquery.perf_sql, epoch=pin
-                )
-            except TransportError:
-                continue
-            return self._pinned_count(response, subquery)
-        return None
 
     def _pinned_count(
         self, response: object, subquery: NodeSubquery
@@ -288,7 +440,7 @@ class Planner:
         random_seed: int = 0,
         cost_models: Optional[Dict[str, "ArchiveCostModel"]] = None,
         skip_aliases: Collection[str] = (),
-        services_for: Optional[Dict[str, Dict[str, str]]] = None,
+        services_for: Optional[Mapping[str, Mapping[str, str]]] = None,
         epochs: Optional[Dict[str, int]] = None,
     ) -> ExecutionPlan:
         """Assemble the plan list: drop-outs first, then ordered mandatory.
@@ -296,7 +448,7 @@ class Planner:
         ``skip_aliases`` removes unreachable *drop-out* archives from the
         plan (graceful degradation); skipping a mandatory archive would
         change the join semantics and is refused. ``services_for``
-        overrides the endpoint set per archive (plan-time failover: a dead
+        overrides the endpoint set per alias (plan-time failover: a dead
         primary is substituted by its live replica before the chain ever
         starts). Every step also carries the archive's remaining crossmatch
         candidates as ``replica_urls`` for mid-chain failover, and pins
@@ -374,13 +526,13 @@ class Planner:
         self,
         subquery: NodeSubquery,
         count_star: Optional[int],
-        services_for: Optional[Dict[str, Dict[str, str]]] = None,
+        services_for: Optional[Mapping[str, Mapping[str, str]]] = None,
         *,
         epoch: Optional[int] = None,
     ) -> PlanStep:
         record = self._portal.catalog.node(subquery.archive)
         info = record.info
-        chosen = (services_for or {}).get(record.archive, record.services)
+        chosen = (services_for or {}).get(subquery.alias, record.services)
         url = chosen["crossmatch"]
         replica_urls = tuple(
             candidate["crossmatch"]
@@ -388,7 +540,7 @@ class Planner:
             if candidate["crossmatch"] != url
         )
         attr_select = subquery.attr_select
-        cache = getattr(self._portal, "cache", None)
+        cache = self._portal.cache
         if (
             cache is not None
             and cache.config.containment

@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.budget import QueryBudget, use_budget
 from repro.errors import (
     DeadlineExceededError,
     SoapFaultError,
-    StaleEpochError,
     TransportError,
     ValidationError,
 )
 from repro.portal.cache import SemanticCache, _ResultEntry
-from repro.portal.catalog import FederationCatalog
+from repro.portal.catalog import FederationCatalog, NodeRecord
 from repro.portal.decompose import DecomposedQuery, decompose
 from repro.portal.executor import ChainExecutor, FederatedResult
 from repro.portal.planner import OrderingStrategy, Planner
@@ -32,6 +40,9 @@ from repro.sql.validate import validate_query
 from repro.transport.network import SimulatedNetwork
 
 PORTAL_PATHS = {"registration": "/registration", "skyquery": "/skyquery"}
+
+#: One SkyNode's service URLs, keyed by service name.
+Endpoints = Mapping[str, str]
 
 
 class Portal:
@@ -54,8 +65,7 @@ class Portal:
         health_probes: bool = True,
         chain_mode: str = "store-forward",
         stream_batch_size: int = 200,
-        stream_wire_format: str = "columnar",
-        match_engine: Optional[str] = None,
+        match_engine: str = "zone",
     ) -> None:
         self.hostname = hostname
         #: How the executor drives the chain: ``store-forward`` (single
@@ -64,9 +74,6 @@ class Portal:
         self.chain_mode = chain_mode
         #: Tuples per batch when the chain is pipelined.
         self.stream_batch_size = stream_batch_size
-        #: Encoding for streamed partial tuples: ``columnar`` (compact
-        #: column-major colset) or ``rows`` (the classic rowset).
-        self.stream_wire_format = stream_wire_format
         #: Whether a retried/failed-over chain resumes from hop checkpoints
         #: and stream high-water marks. Off, every recovery is a full
         #: restart — the E18 comparison arm, not a recommended setting.
@@ -96,14 +103,10 @@ class Portal:
         #: The node-side match engine this Portal assumes for its archives
         #: (what build_federation configured every SkyNode with). It never
         #: changes node queries or result rows, but like the chain mode
-        #: and wire format it is an execution setting a cached entry must
-        #: not cross — so it folds into every plan's ``profile`` and
-        #: thereby its fingerprint.
-        self.match_engine = (
-            match_engine
-            if match_engine is not None
-            else os.environ.get("SKYQUERY_MATCH_ENGINE", "htm")
-        )
+        #: it is an execution setting a cached entry must not cross — so
+        #: it folds into every plan's ``profile`` and thereby its
+        #: fingerprint.
+        self.match_engine = match_engine
         #: Whether a deadline-dead chain is cancelled eagerly with a
         #: ``CancelQuery`` fan-down (the default) or left to the nodes'
         #: TTL reapers — the E22 comparison arm, not a recommended
@@ -142,7 +145,6 @@ class Portal:
         knobs = {
             "chain_mode": str(self.chain_mode),
             "stream_batch_size": str(self.stream_batch_size),
-            "stream_wire_format": str(self.stream_wire_format),
             "match_engine": str(self.match_engine),
         }
         for archive in self.catalog.archives():
@@ -183,97 +185,51 @@ class Portal:
             ),
         )
 
-    # -- health probing -----------------------------------------------------------
+    # -- endpoint routing ---------------------------------------------------------
 
-    def probe_health(self, archives: Sequence[str]) -> Dict[str, bool]:
-        """Ping each archive's Information service (``IsAlive``).
+    def walk(
+        self,
+        candidates: Iterable[Endpoints],
+        dead: Set[str],
+        attempt: Callable[[Endpoints], Any],
+    ) -> Iterator[Tuple[Endpoints, Any]]:
+        """The one failover walk over interchangeable endpoint sets.
 
-        Probes are dispatched concurrently like the performance queries;
-        an archive is dead when the probe fails after whatever retries the
-        Portal's policy allows. With ``health_probes`` disabled everything
-        reports alive (the seed's behaviour).
+        ``candidates`` are ordered endpoint sets serving the same content
+        (an archive's primary then replicas; a shard's primary then
+        mirrors). ``dead`` is the query's set of endpoint URLs already
+        seen dead: planning seeds it, the chain's recovery inherits it,
+        so nothing is asked twice whether it is down. A candidate with no
+        URL in ``dead`` gets ``attempt(endpoints)``; a
+        :class:`TransportError` puts all its URLs (one host serves them)
+        into ``dead`` and the walk moves on; anything else — a SOAP fault
+        included — is an answer, yielded as ``(endpoints, answer)``.
+        Lazy: ``next(walk(...))`` stops at the first live candidate.
+        When none answers, the last transport failure is raised.
         """
-        unique = sorted(dict.fromkeys(archives))
-        if not self.health_probes:
-            return {archive: True for archive in unique}
-        network = self.require_network()
-        health: Dict[str, bool] = {}
-        with network.phase("health-probe"), network.parallel():
-            for archive in unique:
-                health[archive] = self.is_alive(
-                    self.catalog.node(archive).services["information"]
-                )
-        return health
+        failure = TransportError("every endpoint candidate was seen dead")
+        answered = False
+        for endpoints in candidates:
+            if not dead.isdisjoint(endpoints.values()):
+                continue
+            try:
+                answer = attempt(endpoints)
+            except TransportError as exc:
+                dead.update(endpoints.values())
+                failure = exc
+                continue
+            answered = True
+            yield endpoints, answer
+        if not answered:
+            raise failure
 
-    def is_alive(self, information_url: str) -> bool:
-        """One ``IsAlive`` ping against an Information service URL."""
+    def ping(self, endpoints: Endpoints) -> None:
+        """``IsAlive`` at an endpoint set's Information service: the
+        :meth:`walk` attempt of every health probe."""
         try:
-            return bool(self.proxy(information_url).call("IsAlive"))
-        except (TransportError, SoapFaultError):
-            return False
-
-    def probe_endpoints(
-        self, archives: Sequence[str]
-    ) -> Dict[str, Optional[Dict[str, str]]]:
-        """Replica-aware health probe: the first live endpoint set per archive.
-
-        Tries each archive's primary first, then its replicas in
-        registration order; an archive maps to ``None`` only when every
-        endpoint is dead. Archives probe concurrently; within one archive
-        the primary-then-replica sequence is a single branch (you only ask
-        a replica after the primary failed).
-        """
-        unique = sorted(dict.fromkeys(archives))
-        if not self.health_probes:
-            return {
-                archive: self.catalog.node(archive).services
-                for archive in unique
-            }
-        network = self.require_network()
-        chosen: Dict[str, Optional[Dict[str, str]]] = {}
-        with network.phase("health-probe"), network.parallel():
-            for archive in unique:
-                record = self.catalog.node(archive)
-                with network.branch():
-                    chosen[archive] = None
-                    for services in record.endpoint_candidates():
-                        if self.is_alive(services["information"]):
-                            chosen[archive] = services
-                            break
-        return chosen
-
-    def live_endpoints(
-        self, archive: str, *, exclude: Collection[str] = ()
-    ) -> Optional[Dict[str, str]]:
-        """First live endpoint set for one archive, primary first.
-
-        ``exclude`` lists crossmatch URLs already known dead (the executor's
-        per-query blacklist), so recovery never fails back onto an endpoint
-        it just watched die. Probes run sequentially: a replica is only
-        asked once everything before it was excluded or found dead.
-        """
-        record = self.catalog.node(archive)
-        network = self.require_network()
-        with network.phase("health-probe"):
-            for services in record.endpoint_candidates():
-                if services["crossmatch"] in exclude:
-                    continue
-                if self.is_alive(services["information"]):
-                    return services
-        return None
-
-    def information_url_for(self, archive: str, crossmatch_url: str) -> str:
-        """Information URL of the endpoint set owning a crossmatch URL.
-
-        Lets the executor probe the health of the *specific* endpoint a
-        plan step currently targets (which, after a failover, is a replica,
-        not the primary). Unknown URLs fall back to the primary set.
-        """
-        record = self.catalog.node(archive)
-        for services in record.endpoint_candidates():
-            if services["crossmatch"] == crossmatch_url:
-                return services["information"]
-        return record.services["information"]
+            self.proxy(endpoints["information"]).call("IsAlive")
+        except SoapFaultError as exc:  # it answered, but not "alive"
+            raise TransportError(f"health probe refused: {exc}") from exc
 
     # -- the full query path ------------------------------------------------------
 
@@ -402,205 +358,65 @@ class Portal:
                         return served
             if tracer is not None:
                 tracer.annotate("cache", outcome="miss")
-        warnings: List[str] = []
-        skip_aliases: List[str] = []
-        degraded = False
-        failovers = 0
-        #: Alias -> snapshot epoch pinned by that archive's probe.
-        epochs: Dict[str, int] = {}
-        #: Archives whose primary is dead but a replica answered: the plan
-        #: is built against the replica's endpoints instead of degrading.
-        failover_services: Dict[str, Dict[str, str]] = {}
-
-        def admit(result: FederatedResult) -> FederatedResult:
-            if cache is not None and exact_key is not None:
-                cache.store_result(
-                    exact_key,
-                    result,
-                    archives_by_alias={
-                        alias: sub.archive
-                        for alias, sub in decomposed.subqueries.items()
-                    },
-                    containment_key=containment_key,
-                    area=decomposed.area
-                    if containment_key is not None
-                    else None,
-                )
-            return result
-
-        plan_scope = (
-            tracer.span("plan", host=self.hostname)
-            if tracer is not None
-            else nullcontext(None)
+        planned = self.planner.plan(
+            decomposed,
+            strategy=strategy,
+            random_seed=random_seed,
+            pin_epochs=pin_epochs,
         )
-        with plan_scope:
-            # With probes disabled the Portal keeps the seed's strict
-            # behaviour: a failed performance query raises, not degrades.
-            perf_failures: Optional[Dict[str, str]] = (
-                {} if self.health_probes else None
+        if planned.plan is None:
+            # No chain to run: a mandatory archive is lost (degraded, its
+            # warnings name the node) or has nothing inside the AREA.
+            result = FederatedResult(
+                columns=self.executor._output_columns(query.items),
+                rows=[],
+                warnings=planned.warnings,
+                degraded=planned.degraded,
+                failovers=planned.failovers,
             )
-            if self.health_probes:
-                # Probes and performance queries are independent round
-                # trips to the same archives: dispatch both groups in one
-                # parallel block so probing hides entirely under the
-                # count-star makespan.
-                with self.require_network().parallel():
-                    endpoints = self.probe_endpoints(
-                        [
-                            sub.archive
-                            for sub in decomposed.subqueries.values()
-                        ]
-                    )
-                    counts = self.planner.performance_counts(
-                        decomposed,
-                        failures=perf_failures,
-                        epochs=epochs,
-                        pin_epochs=pin_epochs,
-                    )
-                for archive, chosen in sorted(endpoints.items()):
-                    record = self.catalog.node(archive)
-                    if chosen is None or chosen == record.services:
-                        continue
-                    failover_services[archive] = chosen
-                    failovers += 1
-                    self.require_network().metrics.failovers += 1
+        else:
+            if (
+                cache is not None
+                and not planned.warnings
+                and not planned.degraded
+                and not planned.failovers
+            ):
+                # Same chain planned from different query text (or knobs
+                # that cancel out): the fingerprint embeds the pinned
+                # epochs, so a hit skips the chain — the probes were
+                # already paid for.
+                served = cache.lookup_fingerprint(planned.plan.fingerprint(0))
+                if served is not None:
                     if tracer is not None:
                         tracer.annotate(
-                            "failover",
-                            archive=archive,
-                            from_url=record.services["crossmatch"],
-                            to_url=chosen["crossmatch"],
+                            "cache", outcome="hit", kind="fingerprint"
                         )
-                    warnings.append(
-                        f"archive {archive!r} primary endpoint "
-                        f"{record.services['crossmatch']} is unreachable; "
-                        f"failing over to replica {chosen['crossmatch']}"
-                    )
-                dead_mandatory = [
-                    alias
-                    for alias in decomposed.mandatory_aliases
-                    if endpoints[decomposed.subqueries[alias].archive]
-                    is None
-                ]
-                if dead_mandatory:
-                    for alias in dead_mandatory:
-                        archive = decomposed.subqueries[alias].archive
-                        warnings.append(
-                            f"mandatory archive {archive!r} (alias "
-                            f"{alias!r}) is unreachable; cross-match aborted"
-                        )
-                    return self.executor.degraded(query, warnings, failovers)
-                for alias in decomposed.dropout_aliases:
-                    archive = decomposed.subqueries[alias].archive
-                    if endpoints[archive] is None:
-                        skip_aliases.append(alias)
-                        degraded = True
-                        warnings.append(
-                            f"drop-out archive {archive!r} (alias "
-                            f"{alias!r}) is unreachable; skipped"
-                        )
-            else:
-                counts = self.planner.performance_counts(
-                    decomposed,
-                    failures=perf_failures,
-                    epochs=epochs,
-                    pin_epochs=pin_epochs,
-                )
-            if perf_failures:
-                # A performance query that died against a dead primary gets
-                # a second chance at the replica the probe found alive.
-                for alias in sorted(perf_failures):
-                    subquery = decomposed.subqueries[alias]
-                    chosen = failover_services.get(subquery.archive)
-                    if chosen is None:
-                        continue
-                    try:
-                        counts[alias], epochs[alias] = self.planner.count_for(
-                            subquery,
-                            chosen["query"],
-                            pin_epoch=(pin_epochs or {}).get(alias),
-                        )
-                    except (TransportError, SoapFaultError) as exc:
-                        if (
-                            isinstance(exc, SoapFaultError)
-                            and exc.detail == "StaleEpochError"
-                            and alias in (pin_epochs or {})
-                        ):
-                            raise StaleEpochError(exc.faultstring) from exc
-                        perf_failures[alias] = str(exc)
-                        continue
-                    del perf_failures[alias]
-            if perf_failures:
-                for alias in sorted(perf_failures):
-                    archive = decomposed.subqueries[alias].archive
-                    warnings.append(
-                        f"mandatory archive {archive!r} (alias {alias!r}) "
-                        f"failed its performance query: "
-                        f"{perf_failures[alias]}"
-                    )
-                result = self.executor.degraded(query, warnings, failovers)
-                result.counts = counts
-                result.epochs = epochs
-                return result
-            if any(
-                counts.get(alias) == 0
-                for alias in decomposed.mandatory_aliases
-            ):
-                # A mandatory archive has nothing in the AREA: no tuple can
-                # survive the inner join, so skip the whole chain. The
-                # count-star probes pay for themselves here.
-                result = FederatedResult(
-                    columns=self.executor._output_columns(query.items),
-                    rows=[],
-                    warnings=warnings,
-                    degraded=degraded,
-                    failovers=failovers,
-                )
-                result.counts = counts
-                result.epochs = epochs
-                return admit(result)
-            cost_models = None
-            if strategy is OrderingStrategy.BYTES_DESC:
-                from repro.portal.calibration import CostCalibrator
-
-                cost_models = CostCalibrator(self).calibrate(decomposed)
-            plan = self.planner.build_plan(
+                    return served
+            result = self.executor.execute(
+                planned.plan,
                 decomposed,
-                counts,
-                strategy=strategy,
-                random_seed=random_seed,
-                cost_models=cost_models,
-                skip_aliases=skip_aliases,
-                services_for=failover_services,
-                epochs=epochs,
+                warnings=planned.warnings,
+                degraded=planned.degraded,
+                failovers=planned.failovers,
+                qid=qid,
+                dead=planned.dead,
             )
-        if (
-            cache is not None
-            and not warnings
-            and not degraded
-            and not failovers
-        ):
-            # Same chain planned from different query text (or knobs that
-            # cancel out): the fingerprint embeds the pinned epochs, so a
-            # hit skips the chain — the probes were already paid for.
-            served = cache.lookup_fingerprint(plan.fingerprint(0))
-            if served is not None:
-                if tracer is not None:
-                    tracer.annotate(
-                        "cache", outcome="hit", kind="fingerprint"
-                    )
-                return served
-        result = self.executor.execute(
-            plan,
-            decomposed,
-            warnings=warnings,
-            degraded=degraded,
-            failovers=failovers,
-            qid=qid,
-        )
-        result.counts = counts
-        result.epochs = epochs
-        return admit(result)
+        result.counts = planned.counts
+        result.epochs = planned.epochs
+        if cache is not None and exact_key is not None:
+            # Only clean answers are admitted (the cache refuses degraded,
+            # failed-over and warned results itself).
+            cache.store_result(
+                exact_key,
+                result,
+                archives_by_alias={
+                    alias: sub.archive
+                    for alias, sub in decomposed.subqueries.items()
+                },
+                containment_key=containment_key,
+                area=decomposed.area if containment_key is not None else None,
+            )
+        return result
 
     def _serve_containment(
         self, entry: _ResultEntry, decomposed: DecomposedQuery
@@ -668,22 +484,23 @@ class Portal:
         *,
         strategy: OrderingStrategy = OrderingStrategy.COUNT_DESC,
         random_seed: int = 0,
+        pin_epochs: Optional[Dict[str, int]] = None,
     ) -> dict:
         """Decompose, probe, and plan a query WITHOUT running the chain.
 
         Shows exactly what Figure 3's steps 2-5 would do: the per-archive
         performance queries and their counts, the node queries, the
         cross-archive predicates kept at the Portal, and the ordered plan.
+        It is the outcome of the same :meth:`Planner.plan` pass
+        :meth:`submit` executes — same health probes, same failover and
+        skip decisions (``warnings``/``failovers``/``skipped``) — so
+        ``plan`` is exactly what would be sent to the first SkyNode, and
+        ``None`` (``would_execute`` false) when no chain would run.
         """
         query = parse_query(sql) if isinstance(sql, str) else sql
         analysis = validate_query(query)
         if analysis.xmatch is None:
-            table_ref = query.tables[0]
-            if table_ref.archive is None:
-                raise ValidationError(
-                    "single-archive queries must name their archive"
-                )
-            record = self.catalog.node(table_ref.archive)
+            record = self._direct_target(query)
             return {
                 "type": "direct",
                 "archive": record.archive,
@@ -691,37 +508,22 @@ class Portal:
                 "sql": to_sql(query),
             }
         decomposed = decompose(query, self.catalog)
-        epochs: Dict[str, int] = {}
-        counts = self.planner.performance_counts(decomposed, epochs=epochs)
-        cost_models = None
-        calibration = None
-        if strategy is OrderingStrategy.BYTES_DESC:
-            from repro.portal.calibration import CostCalibrator
-
-            cost_models = CostCalibrator(self).calibrate(decomposed)
-            calibration = {
-                alias: {
-                    "bytes_per_row": model.bytes_per_row,
-                    "round_trip_s": model.round_trip_s,
-                }
-                for alias, model in cost_models.items()
-            }
-        plan = self.planner.build_plan(
+        planned = self.planner.plan(
             decomposed,
-            counts,
             strategy=strategy,
             random_seed=random_seed,
-            cost_models=cost_models,
-            epochs=epochs,
+            pin_epochs=pin_epochs,
         )
         return {
             "type": "chain",
             "strategy": strategy.value,
-            "counts": dict(counts),
-            "epochs": dict(epochs),
-            "would_execute": not any(
-                counts[a] == 0 for a in decomposed.mandatory_aliases
-            ),
+            "counts": dict(planned.counts),
+            "epochs": dict(planned.epochs),
+            "would_execute": planned.plan is not None,
+            "warnings": list(planned.warnings),
+            "degraded": planned.degraded,
+            "failovers": planned.failovers,
+            "skipped": list(planned.skipped),
             "performance_queries": {
                 alias: subquery.perf_sql
                 for alias, subquery in decomposed.subqueries.items()
@@ -734,19 +536,30 @@ class Portal:
             "cross_conjuncts": [
                 to_sql(c) for c in decomposed.analysis.cross_conjuncts
             ],
-            "calibration": calibration,
-            "plan": plan.to_wire(),
+            "calibration": None if planned.calibration is None else {
+                alias: {
+                    "bytes_per_row": model.bytes_per_row,
+                    "round_trip_s": model.round_trip_s,
+                }
+                for alias, model in planned.calibration.items()
+            },
+            "plan": None if planned.plan is None else planned.plan.to_wire(),
         }
 
-    def _submit_single_archive(self, query: Query) -> FederatedResult:
-        """Route a plain single-archive query to that node's Query service."""
-        table_ref = query.tables[0]
-        if table_ref.archive is None:
+    def _direct_target(self, query: Query) -> NodeRecord:
+        """The archive a plain single-archive query names."""
+        archive = query.tables[0].archive
+        if archive is None:
             raise ValidationError(
                 "single-archive queries must name their archive "
                 "(ARCHIVE:Table alias)"
             )
-        record = self.catalog.node(table_ref.archive)
+        return self.catalog.node(archive)
+
+    def _submit_single_archive(self, query: Query) -> FederatedResult:
+        """Route a plain single-archive query to that node's Query service."""
+        table_ref = query.tables[0]
+        record = self._direct_target(query)
         local_query = Query(
             items=query.items,
             tables=(

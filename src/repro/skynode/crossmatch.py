@@ -100,7 +100,6 @@ from repro.units import arcsec_to_rad
 from repro.xmatch.stream import seed_tuples
 from repro.xmatch.tuples import LocalObject, PartialTuple
 from repro.xmatch.wire import (
-    WIRE_FORMATS,
     rowset_to_tuples,
     tuples_to_payload,
     tuples_to_rowset,
@@ -182,7 +181,6 @@ class _Stream:
     plan: ExecutionPlan
     me: PlanStep
     position: int
-    wire_format: str
     batch_count: int
     next_seq: int = 0
     #: Cached response of the batch most recently served, so a caller's
@@ -245,7 +243,6 @@ class CrossMatchService(WebService):
                 ("plan", "struct"),
                 ("position", "int"),
                 ("batch_size", "int"),
-                ("wire_format", "string"),
                 ("start_seq", "int"),
                 ("qid", "string"),
             ),
@@ -419,7 +416,6 @@ class CrossMatchService(WebService):
         plan: Dict[str, Any],
         position: int,
         batch_size: int,
-        wire_format: str,
         start_seq: int = 0,
         qid: str = "",
     ) -> Dict[str, Any]:
@@ -428,11 +424,6 @@ class CrossMatchService(WebService):
         batch_size = int(batch_size)
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        if wire_format not in WIRE_FORMATS:
-            raise ExecutionError(
-                f"unknown wire format {wire_format!r}; expected one of "
-                f"{WIRE_FORMATS}"
-            )
         start_seq = int(start_seq)
         if start_seq < 0:
             raise ExecutionError(f"start_seq must be >= 0, got {start_seq}")
@@ -440,7 +431,6 @@ class CrossMatchService(WebService):
             plan=plan_obj,
             me=me,
             position=position,
-            wire_format=wire_format,
             batch_count=0,
         )
         if position == len(plan_obj.steps) - 1:
@@ -463,7 +453,6 @@ class CrossMatchService(WebService):
                 plan=plan,
                 position=position + 1,
                 batch_size=batch_size,
-                wire_format=wire_format,
                 start_seq=start_seq,
                 qid=qid,
             )
@@ -539,7 +528,6 @@ class CrossMatchService(WebService):
             out_tuples,
             plan.member_aliases_after(position),
             plan.attr_columns_after(position),
-            stream.wire_format,
         )
         response: Dict[str, Any] = {"rows": payload, "batch": seq}
         stream.next_seq = seq + 1

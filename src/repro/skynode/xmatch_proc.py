@@ -123,7 +123,7 @@ def _as_procedure(body):
         area: Optional[Region] = None,
         residual: Optional[Expr] = None,
         attr_columns: Sequence[str] = (),
-        engine: str = MATCH_ENGINE_HTM,
+        engine: str = MATCH_ENGINE_ZONE,
         epoch: Optional[int] = None,
     ) -> XMatchProcResult:
         """``engine`` picks the spatial index (``htm`` or ``zone``); results,
@@ -182,7 +182,7 @@ def _sp_xmatch_scalar(
     area: Optional[Region],
     residual: Optional[Expr],
     attr_columns: Sequence[str],
-    engine: str = MATCH_ENGINE_HTM,
+    engine: str,
     limit: Optional[int] = None,
 ) -> XMatchProcResult:
     """The reference per-tuple/per-candidate loop (the testing oracle)."""
@@ -292,7 +292,7 @@ def _sp_xmatch_vectorized(
     area: Optional[Region],
     residual: Optional[Expr],
     attr_columns: Sequence[str],
-    engine: str = MATCH_ENGINE_HTM,
+    engine: str,
     limit: Optional[int] = None,
 ) -> XMatchProcResult:
     """Set-at-a-time body: batched probes + one broadcasted chi-squared pass.

@@ -10,18 +10,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
-from typing import Union
-
 from repro.errors import SoapError
 from repro.soap.encoding import ColumnarRowSet, WireRowSet
 from repro.xmatch.chi2 import Accumulator
 from repro.xmatch.tuples import PartialTuple
-
-#: Wire forms a sender can choose for partial-tuple payloads. ``rows`` is
-#: the classic ``<r><c>`` rowset; ``columnar`` is the compact column-major
-#: ``colset`` (delta-encoded ids, dictionary-encoded strings). Receivers
-#: decode both transparently.
-WIRE_FORMATS = ("rows", "columnar")
 
 _ACC_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("acc_a", "double"),
@@ -76,24 +68,19 @@ def tuples_to_payload(
     tuples: Sequence[PartialTuple],
     member_aliases: Sequence[str],
     attr_columns: Sequence[Tuple[str, str]],
-    wire_format: str = "rows",
-) -> Union[WireRowSet, ColumnarRowSet]:
-    """Encode partial tuples in the requested wire form.
+) -> ColumnarRowSet:
+    """Encode one streamed batch of partial tuples.
 
-    The streaming chain ships its batches ``columnar`` by default: the id
+    The streaming chain ships its batches as the compact column-major
+    ``colset`` (delta-encoded ids, dictionary-encoded strings): the id
     columns delta-encode tightly and the accumulator doubles dominate what
     is left, cutting envelope bytes (and therefore simulated transfer
-    time) without changing the decoded tuples at all.
+    time) without changing the decoded tuples at all. Receivers decode it
+    to the same rowset :func:`tuples_to_rowset` builds.
     """
-    if wire_format not in WIRE_FORMATS:
-        raise SoapError(
-            f"unknown wire format {wire_format!r}; expected one of "
-            f"{WIRE_FORMATS}"
-        )
-    rowset = tuples_to_rowset(tuples, member_aliases, attr_columns)
-    if wire_format == "columnar":
-        return ColumnarRowSet(rowset)
-    return rowset
+    return ColumnarRowSet(
+        tuples_to_rowset(tuples, member_aliases, attr_columns)
+    )
 
 
 def rowset_to_tuples(

@@ -145,7 +145,6 @@ def test_bad_enumerated_flags_rejected_with_choices(capsys):
     for flag, bad in [
         ("--match-engine", "quadtree"),
         ("--chain-mode", "broadcast"),
-        ("--wire-format", "json"),
     ]:
         with pytest.raises(SystemExit) as excinfo:
             main(["demo", "--bodies", "300", flag, bad])
@@ -157,19 +156,20 @@ def test_bad_enumerated_flags_rejected_with_choices(capsys):
 
 def test_query_zone_engine_output_identical_to_htm(capsys):
     """The full CLI query path prints byte-identical rows and stats under
-    either match engine."""
+    either match engine — and under no flag at all (the zone default)."""
     outputs = {}
-    for engine in ("htm", "zone"):
+    for engine in ("htm", "zone", None):
         code = main([
             "query",
             "SELECT O.object_id, T.obj_id FROM SDSS:Photo_Object O, "
             "TWOMASS:Photo_Primary T "
             "WHERE AREA(185.0, -0.5, 600.0) AND XMATCH(O, T) < 3.5",
-            "--bodies", "300", "--stats", "--match-engine", engine,
+            "--bodies", "300", "--stats",
+            *(["--match-engine", engine] if engine else []),
         ])
         assert code == 0
         outputs[engine] = capsys.readouterr().out
-    assert outputs["zone"] == outputs["htm"]
+    assert outputs["zone"] == outputs["htm"] == outputs[None]
     assert "crossmatch-chain" in outputs["zone"]
 
 

@@ -260,7 +260,6 @@ class TestCancelQuery:
             plan=plan_wire,
             position=0,
             batch_size=50,
-            wire_format="columnar",
             start_seq=0,
             qid=qid,
         )

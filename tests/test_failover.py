@@ -86,14 +86,23 @@ class TestReplicaProvisioning:
             for replica in replica_nodes:
                 assert _table_rows(replica, table) == want
 
-    def test_catalog_lists_replica_endpoints(self):
-        fed = _build()
-        for archive in fed.portal.catalog.archives():
-            record = fed.portal.catalog.node(archive)
-            candidates = record.endpoint_candidates()
-            assert len(candidates) == 2  # primary + one replica
-            assert candidates[0] == record.services
-            assert candidates[1]["crossmatch"] != record.services["crossmatch"]
+    def test_every_archive_fails_over_to_its_own_replica(self):
+        """The Portal learned one replica per archive: with a primary
+        down, exactly that archive's hop moves to that archive's replica
+        and the other hops stay on their primaries."""
+        for archive in ("SDSS", "TWOMASS", "FIRST"):
+            fed = _build()
+            fed.network.fail_host(fed.node(archive).hostname)
+            result = fed.client().submit(XMATCH_SQL)
+            assert result.failovers == 1 and not result.degraded
+            for step in result.plan["steps"]:
+                host = step["url"].split("/")[2]
+                home = step["archive"]
+                if home == archive:
+                    assert host == fed.replicas[home][0].hostname
+                    assert fed.node(home).hostname in step["replica_urls"][0]
+                else:
+                    assert host == fed.node(home).hostname
 
     def test_replica_hostnames_are_distinct(self):
         fed = _build()
@@ -105,9 +114,10 @@ class TestReplicaProvisioning:
     def test_no_replicas_by_default(self):
         fed = _build(replicas=0)
         assert fed.replicas == {}
-        for archive in fed.portal.catalog.archives():
-            record = fed.portal.catalog.node(archive)
-            assert record.endpoint_candidates() == [record.services]
+        result = fed.client().submit(XMATCH_SQL)
+        for step in result.plan["steps"]:
+            assert step["url"].split("/")[2] == fed.node(step["archive"]).hostname
+            assert step["replica_urls"] == []
 
 
 class TestPlanTimeFailover:
@@ -145,6 +155,38 @@ class TestPlanTimeFailover:
         assert result.degraded
         assert result.failovers == 0
 
+    def test_explain_is_what_submit_runs(self):
+        """EXPLAIN goes through the same routing as SUBMIT: a dead primary
+        with a live replica is explained against the replica (the parent
+        commit raised ``TransportError: no route to host`` here)."""
+        fed = _build()
+        fed.network.fail_host(fed.node("SDSS").hostname)
+        explained = fed.client().explain(XMATCH_SQL)
+        submitted = fed.client().submit(XMATCH_SQL)
+        assert explained["plan"] == submitted.plan
+        assert explained["failovers"] == submitted.failovers == 1
+        assert explained["warnings"] == submitted.warnings
+        assert explained["would_execute"] and not explained["degraded"]
+
+    def test_explain_skips_a_dead_dropout_archive(self):
+        sql = XMATCH_SQL.replace("XMATCH(O, T, P)", "XMATCH(O, T, !P)")
+        fed = _build(replicas=0)
+        fed.network.fail_host(fed.node("FIRST").hostname)
+        explained = fed.client().explain(sql)
+        submitted = fed.client().submit(sql)
+        assert explained["skipped"] == ["P"] and explained["degraded"]
+        assert [s["alias"] for s in explained["plan"]["steps"]] == ["O", "T"]
+        assert explained["plan"] == submitted.plan
+        assert explained["warnings"] == submitted.warnings
+
+    def test_explain_of_a_lost_mandatory_archive_has_no_plan(self):
+        fed = _build(replicas=0)
+        fed.network.fail_host(fed.node("SDSS").hostname)
+        explained = fed.client().explain(XMATCH_SQL)
+        assert explained["plan"] is None and not explained["would_execute"]
+        assert explained["degraded"]
+        assert explained["warnings"] == fed.client().submit(XMATCH_SQL).warnings
+
 
 class TestMidChainFailover:
     """The tentpole acceptance criterion, both chain modes."""
@@ -181,6 +223,50 @@ class TestMidChainFailover:
         assert tuple(result.rows) == rows
         assert result.failovers >= 1
         assert not result.degraded
+
+
+class TestRecoveryRemembersPlanning:
+    """The per-query dead set is seeded at plan time and handed to the
+    executor: recovery never re-asks an endpoint planning saw dead."""
+
+    @pytest.mark.parametrize("chain_mode", ["store-forward", "pipelined"])
+    def test_dead_primary_is_probed_exactly_once(self, chain_mode):
+        rows, columns, _, _ = _oracle(chain_mode)
+
+        def build():
+            fed = _build(replicas=2, chain_mode=chain_mode)
+            fed.network.fail_host(fed.node("SDSS").hostname)
+            return fed
+
+        # A twin with only the primary down tells us when the chain runs
+        # (the simulation is deterministic): crash the first replica —
+        # the hop the plan failed over to — in the middle of it.
+        twin = build()
+        before = len(twin.network.metrics.messages)
+        assert twin.portal.submit(XMATCH_SQL).failovers == 1
+        chain = [
+            m.sim_time for m in twin.network.metrics.messages[before:]
+            if m.phase in ("crossmatch-chain", "batch-transfer")
+        ]
+        fed = build()
+        fed.network.set_fault_plan(
+            FaultPlan().crash(
+                fed.replicas["SDSS"][0].hostname,
+                at_s=(min(chain) + max(chain)) / 2.0,
+            )
+        )
+        primary_info = fed.node("SDSS").service_url("information")
+        asked = []
+        make_proxy = fed.portal.proxy
+        fed.portal.proxy = lambda url: (asked.append(url), make_proxy(url))[1]
+        result = fed.portal.submit(XMATCH_SQL)
+        assert tuple(result.rows) == rows
+        assert tuple(result.columns) == columns
+        assert result.failovers == 2 and not result.degraded
+        assert fed.network.metrics.fault_count("crash") == 1
+        final = {step.archive: step.url for step in result.plan.steps}
+        assert fed.replicas["SDSS"][1].hostname in final["SDSS"]
+        assert asked.count(primary_info) == 1
 
 
 class TestCheckpoints:
@@ -248,7 +334,7 @@ class TestStreamResume:
     def _open(self, proxy, plan, start_seq, batch_size=25):
         return proxy.call(
             "OpenStream", plan=plan, position=0, batch_size=batch_size,
-            wire_format="columnar", start_seq=start_seq,
+            start_seq=start_seq,
         )
 
     def test_open_stream_validates_start_seq(self):

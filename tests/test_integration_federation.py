@@ -231,7 +231,6 @@ def test_unsupported_config_knobs_rejected():
     for knob, bad in [
         ("match_engine", "quadtree"),
         ("chain_mode", "broadcast"),
-        ("stream_wire_format", "json"),
     ]:
         config = FederationConfig(n_bodies=10, **{knob: bad})
         with pytest.raises(ConfigurationError) as excinfo:
@@ -241,13 +240,23 @@ def test_unsupported_config_knobs_rejected():
         assert repr(bad) in message
 
 
-def test_match_engine_env_var_sets_default(monkeypatch):
-    from repro.federation.builder import FederationConfig
+def test_match_engine_defaults_to_zone(monkeypatch):
+    """Zone is the production engine at every layer that has a default,
+    and no environment variable can say otherwise."""
+    import inspect
 
-    monkeypatch.setenv("SKYQUERY_MATCH_ENGINE", "zone")
+    from repro.federation.builder import FederationConfig
+    from repro.portal.portal import Portal
+    from repro.skynode.node import SkyNode
+    from repro.skynode.xmatch_proc import sp_xmatch_reference
+
+    monkeypatch.setenv("SKYQUERY_MATCH_ENGINE", "htm")
     assert FederationConfig().match_engine == "zone"
-    monkeypatch.delenv("SKYQUERY_MATCH_ENGINE")
-    assert FederationConfig().match_engine == "htm"
-    # An explicit argument always beats the environment.
-    monkeypatch.setenv("SKYQUERY_MATCH_ENGINE", "zone")
+    assert Portal().match_engine == "zone"
+    for function, parameter in (
+        (SkyNode.__init__, "match_engine"),
+        (sp_xmatch_reference, "engine"),  # the sp_xmatch call surface
+    ):
+        signature = inspect.signature(function)
+        assert signature.parameters[parameter].default == "zone"
     assert FederationConfig(match_engine="htm").match_engine == "htm"

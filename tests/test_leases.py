@@ -73,7 +73,7 @@ class Holder:
 def _hold_stream(holder):
     opened = holder.call(
         "OpenStream", plan=holder.plan, position=holder.position,
-        batch_size=5, wire_format="columnar", start_seq=0, qid=QID,
+        batch_size=5, start_seq=0, qid=QID,
     )
     assert opened["batch_count"] >= 3
     stream_id = opened["stream_id"]

@@ -109,16 +109,14 @@ def test_all_dropout_rejected():
 
 BASE_PROFILE = (
     ("chain_mode", "store-forward"),
-    ("match_engine", "htm"),
+    ("match_engine", "zone"),
     ("stream_batch_size", "200"),
-    ("stream_wire_format", "columnar"),
 )
 
 PROFILE_FLIPS = {
     "chain_mode": "pipelined",
-    "match_engine": "zone",
+    "match_engine": "htm",
     "stream_batch_size": "64",
-    "stream_wire_format": "rows",
 }
 
 

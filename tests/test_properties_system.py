@@ -255,3 +255,75 @@ def test_group_by_aggregates_match_python(rows):
             )
         )
     assert result.rows == expected
+
+
+# -- EXPLAIN is the plan SUBMIT runs ---------------------------------------------
+
+PLAN_SQL = (
+    "SELECT O.object_id, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, "
+    "FIRST:Primary_Object P "
+    "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, !P) < 3.5"
+)
+
+#: scenario -> (federation layout, which host to take down, if any)
+PLAN_SCENARIOS = {
+    "fault-free": ({}, None),
+    "mandatory primary": ({}, lambda fed: fed.node("SDSS")),
+    "drop-out primary": ({}, lambda fed: fed.node("FIRST")),
+    "shard primary": ({"shards": 2}, lambda fed: fed.shards["TWOMASS"][0]),
+}
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    scenario=st.sampled_from(sorted(PLAN_SCENARIOS)),
+    replicas=st.sampled_from([0, 1]),
+    chain_mode=st.sampled_from(["store-forward", "pipelined"]),
+    seed=st.integers(0, 10_000),
+)
+def test_explain_is_the_plan_submit_runs(scenario, replicas, chain_mode, seed):
+    """One plan pass: whatever is down — nothing, a mandatory archive's
+    primary, a drop-out archive's, one shard's — and whether or not a
+    replica can take over, EXPLAIN shows the plan SUBMIT sends (or that
+    neither has one), with the same warnings and failover count."""
+    from repro.federation.builder import FederationConfig, build_federation
+    from repro.services.retry import RetryPolicy
+    from repro.workloads.skysim import SkyField
+
+    layout, victim = PLAN_SCENARIOS[scenario]
+
+    def build():
+        fed = build_federation(
+            FederationConfig(
+                n_bodies=150,
+                seed=seed,
+                sky_field=SkyField(185.0, -0.5, 1800.0),
+                retry_policy=RetryPolicy(
+                    max_attempts=2, timeout_s=5.0, base_backoff_s=0.2,
+                    seed=seed,
+                ),
+                replicas=replicas,
+                chain_mode=chain_mode,
+                **layout,
+            )
+        )
+        if victim is not None:
+            fed.network.fail_host(victim(fed).hostname)
+        return fed
+
+    # Twins, so circuit-breaker state left by one call cannot shape the
+    # other's probes.
+    explained = build().portal.explain(PLAN_SQL)
+    submitted = build().portal.submit(PLAN_SQL)
+    ran = submitted.plan.to_wire() if submitted.plan is not None else None
+    assert explained["plan"] == ran
+    assert explained["would_execute"] == (ran is not None)
+    assert explained["warnings"] == submitted.warnings
+    assert explained["failovers"] == submitted.failovers
+    assert explained["degraded"] == submitted.degraded
+    assert explained["counts"] == submitted.counts
+    assert explained["epochs"] == submitted.epochs
+    if scenario == "fault-free":
+        assert ran is not None and not submitted.warnings

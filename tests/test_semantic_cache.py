@@ -223,11 +223,11 @@ def test_degraded_results_never_cached():
 
 def test_profile_knobs_produce_disjoint_plans():
     base = fresh_federation(n_bodies=SMALL)
-    zoned = fresh_federation(n_bodies=SMALL, match_engine="zone")
+    htm = fresh_federation(n_bodies=SMALL, match_engine="htm")
     piped = fresh_federation(n_bodies=SMALL, chain_mode="pipelined")
     sql = XMATCH_2.format(radius=900.0)
     prints = {
         fed.portal.submit(sql).plan.fingerprint(0)
-        for fed in (base, zoned, piped)
+        for fed in (base, htm, piped)
     }
     assert len(prints) == 3

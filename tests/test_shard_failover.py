@@ -10,11 +10,10 @@ The resilience contract for sharded archives extends docs/RESILIENCE.md:
 * A shard with no mirror left yields a degraded empty result whose
   warning names **the shard**, not just the archive — operators must see
   which slice of the sky went dark.
-* Shard endpoints are slices, not whole-archive substitutes: they must
-  NEVER appear in :meth:`NodeRecord.endpoint_candidates` (the archive
-  failover pool walked by portal.py/executor.py), yet ``_cancel_chain``
-  must still reach them directly, because a dead coordinator cannot fan
-  its own cancel down to its shards.
+* Shard endpoints are slices, not whole-archive substitutes: archive
+  failover must NEVER route a chain hop to one, yet a cancelled query
+  must still free their state directly, because a dead coordinator
+  cannot fan its own cancel down to its shards.
 
 ``SKYQUERY_CHAOS_SEED`` shifts retry timings like the other chaos suites.
 """
@@ -179,45 +178,58 @@ class TestShardFailover:
         assert "'SDSS'" in joined  # the owning archive, for context
         assert victim.name != "SDSS"  # the name is shard-level, not archive
 
-    def test_mid_chain_shard_death_degrades_with_shard_name(self):
-        """Plan against a healthy federation, then kill the shard before
-        the chain runs: the coordinator's fan-out exhausts the candidate
-        list and the executor degrades with a shard-named warning."""
-        for chain_mode in ("store-forward", "pipelined"):
-            fed = _build(replicas=0, chain_mode=chain_mode)
-            portal = fed.portal
-            from repro.portal.decompose import decompose
-            from repro.sql.parser import parse_query
+    @staticmethod
+    def _between_plan_and_chain(**config):
+        """A sim instant after planning finished and before the chain
+        starts, read off a fault-free twin (the simulation is
+        deterministic, so the faulted run follows the same schedule)."""
+        twin = _build(**config)
+        before = len(twin.network.metrics.messages)
+        twin.portal.submit(XMATCH_SQL)
+        messages = twin.network.metrics.messages[before:]
+        planned = max(
+            m.sim_time for m in messages if m.phase == "performance-query"
+        )
+        chained = min(
+            m.sim_time for m in messages if m.phase == "crossmatch-chain"
+        )
+        assert planned < chained
+        return (planned + chained) / 2.0
 
-            decomposed = decompose(parse_query(XMATCH_SQL), portal.catalog)
-            epochs = {}
-            counts = portal.planner.performance_counts(
-                decomposed, epochs=epochs
+    @pytest.mark.parametrize("chain_mode", ["store-forward", "pipelined"])
+    def test_mid_chain_shard_death_degrades_with_shard_name(self, chain_mode):
+        """The shard dies after a healthy plan and before the chain runs:
+        the coordinator's fan-out exhausts the candidate list and the
+        executor degrades with a shard-named warning."""
+        config = dict(replicas=0, chain_mode=chain_mode)
+        fed = _build(**config)
+        victim = _victim_member(fed)
+        fed.network.set_fault_plan(
+            FaultPlan(seed=1).crash(
+                _host_of(victim.candidate_urls("query")[0]),
+                self._between_plan_and_chain(**config),
             )
-            plan = portal.planner.build_plan(decomposed, counts, epochs=epochs)
-            victim = _victim_member(fed)
-            _kill(fed, victim)
-            result = portal.executor.execute(plan, decomposed)
-            assert result.degraded, chain_mode
-            joined = " ".join(result.warnings)
-            assert "shard unavailable:" in joined, chain_mode
-            assert f"shard {victim.name!r}" in joined, chain_mode
+        )
+        result = fed.portal.submit(XMATCH_SQL)
+        assert result.degraded
+        assert result.plan is not None  # planning saw a healthy federation
+        joined = " ".join(result.warnings)
+        assert "shard unavailable:" in joined
+        assert f"shard {victim.name!r}" in joined
 
     def test_mid_chain_shard_death_with_mirror_stays_complete(self):
         """Same mid-chain kill, but a mirror exists: the fan-out slides to
         the next candidate and the full answer still comes back."""
         rows, _ = _oracle()
         fed = _build(replicas=1)
-        portal = fed.portal
-        from repro.portal.decompose import decompose
-        from repro.sql.parser import parse_query
-
-        decomposed = decompose(parse_query(XMATCH_SQL), portal.catalog)
-        epochs = {}
-        counts = portal.planner.performance_counts(decomposed, epochs=epochs)
-        plan = portal.planner.build_plan(decomposed, counts, epochs=epochs)
-        _kill(fed, _victim_member(fed))
-        result = portal.executor.execute(plan, decomposed)
+        fed.network.set_fault_plan(
+            FaultPlan(seed=1).crash(
+                _host_of(_victim_member(fed).candidate_urls("query")[0]),
+                self._between_plan_and_chain(replicas=1),
+            )
+        )
+        result = fed.portal.submit(XMATCH_SQL)
+        assert fed.network.metrics.fault_count("crash") == 1
         assert not result.degraded and not result.warnings
         assert list(result.rows) == rows
 
@@ -234,43 +246,49 @@ class TestShardFailover:
 
 
 class TestEndpointCandidateOrdering:
-    """The ordering/membership contract at every
-    ``record.endpoint_candidates()`` loop site (portal.py, executor.py)."""
+    """The ordering/membership contract of archive failover, as the
+    plans it produces show it."""
 
-    def test_shard_endpoints_never_enter_archive_candidates(self):
+    def test_archive_failover_never_lands_on_a_shard(self):
         """Shard endpoints hold slices — substituting one for the archive
-        would silently answer from 1/N of the sky. They must stay out of
-        the archive-level failover pool."""
+        would silently answer from 1/N of the sky. Kill a sharded
+        archive's coordinator: the hop moves to the archive replica,
+        whatever shard and shard-mirror endpoints are registered."""
         fed = _build(replicas=1)
-        for archive, shard_nodes in fed.shards.items():
-            record = fed.portal.catalog.node(archive)
-            candidate_hosts = {
-                _host_of(url)
-                for services in record.endpoint_candidates()
-                for url in services.values()
-            }
-            assert fed.nodes[archive].hostname in candidate_hosts
-            for node in shard_nodes:
-                assert node.hostname not in candidate_hosts
-            for mirrors in fed.shard_replicas[archive].values():
-                for node in mirrors:
-                    assert node.hostname not in candidate_hosts
+        fed.network.remove_host(fed.nodes["SDSS"].hostname)
+        result = fed.portal.submit(XMATCH_SQL)
+        assert result.failovers == 1 and not result.degraded
+        slices = {node.hostname for node in fed.shards["SDSS"]}
+        for mirrors in fed.shard_replicas["SDSS"].values():
+            slices.update(node.hostname for node in mirrors)
+        (step,) = [s for s in result.plan.steps if s.archive == "SDSS"]
+        assert _host_of(step.url) == fed.replicas["SDSS"][0].hostname
+        for url in (step.url, *step.replica_urls):
+            assert _host_of(url) not in slices
 
-    def test_primary_is_always_candidate_zero(self):
-        """portal.py health probes and executor re-routing both assume
-        index 0 is the registered primary; shard registration must not
-        reorder the list."""
-        fed = _build(replicas=2)
-        for archive in fed.nodes:
-            record = fed.portal.catalog.node(archive)
-            candidates = record.endpoint_candidates()
-            assert len(candidates) == 3  # primary + 2 archive replicas
-            assert candidates[0] == dict(record.services)
-            replica_hosts = [
-                node.hostname for node in fed.replicas[archive]
-            ]
-            for services, host in zip(candidates[1:], replica_hosts):
-                assert {_host_of(u) for u in services.values()} == {host}
+    def test_candidates_are_tried_primary_first_in_registration_order(self):
+        """Fault-free hops sit on the registered primaries; each death
+        moves the hop exactly one candidate down the registration order,
+        and shard registration does not reorder the list."""
+        for dead in (0, 1, 2):
+            fed = _build(replicas=2)
+            order = [fed.nodes["SDSS"], *fed.replicas["SDSS"]]
+            for node in order[:dead]:
+                fed.network.remove_host(node.hostname)
+            result = fed.portal.submit(XMATCH_SQL)
+            assert not result.degraded
+            assert result.failovers == (1 if dead else 0)
+            for step in result.plan.steps:
+                if step.archive == "SDSS":
+                    assert _host_of(step.url) == order[dead].hostname
+                    assert [_host_of(u) for u in step.replica_urls] == [
+                        node.hostname
+                        for node in order if node is not order[dead]
+                    ]
+                else:
+                    assert _host_of(step.url) == (
+                        fed.nodes[step.archive].hostname
+                    )
 
     def test_cancel_chain_reaches_shard_endpoints(self):
         """A deadline death mid-submission must free server state on the

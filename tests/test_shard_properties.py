@@ -209,3 +209,40 @@ class TestShardOracle:
         assert [s["count_star"] for s in sharded["plan"]["steps"]] == [
             s["count_star"] for s in mono["plan"]["steps"]
         ]
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        shard_key=st.sampled_from(["zone", "htm"]),
+        sql=st.sampled_from([XMATCH_SQL, FULL_SCAN_SQL, COUNT_SQL]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_one_shard_is_the_monolithic_count_probe(self, shard_key, sql,
+                                                     seed):
+        """The Portal's half of the one-partition identity: a monolithic
+        archive is the one-member layout of the scattered count probe, so
+        ``shards=1`` asks the same questions in the same order and gets
+        the same counts and epochs — only the hosts that answer differ."""
+        from repro.portal.decompose import decompose
+        from repro.sql.parser import parse_query
+
+        def probe(**layout):
+            fed = _build(160, seed, **layout)
+            decomposed = decompose(parse_query(sql), fed.portal.catalog)
+            before = len(fed.network.metrics.messages)
+            epochs = {}
+            counts = fed.portal.planner.performance_counts(
+                decomposed, epochs=epochs
+            )
+            sequence = [
+                (m.operation, m.phase, m.kind)
+                for m in fed.network.metrics.messages[before:]
+            ]
+            return counts, epochs, sequence
+
+        mono = probe()
+        assert probe(shards=1, shard_key=shard_key) == mono
+        assert mono[2] == [
+            ("ExecuteQueryPinned", "performance-query", kind)
+            for _ in mono[0] for kind in ("request", "response")
+        ]

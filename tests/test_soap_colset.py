@@ -19,6 +19,11 @@ from repro.soap.encoding import (
 from repro.soap.envelope import build_rpc_response, parse_rpc_response
 from repro.soap.xmlparser import parse_xml
 from repro.soap.xmlwriter import render
+from repro.xmatch.wire import (
+    rowset_to_tuples,
+    tuples_to_payload,
+    tuples_to_rowset,
+)
 
 
 def roundtrip(value):
@@ -156,3 +161,49 @@ def test_colset_wrong_width_rejected_on_encode():
     rowset.rows.append((1,))
     with pytest.raises(SoapError):
         render(encode_value("v", ColumnarRowSet(rowset)))
+
+
+# -- the streamed batch payload ---------------------------------------------------
+
+CHAIN_SQL = [
+    # attribute payload (doubles + a dictionary-coded string) on two members
+    "SELECT O.object_id, O.ra, T.obj_id, O.type, O.i_flux - T.i_flux AS color "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, "
+    "FIRST:Primary_Object P "
+    "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, P) < 3.5 "
+    "AND O.type = GALAXY",
+    # a drop-out member: fewer id columns than plan steps
+    "SELECT O.object_id, O.ra, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, "
+    "FIRST:Primary_Object P "
+    "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, !P) < 3.5",
+]
+
+
+@pytest.mark.parametrize("sql", CHAIN_SQL)
+def test_streamed_batch_decodes_to_the_row_form(sql):
+    """``tuples_to_payload`` (what every ``PullBatch`` ships) is the row
+    form in a different wire shape: a real chain's partial tuples, sent
+    through a PullBatch envelope, decode to exactly the rowset — and the
+    tuples — the classic ``<r><c>`` encoding carries. This is what the
+    retired ``rows`` stream format used to prove end to end."""
+    from repro.federation.builder import FederationConfig, build_federation
+
+    fed = build_federation(FederationConfig(n_bodies=400, seed=7, cache=True))
+    result = fed.portal.submit(sql)
+    tuples = result.raw_tuples  # retained for the cache's containment tier
+    assert tuples
+    aliases = result.plan.member_aliases_after(0)
+    attrs = result.plan.attr_columns_after(0)
+    rowset = tuples_to_rowset(tuples, aliases, attrs)
+    payload = tuples_to_payload(tuples, aliases, attrs)
+    assert isinstance(payload, ColumnarRowSet)
+    decoded = parse_rpc_response(
+        build_rpc_response("PullBatch", {"rows": payload, "batch": 0})
+    )["rows"]
+    assert decoded.columns == rowset.columns
+    assert decoded.rows == rowset.rows
+    assert decoded.rows == parse_rpc_response(
+        build_rpc_response("PullBatch", {"rows": rowset, "batch": 0})
+    )["rows"].rows
+    assert rowset_to_tuples(decoded, aliases, attrs) == list(tuples)

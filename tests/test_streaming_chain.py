@@ -50,16 +50,10 @@ def submit(fed, sql):
 
 
 @pytest.mark.parametrize("sql", [XMATCH_SQL, DROPOUT_SQL])
-@pytest.mark.parametrize("wire_format", ["columnar", "rows"])
-def test_modes_return_identical_results(sql, wire_format):
+def test_modes_return_identical_results(sql):
     reference, _ = submit(make_fed(), sql)
     pipelined, _ = submit(
-        make_fed(
-            chain_mode="pipelined",
-            stream_batch_size=32,
-            stream_wire_format=wire_format,
-        ),
-        sql,
+        make_fed(chain_mode="pipelined", stream_batch_size=32), sql
     )
     assert pipelined.columns == reference.columns
     assert pipelined.rows == reference.rows  # byte-identical, same order
@@ -134,7 +128,6 @@ def open_stream(fed, sql, batch_size=8):
         plan=plan_wire,
         position=0,
         batch_size=batch_size,
-        wire_format="columnar",
     )
     return proxy, opened["stream_id"], opened["batch_count"]
 
