@@ -3,8 +3,9 @@
 ``SKYQUERY_BENCH_QUICK=1`` shrinks the sweep to smoke-test sizes (used by
 the CI benchmark job). Tiny scenarios sit in the latency-dominated regime
 where pipelining legitimately loses, so quick mode checks only result
-equivalence and byte reduction; the full run also enforces the speedup in
-the transfer-dominated arms.
+equivalence; the full run also enforces the speedup in the
+transfer-dominated arms and that the byte price of batching falls as the
+batch grows.
 """
 
 import os
@@ -20,11 +21,10 @@ def test_e17_pipelined_chain(benchmark, report_sink):
             run_e17_pipelined_chain(
                 node_counts=(3,),
                 body_counts=(400,),
-                # 50-tuple batches of a 400-body field carry ~20 rows
-                # each: per-batch envelope framing outweighs the colset
-                # saving (byte ratio 0.99), so the smoke size keeps the
-                # batch the byte assertion below is about.
-                batch_sizes=(200,),
+                # The 400-body result fits the default 200-tuple batch (a
+                # one-batch stream is the store-forward chain, message for
+                # message); 50-tuple batches make the smoke run pull.
+                batch_sizes=(50,),
                 bandwidths=(250_000.0,),
             )
         )
@@ -32,15 +32,23 @@ def test_e17_pipelined_chain(benchmark, report_sink):
         report = report_sink(run_e17_pipelined_chain())
     for row in report.rows:
         bodies, bandwidth = row[1], row[3]
-        speedup, byte_ratio, identical = row[6], row[9], row[10]
+        speedup, identical = row[6], row[10]
         assert identical == "yes", f"modes diverged: {row}"
-        # The colset encoding must shrink the chain's wire bytes.
-        assert byte_ratio > 1.0, f"no wire-byte reduction: {row}"
         # Pipelining wins where transfer dominates latency: the largest
         # scenario at default-or-slower links. Small payloads on fast
         # links pay the extra chain fill and legitimately lose.
         if not QUICK and bodies >= 8000 and bandwidth <= 1_000_000:
             assert speedup > 1.0, f"pipelined chain not faster: {row}"
+
+    # Both modes ship the same colset payload (the codec's saving is E7's
+    # claim, not this one's); per-batch framing is pipelining's byte
+    # price, so within one scenario the ratio improves as the batch grows.
+    sweeps = {}
+    for row in report.rows:
+        sweeps.setdefault((row[0], row[1], row[3]), []).append((row[2], row[9]))
+    for scenario, points in sweeps.items():
+        ratios = [ratio for _, ratio in sorted(points)]
+        assert ratios == sorted(ratios), f"{scenario}: {sorted(points)}"
 
     # Hot path: the pipelined 3-archive chain end to end.
     from repro.bench.experiments import _e17_federation

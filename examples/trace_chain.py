@@ -5,8 +5,10 @@ Runs the same query twice — once over the classic store-and-forward chain
 and once pipelined — and prints each run's span tree as an ASCII
 flamegraph on the simulated clock. The two shapes tell the whole story:
 store-and-forward nests each hop's `PerformXMatch` inside its caller's
-(the chain is strictly serial), while the pipelined run's `PullBatch`
-spans overlap across hops (batch k+1 transfers while batch k computes).
+(the chain is strictly serial, and the response carries the one batch),
+while the pipelined run uses that cascade only to open the streams and
+its `PullBatch` spans overlap across hops (batch k+1 transfers while
+batch k computes).
 
 Also writes a Chrome trace_event JSON for the pipelined run: load
 `trace_chain_pipelined.json` in about:tracing or https://ui.perfetto.dev

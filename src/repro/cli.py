@@ -197,9 +197,10 @@ def _federation_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chain-mode", default="store-forward",
         choices=["store-forward", "pipelined"],
-        help="chain execution mode: one PerformXMatch round trip "
-             "(default, the reference oracle) or pipelined "
-             "OpenStream/PullBatch batches with overlapped transfer",
+        help="how the chain's tuple streams are cut: store-forward "
+             "(default) ships each hop's whole result as one batch "
+             "inside the PerformXMatch response; pipelined cuts it into "
+             "--batch-size batches pulled with overlapped transfer",
     )
     parser.add_argument(
         "--batch-size", type=int, default=200, metavar="TUPLES",

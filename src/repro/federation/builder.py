@@ -65,9 +65,11 @@ class FederationConfig:
     #: Scripted transient faults, installed only AFTER registration
     #: completes so federation construction is never fault-injected.
     fault_plan: Optional[FaultPlan] = None
-    #: How the Portal drives the chain: ``store-forward`` (one
-    #: PerformXMatch round trip, the reference oracle) or ``pipelined``
-    #: (OpenStream/PullBatch batches pulled concurrently so transfer
+    #: How the chain's one transport is cut into batches: ``store-forward``
+    #: (each hop's whole result is one batch, carried by the
+    #: PerformXMatch response — the paper's nested round trips) or
+    #: ``pipelined`` (``stream_batch_size`` tuples a batch, pulled
+    #: concurrently so transfer
     #: overlaps compute).
     chain_mode: str = "store-forward"
     #: Tuples per batch when the chain is pipelined.

@@ -11,15 +11,16 @@ transient failures, re-plans around drop-out archives that died mid-run,
 and — when a *mandatory* node is permanently lost — returns a degraded
 :class:`FederatedResult` carrying structured warnings instead of raising.
 
-Two chain execution modes are supported. ``store-forward`` (the default,
-and the reference oracle) is the classic single ``PerformXMatch`` round
-trip: each node waits for its neighbour's complete tuple set.
-``pipelined`` opens a stream down the chain and then pulls every batch
-inside one ``parallel()`` block, so each batch's whole chain traversal is
-one branch and the clock charges the *makespan* over batches — transfer
-of one batch overlaps compute of another, exactly the overlap a real
-pipelined chain would enjoy. Both modes return identical rows in
-identical order.
+There is one chain transport, a tuple stream per hop, and the chain mode
+only sets its batch size. ``store-forward`` (the default) asks for the
+whole result as one batch, which the open's own response carries: the
+classic N nested round trips, each node waiting for its neighbour's
+complete tuple set. ``pipelined`` asks for ``stream_batch_size`` tuples a
+batch and pulls the batches inside one ``parallel()`` block, so each
+batch's whole chain traversal is one branch and the clock charges the
+*makespan* over batches — transfer of one batch overlaps compute of
+another, exactly the overlap a real pipelined chain would enjoy. Every
+batch size returns identical rows in identical order.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class FederatedResult:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
-#: Chain execution modes: the store-and-forward reference path and the
-#: batch-pipelined streaming path.
-CHAIN_MODES = ("store-forward", "pipelined")
+#: The batch size of a store-forward chain: larger than any result, so
+#: every hop's stream has one batch and the open's response carries it.
+WHOLE_RESULT = 2**31 - 1
 
 #: Phase label for the per-batch payload traffic of a pipelined chain, so
 #: reports separate bulk tuple bytes from chain-control bytes.
@@ -156,54 +157,38 @@ class ChainExecutor:
         probes learned, so recovery never re-asks (nor fails back onto)
         an endpoint this query already watched die.
 
-        ``qid`` is the Portal-minted query id of a budgeted submission: it
-        doubles as the execution id (so the nodes' checkpoints are keyed to
-        it) and tags streams and chunked transfers, which is what lets a
-        ``CancelQuery`` fan-down free every piece of the query's server
-        state eagerly. When the chain dies on a
-        :class:`~repro.errors.DeadlineExceededError`, the executor issues
-        that fan-down and returns a degraded result whose warning names
-        the hop that ran out of budget — the query never hangs.
+        ``qid`` is the Portal-minted query id of a budgeted submission; it
+        doubles as the execution id below. When the chain dies on a
+        :class:`~repro.errors.DeadlineExceededError`, the executor fans a
+        ``CancelQuery`` down the chain and returns a degraded result whose
+        warning names the hop that ran out of budget — the query never
+        hangs.
         """
         network = self._portal.require_network()
-        mode = self._portal.chain_mode
-        if mode not in CHAIN_MODES:
-            raise ExecutionError(
-                f"unknown chain mode {mode!r}; expected one of {CHAIN_MODES}"
-            )
         warnings = list(warnings or [])
         counters = {"failovers": failovers, "degraded": degraded}
         dead = set() if dead is None else dead
-        #: Pipelined-mode resume state: completed batch responses survive
-        #: a chain failure so the retry pulls only what is still missing.
-        #: With ``checkpoint_resume`` off every attempt starts from scratch
-        #: (the full-restart comparison arm of benchmarks/E18).
+        #: One execution id for every attempt of this query. Each hop
+        #: leases its stream (and tags stagings and transfers) under it,
+        #: so a retry finds what earlier attempts finished, a fresh
+        #: identical query never does, and one ``CancelQuery`` frees all
+        #: of it. With ``checkpoint_resume`` off (the full-restart arm of
+        #: E18) it is empty: unkeyed streams, and ``state`` — the batches
+        #: already acknowledged — does not outlive an attempt either.
         resume = self._portal.checkpoint_resume
-        stream_state: Optional[Dict[str, Any]] = (
-            {"fingerprint": None, "responses": None} if resume else None
-        )
-        #: One execution id for every attempt of this query: retries hit
-        #: the nodes' checkpoints; a fresh identical query never does.
-        #: An empty xid disables checkpointing at the nodes entirely.
-        #: A budgeted query's Portal-minted qid doubles as the xid, so
-        #: a later CancelQuery frees its checkpoints by prefix.
         xid = (
             (qid or f"{self._portal.hostname}-x{next(self._xid_counter)}")
             if resume else ""
         )
+        state: Dict[str, Any] = {}
         attempts = 0
         current = plan
         while True:
             try:
                 with network.phase("crossmatch-chain"):
-                    if mode == "pipelined":
-                        rowset, stats = self._stream_chain(
-                            current, network, stream_state, qid=qid
-                        )
-                    else:
-                        rowset, stats = self._store_forward_chain(
-                            current, xid
-                        )
+                    rowset, stats = self._run_chain(
+                        current, network, state if resume else {}, xid
+                    )
                 break
             except (DeadlineExceededError, ShardUnavailableError) as exc:
                 # Two failures no retry can fix. A deadline: the budget ran
@@ -214,8 +199,8 @@ class ChainExecutor:
                 # resurrect the slice — the warning names the shard, not
                 # the whole archive (every other slice was reachable).
                 # Either way don't wait out server TTLs: fan a CancelQuery
-                # down the chain and at any replicas holding checkpoints,
-                # then degrade instead of hanging or raising.
+                # down the chain and at any replicas holding state, then
+                # degrade instead of hanging or raising.
                 label = (
                     "query deadline exceeded"
                     if isinstance(exc, DeadlineExceededError)
@@ -223,7 +208,7 @@ class ChainExecutor:
                 )
                 warnings.append(f"{label}: {exc}")
                 if self._portal.eager_cancel:
-                    self._cancel_chain(current, qid or xid)
+                    self._cancel_chain(current, xid)
                 return self.degraded(
                     decomposed.query, warnings, counters["failovers"], current
                 )
@@ -249,113 +234,109 @@ class ChainExecutor:
         result.failovers = counters["failovers"]
         return result
 
-    def _store_forward_chain(
-        self, plan: ExecutionPlan, xid: str = ""
-    ) -> Tuple[Any, List[Dict[str, Any]]]:
-        """One ``PerformXMatch`` round trip (the reference oracle path)."""
-        proxy = self._portal.proxy(plan.step(0).url)
-        response = proxy.call(
-            "PerformXMatch", plan=plan.to_wire(), position=0, xid=xid
+    def _batch_size(self) -> int:
+        """What the chain mode means: how many tuples make a batch."""
+        mode = self._portal.chain_mode
+        if mode == "store-forward":
+            return WHOLE_RESULT
+        if mode == "pipelined":
+            return int(self._portal.stream_batch_size)
+        raise ExecutionError(
+            f"unknown chain mode {mode!r}; expected 'store-forward' or "
+            "'pipelined'"
         )
-        if not isinstance(response, dict):
-            raise ExecutionError(f"malformed chain response: {response!r}")
-        rowset = receive_rowset(response, proxy)
-        return rowset, list(response.get("stats") or [])
 
-    def _stream_chain(
+    def _run_chain(
         self,
         plan: ExecutionPlan,
         network: Any,
-        state: Optional[Dict[str, Any]] = None,
-        qid: str = "",
-    ) -> Tuple[Any, List[Dict[str, Any]]]:
-        """Open a stream down the chain, then pull every batch concurrently.
+        state: Dict[str, Any],
+        xid: str,
+    ) -> Tuple[WireRowSet, List[Dict[str, Any]]]:
+        """Open the head's stream, pull whatever batches the open did not
+        carry, and reassemble them — the one conversation with the chain.
 
-        The open cascades once (the last node seeds and partitions); the
-        batch pulls are dispatched inside one ``parallel()`` block so each
-        batch's full chain traversal — transfer and per-hop ``sp_xmatch``
-        compute alike — is one branch, and the clock advances by the
-        slowest batch instead of the sum. The final batch's response
-        piggybacks the per-node stats chain, so closing costs no extra
-        round trip. On failure the portal best-effort aborts the stream
-        (server TTLs are the backstop) and lets the caller's recovery
-        logic retry the whole chain.
+        The open cascades once (the last node seeds and partitions). When
+        one batch is all there is left, its response carries it and the
+        chain is done. Otherwise the pulls are dispatched inside one
+        ``parallel()`` block so each batch's full chain traversal —
+        transfer and per-hop ``sp_xmatch`` compute alike — is one branch,
+        and the clock advances by the slowest batch instead of the sum.
+        The final batch's response piggybacks the per-node stats chain, so
+        closing costs no extra round trip. On failure the portal
+        best-effort aborts the stream (server TTLs are the backstop) and
+        lets the caller's recovery logic retry the whole chain.
 
         ``state`` (shared across retries of one query) keeps every batch
-        response already acknowledged: a retried or failed-over chain opens
-        the stream at the high-water mark — the first unacknowledged batch
-        — instead of re-transferring from batch 0. The high-water mark is
+        already acknowledged: a retried or failed-over chain opens the
+        stream at the high-water mark — the first unacknowledged batch —
+        instead of re-transferring from batch 0. The high-water mark is
         keyed to the plan's content fingerprint, so it survives replica
         substitution (same content, new endpoint) but resets if the plan's
         content changes (a drop-out was pruned).
         """
-        state = state if state is not None else {}
         fingerprint = plan.fingerprint(0)
         if state.get("fingerprint") != fingerprint:
-            state["fingerprint"] = fingerprint
-            state["responses"] = None
-        responses: Optional[List[Optional[Dict[str, Any]]]]
-        responses = state.get("responses")
-        high_water = 0
-        if responses is not None:
-            while (
-                high_water < len(responses)
-                and responses[high_water] is not None
-            ):
-                high_water += 1
+            state.update(fingerprint=fingerprint, parts=[], stats=[])
+        parts: List[Optional[WireRowSet]] = state["parts"]
+        high_water = parts.index(None) if None in parts else len(parts)
         proxy = self._portal.proxy(plan.step(0).url)
         plan_wire = plan.to_wire()
+        batch_size = self._batch_size()
 
-        def open_at(start_seq: int) -> Tuple[str, int]:
+        def open_at(start_seq: int) -> Dict[str, Any]:
             opened = proxy.call(
-                "OpenStream",
+                "PerformXMatch",
                 plan=plan_wire,
                 position=0,
-                batch_size=self._portal.stream_batch_size,
+                qid=xid,
+                batch_size=batch_size,
                 start_seq=start_seq,
-                qid=qid,
             )
             if not isinstance(opened, dict):
-                raise ExecutionError(
-                    f"malformed OpenStream response: {opened!r}"
-                )
-            return str(opened["stream_id"]), int(opened["batch_count"])
+                raise ExecutionError(f"malformed chain response: {opened!r}")
+            return opened
 
-        stream_id, batch_count = open_at(high_water)
-        if responses is None or len(responses) != batch_count:
+        def abort(stream_id: str) -> None:
+            try:
+                proxy.call("AbortStream", stream_id=stream_id)
+            except Exception:
+                pass  # best effort; the hops' TTLs are the backstop
+
+        def take(seq: int, response: Any) -> None:
+            """Acknowledge one batch: its rows (drained, if chunked)."""
+            parts[seq] = receive_rowset(response, proxy)
+            if response.get("stats"):
+                state["stats"] = list(response["stats"])
+
+        opened = open_at(high_water)
+        if len(parts) != int(opened["batch_count"]):
             # Nothing usable to resume from (first attempt, or a stale
             # partition that no longer matches): start over from batch 0.
             if high_water:
-                try:
-                    proxy.call("AbortStream", stream_id=stream_id)
-                except (TransportError, SoapFaultError):
-                    pass
-                stream_id, batch_count = open_at(0)
-            responses = [None] * batch_count
+                abort(str(opened["stream_id"]))
+                opened = open_at(0)
+            parts[:] = [None] * int(opened["batch_count"])
             high_water = 0
-            state["responses"] = responses
+        stream_id = str(opened["stream_id"])
+        if len(parts) - high_water == 1:
+            take(high_water, opened)
+            high_water += 1
         #: Flow control: at most ``stream_pull_window`` batches in flight
         #: at once (0 = unbounded, every batch dispatched together). A
         #: bounded window acknowledges batches wave by wave, so a crash
         #: mid-stream loses only the wave in flight — the completed waves
         #: stay below the high-water mark and are never re-pulled.
-        window = int(self._portal.stream_pull_window or 0)
-        pending = list(range(high_water, batch_count))
-        waves = (
-            [pending]
-            if window <= 0
-            else [
-                pending[i:i + window]
-                for i in range(0, len(pending), window)
-            ]
-        )
+        pending = list(range(high_water, len(parts)))
+        window = int(self._portal.stream_pull_window or 0) or len(parts)
         try:
-            for wave in waves:
+            for i in range(0, len(pending), window):
                 with network.phase(BATCH_TRANSFER_PHASE), network.parallel():
-                    for seq in wave:
-                        responses[seq] = proxy.call(
-                            "PullBatch", stream_id=stream_id, seq=seq
-                        )
+                    for seq in pending[i:i + window]:
+                        with network.branch():  # pull + drain: one branch
+                            take(seq, proxy.call(
+                                "PullBatch", stream_id=stream_id, seq=seq
+                            ))
         except DeadlineExceededError:
             # Budget expiry is a cancellation-subsystem event, not a
             # retry-path failure: the caller's ``CancelQuery`` sweep (or,
@@ -364,32 +345,16 @@ class ChainExecutor:
             # would fragment the accounting between the two paths.
             raise
         except Exception:
-            try:
-                proxy.call("AbortStream", stream_id=stream_id)
-            except Exception:
-                pass
+            abort(stream_id)
             raise
-        parts: List[Any] = []
-        stats: List[Dict[str, Any]] = []
-        for seq, response in enumerate(responses):
-            if not isinstance(response, dict) or not isinstance(
-                response.get("rows"), WireRowSet
-            ):
-                raise ExecutionError(
-                    f"malformed PullBatch response for batch {seq}: "
-                    f"{response!r}"
-                )
-            parts.append(response["rows"])
-            if response.get("stats"):
-                stats = list(response["stats"])
-        return WireRowSet.concat(parts), stats
+        return WireRowSet.concat(parts), state["stats"]
 
     def _cancel_chain(self, plan: ExecutionPlan, qid: str) -> None:
         """Eagerly free every hop's state for a dead query (best effort).
 
         One ``CancelQuery`` to the chain head fans hop-to-hop down the
         current plan; replica endpoints *not* on the plan (which may hold
-        checkpoints from attempts that failed over away from them) are
+        drained streams from attempts that failed over away from them) are
         cancelled directly. Every call is fire-and-forget — a lost cancel
         leaves that hop to its TTL reaper, never blocks the degraded
         answer — and runs under a masked budget: cleanup must not be
@@ -420,7 +385,7 @@ class ChainExecutor:
                 record = self._portal.catalog.node(step.archive)
                 # Every candidate, seen dead or not (hence the empty dead
                 # set): a host that dropped off mid-query may be back and
-                # still hold what it checkpointed. Shard endpoints are NOT
+                # still hold what it finished. Shard endpoints are NOT
                 # archive candidates (each serves one slice, not the whole
                 # archive), yet shards hold stagings keyed by this qid. A
                 # live coordinator fans its own cancel to them, but a
@@ -451,7 +416,7 @@ class ChainExecutor:
         replica, so a second failure of the same archive is still
         diagnosed correctly) and the query's dead set. Per dead hop, in
         order of preference: substitute a live replica endpoint in place
-        (same plan content, so checkpoints and stream positions stay
+        (same plan content, so stream keys and positions stay
         valid — counted in ``failovers``, not degradation); else prune if
         the hop is a drop-out (degraded); else give up with a degraded
         empty result (mandatory archive wholly lost).

@@ -109,8 +109,8 @@ class PlanStep:
         Excludes ``url``/``replica_urls`` (a replica substitution must not
         change the key) and ``count_star`` (an estimate, not an input).
         Includes ``epoch``: the same query at a different snapshot is a
-        different computation, so its checkpoints and streams never
-        answer a resume pinned elsewhere.
+        different computation, so its streams never answer a resume
+        pinned elsewhere.
         """
         return (
             self.alias,
@@ -140,8 +140,8 @@ class ExecutionPlan:
     #: match engine. Folded into ``fingerprint()``
     #: so a semantic cache never serves a result produced under a
     #: different profile, but deliberately NOT serialized to the wire:
-    #: nodes derive these from the call surface (PerformXMatch args,
-    #: OpenStream params), and keeping them off the plan struct preserves
+    #: nodes derive these from the call surface (PerformXMatch
+    #: params), and keeping them off the plan struct preserves
     #: the htm/zone wire-byte parity invariant.
     profile: Tuple[Tuple[str, str], ...] = ()
 
@@ -168,9 +168,9 @@ class ExecutionPlan:
         """Content hash of the chain *suffix* starting at ``position``.
 
         Keyed on what the suffix computes — node queries, ordering, sigma,
-        threshold, area — but NOT on endpoint URLs, so a node's cached
-        checkpoint stays valid when an upstream hop fails over to a
-        replica, and a stream resumed through a replica partitions
+        threshold, area — but NOT on endpoint URLs, so the key a node
+        leases its stream under survives a failover to a replica anywhere
+        in the chain, and a stream resumed through a replica partitions
         identically.
         """
         self.step(position)  # bounds check
@@ -187,8 +187,8 @@ class ExecutionPlan:
 
         The step's previous endpoint joins its replica candidates (minus
         the new one), so nothing is forgotten if further failovers are
-        needed; everything the step computes is unchanged, so checkpoint
-        fingerprints survive the substitution.
+        needed; everything the step computes is unchanged, so stream
+        keys survive the substitution.
         """
         old = self.step(position)
         candidates = tuple(

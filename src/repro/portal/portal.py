@@ -68,15 +68,18 @@ class Portal:
         match_engine: str = "zone",
     ) -> None:
         self.hostname = hostname
-        #: How the executor drives the chain: ``store-forward`` (single
-        #: PerformXMatch round trip, the reference oracle) or ``pipelined``
-        #: (OpenStream/PullBatch batches pulled concurrently).
+        #: The batch size of the chain's tuple streams: ``store-forward``
+        #: (the whole result is one batch, carried by the PerformXMatch
+        #: response) or ``pipelined`` (``stream_batch_size`` tuples a
+        #: batch, the batches pulled concurrently).
         self.chain_mode = chain_mode
         #: Tuples per batch when the chain is pipelined.
         self.stream_batch_size = stream_batch_size
-        #: Whether a retried/failed-over chain resumes from hop checkpoints
-        #: and stream high-water marks. Off, every recovery is a full
-        #: restart — the E18 comparison arm, not a recommended setting.
+        #: Whether the attempts of one query share an execution id, so a
+        #: retried/failed-over chain finds the streams it opened before
+        #: and resumes at the first batch it lacks. Off, streams are
+        #: unkeyed and every recovery is a full restart — the E18
+        #: comparison arm, not a recommended setting.
         self.checkpoint_resume = True
         #: Pipelined-mode flow control: how many batches may be in flight
         #: at once (0 = unbounded, the full-overlap default). A bounded
@@ -110,7 +113,7 @@ class Portal:
         #: Whether a deadline-dead chain is cancelled eagerly with a
         #: ``CancelQuery`` fan-down (the default) or left to the nodes'
         #: TTL reapers — the E22 comparison arm, not a recommended
-        #: setting: leftover streams, checkpoints, and transfers then sit
+        #: setting: leftover streams, stagings, and transfers then sit
         #: in server memory for the whole TTL.
         self.eager_cancel = True
         #: The semantic result cache (None = caching off, the seed's

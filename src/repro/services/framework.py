@@ -34,7 +34,7 @@ OperationFn = Callable[..., Any]
 _TRACED_PARAMS = (
     "seq",
     "position",
-    "xid",
+    "qid",
     "stream_id",
     "transfer_id",
     "txn_id",

@@ -1,8 +1,8 @@
 """One lease table for every piece of per-query server state.
 
 A service that holds state on a caller's behalf between two requests —
-an open tuple stream, a store-and-forward checkpoint, staged shard rows,
-the chunks of a chunked transfer — holds it as a *lease*: granted with a
+a tuple stream, staged shard rows, the chunks of a chunked transfer —
+holds it as a *lease*: granted with a
 TTL on the simulated clock, extended by every touch, tagged with the
 query that owns it and (where it matters) the snapshot epoch it was
 computed at. Whatever the state is, it ends the same few ways, and each
@@ -20,10 +20,17 @@ way is implemented here exactly once:
 * the process crashes (:meth:`~LeaseTable.crash`) — nothing is counted:
   the process died, it did not tidy up.
 
-A lease whose payload has been fully delivered (a drained stream, a
-transfer parked on its re-servable final chunk) is *settled*: it stays
+A lease whose payload has been fully delivered is *settled*: it stays
 leased so the caller's retry of the last request can be answered, but
-freeing it reclaims nothing, so no counter moves.
+nobody abandoned it, so its TTL expiry or abort moves no counter. What
+it still holds decides the rest. A transfer parks on its final chunk:
+freeing that reclaims nothing, so it ends silently however it ends. A
+drained stream keeps the whole batch it served last — the *checkpoint*
+a retried chain resumes from — so a cancel or its epoch's GC frees real
+state and is counted as for a live lease. Either way a settled lease is
+a retry cache and is bounded like one: a table keeps the
+:data:`SETTLED_KEPT` most recently settled leases of each kind and
+silently drops older ones, whose callers then recompute.
 """
 
 from __future__ import annotations
@@ -33,11 +40,20 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 
+#: Settled leases a table keeps *per kind*. A chain execution settles one
+#: stream per node, so a node replays the last 8 executions that reached
+#: it (twice ``SchedulerConfig.max_inflight``'s default) however many
+#: transfers their batches were chunked into; a transfer's parked final
+#: chunk only ever answers the retry that immediately follows it.
+SETTLED_KEPT = 8
+
 
 @dataclass
 class Lease:
     """One held piece of state and the terms it is held on."""
 
+    kind: str
+    key: str
     value: Any
     ttl_s: float
     #: The owning query's id (empty when untagged); what
@@ -49,10 +65,14 @@ class Lease:
     epoch: Optional[int] = None
     #: Whether TTL expiry means a caller walked away from live state (an
     #: undrained stream or transfer — a reclaim) rather than a retry
-    #: cache aging out (a checkpoint, staged rows — silent).
+    #: cache aging out (staged rows — silent).
     abandonable: bool = False
-    #: False once settled: still servable, no longer reclaimable.
+    #: False once settled: still servable, no longer abandonable.
     live: bool = True
+    #: Whether ending it early (a cancel, its epoch's GC) frees state
+    #: worth counting: always while live; once settled, only a checkpoint
+    #: (see :meth:`LeaseTable.settle`).
+    reclaimable: bool = True
     deadline: Optional[float] = None
 
 
@@ -109,7 +129,8 @@ class LeaseTable:
     ) -> Lease:
         """Hold ``value`` under ``(kind, key)`` until one of the ends above."""
         lease = Lease(
-            value, ttl_s, qid=qid, epoch=epoch, abandonable=abandonable
+            kind, key, value, ttl_s,
+            qid=qid, epoch=epoch, abandonable=abandonable,
         )
         self.touch(lease)
         self._leases[(kind, key)] = lease
@@ -141,7 +162,7 @@ class LeaseTable:
                 and lease.epoch is not None
                 and lease.epoch < floor
             ):
-                stale += lease.live
+                stale += lease.reclaimable
             else:
                 continue
             ended.append(handle)
@@ -168,11 +189,25 @@ class LeaseTable:
             raise ExecutionError(f"unknown {kind} {key!r}")
         return lease
 
-    def settle(self, lease: Lease) -> None:
+    def settle(self, lease: Lease, *, checkpoint: bool = False) -> None:
         """The payload is fully delivered: the lease stays servable for the
-        caller's retry of its last request, but is no longer reclaimable."""
+        caller's retry of its last request, but is no longer abandonable —
+        and only while it is among the newest settled leases of its kind.
+        ``checkpoint`` says it still holds that whole payload."""
         lease.live = False
+        lease.reclaimable = checkpoint
         self.touch(lease)
+        handle = (lease.kind, lease.key)
+        if self._leases.get(handle) is lease:
+            # Re-file it last, so insertion order among the settled leases
+            # is settlement order.
+            self._leases[handle] = self._leases.pop(handle)
+        settled = [
+            h for h, held in self._leases.items()
+            if held.kind == lease.kind and not held.live
+        ]
+        for evicted in settled[:-SETTLED_KEPT]:
+            del self._leases[evicted]
 
     def abort(self, kind: str, key: str) -> Optional[Lease]:
         """Free one lease early; returns it, or None when already gone.
@@ -190,7 +225,8 @@ class LeaseTable:
         return lease
 
     def release_query(self, qid: str) -> int:
-        """Free everything tagged with ``qid``; returns the live count.
+        """Free everything tagged with ``qid``; returns the reclaimable
+        count.
 
         That count is what eager cancellation saved from the TTL reaper
         and is reported as ``eager_reclaims`` — never as
@@ -203,7 +239,7 @@ class LeaseTable:
         freed = 0
         for handle, lease in list(self._leases.items()):
             if lease.qid == qid:
-                freed += lease.live
+                freed += lease.reclaimable
                 del self._leases[handle]
         self._report(self._on_eager, freed)
         return freed
@@ -221,10 +257,10 @@ class LeaseTable:
         )
 
     def owned_by(self, qid: str) -> List[Tuple[str, str, Lease]]:
-        """``(kind, key, lease)`` of every live lease a query still owns —
-        the residual state a cancel or the TTL has yet to free."""
+        """``(kind, key, lease)`` of every lease tagged with a query, live
+        or settled — what a cancel or the TTL has yet to free."""
         return [
             (kind, key, lease)
             for (kind, key), lease in self._leases.items()
-            if lease.qid == qid and lease.live
+            if lease.qid == qid
         ]

@@ -24,24 +24,30 @@ into the monolithic emission order (the identity for one partition), and
 the extend/filter and stats tails never know how many partitions there
 were.
 
-How the hop's tuples travel is a second, independent parameter. The
-classic ``PerformXMatch`` path is store-and-forward: every node sits idle
-until its downstream neighbour has computed and shipped its *entire*
-tuple set. The streaming operation set (``OpenStream`` / ``PullBatch`` /
-``AbortStream``) pipelines the same hop instead: the open cascades down
-the chain once (the last node seeds and partitions its tuples into
-batches), then each batch flows up hop by hop on demand, so one batch's
-transfer overlaps another's compute under the network's makespan
-semantics. Batches are pulled strictly in order; a *retry* of the batch
-just served is answered from a cached response (a lost response must not
-re-run the step or duplicate rows), anything else out of order faults
-deterministically.
+How the hop's tuples travel is a second, independent parameter — and it is
+only a number, the stream's ``batch_size``. ``PerformXMatch`` opens this
+hop's tuple stream and cascades the open down the chain once (the last
+node seeds and partitions its tuples into batches); each batch then flows
+up hop by hop on demand through ``PullBatch``, so one batch's transfer
+overlaps another's compute under the network's makespan semantics. When
+exactly one batch is left to serve, the open's own response carries it:
+a batch size larger than the result *is* the paper's store-and-forward
+chain — N nested round trips, every node idle until its neighbour has
+shipped its entire tuple set — with no code of its own. Batches are
+pulled strictly in order; a request for the batch just served is answered
+from the cached payload (a lost response must not re-run the step or
+duplicate rows), anything else out of order faults deterministically.
 
-Everything the service holds between two requests — open streams,
-store-and-forward checkpoints, staged shard rows, chunked transfers — is
-a lease in one :class:`~repro.services.leases.LeaseTable`, so TTL expiry,
-``CancelQuery`` release, epoch-floor reaping and ``crash()`` each exist
-once.
+A stream is leased under its content — ``(qid, suffix fingerprint,
+batch_size)`` — so a retried or failed-over chain that opens it again
+finds it: a drained stream asked for its last batch replays the payload
+with no downstream call (only the failed hop's bytes travel again), and
+anything else is opened afresh under the same key, orphaning nothing.
+
+Everything the service holds between two requests — tuple streams, staged
+shard rows, chunked transfers — is a lease in one
+:class:`~repro.services.leases.LeaseTable`, so TTL expiry, ``CancelQuery``
+release, epoch-floor reaping and ``crash()`` each exist once.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from repro.htm.cover import cover
 from repro.portal.plan import ExecutionPlan, PlanStep
 from repro.services.chunked import ChunkedSender, receive_rowset
 from repro.services.framework import WebService
-from repro.services.leases import LeaseTable
+from repro.services.leases import Lease, LeaseTable
 from repro.shard import (
     members_for_tuple,
     merge_match_lists,
@@ -83,7 +89,7 @@ from repro.shard import (
 from repro.shard.topology import ShardMember
 from repro.skynode.xmatch_proc import PROCEDURE_NAME, _cap_bounds
 from repro.tracing.tracer import active_tracer
-from repro.soap.encoding import WireRowSet
+from repro.soap.encoding import ColumnarRowSet, WireRowSet
 from repro.sphere.coords import radec_to_vector
 from repro.sql.area import region_for
 from repro.sql.ast import (
@@ -99,32 +105,24 @@ from repro.transport.chunking import batch_slices
 from repro.units import arcsec_to_rad
 from repro.xmatch.stream import seed_tuples
 from repro.xmatch.tuples import LocalObject, PartialTuple
-from repro.xmatch.wire import (
-    rowset_to_tuples,
-    tuples_to_payload,
-    tuples_to_rowset,
-)
+from repro.xmatch.wire import rowset_to_tuples, tuples_to_payload
 
 if TYPE_CHECKING:
     from repro.services.client import ServiceProxy
     from repro.skynode.node import SkyNode
 
-#: How long (simulated seconds) an open stream survives between touches.
+#: How long (simulated seconds) a stream survives between touches — an
+#: open one awaiting its next pull, a drained one awaiting a replay.
 STREAM_TTL_S = 600.0
-
-#: How long (simulated seconds) a store-and-forward checkpoint — one hop's
-#: completed partial-tuple payload — stays servable for a chain retry.
-CHECKPOINT_TTL_S = 600.0
 
 #: How long (simulated seconds) staged shard-fan-out tuple rows survive
 #: between touches. Staging persists past the ``ShardXMatch`` that consumes
 #: it so a retry after a lost response can deterministically re-run.
 STAGING_TTL_S = 600.0
 
-#: The lease kinds this service holds (chunked transfers are the fourth,
+#: The lease kinds this service holds (chunked transfers are the third,
 #: held by the sender in the same table).
 STREAM = "stream"
-CHECKPOINT = "checkpoint"
 STAGING = "staging"
 
 #: Rows per ``ShardStage`` call: keeps every staged request far below the
@@ -160,32 +158,21 @@ Matches = List[Tuple[int, List[LocalObject]]]
 
 
 @dataclass
-class _Checkpoint:
-    """One hop's completed store-and-forward result, kept for resume.
-
-    Leased under (execution id, chain-suffix fingerprint): when an
-    upstream hop dies after this node already finished its step, the
-    retried chain — possibly re-routed through a replica — is answered
-    from here, so only the failed hop's bytes travel again.
-    """
-
-    rowset: WireRowSet
-    stats: List[Dict[str, Any]]
-
-
-@dataclass
 class _Stream:
-    """Server-side state of one open tuple stream (a lease's value; the
-    owning query, pinned epoch and drained-or-not live on the lease)."""
+    """Server-side state of one tuple stream (a lease's value; the owning
+    query, pinned epoch and drained-or-not live on the lease)."""
 
     plan: ExecutionPlan
     me: PlanStep
     position: int
-    batch_count: int
-    next_seq: int = 0
-    #: Cached response of the batch most recently served, so a caller's
-    #: retry after a lost response is answered without re-running the step.
-    last_response: Optional[Dict[str, Any]] = None
+    next_seq: int
+    batch_count: int = 0
+    #: The batch most recently served — its payload and the response
+    #: fields that travel with it — so a request for it again (a lost
+    #: response, or a re-opened drained stream) is answered without
+    #: re-running the step. The payload is cached, not the wrapped
+    #: response: under a chunk budget every replay gets a fresh transfer.
+    served: Optional[Tuple[ColumnarRowSet, Dict[str, Any]]] = None
     #: This node's stats, accumulated across batches.
     stats: Dict[str, Any] = field(default_factory=dict)
     #: Per-batch tuples shipped upstream (batch-granular accounting).
@@ -200,7 +187,8 @@ class _Stream:
 
 
 class CrossMatchService(WebService):
-    """``PerformXMatch`` + the chunked-transfer companion ``FetchChunk``."""
+    """The chain operations (``PerformXMatch`` / ``PullBatch``), their
+    chunked-transfer companion ``FetchChunk`` and the shard fan-out."""
 
     def __init__(
         self,
@@ -214,9 +202,9 @@ class CrossMatchService(WebService):
             parser_memory_limit=parser_memory_limit,
         )
         self._node = node
-        #: Every stream, checkpoint, staging and chunked transfer this
-        #: service holds. Leases pinned to a snapshot epoch die when the
-        #: epoch falls off the engine's pinnable window.
+        #: Every stream, staging and chunked transfer this service holds.
+        #: Leases pinned to a snapshot epoch die when the epoch falls off
+        #: the engine's pinnable window.
         self.leases = LeaseTable(lambda: node.wrapper.db.oldest_epoch)
         self.sender = ChunkedSender(
             f"{node.info.archive}-xm", chunk_budget_bytes, leases=self.leases
@@ -227,33 +215,24 @@ class CrossMatchService(WebService):
             params=(
                 ("plan", "struct"),
                 ("position", "int"),
-                ("xid", "string"),
+                ("qid", "string"),
+                ("batch_size", "int"),
+                ("start_seq", "int"),
             ),
             returns="struct",
-            doc="Run this node's step of the federated cross match. "
-                "``xid`` identifies one chain execution so a retried chain "
-                "is served from this node's checkpoint instead of "
-                "recomputed.",
+            doc="Open the tuple stream of this node's chain step (cascading "
+                "the open downstream). ``qid`` identifies one chain "
+                "execution, so a retried chain finds the stream it opened "
+                "before; ``start_seq`` is the first batch the caller still "
+                "lacks. When that is the only batch left, the response "
+                "carries it.",
         )
         self.sender.mount(self, "partial-result transfer")
         self.register(
-            "OpenStream",
-            self._open_stream,
-            params=(
-                ("plan", "struct"),
-                ("position", "int"),
-                ("batch_size", "int"),
-                ("start_seq", "int"),
-                ("qid", "string"),
-            ),
-            returns="struct",
-            doc="Open a pipelined tuple stream for this node's chain step. "
-                "``start_seq`` resumes at the first unacknowledged batch "
-                "(a failed-over chain re-transfers nothing it already has).",
-        )
-        self.register(
             "PullBatch",
-            self._pull_batch,
+            lambda stream_id, seq: self._batch(
+                self.leases.require(STREAM, str(stream_id)), int(seq)
+            ),
             params=(("stream_id", "string"), ("seq", "int")),
             returns="struct",
             doc="Pull one batch of an open stream (strictly in order).",
@@ -274,7 +253,7 @@ class CrossMatchService(WebService):
                 ("position", "int"),
             ),
             returns="struct",
-            doc="Eagerly free every stream, checkpoint, and chunked "
+            doc="Eagerly free every stream, staging, and chunked "
                 "transfer this node holds for a query, then fan the "
                 "cancel down the chain (best effort — TTL reaping "
                 "remains the backstop for a lost cancel). Idempotent.",
@@ -331,69 +310,100 @@ class CrossMatchService(WebService):
         return self.leases.held(STREAM)
 
     @property
-    def open_checkpoints(self) -> int:
-        """Checkpoints currently held (bounded by the TTL reaper)."""
-        return self.leases.held(CHECKPOINT)
-
-    @property
     def open_stagings(self) -> int:
         """Staged shard fan-out row sets currently held."""
         return self.leases.held(STAGING)
 
-    # -- store-and-forward -----------------------------------------------------------
+    # -- the chain transport: one stream per hop ----------------------------------
 
     def _perform(
-        self, plan: Dict[str, Any], position: int, xid: str = ""
+        self,
+        plan: Dict[str, Any],
+        position: int,
+        batch_size: int,
+        qid: str = "",
+        start_seq: int = 0,
     ) -> Dict[str, Any]:
         plan_obj, position, me = self._decode_step(plan, position)
-        checkpoint_key = (
-            f"{xid}:{plan_obj.fingerprint(position)}" if xid else None
+        qid, batch_size, start_seq = str(qid), int(batch_size), int(start_seq)
+        if batch_size < 1:
+            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
+        if start_seq < 0:
+            raise ExecutionError(f"start_seq must be >= 0, got {start_seq}")
+        # The fingerprint is URL-independent, so a keyed stream is found
+        # again after a replica substitution anywhere in the chain. An
+        # execution without an id gets unkeyed streams nothing re-opens.
+        stream_id = (
+            f"{qid}:{plan_obj.fingerprint(position)}:{batch_size}"
+            if qid
+            else f"{self._node.info.archive}-s{next(self._stream_ids)}"
         )
-        held = (
-            self.leases.find(CHECKPOINT, checkpoint_key)
-            if checkpoint_key is not None
-            else None
-        )
-        if held is not None:
-            # A retried chain (upstream hop died after this node already
-            # finished): serve the completed payload as-is. No downstream
-            # call, no recompute — only the failed hop's bytes travel
-            # again. The fingerprint is URL-independent, so the hit
-            # survives replica substitution anywhere in the suffix.
-            self.leases.touch(held)
-            return self._respond(
-                held.value.rowset,
-                [dict(s) for s in held.value.stats],
-                qid=xid,
-            )
-        stats_chain: List[Dict[str, Any]] = []
-        if position == len(plan_obj.steps) - 1:
-            tuples, my_stats = self._seed_step(plan_obj, me, qid=xid)
-        else:
-            incoming, stats_chain = self._call_next(
-                plan, plan_obj, position, xid
-            )
-            tuples, my_stats = self._local_step(
-                plan_obj, me, incoming, position, qid=xid
-            )
-        out_rowset = tuples_to_rowset(
-            tuples,
-            plan_obj.member_aliases_after(position),
-            plan_obj.attr_columns_after(position),
-        )
-        my_stats["tuples_out"] = len(tuples)
-        stats_chain.append(my_stats)
-        if checkpoint_key is not None:
-            self.leases.grant(
-                CHECKPOINT,
-                checkpoint_key,
-                _Checkpoint(out_rowset, [dict(s) for s in stats_chain]),
-                ttl_s=CHECKPOINT_TTL_S,
-                qid=xid,
+        lease = self.leases.find(STREAM, stream_id)
+        opened: Optional[Dict[str, Any]] = None
+        if (
+            lease is None
+            or lease.live
+            or start_seq != lease.value.batch_count - 1
+        ):
+            # Anything but a drained stream asked for its last batch again
+            # (that one is served below, from the cached payload, with no
+            # downstream call) is opened afresh under the same key.
+            stream = _Stream(plan_obj, me, position, next_seq=start_seq)
+            if position == len(plan_obj.steps) - 1:
+                # Last node on the list: seed once, partition into batches.
+                # The partition is deterministic, so a resumed stream
+                # (start_seq > 0) slices the batches identically and serves
+                # exactly the missing suffix.
+                stream.tuples, stream.stats = self._seed_step(
+                    plan_obj, me, qid=qid
+                )
+                stream.stats["tuples_out"] = len(stream.tuples)
+                stream.slices = batch_slices(len(stream.tuples), batch_size)
+                stream.batch_count = len(stream.slices)
+            else:
+                next_step = plan_obj.step(position + 1)
+                opened = self._node.proxy(next_step.url).call(
+                    "PerformXMatch",
+                    plan=plan,
+                    position=position + 1,
+                    qid=qid,
+                    batch_size=batch_size,
+                    start_seq=start_seq,
+                )
+                if not isinstance(opened, dict):
+                    raise ExecutionError(
+                        f"malformed PerformXMatch response: {opened!r}"
+                    )
+                stream.downstream_url = next_step.url
+                stream.downstream_id = str(opened["stream_id"])
+                stream.batch_count = int(opened["batch_count"])
+                stream.stats = self._stats_dict(
+                    me,
+                    role="dropout" if me.dropout else "match",
+                    tuples_in=0,
+                )
+            if start_seq >= stream.batch_count:
+                raise ExecutionError(
+                    f"start_seq {start_seq} beyond the stream's "
+                    f"{stream.batch_count} batches"
+                )
+            stream.stats["batches"] = stream.batch_count
+            lease = self.leases.grant(
+                STREAM,
+                stream_id,
+                stream,
+                ttl_s=STREAM_TTL_S,
+                qid=qid,
                 epoch=me.epoch,
-                abandonable=False,  # a retry cache: aging out is silent
+                abandonable=True,
             )
-        return self._respond(out_rowset, stats_chain, qid=xid)
+        batch_count = lease.value.batch_count
+        response = {"stream_id": stream_id, "batch_count": batch_count}
+        if batch_count - start_seq == 1:
+            # One batch left — the same numbers at every hop, so the batch
+            # the downstream open delivered is the one to serve here.
+            response.update(self._batch(lease, start_seq, opened))
+        return response
 
     def _decode_step(
         self, plan: Dict[str, Any], position: int
@@ -409,166 +419,83 @@ class CrossMatchService(WebService):
             )
         return plan_obj, position, me
 
-    # -- the streaming operation set ----------------------------------------------
-
-    def _open_stream(
+    def _batch(
         self,
-        plan: Dict[str, Any],
-        position: int,
-        batch_size: int,
-        start_seq: int = 0,
-        qid: str = "",
+        lease: Lease,
+        seq: int,
+        delivered: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        self.leases.reap()
-        plan_obj, position, me = self._decode_step(plan, position)
-        batch_size = int(batch_size)
-        if batch_size < 1:
-            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        start_seq = int(start_seq)
-        if start_seq < 0:
-            raise ExecutionError(f"start_seq must be >= 0, got {start_seq}")
-        stream = _Stream(
-            plan=plan_obj,
-            me=me,
-            position=position,
-            batch_count=0,
-        )
-        if position == len(plan_obj.steps) - 1:
-            # Last node on the list: seed once, partition into batches. The
-            # per-batch payloads then stream out on demand while upstream
-            # nodes are still chewing on earlier batches. The partition is
-            # deterministic, so a resumed stream (start_seq > 0) slices the
-            # batches identically and serves exactly the missing suffix.
-            tuples, stats = self._seed_step(plan_obj, me, qid=str(qid))
-            stats["tuples_out"] = len(tuples)
-            stream.tuples = tuples
-            stream.slices = batch_slices(len(tuples), batch_size)
-            stream.batch_count = len(stream.slices)
-            stream.stats = stats
-        else:
-            next_step = plan_obj.step(position + 1)
-            proxy = self._node.proxy(next_step.url)
-            opened = proxy.call(
-                "OpenStream",
-                plan=plan,
-                position=position + 1,
-                batch_size=batch_size,
-                start_seq=start_seq,
-                qid=qid,
-            )
-            if not isinstance(opened, dict):
-                raise ExecutionError(
-                    f"malformed OpenStream response: {opened!r}"
-                )
-            stream.downstream_url = next_step.url
-            stream.downstream_id = str(opened["stream_id"])
-            stream.batch_count = int(opened["batch_count"])
-            stream.stats = self._stats_dict(
-                me,
-                role="dropout" if me.dropout else "match",
-                tuples_in=0,
-            )
-        if start_seq > stream.batch_count:
-            raise ExecutionError(
-                f"start_seq {start_seq} beyond the stream's "
-                f"{stream.batch_count} batches"
-            )
-        stream.next_seq = start_seq
-        stream.stats["batches"] = stream.batch_count
-        stream_id = f"{self._node.info.archive}-s{next(self._stream_ids)}"
-        lease = self.leases.grant(
-            STREAM,
-            stream_id,
-            stream,
-            ttl_s=STREAM_TTL_S,
-            qid=str(qid),
-            epoch=me.epoch,
-            abandonable=True,
-        )
-        if start_seq >= stream.batch_count:
-            self.leases.settle(lease)  # nothing left to pull
-        return {"stream_id": stream_id, "batch_count": stream.batch_count}
+        """Serve batch ``seq`` of a stream: the one place a hop turns an
+        incoming batch into an outgoing one.
 
-    def _pull_batch(self, stream_id: str, seq: int) -> Dict[str, Any]:
-        lease = self.leases.require(STREAM, str(stream_id))
+        ``delivered`` is the downstream response carrying the incoming
+        batch when the caller already has it (the open's own response);
+        otherwise it is pulled.
+        """
         stream: _Stream = lease.value
-        seq = int(seq)
-        if seq == stream.next_seq - 1 and stream.last_response is not None:
-            # The caller is retrying the batch we just served (its response
-            # was lost in flight): re-serve the cached answer verbatim —
-            # no reprocessing, no duplicated rows, no stats double-count.
-            self.leases.touch(lease)
-            return stream.last_response
-        if seq != stream.next_seq:
-            raise ExecutionError(
-                f"batch {seq} out of order for stream {stream_id!r} "
-                f"(expected {stream.next_seq})"
+        if seq != stream.next_seq - 1 or stream.served is None:
+            if seq != stream.next_seq or seq >= stream.batch_count:
+                raise ExecutionError(
+                    f"batch {seq} out of order for stream {lease.key!r} "
+                    f"(expected {stream.next_seq} of {stream.batch_count})"
+                )
+            plan, position = stream.plan, stream.position
+            if stream.tuples is not None and stream.slices is not None:
+                start, stop = stream.slices[seq]
+                out_tuples = stream.tuples[start:stop]
+            else:
+                proxy = self._node.proxy(stream.downstream_url)
+                if delivered is None:
+                    delivered = proxy.call(
+                        "PullBatch", stream_id=stream.downstream_id, seq=seq
+                    )
+                incoming = rowset_to_tuples(
+                    receive_rowset(delivered, proxy),
+                    plan.member_aliases_after(position + 1),
+                    plan.attr_columns_after(position + 1),
+                )
+                if delivered.get("stats"):
+                    stream.downstream_stats = list(delivered["stats"])
+                out_tuples, step_stats = self._local_step(
+                    plan, stream.me, incoming, position, qid=lease.qid
+                )
+                stream.stats["tuples_in"] += step_stats["tuples_in"]
+                self._fold_costs(stream.stats, step_stats)
+                stream.stats["tuples_out"] += len(out_tuples)
+            stream.batch_rows.append(len(out_tuples))
+            extra: Dict[str, Any] = {}
+            stream.next_seq = seq + 1
+            if stream.next_seq == stream.batch_count:
+                stream.tuples = None  # the batches are out; free the seed set
+                stream.stats["batch_rows"] = list(stream.batch_rows)
+                extra["stats"] = [
+                    *(stream.downstream_stats or []), stream.stats
+                ]
+                self.leases.settle(lease, checkpoint=True)
+            stream.served = (
+                tuples_to_payload(
+                    out_tuples,
+                    plan.member_aliases_after(position),
+                    plan.attr_columns_after(position),
+                ),
+                extra,
             )
-        if not lease.live or seq >= stream.batch_count:
-            raise ExecutionError(
-                f"batch {seq} out of order for stream {stream_id!r} "
-                f"(the stream has only {stream.batch_count} batches)"
-            )
-        plan, me, position = stream.plan, stream.me, stream.position
-        if stream.tuples is not None and stream.slices is not None:
-            start, stop = stream.slices[seq]
-            out_tuples = stream.tuples[start:stop]
-        else:
-            incoming, downstream_stats = self._pull_downstream(stream, seq)
-            if downstream_stats is not None:
-                stream.downstream_stats = downstream_stats
-            out_tuples, step_stats = self._local_step(
-                plan, me, incoming, position, qid=lease.qid
-            )
-            stream.stats["tuples_in"] += step_stats["tuples_in"]
-            self._fold_costs(stream.stats, step_stats)
-            stream.stats["tuples_out"] += len(out_tuples)
-        stream.batch_rows.append(len(out_tuples))
-        payload = tuples_to_payload(
-            out_tuples,
-            plan.member_aliases_after(position),
-            plan.attr_columns_after(position),
-        )
-        response: Dict[str, Any] = {"rows": payload, "batch": seq}
-        stream.next_seq = seq + 1
-        stream.last_response = response
-        if seq == stream.batch_count - 1:
-            stream.tuples = None  # the batches are out; free the seed set
-            stream.stats["batch_rows"] = list(stream.batch_rows)
-            chain = list(stream.downstream_stats or [])
-            chain.append(stream.stats)
-            response["stats"] = chain
-            self.leases.settle(lease)
-        else:
-            self.leases.touch(lease)
-        return response
-
-    def _pull_downstream(
-        self, stream: _Stream, seq: int
-    ) -> Tuple[List[PartialTuple], Optional[List[Dict[str, Any]]]]:
-        """Fetch batch ``seq`` from the downstream neighbour and decode it."""
-        assert stream.downstream_url is not None
-        proxy = self._node.proxy(stream.downstream_url)
-        response = proxy.call(
-            "PullBatch", stream_id=stream.downstream_id, seq=seq
-        )
-        if not isinstance(response, dict) or not isinstance(
-            response.get("rows"), WireRowSet
-        ):
-            raise ExecutionError(f"malformed PullBatch response: {response!r}")
-        incoming = rowset_to_tuples(
-            response["rows"],
-            stream.plan.member_aliases_after(stream.position + 1),
-            stream.plan.attr_columns_after(stream.position + 1),
-        )
-        stats = response.get("stats")
-        return incoming, list(stats) if stats else None
+        # else: the caller asks again for the batch just served (its
+        # response was lost, or a retried chain re-opened the drained
+        # stream) — no reprocessing, no duplicated rows, no double-counted
+        # stats.
+        self.leases.touch(lease)
+        payload, extra = stream.served
+        return self.sender.respond(payload, extra, query_id=lease.qid)
 
     def _abort_stream(self, stream_id: str) -> Dict[str, Any]:
-        lease = self.leases.abort(STREAM, str(stream_id))
-        if lease is None:
+        held = self.leases.find(STREAM, str(stream_id))
+        if held is None or not held.live:
+            # Nothing to reclaim: a drained stream (every hop below it has
+            # drained too) stays as the retry cache it now is.
             return {"aborted": False}
-        stream: _Stream = lease.value
+        self.leases.abort(STREAM, str(stream_id))
+        stream: _Stream = held.value
         if stream.downstream_id is not None and stream.downstream_url:
             try:
                 self._node.proxy(stream.downstream_url).call(
@@ -629,37 +556,6 @@ class CrossMatchService(WebService):
                 except Exception:
                     pass  # best effort; the downstream TTL is the backstop
         return {"cancelled": True, "freed": freed, "forwarded": forwarded}
-
-    # -- chain plumbing -----------------------------------------------------------
-
-    def _call_next(
-        self,
-        plan_wire: Dict[str, Any],
-        plan: ExecutionPlan,
-        position: int,
-        xid: str = "",
-    ) -> Tuple[List[PartialTuple], List[Dict[str, Any]]]:
-        next_step = plan.step(position + 1)
-        proxy = self._node.proxy(next_step.url)
-        response = proxy.call(
-            "PerformXMatch", plan=plan_wire, position=position + 1, xid=xid
-        )
-        stats_chain = list(response.get("stats") or [])
-        rowset = receive_rowset(response, proxy)
-        incoming = rowset_to_tuples(
-            rowset,
-            plan.member_aliases_after(position + 1),
-            plan.attr_columns_after(position + 1),
-        )
-        return incoming, stats_chain
-
-    def _respond(
-        self,
-        rowset: WireRowSet,
-        stats: Any,
-        qid: str = "",
-    ) -> Dict[str, Any]:
-        return self.sender.respond(rowset, {"stats": stats}, query_id=qid)
 
     # -- the one hop: partitions -> probe -> merge -> extend/filter -> stats --------
 
@@ -1016,6 +912,14 @@ class CrossMatchService(WebService):
         return members_for_tuple(members, dec_c, math.degrees(r_eff))
 
     # -- scatter-gather: the shard side -------------------------------------------
+
+    def _respond(
+        self,
+        rowset: WireRowSet,
+        stats: Any,
+        qid: str = "",
+    ) -> Dict[str, Any]:
+        return self.sender.respond(rowset, {"stats": stats}, query_id=qid)
 
     def _shard_seed(
         self, plan: Dict[str, Any], position: int, qid: str = ""

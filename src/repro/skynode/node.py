@@ -140,7 +140,7 @@ class SkyNode:
         if replica_transaction_urls is not None:
             self.replica_transaction_urls = list(replica_transaction_urls)
         self.transaction.keep_epochs = keep_epochs
-        # After an epoch is GC'd, checkpoints and streams pinned to it can
+        # After an epoch is GC'd, streams (drained or not) pinned to it can
         # never be read again — reap them the moment the epoch commits.
         self.transaction.on_epoch_commit = (
             lambda _epoch: self.crossmatch.leases.reap()
@@ -183,7 +183,7 @@ class SkyNode:
         network.add_host(self.hostname, self.host.handle)
         self.network = network
 
-        # Abandoned transfers, streams, checkpoints and stagings now expire
+        # Abandoned transfers, streams and stagings now expire
         # against the sim clock, and every way a lease ends is counted in
         # the network's metrics.
         def clock_fn() -> float:
@@ -206,7 +206,7 @@ class SkyNode:
 
     def crash_volatile_state(self) -> None:
         """Drop all in-memory service state, as a process crash would:
-        every lease (transfers, streams, checkpoints, stagings) dies with
+        every lease (transfers, streams, stagings) dies with
         the process, uncounted."""
         self.query.sender.leases.crash()
         self.crossmatch.leases.crash()

@@ -71,7 +71,7 @@ class TransactionService(WebService):
         #: past epochs pinnable and GC the rest. ``None`` retains forever.
         self.keep_epochs: Optional[int] = None
         #: Called with the new epoch after every epoch-advancing commit
-        #: (the SkyNode hooks stale-checkpoint reaping here).
+        #: (the SkyNode hooks stale-lease reaping here).
         self.on_epoch_commit: Optional[Callable[[int], None]] = None
         self.register(
             "Begin", self._begin,

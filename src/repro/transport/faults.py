@@ -36,7 +36,7 @@ class FaultDecision:
 @dataclass
 class CrashEvent:
     """A scheduled process crash: the host dies at ``at_s`` and loses all
-    volatile state (open streams, pending transfers, checkpoints); it stays
+    volatile state (streams, pending transfers, staged rows); it stays
     unreachable until ``recover_s`` (forever by default)."""
 
     host: str
@@ -198,8 +198,8 @@ class FaultPlan:
         Unlike :meth:`outage`, a crash also *kills in-flight work*: the
         response of any request the host is serving when the clock passes
         ``at_s`` is lost (the caller times out), and the host's volatile
-        server state — open streams, pending chunked transfers, cached
-        checkpoints — is wiped via the network's crash callbacks. The host
+        server state — streams (open or drained), pending chunked
+        transfers — is wiped via the network's crash callbacks. The host
         stays unreachable until a matching :meth:`recover`.
         """
         if at_s < 0.0:

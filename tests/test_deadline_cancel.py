@@ -256,13 +256,14 @@ class TestCancelQuery:
         plan_wire = portal.explain(XMATCH_SQL)["plan"]
         url = plan_wire["steps"][0]["url"]
         opened = portal.proxy(url).call(
-            "OpenStream",
+            "PerformXMatch",
             plan=plan_wire,
             position=0,
-            batch_size=50,
-            start_seq=0,
             qid=qid,
+            batch_size=5,
+            start_seq=0,
         )
+        assert opened["batch_count"] >= 2  # or the open would carry it all
         return plan_wire, url, opened
 
     def streams_holding(self, federation, qid):
@@ -370,24 +371,25 @@ class TestCancelQuery:
         assert self.streams_holding(federation, qid) == []
         assert federation.network.metrics.eager_reclaims == 3
 
-    def test_cancel_frees_checkpoints_by_prefix(self):
+    def test_cancel_frees_checkpoints_by_prefix(self, reopen_hop):
+        """A finished hop's drained stream — the chain's checkpoint — is
+        tagged with the execution id like everything else: one cancel
+        frees it at every hop, and the same execution then recomputes."""
         federation = small_federation()
-        portal = federation.portal
-        plan_wire = portal.explain(XMATCH_SQL)["plan"]
-        url = plan_wire["steps"][0]["url"]
-        proxy = portal.proxy(url)
-        proxy.call("PerformXMatch", plan=plan_wire, position=0, xid="cx-1")
-        held = [
-            node.crossmatch.open_checkpoints
-            for node in federation.nodes.values()
-        ]
-        assert sum(held) == 3  # one checkpoint per hop
-        proxy.call("CancelQuery", query_id="cx-1", plan=plan_wire, position=0)
-        assert all(
-            node.crossmatch.open_checkpoints == 0
-            for node in federation.nodes.values()
+        plan_wire = federation.portal.explain(XMATCH_SQL)["plan"]
+
+        def downstream_requests():
+            return reopen_hop(federation, plan_wire, "cx-1")[1]
+
+        assert len(downstream_requests()) == 2  # the whole chain ran
+        assert downstream_requests() == []  # the head replays
+        assert len(residual_state_for(federation, "cx-1")) == 3  # one per hop
+        federation.portal.proxy(plan_wire["steps"][0]["url"]).call(
+            "CancelQuery", query_id="cx-1", plan=plan_wire, position=0
         )
+        assert residual_state_for(federation, "cx-1") == []
         assert federation.network.metrics.eager_reclaims == 3
+        assert len(downstream_requests()) == 2
 
 
 # -- ChunkedSender: abort racing the reaper -------------------------------------

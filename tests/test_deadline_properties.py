@@ -6,13 +6,13 @@ outcome is one of exactly two shapes — a complete answer byte-identical
 to an unbudgeted oracle twin, or a degraded empty answer carrying a
 "deadline exceeded" warning — and in the degraded case the federation
 holds ZERO residual state for the cancelled query (no streams, no
-checkpoints, no chunked transfers, on primaries or replicas), and a
+stagings, no chunked transfers, on primaries or replicas), and a
 follow-up query on the same federation returns exactly what the oracle
 twin returns. Cancellation never perturbs a neighbour.
 
 Overrun-completed queries (budget spent, but no budget-checked operation
-dispatched after expiry) legitimately keep their checkpoints: that is
-resume state for a *finished* query, reclaimed by TTL, not a leak.
+dispatched after expiry) legitimately keep their drained streams: that
+is a bounded retry cache of a *finished* query, not a leak.
 
 Seeded via ``SKYQUERY_CHAOS_SEED`` like the other property suites so the
 CI chaos matrix explores different bodies and deadline placements.

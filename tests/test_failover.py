@@ -17,9 +17,10 @@ import pytest
 
 from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
+from repro.services.chunked import receive_rowset
 from repro.services.client import ServiceProxy
 from repro.services.retry import RetryPolicy
-from repro.skynode.crossmatch import CHECKPOINT_TTL_S
+from repro.skynode.crossmatch import STREAM_TTL_S
 from repro.transport.faults import FaultPlan
 from repro.workloads.skysim import SkyField
 
@@ -270,71 +271,100 @@ class TestRecoveryRemembersPlanning:
 
 
 class TestCheckpoints:
-    def test_chain_records_one_checkpoint_per_hop(self):
-        fed = _build(replicas=0)
-        fed.client().submit(XMATCH_SQL)
-        for node in fed.nodes.values():
-            assert node.crossmatch.open_checkpoints == 1
+    """The drained stream is the checkpoint: a hop that finished its step
+    answers the same execution's re-open from the cached payload."""
 
-    def test_fresh_query_never_reuses_checkpoints(self):
-        fed = _build(replicas=0)
-        first = fed.client().submit(XMATCH_SQL)
-        second = fed.client().submit(XMATCH_SQL)
-        assert first.rows == second.rows
-        # A new execution id per submit: the second query computed its
-        # own checkpoints instead of being served stale ones.
-        for node in fed.nodes.values():
-            assert node.crossmatch.open_checkpoints == 2
-
-    def test_checkpoint_hit_skips_downstream_recompute(self):
+    def _submitted(self):
         fed = _build(replicas=0)
         submitted = fed.client().submit(XMATCH_SQL)
-        url = submitted.plan["steps"][0]["url"]
-        proxy = ServiceProxy(fed.network, "tester.skyquery.net", url)
+        #: The execution id the Portal minted for that (unbudgeted) submit.
+        return fed, submitted, f"{fed.portal.hostname}-x1"
 
-        def downstream_requests():
-            return [
-                m for m in fed.network.metrics.messages
-                if m.operation == "PerformXMatch" and m.kind == "request"
-                and not m.src.startswith("tester")
-            ]
+    def test_chain_records_one_checkpoint_per_hop(self, reopen_hop):
+        fed, submitted, xid = self._submitted()
+        for node in fed.nodes.values():
+            assert node.crossmatch.open_streams == 0
+        # Every hop, asked again by the same execution, replays.
+        for position in range(len(submitted.plan["steps"])):
+            _, downstream = reopen_hop(fed, submitted.plan, xid, position)
+            assert downstream == []
 
-        fed.network.metrics.reset()
-        first = proxy.call(
-            "PerformXMatch", plan=submitted.plan, position=0, xid="probe-x1"
-        )
-        assert len(downstream_requests()) >= 1  # full chain ran
-        fed.network.metrics.reset()
-        replay = proxy.call(
-            "PerformXMatch", plan=submitted.plan, position=0, xid="probe-x1"
-        )
-        # Same xid: answered from the hop's checkpoint, no downstream call.
-        assert downstream_requests() == []
+    def test_fresh_query_never_reuses_checkpoints(self, reopen_hop):
+        fed, first, xid = self._submitted()
+        before = len(fed.network.metrics.messages)
+        second = fed.client().submit(XMATCH_SQL)
+        assert first.rows == second.rows
+        # A new execution id per submit: the second query ran its whole
+        # chain instead of being served the first one's payloads.
+        chain = [
+            m for m in fed.network.metrics.messages[before:]
+            if m.operation == "PerformXMatch" and m.kind == "request"
+        ]
+        assert len(chain) == len(second.plan["steps"])
+        # ... and each execution keeps its own: both still replay.
+        for execution in (xid, f"{fed.portal.hostname}-x2"):
+            assert reopen_hop(fed, second.plan, execution)[1] == []
+
+    def test_checkpoint_hit_skips_downstream_recompute(self, reopen_hop):
+        fed, submitted, _ = self._submitted()
+        first, downstream = reopen_hop(fed, submitted.plan, "probe-x1")
+        assert len(downstream) >= 1  # a new execution: the full chain ran
+        replay, downstream = reopen_hop(fed, submitted.plan, "probe-x1")
+        # Same qid: answered from the hop's drained stream.
+        assert downstream == []
         assert replay["rows"].rows == first["rows"].rows
         assert replay["stats"] == first["stats"]
+        assert replay["stream_id"] == first["stream_id"]
 
-    def test_checkpoints_reaped_after_ttl(self):
-        fed = _build(replicas=0)
-        fed.client().submit(XMATCH_SQL)
-        fed.network.clock.advance(CHECKPOINT_TTL_S + 1.0)
-        fed.client().submit(XMATCH_SQL)  # any chain call triggers the reap
+    def test_checkpoints_reaped_after_ttl(self, reopen_hop):
+        fed, submitted, xid = self._submitted()
+        fed.network.clock.advance(STREAM_TTL_S + 1.0)
+        _, downstream = reopen_hop(fed, submitted.plan, xid)
+        assert len(downstream) == len(submitted.plan["steps"]) - 1
+
+    def test_crash_wipes_checkpoints(self, reopen_hop):
+        fed, submitted, xid = self._submitted()
+        head = fed.node(submitted.plan["steps"][0]["archive"])
+        head.crash_volatile_state()
+        # The head recomputes its step; its neighbour still replays.
+        _, downstream = reopen_hop(fed, submitted.plan, xid)
+        assert [m.operation for m in downstream] == ["PerformXMatch"]
+
+    def test_replay_under_a_chunk_budget_gets_a_fresh_transfer(
+        self, reopen_hop
+    ):
+        """The cache holds the payload, not the first response's transfer
+        descriptor — that transfer was drained and is gone."""
+        fed = build_federation(
+            FederationConfig(
+                n_bodies=500, seed=11,
+                sky_field=SkyField(185.0, -0.5, 1800.0),
+                chunk_budget_bytes=1024,
+            )
+        )
+        submitted = fed.client().submit(XMATCH_SQL)
+        assert len(submitted.rows) > 0
+        position = len(submitted.plan["steps"]) - 1
+        proxy = ServiceProxy(
+            fed.network, "tester.skyquery.net",
+            submitted.plan["steps"][position]["url"],
+        )
+        response, downstream = reopen_hop(
+            fed, submitted.plan, f"{fed.portal.hostname}-x1", position
+        )
+        assert downstream == [] and response["chunked"]
+        replayed = receive_rowset(response, proxy)
+        seeded = submitted.node_stats[0]
+        assert len(replayed.rows) == seeded["tuples_out"] > 0
         for node in fed.nodes.values():
-            assert node.crossmatch.open_checkpoints == 1  # just the new one
-
-    def test_crash_wipes_checkpoints(self):
-        fed = _build(replicas=0)
-        fed.client().submit(XMATCH_SQL)
-        node = fed.node("SDSS")
-        assert node.crossmatch.open_checkpoints == 1
-        node.crash_volatile_state()
-        assert node.crossmatch.open_checkpoints == 0
+            assert node.crossmatch.sender.pending_transfers == 0
 
 
 class TestStreamResume:
-    def _open(self, proxy, plan, start_seq, batch_size=25):
+    def _open(self, proxy, plan, start_seq, batch_size=25, qid=""):
         return proxy.call(
-            "OpenStream", plan=plan, position=0, batch_size=batch_size,
-            start_seq=start_seq,
+            "PerformXMatch", plan=plan, position=0, qid=qid,
+            batch_size=batch_size, start_seq=start_seq,
         )
 
     def test_open_stream_validates_start_seq(self):
@@ -348,7 +378,7 @@ class TestStreamResume:
             self._open(proxy, submitted.plan, -1)
         opened = self._open(proxy, submitted.plan, 0)
         with pytest.raises(SoapFaultError):
-            self._open(proxy, submitted.plan, opened["batch_count"] + 1)
+            self._open(proxy, submitted.plan, opened["batch_count"])
 
     @pytest.mark.parametrize("window", [1, 2])
     def test_pull_window_flow_control_preserves_rows(self, window):

@@ -198,47 +198,54 @@ class TestEpochCommit:
 
 
 class TestStaleEpochReaping:
-    def test_checkpoints_pinned_to_gcd_epochs_are_reaped(self):
+    """A finished hop's drained stream (the chain's checkpoint) is pinned
+    to the snapshot epoch it was computed at and dies with it."""
+
+    def test_checkpoints_pinned_to_gcd_epochs_are_reaped(self, reopen_hop):
         fed = _build(keep_epochs=1)
-        fed.client().submit(XMATCH_SQL)  # checkpoints pinned at epoch 0
+        submitted = fed.client().submit(XMATCH_SQL)  # pinned at epoch 0
+        xid = f"{fed.portal.hostname}-x1"
         for node in fed.nodes.values():
-            assert node.crossmatch.open_checkpoints == 1
+            assert len(node.crossmatch.leases.owned_by(xid)) == 1
         client = fed.ingest_client("SDSS")
         for i in range(2):
             table, columns, rows = _new_observation(fed, "SDSS", 10, 30 + i)
             assert client.ingest_rows(table, columns, rows).committed
-        # SDSS is now at committed=2, oldest=1: the epoch-0 checkpoint died
-        # with the GC, counted in the network's metrics.
-        assert fed.node("SDSS").crossmatch.open_checkpoints == 0
+        # SDSS is now at committed=2, oldest=1: its epoch-0 stream died
+        # with the GC, counted in the network's metrics, so the same
+        # execution's re-open goes downstream again and then finds the
+        # epoch it would recompute at collected.
+        assert fed.node("SDSS").crossmatch.leases.owned_by(xid) == []
         assert fed.network.metrics.stale_epoch_reaps >= 1
-        # Archives that saw no ingest keep their epoch-0 checkpoints.
-        assert fed.node("TWOMASS").crossmatch.open_checkpoints == 1
+        steps = [step["archive"] for step in submitted.plan["steps"]]
+        assert steps[-1] != "SDSS"  # SDSS has a neighbour to ask
+        fault, downstream = reopen_hop(
+            fed, submitted.plan, xid, steps.index("SDSS")
+        )
+        assert downstream and fault.detail == "StaleEpochError"
+        # Archives that saw no ingest keep theirs and replay.
+        assert reopen_hop(
+            fed, submitted.plan, xid, steps.index("TWOMASS")
+        )[1] == []
 
-    def test_unversioned_checkpoints_survive_gc(self):
+    def test_unversioned_checkpoints_survive_gc(self, reopen_hop):
         fed = _build(keep_epochs=1)
         # A chain driven without epoch pins (epoch None) is unversioned;
-        # its checkpoints never go stale. Simulate by running the chain
+        # its streams never go stale. Simulate by running the chain
         # with a plan whose steps carry no epochs.
-        submitted = fed.client().submit(XMATCH_SQL)
-        plan = submitted.plan
+        plan = fed.client().submit(XMATCH_SQL).plan
         for step in plan["steps"]:
             step["epoch"] = None
-        from repro.services.client import ServiceProxy
-
-        proxy = ServiceProxy(
-            fed.network, "tester.skyquery.net", plan["steps"][0]["url"]
-        )
-        proxy.call("PerformXMatch", plan=plan, position=0, xid="unversioned")
+        assert reopen_hop(fed, plan, "unversioned")[1]
         reaps_before = fed.network.metrics.stale_epoch_reaps
         client = fed.ingest_client("SDSS")
         for i in range(2):
             table, columns, rows = _new_observation(fed, "SDSS", 10, 40 + i)
             assert client.ingest_rows(table, columns, rows).committed
-        sdss = fed.node("SDSS").crossmatch
-        # The epoch-pinned checkpoint from the submit was reaped; the
-        # unversioned one from the raw PerformXMatch is still alive.
-        assert sdss.open_checkpoints == 1
+        # The epoch-pinned stream from the submit was reaped; the
+        # unversioned one from the raw PerformXMatch still replays.
         assert fed.network.metrics.stale_epoch_reaps > reaps_before
+        assert reopen_hop(fed, plan, "unversioned")[1] == []
 
 
 @functools.lru_cache(maxsize=4)

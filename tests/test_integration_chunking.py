@@ -13,7 +13,7 @@ SQL = (
 )
 
 
-def make_fed(parser_memory_limit, chunk_budget_bytes, n_bodies=1200):
+def make_fed(parser_memory_limit, chunk_budget_bytes, n_bodies=1200, **config):
     return build_federation(
         FederationConfig(
             n_bodies=n_bodies,
@@ -21,6 +21,7 @@ def make_fed(parser_memory_limit, chunk_budget_bytes, n_bodies=1200):
             sky_field=SkyField(185.0, -0.5, 1800.0),
             parser_memory_limit=parser_memory_limit,
             chunk_budget_bytes=chunk_budget_bytes,
+            **config,
         )
     )
 
@@ -42,6 +43,43 @@ def test_chunked_succeeds_under_same_limit(reference_rows):
     fed = make_fed(parser_memory_limit=300_000, chunk_budget_bytes=32_768)
     result = fed.client().submit(SQL)
     assert sorted(result.rows) == reference_rows
+
+
+#: The chunk budget applies to every batch, however the result is cut: as
+#: one batch in the pipelined mode's spelling (monolithic, it outgrows the
+#: parser exactly like store-forward) or as several batches that each
+#: still exceed the budget.
+BATCHED = {
+    "one-batch": dict(chain_mode="pipelined", stream_batch_size=10**6),
+    "big-batches": dict(chain_mode="pipelined", stream_batch_size=700),
+}
+
+
+def test_one_pipelined_batch_ooms_like_store_forward(reference_rows):
+    fed = make_fed(
+        parser_memory_limit=300_000, chunk_budget_bytes=None,
+        **BATCHED["one-batch"],
+    )
+    with pytest.raises(SoapFaultError) as err:
+        fed.client().submit(SQL)
+    assert "memory" in str(err.value).lower()
+
+
+@pytest.mark.parametrize("batching", sorted(BATCHED))
+def test_pulled_batches_are_chunked_under_the_same_limit(
+    reference_rows, batching
+):
+    fed = make_fed(
+        parser_memory_limit=300_000, chunk_budget_bytes=32_768,
+        **BATCHED[batching],
+    )
+    fed.network.metrics.reset()
+    result = fed.client().submit(SQL)
+    assert sorted(result.rows) == reference_rows
+    assert fed.network.metrics.message_count(phase="chunk-transfer") > 0
+    for node in fed.nodes.values():
+        assert node.crossmatch.open_streams == 0
+        assert node.crossmatch.sender.pending_transfers == 0
 
 
 def test_chunk_messages_respect_budget(reference_rows):

@@ -1,12 +1,13 @@
 """The lease table, exercised through every kind of state a SkyNode holds.
 
-One suite, four kinds — open streams, store-and-forward checkpoints,
-staged shard rows, chunked transfers — each created through the real
-service operation that creates it, each observed only through public
-counters (``open_streams``, ``open_checkpoints``, ``open_stagings``,
-``pending_transfers``) and the network's reclaim metrics. Whatever the
-state is, it must end the same few ways, and each way must move exactly
-the counter docs/RESILIENCE.md says it moves.
+One suite, three kinds — tuple streams, staged shard rows, chunked
+transfers — plus the settled form of the first (a drained stream: the
+chain's checkpoint), each created through the real service operation that
+creates it, each observed only through public counters (``open_streams``,
+``open_stagings``, ``pending_transfers``, ``leases.owned_by``) and the
+network's reclaim metrics. Whatever the state is, it must end the same
+few ways, and each way must move exactly the counter docs/RESILIENCE.md
+says it moves.
 """
 
 from dataclasses import dataclass
@@ -16,12 +17,10 @@ import pytest
 
 from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
+from repro.portal.executor import WHOLE_RESULT
 from repro.services.chunked import DEFAULT_TRANSFER_TTL_S
-from repro.skynode.crossmatch import (
-    CHECKPOINT_TTL_S,
-    STAGING_TTL_S,
-    STREAM_TTL_S,
-)
+from repro.services.leases import SETTLED_KEPT
+from repro.skynode.crossmatch import STAGING_TTL_S, STREAM_TTL_S
 from repro.soap.encoding import WireRowSet
 from repro.sphere.coords import radec_to_vector
 from repro.units import arcsec_to_rad
@@ -72,8 +71,8 @@ class Holder:
 
 def _hold_stream(holder):
     opened = holder.call(
-        "OpenStream", plan=holder.plan, position=holder.position,
-        batch_size=5, start_seq=0, qid=QID,
+        "PerformXMatch", plan=holder.plan, position=holder.position,
+        qid=QID, batch_size=5, start_seq=0,
     )
     assert opened["batch_count"] >= 3
     stream_id = opened["stream_id"]
@@ -85,7 +84,7 @@ def _hold_checkpoint(holder):
     def perform():
         return holder.call(
             "PerformXMatch", plan=holder.plan, position=holder.position,
-            xid=QID,
+            qid=QID, batch_size=WHOLE_RESULT, start_seq=0,
         )
 
     perform()
@@ -153,8 +152,8 @@ KINDS = {
         _hold_stream, lambda xm: xm.open_streams, STREAM_TTL_S, True, True
     ),
     "checkpoint": Kind(
-        _hold_checkpoint, lambda xm: xm.open_checkpoints, CHECKPOINT_TTL_S,
-        False, True, faults_when_lost=False,
+        _hold_checkpoint, lambda xm: len(xm.leases.owned_by(QID)),
+        STREAM_TTL_S, False, True, faults_when_lost=False,
     ),
     "staging": Kind(
         _hold_staging, lambda xm: xm.open_stagings, STAGING_TTL_S,
@@ -264,3 +263,48 @@ def test_final_chunk_is_reserved_until_the_lease_ends():
         holder.call("FetchChunk", transfer_id=transfer_id, seq=last)
     assert holder.metrics.reclaimed_transfers == 0
     assert holder.metrics.eager_reclaims == 0
+
+
+def test_settled_leases_are_a_bounded_retry_cache(reopen_hop):
+    """A table keeps its newest settled leases and silently drops older
+    ones: after more clean queries than that, the newest executions'
+    replays are served from the cache, the older ones recompute — and
+    nothing is counted either way."""
+    holder = Holder()
+    fed, portal = holder.fed, holder.fed.portal
+    queries = SETTLED_KEPT + 4
+    for _ in range(queries):
+        portal.submit(SQL)
+        for node in fed.nodes.values():
+            assert node.crossmatch.open_streams == 0
+    executions = [f"{portal.hostname}-x{n + 1}" for n in range(queries)]
+    for kept in executions[-SETTLED_KEPT:]:
+        assert reopen_hop(fed, holder.plan, kept)[1] == []
+    for evicted in executions[:-SETTLED_KEPT]:
+        assert len(reopen_hop(fed, holder.plan, evicted)[1]) == 1
+    assert holder.metrics.reclaimed_transfers == 0
+    assert holder.metrics.eager_reclaims == 0
+
+
+def test_chunked_batches_do_not_evict_other_queries_checkpoints(reopen_hop):
+    """The bound is per kind: every chunked batch settles a transfer, so
+    one pipelined query under a chunk budget settles far more transfers
+    than the table keeps — and an earlier query's drained streams are
+    still there to replay."""
+    holder = Holder(chunk_budget_bytes=1024)
+    fed, portal = holder.fed, holder.fed.portal
+    wide = SQL.replace("900.0", "1800.0")  # enough tuples for > 8 batches
+    plan = portal.explain(wide)["plan"]
+    portal.submit(wide)
+    earlier = f"{portal.hostname}-x1"
+    portal.chain_mode, portal.stream_batch_size = "pipelined", 5
+    head = fed.nodes[plan["steps"][0]["archive"]]
+    sender, responses = head.crossmatch.sender, []
+    respond = sender.respond
+    sender.respond = lambda *args, **kwargs: (
+        responses.append(respond(*args, **kwargs)), responses[-1]
+    )[1]
+    portal.submit(wide)
+    assert sum(r["chunked"] for r in responses) > SETTLED_KEPT
+    assert sender.pending_transfers == 0
+    assert reopen_hop(fed, plan, earlier)[1] == []

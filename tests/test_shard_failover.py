@@ -217,6 +217,54 @@ class TestShardFailover:
         assert "shard unavailable:" in joined
         assert f"shard {victim.name!r}" in joined
 
+    @pytest.mark.parametrize(
+        "transport",
+        [{}, {"chain_mode": "pipelined", "stream_batch_size": 50}],
+        ids=["store-forward", "pipelined"],
+    )
+    def test_shard_death_cancel_frees_the_surviving_shards(self, transport):
+        """Every chain carries its execution id, deadline or not: when a
+        shard dies under the head archive's first ``ShardXMatch``, the
+        ``CancelQuery`` fan-out finds — and frees — what the surviving
+        shard staged. (A pipelined chain without a deadline used to tag
+        its streams, stagings and transfers with ``qid=""``, so the same
+        fan-out freed nothing and the staging sat out its TTL.)"""
+
+        def build():
+            return build_federation(
+                FederationConfig(n_bodies=600, seed=3, shards=2, **transport)
+            )
+
+        twin = build()
+        before = len(twin.network.metrics.messages)
+        head = twin.portal.submit(XMATCH_SQL).plan.steps[0].archive
+        first_match = next(
+            m for m in twin.network.metrics.messages[before:]
+            if m.operation == "ShardXMatch" and m.kind == "request"
+        )
+        victim = twin.shards[head][1]
+        assert first_match.src == twin.nodes[head].hostname
+
+        fed = build()
+        fed.network.set_fault_plan(
+            FaultPlan(seed=1).crash(
+                victim.hostname, first_match.sim_time - 0.001
+            )
+        )
+        result = fed.portal.submit(XMATCH_SQL)
+        assert result.degraded
+        assert "shard unavailable:" in " ".join(result.warnings)
+        metrics = fed.network.metrics
+        assert metrics.cancels >= 1 and metrics.eager_reclaims >= 1
+        survivors = [
+            node for group in fed.shards.values() for node in group
+            if node.hostname != victim.hostname
+        ]
+        for node in [*survivors, *fed.nodes.values()]:
+            assert node.crossmatch.open_stagings == 0
+            assert node.crossmatch.open_streams == 0
+            assert node.crossmatch.sender.pending_transfers == 0
+
     def test_mid_chain_shard_death_with_mirror_stays_complete(self):
         """Same mid-chain kill, but a mirror exists: the fan-out slides to
         the next candidate and the full answer still comes back."""

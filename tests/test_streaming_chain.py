@@ -1,18 +1,25 @@
-"""The pipelined streaming chain: equivalence, ordering, faults, hygiene.
+"""The chain transport: one stream per hop, cut into batches of any size.
 
-The pipelined mode must be a pure performance transform: byte-identical
-rows in identical order, same matched-tuple set, same per-node counters —
-with the stream protocol enforcing in-order batch delivery, idempotent
-retry of the batch just served, and TTL reclamation of abandoned state.
+The batch size must be a pure performance parameter: byte-identical rows
+in identical order, same matched-tuple set, same per-node counters — with
+the stream protocol enforcing in-order batch delivery, idempotent retry
+of the batch just served, and TTL reclamation of abandoned state. One
+batch (``store-forward``) is the paper's N nested round trips.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
+from repro.portal.executor import WHOLE_RESULT
 from repro.services.retry import RetryPolicy
 from repro.transport.faults import FaultPlan
+from repro.sphere.coords import radec_to_vector
+from repro.units import arcsec_to_rad
 from repro.workloads.skysim import SkyField
+from repro.xmatch import LocalObject, run_chain
 
 XMATCH_SQL = (
     "SELECT O.object_id, O.ra, T.obj_id, O.i_flux - T.i_flux AS color "
@@ -49,6 +56,69 @@ def submit(fed, sql):
 # -- result equivalence ---------------------------------------------------------
 
 
+def reference_counts_for(fed, sql):
+    """``(matched_tuples, [(alias, tuples_in, tuples_out), ...])`` of the
+    plan's chain, seed hop first, from ``repro.xmatch.run_chain`` over the
+    archives' own rows: ground truth with no services, no wire and no
+    batches. Hop k's output is the reference run over the first k hops."""
+    plan = fed.portal.explain(sql)["plan"]
+    chain = []
+    for step in reversed(plan["steps"]):  # computation order
+        rows = fed.nodes[step["archive"]].wrapper.execute_sql(step["sql"]).rows
+        chain.append((
+            step["alias"],
+            [LocalObject(r[0], radec_to_vector(r[1], r[2])) for r in rows],
+            arcsec_to_rad(step["sigma_arcsec"]),
+            step["dropout"],
+        ))
+    outs = [
+        len(run_chain(chain[:k + 1], plan["threshold"], engine="scalar"))
+        for k in range(len(chain))
+    ]
+    per_hop = [
+        (hop[0], tuples_in, tuples_out)
+        for hop, tuples_in, tuples_out in zip(chain, [0] + outs, outs)
+    ]
+    return outs[-1], per_hop
+
+
+@pytest.fixture(scope="module")
+def reference_counts():
+    fed = make_fed(n_bodies=300)
+    return {
+        sql: reference_counts_for(fed, sql)
+        for sql in (XMATCH_SQL, DROPOUT_SQL)
+    }
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    batch_size=st.sampled_from([WHOLE_RESULT, 1, 7, 200]),
+    sql=st.sampled_from([XMATCH_SQL, DROPOUT_SQL]),
+)
+def test_every_batch_size_equals_the_in_memory_reference(
+    reference_counts, batch_size, sql
+):
+    """Not merely "the modes agree": each batch size's tuple accounting is
+    the reference chain's."""
+    fed = make_fed(n_bodies=300, chain_mode="pipelined")
+    fed.portal.stream_batch_size = batch_size
+    result, _ = submit(fed, sql)
+    matched, per_hop = reference_counts[sql]
+    assert result.matched_tuples == matched
+    assert [
+        (s["alias"], s["tuples_in"], s["tuples_out"])
+        for s in result.node_stats
+    ] == per_hop
+    for stats in result.node_stats:
+        # Batch-granular accounting: per-batch rows sum to the total.
+        assert sum(stats["batch_rows"]) == stats["tuples_out"]
+        assert len(stats["batch_rows"]) == stats["batches"] >= 1
+    for node in fed.nodes.values():
+        assert node.crossmatch.open_streams == 0
+        assert node.crossmatch.sender.pending_transfers == 0
+
+
 @pytest.mark.parametrize("sql", [XMATCH_SQL, DROPOUT_SQL])
 def test_modes_return_identical_results(sql):
     reference, _ = submit(make_fed(), sql)
@@ -73,10 +143,7 @@ def test_streaming_stats_match_store_forward_counters():
         assert stream_stats["role"] == classic["role"]
         assert stream_stats["tuples_in"] == classic["tuples_in"]
         assert stream_stats["tuples_out"] == classic["tuples_out"]
-        # Batch-granular accounting: per-batch rows sum to the total.
-        assert stream_stats["batches"] >= 1
-        assert sum(stream_stats["batch_rows"]) == stream_stats["tuples_out"]
-        assert len(stream_stats["batch_rows"]) == stream_stats["batches"]
+        assert stream_stats["batches"] > classic["batches"] == 1
 
 
 def test_batch_size_one_still_identical():
@@ -86,6 +153,65 @@ def test_batch_size_one_still_identical():
         XMATCH_SQL,
     )
     assert pipelined.rows == reference.rows
+
+
+# -- the message sequence: one batch is N nested round trips ---------------------
+
+TWO_ARCHIVE_SQL = (
+    "SELECT O.object_id, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T "
+    "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T) < 3.5"
+)
+
+
+def chain_sequence(fed, sql):
+    """``(src, dst, operation, kind, phase)`` of every chain message."""
+    before = len(fed.network.metrics.messages)
+    result = fed.portal.submit(sql)
+    hosts = [fed.portal.hostname] + [
+        fed.nodes[step.archive].hostname for step in result.plan.steps
+    ]
+    sequence = [
+        (m.src, m.dst, m.operation, m.kind, m.phase)
+        for m in fed.network.metrics.messages[before:]
+        if m.phase in ("crossmatch-chain", "batch-transfer", "chunk-transfer")
+    ]
+    return hosts, sequence
+
+
+@pytest.mark.parametrize("sql", [TWO_ARCHIVE_SQL, XMATCH_SQL])
+@pytest.mark.parametrize(
+    "config",
+    [{}, {"chain_mode": "pipelined", "stream_batch_size": 10_000}],
+    ids=["store-forward", "pipelined-one-batch"],
+)
+def test_one_batch_is_n_nested_round_trips(sql, config):
+    """Store-forward — and a pipelined query whose result fits one batch —
+    is the paper's chain: N ``PerformXMatch`` requests down, N responses
+    back up, no ``PullBatch``."""
+    hosts, sequence = chain_sequence(make_fed(**config), sql)
+    hops = list(zip(hosts, hosts[1:]))
+    assert sequence == [
+        (src, dst, "PerformXMatch", "request", "crossmatch-chain")
+        for src, dst in hops
+    ] + [
+        (dst, src, "PerformXMatch", "response", "crossmatch-chain")
+        for src, dst in reversed(hops)
+    ]
+
+
+def test_many_batches_open_once_then_pull():
+    hosts, sequence = chain_sequence(
+        make_fed(chain_mode="pipelined", stream_batch_size=16), XMATCH_SQL
+    )
+    n = len(hosts) - 1
+    assert [m[2] for m in sequence[:2 * n]] == ["PerformXMatch"] * (2 * n)
+    pulls = sequence[2 * n:]
+    assert pulls and len(pulls) % (2 * n) == 0
+    assert {m[2:] for m in pulls} == {
+        ("PullBatch", "request", "batch-transfer"),
+        ("PullBatch", "response", "batch-transfer"),
+    }
 
 
 # -- the makespan claim ---------------------------------------------------------
@@ -124,7 +250,7 @@ def open_stream(fed, sql, batch_size=8):
     url = plan_wire["steps"][0]["url"]
     proxy = fed.portal.proxy(url)
     opened = proxy.call(
-        "OpenStream",
+        "PerformXMatch",
         plan=plan_wire,
         position=0,
         batch_size=batch_size,
@@ -140,7 +266,8 @@ def test_out_of_order_pull_rejected():
         proxy.call("PullBatch", stream_id=stream_id, seq=1)
     # The stream is still usable at the expected sequence afterwards.
     response = proxy.call("PullBatch", stream_id=stream_id, seq=0)
-    assert response["batch"] == 0
+    assert len(response["rows"].rows) <= 8  # what survives of 8 seeds
+    proxy.call("PullBatch", stream_id=stream_id, seq=1)  # ... and now in order
 
 
 def test_duplicate_pull_served_from_cache_without_reprocessing():
@@ -200,7 +327,7 @@ def test_dropped_batch_response_retried_without_duplication():
     order = fed.portal.explain(XMATCH_SQL)["plan"]["steps"]
     first = fed.nodes[order[0]["archive"]].hostname
     second = fed.nodes[order[1]["archive"]].hostname
-    # Drop the next two responses on the first chain hop: the OpenStream
+    # Drop the next two responses on the first chain hop: the open
     # cascade's and the first PullBatch's. Each retry must resume the
     # stream (cached re-serve) rather than restart the whole chain.
     fed.network.set_fault_plan(
@@ -213,12 +340,12 @@ def test_dropped_batch_response_retried_without_duplication():
     metrics = fed.network.metrics
     assert metrics.fault_count("response-drop") == 2
     assert metrics.retries > 0
-    # A retried OpenStream may orphan a downstream stream; the TTL reaps
-    # it instead of pinning tuples forever.
-    fed.network.clock.advance(601.0)
+    # The retried open found the stream the lost one had opened (it is
+    # leased under its content, not under a fresh id): zero orphans, with
+    # no TTL to wait out.
     for node in fed.nodes.values():
-        node.crossmatch.leases.reap()
         assert node.crossmatch.open_streams == 0
+    assert metrics.reclaimed_transfers == 0
 
 
 def test_pipelined_whole_chain_retry_on_unretried_fault():
