@@ -55,7 +55,7 @@ tables print during `pytest benchmarks/ --benchmark-only`.
 | E20 | §5.4 cross-match at scale — the successor papers' zone algorithm (Nieto-Santisteban 2005; Dobos 2012) as an alternate engine (extension) | zone sorted-merge beats batched-HTM probes at 10^5+ bodies with byte-identical survivors/stats/wire bytes; loses below the ~10^3 crossover and dilutes behind SOAP in federated chains | yes |
 | E21 | §3 portal-as-web-service: many concurrent clients, repeated queries, live archives — scheduler + semantic cache (extension) | scheduled makespan beats the serial portal; a warmed cache answers the zipf workload for zero wire bytes; every arm row-identical to the serial uncached oracle; an all-unique workload cannot hit; an ingest commit invalidates | yes |
 | E22 | §5.3 long-running federated queries need budgets and cleanup — deadlines + cooperative cancellation (extension) | a deadline-dead query degrades to an empty, typed-warning answer; eager CancelQuery leaves zero custody and zero reclaim latency where TTL-only holds state for the whole TTL; follow-up answers stay oracle-identical; header tax and cancel storms are the losing regimes | yes |
-| E11-sharded | §2 federation scale-out / §5.3 cost model — spatially sharded SkyNodes with scatter-gather hops (extension; Dobos 2012) | sharded makespan beats monolithic ~2x on cluster links with byte-equal rows; loses on WAN links, single-shard AREAs and tiny tables; total wire bytes strictly higher | yes |
+| E11-sharded | §2 federation scale-out / §5.3 cost model — sharded SkyNodes running one partition chain per declination stripe (extension; Dobos 2012, Nieto-Santisteban 2005) | sharded makespan beats monolithic ~2.2x on compute-bound scans, on cluster and WAN links, with byte-equal rows; an AREA inside one stripe gains nothing; wire bytes higher in every arm (x1.55 at 2k bodies, x1.08 at 100k) | yes |
 
 ## Measured tables
 

@@ -214,18 +214,10 @@ def _federation_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards", type=int, default=0, metavar="N",
-        help="spatial shards per archive (default 0: monolithic). Each "
-             "archive's table is split across N shard SkyNodes by "
-             "row-balanced ownership; chain hops scatter-gather across "
-             "them with byte-identical results",
-    )
-    parser.add_argument(
-        "--shard-key", default="zone",
-        choices=["zone", "htm"],
-        help="shard ownership model when --shards > 0: declination-zone "
-             "ranges (default; supports per-tuple match routing) or HTM "
-             "trixel-prefix intervals (exact AREA pruning, match hops "
-             "broadcast)",
+        help="spatial shards per archive (default 0: monolithic). Every "
+             "archive's table is cut on the same N declination stripes; "
+             "a query then runs as one chain per stripe, with "
+             "byte-identical results",
     )
 
 
@@ -253,7 +245,6 @@ def _make_federation(args: argparse.Namespace, *, ingest: bool = False,
         match_engine=args.match_engine,
         replicas=args.replicas,
         shards=getattr(args, "shards", 0),
-        shard_key=getattr(args, "shard_key", "zone"),
         ingest=ingest,
         **extra,
     ))

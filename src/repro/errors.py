@@ -181,13 +181,11 @@ class QueryCancelledError(SkyQueryError):
 class ShardUnavailableError(SkyQueryError):
     """Every endpoint candidate of one spatial shard is unreachable.
 
-    Deliberately *not* a :class:`TransportError`: the coordinating node
-    has already tried the shard's whole candidate list (primary and
-    replicas), so archive-level failover cannot help — a substitute
-    archive endpoint fans out to the *same* dead shard. The chain
-    executor must degrade the query with a warning naming the shard
-    instead of re-routing. Crossing a SOAP boundary it rides the fault
-    ``detail`` and is re-raised typed on the caller side.
+    Deliberately *not* a :class:`TransportError`: the Portal has already
+    walked the shard's whole candidate list (primary and mirrors) for one
+    partition chain, and no other endpoint holds that stripe of the
+    archive — retrying cannot help. The chain executor degrades the query
+    with a warning naming the shard instead of re-routing.
     """
 
     def __init__(self, message: str, shard: str = "") -> None:

@@ -16,8 +16,7 @@ from repro.portal.cache import CacheConfig, SemanticCache
 from repro.portal.portal import Portal
 from repro.portal.scheduler import QueryScheduler, SchedulerConfig
 from repro.services.retry import RetryPolicy
-from repro.shard import SHARD_KEYS
-from repro.skynode.crossmatch import SHARD_POS_COLUMN
+from repro.shard import ZONE_KEY
 from repro.skynode.node import DEFAULT_PARSER_MEMORY_LIMIT, SkyNode
 from repro.skynode.wrapper import ArchiveInfo
 from repro.sql.ast import AreaClause
@@ -82,19 +81,20 @@ class FederationConfig:
     #: *shard*, advertised as that shard's endpoint candidates.
     replicas: int = 0
     #: Spatial shards per archive (0 = monolithic, the seed's behaviour;
-    #: 1 is a legal single-shard layout that still exercises the
-    #: scatter-gather path). Each archive's table is split across this
-    #: many shard SkyNodes by row-balanced ownership planning; the
-    #: primary keeps its full copy (the provisioning source and the
-    #: single-archive/count-probe fallback) and re-registers advertising
-    #: the layout, after which its chain hops fan out to the shards and
-    #: merge in canonical order. Incompatible with ``ingest``.
+    #: 1 is a legal single-shard layout that still runs as a partition
+    #: chain). Every archive's table is cut on the same declination-zone
+    #: boundaries, row-balanced over all archives, and each stripe goes
+    #: to its own shard SkyNode together with margin copies of the rows
+    #: just past its edges; a query whose reach fits the margin then runs
+    #: as one chain per stripe. Each primary keeps its full copy (the
+    #: provisioning source and the answer to every other query) and
+    #: re-registers advertising the layout. Incompatible with ``ingest``.
     shards: int = 0
-    #: Ownership model when ``shards`` > 0: ``zone`` (declination-zone
-    #: ranges — supports per-tuple match-hop routing) or ``htm``
-    #: (trixel-prefix id intervals — exact AREA pruning, but match hops
-    #: broadcast).
-    shard_key: str = "zone"
+    #: The shard key: ``zone`` (declination-zone stripes) is the only one,
+    #: and any other value is refused. The field survives only because
+    #: the ledger's workloads (``benchmarks/ledger/workloads.py``) pass
+    #: ``shard_key="zone"``.
+    shard_key: str = ZONE_KEY
     #: Install a distributed :class:`~repro.tracing.Tracer` on the network.
     #: Off, no trace headers ride in any envelope — the wire traffic is
     #: byte-identical to the pre-tracing federation.
@@ -225,10 +225,10 @@ def _validate_config(config: FederationConfig) -> None:
         raise ConfigurationError(
             f"FederationConfig.shards must be >= 0, got {config.shards}"
         )
-    if config.shards and config.shard_key not in SHARD_KEYS:
+    if config.shard_key != ZONE_KEY:
         raise ConfigurationError(
             f"FederationConfig.shard_key={config.shard_key!r} is not "
-            f"supported; expected one of {SHARD_KEYS}"
+            f"supported; the one shard layout is {ZONE_KEY!r}"
         )
     if config.shards and config.ingest:
         # Shard ownership is planned once, from the provisioning-time row
@@ -320,17 +320,9 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
     shard_nodes: Dict[str, List[SkyNode]] = {}
     shard_replica_nodes: Dict[str, Dict[str, List[SkyNode]]] = {}
     if config.shards > 0:
-        for survey in config.surveys:
-            provisioned, mirrors = _provision_shards(
-                config,
-                network,
-                nodes[survey.archive],
-                survey,
-                portal,
-                replicas.get(survey.archive, []),
-            )
-            shard_nodes[survey.archive] = provisioned
-            shard_replica_nodes[survey.archive] = mirrors
+        shard_nodes, shard_replica_nodes = _provision_shards(
+            config, network, nodes, portal, replicas
+        )
 
     if config.ingest:
         for archive, node in nodes.items():
@@ -455,24 +447,27 @@ def _make_node(
     db_name: str,
     columns: Sequence[Column],
     hostname: Optional[str] = None,
+    tables: Sequence[str] = (),
 ) -> SkyNode:
-    """One SkyNode on the network over an empty, spatially indexed primary
-    table — primary, replica, shard or shard mirror alike. Every
-    execution knob comes from the one config, so whichever of them serves
-    a slice computes exactly what the primary would over it."""
+    """One SkyNode on the network over empty, spatially indexed tables —
+    the survey's primary table plus any ``tables`` named — primary,
+    replica, shard or shard mirror alike. Every execution knob comes from
+    the one config, so whichever of them serves a slice computes exactly
+    what the primary would over it."""
     db = Database(
         db_name,
         dialect=survey.dialect,
         page_size=config.page_size,
         buffer_pages=config.buffer_pages,
     )
-    db.create_table(
-        survey.primary_table,
-        columns,
-        spatial=SpatialSpec(
-            survey.ra_column, survey.dec_column, htm_depth=config.htm_depth
-        ),
-    )
+    for table in (survey.primary_table, *tables):
+        db.create_table(
+            table,
+            columns,
+            spatial=SpatialSpec(
+                survey.ra_column, survey.dec_column, htm_depth=config.htm_depth
+            ),
+        )
     node = SkyNode(
         db,
         info,
@@ -491,153 +486,131 @@ def _make_node(
 def _provision_shards(
     config: FederationConfig,
     network: SimulatedNetwork,
-    primary: SkyNode,
-    survey: SurveySpec,
+    primaries: Dict[str, SkyNode],
     portal: Portal,
-    archive_replicas: List[SkyNode],
+    replicas: Dict[str, List[SkyNode]],
 ):
-    """Split one archive's table across ``config.shards`` shard SkyNodes.
+    """Cut every archive's table on the same ``config.shards`` stripes.
 
-    Ownership is planned from the primary's actual row distribution
-    (zone-id or HTM-id quantiles), the rows are pulled once over the wire
-    with their scan positions appended, partitioned by ownership, and
-    staged to every shard (and each shard's mirrors) under ONE 2PC — the
-    federation never observes a half-sharded archive. The primary keeps
-    its full copy and re-registers, advertising the layout; the primary
-    and its archive replicas all learn the ShardSet so whichever of them
-    coordinates a chain hop fans out identically.
+    Every archive's rows are pulled once over the wire with their scan
+    positions appended; the stripes are zone-id quantiles of all of them
+    together, so the k-th shard of every archive covers the same sky and
+    a query can run as one chain per stripe. Each shard SkyNode (and each
+    of its mirrors) gets the rows it owns plus, in a second table, copies
+    of its neighbours' rows within ``MARGIN_DEG`` of its stripe — staged
+    under ONE 2PC per archive, so the federation never observes a
+    half-sharded archive. Each primary keeps its full copy and
+    re-registers, advertising the layout.
 
-    Returns ``(shard_primaries, {shard_name: [mirrors]})``.
+    Returns ``({archive: shard_primaries}, {archive: {shard_name:
+    [mirrors]}})``.
     """
-    from repro.htm.index import id_for_point
     from repro.shard import (
-        HTM_KEY,
-        plan_htm_ownership,
+        MARGIN_DEG,
+        SHARD_POS_COLUMN,
+        margin_table,
+        members_for_tuple,
         plan_zone_ownership,
     )
     from repro.shard.topology import ShardMember, ShardSet
     from repro.soap.encoding import WireRowSet
-    from repro.sphere.coords import radec_to_vector
     from repro.transactions.exchange import DataExchange
 
-    info = primary.info
-    column_names = [column.name for column in survey.columns()]
-    ra_idx = column_names.index(info.ra_column)
-    dec_idx = column_names.index(info.dec_column)
-
     puller = DataExchange(portal, {})
-    rowset = puller.pull_table_with_positions(
-        survey.archive, column_names, position_column=SHARD_POS_COLUMN
-    )
-    if config.shard_key == HTM_KEY:
-        hids = [
-            id_for_point(
-                radec_to_vector(float(row[ra_idx]), float(row[dec_idx])),
-                config.htm_depth,
-            )
-            for row in rowset.rows
+    pulled: Dict[str, WireRowSet] = {}
+    decs: Dict[str, List[float]] = {}
+    for survey in config.surveys:
+        column_names = [column.name for column in survey.columns()]
+        pulled[survey.archive] = puller.pull_table_with_positions(
+            survey.archive, column_names, position_column=SHARD_POS_COLUMN
+        )
+        dec_idx = column_names.index(survey.dec_column)
+        decs[survey.archive] = [
+            float(row[dec_idx]) for row in pulled[survey.archive].rows
         ]
-        ownerships = plan_htm_ownership(
-            hids, config.shards, config.htm_depth
-        )
-    else:
-        hids = [0] * len(rowset.rows)
-        ownerships = plan_zone_ownership(
-            [float(row[dec_idx]) for row in rowset.rows],
-            config.shards,
-            htm_depth=config.htm_depth,
-        )
+    ownerships = plan_zone_ownership(
+        [dec for values in decs.values() for dec in values],
+        config.shards,
+        htm_depth=config.htm_depth,
+    )
 
-    partitions: List[List[tuple]] = [[] for _ in ownerships]
-    for row, hid in zip(rowset.rows, hids):
-        dec = float(row[dec_idx])
-        for index, ownership in enumerate(ownerships):
-            if not ownership.empty and ownership.owns(dec, hid):
-                partitions[index].append(tuple(row))
-                break
-        else:  # pragma: no cover - ownerships cover the whole key space
+    shard_nodes: Dict[str, List[SkyNode]] = {}
+    shard_mirrors: Dict[str, Dict[str, List[SkyNode]]] = {}
+    for survey in config.surveys:
+        archive, lower = survey.archive, survey.archive.lower()
+        primary = primaries[archive]
+        table = survey.primary_table
+        # A shard's tables are the survey's plus a trailing position column
+        # recording each row's index in the *primary's* scan order — what
+        # lets the partition merges reproduce the monolithic result order.
+        shard_columns = list(survey.columns()) + [
+            Column(SHARD_POS_COLUMN, ColumnType.INT, nullable=True)
+        ]
+        members: List[ShardMember] = []
+        transaction_urls: Dict[str, str] = {}
+        holders: Dict[str, List[str]] = {}
+        shard_nodes[archive], shard_mirrors[archive] = [], {}
+        for index, ownership in enumerate(ownerships, start=1):
+            name = f"{archive}-shard{index}"
+            group = [
+                _make_node(
+                    config, network, survey, primary.info,
+                    f"{lower}_s{index}" + (f"_r{rep}" if rep else ""),
+                    shard_columns,
+                    hostname=(
+                        f"{lower}-shard{index}"
+                        + (f"-r{rep}" if rep else "")
+                        + ".skyquery.net"
+                    ),
+                    tables=(margin_table(table),),
+                )
+                for rep in range(config.replicas + 1)
+            ]
+            keys = [name] + [f"{name}-r{rep}" for rep in range(1, len(group))]
+            for key, node in zip(keys, group):
+                transaction_urls[key] = node.enable_transactions()
+            holders[name] = keys
+            shard_nodes[archive].append(group[0])
+            shard_mirrors[archive][name] = group[1:]
+            members.append(
+                ShardMember(
+                    name=name,
+                    ownership=ownership,
+                    endpoints=tuple(node.service_urls() for node in group),
+                )
+            )
+
+        rowset = pulled[archive]
+        owned: Dict[str, List[tuple]] = {m.name: [] for m in members}
+        margin: Dict[str, List[tuple]] = {m.name: [] for m in members}
+        for row, dec in zip(rowset.rows, decs[archive]):
+            for member in members_for_tuple(members, dec, MARGIN_DEG):
+                into = owned if member.ownership.owns(dec) else margin
+                into[member.name].append(tuple(row))
+        assignments = {
+            key: {
+                table: WireRowSet(list(rowset.columns), owned[name]),
+                margin_table(table): WireRowSet(
+                    list(rowset.columns), margin[name]
+                ),
+            }
+            for name, keys in holders.items()
+            for key in keys
+        }
+        exchange = DataExchange(portal, transaction_urls)
+        result = exchange.stage_partitioned(
+            assignments, txn_label=f"shard-{lower}"
+        )
+        if not result.committed:
             raise RegistrationError(
-                f"row at dec {dec} of {survey.archive!r} has no owning shard"
+                f"shard provisioning for {archive!r} aborted: "
+                f"{result.abort_reason}"
             )
-
-    # A shard's table is the survey's plus a trailing position column
-    # recording each row's index in the *primary's* scan order — what
-    # lets a scatter-gather merge reproduce the monolithic result order.
-    shard_columns = list(survey.columns()) + [
-        Column(SHARD_POS_COLUMN, ColumnType.INT, nullable=True)
-    ]
-    shard_primaries: List[SkyNode] = []
-    shard_mirrors: Dict[str, List[SkyNode]] = {}
-    members: List[ShardMember] = []
-    transaction_urls: Dict[str, str] = {}
-    assignments: Dict[str, WireRowSet] = {}
-    for index, ownership in enumerate(ownerships, start=1):
-        shard_name = f"{survey.archive}-shard{index}"
-        shard = _make_node(
-            config,
-            network,
-            survey,
-            info,
-            f"{survey.archive.lower()}_s{index}",
-            shard_columns,
-            hostname=f"{survey.archive.lower()}-shard{index}.skyquery.net",
+        primary.register_with_portal(
+            portal.service_url("registration"),
+            replicas=[
+                replica.service_urls() for replica in replicas.get(archive, [])
+            ],
+            shards=ShardSet(members=tuple(members)),
         )
-        transaction_urls[shard_name] = shard.enable_transactions()
-        slice_rows = WireRowSet(
-            list(rowset.columns), list(partitions[index - 1])
-        )
-        assignments[shard_name] = slice_rows
-        mirrors: List[SkyNode] = []
-        for rep in range(1, config.replicas + 1):
-            mirror = _make_node(
-                config,
-                network,
-                survey,
-                info,
-                f"{survey.archive.lower()}_s{index}_r{rep}",
-                shard_columns,
-                hostname=(
-                    f"{survey.archive.lower()}-shard{index}-r{rep}"
-                    ".skyquery.net"
-                ),
-            )
-            mirror_key = f"{shard_name}-r{rep}"
-            transaction_urls[mirror_key] = mirror.enable_transactions()
-            assignments[mirror_key] = slice_rows
-            mirrors.append(mirror)
-        shard_primaries.append(shard)
-        shard_mirrors[shard_name] = mirrors
-        members.append(
-            ShardMember(
-                name=shard_name,
-                ownership=ownership,
-                endpoints=tuple(
-                    node.service_urls() for node in [shard] + mirrors
-                ),
-            )
-        )
-
-    exchange = DataExchange(portal, transaction_urls)
-    result = exchange.stage_partitioned(
-        assignments,
-        target_table=survey.primary_table,
-        txn_label=f"shard-{survey.archive.lower()}",
-    )
-    if not result.committed:
-        raise RegistrationError(
-            f"shard provisioning for {survey.archive!r} aborted: "
-            f"{result.abort_reason}"
-        )
-
-    shard_set = ShardSet(members=tuple(members))
-    primary.shard_set = shard_set
-    for replica in archive_replicas:
-        # Archive replicas hold the full table too; if the chain fails
-        # over to one, it coordinates the identical fan-out.
-        replica.shard_set = shard_set
-    primary.register_with_portal(
-        portal.service_url("registration"),
-        replicas=[replica.service_urls() for replica in archive_replicas],
-        shards=shard_set,
-    )
-    return shard_primaries, shard_mirrors
+    return shard_nodes, shard_mirrors

@@ -28,8 +28,9 @@ class NodeRecord:
     ``replica_services`` the shard endpoints are *not* interchangeable
     whole-archive substitutes — each serves one slice of the sky — so
     they never appear in :meth:`endpoint_candidates`; they are the
-    :meth:`partitions` a count probe fans out over, and fold into the
-    plan fingerprint through the layout signature.
+    :meth:`partitions` a count probe fans out over and the Planner's
+    partition chains run on, and fold into the plan fingerprint through
+    the layout signature.
     """
 
     archive: str

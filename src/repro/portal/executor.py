@@ -21,11 +21,17 @@ batch's whole chain traversal is one branch and the clock charges the
 *makespan* over batches — transfer of one batch overlaps compute of
 another, exactly the overlap a real pipelined chain would enjoy. Every
 batch size returns identical rows in identical order.
+
+Sharding is a plan, not a hop: on co-partitioned archives the Planner
+hands over one chain per shard stripe, and the executor runs them as the
+branches of one ``parallel()`` block — each routed, retried and failed
+over on its own — then merges their answers into the monolithic order.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -34,6 +40,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -51,6 +58,7 @@ from repro.errors import (
 from repro.portal.decompose import DecomposedQuery
 from repro.portal.plan import ExecutionPlan
 from repro.services.chunked import receive_rowset
+from repro.shard import merge_seed_rows
 from repro.soap.encoding import WireRowSet
 from repro.sql.ast import ColumnRef, Query, SelectItem
 from repro.xmatch.tuples import PartialTuple
@@ -120,6 +128,19 @@ WHOLE_RESULT = 2**31 - 1
 BATCH_TRANSFER_PHASE = "batch-transfer"
 
 
+def _fold_hop(partitions: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """One hop's node stats over every partition chain: counters summed,
+    per-batch lists joined in partition order, labels kept."""
+    total = dict(partitions[0])
+    for stats in partitions[1:]:
+        for key, value in stats.items():
+            if isinstance(value, list):
+                total[key] = total[key] + value
+            elif isinstance(value, int) and not isinstance(value, bool):
+                total[key] += value
+    return total
+
+
 class ChainExecutor:
     """Runs an :class:`ExecutionPlan` and finishes the query at the Portal."""
 
@@ -141,98 +162,144 @@ class ChainExecutor:
         failovers: int = 0,
         qid: str = "",
         dead: Optional[Set[str]] = None,
+        partitions: Sequence[ExecutionPlan] = (),
     ) -> FederatedResult:
         """Start the chain at the first plan step and post-process.
 
+        ``partitions`` are the chains ``plan`` runs as on co-partitioned
+        archives (:meth:`Planner.partitions`): each is an ordinary chain
+        over one shard stripe, run as one branch of a ``parallel()`` block
+        with its own recovery and high-water state; their answers are
+        merged on the seed's monolithic order key and their node stats
+        folded per hop, so the result is the one ``plan`` would give.
+
         On chain failure the executor re-enters the planner's routing
-        decision (:meth:`Planner.route`) for the plan's hops: a dead hop
+        decision (:meth:`Planner.route`) for the chain's hops: a dead hop
         with a live replica is re-routed in place (recorded in
         ``failovers``, NOT as degradation — the answer stays complete),
         transient faults retry the chain, dead drop-out archives with no
         replica left are pruned, and a mandatory archive with no live
         endpoint at all yields a degraded empty result whose warnings name
-        the lost node. Failing over resets the transient-retry budget: a
-        re-routed plan is a fresh chain. ``dead`` is the query's set of
-        endpoint URLs already seen dead — planning hands over what its
-        probes learned, so recovery never re-asks (nor fails back onto)
-        an endpoint this query already watched die.
+        the lost node; a partition chain's shard with no live endpoint
+        degrades with a warning naming the shard. Failing over resets the
+        transient-retry budget: a re-routed plan is a fresh chain. ``dead``
+        is the query's set of endpoint URLs already seen dead — planning
+        hands over what its probes learned, so recovery never re-asks (nor
+        fails back onto) an endpoint this query already watched die.
 
         ``qid`` is the Portal-minted query id of a budgeted submission; it
-        doubles as the execution id below. When the chain dies on a
+        doubles as the execution id below. When a chain dies on a
         :class:`~repro.errors.DeadlineExceededError`, the executor fans a
-        ``CancelQuery`` down the chain and returns a degraded result whose
-        warning names the hop that ran out of budget — the query never
-        hangs.
+        ``CancelQuery`` down every chain and returns a degraded result
+        whose warning names the hop that ran out of budget — the query
+        never hangs.
         """
         network = self._portal.require_network()
         warnings = list(warnings or [])
         counters = {"failovers": failovers, "degraded": degraded}
         dead = set() if dead is None else dead
         #: One execution id for every attempt of this query. Each hop
-        #: leases its stream (and tags stagings and transfers) under it,
-        #: so a retry finds what earlier attempts finished, a fresh
-        #: identical query never does, and one ``CancelQuery`` frees all
-        #: of it. With ``checkpoint_resume`` off (the full-restart arm of
-        #: E18) it is empty: unkeyed streams, and ``state`` — the batches
-        #: already acknowledged — does not outlive an attempt either.
-        resume = self._portal.checkpoint_resume
-        xid = (
-            (qid or f"{self._portal.hostname}-x{next(self._xid_counter)}")
-            if resume else ""
-        )
-        state: Dict[str, Any] = {}
-        attempts = 0
-        current = plan
-        while True:
-            try:
-                with network.phase("crossmatch-chain"):
-                    rowset, stats = self._run_chain(
-                        current, network, state if resume else {}, xid
-                    )
-                break
-            except (DeadlineExceededError, ShardUnavailableError) as exc:
-                # Two failures no retry can fix. A deadline: the budget ran
-                # out somewhere down the chain (the message names the hop).
-                # A shard: a coordinating hop exhausted one shard's endpoint
-                # candidates, and replica *coordinators* share the same
-                # shard endpoints, so archive-level failover cannot
-                # resurrect the slice — the warning names the shard, not
-                # the whole archive (every other slice was reachable).
-                # Either way don't wait out server TTLs: fan a CancelQuery
-                # down the chain and at any replicas holding state, then
-                # degrade instead of hanging or raising.
-                label = (
-                    "query deadline exceeded"
-                    if isinstance(exc, DeadlineExceededError)
-                    else "shard unavailable"
-                )
-                warnings.append(f"{label}: {exc}")
-                if self._portal.eager_cancel:
-                    self._cancel_chain(current, xid)
-                return self.degraded(
-                    decomposed.query, warnings, counters["failovers"], current
-                )
-            except (TransportError, SoapFaultError) as exc:
-                attempts += 1
-                next_plan, fallback = self._recover(
-                    current, decomposed, warnings, exc, attempts,
-                    counters, dead,
-                )
-                if fallback is not None:
-                    return fallback
-                if next_plan is not current:
-                    attempts = 0
-                current = next_plan
+        #: leases its stream (and tags transfers) under it, so a retry
+        #: finds what earlier attempts finished, a fresh identical query
+        #: never does, and one ``CancelQuery`` frees all of it.
+        xid = qid or f"{self._portal.hostname}-x{next(self._xid_counter)}"
+        #: Each chain's current plan, re-routed in place by its recovery.
+        chains = list(partitions) or [plan]
+        outcomes: List[Optional[Tuple[WireRowSet, List[Dict[str, Any]]]]] = []
+        try:
+            with network.phase("crossmatch-chain"), (
+                network.parallel() if len(chains) > 1 else nullcontext()
+            ):
+                for index in range(len(chains)):
+                    with network.branch():
+                        outcomes.append(self._complete(
+                            chains, index, warnings, counters, dead, xid
+                        ))
+        except (DeadlineExceededError, ShardUnavailableError) as exc:
+            # Two failures no retry can fix. A deadline: the budget ran
+            # out somewhere down a chain (the message names the hop). A
+            # shard: one stripe's every endpoint is gone, and no other
+            # endpoint holds it — the warning names the shard, not the
+            # whole archive (every other stripe was reachable). Either way
+            # don't wait out server TTLs: cancel every chain, then degrade
+            # instead of hanging or raising.
+            label = (
+                "query deadline exceeded"
+                if isinstance(exc, DeadlineExceededError)
+                else "shard unavailable"
+            )
+            warnings.append(f"{label}: {exc}")
+            if self._portal.eager_cancel:
+                self._cancel_chain(chains, xid)
+            return self.degraded(
+                decomposed.query, warnings, counters["failovers"],
+                plan if partitions else chains[0],
+            )
+        if None in outcomes:  # a mandatory archive is lost (warned)
+            return self.degraded(
+                decomposed.query, warnings, counters["failovers"], chains[0]
+            )
+        if partitions:
+            rowset = WireRowSet(
+                outcomes[0][0].columns[:-1],
+                merge_seed_rows([rows.rows for rows, _ in outcomes]),
+            )
+            stats = [_fold_hop(hop) for hop in zip(*(s for _, s in outcomes))]
+        else:
+            plan = chains[0]
+            rowset, stats = outcomes[0]
         tuples = rowset_to_tuples(
             rowset,
-            current.member_aliases_after(0),
-            current.attr_columns_after(0),
+            plan.member_aliases_after(0),
+            plan.attr_columns_after(0),
         )
-        result = self._finish(current, decomposed, tuples, stats)
+        result = self._finish(plan, decomposed, tuples, stats)
         result.warnings = warnings
         result.degraded = bool(counters["degraded"])
         result.failovers = counters["failovers"]
         return result
+
+    def _complete(
+        self,
+        chains: List[ExecutionPlan],
+        index: int,
+        warnings: List[str],
+        counters: Dict[str, Any],
+        dead: Set[str],
+        xid: str,
+    ) -> Optional[Tuple[WireRowSet, List[Dict[str, Any]]]]:
+        """Run chain ``index`` to its answer, retrying and failing over.
+
+        ``state`` — the batches already acknowledged — serves every
+        attempt of this chain, so a retry resumes at the high-water mark.
+        With ``checkpoint_resume`` off (the full-restart arm of E18) it
+        does not outlive an attempt, and each attempt runs under its own
+        execution id, ``xid/<attempt>``: nothing an earlier attempt left
+        on a node is found again, every hop recomputes, and a cancel of
+        ``xid`` still frees all of it. None means the chain's mandatory
+        archive is lost (the warnings say so).
+        """
+        resume = self._portal.checkpoint_resume
+        state: Dict[str, Any] = {}
+        attempts = tries = 0
+        while True:
+            tries += 1
+            try:
+                return self._run_chain(
+                    chains[index],
+                    state if resume else {},
+                    xid if resume else f"{xid}/{tries}",
+                )
+            except (TransportError, SoapFaultError) as exc:
+                attempts += 1
+                next_plan, lost = self._recover(
+                    chains[index], warnings, exc, attempts, counters, dead
+                )
+                if lost:
+                    return None
+                if next_plan is not chains[index]:
+                    attempts = 0
+                chains[index] = next_plan
 
     def _batch_size(self) -> int:
         """What the chain mode means: how many tuples make a batch."""
@@ -249,7 +316,6 @@ class ChainExecutor:
     def _run_chain(
         self,
         plan: ExecutionPlan,
-        network: Any,
         state: Dict[str, Any],
         xid: str,
     ) -> Tuple[WireRowSet, List[Dict[str, Any]]]:
@@ -275,6 +341,7 @@ class ChainExecutor:
         substitution (same content, new endpoint) but resets if the plan's
         content changes (a drop-out was pruned).
         """
+        network = self._portal.require_network()
         fingerprint = plan.fingerprint(0)
         if state.get("fingerprint") != fingerprint:
             state.update(fingerprint=fingerprint, parts=[], stats=[])
@@ -349,29 +416,28 @@ class ChainExecutor:
             raise
         return WireRowSet.concat(parts), state["stats"]
 
-    def _cancel_chain(self, plan: ExecutionPlan, qid: str) -> None:
+    def _cancel_chain(self, chains: Sequence[ExecutionPlan], qid: str) -> None:
         """Eagerly free every hop's state for a dead query (best effort).
 
-        One ``CancelQuery`` to the chain head fans hop-to-hop down the
-        current plan; replica endpoints *not* on the plan (which may hold
-        drained streams from attempts that failed over away from them) are
-        cancelled directly. Every call is fire-and-forget — a lost cancel
-        leaves that hop to its TTL reaper, never blocks the degraded
-        answer — and runs under a masked budget: cleanup must not be
-        refused because the deadline that triggered it has passed.
+        One ``CancelQuery`` to each chain's head fans hop-to-hop down that
+        chain; every other endpoint candidate of the chains' archives and
+        shards — replicas a failover moved away from, mirrors, the hops
+        of a chain whose head is gone — is cancelled directly. Every call
+        is fire-and-forget — a lost cancel leaves that hop to its TTL
+        reaper, never blocks the degraded answer — and runs under a
+        masked budget: cleanup must not be refused because the deadline
+        that triggered it has passed.
         """
-        if not qid:
-            return
         network = self._portal.require_network()
-        seen = {step.url for step in plan.steps}
+        seen: Set[str] = set()
 
-        def cancel(url: str, **chain: Any) -> None:
+        def cancel(url: str, **chain: Any) -> Any:
             try:
-                self._portal.proxy(url).call(
+                return self._portal.proxy(url).call(
                     "CancelQuery", query_id=qid, **chain
                 )
             except Exception:
-                pass  # fire-and-forget; the hop's TTL reaper is the backstop
+                return None  # fire-and-forget; the TTL reaper is the backstop
 
         def cancel_once(endpoints: Mapping[str, str]) -> None:
             url = endpoints.get("crossmatch")
@@ -380,18 +446,17 @@ class ChainExecutor:
                 cancel(url)
 
         with network.phase("cancel"), use_budget(None):
-            cancel(plan.step(0).url, plan=plan.to_wire(), position=0)
-            for step in plan.steps:
+            for chain in chains:
+                head = chain.step(0).url
+                seen.add(head)
+                answer = cancel(head, plan=chain.to_wire(), position=0)
+                if isinstance(answer, dict) and answer.get("forwarded"):
+                    seen.update(step.url for step in chain.steps)
+            for step in chains[0].steps:
                 record = self._portal.catalog.node(step.archive)
                 # Every candidate, seen dead or not (hence the empty dead
                 # set): a host that dropped off mid-query may be back and
-                # still hold what it finished. Shard endpoints are NOT
-                # archive candidates (each serves one slice, not the whole
-                # archive), yet shards hold stagings keyed by this qid. A
-                # live coordinator fans its own cancel to them, but a
-                # *dead* coordinator cannot — so the Portal cancels every
-                # shard candidate directly too (idempotent; a double
-                # cancel frees nothing twice).
+                # still hold what it finished.
                 for candidates in [
                     record.endpoint_candidates(),
                     *(members for _, members in record.partitions()),
@@ -402,62 +467,52 @@ class ChainExecutor:
     def _recover(
         self,
         plan: ExecutionPlan,
-        decomposed: DecomposedQuery,
         warnings: List[str],
         exc: Exception,
         attempts: int,
         counters: Dict[str, Any],
         dead: Set[str],
-    ) -> Tuple[ExecutionPlan, Optional[FederatedResult]]:
+    ) -> Tuple[ExecutionPlan, bool]:
         """Decide how a failed chain continues: fail over, retry, or degrade.
 
-        Re-enters :meth:`Planner.route` with the plan's hops at their
+        Re-enters :meth:`Planner.reroute` with the chain's hops at their
         CURRENT endpoints (a step already failed over is probed at its
         replica, so a second failure of the same archive is still
         diagnosed correctly) and the query's dead set. Per dead hop, in
         order of preference: substitute a live replica endpoint in place
-        (same plan content, so stream keys and positions stay
-        valid — counted in ``failovers``, not degradation); else prune if
-        the hop is a drop-out (degraded); else give up with a degraded
-        empty result (mandatory archive wholly lost).
+        (same plan content, so stream keys and positions stay valid —
+        counted in ``failovers``, not degradation); else prune if the hop
+        is a drop-out (degraded); else give up (mandatory archive wholly
+        lost: the returned flag). A partition chain's dead shard raises
+        :class:`~repro.errors.ShardUnavailableError` from the routing.
         """
-        moved, skipped, lost = self._portal.planner.route(
-            [
-                (step.alias, step.archive, step.dropout, step.url)
-                for step in plan.steps
-            ],
-            dead,
-            warnings,
-            mid_chain=True,
+        rerouted, moved, skipped, lost = self._portal.planner.reroute(
+            plan, dead, warnings, mid_chain=True
         )
-        counters["failovers"] += len(moved)
+        counters["failovers"] += moved
         if lost:
-            return plan, self.degraded(
-                decomposed.query, warnings, counters["failovers"], plan
-            )
+            return plan, True
         if not moved and not skipped:
             if attempts >= self.MAX_CHAIN_ATTEMPTS:
                 raise ExecutionError(
                     f"cross-match chain failed after {attempts} attempt(s): "
                     f"{exc}"
                 ) from exc
-            return plan, None  # transient: retry the same plan
-        for index, step in enumerate(plan.steps):
-            if step.alias in moved:
-                plan = plan.replace_url(index, moved[step.alias]["crossmatch"])
+            return plan, False  # transient: retry the same plan
         if skipped:
             # Drop-out archives with no replica left: prune them and
             # restart the chain from the surviving nodes (the paper's !X
             # semantics are advisory filters, so the query can still
             # answer — degraded).
             counters["degraded"] = True
-            plan = replace(
-                plan,
+            rerouted = replace(
+                rerouted,
                 steps=tuple(
-                    step for step in plan.steps if step.alias not in skipped
+                    step for step in rerouted.steps
+                    if step.alias not in skipped
                 ),
             )
-        return plan, None
+        return rerouted, False
 
     def degraded(
         self,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import PlanningError
+from repro.shard.merge import SEED_KEY
 from repro.sql.area import area_from_wire, area_to_wire
 from repro.sql.ast import AreaLike
 
@@ -144,6 +145,12 @@ class ExecutionPlan:
     #: params), and keeping them off the plan struct preserves
     #: the htm/zone wire-byte parity invariant.
     profile: Tuple[Tuple[str, str], ...] = ()
+    #: Set on a partition chain of a sharded query: the index of the
+    #: shard stripe every step runs on. Its seed hop tags each tuple with
+    #: its monolithic order key (carried as a last attribute column) for
+    #: the Portal's merge. ``None`` — the whole archives — stays off the
+    #: wire and out of the fingerprint.
+    partition: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -174,13 +181,15 @@ class ExecutionPlan:
         identically.
         """
         self.step(position)  # bounds check
-        payload = repr((
+        content: Tuple[Any, ...] = (
             tuple(step.content_key() for step in self.steps[position:]),
             round(self.threshold, 12),
             area_to_wire(self.area),
             self.profile,
-        ))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+        )
+        if self.partition is not None:
+            content += (self.partition,)
+        return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()[:24]
 
     def replace_url(self, position: int, new_url: str) -> "ExecutionPlan":
         """A new plan with the step at ``position`` re-routed to ``new_url``.
@@ -196,12 +205,7 @@ class ExecutionPlan:
         )
         steps = list(self.steps)
         steps[position] = replace(old, url=new_url, replica_urls=candidates)
-        return ExecutionPlan(
-            steps=tuple(steps),
-            threshold=self.threshold,
-            area=self.area,
-            profile=self.profile,
-        )
+        return replace(self, steps=tuple(steps))
 
     def member_aliases_after(self, position: int) -> List[str]:
         """Mandatory aliases joined once positions >= ``position`` have run.
@@ -223,21 +227,28 @@ class ExecutionPlan:
                 continue
             for _, wire_name, typecode in step.attr_select:
                 columns.append((wire_name, typecode))
+        if self.partition is not None:
+            columns.append((SEED_KEY, "int"))
         return columns
 
     def to_wire(self) -> Dict[str, Any]:
         """Encode as a SOAP struct."""
-        return {
+        wire = {
             "steps": [step.to_wire() for step in self.steps],
             "threshold": self.threshold,
             "area": area_to_wire(self.area),
         }
+        if self.partition is not None:
+            wire["partition"] = self.partition
+        return wire
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "ExecutionPlan":
         """Decode from a SOAP struct."""
+        partition = data.get("partition")
         return cls(
             steps=tuple(PlanStep.from_wire(s) for s in data["steps"]),
             threshold=float(data["threshold"]),
             area=area_from_wire(data.get("area")),
+            partition=None if partition is None else int(partition),
         )

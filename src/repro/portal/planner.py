@@ -10,10 +10,11 @@ what the paper's choice buys.
 
 from __future__ import annotations
 
+import math
 import numbers
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
@@ -29,6 +30,7 @@ from typing import (
 
 from repro.errors import (
     PlanningError,
+    ShardUnavailableError,
     SoapFaultError,
     StaleEpochError,
     TransportError,
@@ -36,7 +38,10 @@ from repro.errors import (
 from repro.portal.calibration import ArchiveCostModel, CostCalibrator
 from repro.portal.decompose import DecomposedQuery, NodeSubquery
 from repro.portal.plan import ExecutionPlan, PlanStep
+from repro.shard import MARGIN_DEG, prune_members
+from repro.skynode.xmatch_proc import _cap_bounds
 from repro.soap.encoding import WireRowSet
+from repro.units import arcsec_to_rad
 
 if TYPE_CHECKING:
     from repro.portal.catalog import NodeRecord
@@ -91,6 +96,10 @@ class PlanPass:
     #: None when no chain would run: a mandatory archive is lost
     #: (``degraded``) or has nothing inside the AREA.
     plan: Optional[ExecutionPlan] = None
+    #: The chains ``plan`` runs as on co-partitioned archives, one per
+    #: shard stripe the AREA can touch (see :meth:`Planner.partitions`);
+    #: empty when it runs as itself, on the archives' full copies.
+    partitions: List[ExecutionPlan] = field(default_factory=list)
 
 
 class Planner:
@@ -178,6 +187,10 @@ class Planner:
                 services_for=moved,
                 epochs=done.epochs,
             )
+            done.partitions, shard_failovers = self.partitions(
+                done.plan, done.dead
+            )
+            done.failovers += shard_failovers
         return done
 
     def route(
@@ -188,6 +201,7 @@ class Planner:
         *,
         mid_chain: bool = False,
         probe: bool = True,
+        partition: Optional[int] = None,
     ) -> Tuple[Dict[str, Mapping[str, str]], List[str], List[str]]:
         """Find each hop's first live endpoint set and decide what a dead
         one costs — for planning and for mid-chain recovery alike.
@@ -200,6 +214,13 @@ class Planner:
         (a failover: warned, annotated, counted, the answer stays
         complete); drop-out aliases with no endpoint left (skip them:
         degraded); mandatory aliases with none (no answer possible).
+
+        ``partition`` routes the hops of one partition chain: each
+        archive's candidates are then its shard of that stripe, primary
+        then mirrors. A shard failover is counted and annotated but not
+        warned — the archive stays whole — and a shard with no endpoint
+        left raises :class:`~repro.errors.ShardUnavailableError` naming
+        it, drop-out or not: no other endpoint holds that stripe.
         """
         portal = self._portal
         network = portal.require_network()
@@ -209,7 +230,12 @@ class Planner:
             network.parallel() if probe else nullcontext()
         ):
             for archive in dict.fromkeys(hop[1] for hop in hops):
-                candidates = portal.catalog.node(archive).endpoint_candidates()
+                record = portal.catalog.node(archive)
+                candidates = (
+                    record.endpoint_candidates()
+                    if partition is None
+                    else record.shard_set.members[partition].endpoints
+                )
                 with network.branch():
                     try:
                         routes[archive], _ = next(
@@ -217,6 +243,17 @@ class Planner:
                         )
                     except TransportError:
                         routes[archive] = None
+        if partition is not None:
+            for archive, chosen in routes.items():
+                if chosen is None:
+                    name = portal.catalog.node(archive).shard_set.members[
+                        partition
+                    ].name
+                    raise ShardUnavailableError(
+                        f"shard {name!r} of archive {archive!r} is "
+                        "unreachable on every endpoint candidate",
+                        shard=name,
+                    )
         died, no_mandatory, no_dropout = _WORDING[mid_chain]
         moved: Dict[str, Mapping[str, str]] = {}
         skipped: List[str] = []
@@ -235,10 +272,11 @@ class Planner:
                         from_url=url,
                         to_url=chosen["crossmatch"],
                     )
-                warnings.append(
-                    f"archive {archive!r} {died.format(url=url)}; "
-                    f"failing over to replica {chosen['crossmatch']}"
-                )
+                if partition is None:
+                    warnings.append(
+                        f"archive {archive!r} {died.format(url=url)}; "
+                        f"failing over to replica {chosen['crossmatch']}"
+                    )
         archive_of = {alias: archive for alias, archive, _, _ in hops}
         warnings.extend(
             f"mandatory archive {archive_of[alias]!r} (alias {alias!r}) "
@@ -252,6 +290,92 @@ class Planner:
                 for alias in skipped
             )
         return moved, skipped, lost
+
+    def reroute(
+        self,
+        plan: ExecutionPlan,
+        dead: Set[str],
+        warnings: List[str],
+        *,
+        mid_chain: bool = False,
+        probe: bool = True,
+    ) -> Tuple[ExecutionPlan, int, List[str], List[str]]:
+        """:meth:`route` a built plan's hops (a partition chain's at its
+        stripe) and apply it: ``(plan with every moved hop on its new
+        endpoint, failovers, skipped, lost)``. A moved step keeps its
+        content, so stream keys and positions stay valid."""
+        moved, skipped, lost = self.route(
+            [(s.alias, s.archive, s.dropout, s.url) for s in plan.steps],
+            dead,
+            warnings,
+            mid_chain=mid_chain,
+            probe=probe,
+            partition=plan.partition,
+        )
+        for index, step in enumerate(plan.steps):
+            if step.alias in moved:
+                plan = plan.replace_url(index, moved[step.alias]["crossmatch"])
+        return plan, len(moved), skipped, lost
+
+    def partitions(
+        self, plan: ExecutionPlan, dead: Set[str]
+    ) -> Tuple[List[ExecutionPlan], int]:
+        """The partition chains ``plan`` runs as, and the shard failovers
+        routing them took — or none, and ``plan`` runs as itself.
+
+        A plan runs as partition chains when every archive on it is
+        sharded on the same stripes and its *reach* fits the margin each
+        shard keeps. A tuple seeded in a stripe can only ever examine rows
+        within the reach of its seed: the sum, over the non-seed hops, of
+        each hop's widest search radius — ``threshold × (σ_hop + σ_seed)``,
+        because the seed's weight bounds every later accumulator's width —
+        widened through ``_cap_bounds`` exactly as the probe widens it.
+        Then one chain per stripe the AREA can touch, each hop on that
+        stripe's shard, sees every row its tuples can reach, and seeds
+        split the answer with no overlap. Otherwise the archives' full
+        copies answer, as in an unsharded federation: no query is refused.
+        Each chain is routed like the plan itself, against the query's
+        dead set, without probing: a mandatory archive's shard with no
+        live endpoint has already failed its count probe, so only a
+        drop-out's can turn up dead — mid-chain, where recovery handles it.
+        """
+        records = [self._portal.catalog.node(s.archive) for s in plan.steps]
+        layouts = {
+            record.shard_set.layout_signature() if record.shard_set else None
+            for record in records
+        }
+        seed = plan.steps[-1]
+        reach = sum(
+            _cap_bounds(
+                plan.threshold
+                * arcsec_to_rad(step.sigma_arcsec + seed.sigma_arcsec)
+            )[1]
+            for step in plan.steps[:-1]
+        )
+        if None in layouts or len(layouts) > 1 or (
+            math.degrees(reach) > MARGIN_DEG
+        ):
+            return [], 0
+        members = records[-1].shard_set.members
+        chains: List[ExecutionPlan] = []
+        failovers = 0
+        for member in prune_members(members, plan.area):
+            index = members.index(member)
+            steps = []
+            for step, record in zip(plan.steps, records):
+                urls = record.shard_set.members[index].candidate_urls(
+                    "crossmatch"
+                )
+                steps.append(replace(step, url=urls[0], replica_urls=urls[1:]))
+            chain, moved, _, _ = self.reroute(
+                replace(plan, partition=index, steps=tuple(steps)),
+                dead,
+                [],
+                probe=False,
+            )
+            chains.append(chain)
+            failovers += moved
+        return chains, failovers
 
     def performance_counts(
         self,

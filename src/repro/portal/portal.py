@@ -113,8 +113,8 @@ class Portal:
         #: Whether a deadline-dead chain is cancelled eagerly with a
         #: ``CancelQuery`` fan-down (the default) or left to the nodes'
         #: TTL reapers — the E22 comparison arm, not a recommended
-        #: setting: leftover streams, stagings, and transfers then sit
-        #: in server memory for the whole TTL.
+        #: setting: leftover streams and transfers then sit in server
+        #: memory for the whole TTL.
         self.eager_cancel = True
         #: The semantic result cache (None = caching off, the seed's
         #: behaviour; installed via ``FederationConfig(cache=...)``).
@@ -139,11 +139,11 @@ class Portal:
 
         Each sharded archive's ownership layout is folded in too (via
         :meth:`~repro.shard.topology.ShardSet.layout_signature`): a
-        re-sharded federation partitions the same rows differently, and
-        while the merged answer is provably identical, the per-shard
-        stats and wire bytes are not — a cached entry must not cross a
-        re-shard. The signature is content-based (no endpoint URLs), so
-        shard-replica failover stays fingerprint-neutral.
+        re-sharded federation runs a query as different partition chains,
+        and while the merged answer is provably identical, the wire bytes
+        are not — a cached entry must not cross a re-shard. The signature
+        is content-based (no endpoint URLs), so shard-mirror failover
+        stays fingerprint-neutral.
         """
         knobs = {
             "chain_mode": str(self.chain_mode),
@@ -403,6 +403,7 @@ class Portal:
                 failovers=planned.failovers,
                 qid=qid,
                 dead=planned.dead,
+                partitions=planned.partitions,
             )
         result.counts = planned.counts
         result.epochs = planned.epochs
@@ -498,7 +499,9 @@ class Portal:
         :meth:`submit` executes — same health probes, same failover and
         skip decisions (``warnings``/``failovers``/``skipped``) — so
         ``plan`` is exactly what would be sent to the first SkyNode, and
-        ``None`` (``would_execute`` false) when no chain would run.
+        ``None`` (``would_execute`` false) when no chain would run. On
+        co-partitioned archives ``partitions`` lists the per-stripe chains
+        actually sent in its place (empty when ``plan`` runs as itself).
         """
         query = parse_query(sql) if isinstance(sql, str) else sql
         analysis = validate_query(query)
@@ -547,6 +550,7 @@ class Portal:
                 for alias, model in planned.calibration.items()
             },
             "plan": None if planned.plan is None else planned.plan.to_wire(),
+            "partitions": [chain.to_wire() for chain in planned.partitions],
         }
 
     def _direct_target(self, query: Query) -> NodeRecord:

@@ -128,11 +128,11 @@ class RegistrationService(WebService):
     ) -> Optional[List[Dict[str, Any]]]:
         """Check an advertised shard layout before it enters the catalog.
 
-        Each member needs a name, a decodable ownership struct, and at
-        least one endpoint set exposing a crossmatch URL (the service the
-        scatter-gather fan-out targets); the ownership kinds must be
-        uniform. Raises :class:`RegistrationError` on any gap — a layout
-        the Planner cannot route is worse than none.
+        Each member needs a name, a decodable (zone-range) ownership
+        struct, and at least one endpoint set exposing a crossmatch URL
+        (the service a partition chain's hop targets). Raises
+        :class:`RegistrationError` on any gap — a layout the Planner
+        cannot route is worse than none.
         """
         from repro.errors import SkyQueryError
         from repro.shard.topology import ShardSet
@@ -141,7 +141,6 @@ class RegistrationService(WebService):
             return None
         try:
             shard_set = ShardSet.from_wire(shards)
-            shard_set.shard_key  # raises on mixed ownership kinds
         except (KeyError, ValueError, TypeError, SkyQueryError) as exc:
             raise RegistrationError(
                 f"malformed shard layout for {archive!r}: {exc}"

@@ -8,7 +8,6 @@ from typing import Any, Callable, Optional
 from repro.budget import CLEANUP_OPERATIONS, QueryBudget, active_budget
 from repro.errors import (
     DeadlineExceededError,
-    ShardUnavailableError,
     SoapFaultError,
     TransportError,
 )
@@ -221,11 +220,6 @@ class ServiceProxy:
                     # A downstream hop refused budget-expired work; the
                     # faultstring already names that hop.
                     raise DeadlineExceededError(exc.faultstring) from exc
-                if exc.detail == "ShardUnavailableError":
-                    # A downstream coordinator exhausted one shard's whole
-                    # candidate list; archive-level failover cannot help,
-                    # so the typed error must reach the executor intact.
-                    raise ShardUnavailableError(exc.faultstring) from exc
                 raise
             if self.breaker is not None:
                 self.breaker.record_success(clock.now)

@@ -1,12 +1,14 @@
 """One lease table for every piece of per-query server state.
 
 A service that holds state on a caller's behalf between two requests —
-a tuple stream, staged shard rows, the chunks of a chunked transfer —
-holds it as a *lease*: granted with a
-TTL on the simulated clock, extended by every touch, tagged with the
-query that owns it and (where it matters) the snapshot epoch it was
-computed at. Whatever the state is, it ends the same few ways, and each
-way is implemented here exactly once:
+a tuple stream, the chunks of a chunked transfer — holds it as a
+*lease*: granted with a TTL on the simulated clock, extended by every
+touch, tagged with the query that owns it and (where it matters) the
+snapshot epoch it was computed at. A query's tag is its execution id,
+or ``<execution id>/<attempt>`` when each attempt must compute afresh;
+whatever is said of a query id below covers both. Whatever the state
+is, it ends the same few ways, and each way is implemented here exactly
+once:
 
 * the TTL passes without a touch (:meth:`LeaseTable.reap`) — counted in
   ``reclaimed_transfers`` when the expiry means a caller abandoned live
@@ -57,7 +59,7 @@ class Lease:
     value: Any
     ttl_s: float
     #: The owning query's id (empty when untagged); what
-    #: :meth:`LeaseTable.release_query` matches on.
+    #: :meth:`LeaseTable.release_query` matches on (with its attempts).
     qid: str = ""
     #: The snapshot epoch the state was computed at. Once that epoch is
     #: garbage-collected no other hop could recompute consistently with
@@ -65,7 +67,7 @@ class Lease:
     epoch: Optional[int] = None
     #: Whether TTL expiry means a caller walked away from live state (an
     #: undrained stream or transfer — a reclaim) rather than a retry
-    #: cache aging out (staged rows — silent).
+    #: cache aging out (silent).
     abandonable: bool = False
     #: False once settled: still servable, no longer abandonable.
     live: bool = True
@@ -237,10 +239,9 @@ class LeaseTable:
         if not qid:
             return 0
         freed = 0
-        for handle, lease in list(self._leases.items()):
-            if lease.qid == qid:
-                freed += lease.reclaimable
-                del self._leases[handle]
+        for kind, key, lease in self.owned_by(qid):
+            freed += lease.reclaimable
+            del self._leases[(kind, key)]
         self._report(self._on_eager, freed)
         return freed
 
@@ -257,10 +258,11 @@ class LeaseTable:
         )
 
     def owned_by(self, qid: str) -> List[Tuple[str, str, Lease]]:
-        """``(kind, key, lease)`` of every lease tagged with a query, live
-        or settled — what a cancel or the TTL has yet to free."""
+        """``(kind, key, lease)`` of every lease tagged with a query (or
+        one of its attempts), live or settled — what a cancel or the TTL
+        has yet to free."""
         return [
             (kind, key, lease)
             for (kind, key), lease in self._leases.items()
-            if lease.qid == qid
+            if lease.qid == qid or lease.qid.startswith(f"{qid}/")
         ]

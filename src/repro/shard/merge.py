@@ -1,69 +1,96 @@
-"""Canonical gather-merge order for scatter-gather hops.
+"""Canonical merge order for partitioned chains.
 
 Byte-identity with the monolithic twin hinges on reproducing the exact
-row order the monolithic engine emits. Shards therefore ship each row's
-original table position in a trailing ``_skyq_pos`` column (assigned at
-provisioning time from the monolithic insert order), and the coordinator
-re-sorts the gathered union with the keys below.
+row order the monolithic engine emits. Shard tables therefore carry each
+row's original table position in a trailing ``_skyq_pos`` column
+(assigned at provisioning time from the monolithic insert order, and
+shard rows are stored in that order).
 
 **Seed hops.** The engine's spatial probe yields rows of the cover's
 *full* ranges first (those need no geometric recheck), then rows of the
 *partial* ranges, each group in ``(htm_id, position)`` order — that is
-the order a monolithic seed query returns. The merge key is therefore
-``(group, htm_id, position)`` where ``group`` is 0 for ids inside the
-cover's full ranges and 1 otherwise, and ``htm_id`` is *recomputed* at
-the coordinator from the shipped (ra, dec) through the same
-``radec_to_vector`` + ``id_for_point`` path the insert side used — the
-wire round-trips floats exactly, so the recomputed id is bitwise equal
-to the stored one. Without an AREA the query is a full scan and rows
-come back in plain position order.
+the order a monolithic seed query returns. A shard's seed returns the
+same order restricted to the rows it owns, and tags every 1-tuple with
+its place in the monolithic order, :func:`seed_order_keys`: ``(group,
+htm_id, position)`` packed into one int, where ``group`` is 0 for ids
+inside the cover's full ranges and 1 otherwise, and ``htm_id`` is the
+trixel id the table stored for the row when it was inserted — the very
+id the engine ordered it by. Without an AREA the query is a full scan
+and the key is the plain position.
+
+Every later hop keeps its incoming tuples' order and appends each
+tuple's matches in position order, so each partition chain's answer is
+sorted on the seed key, and seeds are owned by exactly one partition:
+:func:`merge_seed_rows` merging the partitions' answers on that key is
+the monolithic answer.
 
 **Match hops.** The monolithic step emits matches as ``for seq in
 sorted(matches): for obj in objects`` with each tuple's objects in
-ascending row-position order; per-seq concatenation sorted by
-``_skyq_pos`` reproduces it (ownership partitions rows, so no two
-shards ever ship the same ``(seq, position)`` pair).
+ascending row-position order; a shard probes its owned rows and its
+margin copies separately, and per-seq concatenation sorted by
+``_skyq_pos`` (:func:`merge_match_lists`) reproduces it (a row is either
+owned or a margin copy, never both).
 """
 
 from __future__ import annotations
 
+import heapq
+from operator import itemgetter
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.htm.index import id_for_point
 from repro.htm.ranges import HTMRanges
-from repro.sphere.coords import radec_to_vector
+
+#: The hidden per-row column carrying a row's position in the monolithic
+#: insert order; shard tables gain it at provisioning time.
+SHARD_POS_COLUMN = "_skyq_pos"
+
+#: The attribute a partition chain's seed hop tags each tuple with — its
+#: :func:`seed_order_keys` value — carried as the last column of every
+#: batch and stripped by the Portal's merge.
+SEED_KEY = "_skyq_key"
+
+#: Bits of a packed seed key given to the row position.
+_POSITION_BITS = 40
+
+
+def seed_order_keys(
+    positions: Sequence[int],
+    hids: Sequence[int] = (),
+    full_ranges: Optional[HTMRanges] = None,
+    htm_depth: int = 0,
+) -> List[int]:
+    """Seed rows' places in the monolithic probe order, as ints.
+
+    ``positions`` are the rows' ``_skyq_pos`` values. With an AREA pass
+    the rows' stored depth-``htm_depth`` trixel ids and the query cover's
+    full ranges at that depth; ``None`` means a full scan, which the
+    engine returns in plain position order.
+    """
+    if full_ranges is None:
+        return [int(pos) for pos in positions]
+    id_bits = 4 + 2 * htm_depth  # depth-d ids are below 16 * 4**d
+    return [
+        ((((0 if full_ranges.contains(hid) else 1) << id_bits) | hid)
+         << _POSITION_BITS) | int(pos)
+        for pos, hid in zip(positions, hids)
+    ]
 
 
 def merge_seed_rows(
-    rows: Sequence[Tuple[Any, ...]],
-    *,
-    htm_depth: int,
-    full_ranges: Optional[HTMRanges] = None,
+    streams: Sequence[Sequence[Tuple[Any, ...]]],
 ) -> List[Tuple[Any, ...]]:
-    """Sort gathered seed rows into monolithic probe order.
+    """Merge partition answers into monolithic order, dropping the key.
 
-    Each row is ``(id, ra, dec, *attrs, _skyq_pos)`` — the monolithic
-    seed SELECT columns with the position appended last. Pass
-    ``full_ranges`` (the query cover's full ranges at the table's index
-    depth) when the plan has an AREA; ``None`` means a full scan, which
-    the engine returns in plain position order.
+    Each stream is one partition chain's answer rows, sorted on their
+    trailing seed key; rows of one seed stay in their stream's order.
     """
-    if full_ranges is None:
-        return sorted(rows, key=lambda row: row[-1])
-
-    def probe_key(row: Tuple[Any, ...]) -> Tuple[int, int, Any]:
-        hid = id_for_point(
-            radec_to_vector(float(row[1]), float(row[2])), htm_depth
-        )
-        return (0 if full_ranges.contains(hid) else 1, hid, row[-1])
-
-    return sorted(rows, key=probe_key)
+    return [row[:-1] for row in heapq.merge(*streams, key=itemgetter(-1))]
 
 
 def merge_match_lists(
     rows: Sequence[Tuple[Any, ...]],
 ) -> List[Tuple[int, List[Tuple[Any, ...]]]]:
-    """Group gathered match rows into monolithic emission order.
+    """Group match rows of several probes into monolithic emission order.
 
     Each row is ``(seq, _skyq_pos, *payload)``. Returns ``(seq,
     rows-of-that-seq)`` pairs with seqs ascending and each tuple's rows

@@ -1,58 +1,57 @@
-"""Shard ownership models, partition planning, and pruning predicates.
+"""Shard ownership, federation-wide partition planning, margins, pruning.
 
-An *ownership* describes which slice of the sky one shard holds. Two
-models are supported, mirroring the two spatial access paths of the
-engine:
-
-* **zone-range** — an inclusive range of declination-zone ids (the zone
-  engine's shard key, after Nieto-Santisteban et al.): shard rows satisfy
-  ``zone_lo <= zone_of(dec) <= zone_hi``.
-* **HTM trixel-prefix** — an inclusive interval of depth-``htm_depth``
-  HTM ids whose cuts are aligned to coarse-trixel starts: shard rows
-  satisfy ``id_lo <= htm_id <= id_hi``.
+An *ownership* is an inclusive range of declination-zone ids (the zone
+engine's shard key, after Nieto-Santisteban et al.): shard rows satisfy
+``zone_lo <= zone_of(dec) <= zone_hi``. Every sharded archive of a
+federation is cut on the *same* zone boundaries, so the k-th shard of
+every archive covers the same stripe of sky and one chain per stripe can
+run without traffic between stripes. Besides the rows it owns, each shard
+keeps copies of its neighbours' rows within :data:`MARGIN_DEG` of its
+stripe — the rows a chain seeded in the stripe can reach.
 
 Pruning is *conservative by construction*: contacting an extra shard is
 always harmless — the shard's own spatial/zone index simply touches zero
-rows, contributing nothing to the gathered rows or the summed node stats
-— whereas dropping a shard that owns even one cover-window row would
+rows, contributing nothing to the answer or the summed node stats —
+whereas dropping a shard that owns even one cover-window row would
 corrupt both. Every predicate here therefore rounds outward:
 
 * Seed hops run a cover-based spatial probe whose ``rows_examined``
   counts every row in a *partial* boundary trixel, including rows whose
-  declination lies outside the search cap's dec window. Zone-range
-  pruning for a seed hop must pad the cap window by a trixel-diameter
-  bound (:func:`trixel_pad_deg`) so that shards owning only such
-  boundary rows are still contacted. HTM-range pruning intersects the
-  shard interval with the cover's candidate ranges — exact, no pad.
+  declination lies outside the search cap's dec window. Seed pruning
+  therefore pads the cap window by a trixel-diameter bound
+  (:func:`trixel_pad_deg`) so that shards owning only such boundary rows
+  are still contacted.
 * Match hops count only rows *inside* the padded search cap (the kernels
-  apply the cosine filter before touching stats), so per-tuple zone
-  pruning needs just the effective search radius plus float slack.
-  HTM-range ownership has no cheap per-tuple test, so match hops
-  broadcast tuples to every HTM shard (a documented losing regime).
+  apply the cosine filter before touching stats), so the margin a row is
+  copied into needs just the dec distance plus float slack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, PlanningError
-from repro.htm.cover import cover
-from repro.htm.ranges import HTMRanges
-from repro.sql.area import region_for
 from repro.sql.ast import AreaClause, AreaLike
 from repro.zone.index import DEFAULT_ZONE_HEIGHT_DEG, zone_count, zone_of
 
-#: Shard-key names accepted by ``FederationConfig(shard_key=...)``.
+#: The one shard key (``FederationConfig(shard_key=...)``'s legal value).
 ZONE_KEY = "zone"
-HTM_KEY = "htm"
-SHARD_KEYS = (ZONE_KEY, HTM_KEY)
+
+#: How far (degrees) past its stripe a shard keeps copies of its
+#: neighbours' rows: one zone height, 30 arcsec. A chain runs on the
+#: shards only while its reach fits inside it (see the Planner).
+MARGIN_DEG = DEFAULT_ZONE_HEIGHT_DEG
 
 #: Float slack (degrees) added to match-hop dec windows: covers the
 #: rounding of the wire round-trip and of ``r_eff`` back-conversion,
 #: both orders of magnitude below this.
 _MATCH_PAD_DEG = 1e-6
+
+
+def margin_table(table: str) -> str:
+    """The name of the local table holding a shard's margin copies."""
+    return f"{table}_margin"
 
 
 def trixel_pad_deg(htm_depth: int) -> float:
@@ -61,10 +60,10 @@ def trixel_pad_deg(htm_depth: int) -> float:
     A root trixel (an octant) has vertex separation 90°; each subdivision
     at most halves edge lengths, and the diameter is at most two edge
     lengths away from any interior point — ``720 / 2**d`` over-covers all
-    of that comfortably. Used to pad zone-range pruning windows so that
-    rows in *partial* boundary trixels (counted by the engine's spatial
-    probe even when their dec lies outside the cap window) never cause a
-    shard to be pruned away.
+    of that comfortably. Used to pad seed pruning windows so that rows in
+    *partial* boundary trixels (counted by the engine's spatial probe
+    even when their dec lies outside the cap window) never cause a shard
+    to be pruned away.
     """
     if htm_depth < 0:
         raise ConfigurationError(f"htm_depth must be >= 0, got {htm_depth}")
@@ -90,9 +89,8 @@ class ZoneRangeOwnership:
     def empty(self) -> bool:
         return self.zone_lo > self.zone_hi
 
-    def owns(self, dec_deg: float, htm_id: int) -> bool:
+    def owns(self, dec_deg: float) -> bool:
         """True if a row at ``dec_deg`` belongs to this shard."""
-        del htm_id
         return self.zone_lo <= zone_of(dec_deg, self.zone_height_deg) <= self.zone_hi
 
     def dec_interval(self) -> Tuple[float, float]:
@@ -115,59 +113,17 @@ class ZoneRangeOwnership:
         }
 
 
-@dataclass(frozen=True)
-class HTMRangeOwnership:
-    """Inclusive depth-``htm_depth`` HTM id interval ``[id_lo, id_hi]``.
-
-    An inverted interval (``id_lo > id_hi``) is a legal *empty* shard.
-    """
-
-    id_lo: int
-    id_hi: int
-    htm_depth: int
-
-    @property
-    def empty(self) -> bool:
-        return self.id_lo > self.id_hi
-
-    def owns(self, dec_deg: float, htm_id: int) -> bool:
-        """True if a row whose position hashes to ``htm_id`` belongs here."""
-        del dec_deg
-        return self.id_lo <= htm_id <= self.id_hi
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "kind": HTM_KEY,
-            "id_lo": self.id_lo,
-            "id_hi": self.id_hi,
-            "htm_depth": self.htm_depth,
-        }
-
-
-Ownership = Union[ZoneRangeOwnership, HTMRangeOwnership]
-
-
-def ownership_from_wire(data: Dict[str, Any]) -> Ownership:
-    """Decode one ownership wire struct (see the ``to_wire`` methods)."""
+def ownership_from_wire(data: Dict[str, Any]) -> ZoneRangeOwnership:
+    """Decode one ownership wire struct (see ``ZoneRangeOwnership.to_wire``)."""
     kind = data.get("kind")
-    if kind == ZONE_KEY:
-        return ZoneRangeOwnership(
-            zone_lo=int(data["zone_lo"]),
-            zone_hi=int(data["zone_hi"]),
-            zone_height_deg=float(data["zone_height_deg"]),
-            htm_depth=int(data["htm_depth"]),
-        )
-    if kind == HTM_KEY:
-        return HTMRangeOwnership(
-            id_lo=int(data["id_lo"]),
-            id_hi=int(data["id_hi"]),
-            htm_depth=int(data["htm_depth"]),
-        )
-    raise PlanningError(f"unknown shard ownership kind {kind!r}")
-
-
-def _circle_of(area: Optional[AreaLike]) -> Optional[AreaClause]:
-    return area if isinstance(area, AreaClause) else None
+    if kind != ZONE_KEY:
+        raise PlanningError(f"unknown shard ownership kind {kind!r}")
+    return ZoneRangeOwnership(
+        zone_lo=int(data["zone_lo"]),
+        zone_hi=int(data["zone_hi"]),
+        zone_height_deg=float(data["zone_height_deg"]),
+        htm_depth=int(data["htm_depth"]),
+    )
 
 
 def _dec_windows_overlap(
@@ -182,83 +138,45 @@ def prune_members(members: Sequence[Any], area: Optional[AreaLike]) -> List[Any]
     ``members`` is any sequence of objects with an ``ownership``
     attribute (typically :class:`~repro.shard.topology.ShardMember`).
     With no AREA the query is a full scan and every non-empty shard is
-    kept. With a circular AREA, zone shards are kept when their dec
-    interval overlaps the cap window padded by :func:`trixel_pad_deg`
-    (polygon AREAs keep all zone shards — conservative, still exact).
-    HTM shards are kept when their id interval overlaps any candidate
-    cover range — exact for either AREA shape.
+    kept. With a circular AREA, shards are kept when their dec interval
+    overlaps the cap window padded by :func:`trixel_pad_deg`; polygon
+    AREAs keep every non-empty shard — conservative, still exact.
     """
-    if not members:
-        return []
     kept: List[Any] = []
-    circle = _circle_of(area)
-    region = region_for(area) if area is not None else None
-    covers: Dict[int, HTMRanges] = {}
     for member in members:
         own = member.ownership
         if own.empty:
             continue
-        if area is None:
-            kept.append(member)
-            continue
-        if isinstance(own, HTMRangeOwnership):
-            ranges = covers.get(own.htm_depth)
-            if ranges is None:
-                ranges = cover(region, own.htm_depth).all_ranges()
-                covers[own.htm_depth] = ranges
-            if any(lo <= own.id_hi and own.id_lo <= hi for lo, hi in ranges):
-                kept.append(member)
-            continue
-        if circle is None:
-            # Polygon AREA: no cheap dec bound — keep every zone shard.
-            kept.append(member)
-            continue
-        radius_deg = circle.radius_arcsec / 3600.0
-        pad = trixel_pad_deg(own.htm_depth) + _MATCH_PAD_DEG
-        win_lo = circle.dec_deg - radius_deg - pad
-        win_hi = circle.dec_deg + radius_deg + pad
-        dec_lo, dec_hi = own.dec_interval()
-        if _dec_windows_overlap(dec_lo, dec_hi, win_lo, win_hi):
-            kept.append(member)
+        if isinstance(area, AreaClause):
+            radius_deg = area.radius_arcsec / 3600.0
+            pad = trixel_pad_deg(own.htm_depth) + _MATCH_PAD_DEG
+            dec_lo, dec_hi = own.dec_interval()
+            if not _dec_windows_overlap(
+                dec_lo, dec_hi,
+                area.dec_deg - radius_deg - pad,
+                area.dec_deg + radius_deg + pad,
+            ):
+                continue
+        kept.append(member)
     return kept
 
 
 def members_for_tuple(
     members: Sequence[Any], dec_c_deg: float, r_eff_deg: float
 ) -> List[Any]:
-    """The shard members one match-hop tuple must be shipped to.
-
-    Match hops count only rows inside the tuple's padded search cap, so
-    zone shards outside ``dec_c ± r_eff`` (plus float slack) contribute
-    nothing and are skipped. HTM shards are always kept: trixel-prefix
-    ownership has no cheap per-tuple test, so tuples broadcast.
-    """
-    kept: List[Any] = []
+    """The shard members whose stripe lies within ``r_eff_deg`` of a
+    declination (plus float slack) — at provisioning, the shards a row
+    at ``dec_c_deg`` is owned by or copied into as margin."""
     win_lo = dec_c_deg - r_eff_deg - _MATCH_PAD_DEG
     win_hi = dec_c_deg + r_eff_deg + _MATCH_PAD_DEG
-    for member in members:
-        own = member.ownership
-        if own.empty:
-            continue
-        if isinstance(own, ZoneRangeOwnership):
-            dec_lo, dec_hi = own.dec_interval()
-            if not _dec_windows_overlap(dec_lo, dec_hi, win_lo, win_hi):
-                continue
-        kept.append(member)
-    return kept
-
-
-def _quantile_cuts(sorted_keys: Sequence[int], n_shards: int) -> List[int]:
-    """Interior cut keys (length ``n_shards - 1``), nondecreasing."""
-    cuts: List[int] = []
-    total = len(sorted_keys)
-    for i in range(1, n_shards):
-        idx = (i * total) // n_shards
-        cut = sorted_keys[min(idx, total - 1)] if total else 0
-        if cuts and cut < cuts[-1]:
-            cut = cuts[-1]
-        cuts.append(cut)
-    return cuts
+    return [
+        member
+        for member in members
+        if not member.ownership.empty
+        and _dec_windows_overlap(
+            *member.ownership.dec_interval(), win_lo, win_hi
+        )
+    ]
 
 
 def plan_zone_ownership(
@@ -269,64 +187,28 @@ def plan_zone_ownership(
 ) -> Tuple[ZoneRangeOwnership, ...]:
     """Partition the zone-id space into ``n_shards`` row-balanced ranges.
 
-    Cuts are zone-id quantiles of the table's declinations, forced
-    nondecreasing; together the ranges cover the *entire* zone space
-    (shard 0 starts at zone 0, the last shard ends at the last zone), so
-    every representable declination has exactly one owner. Shards whose
-    quantile collapses onto a neighbour come out empty — legal.
+    Cuts are zone-id quantiles of the declinations given (the provisioner
+    passes every sharded archive's rows at once, so all archives share
+    one set of cuts), forced nondecreasing; together the ranges cover the
+    *entire* zone space (shard 0 starts at zone 0, the last shard ends at
+    the last zone), so every representable declination has exactly one
+    owner. Shards whose quantile collapses onto a neighbour come out
+    empty — legal.
     """
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    zones = sorted(zone_of(d, zone_height_deg) for d in dec_values)
-    cuts = [0] + _quantile_cuts(zones, n_shards) + [zone_count(zone_height_deg)]
+    zones = sorted(zone_of(d, zone_height_deg) for d in dec_values) or [0]
+    cuts = [0]
+    for i in range(1, n_shards):
+        cut = zones[min((i * len(zones)) // n_shards, len(zones) - 1)]
+        cuts.append(max(cut, cuts[-1]))
+    cuts.append(zone_count(zone_height_deg))
     return tuple(
         ZoneRangeOwnership(
             zone_lo=cuts[i],
             zone_hi=cuts[i + 1] - 1,
             zone_height_deg=zone_height_deg,
             htm_depth=htm_depth,
-        )
-        for i in range(n_shards)
-    )
-
-
-def plan_htm_ownership(
-    htm_ids: Sequence[int],
-    n_shards: int,
-    htm_depth: int,
-    align_depth: Optional[int] = None,
-) -> Tuple[HTMRangeOwnership, ...]:
-    """Partition the depth-``d`` HTM id space into ``n_shards`` intervals.
-
-    Cuts are id quantiles of the table's rows, rounded *down* to the
-    start of an ``align_depth`` trixel (default ``htm_depth - 3``, i.e.
-    64-id blocks) so shard boundaries follow coarse-trixel edges, then
-    forced nondecreasing. The intervals cover the whole depth-``d`` id
-    space ``[8 * 4**d, 16 * 4**d - 1]``.
-    """
-    if n_shards < 1:
-        raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    if htm_depth < 0:
-        raise ConfigurationError(f"htm_depth must be >= 0, got {htm_depth}")
-    if align_depth is None:
-        align_depth = max(0, htm_depth - 3)
-    if not 0 <= align_depth <= htm_depth:
-        raise ConfigurationError(
-            f"align_depth {align_depth} outside [0, {htm_depth}]"
-        )
-    shift = 2 * (htm_depth - align_depth)
-    key_lo = 8 << (2 * htm_depth)
-    key_end = 16 << (2 * htm_depth)  # exclusive
-    ids = sorted(int(h) for h in htm_ids)
-    raw = _quantile_cuts(ids, n_shards)
-    cuts = [key_lo]
-    for cut in raw:
-        aligned = max(key_lo, min((cut >> shift) << shift, key_end))
-        cuts.append(max(aligned, cuts[-1]))
-    cuts.append(key_end)
-    return tuple(
-        HTMRangeOwnership(
-            id_lo=cuts[i], id_hi=cuts[i + 1] - 1, htm_depth=htm_depth
         )
         for i in range(n_shards)
     )

@@ -3,28 +3,19 @@
 A sharded archive registers one :class:`ShardSet` alongside its normal
 service endpoints. Each :class:`ShardMember` pairs an ownership slice
 with an *ordered* endpoint-candidate list — the shard primary first,
-then its replicas — mirroring the archive-level candidate lists the
-executor already fails over across. The set travels over the wire once
-at registration; at query time the coordinating node and the planner
-consult their local copies, so the per-query plan wire stays free of
-shard detail (the layout reaches the semantic cache only through the
-fingerprint's execution profile, via :meth:`ShardSet.layout_signature`).
+then its mirrors — walked for failover exactly like an archive's own
+candidates. The set travels over the wire once, at registration; the
+Planner then builds one partition chain per member from its local copy
+and folds the layout into the fingerprint's execution profile (via
+:meth:`ShardSet.layout_signature`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.errors import PlanningError
-from repro.shard.ownership import (
-    HTM_KEY,
-    ZONE_KEY,
-    HTMRangeOwnership,
-    Ownership,
-    ZoneRangeOwnership,
-    ownership_from_wire,
-)
+from repro.shard.ownership import ZoneRangeOwnership, ownership_from_wire
 
 
 @dataclass(frozen=True)
@@ -37,7 +28,7 @@ class ShardMember:
     """
 
     name: str
-    ownership: Ownership
+    ownership: ZoneRangeOwnership
     endpoints: Tuple[Mapping[str, str], ...]
 
     def candidate_urls(self, service: str) -> Tuple[str, ...]:
@@ -72,47 +63,22 @@ class ShardSet:
 
     members: Tuple[ShardMember, ...]
 
-    @property
-    def shard_key(self) -> str:
-        """``"zone"`` or ``"htm"``, derived from the members' ownerships."""
-        kinds = {
-            ZONE_KEY if isinstance(m.ownership, ZoneRangeOwnership) else HTM_KEY
-            for m in self.members
-        }
-        if len(kinds) != 1:
-            raise PlanningError(
-                f"shard set mixes ownership kinds: {sorted(kinds)}"
-            )
-        return next(iter(kinds))
-
-    def member_named(self, name: str) -> Optional[ShardMember]:
-        for member in self.members:
-            if member.name == name:
-                return member
-        return None
-
     def layout_signature(self) -> str:
         """A content-based layout token for the execution profile.
 
-        Folds the shard key and every member's ownership bounds — but no
-        endpoint URLs — into the plan fingerprint, so the semantic cache
-        distinguishes layouts (a re-provisioned federation must not hit a
-        stale layout's entries) while replica substitution stays
-        fingerprint-neutral, exactly like archive-level failover.
+        Folds every member's ownership bounds — but no endpoint URLs —
+        into the plan fingerprint, so the semantic cache distinguishes
+        layouts (a re-provisioned federation must not hit a stale
+        layout's entries) while replica substitution stays
+        fingerprint-neutral, exactly like archive-level failover. Two
+        archives cut on the same boundaries have the same signature: the
+        Planner's test for running a query as partition chains.
         """
-        parts: List[str] = [self.shard_key]
-        for member in self.members:
-            own = member.ownership
-            if isinstance(own, ZoneRangeOwnership):
-                parts.append(
-                    f"z:{own.zone_lo}:{own.zone_hi}"
-                    f":{own.zone_height_deg!r}:{own.htm_depth}"
-                )
-            elif isinstance(own, HTMRangeOwnership):
-                parts.append(f"h:{own.id_lo}:{own.id_hi}:{own.htm_depth}")
-            else:  # pragma: no cover - exhaustive over Ownership
-                raise PlanningError(f"unknown ownership {own!r}")
-        return "|".join(parts)
+        return "|".join(
+            f"z:{own.zone_lo}:{own.zone_hi}"
+            f":{own.zone_height_deg!r}:{own.htm_depth}"
+            for own in (member.ownership for member in self.members)
+        )
 
     def to_wire(self) -> List[Dict[str, Any]]:
         return [member.to_wire() for member in self.members]

@@ -12,17 +12,19 @@ There is exactly one hop (see DESIGN.md, "the one hop")::
 
     partitions -> probe -> canonical merge -> extend/filter -> stats
 
-*Partitions* are where this archive's rows live: the node's own database
-(a monolithic archive is the one-partition layout — no routing, no
-staging, no wire) or its spatial shards (pruned by AREA, routed per
-tuple, probed in parallel with per-shard endpoint failover). The *probe*
-— the node query for a seed hop, temp table + ``sp_xmatch`` for a match or
-drop-out hop — is written once and runs wherever the partition's rows
-are: in process for the monolithic node, behind ``ShardSeed`` /
-``ShardXMatch`` for a shard. The *merge* puts gathered partitions back
-into the monolithic emission order (the identity for one partition), and
-the extend/filter and stats tails never know how many partitions there
-were.
+*Partitions* are where this node's rows live, as local tables: its own
+table (a monolithic archive is the one-partition layout) and — on a shard
+of a co-partitioned archive — the margin copies of its neighbours' rows
+within ``repro.shard.MARGIN_DEG`` of its stripe. A seed hop reads only the
+node's own table, so a seed belongs to exactly one partition chain; a
+match or drop-out hop probes both. The *probe* — the node query for a
+seed hop, temp table + ``sp_xmatch`` for a match or drop-out hop — is
+written once; the *merge* puts the probed tables back into the monolithic
+emission order (the identity for one table), and the extend/filter and
+stats tails never know how many partitions there were. Sharding itself is
+a plan, not a hop: the Planner runs one ordinary chain per shard stripe
+and the Portal merges their answers (see DESIGN.md, "sharding is a
+plan").
 
 How the hop's tuples travel is a second, independent parameter — and it is
 only a number, the stream's ``batch_size``. ``PerformXMatch`` opens this
@@ -44,8 +46,8 @@ finds it: a drained stream asked for its last batch replays the payload
 with no downstream call (only the failed hop's bytes travel again), and
 anything else is opened afresh under the same key, orphaning nothing.
 
-Everything the service holds between two requests — tuple streams, staged
-shard rows, chunked transfers — is a lease in one
+Everything the service holds between two requests — tuple streams and
+chunked transfers — is a lease in one
 :class:`~repro.services.leases.LeaseTable`, so TTL expiry, ``CancelQuery``
 release, epoch-floor reaping and ``crash()`` each exist once.
 """
@@ -53,7 +55,7 @@ release, epoch-floor reaping and ``crash()`` each exist once.
 from __future__ import annotations
 
 import itertools
-import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -63,33 +65,27 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
 from repro.db.schema import Column
 from repro.db.types import ColumnType
-from repro.errors import (
-    ExecutionError,
-    GeometryError,
-    ShardUnavailableError,
-    TransportError,
-)
+from repro.errors import ExecutionError
 from repro.htm.cover import cover
 from repro.portal.plan import ExecutionPlan, PlanStep
 from repro.services.chunked import ChunkedSender, receive_rowset
 from repro.services.framework import WebService
 from repro.services.leases import Lease, LeaseTable
 from repro.shard import (
-    members_for_tuple,
+    SEED_KEY,
+    SHARD_POS_COLUMN,
+    margin_table,
     merge_match_lists,
-    merge_seed_rows,
-    prune_members,
+    seed_order_keys,
 )
-from repro.shard.topology import ShardMember
-from repro.skynode.xmatch_proc import PROCEDURE_NAME, _cap_bounds
+from repro.skynode.xmatch_proc import PROCEDURE_NAME
 from repro.tracing.tracer import active_tracer
-from repro.soap.encoding import ColumnarRowSet, WireRowSet
+from repro.soap.encoding import ColumnarRowSet
 from repro.sphere.coords import radec_to_vector
 from repro.sql.area import region_for
 from repro.sql.ast import (
@@ -108,41 +104,21 @@ from repro.xmatch.tuples import LocalObject, PartialTuple
 from repro.xmatch.wire import rowset_to_tuples, tuples_to_payload
 
 if TYPE_CHECKING:
-    from repro.services.client import ServiceProxy
     from repro.skynode.node import SkyNode
 
 #: How long (simulated seconds) a stream survives between touches — an
 #: open one awaiting its next pull, a drained one awaiting a replay.
 STREAM_TTL_S = 600.0
 
-#: How long (simulated seconds) staged shard-fan-out tuple rows survive
-#: between touches. Staging persists past the ``ShardXMatch`` that consumes
-#: it so a retry after a lost response can deterministically re-run.
-STAGING_TTL_S = 600.0
-
-#: The lease kinds this service holds (chunked transfers are the third,
+#: The lease kind this service holds (chunked transfers are the other,
 #: held by the sender in the same table).
 STREAM = "stream"
-STAGING = "staging"
-
-#: Rows per ``ShardStage`` call: keeps every staged request far below the
-#: receiving shard's XML-parser memory budget (5 numeric columns per row).
-SHARD_STAGE_ROWS = 2048
-
-#: The hidden per-row column carrying a row's position in the monolithic
-#: insert order; shard tables gain it at provisioning time so gathered
-#: rows can be merged back into exactly the monolithic emission order.
-SHARD_POS_COLUMN = "_skyq_pos"
 
 #: What one incoming partial tuple looks like to the match probe: its
-#: chain sequence number and cumulative values — the temp table's schema
-#: and, typecode for typecode, the ``ShardStage`` rowset's.
-_ACC_NAMES = ("a", "ax", "ay", "az")
+#: chain sequence number and cumulative values — the temp table's schema.
 _TEMP_COLUMNS = [Column("seq", ColumnType.INT, nullable=False)] + [
-    Column(name, ColumnType.FLOAT, nullable=False) for name in _ACC_NAMES
-]
-_STAGE_WIRE_COLUMNS = [("seq", "int")] + [
-    (name, "double") for name in _ACC_NAMES
+    Column(name, ColumnType.FLOAT, nullable=False)
+    for name in ("a", "ax", "ay", "az")
 ]
 
 #: The per-probe cost counters every hop reports, in wire order.
@@ -150,7 +126,7 @@ _COST_KEYS = (
     "rows_examined", "candidates_tested", "logical_reads", "physical_reads",
 )
 
-#: One staged/temp-table row: ``(seq, a, ax, ay, az)``.
+#: One temp-table row: ``(seq, a, ax, ay, az)``.
 AccRow = Tuple[int, float, float, float, float]
 #: A hop's matches in emission order: ascending seq, each tuple's
 #: candidates in ascending row-position order.
@@ -188,7 +164,7 @@ class _Stream:
 
 class CrossMatchService(WebService):
     """The chain operations (``PerformXMatch`` / ``PullBatch``), their
-    chunked-transfer companion ``FetchChunk`` and the shard fan-out."""
+    chunked-transfer companion ``FetchChunk``, and stream teardown."""
 
     def __init__(
         self,
@@ -202,7 +178,7 @@ class CrossMatchService(WebService):
             parser_memory_limit=parser_memory_limit,
         )
         self._node = node
-        #: Every stream, staging and chunked transfer this service holds.
+        #: Every stream and chunked transfer this service holds.
         #: Leases pinned to a snapshot epoch die when the epoch falls off
         #: the engine's pinnable window.
         self.leases = LeaseTable(lambda: node.wrapper.db.oldest_epoch)
@@ -253,54 +229,12 @@ class CrossMatchService(WebService):
                 ("position", "int"),
             ),
             returns="struct",
-            doc="Eagerly free every stream, staging, and chunked "
-                "transfer this node holds for a query, then fan the "
+            doc="Eagerly free every stream and chunked transfer this "
+                "node holds for a query, then fan the "
                 "cancel down the chain (best effort — TTL reaping "
                 "remains the backstop for a lost cancel). Idempotent.",
         )
-        self.register(
-            "ShardSeed",
-            self._shard_seed,
-            params=(
-                ("plan", "struct"),
-                ("position", "int"),
-                ("qid", "string"),
-            ),
-            returns="struct",
-            doc="Scatter-gather seed: run this shard's slice of the seed "
-                "query and ship its rows (with their monolithic row "
-                "positions) back to the coordinating node.",
-        )
-        self.register(
-            "ShardStage",
-            self._shard_stage,
-            params=(
-                ("xmid", "string"),
-                ("rows", "rowset"),
-                ("qid", "string"),
-            ),
-            returns="struct",
-            doc="Stage a slice of partial-tuple accumulators ahead of a "
-                "ShardXMatch call (idempotent per seq; chunked client-side "
-                "so no single request blows the parser memory budget).",
-        )
-        self.register(
-            "ShardXMatch",
-            self._shard_xmatch,
-            params=(
-                ("xmid", "string"),
-                ("plan", "struct"),
-                ("position", "int"),
-                ("qid", "string"),
-            ),
-            returns="struct",
-            doc="Scatter-gather match: run the cross-match stored "
-                "procedure over this shard's rows against the staged "
-                "tuples, shipping matches tagged with seq and monolithic "
-                "row position for the coordinator's canonical merge.",
-        )
         self._stream_ids = itertools.count(1)
-        self._xmid_counter = itertools.count(1)
 
     # -- what the service is holding (0 after clean runs) --------------------------
 
@@ -308,11 +242,6 @@ class CrossMatchService(WebService):
     def open_streams(self) -> int:
         """Streams still holding undrained server-side state."""
         return self.leases.held(STREAM)
-
-    @property
-    def open_stagings(self) -> int:
-        """Staged shard fan-out row sets currently held."""
-        return self.leases.held(STAGING)
 
     # -- the chain transport: one stream per hop ----------------------------------
 
@@ -354,9 +283,7 @@ class CrossMatchService(WebService):
                 # The partition is deterministic, so a resumed stream
                 # (start_seq > 0) slices the batches identically and serves
                 # exactly the missing suffix.
-                stream.tuples, stream.stats = self._seed_step(
-                    plan_obj, me, qid=qid
-                )
+                stream.tuples, stream.stats = self._seed_step(plan_obj, me)
                 stream.stats["tuples_out"] = len(stream.tuples)
                 stream.slices = batch_slices(len(stream.tuples), batch_size)
                 stream.batch_count = len(stream.slices)
@@ -457,7 +384,7 @@ class CrossMatchService(WebService):
                 if delivered.get("stats"):
                     stream.downstream_stats = list(delivered["stats"])
                 out_tuples, step_stats = self._local_step(
-                    plan, stream.me, incoming, position, qid=lease.qid
+                    plan, stream.me, incoming
                 )
                 stream.stats["tuples_in"] += step_stats["tuples_in"]
                 self._fold_costs(stream.stats, step_stats)
@@ -526,19 +453,6 @@ class CrossMatchService(WebService):
         tracer = active_tracer()
         if tracer is not None:
             tracer.annotate("cancel", query_id=query_id, freed=freed)
-        shard_set = self._node.shard_set
-        if shard_set is not None and query_id:
-            # A coordinating node's stagings (and shard-side transfers)
-            # live on its shards; eager reclaim there is worth one
-            # parallel round of cheap, idempotent cancels. Every failure
-            # is swallowed — the shards' TTL reapers remain the backstop.
-            self._scatter(
-                shard_set.members,
-                lambda member, proxy: proxy.call(
-                    "CancelQuery", query_id=query_id, plan=None, position=-1
-                ),
-                Exception,
-            )
         forwarded = False
         if plan:
             plan_obj = ExecutionPlan.from_wire(plan)
@@ -560,67 +474,75 @@ class CrossMatchService(WebService):
     # -- the one hop: partitions -> probe -> merge -> extend/filter -> stats --------
 
     def _seed_step(
-        self, plan: ExecutionPlan, me: PlanStep, qid: str = ""
+        self, plan: ExecutionPlan, me: PlanStep
     ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
-        """Last node on the list: run the node query, emit 1-tuples."""
+        """Last node on the list: run the node query, emit 1-tuples.
+
+        The node query reads only this node's own table — on a shard, the
+        rows it owns, never its margin copies — so every seed starts in
+        exactly one partition chain. A partition chain's seeds are tagged
+        with their place in the monolithic order for the Portal's merge.
+        """
         stats = self._stats_dict(me, role="seed", tuples_in=0)
-        shard_set = self._node.shard_set
-        if shard_set is None:
-            result, costs = self._probe_seed(
-                self._node_query_ast(plan, me), me.epoch
-            )
-            self._fold_costs(stats, costs)
-            rows: Sequence[Tuple[Any, ...]] = result.rows
-        else:
-            # Shards whose ownership cannot intersect the AREA are pruned;
-            # the rest run their seed slices in parallel and the gathered
-            # rows are re-sorted into the monolithic probe order.
-            plan_wire = plan.to_wire()
-            position = len(plan.steps) - 1
-            gathered = self._gather(
-                prune_members(shard_set.members, plan.area),
-                me,
-                stats,
-                lambda member, proxy: self._shard_reply(
-                    proxy,
-                    proxy.call(
-                        "ShardSeed", plan=plan_wire, position=position, qid=qid
-                    ),
-                ),
-            )
-            db = self._node.wrapper.db
-            spec = db.table(me.table).spatial
-            if plan.area is not None and spec is not None and db.use_spatial_index:
-                rows = merge_seed_rows(
-                    gathered,
-                    htm_depth=spec.htm_depth,
-                    full_ranges=cover(region_for(plan.area), spec.htm_depth).full,
-                )
-            else:
-                rows = merge_seed_rows(gathered, htm_depth=0, full_ranges=None)
+        tagged = plan.partition is not None
+        query = self._node_query_ast(
+            plan, me, (SHARD_POS_COLUMN,) if tagged else ()
+        )
+        result, costs = self._probe_seed(query, me.epoch)
+        self._fold_costs(stats, costs)
         attr_names = [column for column, _, _ in me.attr_select]
-        attr_end = 3 + len(attr_names)  # gathered rows trail a position column
         objects = [
             LocalObject(
                 object_id=row[0],
                 position=radec_to_vector(row[1], row[2]),
-                attributes=dict(zip(attr_names, row[3:attr_end])),
+                attributes=dict(zip(attr_names, row[3:])),
             )
-            for row in rows
+            for row in result.rows
         ]
         tuples = seed_tuples(me.alias, objects, arcsec_to_rad(me.sigma_arcsec))
+        if tagged:
+            db = self._node.wrapper.db
+            table = db.table(me.table)
+            positions = [row[-1] for row in result.rows]
+            spec = table.spatial
+            if plan.area is None or spec is None or not db.use_spatial_index:
+                keys = seed_order_keys(positions)
+            else:
+                # Shard rows are stored in position order: bisect for each
+                # one's storage index and the trixel id stored with it.
+                column = table.schema.column_index(SHARD_POS_COLUMN)
+                storage = range(len(table))
+
+                def stored_at(pos: int) -> int:
+                    return bisect_left(
+                        storage, pos, key=lambda i: table.row(i)[column]
+                    )
+
+                keys = seed_order_keys(
+                    positions,
+                    [table.htm_id(stored_at(pos)) for pos in positions],
+                    cover(region_for(plan.area), spec.htm_depth).full,
+                    spec.htm_depth,
+                )
+            tuples = [
+                partial.with_attributes({SEED_KEY: key})
+                for partial, key in zip(tuples, keys)
+            ]
         return tuples, stats
 
     def _local_step(
-        self,
-        plan: ExecutionPlan,
-        me: PlanStep,
-        incoming: List[PartialTuple],
-        position: int,
-        qid: str = "",
+        self, plan: ExecutionPlan, me: PlanStep, incoming: List[PartialTuple]
     ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
-        """Middle/first nodes: sp_xmatch over every partition, then
-        extend (mandatory archive) or filter (drop-out archive)."""
+        """Middle/first nodes: sp_xmatch over every partition of this
+        node's rows, then extend (mandatory archive) or filter (drop-out
+        archive).
+
+        The partitions are local tables: the node's own table, plus — on a
+        shard — the margin copies of its neighbours' rows, which a tuple
+        seeded near the stripe's edge may match. Two partitions are merged
+        back into monolithic position order; for one, sorting the matches
+        by seq is the whole merge.
+        """
         stats = self._stats_dict(
             me,
             role="dropout" if me.dropout else "match",
@@ -631,18 +553,29 @@ class CrossMatchService(WebService):
             (seq, partial.acc.a, partial.acc.ax, partial.acc.ay, partial.acc.az)
             for seq, partial in enumerate(incoming)
         ]
-        shard_set = self._node.shard_set
-        if shard_set is None:
-            # The one in-process partition: the procedure's matches go
-            # straight to extend/filter, and sorting them by seq is the
-            # whole merge.
-            matches, costs = self._probe_match(plan, me, staged)
+        db = self._node.wrapper.db
+        tables = [me.table]
+        margin = margin_table(me.table)
+        if db.has_table(margin) and len(db.table(margin)):
+            tables.append(margin)
+        extra = (SHARD_POS_COLUMN,) if len(tables) > 1 else ()
+        probed = []
+        for table in tables:
+            matches, costs = self._probe_match(plan, me, staged, table, extra)
             self._fold_costs(stats, costs)
-            merged: Matches = sorted(matches.items())
+            probed.append(matches)
+        if len(probed) == 1:
+            merged: Matches = sorted(probed[0].items())
         else:
-            merged = self._scatter_match(
-                plan, me, incoming, staged, position, qid, sigma_rad, stats
-            )
+            merged = [
+                (seq, [row[2] for row in rows])
+                for seq, rows in merge_match_lists([
+                    (seq, obj.attributes[SHARD_POS_COLUMN], obj)
+                    for matches in probed
+                    for seq, objects in matches.items()
+                    for obj in objects
+                ])
+            ]
         if me.dropout:
             matched = {seq for seq, _ in merged}
             tuples = [
@@ -658,7 +591,7 @@ class CrossMatchService(WebService):
             ]
         return tuples, stats
 
-    # -- the probe: one local database, wherever the partition lives ---------------
+    # -- the probe: one local table at a time ---------------------------------
 
     def _measured(
         self, run: Callable[[], Tuple[Any, int, int]]
@@ -667,9 +600,7 @@ class CrossMatchService(WebService):
 
         ``run`` returns ``(payload, rows_examined, candidates_tested)``;
         the buffer reads are the pool's delta across it. The scan is
-        charged to the simulated clock here and nowhere else, so a
-        coordinator never charges again for what its shards scanned
-        inside their own branches.
+        charged to the simulated clock here and nowhere else.
         """
         pool = self._node.wrapper.db.buffer
         logical, physical = pool.stats.logical_reads, pool.stats.physical_reads
@@ -698,11 +629,12 @@ class CrossMatchService(WebService):
         plan: ExecutionPlan,
         me: PlanStep,
         staged: Iterable[AccRow],
+        table: str,
         extra_columns: Tuple[str, ...] = (),
     ) -> Tuple[Dict[int, List[LocalObject]], Dict[str, int]]:
         """The match probe (paper Section 5.3): load the incoming tuples
-        into a temp table, run ``sp_xmatch`` against this partition's
-        primary table, drop the temp table."""
+        into a temp table, run ``sp_xmatch`` against one partition's
+        table, drop the temp table."""
         db = self._node.wrapper.db
         attr_columns = [column for column, _, _ in me.attr_select]
         attr_columns += [c for c in extra_columns if c not in attr_columns]
@@ -715,7 +647,7 @@ class CrossMatchService(WebService):
                 result = db.call_procedure(
                     PROCEDURE_NAME,
                     temp_table=temp.name,
-                    primary_table=me.table,
+                    primary_table=table,
                     id_column=me.id_column,
                     ra_column=me.ra_column,
                     dec_column=me.dec_column,
@@ -743,272 +675,6 @@ class CrossMatchService(WebService):
             )
 
         return self._measured(run)
-
-    # -- scatter-gather: the coordinating side ------------------------------------
-
-    def _scatter(
-        self,
-        members: Sequence[ShardMember],
-        call: Callable[[ShardMember, "ServiceProxy"], Any],
-        errors: Any,
-    ) -> Dict[str, Any]:
-        """Run ``call`` against every member, in parallel branches.
-
-        Each member is tried on its endpoint candidates in order; a
-        failure matching ``errors`` moves on to the next candidate (for a
-        stage-then-match sequence that restarts the whole sequence — a
-        fresh replica holds no staged rows), anything else propagates. A
-        member none of whose candidates answered maps to ``None``.
-        """
-        network = self._node.network
-        if network is None:
-            raise ExecutionError(
-                "sharded execution requires an attached network"
-            )
-        outcomes: Dict[str, Any] = {}
-        with network.parallel():
-            for member in members:
-                with network.branch():
-                    outcomes[member.name] = None
-                    for url in member.candidate_urls("crossmatch"):
-                        try:
-                            outcomes[member.name] = call(
-                                member, self._node.proxy(url)
-                            )
-                            break
-                        except errors:
-                            continue
-        return outcomes
-
-    def _gather(
-        self,
-        members: Sequence[ShardMember],
-        me: PlanStep,
-        stats: Dict[str, Any],
-        call: Callable[[ShardMember, "ServiceProxy"], Any],
-    ) -> List[Tuple[Any, ...]]:
-        """Probe ``members`` remotely; returns their rows, unmerged.
-
-        Stats are summed across shards into ``stats`` — the partition
-        makes the sums equal the monolithic counts. A shard unreachable
-        on every candidate fails the hop by name: a silent partial
-        answer is never acceptable.
-        """
-        if not members:
-            return []
-        outcomes = self._scatter(members, call, TransportError)
-        dead = sorted(name for name, got in outcomes.items() if got is None)
-        if dead:
-            raise ShardUnavailableError(
-                f"shard {dead[0]!r} of archive {me.archive!r} is "
-                "unreachable on every endpoint candidate",
-                shard=dead[0],
-            )
-        rows: List[Tuple[Any, ...]] = []
-        for shard_rows, shard_costs in outcomes.values():
-            rows.extend(shard_rows)
-            self._fold_costs(stats, shard_costs)
-        return rows
-
-    @staticmethod
-    def _shard_reply(
-        proxy: "ServiceProxy", response: Dict[str, Any]
-    ) -> Tuple[List[Tuple[Any, ...]], Dict[str, Any]]:
-        """A shard probe's answer: its (possibly chunked) rows + costs."""
-        rowset = receive_rowset(response, proxy)
-        return list(rowset.rows), dict(response.get("stats") or {})
-
-    def _scatter_match(
-        self,
-        plan: ExecutionPlan,
-        me: PlanStep,
-        incoming: List[PartialTuple],
-        staged: List[AccRow],
-        position: int,
-        qid: str,
-        sigma_rad: float,
-        stats: Dict[str, Any],
-    ) -> Matches:
-        """The match probe over shards: route, stage, match, merge.
-
-        Each incoming tuple is routed to the shards whose ownership its
-        search cap can touch (zone key; the HTM key broadcasts), shipped
-        in staged slices under the tuple's original chain seq, matched
-        shard-locally, and the gathered match rows are merged back into
-        the monolithic emission order.
-        """
-        members = self._node.shard_set.members
-        assignments: Dict[str, List[AccRow]] = {m.name: [] for m in members}
-        for row, partial in zip(staged, incoming):
-            for member in self._route_tuple(
-                members, partial, sigma_rad, plan.threshold
-            ):
-                assignments[member.name].append(row)
-        active = [m for m in members if assignments[m.name]]
-        plan_wire = plan.to_wire()
-        archive = self._node.info.archive
-        xmids = {
-            m.name: f"{archive}-xm{next(self._xmid_counter)}" for m in active
-        }
-
-        def stage_and_match(member: ShardMember, proxy: "ServiceProxy"):
-            # Staging and matching must land on the *same* endpoint.
-            rows, xmid = assignments[member.name], xmids[member.name]
-            for start in range(0, len(rows), SHARD_STAGE_ROWS):
-                proxy.call(
-                    "ShardStage",
-                    xmid=xmid,
-                    rows=WireRowSet(
-                        _STAGE_WIRE_COLUMNS,
-                        rows[start:start + SHARD_STAGE_ROWS],
-                    ),
-                    qid=qid,
-                )
-            return self._shard_reply(
-                proxy,
-                proxy.call(
-                    "ShardXMatch",
-                    xmid=xmid,
-                    plan=plan_wire,
-                    position=position,
-                    qid=qid,
-                ),
-            )
-
-        attr_names = [column for column, _, _ in me.attr_select]
-        return [
-            (
-                seq,
-                [
-                    LocalObject(
-                        object_id=row[2],
-                        position=radec_to_vector(row[3], row[4]),
-                        attributes=dict(zip(attr_names, row[5:])),
-                    )
-                    for row in seq_rows
-                ],
-            )
-            for seq, seq_rows in merge_match_lists(
-                self._gather(active, me, stats, stage_and_match)
-            )
-        ]
-
-    def _route_tuple(
-        self,
-        members: Tuple[ShardMember, ...],
-        partial: PartialTuple,
-        sigma_rad: float,
-        threshold: float,
-    ) -> List[ShardMember]:
-        """The shards one tuple's search cap can touch (superset, exact-safe)."""
-        radius = partial.acc.search_radius(sigma_rad, threshold)
-        try:
-            center = partial.acc.best_position()
-        except GeometryError:
-            # No prior observations: the search is unbounded — broadcast.
-            return [m for m in members if not m.ownership.empty]
-        _, r_eff = _cap_bounds(radius)
-        dec_c = math.degrees(math.asin(max(-1.0, min(1.0, center[2]))))
-        return members_for_tuple(members, dec_c, math.degrees(r_eff))
-
-    # -- scatter-gather: the shard side -------------------------------------------
-
-    def _respond(
-        self,
-        rowset: WireRowSet,
-        stats: Any,
-        qid: str = "",
-    ) -> Dict[str, Any]:
-        return self.sender.respond(rowset, {"stats": stats}, query_id=qid)
-
-    def _shard_seed(
-        self, plan: Dict[str, Any], position: int, qid: str = ""
-    ) -> Dict[str, Any]:
-        plan_obj, _, me = self._decode_step(plan, position)
-        query = self._node_query_ast(plan_obj, me, (SHARD_POS_COLUMN,))
-        result, costs = self._probe_seed(query, me.epoch)
-        return self._respond(
-            self._node.wrapper.resultset_to_wire(result, query),
-            costs,
-            qid=str(qid),
-        )
-
-    def _shard_stage(
-        self, xmid: str, rows: WireRowSet, qid: str = ""
-    ) -> Dict[str, Any]:
-        """Stage accumulator rows, deduplicated by ``seq`` so a retried
-        ``ShardStage`` (lost response) cannot double-insert. Deliberately
-        *not* freed when ``ShardXMatch`` consumes it: the match is
-        deterministic, so a retry after a lost response simply re-runs
-        against the same staged rows until a cancel, the TTL, or a crash
-        frees them."""
-        if not isinstance(rows, WireRowSet):
-            raise ExecutionError(f"malformed ShardStage rowset: {rows!r}")
-        lease = self.leases.find(STAGING, str(xmid)) or self.leases.grant(
-            STAGING,
-            str(xmid),
-            {},
-            ttl_s=STAGING_TTL_S,
-            qid=str(qid),
-            abandonable=False,  # a retry cache: aging out is silent
-        )
-        for row in rows.rows:
-            lease.value[int(row[0])] = (
-                int(row[0]), float(row[1]), float(row[2]),
-                float(row[3]), float(row[4]),
-            )
-        self.leases.touch(lease)
-        return {"staged": len(lease.value)}
-
-    def _shard_xmatch(
-        self,
-        xmid: str,
-        plan: Dict[str, Any],
-        position: int,
-        qid: str = "",
-    ) -> Dict[str, Any]:
-        plan_obj, _, me = self._decode_step(plan, position)
-        # The coordinator always stages at least one row first, so a
-        # missing staging means this shard *lost* it (crash, cancel, TTL).
-        # Faulting makes the chain retry re-stage and recompute; answering
-        # "no matches" would silently drop rows from the query.
-        lease = self.leases.require(STAGING, str(xmid))
-        self.leases.touch(lease)
-        matches, costs = self._probe_match(
-            plan_obj,
-            me,
-            [lease.value[seq] for seq in sorted(lease.value)],
-            (me.ra_column, me.dec_column, SHARD_POS_COLUMN),
-        )
-        attr_columns = [column for column, _, _ in me.attr_select]
-        columns = [
-            ("seq", "int"),
-            (SHARD_POS_COLUMN, "int"),
-            (me.id_column, "int"),
-            (me.ra_column, "double"),
-            (me.dec_column, "double"),
-        ] + [(column, typecode) for column, _, typecode in me.attr_select]
-        out_rows: List[Tuple[Any, ...]] = []
-        for seq, objects in sorted(matches.items()):
-            for obj in objects:
-                attrs = obj.attributes
-                values = [
-                    seq,
-                    int(attrs[SHARD_POS_COLUMN]),
-                    obj.object_id,
-                    float(attrs[me.ra_column]),
-                    float(attrs[me.dec_column]),
-                ]
-                values.extend(attrs[column] for column in attr_columns)
-                out_rows.append(tuple(
-                    float(v)
-                    if columns[i][1] == "double" and isinstance(v, int)
-                    and not isinstance(v, bool) else v
-                    for i, v in enumerate(values)
-                ))
-        return self._respond(
-            WireRowSet(columns, out_rows), costs, qid=str(qid)
-        )
 
     def _node_query_ast(
         self,

@@ -85,11 +85,6 @@ class SkyNode:
         self.host.mount(SERVICE_PATHS["query"], self.query)
         self.host.mount(SERVICE_PATHS["crossmatch"], self.crossmatch)
         self.network: Optional[SimulatedNetwork] = None
-        #: Set on a *coordinating* node whose table is split across spatial
-        #: shard SkyNodes: its chain hops fan out to the shards instead of
-        #: scanning locally (the local full copy stays the provisioning
-        #: source and the single-archive/count-probe fallback).
-        self.shard_set = None  # type: Optional[Any]
         self.transaction = None  # mounted on demand (extension service)
         self.ingest = None  # mounted on demand (live-ingest extension)
         #: Transaction-service URLs of this archive's mirrors; every
@@ -183,7 +178,7 @@ class SkyNode:
         network.add_host(self.hostname, self.host.handle)
         self.network = network
 
-        # Abandoned transfers, streams and stagings now expire
+        # Abandoned transfers and streams now expire
         # against the sim clock, and every way a lease ends is counted in
         # the network's metrics.
         def clock_fn() -> float:
@@ -206,7 +201,7 @@ class SkyNode:
 
     def crash_volatile_state(self) -> None:
         """Drop all in-memory service state, as a process crash would:
-        every lease (transfers, streams, stagings) dies with
+        every lease (transfers, streams) dies with
         the process, uncounted."""
         self.query.sender.leases.crash()
         self.crossmatch.leases.crash()

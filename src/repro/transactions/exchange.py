@@ -169,7 +169,7 @@ class DataExchange:
         The position is the row's index in the source's own scan order —
         the same order the monolithic cross-match engine visits rows in —
         so shard tables carrying it can reproduce the monolithic result
-        order exactly after a scatter-gather merge (see
+        order exactly after a partitioned query's merge (see
         :mod:`repro.shard.merge`). Travels over the source's Query
         service like any replication pull; the position is assigned
         client-side because it is an artifact of *this* table's layout,
@@ -195,19 +195,20 @@ class DataExchange:
 
     def stage_partitioned(
         self,
-        assignments: Dict[str, WireRowSet],
+        assignments: Dict[str, Dict[str, WireRowSet]],
         *,
-        target_table: str,
         txn_label: str,
     ) -> ExchangeResult:
-        """Stage a *different* rowset at each participant, under ONE 2PC.
+        """Stage *different* rows at each participant, under ONE 2PC.
 
         The shard-provisioning path: ``assignments`` maps participant
-        keys (present in ``transaction_urls``) to the row slice each must
-        apply — a shard and its replicas receive identical slices,
-        sibling shards disjoint ones. A single transaction spans every
-        participant, so either the whole sharded layout appears or none
-        of it does; no query can ever observe a half-provisioned archive.
+        keys (present in ``transaction_urls``) to the rows each must
+        apply, by target table — a shard and its mirrors receive
+        identical slices, sibling shards disjoint ones (and each its own
+        margin copies in a second table). A single transaction spans
+        every participant, so either the whole sharded layout appears or
+        none of it does; no query can ever observe a half-provisioned
+        archive.
         """
         if not assignments:
             raise TransactionError(
@@ -225,34 +226,33 @@ class DataExchange:
         network = self.portal.require_network()
         with network.phase("transaction"):
             for key in sorted(assignments):
-                rowset = assignments[key]
                 proxy = self._proxy(self.transaction_urls[key])
                 proxy.call("Begin", txn_id=txn_id)
-                column_specs = [
-                    {"name": name.split(".", 1)[-1], "type": code}
-                    for name, code in rowset.columns
-                ]
-                proxy.call(
-                    "EnsureTable", table=target_table, columns=column_specs
-                )
-                for chunk in chunk_rowset(rowset, self.stage_rows_per_call):
+                for table, rowset in assignments[key].items():
+                    column_specs = [
+                        {"name": name.split(".", 1)[-1], "type": code}
+                        for name, code in rowset.columns
+                    ]
                     proxy.call(
-                        "StageRows",
-                        txn_id=txn_id,
-                        table=target_table,
-                        rows=chunk,
+                        "EnsureTable", table=table, columns=column_specs
                     )
+                    for chunk in chunk_rowset(
+                        rowset, self.stage_rows_per_call
+                    ):
+                        proxy.call(
+                            "StageRows", txn_id=txn_id, table=table, rows=chunk
+                        )
         outcome: TxnOutcome = self.coordinator.complete(txn_id, participants)
-        rows_copied = (
-            sum(len(rowset.rows) for rowset in assignments.values())
-            if outcome.committed
-            else 0
-        )
+        tables = sorted({t for slices in assignments.values() for t in slices})
         return ExchangeResult(
             txn_id=txn_id,
             committed=outcome.committed,
-            rows_copied=rows_copied,
-            replica_table=target_table,
+            rows_copied=sum(
+                len(rowset.rows)
+                for slices in assignments.values()
+                for rowset in slices.values()
+            ) if outcome.committed else 0,
+            replica_table=", ".join(tables),
             votes=outcome.votes,
             abort_reason=outcome.abort_reason,
         )

@@ -68,7 +68,7 @@ class NetworkMetrics:
     #: ``CancelQuery`` operations handled (idempotent repeats included) —
     #: the control-plane cost of eager cancellation.
     cancels: int = 0
-    #: Streams/stagings/transfers freed *eagerly* by ``CancelQuery``
+    #: Streams/transfers freed *eagerly* by ``CancelQuery``
     #: fan-out instead of lingering until a TTL reap; the payoff eager
     #: cancellation buys over TTL-only reclamation (E22). Disjoint from
     #: ``reclaimed_transfers``, which counts TTL/abort reclamation of

@@ -141,7 +141,8 @@ class TestDeadlines:
         assert len(federation.network.metrics.messages) == before
         assert residual_state_for(federation, qid) == []
 
-    def test_mid_chain_expiry_names_the_hop_and_cancels(self):
+    @staticmethod
+    def expire_mid_chain(*, resume: bool) -> None:
         # Small chunk budget => chunked chain responses => budget-checked
         # FetchChunk ops spread through the whole chain timeline, so a
         # deadline near the end of the chain deterministically faults at a
@@ -153,6 +154,7 @@ class TestDeadlines:
 
         federation = small_federation(chunk_budget_bytes=1024)
         portal = federation.portal
+        portal.checkpoint_resume = resume
         qid = qid_of_next_submit(portal)
         metrics = federation.network.metrics
         result = portal.submit(
@@ -165,6 +167,15 @@ class TestDeadlines:
         assert metrics.cancels >= 1
         assert metrics.eager_reclaims >= 1
         assert residual_state_for(federation, qid) == []
+
+    def test_mid_chain_expiry_names_the_hop_and_cancels(self):
+        self.expire_mid_chain(resume=True)
+
+    def test_mid_chain_expiry_names_the_hop_and_cancels_resume_off(self):
+        """The same expiry with ``checkpoint_resume`` off (E18's restart
+        arm): every attempt runs under its own id within the query's, so
+        the one cancel still reaches — and frees — every hop's state."""
+        self.expire_mid_chain(resume=False)
 
     def test_pipelined_mid_stream_expiry_cancels_cleanly(self):
         # A bounded pull window re-checks the budget at every wave, so a

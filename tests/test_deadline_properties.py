@@ -6,7 +6,7 @@ outcome is one of exactly two shapes — a complete answer byte-identical
 to an unbudgeted oracle twin, or a degraded empty answer carrying a
 "deadline exceeded" warning — and in the degraded case the federation
 holds ZERO residual state for the cancelled query (no streams, no
-stagings, no chunked transfers, on primaries or replicas), and a
+chunked transfers, on primaries or replicas), and a
 follow-up query on the same federation returns exactly what the oracle
 twin returns. Cancellation never perturbs a neighbour.
 

@@ -1,13 +1,12 @@
 """The lease table, exercised through every kind of state a SkyNode holds.
 
-One suite, three kinds — tuple streams, staged shard rows, chunked
-transfers — plus the settled form of the first (a drained stream: the
-chain's checkpoint), each created through the real service operation that
-creates it, each observed only through public counters (``open_streams``,
-``open_stagings``, ``pending_transfers``, ``leases.owned_by``) and the
-network's reclaim metrics. Whatever the state is, it must end the same
-few ways, and each way must move exactly the counter docs/RESILIENCE.md
-says it moves.
+One suite, two kinds — tuple streams and chunked transfers — plus the
+settled form of the first (a drained stream: the chain's checkpoint),
+each created through the real service operation that creates it, each
+observed only through public counters (``open_streams``,
+``pending_transfers``, ``leases.owned_by``) and the network's reclaim
+metrics. Whatever the state is, it must end the same few ways, and each
+way must move exactly the counter docs/RESILIENCE.md says it moves.
 """
 
 from dataclasses import dataclass
@@ -20,11 +19,7 @@ from repro.federation.builder import FederationConfig, build_federation
 from repro.portal.executor import WHOLE_RESULT
 from repro.services.chunked import DEFAULT_TRANSFER_TTL_S
 from repro.services.leases import SETTLED_KEPT
-from repro.skynode.crossmatch import STAGING_TTL_S, STREAM_TTL_S
-from repro.soap.encoding import WireRowSet
-from repro.sphere.coords import radec_to_vector
-from repro.units import arcsec_to_rad
-from repro.xmatch.chi2 import Accumulator
+from repro.skynode.crossmatch import STREAM, STREAM_TTL_S
 
 SQL = (
     "SELECT O.object_id, T.obj_id "
@@ -32,22 +27,18 @@ SQL = (
     "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T) < 3.5"
 )
 QID = "portal.skyquery.net-q77"
-STAGE_COLUMNS = [("seq", "int")] + [
-    (name, "double") for name in ("a", "ax", "ay", "az")
-]
 
 
 class Holder:
     """One node holding one freshly granted lease of one kind."""
 
-    def __init__(self, chunk_budget_bytes=None, on_shard=False):
+    def __init__(self, chunk_budget_bytes=None):
         self.fed = build_federation(
             FederationConfig(
                 n_bodies=400,
                 seed=5,
                 tracing=False,
                 chunk_budget_bytes=chunk_budget_bytes,
-                shards=int(on_shard),
             )
         )
         self.plan = self.fed.portal.explain(SQL)["plan"]
@@ -55,9 +46,7 @@ class Holder:
         #: one, so everything it holds it holds alone.
         self.position = len(self.plan["steps"]) - 1
         archive = self.plan["steps"][-1]["archive"]
-        self.node = (
-            self.fed.shards[archive][0] if on_shard else self.fed.nodes[archive]
-        )
+        self.node = self.fed.nodes[archive]
         self.proxy = self.fed.portal.proxy(self.node.service_url("crossmatch"))
         self.metrics = self.fed.network.metrics
 
@@ -91,32 +80,16 @@ def _hold_checkpoint(holder):
     holder.touch = holder.use = perform
 
 
-def _hold_staging(holder):
-    acc = Accumulator.of_observation(
-        radec_to_vector(185.0, -0.5), arcsec_to_rad(0.1)
-    )
-
-    def stage(seq):
-        return holder.call(
-            "ShardStage", xmid="X-xm1", qid=QID,
-            rows=WireRowSet(
-                STAGE_COLUMNS, [(seq, acc.a, acc.ax, acc.ay, acc.az)]
-            ),
-        )
-
-    stage(0)
-    holder.touch = lambda: stage(1)
-    holder.use = lambda: holder.call(
-        "ShardXMatch", xmid="X-xm1", plan=holder.plan,
-        position=holder.position, qid=QID,
-    )
-
-
 def _hold_transfer(holder):
     response = holder.call(
-        "ShardSeed", plan=holder.plan, position=holder.position, qid=QID
+        "PerformXMatch", plan=holder.plan, position=holder.position,
+        qid=QID, batch_size=WHOLE_RESULT, start_seq=0,
     )
     assert response["chunked"] and response["chunk_count"] >= 3
+    # The batch's stream settles as it is served; drop it as the settled-
+    # lease bound would, so the transfer its caller still drains is the
+    # only state left.
+    holder.node.crossmatch.leases.abort(STREAM, response["stream_id"])
     holder.transfer = response
     transfer_id = response["transfer_id"]
     holder.touch = lambda: holder.call(
@@ -140,9 +113,6 @@ class Kind:
     #: Referring to the state once it is gone is a typed fault (a lost
     #: checkpoint is not: the hop just recomputes).
     faults_when_lost: bool = True
-    #: The state is created by a shard-side operation (ShardStage /
-    #: ShardSeed), which needs a shard's table layout.
-    on_shard: bool = False
     #: Small enough that the operation's reply is chunked.
     chunk_budget_bytes: int = None
 
@@ -155,14 +125,9 @@ KINDS = {
         _hold_checkpoint, lambda xm: len(xm.leases.owned_by(QID)),
         STREAM_TTL_S, False, True, faults_when_lost=False,
     ),
-    "staging": Kind(
-        _hold_staging, lambda xm: xm.open_stagings, STAGING_TTL_S,
-        False, False, on_shard=True,
-    ),
     "transfer": Kind(
         _hold_transfer, lambda xm: xm.sender.pending_transfers,
-        DEFAULT_TRANSFER_TTL_S, True, False, on_shard=True,
-        chunk_budget_bytes=700,
+        DEFAULT_TRANSFER_TTL_S, True, False, chunk_budget_bytes=700,
     ),
 }
 
@@ -170,7 +135,7 @@ KINDS = {
 @pytest.fixture(params=sorted(KINDS))
 def held(request):
     kind = KINDS[request.param]
-    holder = Holder(kind.chunk_budget_bytes, kind.on_shard)
+    holder = Holder(kind.chunk_budget_bytes)
     kind.hold(holder)
     holder.kind = kind
     holder.count = lambda: kind.held(holder.node.crossmatch)
@@ -245,7 +210,7 @@ def test_final_chunk_is_reserved_until_the_lease_ends():
     """Settled state: the drained transfer parks its last chunk for the
     caller's retry; it is no longer pending, and however it ends — here
     the TTL — no counter moves."""
-    holder = Holder(700, on_shard=True)
+    holder = Holder(700)
     _hold_transfer(holder)
     transfer_id = holder.transfer["transfer_id"]
     last = holder.transfer["chunk_count"] - 1

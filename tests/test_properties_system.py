@@ -287,7 +287,8 @@ def test_explain_is_the_plan_submit_runs(scenario, replicas, chain_mode, seed):
     """One plan pass: whatever is down — nothing, a mandatory archive's
     primary, a drop-out archive's, one shard's — and whether or not a
     replica can take over, EXPLAIN shows the plan SUBMIT sends (or that
-    neither has one), with the same warnings and failover count."""
+    neither has one), the partition chains it runs that plan as, and the
+    same warnings and failover count."""
     from repro.federation.builder import FederationConfig, build_federation
     from repro.services.retry import RetryPolicy
     from repro.workloads.skysim import SkyField
@@ -316,9 +317,20 @@ def test_explain_is_the_plan_submit_runs(scenario, replicas, chain_mode, seed):
     # Twins, so circuit-breaker state left by one call cannot shape the
     # other's probes.
     explained = build().portal.explain(PLAN_SQL)
-    submitted = build().portal.submit(PLAN_SQL)
+    fed = build()
+    sent = []
+    execute = fed.portal.executor.execute
+
+    def recording(plan, decomposed, **kwargs):
+        sent.extend(chain.to_wire() for chain in kwargs["partitions"])
+        return execute(plan, decomposed, **kwargs)
+
+    fed.portal.executor.execute = recording
+    submitted = fed.portal.submit(PLAN_SQL)
     ran = submitted.plan.to_wire() if submitted.plan is not None else None
     assert explained["plan"] == ran
+    assert explained["partitions"] == sent
+    assert bool(sent) == ("shards" in layout and ran is not None)
     assert explained["would_execute"] == (ran is not None)
     assert explained["warnings"] == submitted.warnings
     assert explained["failovers"] == submitted.failovers

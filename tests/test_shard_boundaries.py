@@ -1,70 +1,207 @@
-"""Boundary correctness: ownership edges, straddling circles, RA wrap.
+"""Boundary correctness: ownership edges and the partition cut.
 
-Sharding partitions the sky; the dangerous rows live exactly on the
-partition edges. These tests pin the three edge contracts:
+Sharding cuts every archive on the same declination stripes and runs one
+chain per stripe; the rows that can go wrong live exactly on the cut.
+These tests pin the edge contracts:
 
-* **Exactly-one-owner.** Ownership planning covers the *entire* key
-  space with inclusive, non-overlapping ranges — a body whose
-  declination sits exactly on a zone cut, or whose HTM id is exactly a
-  shard's ``id_lo``/``id_hi``, has exactly one owner. Two owners would
+* **Exactly-one-owner.** Ownership planning covers the *entire* zone
+  space with inclusive, non-overlapping ranges — a body whose declination
+  sits exactly on a zone cut has exactly one owner. Two owners would
   duplicate pairs; zero would drop them.
-* **Straddling circles.** A query AREA centered exactly on a shard
-  boundary fans out to 2+ shards and still merges to the monolithic
-  bytes — no pair duplicated at the seam, none lost.
-* **RA 0/360 wrap.** Zone and HTM ownership key on declination and
-  trixel id respectively, so a field wrapping the RA origin must shard
-  as cleanly as any other; the gathered result stays byte-identical.
+* **The partition cut, on purpose.** A planted sky puts rows exactly
+  where a stripe's chain needs its margin: a matched pair whose seed one
+  stripe owns and whose match the next (in both chain orders), a drop-out
+  object across the cut from the tuple it must eliminate, bodies exactly
+  on the cut declination, an AREA centred on the seam, a pair straddling
+  RA 0/360 and the cut at once, and a threshold whose reach exceeds the
+  margin (run on the full copies instead). Every query is checked against
+  the monolithic twin *and* against the in-memory ``run_chain`` reference
+  over the primaries' own tables.
 """
 
 import os
 
+import pytest
+
+import repro.federation.builder as builder
 from repro.federation.builder import FederationConfig, build_federation
-from repro.htm.index import id_for_point
+from repro.portal.planner import OrderingStrategy
 from repro.services.retry import RetryPolicy
 from repro.shard import (
-    HTMRangeOwnership,
+    MARGIN_DEG,
     ZoneRangeOwnership,
+    margin_table,
     merge_match_lists,
     merge_seed_rows,
-    plan_htm_ownership,
     plan_zone_ownership,
     prune_members,
+    seed_order_keys,
 )
 from repro.shard.topology import ShardMember, ShardSet
 from repro.sphere.coords import radec_to_vector
 from repro.sql.ast import AreaClause
-from repro.workloads.skysim import SkyField
+from repro.units import arcsec_to_rad
+from repro.workloads.skysim import SurveyObservation
+from repro.xmatch import LocalObject, run_chain
 from repro.zone.index import DEFAULT_ZONE_HEIGHT_DEG, zone_count, zone_of
 
 CHAOS_SEED = int(os.environ.get("SKYQUERY_CHAOS_SEED", "0"))
 
+H = DEFAULT_ZONE_HEIGHT_DEG
+#: The zone whose lower edge the planted sky forces the 2-stripe cut onto.
+Z = zone_of(-0.5)
+#: The cut declination: where stripe 1 ends and stripe 2 begins.
+CUT = ZoneRangeOwnership(zone_lo=Z, zone_hi=Z).dec_interval()[0]
+D = 0.2 / 3600.0  # 0.2 arcsec
 
-def _build(center_ra, center_dec, *, shards=0, shard_key="zone", seed=23):
-    return build_federation(
-        FederationConfig(
-            n_bodies=260,
-            seed=seed,
-            sky_field=SkyField(center_ra, center_dec, 1800.0),
-            retry_policy=RetryPolicy(
-                max_attempts=3, timeout_s=5.0, base_backoff_s=0.2,
-                max_backoff_s=2.0, seed=seed + CHAOS_SEED,
-            ),
-            shards=shards,
-            shard_key=shard_key,
+PAIR_SQL = (
+    "SELECT O.object_id, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T "
+    "WHERE AREA({ra}, {dec}, {radius}) AND XMATCH(O, T) < {threshold}"
+)
+DROPOUT_SQL = (
+    "SELECT O.object_id, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, "
+    "FIRST:Primary_Object P "
+    f"WHERE AREA(185.05, {CUT!r}, 1800.0) AND XMATCH(O, T, !P) < 3.5"
+)
+
+
+def _pair_sql(ra=185.05, dec=CUT, radius=1800.0, threshold=3.5):
+    return PAIR_SQL.format(ra=ra, dec=repr(dec), radius=radius,
+                           threshold=threshold)
+
+
+def _planted_sky():
+    """``{archive: [(ra, dec), ...]}``; row ``i`` gets object id ``i + 1``."""
+    sdss, twomass, first = [], [], []
+    features = [
+        # A matched pair whose SDSS half one stripe owns and whose
+        # TWOMASS half the next, and the mirror image.
+        ((185.000, CUT - D), (185.000, CUT + D)),
+        ((185.005, CUT + D), (185.005, CUT - D)),
+        # Bodies exactly on the cut declination.
+        ((185.010, CUT), (185.010 + D, CUT)),
+        ((185.015, CUT), (185.015, CUT - D)),
+        # A pair just below the cut that FIRST eliminates from across it,
+        # and a twin pair with no FIRST object near it.
+        ((185.020, CUT - D), (185.020, CUT - D)),
+        ((185.025, CUT - D), (185.025, CUT - D)),
+        # A pair straddling RA 0/360 and the cut at once.
+        ((359.99999, CUT - D), (0.00001, CUT + D)),
+        # Rows 31.5 arcsec apart across the cut, one just past the
+        # margin: inside a threshold-80 search (32 arcsec), so only the
+        # full copies see both.
+        ((185.030, CUT - 1 / 3600.0), (185.030, CUT + 30.5 / 3600.0)),
+        ((185.035, CUT + 30.5 / 3600.0), (185.035, CUT - 1 / 3600.0)),
+    ]
+    for o_pos, t_pos in features:
+        sdss.append(o_pos)
+        twomass.append(t_pos)
+    first.append((185.020, CUT + 2 * D))
+    for k in range(1, 11):  # coincident background pairs on both sides
+        for dec in (CUT - k * 0.02, CUT + H + k * 0.02):
+            sdss.append((185.1 + k * 0.01, dec))
+            twomass.append((185.1 + k * 0.01, dec))
+    first.append((185.3, CUT + 0.3))
+    # Balance the rows below and above zone Z, so the 2-stripe quantile
+    # cut lands exactly on CUT.
+    rows = sdss + twomass + first
+    below = sum(zone_of(dec) < Z for _, dec in rows)
+    above = sum(zone_of(dec) > Z for _, dec in rows)
+    for k in range(abs(below - above)):
+        dec = CUT + 0.4 if below > above else CUT - 0.4
+        sdss.append((186.0 + k * 0.01, dec))
+    return {"SDSS": sdss, "TWOMASS": twomass, "FIRST": first}
+
+
+SKY = _planted_sky()
+
+
+def _observe(survey, bodies, seed):
+    observation = SurveyObservation()
+    for object_id, (ra, dec) in enumerate(SKY[survey.archive], start=1):
+        row = {
+            survey.object_id_column: object_id,
+            survey.ra_column: ra,
+            survey.dec_column: dec,
+        }
+        if survey.has_type:
+            row["type"] = "GALAXY"
+        for band in survey.bands:
+            row[f"{band}_flux"] = 15.0
+        observation.rows.append(row)
+        observation.truth[object_id] = object_id
+    return observation
+
+
+def _planted(shards):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "observe_survey", _observe)
+        return build_federation(
+            FederationConfig(
+                n_bodies=1,
+                seed=31,
+                shards=shards,
+                retry_policy=RetryPolicy(
+                    max_attempts=3, timeout_s=5.0, base_backoff_s=0.2,
+                    max_backoff_s=2.0, seed=31 + CHAOS_SEED,
+                ),
+            )
         )
-    )
 
 
-def _xmatch_sql(ra, dec, radius_arcsec=900.0):
-    return (
-        "SELECT O.object_id, O.ra, T.obj_id "
-        "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T "
-        f"WHERE AREA({ra}, {dec}, {radius_arcsec}) AND XMATCH(O, T) < 3.5"
-    )
+@pytest.fixture(scope="module")
+def twins():
+    return _planted(0), _planted(2)
 
 
-def _owners(ownerships, dec, hid):
-    return [own for own in ownerships if own.owns(dec, hid)]
+def _reference(fed, sql, strategy):
+    """Sorted ``(O, T)`` id pairs of ``repro.xmatch.run_chain`` over the
+    primaries' own rows, in the plan's computation order."""
+    plan = fed.portal.explain(sql, strategy=strategy)["plan"]
+    chain = []
+    for step in reversed(plan["steps"]):
+        rows = fed.nodes[step["archive"]].wrapper.execute_sql(step["sql"]).rows
+        chain.append((
+            step["alias"],
+            [LocalObject(r[0], radec_to_vector(r[1], r[2])) for r in rows],
+            arcsec_to_rad(step["sigma_arcsec"]),
+            step["dropout"],
+        ))
+    tuples = run_chain(chain, plan["threshold"], engine="scalar")
+    return sorted((t.member_id("O"), t.member_id("T")) for t in tuples)
+
+
+def _hop_stats(result):
+    """Node stats minus what partitioning legitimately skews (buffer-pool
+    reads; the per-chain batch counts)."""
+    skewed = ("logical_reads", "physical_reads", "batches", "batch_rows")
+    return [
+        {k: v for k, v in stats.items() if k not in skewed}
+        for stats in result.node_stats
+    ]
+
+
+def _check(twins, sql, strategy=OrderingStrategy.COUNT_DESC, stripes=2):
+    """Sharded == monolithic twin == in-memory reference; returns rows."""
+    mono_fed, sharded_fed = twins
+    mono = mono_fed.portal.submit(sql, strategy=strategy)
+    sharded = sharded_fed.portal.submit(sql, strategy=strategy)
+    plan = sharded_fed.portal.explain(sql, strategy=strategy)
+    assert len(plan["partitions"]) == stripes
+    assert list(sharded.rows) == list(mono.rows)
+    assert sharded.warnings == mono.warnings == []
+    assert not sharded.degraded
+    assert sharded.counts == mono.counts
+    assert _hop_stats(sharded) == _hop_stats(mono)
+    assert sorted(sharded.rows) == _reference(mono_fed, sql, strategy)
+    assert len(set(sharded.rows)) == len(sharded.rows)
+    return list(sharded.rows)
+
+
+def _ids(archive, *positions):
+    return [SKY[archive].index(pos) + 1 for pos in positions]
 
 
 class TestExactlyOneOwner:
@@ -78,123 +215,138 @@ class TestExactlyOneOwner:
             if right.empty:
                 continue
             boundary_dec = right.zone_lo * h - 90.0
-            owners = _owners(ownerships, boundary_dec, 0)
+            owners = [own for own in ownerships if own.owns(boundary_dec)]
             assert owners == [right]
             # A hair below the cut still belongs to the left neighbour.
             below = boundary_dec - h / 4.0
-            if not left.empty and left.owns(below, 0):
-                assert _owners(ownerships, below, 0) == [left]
+            if not left.empty and left.owns(below):
+                assert [o for o in ownerships if o.owns(below)] == [left]
 
     def test_zone_space_fully_covered_at_poles(self):
         ownerships = plan_zone_ownership([-0.5, 0.5], 3)
         for dec in (-90.0, 90.0, -89.999, 89.999, 0.0):
-            assert len(_owners(ownerships, dec, 0)) == 1
+            assert len([o for o in ownerships if o.owns(dec)]) == 1
         assert ownerships[0].zone_lo == 0
         assert ownerships[-1].zone_hi == zone_count(DEFAULT_ZONE_HEIGHT_DEG) - 1
 
-    def test_htm_interval_endpoints_have_one_owner(self):
-        depth = 8
-        hids = [
-            id_for_point(radec_to_vector(ra, dec), depth)
-            for ra in (0.0, 90.0, 185.0, 275.0, 359.9)
-            for dec in (-45.0, -0.5, 0.5, 45.0)
-        ]
-        ownerships = plan_htm_ownership(hids, 4, depth)
-        assert ownerships[0].id_lo == 8 << (2 * depth)
-        assert ownerships[-1].id_hi == (16 << (2 * depth)) - 1
-        for own in ownerships:
-            if own.empty:
-                continue
-            for hid in (own.id_lo, own.id_hi):
-                assert len(_owners(ownerships, 0.0, hid)) == 1
-        # The id just past a shard's id_hi starts the next non-empty shard.
-        non_empty = [o for o in ownerships if not o.empty]
-        for left, right in zip(non_empty, non_empty[1:]):
-            assert right.id_lo == left.id_hi + 1
-            assert _owners(ownerships, 0.0, left.id_hi + 1) == [right]
 
-    def test_htm_cuts_align_to_coarse_trixels(self):
-        depth = 8
-        hids = list(range(8 << (2 * depth), (8 << (2 * depth)) + 5000, 7))
-        ownerships = plan_htm_ownership(hids, 4, depth)
-        block = 1 << (2 * 3)  # align_depth = depth - 3 -> 64-id blocks
-        for own in ownerships[1:]:
-            if not own.empty:
-                assert own.id_lo % block == 0
+class TestPartitionCut:
+    def test_the_planted_sky_is_cut_where_it_was_planted(self, twins):
+        """Every archive shares the one cut, each shard owns its stripe
+        and copies its neighbour's rows within the margin — the cut rows
+        are in both shards, owned by exactly one."""
+        _, sharded = twins
+        signatures = set()
+        for archive, nodes in sharded.shards.items():
+            record = sharded.portal.catalog.node(archive)
+            signatures.add(record.shard_set.layout_signature())
+            assert record.shard_set.members[1].ownership.zone_lo == Z
+            table = record.info.primary_table
+            owned = sum(len(node.db.table(table)) for node in nodes)
+            assert owned == len(SKY[archive])
+            near = [d for _, d in SKY[archive] if abs(d - CUT) < MARGIN_DEG]
+            copies = sum(len(n.db.table(margin_table(table))) for n in nodes)
+            assert copies >= len(near) > 0
+        assert len(signatures) == 1
+
+    @pytest.mark.parametrize(
+        "strategy", [OrderingStrategy.COUNT_DESC, OrderingStrategy.COUNT_ASC]
+    )
+    def test_pair_split_by_the_cut_in_both_chain_orders(self, twins, strategy):
+        """Seed below / match above and seed above / match below, with
+        either archive seeding the chain: the match lives only in the
+        seed stripe's margin."""
+        rows = _check(twins, _pair_sql(), strategy)
+        for o_pos, t_pos in (
+            ((185.000, CUT - D), (185.000, CUT + D)),
+            ((185.005, CUT + D), (185.005, CUT - D)),
+        ):
+            pair = (*_ids("SDSS", o_pos), *_ids("TWOMASS", t_pos))
+            assert pair in rows
+
+    def test_dropout_across_the_cut_eliminates(self, twins):
+        """The FIRST object sits above the cut; the pair it eliminates
+        sits below, in the other stripe's chain."""
+        rows = _check(twins, DROPOUT_SQL)
+        doomed = (*_ids("SDSS", (185.020, CUT - D)),
+                  *_ids("TWOMASS", (185.020, CUT - D)))
+        kept = (*_ids("SDSS", (185.025, CUT - D)),
+                *_ids("TWOMASS", (185.025, CUT - D)))
+        assert doomed not in rows
+        assert kept in rows
+
+    def test_bodies_exactly_on_the_cut(self, twins):
+        rows = _check(twins, _pair_sql())
+        assert (*_ids("SDSS", (185.010, CUT)),
+                *_ids("TWOMASS", (185.010 + D, CUT))) in rows
+        assert (*_ids("SDSS", (185.015, CUT)),
+                *_ids("TWOMASS", (185.015, CUT - D))) in rows
+
+    def test_reach_beyond_the_margin_runs_on_the_full_copies(self, twins):
+        """At threshold 80 a tuple's search reaches 32 arcsec past its
+        seed — more than the 30 arcsec margin, and the planted rows 31.5
+        arcsec across the cut are examined — so the plan runs as one
+        chain on the archives' full copies, and the answer (node stats
+        included) is still the twin's."""
+        assert 80 * (0.1 + 0.3) / 3600.0 > MARGIN_DEG
+        rows = _check(twins, _pair_sql(threshold=80.0), stripes=0)
+        assert len(rows) > len(_check(twins, _pair_sql()))
 
 
 class TestStraddlingCircles:
-    def _boundary_dec(self, fed, archive="SDSS"):
-        members = fed.portal.catalog.node(archive).shard_set.members
-        non_empty = [m for m in members if not m.ownership.empty]
-        assert len(non_empty) >= 2, "need a real partition to straddle"
-        # The seam between the first two populated shards.
-        return non_empty[1].ownership.dec_interval()[0]
-
-    def test_circle_on_zone_seam_matches_monolithic(self):
-        """Center the AREA exactly on a shard boundary: 2+ shards answer,
-        the merge drops nothing and duplicates nothing."""
-        sharded_fed = _build(185.0, -0.5, shards=4, shard_key="zone")
-        boundary = self._boundary_dec(sharded_fed)
-        sql = _xmatch_sql(185.0, boundary)
-        mono = _build(185.0, -0.5).portal.submit(sql)
-        sharded = sharded_fed.portal.submit(sql)
-        record = sharded_fed.portal.catalog.node("SDSS")
-        area = AreaClause(
-            ra_deg=185.0, dec_deg=boundary, radius_arcsec=900.0
-        )
-        assert len(prune_members(record.shard_set.members, area)) >= 2
-        assert list(sharded.rows) == list(mono.rows)
-        assert sharded.rows, "a seam query must still find pairs"
-        assert len(set(sharded.rows)) == len(sharded.rows)
-        assert list(sharded.warnings) == list(mono.warnings)
+    def test_circle_on_zone_seam_matches_monolithic(self, twins):
+        """A small AREA centred on the cut: both stripes answer, nothing
+        is duplicated at the seam, nothing lost."""
+        rows = _check(twins, _pair_sql(ra=185.005, radius=60.0))
+        assert len(rows) >= 3
 
     def test_circle_spanning_every_shard(self):
-        """A radius wider than the whole field touches every populated
-        shard and still merges to the oracle bytes."""
-        for shard_key in ("zone", "htm"):
-            sharded_fed = _build(185.0, -0.5, shards=4, shard_key=shard_key)
-            sql = _xmatch_sql(185.0, -0.5, radius_arcsec=7200.0)
-            mono = _build(185.0, -0.5).portal.submit(sql)
-            sharded = sharded_fed.portal.submit(sql)
-            assert list(sharded.rows) == list(mono.rows), shard_key
-            assert sharded.rows, shard_key
-            assert len(set(sharded.rows)) == len(sharded.rows), shard_key
+        """A radius wider than the whole field reaches every populated
+        stripe of a randomly drawn sky and still merges to the twin's
+        bytes and the reference's pairs."""
+        def build(shards):
+            return build_federation(
+                FederationConfig(n_bodies=260, seed=23, shards=shards)
+            )
+
+        sql = _pair_sql(ra=185.0, dec=-0.5, radius=7200.0)
+        rows = _check((build(0), build(4)), sql, stripes=4)
+        assert rows
 
 
 class TestRAWrap:
-    def test_field_wrapping_ra_origin(self):
-        """Bodies scattered across the RA 0/360 seam shard and merge to
-        the monolithic bytes under both shard keys."""
-        for shard_key in ("zone", "htm"):
-            sql = _xmatch_sql(0.02, -0.5)
-            mono = _build(0.02, -0.5).portal.submit(sql)
-            sharded = _build(
-                0.02, -0.5, shards=4, shard_key=shard_key
-            ).portal.submit(sql)
-            assert mono.rows, "wrap field must produce pairs"
-            assert list(sharded.rows) == list(mono.rows), shard_key
-            assert len(set(sharded.rows)) == len(sharded.rows), shard_key
+    def test_field_wrapping_ra_origin(self, twins):
+        """A pair across RA 0/360 and across the cut at once."""
+        rows = _check(twins, _pair_sql(ra=0.0, radius=60.0))
+        assert rows == [(*_ids("SDSS", (359.99999, CUT - D)),
+                         *_ids("TWOMASS", (0.00001, CUT + D)))]
 
-    def test_area_centered_across_the_seam(self):
-        """An AREA centered just *west* of 0 (at RA 359.98) over the same
-        wrapped field: pruning and merge remain exact."""
-        for shard_key in ("zone", "htm"):
-            sql = _xmatch_sql(359.98, -0.5)
-            mono = _build(0.02, -0.5).portal.submit(sql)
-            sharded = _build(
-                0.02, -0.5, shards=4, shard_key=shard_key
-            ).portal.submit(sql)
-            assert list(sharded.rows) == list(mono.rows), shard_key
+    def test_area_centered_across_the_seam(self, twins):
+        """The same pair, with the AREA centred just *west* of RA 0."""
+        rows = _check(twins, _pair_sql(ra=359.9999, radius=60.0))
+        assert rows == [(*_ids("SDSS", (359.99999, CUT - D)),
+                         *_ids("TWOMASS", (0.00001, CUT + D)))]
 
 
 class TestMergeOrder:
-    """The canonical gather order, pinned at the unit level."""
+    """The canonical merge orders, pinned at the unit level."""
 
     def test_full_scan_merge_is_position_order(self):
-        rows = [("b", 10.0, 1.0, 2), ("a", 11.0, 2.0, 0), ("c", 12.0, 3.0, 1)]
-        merged = merge_seed_rows(rows, htm_depth=8, full_ranges=None)
-        assert [row[-1] for row in merged] == [0, 1, 2]
+        """Without an AREA a seed's key is its row position: partition
+        answers merge back into plain position order, rows of one seed
+        keeping their stream's order, and the key is dropped."""
+        stripe_1 = [("a", k) for k in seed_order_keys([1, 1, 7])]
+        stripe_2 = [("b", k) for k in seed_order_keys([4, 9])]
+        assert merge_seed_rows([stripe_1, stripe_2]) == [
+            ("a",), ("a",), ("b",), ("a",), ("b",)
+        ]
+
+    def test_full_ranges_come_first(self):
+        from repro.htm.ranges import HTMRanges
+
+        full = HTMRanges([(100, 100)])
+        keys = seed_order_keys([0, 1, 2], [200, 100, 50], full, 8)
+        assert sorted(range(3), key=keys.__getitem__) == [1, 2, 0]
 
     def test_match_merge_sorts_seq_then_position(self):
         rows = [
@@ -209,9 +361,8 @@ class TestMergeOrder:
     def test_prune_keeps_boundary_shard_via_trixel_pad(self):
         """A zone shard owning only the far side of a boundary trixel must
         survive pruning: the pad rounds the cap window outward."""
-        h = DEFAULT_ZONE_HEIGHT_DEG
         area = AreaClause(ra_deg=185.0, dec_deg=-0.5, radius_arcsec=60.0)
-        edge_zone = zone_of(-0.5 - 60.0 / 3600.0, h) - 1
+        edge_zone = zone_of(-0.5 - 60.0 / 3600.0, H) - 1
         member = ShardMember(
             name="edge",
             ownership=ZoneRangeOwnership(
@@ -232,61 +383,27 @@ class TestMergeOrder:
         )
         assert prune_members([far], area) == []
 
-    def test_prune_is_exact_for_htm_shards(self):
-        depth = 8
-        area = AreaClause(ra_deg=185.0, dec_deg=-0.5, radius_arcsec=60.0)
-        hid = id_for_point(radec_to_vector(185.0, -0.5), depth)
-        containing = ShardMember(
-            name="hit",
-            ownership=HTMRangeOwnership(
-                id_lo=hid, id_hi=hid, htm_depth=depth
-            ),
-            endpoints=({"query": "http://hit.skyquery.net/q"},),
-        )
-        opposite = id_for_point(radec_to_vector(5.0, 0.5), depth)
-        elsewhere = ShardMember(
-            name="miss",
-            ownership=HTMRangeOwnership(
-                id_lo=opposite, id_hi=opposite, htm_depth=depth
-            ),
-            endpoints=({"query": "http://miss.skyquery.net/q"},),
-        )
-        kept = prune_members([containing, elsewhere], area)
-        assert kept == [containing]
-
     def test_empty_shards_are_never_contacted(self):
         empty_zone = ShardMember(
             name="ez",
             ownership=ZoneRangeOwnership(zone_lo=5, zone_hi=4, htm_depth=8),
             endpoints=({"query": "http://ez.skyquery.net/q"},),
         )
-        empty_htm = ShardMember(
-            name="eh",
-            ownership=HTMRangeOwnership(id_lo=9, id_hi=8, htm_depth=8),
-            endpoints=({"query": "http://eh.skyquery.net/q"},),
-        )
-        assert prune_members([empty_zone, empty_htm], None) == []
+        assert prune_members([empty_zone], None) == []
 
     def test_shard_set_rejects_mixed_ownership_kinds(self):
-        import pytest
-
+        """Zone ranges are the one layout: a member advertising any other
+        ownership kind (HTM trixel ranges, say) does not
+        decode."""
         from repro.errors import PlanningError
 
-        mixed = ShardSet(
-            members=(
-                ShardMember(
-                    name="a",
-                    ownership=ZoneRangeOwnership(zone_lo=0, zone_hi=1),
-                    endpoints=({"query": "http://a/q"},),
-                ),
-                ShardMember(
-                    name="b",
-                    ownership=HTMRangeOwnership(
-                        id_lo=0, id_hi=1, htm_depth=4
-                    ),
-                    endpoints=({"query": "http://b/q"},),
-                ),
-            )
-        )
+        zone = ShardMember(
+            name="a",
+            ownership=ZoneRangeOwnership(zone_lo=0, zone_hi=1),
+            endpoints=({"query": "http://a/q"},),
+        ).to_wire()
+        htm = dict(zone, name="b", ownership={
+            "kind": "htm", "id_lo": 0, "id_hi": 1, "htm_depth": 4,
+        })
         with pytest.raises(PlanningError):
-            mixed.shard_key
+            ShardSet.from_wire([zone, htm])

@@ -3,17 +3,16 @@ endpoint-candidate ordering contract.
 
 The resilience contract for sharded archives extends docs/RESILIENCE.md:
 
-* A shard primary dying is invisible when the shard has a mirror — the
-  scatter-gather fan-out fails over *per shard candidate* inside the
-  parallel region and the answer stays byte-identical to the fault-free
-  oracle, never degraded.
+* A shard primary dying is invisible in the answer when the shard has a
+  mirror — the Portal walks *that stripe's* candidates for its partition
+  chain, counts the failover, and the answer stays byte-identical to the
+  fault-free oracle, never degraded.
 * A shard with no mirror left yields a degraded empty result whose
   warning names **the shard**, not just the archive — operators must see
   which slice of the sky went dark.
 * Shard endpoints are slices, not whole-archive substitutes: archive
   failover must NEVER route a chain hop to one, yet a cancelled query
-  must still free their state directly, because a dead coordinator
-  cannot fan its own cancel down to its shards.
+  must still free their state, whichever chain's head is gone.
 
 ``SKYQUERY_CHAOS_SEED`` shifts retry timings like the other chaos suites.
 """
@@ -22,7 +21,6 @@ import os
 
 import pytest
 
-from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
 from repro.services.retry import RetryPolicy
 from repro.shard import prune_members
@@ -41,8 +39,8 @@ XMATCH_SQL = (
 )
 
 
-def _build(*, shards=4, shard_key="zone", replicas=0,
-           chain_mode="store-forward"):
+def _build(*, shards=4, replicas=0, chain_mode="store-forward",
+           chunk_budget_bytes=None):
     return build_federation(
         FederationConfig(
             n_bodies=300,
@@ -53,9 +51,9 @@ def _build(*, shards=4, shard_key="zone", replicas=0,
                 max_backoff_s=2.0, seed=11 + CHAOS_SEED,
             ),
             shards=shards,
-            shard_key=shard_key,
             replicas=replicas,
             chain_mode=chain_mode,
+            chunk_budget_bytes=chunk_budget_bytes,
         )
     )
 
@@ -83,73 +81,16 @@ def _kill(fed, member, candidate=0):
     fed.network.remove_host(_host_of(member.candidate_urls("query")[candidate]))
 
 
-class TestLostStaging:
-    """A shard that lost its staged rows must fault, never answer "no
-    matches": the coordinator always stages before it matches, so a
-    missing staging is lost state, and an empty 200 is a wrong answer."""
-
-    def test_crash_between_stage_and_match_recomputes(self):
-        rows, columns = _oracle()
-        # A fault-free twin tells us when the victim shard's ShardStage
-        # response and ShardXMatch request cross the wire (the simulation
-        # is deterministic, so the faulted run follows the same schedule).
-        twin = _build(shards=2)
-        before = len(twin.network.metrics.messages)
-        twin.portal.submit(XMATCH_SQL)
-        messages = twin.network.metrics.messages[before:]
-        match_request = next(
-            m for m in messages
-            if m.operation == "ShardXMatch" and m.kind == "request"
-        )
-        victim = match_request.dst
-        staged_at = max(
-            m.sim_time for m in messages
-            if m.operation == "ShardStage" and m.src == victim
-        )
-        assert staged_at < match_request.sim_time
-        crash_at = (staged_at + match_request.sim_time) / 2.0
-
-        fed = _build(shards=2)
-        # The crash wipes the staging; the host is back before the retry
-        # policy re-sends the ShardXMatch, which therefore *arrives*.
-        fed.network.set_fault_plan(
-            FaultPlan(seed=1)
-            .crash(victim, crash_at)
-            .recover(victim, crash_at + 1.0)
-        )
-        result = fed.portal.submit(XMATCH_SQL)
-        assert fed.network.metrics.fault_count("crash") == 1
-        assert not result.degraded
-        assert list(result.rows) == rows
-        assert list(result.columns) == columns
-
-    def test_unknown_xmid_is_a_typed_fault(self):
-        fed = _build(shards=2)
-        shard = fed.shards["SDSS"][0]
-        plan = fed.portal.explain(XMATCH_SQL)["plan"]
-        position = next(
-            index for index, step in enumerate(plan["steps"])
-            if step["archive"] == "SDSS"
-        )
-        with pytest.raises(SoapFaultError, match="unknown staging"):
-            fed.portal.proxy(shard.service_url("crossmatch")).call(
-                "ShardXMatch",
-                xmid="SDSS-xm999",
-                plan=plan,
-                position=position,
-                qid="",
-            )
-        assert shard.crossmatch.open_stagings == 0
-
-
 class TestShardFailover:
     def test_dead_primary_with_mirror_is_invisible(self):
         """Kill a needed shard's primary: the mirror answers, bytes match
-        the fault-free monolithic oracle, nothing is degraded."""
+        the fault-free monolithic oracle, nothing is degraded — and the
+        substitution is counted."""
         rows, columns = _oracle()
         fed = _build(replicas=1)
         _kill(fed, _victim_member(fed))
         result = fed.portal.submit(XMATCH_SQL)
+        assert result.failovers >= 1
         assert not result.degraded
         assert not result.warnings
         assert list(result.rows) == rows
@@ -161,6 +102,7 @@ class TestShardFailover:
         fed = _build(replicas=1)
         _kill(fed, _victim_member(fed), candidate=1)
         result = fed.portal.submit(XMATCH_SQL)
+        assert result.failovers == 0
         assert not result.degraded and not result.warnings
         assert list(result.rows) == rows
 
@@ -199,7 +141,7 @@ class TestShardFailover:
     @pytest.mark.parametrize("chain_mode", ["store-forward", "pipelined"])
     def test_mid_chain_shard_death_degrades_with_shard_name(self, chain_mode):
         """The shard dies after a healthy plan and before the chain runs:
-        the coordinator's fan-out exhausts the candidate list and the
+        its partition chain's recovery exhausts the candidate list and the
         executor degrades with a shard-named warning."""
         config = dict(replicas=0, chain_mode=chain_mode)
         fed = _build(**config)
@@ -223,12 +165,10 @@ class TestShardFailover:
         ids=["store-forward", "pipelined"],
     )
     def test_shard_death_cancel_frees_the_surviving_shards(self, transport):
-        """Every chain carries its execution id, deadline or not: when a
-        shard dies under the head archive's first ``ShardXMatch``, the
-        ``CancelQuery`` fan-out finds — and frees — what the surviving
-        shard staged. (A pipelined chain without a deadline used to tag
-        its streams, stagings and transfers with ``qid=""``, so the same
-        fan-out freed nothing and the staging sat out its TTL.)"""
+        """Every chain carries its execution id, deadline or not: when the
+        second stripe's seed shard dies as its chain reaches it, the
+        cancel of every partition chain finds — and frees — what the first
+        stripe's chain left on its shards, on every node."""
 
         def build():
             return build_federation(
@@ -237,31 +177,32 @@ class TestShardFailover:
 
         twin = build()
         before = len(twin.network.metrics.messages)
-        head = twin.portal.submit(XMATCH_SQL).plan.steps[0].archive
-        first_match = next(
+        seed = twin.portal.submit(XMATCH_SQL).plan.steps[-1].archive
+        victim = twin.shards[seed][1]
+        reached = next(
             m for m in twin.network.metrics.messages[before:]
-            if m.operation == "ShardXMatch" and m.kind == "request"
+            if m.dst == victim.hostname and m.phase == "crossmatch-chain"
         )
-        victim = twin.shards[head][1]
-        assert first_match.src == twin.nodes[head].hostname
 
         fed = build()
         fed.network.set_fault_plan(
-            FaultPlan(seed=1).crash(
-                victim.hostname, first_match.sim_time - 0.001
-            )
+            FaultPlan(seed=1).crash(victim.hostname, reached.sim_time - 0.001)
         )
         result = fed.portal.submit(XMATCH_SQL)
         assert result.degraded
         assert "shard unavailable:" in " ".join(result.warnings)
+        assert f"shard {seed}-shard2" in " ".join(result.warnings).replace(
+            "'", ""
+        )
         metrics = fed.network.metrics
         assert metrics.cancels >= 1 and metrics.eager_reclaims >= 1
+        execution = f"{fed.portal.hostname}-x1"
         survivors = [
             node for group in fed.shards.values() for node in group
             if node.hostname != victim.hostname
         ]
         for node in [*survivors, *fed.nodes.values()]:
-            assert node.crossmatch.open_stagings == 0
+            assert node.crossmatch.leases.owned_by(execution) == []
             assert node.crossmatch.open_streams == 0
             assert node.crossmatch.sender.pending_transfers == 0
 
@@ -282,9 +223,9 @@ class TestShardFailover:
         assert list(result.rows) == rows
 
     def test_archive_coordinator_failover_composes_with_shards(self):
-        """Kill the *archive* primary of a sharded archive: the archive
-        replica (which carries the same shard layout) takes over as the
-        coordinating node and the answer matches the oracle."""
+        """Kill the *archive* primary of a sharded archive: planning
+        fails the archive over to its replica, the partition chains still
+        run on the shards, and the answer matches the oracle."""
         rows, _ = _oracle()
         fed = _build(replicas=1)
         fed.network.remove_host(fed.nodes["SDSS"].hostname)
@@ -339,14 +280,22 @@ class TestEndpointCandidateOrdering:
                     )
 
     def test_cancel_chain_reaches_shard_endpoints(self):
-        """A deadline death mid-submission must free server state on the
-        shard workers too — the coordinator may be the very node that
-        died, so the Portal cancels shard candidates directly."""
-        fed = _build(replicas=1)
-        deadline = fed.network.clock.now + 0.35
+        """A deadline death mid-chain must free server state on the shard
+        workers and their mirrors — every partition chain's head is
+        cancelled, and every other shard candidate directly."""
+        # A small chunk budget drains every hop's answer in budget-checked
+        # FetchChunk requests, so a deadline near the end of the chain
+        # faults while every stripe's hops hold their streams.
+        twin = _build(replicas=1, chunk_budget_bytes=1024)
+        start = twin.network.clock.now
+        twin.portal.submit(XMATCH_SQL)
+        duration = twin.network.clock.now - start
+        fed = _build(replicas=1, chunk_budget_bytes=1024)
+        deadline = fed.network.clock.now + 0.95 * duration
         qid = f"{fed.portal.hostname}-q{fed.portal.queries_served + 1}"
         result = fed.portal.submit(XMATCH_SQL, deadline_s=deadline)
         assert result.degraded
+        assert fed.network.metrics.eager_reclaims >= 1
         leftovers = []
         shard_nodes = [
             node for group in fed.shards.values() for node in group

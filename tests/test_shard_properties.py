@@ -1,16 +1,21 @@
 """Property-based tests: sharded federations are byte-identical twins.
 
-The tentpole contract, stated as a property: for ANY random federation
-(body count, seed), ANY shard count in {1, 2, 4, 7}, EITHER shard key
-(zone-range or HTM trixel-prefix), EITHER chain mode, and EITHER match
-engine, a sharded federation answers every query with *exactly* the
-bytes its monolithic twin produces — same rows in the same order, same
-columns, same warnings, same per-archive epochs, and same per-node
-statistics. The single permitted divergence is buffer-pool accounting
-(``logical_reads`` / ``physical_reads``): shards own private buffer
-pools, so page-hit patterns differ even though every row examined and
-every pair compared is identical. Chaos seeds (``SKYQUERY_CHAOS_SEED``)
-vary simulated retry timings like the other property suites.
+The contract, stated as a property: for ANY random federation (body
+count, seed), ANY shard count in {1, 2, 4, 7}, EITHER chain mode, and
+EITHER match engine, a sharded federation — one chain per shard stripe,
+merged at the Portal — answers every query with *exactly* the bytes its
+monolithic twin produces: same rows in the same order, same columns,
+same warnings, same degraded flag, same per-archive epochs and counts,
+and the same per-hop node statistics. Two kinds of divergence are
+permitted and stripped before comparing: buffer-pool accounting
+(``logical_reads`` / ``physical_reads`` — shards own private buffer
+pools and probe their margin tables separately, so page-hit patterns
+differ even though every row examined and every pair compared is
+identical) and the transport facts ``batches`` / ``batch_rows`` (K
+partition chains cut K batch sequences). With ``shards=1`` nothing is
+stripped: one stripe is the monolithic layout, buffer reads included.
+Chaos seeds (``SKYQUERY_CHAOS_SEED``) vary simulated retry timings like
+the other property suites.
 """
 
 import os
@@ -50,8 +55,8 @@ COUNT_SQL = (
 )
 
 
-def _build(n_bodies, seed, *, shards=0, shard_key="zone",
-           chain_mode="store-forward", match_engine="htm"):
+def _build(n_bodies, seed, *, shards=0, chain_mode="store-forward",
+           match_engine="htm"):
     return build_federation(
         FederationConfig(
             n_bodies=n_bodies,
@@ -62,20 +67,16 @@ def _build(n_bodies, seed, *, shards=0, shard_key="zone",
                 max_backoff_s=2.0, seed=seed + CHAOS_SEED,
             ),
             shards=shards,
-            shard_key=shard_key,
             chain_mode=chain_mode,
             match_engine=match_engine,
         )
     )
 
 
-def _strip_buffer_stats(node_stats):
-    """Node stats minus the buffer-pool counters shards legitimately skew."""
-    return [
-        {k: v for k, v in stats.items()
-         if k not in ("logical_reads", "physical_reads")}
-        for stats in node_stats
-    ]
+#: Node-stat keys partitioning legitimately changes (module docstring).
+_PARTITION_SKEWED = (
+    "logical_reads", "physical_reads", "batches", "batch_rows",
+)
 
 
 def _observe(n_bodies, seed, sql, buffer_stats=False, **kwargs):
@@ -88,9 +89,13 @@ def _observe(n_bodies, seed, sql, buffer_stats=False, **kwargs):
         list(result.warnings),
         result.degraded,
         dict(result.epochs),
+        dict(result.counts),
         list(result.node_stats)
         if buffer_stats
-        else _strip_buffer_stats(result.node_stats),
+        else [
+            {k: v for k, v in stats.items() if k not in _PARTITION_SKEWED}
+            for stats in result.node_stats
+        ],
     )
 
 
@@ -101,15 +106,12 @@ class TestShardOracle:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         shards=st.sampled_from([1, 2, 4, 7]),
-        shard_key=st.sampled_from(["zone", "htm"]),
         n_bodies=st.integers(60, 220),
         seed=st.integers(0, 10_000),
     )
-    def test_xmatch_identical_to_monolithic(self, shards, shard_key,
-                                            n_bodies, seed):
+    def test_xmatch_identical_to_monolithic(self, shards, n_bodies, seed):
         mono = _observe(n_bodies, seed, XMATCH_SQL)
-        sharded = _observe(n_bodies, seed, XMATCH_SQL,
-                           shards=shards, shard_key=shard_key)
+        sharded = _observe(n_bodies, seed, XMATCH_SQL, shards=shards)
         assert sharded == mono
         assert mono[0], "oracle must exercise a non-trivial match"
 
@@ -117,41 +119,39 @@ class TestShardOracle:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         sql=st.sampled_from([XMATCH_SQL, DROPOUT_SQL, FULL_SCAN_SQL]),
-        shard_key=st.sampled_from(["zone", "htm"]),
         chain_mode=st.sampled_from(["store-forward", "pipelined"]),
         seed=st.integers(0, 10_000),
     )
     def test_one_shard_is_the_monolithic_node_buffer_reads_included(
-        self, sql, shard_key, chain_mode, seed
+        self, sql, chain_mode, seed
     ):
         """A monolithic node is the one-partition layout: the same probe
-        runs over the same pages, so with a single shard even the
-        buffer-pool counters agree — nothing is stripped."""
+        runs over the same pages (its empty margin is never probed), so
+        with a single shard even the buffer-pool counters and the batches
+        agree — nothing is stripped."""
         mono = _observe(150, seed, sql, buffer_stats=True,
                         chain_mode=chain_mode)
         sharded = _observe(150, seed, sql, buffer_stats=True, shards=1,
-                           shard_key=shard_key, chain_mode=chain_mode)
+                           chain_mode=chain_mode)
         assert sharded == mono
         assert all(
-            stats["logical_reads"] > 0 for stats in mono[5]
+            stats["logical_reads"] > 0 for stats in mono[6]
         ), "the comparison must not be over empty counters"
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         shards=st.sampled_from([2, 4, 7]),
-        shard_key=st.sampled_from(["zone", "htm"]),
         chain_mode=st.sampled_from(["store-forward", "pipelined"]),
         match_engine=st.sampled_from(["htm", "zone"]),
         seed=st.integers(0, 10_000),
     )
-    def test_chain_mode_and_engine_composition(self, shards, shard_key,
-                                               chain_mode, match_engine,
-                                               seed):
+    def test_chain_mode_and_engine_composition(self, shards, chain_mode,
+                                               match_engine, seed):
         mono = _observe(150, seed, XMATCH_SQL, chain_mode=chain_mode,
                         match_engine=match_engine)
         sharded = _observe(150, seed, XMATCH_SQL, shards=shards,
-                           shard_key=shard_key, chain_mode=chain_mode,
+                           chain_mode=chain_mode,
                            match_engine=match_engine)
         assert sharded == mono
 
@@ -159,14 +159,12 @@ class TestShardOracle:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         shards=st.sampled_from([2, 4, 7]),
-        shard_key=st.sampled_from(["zone", "htm"]),
         seed=st.integers(0, 10_000),
     )
-    def test_full_scan_identical(self, shards, shard_key, seed):
-        """No AREA: every non-empty shard is contacted, order still holds."""
+    def test_full_scan_identical(self, shards, seed):
+        """No AREA: every non-empty stripe runs a chain, order still holds."""
         mono = _observe(140, seed, FULL_SCAN_SQL)
-        sharded = _observe(140, seed, FULL_SCAN_SQL,
-                           shards=shards, shard_key=shard_key)
+        sharded = _observe(140, seed, FULL_SCAN_SQL, shards=shards)
         assert sharded == mono
         assert mono[0]
 
@@ -174,31 +172,27 @@ class TestShardOracle:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         shards=st.sampled_from([2, 4]),
-        shard_key=st.sampled_from(["zone", "htm"]),
         chain_mode=st.sampled_from(["store-forward", "pipelined"]),
         seed=st.integers(0, 10_000),
     )
-    def test_dropout_chain_identical(self, shards, shard_key, chain_mode,
-                                     seed):
-        """Negated (dropout) hops scatter-gather to the same bytes too."""
+    def test_dropout_chain_identical(self, shards, chain_mode, seed):
+        """Negated (dropout) hops see their margins: the same bytes too."""
         mono = _observe(180, seed, DROPOUT_SQL, chain_mode=chain_mode)
         sharded = _observe(180, seed, DROPOUT_SQL, shards=shards,
-                           shard_key=shard_key, chain_mode=chain_mode)
+                           chain_mode=chain_mode)
         assert sharded == mono
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         shards=st.sampled_from([2, 7]),
-        shard_key=st.sampled_from(["zone", "htm"]),
         seed=st.integers(0, 10_000),
     )
-    def test_count_probes_agree_with_monolithic(self, shards, shard_key,
-                                                seed):
-        """Scatter-gather count-star probes sum to the monolithic counts,
-        so both planners order the chain identically."""
+    def test_count_probes_agree_with_monolithic(self, shards, seed):
+        """Per-stripe count-star probes sum to the monolithic counts, so
+        both planners order the chain identically."""
         mono_fed = _build(200, seed)
-        shard_fed = _build(200, seed, shards=shards, shard_key=shard_key)
+        shard_fed = _build(200, seed, shards=shards)
         mono = mono_fed.portal.explain(COUNT_SQL)
         sharded = shard_fed.portal.explain(COUNT_SQL)
         assert sharded["counts"] == mono["counts"]
@@ -213,12 +207,10 @@ class TestShardOracle:
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
-        shard_key=st.sampled_from(["zone", "htm"]),
         sql=st.sampled_from([XMATCH_SQL, FULL_SCAN_SQL, COUNT_SQL]),
         seed=st.integers(0, 10_000),
     )
-    def test_one_shard_is_the_monolithic_count_probe(self, shard_key, sql,
-                                                     seed):
+    def test_one_shard_is_the_monolithic_count_probe(self, sql, seed):
         """The Portal's half of the one-partition identity: a monolithic
         archive is the one-member layout of the scattered count probe, so
         ``shards=1`` asks the same questions in the same order and gets
@@ -241,7 +233,7 @@ class TestShardOracle:
             return counts, epochs, sequence
 
         mono = probe()
-        assert probe(shards=1, shard_key=shard_key) == mono
+        assert probe(shards=1) == mono
         assert mono[2] == [
             ("ExecuteQueryPinned", "performance-query", kind)
             for _ in mono[0] for kind in ("request", "response")

@@ -10,10 +10,11 @@ The layout's plumbing contracts, pinned at the unit level:
   substitution is fingerprint-neutral, re-sharding is not — and
   ``execution_profile()`` folds it in so the semantic cache never
   serves one layout's bytes to another;
-* ``FederationConfig`` validation refuses nonsense shard counts, bogus
-  shard keys, and the shards+ingest combination (ownership is planned
-  once at provisioning; live ingest would route new rows nowhere);
-* the CLI exposes ``--shards`` / ``--shard-key``.
+* ``FederationConfig`` validation refuses nonsense shard counts, any
+  shard key but the one zone layout, and the shards+ingest combination
+  (ownership is planned once at provisioning; live ingest would route new
+  rows nowhere);
+* the CLI exposes ``--shards``.
 """
 
 import pytest
@@ -21,11 +22,8 @@ import pytest
 from repro.errors import ConfigurationError, PlanningError, RegistrationError
 from repro.federation.builder import FederationConfig, build_federation
 from repro.portal.registration import RegistrationService
-from repro.shard import (
-    HTMRangeOwnership,
-    ZoneRangeOwnership,
-    ownership_from_wire,
-)
+from repro.shard import ZoneRangeOwnership, ownership_from_wire
+from repro.shard import margin_table
 from repro.shard.topology import ShardMember, ShardSet
 
 
@@ -52,13 +50,10 @@ class TestWireCodecs:
         )
         assert ownership_from_wire(own.to_wire()) == own
 
-    def test_htm_ownership_round_trip(self):
-        own = HTMRangeOwnership(id_lo=8 << 16, id_hi=(9 << 16) - 1, htm_depth=8)
-        assert ownership_from_wire(own.to_wire()) == own
-
     def test_unknown_ownership_kind_rejected(self):
-        with pytest.raises(PlanningError):
-            ownership_from_wire({"kind": "voronoi"})
+        for kind in ("voronoi", "htm"):
+            with pytest.raises(PlanningError):
+                ownership_from_wire({"kind": kind})
 
     def test_shard_set_round_trip(self):
         original = ShardSet(
@@ -104,13 +99,10 @@ class TestRegistrationValidation:
         assert RegistrationService._validate_shards("SDSS", []) is None
 
     def test_mixed_ownership_kinds_rejected(self):
-        wire = self._wire([
-            _member("a"),
-            _member(
-                "b",
-                ownership=HTMRangeOwnership(id_lo=0, id_hi=1, htm_depth=4),
-            ),
-        ])
+        wire = self._wire([_member("a"), _member("b")])
+        wire[1]["ownership"] = {
+            "kind": "htm", "id_lo": 0, "id_hi": 1, "htm_depth": 4,
+        }
         with pytest.raises(RegistrationError, match="malformed shard layout"):
             RegistrationService._validate_shards("SDSS", wire)
 
@@ -211,10 +203,11 @@ class TestConfigValidation:
             build_federation(FederationConfig(n_bodies=10, shards=-1))
 
     def test_unknown_shard_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="shard_key"):
-            build_federation(
-                FederationConfig(n_bodies=10, shards=2, shard_key="voronoi")
-            )
+        for key in ("voronoi", "htm"):
+            with pytest.raises(ConfigurationError, match="'zone'"):
+                build_federation(
+                    FederationConfig(n_bodies=10, shards=2, shard_key=key)
+                )
 
     def test_shards_with_ingest_rejected(self):
         with pytest.raises(ConfigurationError, match="ingest"):
@@ -223,33 +216,46 @@ class TestConfigValidation:
             )
 
     def test_single_shard_is_legal_and_sharded(self):
-        """shards=1 still exercises the scatter-gather path: one member
-        owning the whole sky."""
+        """shards=1 still runs as a partition chain: one member owning
+        the whole sky, with nothing in its margin."""
         fed = build_federation(FederationConfig(n_bodies=60, seed=3, shards=1))
         for archive in fed.nodes:
             record = fed.portal.catalog.node(archive)
             assert record.shard_set is not None
             assert len(record.shard_set.members) == 1
             assert len(fed.shards[archive]) == 1
+        sql = (
+            "SELECT O.object_id, T.obj_id "
+            "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T "
+            "WHERE XMATCH(O, T) < 3.5"
+        )
+        assert len(fed.portal.explain(sql)["partitions"]) == 1
 
     def test_shard_tables_partition_the_primary(self):
         """Disjoint union: shard row counts sum to the primary's table,
-        and a shard+its mirror hold identical slices."""
+        every archive is cut on the same stripes, and a shard + its
+        mirror hold identical slices and margins."""
         fed = build_federation(
             FederationConfig(n_bodies=120, seed=5, shards=4, replicas=1)
         )
+        layouts = set()
         for archive, shard_nodes in fed.shards.items():
             primary = fed.nodes[archive]
             table = primary.info.primary_table
             total = sum(len(node.db.table(table)) for node in shard_nodes)
             assert total == len(primary.db.table(table))
+            layouts.add(
+                fed.portal.catalog.node(archive).shard_set.layout_signature()
+            )
             for index, shard_node in enumerate(shard_nodes, 1):
                 mirrors = fed.shard_replicas[archive][f"{archive}-shard{index}"]
                 assert mirrors
                 for mirror in mirrors:
-                    assert len(mirror.db.table(table)) == len(
-                        shard_node.db.table(table)
-                    )
+                    for name in (table, margin_table(table)):
+                        assert len(mirror.db.table(name)) == len(
+                            shard_node.db.table(name)
+                        )
+        assert len(layouts) == 1
 
 
 class TestCLIFlags:
@@ -261,7 +267,7 @@ class TestCLIFlags:
             "SELECT O.object_id, T.obj_id FROM SDSS:Photo_Object O, "
             "TWOMASS:Photo_Primary T "
             "WHERE AREA(185.0, -0.5, 600.0) AND XMATCH(O, T) < 3.5",
-            "--bodies", "200", "--shards", "2", "--shard-key", "htm",
+            "--bodies", "200", "--shards", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
