@@ -23,7 +23,7 @@ def _rowset(n_rows=1000):
 def test_e7_report(benchmark, report_sink):
     report = report_sink(run_e7_soap_overhead(row_counts=(100, 1000, 5000)))
     # Shape check: binary is smaller and faster at every size, and the
-    # columnar XML the chain ships sits between it and the row form.
+    # columnar XML every rowset ships in sits between it and the row form.
     for n_rows in (100, 1000, 5000):
         rows = {row[1]: row for row in report.rows if row[0] == n_rows}
         assert rows["binary"][2] < rows["SOAP/XML"][2]  # bytes

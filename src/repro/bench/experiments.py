@@ -294,7 +294,9 @@ def run_e5_chain_vs_pull(
     report.note(
         "Both strategies return identical rows; the chain only ships "
         "surviving partial tuples while the pull baseline ships every "
-        "AREA-qualified row of every archive."
+        "AREA-qualified row of every archive (both in the colset wire "
+        "form). Pull wins the smallest AREA on bytes; the chain wins from "
+        "the crossover radius up."
     )
     return report
 
@@ -465,9 +467,11 @@ def run_e7_soap_overhead(
     report.note(
         "The columnar colset — still XML, still self-describing: one "
         "packed token stream per column, delta-coded ints, "
-        "dictionary-coded strings — is the form every chain batch "
-        "travels in. It recovers much of that overhead without leaving "
-        "SOAP; what remains against binary is text encoding of doubles."
+        "dictionary-coded strings — is the form every rowset the "
+        "federation sends travels in; the row form survives as this "
+        "experiment's paper arm. It recovers much of that overhead without "
+        "leaving SOAP; what remains against binary is text encoding of "
+        "doubles."
     )
     return report
 

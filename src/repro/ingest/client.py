@@ -8,7 +8,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import IngestError
 from repro.services.client import ServiceProxy
 from repro.services.retry import RetryPolicy
-from repro.soap.encoding import infer_rowset
+from repro.soap.encoding import ColumnarRowSet, infer_rowset
 from repro.transport.network import SimulatedNetwork
 
 PHASE = "ingest"
@@ -62,7 +62,7 @@ class IngestClient:
             accepted = self._proxy.call(
                 "UploadBatch",
                 ingest_id=ingest_id,
-                rows=infer_rowset(list(columns), list(rows)),
+                rows=ColumnarRowSet(infer_rowset(list(columns), list(rows))),
             )
         return int(accepted)
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, ContextManager, Dict, List, Optional
 
 from repro.errors import IngestError, SoapFaultError, TransportError
 from repro.services.framework import WebService
-from repro.soap.encoding import WireRowSet
+from repro.soap.encoding import ColumnarRowSet, WireRowSet
 from repro.transactions.coordinator import CoordinatorLog, TwoPhaseCoordinator
 
 if TYPE_CHECKING:
@@ -229,7 +229,7 @@ class IngestService(WebService):
                     seq = 0
                     for batch in session.batches:
                         for chunk in chunk_rowset(
-                            batch, self.stage_rows_per_call
+                            ColumnarRowSet(batch), self.stage_rows_per_call
                         ):
                             proxy.call(
                                 "StageRows",

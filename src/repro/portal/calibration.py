@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.errors import PlanningError
 from repro.portal.decompose import DecomposedQuery, NodeSubquery
-from repro.soap.encoding import WireRowSet
+from repro.soap.encoding import ColumnarRowSet, WireRowSet
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
@@ -96,10 +96,13 @@ class CostCalibrator:
             raise PlanningError(
                 f"calibration query at {subquery.archive!r} returned no rowset"
             )
-        overhead = envelope_bytes(WireRowSet(list(rowset.columns), []))
+        # Sized in the form the Query service ships (and the chain's
+        # batches travel in): the colset, not the row form.
+        shipped = ColumnarRowSet(rowset)
+        overhead = envelope_bytes(shipped.slice(0, 0))
         n_rows = len(rowset.rows)
         if n_rows:
-            per_row = (envelope_bytes(rowset) - overhead) / n_rows
+            per_row = (envelope_bytes(shipped) - overhead) / n_rows
         else:
             per_row = 0.0
         return ArchiveCostModel(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict
 
 from repro.services.framework import WebService
-from repro.soap.encoding import infer_rowset
+from repro.soap.encoding import ColumnarRowSet, infer_rowset
 
 if TYPE_CHECKING:
     from repro.portal.portal import Portal
@@ -85,7 +85,7 @@ class SkyQueryService(WebService):
         result = self._portal.submit(sql, strategy=chosen)
         return {
             "columns": list(result.columns),
-            "rows": infer_rowset(result.columns, result.rows),
+            "rows": ColumnarRowSet(infer_rowset(result.columns, result.rows)),
             "stats": result.node_stats,
             "counts": dict(result.counts),
             "epochs": dict(result.epochs),

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ExecutionError, SoapError
 from repro.services.leases import LeaseTable
-from repro.soap.encoding import WireRowSet
+from repro.soap.encoding import ColumnarRowSet, WireRowSet
 from repro.transport.chunking import envelope_bytes, split_for_budget
+
+#: What a sender ships: a rowset, in whichever wire form it is wrapped in.
+Payload = Union[WireRowSet, ColumnarRowSet]
 
 #: Phase label for the bulk chunk-drain traffic, so reports separate
 #: payload bytes from chain-control bytes.
@@ -82,15 +85,18 @@ class ChunkedSender:
 
     def respond(
         self,
-        rowset: WireRowSet,
+        rowset: Payload,
         extra: Optional[Dict[str, Any]] = None,
         *,
         query_id: str = "",
     ) -> Dict[str, Any]:
         """Wrap a rowset for the wire, chunking when over budget.
 
-        ``query_id`` tags the transfer with the query it belongs to, so
-        cancelling the query frees it without knowing its id.
+        The budget is checked against ``rowset`` in the form it will
+        travel — a :class:`ColumnarRowSet` is sized as the colset it ships,
+        and its chunks stay colsets. ``query_id`` tags the transfer with
+        the query it belongs to, so cancelling the query frees it without
+        knowing its id.
         """
         self.leases.reap()
         response: Dict[str, Any] = dict(extra or {})
@@ -116,7 +122,7 @@ class ChunkedSender:
             response.update(chunked=False, rows=rowset)
         return response
 
-    def fetch_chunk(self, transfer_id: str, seq: int) -> WireRowSet:
+    def fetch_chunk(self, transfer_id: str, seq: int) -> Payload:
         """The ``FetchChunk`` operation body; settles the transfer at the end.
 
         A repeat of the *final* fetch re-serves the parked last chunk (the
@@ -134,7 +140,7 @@ class ChunkedSender:
                 )
             self.leases.touch(lease)
             return final_chunk
-        chunks: List[WireRowSet] = lease.value
+        chunks: List[Payload] = lease.value
         if not 0 <= seq < len(chunks):
             raise ExecutionError(
                 f"chunk {seq} out of range for transfer {transfer_id!r}"

@@ -7,7 +7,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.services.chunked import ChunkedSender
 from repro.services.framework import WebService
 from repro.skynode.wrapper import ArchiveWrapper
-from repro.soap.encoding import WireRowSet
+from repro.soap.encoding import ColumnarRowSet
 from repro.sql.parser import parse_query
 
 
@@ -66,14 +66,15 @@ class QueryService(WebService):
         )
         self.sender.mount(self, "query result")
 
-    def _run(self, sql: str, epoch: Optional[int] = None) -> WireRowSet:
+    def _run(self, sql: str, epoch: Optional[int] = None) -> ColumnarRowSet:
+        """The one reply point: every answer travels as a ``colset``."""
         query = parse_query(sql)
         result = self._wrapper.execute_ast(query, epoch=epoch)
         if self._processing_charge is not None:
             self._processing_charge(result.stats.rows_examined)
-        return self._wrapper.resultset_to_wire(result, query)
+        return ColumnarRowSet(self._wrapper.resultset_to_wire(result, query))
 
-    def _execute(self, sql: str) -> WireRowSet:
+    def _execute(self, sql: str) -> ColumnarRowSet:
         return self._run(sql)
 
     def _execute_pinned(self, sql: str, epoch: int = -1) -> Dict[str, Any]:

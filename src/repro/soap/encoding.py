@@ -14,14 +14,24 @@ because of the time spent for serialization and de-serialization").
 :class:`ColumnarRowSet` selects the compact column-major XML form
 (``colset``): per-column packed token streams with delta-encoded ints and
 dictionary-encoded strings. Decoding a colset yields a plain
-:class:`WireRowSet`, so only senders opt in.
+:class:`WireRowSet`, so only senders opt in — and every rowset the
+federation's services send opts in. The row form stays the encoder's
+default for a bare :class:`WireRowSet`: it is the paper's form, the "paper"
+arm of the serialization experiment (E7).
+
+Every decode failure — a missing element, a non-numeric token, an
+out-of-range dictionary index, a row count the columns do not carry — is a
+:class:`~repro.errors.SoapError`, so a service answers a malformed request
+with a ``soap:Client`` fault instead of a traceback.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from itertools import accumulate, chain
+from operator import sub
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import SoapError
 from repro.soap.xmlwriter import Element
@@ -176,10 +186,11 @@ def _scalar_to_text(value: Any) -> str:
 
 
 def _text_to_scalar(text: str, code: str) -> Any:
-    if code == "int":
-        return int(text)
-    if code == "double":
-        return float(text)
+    if code in ("int", "double"):
+        try:
+            return int(text) if code == "int" else float(text)
+        except ValueError:
+            raise SoapError(f"bad {code} literal {text!r}") from None
     if code == "string":
         return text
     if code == "boolean":
@@ -209,30 +220,27 @@ def _encode_rowset(name: str, rowset: WireRowSet) -> Element:
             if value is None:
                 row_el.child("c", nil="true")
             else:
-                if typecode_of(value) != code and not (
-                    code == "double" and isinstance(value, int)
-                    and not isinstance(value, bool)
-                ):
-                    raise SoapError(
-                        f"value {value!r} does not match column "
-                        f"{col_name!r} type {code!r}"
-                    )
+                _check_cell(value, col_name, code)
                 row_el.child("c", text=_scalar_to_text(
                     float(value) if code == "double" else value
                 ))
     return node
 
 
-def _decode_rowset(node: Element) -> WireRowSet:
-    schema = node.require("schema")
+def _schema_columns(node: Element, form: str) -> List[Tuple[str, str]]:
     columns: List[Tuple[str, str]] = []
-    for col in schema.find_all("col"):
+    for col in node.require("schema").find_all("col"):
         col_name = col.get("name")
         code = col.get("type")
         if col_name is None or code is None:
-            raise SoapError("rowset schema column missing name/type")
+            raise SoapError(f"{form} schema column missing name/type")
         columns.append((col_name, code))
-    rowset = WireRowSet(columns)
+    return columns
+
+
+def _decode_rowset(node: Element) -> WireRowSet:
+    rowset = WireRowSet(_schema_columns(node, "rowset"))
+    columns = rowset.columns
     data = node.require("data")
     for row_el in data.find_all("r"):
         cells = row_el.find_all("c")
@@ -256,106 +264,192 @@ def _decode_rowset(node: Element) -> WireRowSet:
 #: and index streams are decimal literals, doubles are ``repr`` floats,
 #: booleans are ``t``/``f``.
 _NIL_TOKEN = "_"
+_BOOL_TOKENS = {True: "t", False: "f"}
+_BOOL_VALUES = {"t": True, "f": False, _NIL_TOKEN: None}
+
+
+def _type_passes(kind: type, code: str) -> bool:
+    """Whether a value of type ``kind`` may travel in a ``code`` column: its
+    :func:`typecode_of` is ``code``, or it is an int (not a bool) in a
+    double column. The rule depends on the type alone, so one test per
+    distinct type validates a whole column."""
+    if issubclass(kind, bool):
+        return code == "boolean"
+    if issubclass(kind, int):
+        return code in ("int", "double")
+    if issubclass(kind, float):
+        return code == "double"
+    return code == "string" and issubclass(kind, str)
 
 
 def _check_cell(value: Any, col_name: str, code: str) -> None:
-    if typecode_of(value) != code and not (
-        code == "double"
-        and isinstance(value, int)
-        and not isinstance(value, bool)
-    ):
+    if not _type_passes(type(value), code):
         raise SoapError(
             f"value {value!r} does not match column {col_name!r} type {code!r}"
         )
 
 
-def _encode_colset(name: str, rowset: WireRowSet) -> Element:
-    node = Element(name, {"xsi:type": "colset", "rows": str(len(rowset.rows))})
-    schema = node.child("schema")
-    for col_name, code in rowset.columns:
-        schema.child("col", name=col_name, type=code)
-    for row in rowset.rows:
-        if len(row) != len(rowset.columns):
-            raise SoapError(
-                f"row width {len(row)} does not match schema "
-                f"width {len(rowset.columns)}"
-            )
-    cols = node.child("cols")
-    for i, (col_name, code) in enumerate(rowset.columns):
-        values = [row[i] for row in rowset.rows]
-        col_el = cols.child("col")
-        tokens: List[str] = []
+_OVERFLOW = "an int in a double column does not fit a double"
+
+
+def _double_text(value: Any) -> str:
+    try:
+        return repr(float(value))
+    except OverflowError:
+        raise SoapError(_OVERFLOW) from None
+
+
+def _encode_column(
+    values: Sequence[Any], code: str, kinds: Set[type]
+) -> Tuple[str, List[str]]:
+    """One NULL-free, type-checked column as (token stream, dictionary).
+
+    Int columns are delta-encoded: the first value raw, then differences
+    from the previous value (ids are near-sorted, so deltas are short).
+    String columns are dictionary-encoded: unique values once (as child
+    elements, so arbitrary text stays XML-safe), then integer indexes.
+    """
+    if code == "double":
+        if kinds != {float}:  # ints, float subclasses such as numpy.float64
+            try:
+                values = list(map(float, values))
+            except OverflowError:
+                raise SoapError(_OVERFLOW) from None
+        return " ".join(map(repr, values)), []
+    if code == "int":
+        return " ".join(map(str, map(sub, values, chain((0,), values)))), []
+    if code == "boolean":
+        return " ".join(map(_BOOL_TOKENS.__getitem__, values)), []
+    index: Dict[str, int] = {}
+    slots = [index.setdefault(value, len(index)) for value in values]
+    return " ".join(map(str, slots)), list(index)
+
+
+def _encode_cells(
+    values: Sequence[Any], col_name: str, code: str
+) -> Tuple[str, List[str]]:
+    """The per-cell path, for columns that hold NULLs or a value of the
+    wrong type: NULLs travel as the nil token (int deltas skip them), and
+    the first bad value raises a :class:`SoapError` naming it."""
+    tokens: List[str] = []
+    index: Dict[str, int] = {}
+    prev = 0
+    for value in values:
+        if value is None:
+            tokens.append(_NIL_TOKEN)
+            continue
+        _check_cell(value, col_name, code)
         if code == "string":
-            # Dictionary encoding: unique values once (as child elements,
-            # so arbitrary text stays XML-safe), then integer indexes.
-            index: Dict[str, int] = {}
-            entries: List[str] = []
-            for value in values:
-                if value is None:
-                    tokens.append(_NIL_TOKEN)
-                    continue
-                _check_cell(value, col_name, code)
-                slot = index.get(value)
-                if slot is None:
-                    slot = len(entries)
-                    index[value] = slot
-                    entries.append(value)
-                tokens.append(str(slot))
-            if entries:
-                dict_el = col_el.child("dict")
-                for entry in entries:
-                    dict_el.child("v", text=entry)
+            tokens.append(str(index.setdefault(value, len(index))))
         elif code == "int":
-            # Delta encoding: first value raw, then differences from the
-            # previous non-NULL value (ids are near-sorted, so deltas are
-            # short).
-            prev = 0
-            for value in values:
-                if value is None:
-                    tokens.append(_NIL_TOKEN)
-                    continue
-                _check_cell(value, col_name, code)
-                tokens.append(str(value - prev))
-                prev = value
+            tokens.append(str(value - prev))
+            prev = value
         elif code == "boolean":
-            for value in values:
-                if value is None:
-                    tokens.append(_NIL_TOKEN)
-                    continue
-                _check_cell(value, col_name, code)
-                tokens.append("t" if value else "f")
-        else:  # double
-            for value in values:
-                if value is None:
-                    tokens.append(_NIL_TOKEN)
-                    continue
-                _check_cell(value, col_name, code)
-                tokens.append(_scalar_to_text(float(value)))
-        col_el.child("data", text=" ".join(tokens))
+            tokens.append(_BOOL_TOKENS[value])
+        else:
+            tokens.append(_double_text(value))
+    return " ".join(tokens), list(index)
+
+
+def _encode_colset(name: str, rowset: WireRowSet) -> Element:
+    columns, rows = rowset.columns, rowset.rows
+    if set(map(len, rows)) - {len(columns)}:
+        width = next(len(row) for row in rows if len(row) != len(columns))
+        raise SoapError(
+            f"row width {width} does not match schema width {len(columns)}"
+        )
+    if rows and not columns:
+        raise SoapError(
+            f"a colset with no columns cannot carry {len(rows)} rows"
+        )
+    node = Element(name, {"xsi:type": "colset", "rows": str(len(rows))})
+    schema = node.child("schema")
+    for col_name, code in columns:
+        schema.child("col", name=col_name, type=code)
+    cols = node.child("cols")
+    for values, (col_name, code) in zip(
+        list(zip(*rows)) if rows else [()] * len(columns), columns
+    ):
+        kinds = set(map(type, values))
+        if all(_type_passes(kind, code) for kind in kinds):
+            text, entries = _encode_column(values, code, kinds)
+        else:
+            text, entries = _encode_cells(values, col_name, code)
+        col_el = cols.child("col")
+        if entries:
+            dict_el = col_el.child("dict")
+            for entry in entries:
+                dict_el.child("v", text=entry)
+        col_el.child("data", text=text)
     return node
 
 
+def _decode_column(tokens: List[str], code: str, entries: List[str]) -> List[Any]:
+    """One token stream, a whole stream per call; ValueError, KeyError or
+    IndexError when it holds a nil token or a malformed one."""
+    if code == "double":
+        return list(map(float, tokens))
+    if code == "int":
+        return list(accumulate(map(int, tokens)))
+    if code == "boolean":
+        return list(map(_BOOL_VALUES.__getitem__, tokens))
+    slots = list(map(int, tokens))
+    if slots and min(slots) < 0:
+        raise IndexError("negative dictionary index")
+    return list(map(entries.__getitem__, slots))
+
+
+def _decode_tokens(
+    tokens: List[str], col_name: str, code: str, entries: List[str]
+) -> List[Any]:
+    """The per-token path: nil tokens become NULLs (int deltas skip them),
+    and the first malformed token raises a :class:`SoapError` naming it."""
+    values: List[Any] = []
+    prev = 0
+    for token in tokens:
+        if token == _NIL_TOKEN:
+            values.append(None)
+            continue
+        try:
+            if code == "double":
+                values.append(float(token))
+            elif code == "int":
+                prev += int(token)
+                values.append(prev)
+            elif code == "boolean":
+                values.append(_BOOL_VALUES[token])
+            else:
+                slot = int(token)
+                if not 0 <= slot < len(entries):
+                    raise IndexError(slot)
+                values.append(entries[slot])
+        except (ValueError, KeyError, IndexError):
+            raise SoapError(
+                f"bad colset {code} token {token!r} in column {col_name!r}"
+            ) from None
+    return values
+
+
 def _decode_colset(node: Element) -> WireRowSet:
-    schema = node.require("schema")
-    columns: List[Tuple[str, str]] = []
-    for col in schema.find_all("col"):
-        col_name = col.get("name")
-        code = col.get("type")
-        if col_name is None or code is None:
-            raise SoapError("colset schema column missing name/type")
-        columns.append((col_name, code))
+    rowset = WireRowSet(_schema_columns(node, "colset"))
+    columns = rowset.columns
     try:
         n_rows = int(node.get("rows") or "0")
-    except ValueError as exc:
-        raise SoapError(f"bad colset row count {node.get('rows')!r}") from exc
-    cols = node.require("cols")
-    col_elements = cols.find_all("col")
+    except ValueError:
+        n_rows = -1
+    if n_rows < 0:
+        raise SoapError(f"bad colset row count {node.get('rows')!r}")
+    if n_rows and not columns:
+        # Nothing in the document would back the rows: refuse rather than
+        # materialise whatever count the sender claims.
+        raise SoapError(f"colset with no columns claims {n_rows} rows")
+    col_elements = node.require("cols").find_all("col")
     if len(col_elements) != len(columns):
         raise SoapError(
             f"colset has {len(col_elements)} column streams, "
             f"schema has {len(columns)}"
         )
-    decoded_columns: List[List[Any]] = []
+    decoded: List[List[Any]] = []
     for col_el, (col_name, code) in zip(col_elements, columns):
         tokens = col_el.require("data").text.split()
         if len(tokens) != n_rows:
@@ -363,54 +457,17 @@ def _decode_colset(node: Element) -> WireRowSet:
                 f"colset column {col_name!r} has {len(tokens)} tokens "
                 f"for {n_rows} rows"
             )
-        values: List[Any] = []
-        if code == "string":
-            dict_el = col_el.find("dict")
-            entries = (
-                [kid.text for kid in dict_el.find_all("v")]
-                if dict_el is not None
-                else []
-            )
-            for token in tokens:
-                if token == _NIL_TOKEN:
-                    values.append(None)
-                    continue
-                slot = int(token)
-                if not 0 <= slot < len(entries):
-                    raise SoapError(
-                        f"colset column {col_name!r} dictionary index "
-                        f"{slot} out of range"
-                    )
-                values.append(entries[slot])
-        elif code == "int":
-            prev = 0
-            for token in tokens:
-                if token == _NIL_TOKEN:
-                    values.append(None)
-                    continue
-                prev += int(token)
-                values.append(prev)
-        elif code == "boolean":
-            for token in tokens:
-                if token == _NIL_TOKEN:
-                    values.append(None)
-                elif token in ("t", "f"):
-                    values.append(token == "t")
-                else:
-                    raise SoapError(f"bad colset boolean token {token!r}")
-        elif code == "double":
-            values = [
-                None if token == _NIL_TOKEN else float(token)
-                for token in tokens
-            ]
-        else:
-            raise SoapError(f"unknown colset typecode {code!r}")
-        decoded_columns.append(values)
-    rowset = WireRowSet(columns)
-    rowset.rows = [
-        tuple(decoded_columns[c][r] for c in range(len(columns)))
-        for r in range(n_rows)
-    ]
+        dict_el = col_el.find("dict") if code == "string" else None
+        entries = (
+            [kid.text for kid in dict_el.find_all("v")]
+            if dict_el is not None
+            else []
+        )
+        try:
+            decoded.append(_decode_column(tokens, code, entries))
+        except (ValueError, KeyError, IndexError):
+            decoded.append(_decode_tokens(tokens, col_name, code, entries))
+    rowset.rows = list(zip(*decoded))
     return rowset
 
 

@@ -94,7 +94,10 @@ class XMLParser:
         """Parse a document, enforcing the memory budget."""
         if isinstance(text, bytes):
             doc_bytes = len(text)
-            text = text.decode("utf-8")
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise XMLSyntaxError(f"document is not UTF-8: {exc}") from None
         else:
             doc_bytes = len(text.encode("utf-8"))
         needed = int(self.overhead_factor * doc_bytes)
@@ -106,7 +109,10 @@ class XMLParser:
                 document_bytes=doc_bytes,
                 limit_bytes=self.memory_limit_bytes,
             )
-        root = _parse_document(text)
+        try:
+            root = _parse_document(text)
+        except RecursionError:
+            raise XMLSyntaxError("document nests elements too deeply") from None
         self.documents_parsed += 1
         return root
 

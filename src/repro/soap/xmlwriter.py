@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
+from repro.errors import SoapError
+
 
 def escape_text(text: str) -> str:
     """Escape character data."""
@@ -57,10 +59,11 @@ class Element:
         ]
 
     def require(self, tag: str) -> "Element":
-        """Like :meth:`find` but raises ``KeyError`` when absent."""
+        """Like :meth:`find` but raises :class:`SoapError` when absent: a
+        document missing a required element is malformed."""
         node = self.find(tag)
         if node is None:
-            raise KeyError(f"element <{self.tag}> has no child <{tag}>")
+            raise SoapError(f"element <{self.tag}> has no child <{tag}>")
         return node
 
     def get(self, attr: str, default: Optional[str] = None) -> Optional[str]:

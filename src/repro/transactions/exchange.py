@@ -18,7 +18,7 @@ from repro.errors import TransactionError
 from repro.portal.portal import Portal
 from repro.services.chunked import receive_rowset
 from repro.services.client import ServiceProxy
-from repro.soap.encoding import WireRowSet
+from repro.soap.encoding import ColumnarRowSet, WireRowSet
 from repro.sql.ast import (
     AreaLike,
     ColumnRef,
@@ -139,7 +139,9 @@ class DataExchange:
                 proxy.call(
                     "EnsureTable", table=replica_table, columns=column_specs
                 )
-                for chunk in chunk_rowset(rowset, self.stage_rows_per_call):
+                for chunk in chunk_rowset(
+                    ColumnarRowSet(rowset), self.stage_rows_per_call
+                ):
                     proxy.call(
                         "StageRows",
                         txn_id=txn_id,
@@ -237,7 +239,7 @@ class DataExchange:
                         "EnsureTable", table=table, columns=column_specs
                     )
                     for chunk in chunk_rowset(
-                        rowset, self.stage_rows_per_call
+                        ColumnarRowSet(rowset), self.stage_rows_per_call
                     ):
                         proxy.call(
                             "StageRows", txn_id=txn_id, table=table, rows=chunk

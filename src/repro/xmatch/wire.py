@@ -8,7 +8,10 @@ cross-archive predicate) needs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from functools import partial
+from itertools import repeat
+from operator import attrgetter, methodcaller
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.errors import SoapError
 from repro.soap.encoding import ColumnarRowSet, WireRowSet
@@ -21,6 +24,7 @@ _ACC_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("acc_ay", "double"),
     ("acc_az", "double"),
 )
+_ACC_VALUES = attrgetter("a", "ax", "ay", "az")
 
 
 def tuple_schema(
@@ -39,29 +43,55 @@ def tuple_schema(
     return columns
 
 
+def _member_id_columns(
+    members: List[Tuple[Tuple[str, int], ...]], member_aliases: Sequence[str]
+) -> List[Sequence[int]]:
+    """One object-id column per schema alias.
+
+    A tuple lists its members in chain order (``seed`` then ``extended``
+    per hop), which is the schema's, so member position i is column i and
+    every alias in it must be the schema's i-th.
+    """
+    aliases = list(member_aliases)
+    if set(map(len, members)) <= {len(aliases)}:
+        columns: List[Sequence[int]] = []
+        for alias, pairs in zip(
+            aliases, zip(*members) if members else [()] * len(aliases)
+        ):
+            names, ids = zip(*pairs) if pairs else ((), ())
+            if names.count(alias) != len(names):
+                break
+            columns.append(ids)
+        else:
+            return columns
+    listed = next(m for m in members if [a for a, _ in m] != aliases)
+    raise SoapError(
+        f"tuple members {[a for a, _ in listed]} do not match schema "
+        f"aliases {aliases}"
+    )
+
+
 def tuples_to_rowset(
     tuples: Sequence[PartialTuple],
     member_aliases: Sequence[str],
     attr_columns: Sequence[Tuple[str, str]],
 ) -> WireRowSet:
-    """Encode partial tuples as a rowset."""
-    rowset = WireRowSet(tuple_schema(member_aliases, attr_columns))
-    for partial in tuples:
-        members: Dict[str, int] = dict(partial.members)
-        missing = [alias for alias in member_aliases if alias not in members]
-        if missing or len(partial.members) != len(member_aliases):
-            raise SoapError(
-                f"tuple members {sorted(members)} do not match schema "
-                f"aliases {list(member_aliases)}"
-            )
-        row: List[Any] = [members[alias] for alias in member_aliases]
-        row.extend(
-            (partial.acc.a, partial.acc.ax, partial.acc.ay, partial.acc.az)
-        )
-        for attr_name, _ in attr_columns:
-            row.append(partial.attributes.get(attr_name))
-        rowset.rows.append(tuple(row))
-    return rowset
+    """Encode partial tuples as a rowset, built a column at a time."""
+    columns = _member_id_columns(
+        [item.members for item in tuples], member_aliases
+    )
+    accs = [item.acc for item in tuples]
+    columns.extend(
+        zip(*map(_ACC_VALUES, accs)) if accs else [()] * len(_ACC_COLUMNS)
+    )
+    attributes = [item.attributes for item in tuples]
+    columns.extend(
+        list(map(methodcaller("get", name), attributes))
+        for name, _ in attr_columns
+    )
+    return WireRowSet(
+        tuple_schema(member_aliases, attr_columns), list(zip(*columns))
+    )
 
 
 def tuples_to_payload(
@@ -88,29 +118,30 @@ def rowset_to_tuples(
     member_aliases: Sequence[str],
     attr_columns: Sequence[Tuple[str, str]],
 ) -> List[PartialTuple]:
-    """Decode a rowset back into partial tuples."""
+    """Decode a rowset back into partial tuples, a column at a time."""
     expected = tuple_schema(member_aliases, attr_columns)
     if rowset.columns != expected:
         raise SoapError(
             f"rowset schema {rowset.columns} does not match expected {expected}"
         )
+    count = len(rowset.rows)
+    columns = list(zip(*rowset.rows)) if count else [()] * len(expected)
     n_members = len(member_aliases)
-    tuples: List[PartialTuple] = []
-    for row in rowset.rows:
-        member_ids = row[:n_members]
-        a, ax, ay, az = row[n_members : n_members + 4]
-        attrs = {
-            name: value
-            for (name, _), value in zip(attr_columns, row[n_members + 4 :])
-        }
-        tuples.append(
-            PartialTuple(
-                members=tuple(
-                    (alias, int(object_id))
-                    for alias, object_id in zip(member_aliases, member_ids)
-                ),
-                acc=Accumulator(a=a, ax=ax, ay=ay, az=az),
-                attributes=attrs,
-            )
-        )
-    return tuples
+    members = _rows(
+        [
+            list(zip(repeat(alias), map(int, ids)))
+            for alias, ids in zip(member_aliases, columns)
+        ],
+        count,
+    )
+    accs = map(Accumulator, *columns[n_members : n_members + 4])
+    names = [name for name, _ in attr_columns]
+    attributes = map(
+        dict, map(partial(zip, names), _rows(columns[n_members + 4 :], count))
+    )
+    return list(map(PartialTuple, members, accs, attributes))
+
+
+def _rows(columns: Sequence[Sequence[Any]], count: int) -> Iterable[Tuple[Any, ...]]:
+    """``count`` row tuples of ``columns`` (empty ones when there are none)."""
+    return zip(*columns) if columns else repeat((), count)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import XMLMemoryError, XMLSyntaxError
+from repro.errors import SoapError, XMLMemoryError, XMLSyntaxError
 from repro.soap.xmlparser import XMLParser, parse_xml
 from repro.soap.xmlwriter import Element, escape_attr, escape_text, render
 
@@ -75,7 +75,9 @@ def test_find_prefix_insensitive():
 
 
 def test_require_raises():
-    with pytest.raises(KeyError):
+    # A missing required element is a malformed document: a typed SOAP
+    # error a service turns into a fault, not a bare KeyError.
+    with pytest.raises(SoapError, match="no child <b>"):
         Element("a").require("b")
 
 
