@@ -529,14 +529,21 @@ def run_e8_htm_rangesearch(
         db.table("objects").spatial_entries()  # build the index up front
         return db
 
+    def timed(db: Database, sql: str):
+        """The query's result and its best wall ms of three runs."""
+        walls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = db.execute(sql)
+            walls.append((time.perf_counter() - start) * 1000.0)
+        return result, min(walls)
+
     db12 = make_db(12)
     for radius in radii:
         sql = f"SELECT count(*) FROM objects o WHERE AREA(185.0, -0.5, {radius})"
         for label, use_index in (("HTM depth 12", True), ("full scan", False)):
             db12.use_spatial_index = use_index
-            start = time.perf_counter()
-            result = db12.execute(sql)
-            wall = (time.perf_counter() - start) * 1000.0
+            result, wall = timed(db12, sql)
             report.add_row(
                 label, radius, result.stats.rows_examined, result.scalar(),
                 round(result.stats.rows_examined / n_objects, 4),
@@ -547,9 +554,7 @@ def run_e8_htm_rangesearch(
     for depth in depths:
         db = make_db(depth)
         sql = "SELECT count(*) FROM objects o WHERE AREA(185.0, -0.5, 300.0)"
-        start = time.perf_counter()
-        result = db.execute(sql)
-        wall = (time.perf_counter() - start) * 1000.0
+        result, wall = timed(db, sql)
         report.add_row(
             f"depth {depth}", 300.0, result.stats.rows_examined,
             result.scalar(),
@@ -557,8 +562,16 @@ def run_e8_htm_rangesearch(
             round(wall, 2),
         )
     report.note(
-        "Deeper meshes tighten the cover (fewer rows examined) until "
-        "cover-computation overhead dominates."
+        "Deeper meshes tighten the cover: fewer rows examined at every "
+        "step. The set-at-a-time engine makes a visited row so cheap that "
+        "the wall column is now almost all cover computation, so it rises "
+        "with depth from depth 6 on."
+    )
+    report.note(
+        f"Losing regime: at {n_objects} rows the vectorised full scan beats "
+        "every HTM scan on wall time. HTM's win is the fraction of rows "
+        "examined, which is what the buffer pool and the per-row "
+        "processing cost charge."
     )
     return report
 

@@ -14,6 +14,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 PageKey = Tuple[str, int]
 
 
@@ -57,6 +59,29 @@ class BufferPool:
             self.stats.evictions += 1
         return False
 
+    def access_pages(self, table: str, pages: np.ndarray) -> None:
+        """Touch a sequence of pages in order, as one :meth:`access` each.
+
+        The resident pages, their LRU order and every counter end up
+        exactly as per-element ``access`` calls would leave them, for the
+        price of one ``access`` per run of one page: re-touching the page
+        just touched is a hit that leaves the LRU order as it was. When
+        the pool can take every page the sequence misses without an
+        eviction, one ``access`` per distinct page, in order of its last
+        touch, already reaches that end state.
+        """
+        if len(pages) == 0:
+            return
+        starts = np.flatnonzero(pages[1:] != pages[:-1]) + 1
+        runs = pages[np.concatenate(([0], starts))].tolist()
+        newest_first = list(dict.fromkeys(reversed(runs)))
+        missing = sum((table, page) not in self._pages for page in newest_first)
+        if len(self._pages) + missing <= self.capacity_pages:
+            runs = newest_first[::-1]
+        for page_no in runs:
+            self.access(table, page_no)
+        self.stats.logical_reads += len(pages) - len(runs)
+
     def invalidate_table(self, table: str) -> None:
         """Drop every cached page of one table (after DROP/bulk load)."""
         for key in [k for k in self._pages if k[0] == table]:
@@ -69,6 +94,10 @@ class BufferPool:
     def reset_stats(self) -> None:
         """Zero the counters, keeping resident pages."""
         self.stats = BufferStats()
+
+    def resident_order(self) -> Tuple[PageKey, ...]:
+        """Resident pages from least to most recently used."""
+        return tuple(self._pages)
 
     @property
     def resident_pages(self) -> int:

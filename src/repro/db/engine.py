@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.db.buffer import BufferPool
 from repro.db.expr import RowContext, evaluate, is_true
 from repro.db.indexes import spatial_probe
-from repro.db.schema import Column, TableSchema
+from repro.db.schema import CoercedColumns, Column, TableSchema
 from repro.db.table import SpatialSpec, Table
 from repro.errors import QueryError, SchemaError, StaleEpochError
-from repro.sphere.coords import radec_to_vector
 from repro.sphere.regions import Region
 from repro.sql.area import is_area, region_for
 from repro.sql.ast import (
@@ -57,6 +59,10 @@ class QueryStats:
     physical_reads: int = 0
     used_spatial_index: bool = False
     rows_tested_geometrically: int = 0
+    #: Scan output rows that came from fully covered trixels (no geometric
+    #: test). An HTM scan emits those first, so in an unordered result
+    #: they are the leading rows.
+    rows_from_full_ranges: int = 0
 
 
 @dataclass
@@ -82,6 +88,20 @@ class ResultSet:
                 f"{len(self.rows)}x{len(self.columns)}"
             )
         return self.rows[0][0]
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _pick_columns(
+    rows: List[List[Any]], indexes: List[int]
+) -> List[Tuple[Any, ...]]:
+    """Project stored rows onto column indexes, as output tuples."""
+    if len(indexes) == 1:
+        (index,) = indexes
+        return [(row[index],) for row in rows]
+    pick = itemgetter(*indexes)
+    return [pick(row) for row in rows]
 
 
 def _dedupe(rows, keys):
@@ -274,12 +294,10 @@ class Database:
         from the new epoch onward.
         """
         new_epoch = self.committed_epoch + 1
-        coerced: List[Tuple[Table, List[List[Any]]]] = []
+        coerced: List[Tuple[Table, CoercedColumns]] = []
         for table_name, rows in staged:
             table = self.table(table_name)
-            coerced.append(
-                (table, [table.schema.coerce_row(row) for row in rows])
-            )
+            coerced.append((table, table.schema.coerce_columns(rows)))
         stamped = set()
         for table, rows in coerced:
             if table.name not in stamped:
@@ -337,11 +355,7 @@ class Database:
         from repro.db.aggregates import is_aggregate_query
 
         if self._is_count_star(query.items):
-            count = sum(
-                1 for _ in self._matching_positions(
-                    table, alias, region, residual, stats, epoch=epoch
-                )
-            )
+            count = len(self._scan(table, alias, region, residual, stats, epoch))
             columns = [query.items[0].alias or "count"]
             rows: List[Tuple[Any, ...]] = [(count,)]
         elif is_aggregate_query(query):
@@ -350,22 +364,25 @@ class Database:
             )
         else:
             columns = self._output_columns(query.items, table)
-            rows = []
-            keys: List[Tuple[Any, ...]] = []
-            can_stop_early = (
-                query.limit is not None
-                and not query.order_by
-                and not query.distinct
+            can_stop_early = not query.order_by and not query.distinct
+            positions = self._scan(
+                table, alias, region, residual, stats, epoch,
+                stop_after=query.limit if can_stop_early else None,
             )
-            for pos in self._matching_positions(
-                table, alias, region, residual, stats, epoch=epoch
-            ):
-                ctx = self._context_for(table, alias, pos)
-                rows.append(self._project(query.items, table, ctx))
-                if query.order_by:
-                    keys.append(self._order_key(query.order_by, ctx))
-                if can_stop_early and len(rows) >= query.limit:
-                    break
+            keys: List[Tuple[Any, ...]] = []
+            indexes = (
+                None if query.order_by
+                else self._column_indexes(query.items, table, alias)
+            )
+            if indexes is not None:
+                rows = _pick_columns(table.rows_at(positions.tolist()), indexes)
+            else:
+                rows = []
+                for pos in positions.tolist():
+                    ctx = self._context_for(table, alias, pos)
+                    rows.append(self._project(query.items, table, ctx))
+                    if query.order_by:
+                        keys.append(self._order_key(query.order_by, ctx))
             if query.distinct:
                 rows, keys = _dedupe(rows, keys)
             if query.order_by:
@@ -399,9 +416,8 @@ class Database:
         from repro.sql.printer import to_sql
 
         accumulator = GroupedAccumulator(query)
-        for pos in self._matching_positions(
-            table, alias, region, residual, stats, epoch=epoch
-        ):
+        positions = self._scan(table, alias, region, residual, stats, epoch)
+        for pos in positions.tolist():
             accumulator.feed(self._context_for(table, alias, pos))
 
         groups = accumulator.finished_groups()
@@ -523,69 +539,86 @@ class Database:
             )
         return region_for(area)
 
-    def _matching_positions(
+    def _scan(
         self,
         table: Table,
         alias: str,
         region: Optional[Region],
         residual: Optional[Expr],
         stats: QueryStats,
+        epoch: Optional[int],
         *,
-        epoch: Optional[int] = None,
-    ) -> Iterable[int]:
-        """Yield row positions passing the spatial and residual predicates.
+        stop_after: Optional[int] = None,
+    ) -> np.ndarray:
+        """Row positions passing the spatial and residual predicates.
 
+        The scan visits rows in one fixed order — an HTM scan's exact rows
+        (fully covered trixels) then its candidates (partially covered
+        ones), a full scan the visible prefix — and charges the buffer
+        pool one touch per visited row, in that order, run-collapsed.
+        With ``stop_after`` it stops at the row that makes that many
+        matches, as a LIMIT does; ``stop_after=0`` visits nothing. The
+        geometric test is one :meth:`Region.contains_many` over the
+        tested rows' stored unit vectors; the residual stays per row.
         With an ``epoch`` pinned, rows past its visibility watermark are
-        excluded from both the spatial-index and full-scan paths.
+        excluded from both paths.
         """
-        limit = None if epoch is None else table.visible_count(epoch)
-        if region is not None and table.spatial is not None and self.use_spatial_index:
-            stats.used_spatial_index = True
-            probe = spatial_probe(table, region, limit=limit)
-            stats.rows_tested_geometrically = len(probe.candidates)
-            for pos in probe.exact:
-                self._touch(table, pos, stats)
-                if self._residual_ok(table, alias, pos, residual):
-                    yield pos
-            spec = table.spatial
-            ra_idx = table.schema.column_index(spec.ra_column)
-            dec_idx = table.schema.column_index(spec.dec_column)
-            for pos in probe.candidates:
-                self._touch(table, pos, stats)
-                row = table.row(pos)
-                v = radec_to_vector(row[ra_idx], row[dec_idx])
-                if not region.contains(v):
-                    continue
-                if self._residual_ok(table, alias, pos, residual):
-                    yield pos
-            return
-        # Full scan (optionally with a geometric test when the table has
-        # positions but no region/index shortcut applies).
-        spec = table.spatial
-        for pos in table.iter_positions(epoch):
-            self._touch(table, pos, stats)
+        visible = table.visible_count(epoch)
+        n_exact = 0
+        tested: Optional[np.ndarray] = None
+        use_index = (
+            region is not None
+            and table.spatial is not None
+            and self.use_spatial_index
+        )
+        stats.used_spatial_index = use_index
+        if stop_after == 0:
+            return _NO_ROWS
+        if use_index:
+            probe = spatial_probe(
+                table, region, limit=None if epoch is None else visible
+            )
+            n_exact = len(probe.exact)
+            order = np.concatenate((probe.exact, probe.candidates))
+            tested = region.contains_many(
+                table.position_matrix()[probe.candidates]
+            )
+            hits = np.concatenate(
+                (np.arange(n_exact), n_exact + np.flatnonzero(tested))
+            )
+        else:
+            order = np.arange(visible)
             if region is not None:
-                assert spec is not None
-                row = table.row(pos)
-                ra = row[table.schema.column_index(spec.ra_column)]
-                dec = row[table.schema.column_index(spec.dec_column)]
-                stats.rows_tested_geometrically += 1
-                if not region.contains(radec_to_vector(ra, dec)):
-                    continue
-            if self._residual_ok(table, alias, pos, residual):
-                yield pos
-
-    def _touch(self, table: Table, pos: int, stats: QueryStats) -> None:
-        self.buffer.access(table.name, table.page_of(pos))
-        stats.rows_examined += 1
-
-    def _residual_ok(
-        self, table: Table, alias: str, pos: int, residual: Optional[Expr]
-    ) -> bool:
-        if residual is None:
-            return True
-        ctx = self._context_for(table, alias, pos)
-        return is_true(evaluate(residual, ctx))
+                tested = region.contains_many(table.position_matrix()[:visible])
+                hits = np.flatnonzero(tested)
+            else:
+                hits = order
+        visited = len(order)
+        try:
+            if residual is not None:
+                kept: List[int] = []
+                for index, pos in zip(hits.tolist(), order[hits].tolist()):
+                    visited = index + 1  # a row that raises was visited
+                    ctx = self._context_for(table, alias, pos)
+                    if is_true(evaluate(residual, ctx)):
+                        kept.append(index)
+                        if stop_after is not None and len(kept) >= stop_after:
+                            break
+                else:
+                    visited = len(order)
+                hits = np.asarray(kept, dtype=np.int64)
+            elif stop_after is not None and len(hits) >= stop_after:
+                hits = hits[:stop_after]
+                visited = int(hits[-1]) + 1
+        finally:
+            self.buffer.access_pages(
+                table.name, order[:visited] // table.page_size
+            )
+            stats.rows_examined += visited
+            if tested is not None:
+                stats.rows_tested_geometrically += max(0, visited - n_exact)
+        stats.rows_from_full_ranges += int(np.count_nonzero(hits < n_exact))
+        return order[hits]
 
     def _context_for(self, table: Table, alias: str, pos: int) -> RowContext:
         ctx = RowContext(self.constants)
@@ -614,6 +647,34 @@ class Database:
             and len(expr.args) == 1
             and isinstance(expr.args[0], Star)
         )
+
+    @staticmethod
+    def _column_indexes(
+        items: Tuple[SelectItem, ...], table: Table, alias: str
+    ) -> Optional[List[int]]:
+        """Storage indexes of a SELECT list of plain column references.
+
+        ``None`` when any item is something else — an expression, a
+        constant, a reference under another qualifier — which then takes
+        the per-row :class:`RowContext` path (and its errors).
+        """
+        indexes: List[int] = []
+        for item in items:
+            expr = item.expr
+            if isinstance(expr, Star):
+                indexes.extend(range(len(table.schema)))
+            elif (
+                isinstance(expr, ColumnRef)
+                and table.schema.has_column(expr.name)
+                and (
+                    expr.qualifier is None
+                    or (alias and expr.qualifier.lower() == alias.lower())
+                )
+            ):
+                indexes.append(table.schema.column_index(expr.name))
+            else:
+                return None
+        return indexes
 
     @staticmethod
     def _output_columns(items: Tuple[SelectItem, ...], table: Table) -> List[str]:

@@ -15,9 +15,8 @@ exact geometric test.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +45,12 @@ class SpatialCandidates:
 
     ``exact`` rows are inside the region for sure (from fully-covered
     trixels); ``candidates`` rows need an individual geometric test (from
-    partially-covered trixels).
+    partially-covered trixels). Both are int64 arrays in index order:
+    cover range by cover range, each range's rows by (htm_id, position).
     """
 
-    exact: List[int] = field(default_factory=list)
-    candidates: List[int] = field(default_factory=list)
+    exact: np.ndarray
+    candidates: np.ndarray
     stats: RangeScanStats = field(default_factory=RangeScanStats)
 
 
@@ -67,114 +67,86 @@ def spatial_probe(
     if table.spatial is None:
         raise ValueError(f"table {table.name!r} is not spatially indexed")
     reg_cover = cover(region, table.spatial.htm_depth)
-    entries = table.spatial_entries()
-    result = SpatialCandidates()
-    result.stats.full_ranges = len(reg_cover.full)
-    result.stats.partial_ranges = len(reg_cover.partial)
-    for lo, hi in reg_cover.full:
-        for pos in _rows_in_id_range(entries, lo, hi):
-            if limit is None or pos < limit:
-                result.exact.append(pos)
-    for lo, hi in reg_cover.partial:
-        for pos in _rows_in_id_range(entries, lo, hi):
-            if limit is None or pos < limit:
-                result.candidates.append(pos)
-    result.stats.exact_rows = len(result.exact)
-    result.stats.candidate_rows = len(result.exact) + len(result.candidates)
-    result.stats.tested_rows = len(result.candidates)
-    return result
+    full, partial = list(reg_cover.full), list(reg_cover.partial)
+    rows, lengths = _rows_in_ranges(table, full + partial)
+    split = int(lengths[: len(full)].sum())
+    exact, candidates = rows[:split], rows[split:]
+    if limit is not None:
+        exact = exact[exact < limit]
+        candidates = candidates[candidates < limit]
+    stats = RangeScanStats(
+        candidate_rows=len(exact) + len(candidates),
+        exact_rows=len(exact),
+        tested_rows=len(candidates),
+        full_ranges=len(full),
+        partial_ranges=len(partial),
+    )
+    return SpatialCandidates(exact, candidates, stats)
 
 
 def batch_spatial_probe(
     table: Table, regions: Sequence[Region], *, limit: Optional[int] = None
-) -> List[SpatialCandidates]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Probe a table's HTM entries with many region covers at once.
 
-    The batch companion of :func:`spatial_probe` for the vectorized
-    cross-match kernel: cap covers are computed level-synchronously for
-    the whole batch (see :func:`repro.htm.batch.batch_cap_covers`), the
-    sorted HTM entries are materialized once as numpy arrays (see
-    :meth:`Table.spatial_arrays`), and every cover range becomes a
-    ``searchsorted`` slice instead of a Python bisect walk. For each
-    region the returned row positions, their order, and the scan stats
-    are identical to what ``spatial_probe`` produces — including under
-    the same epoch-visibility ``limit``.
+    Returns flat ``(region index, row position)`` pairs sorted by region,
+    then row: every row of each region's cover ranges, full and partial
+    alike, epoch-filtered by ``limit`` — a superset hint that callers
+    re-filter with an exact test, like :func:`batch_zone_probe`'s. Cap
+    covers are computed level-synchronously for the whole batch (see
+    :func:`repro.htm.batch.batch_cap_covers`) and every range of every
+    cover becomes one slice of :meth:`Table.spatial_arrays`, found by one
+    ``searchsorted`` per bound for the whole batch.
     """
     if table.spatial is None:
         raise ValueError(f"table {table.name!r} is not spatially indexed")
-    htm_ids, row_positions = table.spatial_arrays()
     depth = table.spatial.htm_depth
     if all(type(region) is Cap for region in regions):
         covers = batch_cap_covers(list(regions), depth)
     else:
         covers = [cover(region, depth) for region in regions]
-    results: List[SpatialCandidates] = []
-    for reg_cover in covers:
-        result = SpatialCandidates()
-        result.stats.full_ranges = len(reg_cover.full)
-        result.stats.partial_ranges = len(reg_cover.partial)
-        for ranges, out in (
-            (reg_cover.full, result.exact),
-            (reg_cover.partial, result.candidates),
-        ):
-            for lo, hi in ranges:
-                seg = _array_rows_in_id_range(
-                    htm_ids, row_positions, lo, hi, limit
-                )
-                if seg.size:
-                    out.extend(seg.tolist())
-        result.stats.exact_rows = len(result.exact)
-        result.stats.candidate_rows = len(result.exact) + len(result.candidates)
-        result.stats.tested_rows = len(result.candidates)
-        results.append(result)
-    return results
+    ranges: List[Tuple[int, int]] = []
+    owners: List[int] = []
+    for i, reg_cover in enumerate(covers):
+        before = len(ranges)
+        ranges.extend(reg_cover.full)
+        ranges.extend(reg_cover.partial)
+        owners.extend([i] * (len(ranges) - before))
+    pair_i, lengths = _rows_in_ranges(table, ranges)
+    pair_t = np.repeat(np.asarray(owners, dtype=np.int64), lengths)
+    return _sorted_pairs(pair_t, pair_i, limit)
 
 
-def _rows_in_id_range(
-    entries: List[Tuple[int, int]], lo: int, hi: int
-) -> Iterator[int]:
-    """Row positions whose htm_id falls in the inclusive [lo, hi] id range.
+def _rows_in_ranges(
+    table: Table, ranges: Sequence[Tuple[int, int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row positions of inclusive ``[lo, hi]`` trixel-id ranges, in order.
 
-    The bisect is seeded with the 1-tuple ``(lo,)``, which compares below
-    every ``(lo, pos)`` pair no matter what ``pos`` is — unlike the old
-    ``(lo, -1)`` sentinel, this makes no assumption about the range of row
-    positions. The inclusive-``hi`` semantics here and in
-    :func:`_array_rows_in_id_range` must stay in lockstep: both back the
-    same cover ranges, one over the entry list, one over the parallel
-    arrays of :meth:`Table.spatial_arrays`.
+    Returns the concatenated rows of every range (each range's rows as
+    :meth:`Table.spatial_arrays` sorts them) and each range's row count.
+    One ``searchsorted`` per bound serves every range.
     """
-    start = bisect.bisect_left(entries, (lo,))
-    for i in range(start, len(entries)):
-        hid, pos = entries[i]
-        if hid > hi:
-            break
-        yield pos
+    htm_ids, row_positions = table.spatial_arrays()
+    bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+    starts = htm_ids.searchsorted(bounds[:, 0], side="left")
+    lengths = htm_ids.searchsorted(bounds[:, 1], side="right") - starts
+    ends = lengths.cumsum()
+    gather = np.arange(int(ends[-1]) if len(ends) else 0) + (
+        starts - ends + lengths
+    ).repeat(lengths)
+    return row_positions[gather], lengths
 
 
-def _array_rows_in_id_range(
-    htm_ids: np.ndarray,
-    row_positions: np.ndarray,
-    lo: int,
-    hi: int,
-    limit: Optional[int],
-) -> np.ndarray:
-    """Array twin of :func:`_rows_in_id_range`, with epoch filtering.
-
-    Selects the positions whose htm_id lies in the inclusive [lo, hi]
-    range via two ``searchsorted`` probes, then drops rows at or past the
-    epoch-visibility watermark ``limit``.
-    """
-    start = int(np.searchsorted(htm_ids, lo, side="left"))
-    stop = int(np.searchsorted(htm_ids, hi, side="right"))
-    if stop <= start:
-        return _EMPTY_POSITIONS
-    seg = row_positions[start:stop]
+def _sorted_pairs(
+    pair_t: np.ndarray, pair_i: np.ndarray, limit: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Epoch-filter ``(tuple, row)`` pairs and sort them by tuple, then row."""
     if limit is not None:
-        seg = seg[seg < limit]
-    return seg
-
-
-_EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
+        keep = pair_i < limit
+        pair_t = pair_t[keep]
+        pair_i = pair_i[keep]
+    order = np.lexsort((pair_i, pair_t))
+    return pair_t[order], pair_i[order]
 
 
 def batch_zone_probe(
@@ -184,18 +156,18 @@ def batch_zone_probe(
     *,
     zone_height_deg: Optional[float] = None,
     limit: Optional[int] = None,
-) -> List[np.ndarray]:
-    """Zone-window row candidates for a batch of caps, one array per cap.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Zone-window row candidates for a batch of caps, as flat pairs.
 
     ``centers`` is an ``(m, 3)`` unit-vector matrix, ``radii_rad`` the
-    per-cap search radii. Each returned array holds the row positions
-    (ascending) whose zone/RA bucket intersects the cap's dec/RA window —
-    a superset of the cap itself, epoch-filtered by ``limit`` exactly like
-    :func:`batch_spatial_probe`. Callers apply the exact geometric test.
+    per-cap search radii. Returns ``(cap index, row position)`` pairs
+    sorted by cap, then row: the rows whose zone/RA bucket intersects the
+    cap's dec/RA window — a superset of the cap itself, epoch-filtered by
+    ``limit`` exactly like :func:`batch_spatial_probe`. Callers apply the
+    exact geometric test.
     """
     if table.spatial is None:
         raise ValueError(f"table {table.name!r} is not spatially indexed")
-    m = len(radii_rad)
     if zone_height_deg is None:
         za = table.zone_arrays()
     else:
@@ -203,17 +175,7 @@ def batch_zone_probe(
     ra_c, dec_c = unit_vectors_to_radec(centers)
     dec_lo, dec_hi, halfwidth = cap_windows(ra_c, dec_c, radii_rad)
     pair_t, pair_i = za.window_pairs(dec_lo, dec_hi, ra_c, halfwidth)
-    if limit is not None:
-        keep = pair_i < limit
-        pair_t = pair_t[keep]
-        pair_i = pair_i[keep]
-    if pair_t.size == 0:
-        return [_EMPTY_POSITIONS for _ in range(m)]
-    order = np.lexsort((pair_i, pair_t))
-    pair_t = pair_t[order]
-    pair_i = pair_i[order]
-    bounds = np.searchsorted(pair_t, np.arange(m + 1, dtype=np.int64))
-    return [pair_i[bounds[i]:bounds[i + 1]] for i in range(m)]
+    return _sorted_pairs(pair_t, pair_i, limit)
 
 
 def zone_probe(
@@ -227,7 +189,7 @@ def zone_probe(
     """Single-cap :func:`batch_zone_probe`: ascending row positions."""
     centers = np.asarray([center], dtype=np.float64)
     radii = np.asarray([radius_rad], dtype=np.float64)
-    (rows,) = batch_zone_probe(
+    _, rows = batch_zone_probe(
         table, centers, radii, zone_height_deg=zone_height_deg, limit=limit
     )
     return rows.tolist()

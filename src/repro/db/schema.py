@@ -31,6 +31,18 @@ class Column:
         _check_identifier(self.name, "column")
 
 
+@dataclass(frozen=True)
+class CoercedColumns:
+    """A batch of rows in storage form, held column by column."""
+
+    columns: Tuple[Sequence[Any], ...]
+    count: int
+
+    def rows(self) -> List[List[Any]]:
+        """The batch as row lists, the table's storage form."""
+        return [list(row) for row in zip(*self.columns)]
+
+
 class TableSchema:
     """An ordered set of columns with fast name lookup.
 
@@ -78,6 +90,37 @@ class TableSchema:
     def column(self, name: str) -> Column:
         """The :class:`Column` for a name."""
         return self.columns[self.column_index(name)]
+
+    def coerce_columns(
+        self, rows: Sequence[Dict[str, Any] | Sequence[Any]]
+    ) -> "CoercedColumns":
+        """Validate and coerce a batch of rows, one column at a time.
+
+        Positional rows of the right width are transposed and each column
+        goes through :meth:`ColumnType.coerce_column`; mappings (and any
+        batch that fails) take :meth:`coerce_row` row by row, so a bad
+        batch raises the very error the row-at-a-time path raises first.
+        """
+        width = len(self.columns)
+        if all(not isinstance(row, dict) and len(row) == width for row in rows):
+            try:
+                return CoercedColumns(
+                    tuple(
+                        col.ctype.coerce_column(
+                            values, nullable=col.nullable, column=col.name
+                        )
+                        for col, values in zip(
+                            self.columns, zip(*rows) if rows else [()] * width
+                        )
+                    ),
+                    len(rows),
+                )
+            except SchemaError:
+                pass  # re-raised below in row order
+        coerced = [self.coerce_row(row) for row in rows]
+        return CoercedColumns(
+            tuple(zip(*coerced)) if coerced else ((),) * width, len(coerced)
+        )
 
     def coerce_row(self, row: Dict[str, Any] | Sequence[Any]) -> List[Any]:
         """Validate and coerce a row (mapping or positional) to storage form."""

@@ -7,12 +7,16 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.db.schema import TableSchema
+from repro.db.schema import CoercedColumns, TableSchema
 from repro.errors import SchemaError
-from repro.htm.index import HTMIndex
+from repro.htm.index import ids_for_points
 from repro.sphere.coords import radec_to_vector
 from repro.units import normalize_ra_deg
 from repro.zone.index import DEFAULT_ZONE_HEIGHT_DEG, ZoneArrays
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_VECTORS = np.empty((0, 3), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -32,13 +36,12 @@ class SpatialSpec:
 class Table:
     """One table: typed rows stored in fixed-size pages.
 
-    If a :class:`SpatialSpec` is attached, every row gets a precomputed HTM
-    trixel id, and :meth:`spatial_entries` exposes the sorted (htm_id, row)
-    pairs the spatial index scans. Two columnar companions back the
-    vectorized cross-match kernel: :meth:`position_matrix` (an ``(n, 3)``
-    float64 unit-vector matrix) and :meth:`spatial_arrays` (the sorted HTM
-    entries as parallel numpy arrays). Both are built lazily and
-    invalidated on insert/truncate, exactly like the sorted entry list.
+    If a :class:`SpatialSpec` is attached, every row gets a precomputed
+    unit vector and HTM trixel id, computed for a whole insert batch at
+    once and held as numpy arrays. :meth:`position_matrix` is the ``(n, 3)``
+    float64 unit-vector matrix and :meth:`spatial_arrays` the (htm_id, row)
+    entries sorted for the spatial index, as parallel arrays; the sorted
+    entries are built lazily and invalidated on insert/truncate.
 
     Versioned snapshots: storage is append-only, so an *epoch* is just a
     visible row-count watermark. ``_epoch_marks`` holds ``[epoch, count]``
@@ -75,14 +78,12 @@ class Table:
             self._ra_idx = None
             self._dec_idx = None
         self._rows: List[List[Any]] = []
-        self._htm_ids: List[int] = []
-        self._positions: List[Tuple[float, float, float]] = []
+        #: Per-row trixel ids and unit vectors (spatial tables only).
+        self._htm_ids = _NO_IDS
+        self._vectors = _NO_VECTORS
         #: Epoch visibility watermarks: [epoch, visible_count], ascending.
         self._epoch_marks: List[List[int]] = [[0, 0]]
-        self._htm = HTMIndex(spatial.htm_depth) if spatial else None
-        self._spatial_sorted: Optional[List[Tuple[int, int]]] = None
         self._spatial_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._position_matrix: Optional[np.ndarray] = None
         #: Zone index caches keyed by zone height (degrees); built lazily
         #: like the HTM companions, invalidated together with them.
         self._zone_arrays: Dict[float, ZoneArrays] = {}
@@ -104,59 +105,57 @@ class Table:
         """Page number holding a row position."""
         return row_pos // self.page_size
 
-    def _spatial_data(
-        self, values: List[Any]
-    ) -> Tuple[int, Tuple[float, float, float]]:
-        """The HTM id + unit vector of one coerced row."""
-        ra = values[self._ra_idx]
-        dec = values[self._dec_idx]
-        if ra is None or dec is None:
-            raise SchemaError(
-                f"spatial table {self.name!r} requires non-NULL "
-                f"{self.spatial.ra_column}/{self.spatial.dec_column}"
-            )
-        assert self._htm is not None
-        vector = radec_to_vector(ra, dec)
-        return self._htm.id_for(vector), vector
+    def _unit_vectors(self, batch: CoercedColumns) -> np.ndarray:
+        """The ``(n, 3)`` unit vectors of a coerced batch's positions.
+
+        Row by row with the scalar :func:`radec_to_vector`, so every
+        vector is bitwise the one a per-row reader computes; a NULL
+        position or an out-of-range declination raises in row order.
+        """
+        vectors = np.empty((batch.count, 3), dtype=np.float64)
+        for i, (ra, dec) in enumerate(
+            zip(batch.columns[self._ra_idx], batch.columns[self._dec_idx])
+        ):
+            if ra is None or dec is None:
+                raise SchemaError(
+                    f"spatial table {self.name!r} requires non-NULL "
+                    f"{self.spatial.ra_column}/{self.spatial.dec_column}"
+                )
+            vectors[i] = radec_to_vector(ra, dec)
+        return vectors
 
     def _invalidate_derived(self) -> None:
-        self._spatial_sorted = None
         self._spatial_arrays = None
-        self._position_matrix = None
         self._zone_arrays.clear()
 
     def insert(self, row: Dict[str, Any] | Sequence[Any]) -> int:
         """Insert one row (mapping or positional); returns its row position."""
-        values = self.schema.coerce_row(row)
         pos = len(self._rows)
-        if self.spatial is not None:
-            htm_id, vector = self._spatial_data(values)
-            self._htm_ids.append(htm_id)
-            self._positions.append(vector)
-            self._invalidate_derived()
-        self._rows.append(values)
-        self._epoch_marks[-1][1] = len(self._rows)
+        self.insert_many([row])
         return pos
 
-    def insert_many(self, rows: Sequence[Dict[str, Any] | Sequence[Any]]) -> int:
+    def insert_many(
+        self, rows: CoercedColumns | Sequence[Dict[str, Any] | Sequence[Any]]
+    ) -> int:
         """Bulk insert; returns the number inserted.
 
-        The bulk path coerces and ingests every row first and invalidates
-        the derived spatial structures (sorted HTM entries, columnar
-        arrays) exactly once at the end, so a bulk load pays one deferred
-        rebuild instead of one per row.
+        Rows are coerced a column at a time (a batch already coerced by
+        :meth:`TableSchema.coerce_columns` is taken as it is), and a
+        spatial table computes the whole batch's unit vectors and trixel
+        ids before it stores anything, so a bad row leaves the table
+        untouched. The derived spatial structures are invalidated once.
         """
-        coerced = [self.schema.coerce_row(row) for row in rows]
-        if self.spatial is not None:
-            # Validate and compute spatial data for the whole batch before
-            # mutating anything, so a bad row leaves the table untouched.
-            spatial_data = [self._spatial_data(values) for values in coerced]
-            self._htm_ids.extend(htm_id for htm_id, _ in spatial_data)
-            self._positions.extend(vector for _, vector in spatial_data)
+        if not isinstance(rows, CoercedColumns):
+            rows = self.schema.coerce_columns(rows)
+        if self.spatial is not None and rows.count:
+            vectors = self._unit_vectors(rows)
+            ids = ids_for_points(vectors, self.spatial.htm_depth)
+            self._vectors = np.concatenate((self._vectors, vectors))
+            self._htm_ids = np.concatenate((self._htm_ids, ids))
             self._invalidate_derived()
-        self._rows.extend(coerced)
+        self._rows.extend(rows.rows())
         self._epoch_marks[-1][1] = len(self._rows)
-        return len(coerced)
+        return rows.count
 
     # -- epoch visibility --------------------------------------------------------
 
@@ -211,7 +210,12 @@ class Table:
         """The precomputed HTM id of a row (spatial tables only)."""
         if self.spatial is None:
             raise SchemaError(f"table {self.name!r} has no spatial column")
-        return self._htm_ids[row_pos]
+        return int(self._htm_ids[row_pos])
+
+    def rows_at(self, positions: Sequence[int]) -> List[List[Any]]:
+        """The raw rows at many positions, in the order given."""
+        rows = self._rows
+        return [rows[pos] for pos in positions]
 
     def iter_positions(self, epoch: Optional[int] = None) -> Iterator[int]:
         """Row positions in storage order (a full scan).
@@ -222,35 +226,24 @@ class Table:
         return iter(range(self.visible_count(epoch)))
 
     def spatial_entries(self) -> List[Tuple[int, int]]:
-        """Sorted (htm_id, row_pos) pairs; rebuilt lazily after inserts."""
-        if self.spatial is None:
-            raise SchemaError(f"table {self.name!r} has no spatial column")
-        if self._spatial_sorted is None:
-            self._spatial_sorted = sorted(
-                zip(self._htm_ids, range(len(self._rows)))
-            )
-        return self._spatial_sorted
+        """Sorted (htm_id, row_pos) pairs: :meth:`spatial_arrays` as a list."""
+        htm_ids, row_positions = self.spatial_arrays()
+        return list(zip(htm_ids.tolist(), row_positions.tolist()))
 
     def spatial_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sorted HTM entries as parallel ``(htm_ids, row_positions)``.
+        """The spatial index: parallel int64 ``(htm_ids, row_positions)``.
 
-        Both are int64 numpy arrays in the exact order of
-        :meth:`spatial_entries`, so a searchsorted slice visits rows in
-        the same order the scalar bisect scan yields them.
+        Sorted by trixel id, ties in row-position order (one stable
+        ``argsort``), so the pairs ascend exactly as the sorted
+        ``(htm_id, row_pos)`` tuples do and a ``searchsorted`` slice
+        visits one id range's rows in position order. Built lazily,
+        invalidated on insert/truncate.
         """
         if self.spatial is None:
             raise SchemaError(f"table {self.name!r} has no spatial column")
         if self._spatial_arrays is None:
-            entries = self.spatial_entries()
-            if entries:
-                pairs = np.asarray(entries, dtype=np.int64)
-                self._spatial_arrays = (
-                    np.ascontiguousarray(pairs[:, 0]),
-                    np.ascontiguousarray(pairs[:, 1]),
-                )
-            else:
-                empty = np.empty(0, dtype=np.int64)
-                self._spatial_arrays = (empty, empty)
+            order = np.argsort(self._htm_ids, kind="stable").astype(np.int64)
+            self._spatial_arrays = (self._htm_ids[order], order)
         return self._spatial_arrays
 
     def position_matrix(self) -> np.ndarray:
@@ -258,19 +251,11 @@ class Table:
 
         Row ``i`` of the matrix is exactly ``radec_to_vector(ra, dec)`` of
         row position ``i`` — the same floats the scalar path computes per
-        candidate — so vectorized and scalar chi-squared evaluations agree
-        bitwise. Built lazily, invalidated on insert/truncate.
+        candidate — so vectorized and scalar evaluations agree bitwise.
         """
         if self.spatial is None:
             raise SchemaError(f"table {self.name!r} has no spatial column")
-        if self._position_matrix is None:
-            matrix = np.empty((len(self._positions), 3), dtype=np.float64)
-            for i, (x, y, z) in enumerate(self._positions):
-                matrix[i, 0] = x
-                matrix[i, 1] = y
-                matrix[i, 2] = z
-            self._position_matrix = matrix
-        return self._position_matrix
+        return self._vectors
 
     def zone_arrays(
         self, zone_height_deg: float = DEFAULT_ZONE_HEIGHT_DEG
@@ -303,12 +288,14 @@ class Table:
         """The precomputed unit vector of a row (spatial tables only)."""
         if self.spatial is None:
             raise SchemaError(f"table {self.name!r} has no spatial column")
-        return self._positions[row_pos]
+        x, y, z = self.position_matrix()[row_pos].tolist()
+        return (x, y, z)
 
     def truncate(self) -> None:
         """Delete all rows."""
         self._rows.clear()
-        self._htm_ids.clear()
-        self._positions.clear()
+        self._htm_ids = _NO_IDS
+        self._vectors = _NO_VECTORS
         self._epoch_marks = [[self._epoch_marks[-1][0], 0]]
         self._invalidate_derived()
+

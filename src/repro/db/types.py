@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import SchemaError
 
@@ -48,6 +48,26 @@ class ColumnType(Enum):
             )
         return value
 
+    def coerce_column(
+        self, values: Sequence[Any], *, nullable: bool = True, column: str = "?"
+    ) -> Sequence[Any]:
+        """:meth:`coerce` over a whole column.
+
+        A column whose values all already have this type's storage type
+        (``None`` too, when nullable) is stored as it is after one check
+        of the set of value types; any other column is coerced cell by
+        cell and raises exactly what :meth:`coerce` raises.
+        """
+        stored = _STORAGE_TYPES[self]
+        if set(map(type, values)) <= (
+            stored | _NONE_TYPE if nullable else stored
+        ):
+            return values
+        return [
+            self.coerce(value, nullable=nullable, column=column)
+            for value in values
+        ]
+
     @classmethod
     def of_value(cls, value: Any) -> "ColumnType":
         """Infer the column type of a python value (bool before int!)."""
@@ -60,3 +80,13 @@ class ColumnType(Enum):
         if isinstance(value, str):
             return cls.STRING
         raise SchemaError(f"unsupported value type {type(value).__name__}")
+
+
+#: The exact Python type each column type stores (what ``coerce`` returns).
+_STORAGE_TYPES = {
+    ColumnType.INT: frozenset({int}),
+    ColumnType.FLOAT: frozenset({float}),
+    ColumnType.STRING: frozenset({str}),
+    ColumnType.BOOL: frozenset({bool}),
+}
+_NONE_TYPE = frozenset({type(None)})

@@ -25,7 +25,7 @@ from repro.htm.mesh import (
     trixel_by_id,
     trixel_by_name,
 )
-from repro.htm.index import HTMIndex, id_for_point, id_for_radec
+from repro.htm.index import id_for_point, id_for_radec, ids_for_points
 from repro.htm.ranges import HTMRanges
 from repro.htm.cover import Cover, cover, cover_adaptive
 
@@ -38,9 +38,9 @@ __all__ = [
     "roots",
     "trixel_by_id",
     "trixel_by_name",
-    "HTMIndex",
     "id_for_point",
     "id_for_radec",
+    "ids_for_points",
     "HTMRanges",
     "Cover",
     "cover",

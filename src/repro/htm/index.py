@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from repro.errors import HTMError
+import numpy as np
+
+from repro.errors import GeometryError, HTMError
 from repro.htm.mesh import DEPTH_MAX, roots
+from repro.htm.trixel import _EPS
 from repro.sphere.coords import radec_to_vector
 from repro.sphere.vector import Vec3, normalize
 
@@ -25,28 +28,85 @@ def id_for_point(v: Vec3, depth: int) -> int:
     return node.hid
 
 
+#: Corner slots of one descent step: the parent's v0, v1, v2, then the edge
+#: midpoints w0, w1, w2 (opposite v0, v1, v2), as in ``Trixel.children``.
+_MIDPOINT_ENDS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
+#: Each child's corners as slots of that six-corner table, children 0..3.
+_CHILD_CORNERS = np.array([[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]])
+#: The second vertex of each child edge (v0,v1), (v1,v2), (v2,v0).
+_EDGE_NEXT = np.array([1, 2, 0])
+
+
+def _normalized_rows(vectors: np.ndarray) -> np.ndarray:
+    """``normalize`` applied to every row of an ``(..., 3)`` array.
+
+    The same float operations in the same order as the scalar
+    ``normalize``: the squared length summed x, y, z left to right, one
+    correctly rounded ``sqrt``, one division per component.
+    """
+    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+    length = np.sqrt(x * x + y * y + z * z)
+    if np.any(length < 1e-300):
+        raise GeometryError("cannot normalize a zero vector")
+    return vectors / length[..., None]
+
+
+def _edge_tests(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``Trixel.contains`` for ``(..., 3 corners, 3)`` triangles at once.
+
+    ``points`` broadcasts against the triangles' leading axes. Each edge
+    plane is ``cross(a, b)`` dotted with the point, component for
+    component as :func:`repro.sphere.vector.cross` and ``dot`` compute it.
+    """
+    a = corners
+    b = corners[..., _EDGE_NEXT, :]
+    px = points[..., 0][..., None]
+    py = points[..., 1][..., None]
+    pz = points[..., 2][..., None]
+    dots = (
+        (a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]) * px
+        + (a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]) * py
+        + (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) * pz
+    )
+    return np.all(dots >= _EPS, axis=-1)
+
+
+def ids_for_points(vectors: np.ndarray, depth: int) -> np.ndarray:
+    """Trixel ids of many unit vectors: :func:`id_for_point` for each row.
+
+    ``vectors`` is an ``(n, 3)`` float64 array; the result is an int64
+    array of ``n`` ids. The descent copies :func:`id_for_point` step for
+    step, for every point at once: the same normalisation, the first root
+    that contains the point (root 0 on a seam where none does), then per
+    level the same edge-midpoint corners and the first of children 0..2
+    that contains the point, child 3 otherwise. Every float operation is
+    the scalar code's, in the same order, so the ids agree bitwise.
+    """
+    if not 0 <= depth <= DEPTH_MAX:
+        raise HTMError(f"depth {depth!r} outside [0, {DEPTH_MAX}]")
+    points = _normalized_rows(np.asarray(vectors, dtype=np.float64))
+    n = len(points)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    root_nodes = roots()
+    root_corners = np.array([node.corners for node in root_nodes])
+    inside = _edge_tests(root_corners, points[:, None, :])
+    first = np.where(inside.any(axis=1), inside.argmax(axis=1), 0)
+    ids = np.array([node.hid for node in root_nodes], dtype=np.int64)[first]
+    corners = root_corners[first]
+    rows = np.arange(n)[:, None]
+    for _ in range(depth):
+        mids = _normalized_rows(
+            corners[:, _MIDPOINT_ENDS[0]] + corners[:, _MIDPOINT_ENDS[1]]
+        )
+        slots = np.concatenate((corners, mids), axis=1)
+        inside = _edge_tests(slots[:, _CHILD_CORNERS[:3]], points[:, None, :])
+        child = np.where(inside.any(axis=1), inside.argmax(axis=1), 3)
+        ids = ids * 4 + child
+        corners = slots[rows, _CHILD_CORNERS[child]]
+    return ids
+
+
 def id_for_radec(ra_deg: float, dec_deg: float, depth: int) -> int:
     """The id of the depth-``depth`` trixel containing (ra, dec) degrees."""
     return id_for_point(radec_to_vector(ra_deg, dec_deg), depth)
-
-
-class HTMIndex:
-    """A fixed-depth HTM lookup helper bound to one mesh depth.
-
-    The relational engine attaches one of these to a table's spatial column
-    pair so that stored rows carry a precomputed ``htm_id`` and range scans
-    can prune by id range.
-    """
-
-    def __init__(self, depth: int) -> None:
-        if not 0 <= depth <= DEPTH_MAX:
-            raise HTMError(f"depth {depth!r} outside [0, {DEPTH_MAX}]")
-        self.depth = depth
-
-    def id_for(self, v: Vec3) -> int:
-        """Trixel id of a unit vector at this index's depth."""
-        return id_for_point(v, self.depth)
-
-    def id_for_radec(self, ra_deg: float, dec_deg: float) -> int:
-        """Trixel id of (ra, dec) degrees at this index's depth."""
-        return id_for_radec(ra_deg, dec_deg, self.depth)

@@ -38,7 +38,6 @@ import heapq
 from operator import itemgetter
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.htm.ranges import HTMRanges
 
 #: The hidden per-row column carrying a row's position in the monolithic
 #: insert order; shard tables gain it at provisioning time.
@@ -56,23 +55,25 @@ _POSITION_BITS = 40
 def seed_order_keys(
     positions: Sequence[int],
     hids: Sequence[int] = (),
-    full_ranges: Optional[HTMRanges] = None,
+    full_rows: Optional[int] = None,
     htm_depth: int = 0,
 ) -> List[int]:
     """Seed rows' places in the monolithic probe order, as ints.
 
-    ``positions`` are the rows' ``_skyq_pos`` values. With an AREA pass
-    the rows' stored depth-``htm_depth`` trixel ids and the query cover's
-    full ranges at that depth; ``None`` means a full scan, which the
-    engine returns in plain position order.
+    ``positions`` are the rows' ``_skyq_pos`` values, in scan order. With
+    an AREA pass the rows' stored depth-``htm_depth`` trixel ids and how
+    many leading rows came from the cover's full ranges (the engine's
+    ``QueryStats.rows_from_full_ranges``); every later row is from a
+    partial range. ``None`` means a full scan, which the engine returns
+    in plain position order.
     """
-    if full_ranges is None:
+    if full_rows is None:
         return [int(pos) for pos in positions]
     id_bits = 4 + 2 * htm_depth  # depth-d ids are below 16 * 4**d
     return [
-        ((((0 if full_ranges.contains(hid) else 1) << id_bits) | hid)
+        ((((0 if i < full_rows else 1) << id_bits) | hid)
          << _POSITION_BITS) | int(pos)
-        for pos, hid in zip(positions, hids)
+        for i, (pos, hid) in enumerate(zip(positions, hids))
     ]
 
 

@@ -55,7 +55,6 @@ release, epoch-floor reaping and ``crash()`` each exist once.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -68,10 +67,11 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.db.schema import Column
 from repro.db.types import ColumnType
 from repro.errors import ExecutionError
-from repro.htm.cover import cover
 from repro.portal.plan import ExecutionPlan, PlanStep
 from repro.services.chunked import ChunkedSender, receive_rowset
 from repro.services.framework import WebService
@@ -508,20 +508,24 @@ class CrossMatchService(WebService):
             if plan.area is None or spec is None or not db.use_spatial_index:
                 keys = seed_order_keys(positions)
             else:
-                # Shard rows are stored in position order: bisect for each
-                # one's storage index and the trixel id stored with it.
+                # Shard rows are stored in position order: one searchsorted
+                # finds each seed's storage index, and so the trixel id
+                # stored with it. The scan emits rows from fully covered
+                # trixels first, so "partial" is a result index at or past
+                # their count.
                 column = table.schema.column_index(SHARD_POS_COLUMN)
-                storage = range(len(table))
-
-                def stored_at(pos: int) -> int:
-                    return bisect_left(
-                        storage, pos, key=lambda i: table.row(i)[column]
-                    )
-
+                stored = np.searchsorted(
+                    np.fromiter(
+                        (row[column] for row in table.rows_at(range(len(table)))),
+                        dtype=np.int64,
+                        count=len(table),
+                    ),
+                    positions,
+                )
                 keys = seed_order_keys(
                     positions,
-                    [table.htm_id(stored_at(pos)) for pos in positions],
-                    cover(region_for(plan.area), spec.htm_depth).full,
+                    [table.htm_id(index) for index in stored.tolist()],
+                    result.stats.rows_from_full_ranges,
                     spec.htm_depth,
                 )
             tuples = [
@@ -642,8 +646,7 @@ class CrossMatchService(WebService):
         def run() -> Tuple[Any, int, int]:
             temp = db.create_temp_table("xmatch", _TEMP_COLUMNS)
             try:
-                for row in staged:
-                    temp.insert(row)
+                temp.insert_many(staged)
                 result = db.call_procedure(
                     PROCEDURE_NAME,
                     temp_table=temp.name,

@@ -197,9 +197,13 @@ def _sp_xmatch_scalar(
     attr_idx = [(name, primary.schema.column_index(name)) for name in attr_columns]
 
     result = XMatchProcResult()
+    # The temp table is read whole before the first probe, as the
+    # set-at-a-time body reads it, so both leave one buffer-pool state.
+    incoming = []
     for pos in temp.iter_positions():
         db.buffer.access(temp.name, temp.page_of(pos))
-        row = temp.row(pos)
+        incoming.append(temp.row(pos))
+    for row in incoming:
         seq = row[seq_idx]
         acc = Accumulator(*(row[i] for i in acc_idx))
         result.stats.tuples_in += 1
@@ -212,7 +216,7 @@ def _sp_xmatch_scalar(
             window_rows = zone_probe(primary, center, r_eff, limit=limit)
         else:
             probe = spatial_probe(primary, Cap(center, r_eff), limit=limit)
-            window_rows = probe.exact + probe.candidates
+            window_rows = probe.exact.tolist() + probe.candidates.tolist()
         # The index window is only a superset hint; the examined set is
         # the rows inside the cap, visited in row-position order — the
         # engine-independent contract both bodies share.
@@ -297,10 +301,13 @@ def _sp_xmatch_vectorized(
 ) -> XMatchProcResult:
     """Set-at-a-time body: batched probes + one broadcasted chi-squared pass.
 
-    Charges the same buffer accesses in the same order as the scalar loop
-    (temp pages tuple by tuple, then one primary-page touch per (tuple,
-    candidate) pair) and produces identical matches and stats — only the
-    per-pair Python arithmetic is replaced by numpy array passes.
+    Charges the same page touches in the same order as the scalar loop
+    (every temp row, then one primary page per (tuple, candidate) pair),
+    through :meth:`BufferPool.access_pages`, and produces identical
+    matches and stats. The per-tuple and per-pair Python arithmetic is
+    replaced by array passes over flat (tuple, row) pairs; what stays per
+    row is the residual predicate (once per distinct candidate row) and
+    building each match's :class:`LocalObject`.
     """
     sigma_rad = arcsec_to_rad(sigma_arcsec)
     threshold_sq = threshold * threshold
@@ -313,19 +320,16 @@ def _sp_xmatch_vectorized(
     result = XMatchProcResult()
 
     # Stage 1: read the incoming tuples into columnar accumulator arrays
-    # (same temp-table buffer charges as the scalar loop).
-    seqs: List[int] = []
-    acc_rows: List[List[float]] = []
-    for pos in temp.iter_positions():
-        db.buffer.access(temp.name, temp.page_of(pos))
-        row = temp.row(pos)
-        seqs.append(row[seq_idx])
-        acc_rows.append([row[i] for i in acc_idx])
-    result.stats.tuples_in = len(seqs)
+    # (the scalar loop's temp-table charges: every row, in order).
+    n_in = len(temp)
+    db.buffer.access_pages(temp.name, np.arange(n_in) // temp.page_size)
+    temp_rows = temp.rows_at(range(n_in))
+    seqs = [row[seq_idx] for row in temp_rows]
+    result.stats.tuples_in = n_in
     if not seqs:
         return result
 
-    stacked = np.asarray(acc_rows, dtype=np.float64)
+    stacked = np.asarray(temp_rows, dtype=np.float64)[:, acc_idx]
     a = np.ascontiguousarray(stacked[:, 0])
     avec = np.ascontiguousarray(stacked[:, 1:])
     try:
@@ -335,110 +339,73 @@ def _sp_xmatch_vectorized(
     radii = xkernel.search_radii(a, sigma_rad, threshold)
     # Per-tuple cap bounds via the same scalar math calls the reference
     # loop makes, so the admitted candidate sets agree bitwise.
-    cap_bounds = [_cap_bounds(r) for r in radii.tolist()]
+    cos_r, r_eff = (
+        np.asarray(column)
+        for column in zip(*(_cap_bounds(r) for r in radii.tolist()))
+    )
 
     # Stage 2: one batched index probe over every tuple's effective cap,
-    # then the exact cosine filter that defines the examined row set.
+    # then one exact cosine filter over every (tuple, row) pair. The
+    # pairs come sorted by (tuple, row) and stay so: the examined rows.
     if engine == MATCH_ENGINE_ZONE:
-        r_eff_arr = np.asarray([r_eff for _, r_eff in cap_bounds])
-        windows = batch_zone_probe(primary, centers, r_eff_arr, limit=limit)
+        pair_t, pair_i = batch_zone_probe(primary, centers, r_eff, limit=limit)
     else:
         caps = [
-            Cap(
-                (float(centers[i, 0]), float(centers[i, 1]), float(centers[i, 2])),
-                cap_bounds[i][1],
-            )
-            for i in range(len(seqs))
+            Cap(tuple(center), radius)
+            for center, radius in zip(centers.tolist(), r_eff.tolist())
         ]
-        probes = batch_spatial_probe(primary, caps, limit=limit)
-        windows = [
-            np.asarray(probe.exact + probe.candidates, dtype=np.int64)
-            for probe in probes
-        ]
+        pair_t, pair_i = batch_spatial_probe(primary, caps, limit=limit)
     index_positions = primary.position_matrix()
-    tuple_rows: List[np.ndarray] = []
-    for i, window in enumerate(windows):
-        if window.size:
-            cx = float(centers[i, 0])
-            cy = float(centers[i, 1])
-            cz = float(centers[i, 2])
-            dots = (
-                index_positions[window, 0] * cx
-                + index_positions[window, 1] * cy
-                + index_positions[window, 2] * cz
-            )
-            tuple_rows.append(np.sort(window[dots >= cap_bounds[i][0]]))
-        else:
-            tuple_rows.append(window)
+    dots = (
+        index_positions[pair_i, 0] * centers[pair_t, 0]
+        + index_positions[pair_i, 1] * centers[pair_t, 1]
+        + index_positions[pair_i, 2] * centers[pair_t, 2]
+    )
+    inside = dots >= cos_r[pair_t]
+    pair_t = pair_t[inside]
+    pair_i = pair_i[inside]
 
-    # Stage 3: flatten the (tuple, candidate) pairs, charging the scalar
-    # loop's per-pair buffer access and filtering on AREA/residual per
-    # *unique* candidate row (both predicates are row-local, so the
-    # verdict is memoized across tuples).
-    row_verdict: Dict[int, bool] = {}
+    # Stage 3: charge the scalar loop's per-pair buffer access and filter
+    # on AREA/residual per *unique* candidate row (both predicates are
+    # row-local, so one verdict serves every tuple that examined the row).
+    db.buffer.access_pages(primary.name, pair_i // primary.page_size)
+    result.stats.rows_examined = len(pair_i)
+    result.stats.candidates_tested = len(pair_i)
     positions = _primary_positions(primary, ra_column, dec_column)
-
-    def row_passes(row_pos: int) -> bool:
-        verdict = row_verdict.get(row_pos)
-        if verdict is None:
-            position = (
-                float(positions[row_pos, 0]),
-                float(positions[row_pos, 1]),
-                float(positions[row_pos, 2]),
-            )
-            if area is not None and not area.contains(position):
-                verdict = False
-            elif residual is not None:
-                ctx = RowContext(db.constants)
-                for col, value in zip(primary.schema.columns, primary.row(row_pos)):
-                    ctx.bind(alias, col.name, value)
-                verdict = is_true(evaluate(residual, ctx))
-            else:
-                verdict = True
-            row_verdict[row_pos] = verdict
-        return verdict
-
-    access = db.buffer.access
-    primary_name = primary.name
-    page_size = primary.page_size
-    pair_tuple: List[int] = []
-    pair_row: List[int] = []
-    for i, rows in enumerate(tuple_rows):
-        candidate_rows = rows.tolist()
-        for candidate_pos in candidate_rows:
-            access(primary_name, candidate_pos // page_size)
-        result.stats.rows_examined += len(candidate_rows)
-        result.stats.candidates_tested += len(candidate_rows)
-        for candidate_pos in candidate_rows:
-            if row_passes(candidate_pos):
-                pair_tuple.append(i)
-                pair_row.append(candidate_pos)
-    if not pair_row:
+    rows, row_of_pair = np.unique(pair_i, return_inverse=True)
+    verdict = (
+        np.ones(len(rows), dtype=bool) if area is None
+        else area.contains_many(positions[rows])
+    )
+    if residual is not None:
+        columns = primary.schema.columns
+        for k in np.flatnonzero(verdict).tolist():
+            ctx = RowContext(db.constants)
+            for col, value in zip(columns, primary.row(int(rows[k]))):
+                ctx.bind(alias, col.name, value)
+            verdict[k] = is_true(evaluate(residual, ctx))
+    passes = verdict[row_of_pair]
+    ti = pair_t[passes]
+    ri = pair_i[passes]
+    if not len(ri):
         return result
 
     # Stage 4: the broadcasted chi-squared pass over all surviving pairs.
-    ti = np.asarray(pair_tuple, dtype=np.intp)
-    ri = np.asarray(pair_row, dtype=np.intp)
     _, _, chi2 = xkernel.extend_pairs(a[ti], avec[ti], positions[ri], sigma_rad)
     accepted = chi2 <= threshold_sq
-
-    for k in np.nonzero(accepted)[0]:
-        i = pair_tuple[k]
-        row_pos = pair_row[k]
+    ri = ri[accepted]
+    for i, row_pos, position in zip(
+        ti[accepted].tolist(), ri.tolist(), positions[ri].tolist()
+    ):
         crow = primary.row(row_pos)
-        matched = result.matches.setdefault(seqs[i], [])
-        matched.append(
+        result.matches.setdefault(seqs[i], []).append(
             LocalObject(
                 object_id=crow[id_idx],
-                position=(
-                    float(positions[row_pos, 0]),
-                    float(positions[row_pos, 1]),
-                    float(positions[row_pos, 2]),
-                ),
+                position=tuple(position),
                 attributes={name: crow[j] for name, j in attr_idx},
             )
         )
-        result.stats.matches_found += 1
+    result.stats.matches_found = len(ri)
     return result
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import GeometryError
 from repro.sphere.coords import radec_to_vector
 from repro.sphere.distance import angular_separation
@@ -42,6 +44,14 @@ class Region(ABC):
     @abstractmethod
     def contains(self, v: Vec3) -> bool:
         """True if the unit vector ``v`` lies inside the region."""
+
+    @abstractmethod
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`contains` for every row of an ``(n, 3)`` array at once.
+
+        Returns a boolean array. Implementations repeat ``contains``'s
+        float operations in the same order, so the verdicts agree bitwise.
+        """
 
     @abstractmethod
     def classify_triangle(self, corners: Sequence[Vec3]) -> TrixelRelation:
@@ -91,6 +101,13 @@ class Cap(Region):
 
     def contains(self, v: Vec3) -> bool:
         return dot(self.center, v) >= self.cos_radius - 1e-15
+
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
+        cx, cy, cz = self.center
+        return (
+            cx * points[:, 0] + cy * points[:, 1] + cz * points[:, 2]
+            >= self.cos_radius - 1e-15
+        )
 
     def classify_triangle(self, corners: Sequence[Vec3]) -> TrixelRelation:
         inside = [self.contains(c) for c in corners]
@@ -194,6 +211,15 @@ class ConvexPolygon(Region):
 
     def contains(self, v: Vec3) -> bool:
         return all(dot(e, v) >= -1e-15 for e in self._edges)
+
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
+        inside = np.ones(len(points), dtype=bool)
+        for ex, ey, ez in self._edges:
+            inside &= (
+                ex * points[:, 0] + ey * points[:, 1] + ez * points[:, 2]
+                >= -1e-15
+            )
+        return inside
 
     def classify_triangle(self, corners: Sequence[Vec3]) -> TrixelRelation:
         inside = [self.contains(c) for c in corners]

@@ -1,6 +1,9 @@
 """The simulated buffer pool."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.buffer import BufferPool
 
@@ -82,3 +85,23 @@ def test_hit_ratio():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         BufferPool(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 6),
+    warm=st.lists(st.integers(0, 9), max_size=8),
+    pages=st.lists(st.integers(0, 9), max_size=40),
+)
+def test_run_collapsed_access_equals_one_access_per_page(capacity, warm, pages):
+    """access_pages leaves the counters and the LRU order exactly as one
+    access per element would — runs of one page included."""
+    one_by_one, collapsed = BufferPool(capacity), BufferPool(capacity)
+    for pool in (one_by_one, collapsed):
+        for page in warm:
+            pool.access("t", page)
+    for page in pages:
+        one_by_one.access("t", page)
+    collapsed.access_pages("t", np.asarray(pages, dtype=np.int64))
+    assert collapsed.stats == one_by_one.stats
+    assert collapsed.resident_order() == one_by_one.resident_order()

@@ -214,3 +214,33 @@ def test_named_constant_in_query(db):
         "SELECT count(*) FROM Photo_Object o WHERE o.type = GALAXY"
     ).scalar()
     assert quoted == constant == 200
+
+
+def test_limit_zero_reads_nothing():
+    """LIMIT 0 returns no rows and touches no row, page or pool slot."""
+    database = Database("cold", page_size=8, buffer_pages=4)
+    database.create_table("t", [Column("id", ColumnType.INT)])
+    database.insert("t", [(i,) for i in range(20)])
+    result = database.execute("SELECT id FROM t LIMIT 0")
+    assert result.rows == []
+    assert result.stats.rows_examined == 0
+    assert result.stats.logical_reads == 0
+    assert result.stats.physical_reads == 0
+    assert database.buffer.resident_pages == 0
+
+
+def test_early_stop_counts_only_tested_candidates(db):
+    """An AREA scan stopped by LIMIT reports the candidates it tested,
+    never more than the rows it examined."""
+    result = db.execute(
+        "SELECT o.object_id FROM Photo_Object o "
+        "WHERE AREA(185.0, -0.5, 600.0) LIMIT 1"
+    )
+    assert len(result) == 1
+    stats = result.stats
+    assert stats.used_spatial_index
+    assert stats.rows_tested_geometrically <= stats.rows_examined
+    full = db.execute(
+        "SELECT o.object_id FROM Photo_Object o WHERE AREA(185.0, -0.5, 600.0)"
+    )
+    assert full.stats.rows_tested_geometrically > stats.rows_tested_geometrically

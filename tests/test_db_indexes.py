@@ -27,9 +27,11 @@ def make_table(n=400, depth=10, seed=3):
     table = Table(schema, spatial=SpatialSpec("ra", "dec", htm_depth=depth))
     rng = random.Random(seed)
     center = radec_to_vector(185.0, -0.5)
+    rows = []
     for i in range(n):
         ra, dec = vector_to_radec(random_in_cap(rng, center, 0.02))
-        table.insert((i, ra, dec))
+        rows.append((i, ra, dec))
+    table.insert_many(rows)
     return table
 
 
@@ -55,7 +57,7 @@ def test_probe_covers_all_matches():
     table = make_table()
     cap = Cap.from_radec(185.0, -0.5, 1200.0)
     probe = spatial_probe(table, cap)
-    candidates = set(probe.exact) | set(probe.candidates)
+    candidates = set(probe.exact.tolist()) | set(probe.candidates.tolist())
     assert brute_force(table, cap) <= candidates
 
 
@@ -70,7 +72,7 @@ def test_probe_empty_region():
     table = make_table()
     cap = Cap.from_radec(20.0, 50.0, 60.0)  # nowhere near the data
     probe = spatial_probe(table, cap)
-    assert probe.exact == [] and probe.candidates == []
+    assert probe.exact.size == 0 and probe.candidates.size == 0
 
 
 def test_probe_requires_spatial_table():
@@ -89,6 +91,16 @@ def test_probe_stats_counts():
     assert probe.stats.candidate_rows == len(probe.exact) + len(probe.candidates)
 
 
+def _probe_pairs(table, regions, limit=None):
+    """The per-region spatial probes as flat (region, row) pairs."""
+    pairs = []
+    for i, region in enumerate(regions):
+        probe = spatial_probe(table, region, limit=limit)
+        rows = probe.exact.tolist() + probe.candidates.tolist()
+        pairs.extend((i, pos) for pos in sorted(rows))
+    return pairs
+
+
 def test_batch_probe_equals_scalar_probe():
     from repro.db.indexes import batch_spatial_probe
 
@@ -100,13 +112,8 @@ def test_batch_probe_equals_scalar_probe():
         for _ in range(40)
     ]
     caps.append(Cap.from_radec(20.0, 50.0, 60.0))  # off-field: empty probe
-    batched = batch_spatial_probe(table, caps)
-    assert len(batched) == len(caps)
-    for cap, got in zip(caps, batched):
-        ref = spatial_probe(table, cap)
-        assert got.exact == ref.exact
-        assert got.candidates == ref.candidates
-        assert got.stats == ref.stats
+    pair_t, pair_i = batch_spatial_probe(table, caps)
+    assert list(zip(pair_t.tolist(), pair_i.tolist())) == _probe_pairs(table, caps)
 
 
 def test_batch_probe_non_cap_regions_fall_back():
@@ -118,32 +125,45 @@ def test_batch_probe_non_cap_regions_fall_back():
         [(184.8, -0.7), (185.2, -0.7), (185.2, -0.3), (184.8, -0.3)]
     )
     cap = Cap.from_radec(185.0, -0.5, 600.0)
-    batched = batch_spatial_probe(table, [polygon, cap])
-    for region, got in zip([polygon, cap], batched):
-        ref = spatial_probe(table, region)
-        assert got.exact == ref.exact
-        assert got.candidates == ref.candidates
-        assert got.stats == ref.stats
+    regions = [polygon, cap]
+    pair_t, pair_i = batch_spatial_probe(table, regions)
+    assert list(zip(pair_t.tolist(), pair_i.tolist())) == _probe_pairs(
+        table, regions
+    )
 
 
 def test_batch_probe_empty_table():
     from repro.db.indexes import batch_spatial_probe
 
     table = make_table(n=0)
-    probes = batch_spatial_probe(table, [Cap.from_radec(185.0, -0.5, 600.0)])
-    assert probes[0].exact == [] and probes[0].candidates == []
+    pair_t, pair_i = batch_spatial_probe(
+        table, [Cap.from_radec(185.0, -0.5, 600.0)]
+    )
+    assert pair_t.size == 0 and pair_i.size == 0
+
+
+class _Entries:
+    """A stand-in table exposing only the sorted spatial arrays."""
+
+    def __init__(self, entries):
+        import numpy as np
+
+        self._arrays = (
+            np.asarray([e[0] for e in entries], dtype=np.int64),
+            np.asarray([e[1] for e in entries], dtype=np.int64),
+        )
+
+    def spatial_arrays(self):
+        return self._arrays
 
 
 def test_rows_in_id_range_inclusive_bounds():
-    """Both range scanners honour the inclusive [lo, hi] contract, with
-    the bisect seeded by a 1-tuple rather than a position sentinel."""
-    import numpy as np
-    from repro.db.indexes import _array_rows_in_id_range, _rows_in_id_range
+    """The range scanner honours the inclusive [lo, hi] contract, range by
+    range, against a walk over the sorted (htm_id, row) entries."""
+    from repro.db.indexes import _rows_in_ranges
 
     entries = [(5, 0), (5, 3), (7, 1), (9, 2), (12, 4)]
-    htm_ids = np.asarray([e[0] for e in entries])
-    positions = np.asarray([e[1] for e in entries])
-
+    table = _Entries(entries)
     cases = [
         (5, 5),    # hits the lowest id exactly, including position 0
         (5, 9),    # inclusive on both ends
@@ -154,29 +174,35 @@ def test_rows_in_id_range_inclusive_bounds():
     ]
     for lo, hi in cases:
         expected = [pos for hid, pos in entries if lo <= hid <= hi]
-        assert list(_rows_in_id_range(entries, lo, hi)) == expected
-        got = _array_rows_in_id_range(htm_ids, positions, lo, hi, None)
-        assert got.tolist() == expected
+        rows, lengths = _rows_in_ranges(table, [(lo, hi)])
+        assert rows.tolist() == expected
+        assert lengths.tolist() == [len(expected)]
+    rows, lengths = _rows_in_ranges(table, cases)
+    assert rows.tolist() == [
+        pos for lo, hi in cases for hid, pos in entries if lo <= hid <= hi
+    ]
+    assert lengths.tolist() == [
+        sum(lo <= hid <= hi for hid, _ in entries) for lo, hi in cases
+    ]
 
 
 def test_array_rows_in_id_range_epoch_limit():
     import numpy as np
-    from repro.db.indexes import _array_rows_in_id_range
+    from repro.db.indexes import _rows_in_ranges, _sorted_pairs
 
-    htm_ids = np.asarray([5, 5, 7])
-    positions = np.asarray([0, 3, 1])
-    got = _array_rows_in_id_range(htm_ids, positions, 5, 7, 2)
+    rows, _ = _rows_in_ranges(_Entries([(5, 0), (5, 3), (7, 1)]), [(5, 7)])
+    _, got = _sorted_pairs(np.zeros(len(rows), dtype=np.int64), rows, 2)
     assert got.tolist() == [0, 1]
 
 
 def test_batch_probe_equals_scalar_probe_with_limit():
-    """Epoch-limited scans agree between the scalar and array scanners."""
+    """Epoch-limited scans agree between the single and batch scanners."""
     from repro.db.indexes import batch_spatial_probe
 
     table = make_table(n=300)
     cap = Cap.from_radec(185.0, -0.5, 1200.0)
-    single = spatial_probe(table, cap, limit=150)
-    (batched,) = batch_spatial_probe(table, [cap], limit=150)
-    assert batched.exact == single.exact
-    assert batched.candidates == single.candidates
-    assert all(pos < 150 for pos in batched.exact + batched.candidates)
+    pair_t, pair_i = batch_spatial_probe(table, [cap], limit=150)
+    assert list(zip(pair_t.tolist(), pair_i.tolist())) == _probe_pairs(
+        table, [cap], limit=150
+    )
+    assert pair_i.size and all(pos < 150 for pos in pair_i.tolist())

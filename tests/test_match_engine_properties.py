@@ -99,3 +99,101 @@ def test_zone_engine_byte_identical_on_dropout_chains(chain_mode, seed):
     htm = _observe("htm", chain_mode, 140, seed, DROPOUT_SQL)
     zone = _observe("zone", chain_mode, 140, seed, DROPOUT_SQL)
     assert zone == htm
+
+
+def _match_database(body, rows, pool_pages):
+    """One archive with ``rows`` in a 4-row-page table, ``body`` as sp_xmatch."""
+    from repro.db.engine import Database
+    from repro.db.schema import Column
+    from repro.db.table import SpatialSpec
+    from repro.db.types import ColumnType
+    from repro.skynode.xmatch_proc import PROCEDURE_NAME
+
+    db = Database("arch", page_size=4, buffer_pages=pool_pages)
+    db.create_table(
+        "objects",
+        [
+            Column("object_id", ColumnType.INT, nullable=False),
+            Column("ra", ColumnType.FLOAT, nullable=False),
+            Column("dec", ColumnType.FLOAT, nullable=False),
+            Column("flux", ColumnType.FLOAT),
+        ],
+        spatial=SpatialSpec("ra", "dec", htm_depth=12),
+    )
+    db.insert("objects", rows)
+    db.register_procedure(PROCEDURE_NAME, body)
+    return db
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    pool_pages=st.integers(1, 6),
+    with_area=st.booleans(),
+    with_residual=st.booleans(),
+)
+def test_sp_xmatch_buffer_state_matches_reference(
+    seed, pool_pages, with_area, with_residual
+):
+    """Both engines' sp_xmatch leave the pool exactly as the scalar
+    reference does — counters and LRU order — with a pool smaller than
+    the primary table, and find the same matches."""
+    import random
+
+    from repro.db.schema import Column
+    from repro.db.types import ColumnType
+    from repro.skynode.xmatch_proc import (
+        PROCEDURE_NAME,
+        _sp_xmatch,
+        sp_xmatch_reference,
+    )
+    from repro.sphere.coords import radec_to_vector, vector_to_radec
+    from repro.sphere.random import perturb_gaussian, random_in_cap
+    from repro.sphere.regions import Cap
+    from repro.sql.parser import parse_expression
+    from repro.units import arcsec_to_rad
+    from repro.xmatch.chi2 import Accumulator
+
+    rng = random.Random(seed)
+    center = radec_to_vector(185.0, -0.5)
+    sigma = arcsec_to_rad(0.5)
+    bodies = [random_in_cap(rng, center, arcsec_to_rad(120.0)) for _ in range(40)]
+    rows = [
+        (i, *vector_to_radec(perturb_gaussian(rng, body, sigma)), float(i % 7))
+        for i, body in enumerate(bodies)
+    ]
+    incoming = [
+        Accumulator.of_observation(perturb_gaussian(rng, body, sigma), sigma)
+        for body in bodies[::2]
+    ]
+    params = dict(
+        primary_table="objects", id_column="object_id", ra_column="ra",
+        dec_column="dec", alias="X", sigma_arcsec=0.5, threshold=3.5,
+        area=Cap.from_radec(185.0, -0.5, 90.0) if with_area else None,
+        residual=parse_expression("X.flux > 2.0") if with_residual else None,
+        attr_columns=("flux",),
+    )
+    for engine in ("htm", "zone"):
+        observed = []
+        for body in (_sp_xmatch, sp_xmatch_reference):
+            db = _match_database(body, rows, pool_pages)
+            assert pool_pages < db.table("objects").page_count
+            temp = db.create_temp_table(
+                "xm",
+                [Column("seq", ColumnType.INT, nullable=False)]
+                + [Column(c, ColumnType.FLOAT, nullable=False)
+                   for c in ("a", "ax", "ay", "az")],
+            )
+            temp.insert_many(
+                [(seq, acc.a, acc.ax, acc.ay, acc.az)
+                 for seq, acc in enumerate(incoming)]
+            )
+            result = db.call_procedure(
+                PROCEDURE_NAME, temp_table=temp.name, engine=engine, **params
+            )
+            observed.append((
+                result.matches, result.stats, db.buffer.stats,
+                db.buffer.resident_order(),
+            ))
+        assert observed[0] == observed[1], engine
+        assert observed[0][1].matches_found or with_area or with_residual

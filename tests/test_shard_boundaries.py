@@ -342,11 +342,54 @@ class TestMergeOrder:
         ]
 
     def test_full_ranges_come_first(self):
-        from repro.htm.ranges import HTMRanges
+        """Rows in scan order, the first one from a full range: it keys
+        first, the partial rows after it by trixel id."""
+        keys = seed_order_keys([1, 0, 2], [100, 200, 50], 1, 8)
+        assert sorted(range(3), key=keys.__getitem__) == [0, 2, 1]
 
-        full = HTMRanges([(100, 100)])
-        keys = seed_order_keys([0, 1, 2], [200, 100, 50], full, 8)
-        assert sorted(range(3), key=keys.__getitem__) == [1, 2, 0]
+    def test_seed_keys_match_the_cover_and_stored_ids(self, twins, monkeypatch):
+        """The seed hop's keys are byte-identical to keys built the long
+        way: each row's trixel id looked up through its ``_skyq_pos``,
+        "full" decided by the AREA cover's full ranges."""
+        import repro.skynode.crossmatch as crossmatch
+        from repro.htm.cover import cover
+        from repro.shard import SHARD_POS_COLUMN
+        from repro.sql.area import region_for
+
+        calls = []
+
+        def spy(*args):
+            keys = seed_order_keys(*args)
+            calls.append((args, keys))
+            return keys
+
+        monkeypatch.setattr(crossmatch, "seed_order_keys", spy)
+        _, sharded = twins
+        partial_rows = 0
+        for ra, radius in ((185.05, 1800.0), (185.005, 60.0)):
+            calls.clear()
+            sql = _pair_sql(ra=ra, radius=radius)
+            plan = sharded.portal.explain(sql)["plan"]
+            sharded.portal.submit(sql)
+            stored_ids = {}
+            for node in sharded.shards[plan["steps"][-1]["archive"]]:
+                table = node.db.table(node.info.primary_table)
+                column = table.schema.column_index(SHARD_POS_COLUMN)
+                for i in range(len(table)):
+                    stored_ids[table.row(i)[column]] = table.htm_id(i)
+            full = cover(region_for(AreaClause(ra, CUT, radius)), 12).full
+            assert len(calls) == 2  # one seed hop per stripe
+            for (positions, hids, full_rows, depth), keys in calls:
+                assert depth == 12 and 0 <= full_rows <= len(positions)
+                assert list(hids) == [stored_ids[pos] for pos in positions]
+                id_bits = 4 + 2 * depth
+                assert keys == [
+                    ((((0 if full.contains(hid) else 1) << id_bits) | hid)
+                     << 40) | pos
+                    for pos, hid in zip(positions, hids)
+                ]
+                partial_rows += len(positions) - full_rows
+        assert partial_rows  # the partial arm is exercised too
 
     def test_match_merge_sorts_seq_then_position(self):
         rows = [

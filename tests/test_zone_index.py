@@ -194,11 +194,13 @@ def make_table(n=400, seed=3, center=(185.0, -0.5), spread_arcsec=4000.0):
     table = Table(schema, spatial=SpatialSpec("ra", "dec", htm_depth=10))
     rng = random.Random(seed)
     c = radec_to_vector(*center)
+    rows = []
     for i in range(n):
         ra, dec = vector_to_radec(
             random_in_cap(rng, c, arcsec_to_rad(spread_arcsec))
         )
-        table.insert((i, ra, dec))
+        rows.append((i, ra, dec))
+    table.insert_many(rows)
     return table
 
 
@@ -229,7 +231,7 @@ def test_zone_probe_agrees_with_htm_probe_after_exact_filter():
     cap = Cap.from_radec(185.0, -0.5, 900.0)
     zone_rows = zone_probe(table, cap.center, cap.radius_rad)
     probe = spatial_probe(table, cap)
-    htm_rows = probe.exact + probe.candidates
+    htm_rows = probe.exact.tolist() + probe.candidates.tolist()
 
     def exact(rows):
         keep = []
@@ -267,11 +269,12 @@ def test_batch_zone_probe_matches_single_probes():
     ]
     centers = np.asarray([c.center for c in caps])
     radii = np.asarray([c.radius_rad for c in caps])
-    batched = batch_zone_probe(table, centers, radii)
-    assert len(batched) == len(caps)
-    for cap, rows in zip(caps, batched):
+    pair_t, pair_i = batch_zone_probe(table, centers, radii)
+    assert np.all(np.diff(pair_t) >= 0)  # flat pairs, sorted by cap
+    for i, cap in enumerate(caps):
+        rows = pair_i[pair_t == i]
         assert rows.tolist() == zone_probe(table, cap.center, cap.radius_rad)
-    assert batched[2].size == 0
+    assert not np.any(pair_t == 2)
 
 
 def test_zone_probe_requires_spatial_table():
