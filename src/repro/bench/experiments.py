@@ -990,9 +990,9 @@ def run_e15_fault_recovery(n_bodies: int = 600) -> ExperimentReport:
     """Retry overhead at zero faults; completion under seeded drop rates.
 
     Autonomous archives fail: the resilient federation (retry policy +
-    health probes + chain re-planning) must cost ~nothing when the network
-    is clean, survive transient request drops with *identical* rows, and
-    degrade gracefully (not raise) when an archive is truly gone.
+    chain re-planning) must cost ~nothing when the network is clean,
+    survive transient request drops with *identical* rows, and degrade
+    gracefully (not raise) when an archive is truly gone.
     """
     from repro.services.retry import RetryPolicy
     from repro.transport.faults import FaultPlan
@@ -1003,12 +1003,11 @@ def run_e15_fault_recovery(n_bodies: int = 600) -> ExperimentReport:
     )
     sql = paper_query(radius_arcsec=900.0)
 
-    def run_arm(scenario, *, retry_policy=None, health_probes=False,
-                fault_plan=None, kill=None, query=sql):
+    def run_arm(scenario, *, retry_policy=None, fault_plan=None, kill=None,
+                query=sql):
         fed = fresh_federation(
             n_bodies=n_bodies, seed=15,
-            retry_policy=retry_policy, health_probes=health_probes,
-            fault_plan=fault_plan,
+            retry_policy=retry_policy, fault_plan=fault_plan,
         )
         if kill is not None:
             fed.network.fail_host(fed.node(kill).hostname)
@@ -1030,8 +1029,7 @@ def run_e15_fault_recovery(n_bodies: int = 600) -> ExperimentReport:
 
     arms = [run_arm("single-shot (seed)")]
     arms.append(
-        run_arm("resilient, 0% faults", retry_policy=policy,
-                health_probes=True)
+        run_arm("resilient, 0% faults", retry_policy=policy)
     )
     # Per-rate plan seeds chosen so the (few dozen) messages of one query
     # really do see injected drops at each rate.
@@ -1041,12 +1039,11 @@ def run_e15_fault_recovery(n_bodies: int = 600) -> ExperimentReport:
         )
         arms.append(
             run_arm(f"resilient, {rate:.0%} request drops",
-                    retry_policy=policy, health_probes=True,
-                    fault_plan=plan)
+                    retry_policy=policy, fault_plan=plan)
         )
     arms.append(
         run_arm("resilient, drop-out archive partitioned",
-                retry_policy=policy, health_probes=True, kill="FIRST",
+                retry_policy=policy, kill="FIRST",
                 query=paper_query(radius_arcsec=900.0, dropout=True))
     )
 
@@ -1074,8 +1071,9 @@ def run_e15_fault_recovery(n_bodies: int = 600) -> ExperimentReport:
     overhead = arms[1]["elapsed"] / baseline["elapsed"] - 1.0
     report.note(
         f"Resilience overhead at 0% faults: {overhead:+.1%} simulated "
-        "elapsed time (health probes ride one parallel round trip; "
-        "retries and timeouts cost nothing until a fault fires)."
+        "elapsed time (retries and timeouts cost nothing until a fault "
+        "fires; liveness is learned from the count probes and the chain, "
+        "which the query sends anyway)."
     )
     degraded_arm = arms[-1]
     if degraded_arm["warnings"]:
@@ -1084,7 +1082,11 @@ def run_e15_fault_recovery(n_bodies: int = 600) -> ExperimentReport:
         )
     report.note(
         "Fault injection is seeded and replays identically; every retry, "
-        "timeout and injected fault above is visible in NetworkMetrics."
+        "timeout and injected fault above is visible in NetworkMetrics. "
+        "The seed picks which of the query's messages are dropped, so a "
+        "drop arm's sim seconds depend on where its drops land: two "
+        "timeouts inside one parallel block (the count probes) overlap, "
+        "two on sequential messages add up."
     )
     return report
 

@@ -190,7 +190,6 @@ def fresh_federation(
     chunk_budget_bytes: Optional[int] = None,
     buffer_pages: int = 512,
     retry_policy: Optional[RetryPolicy] = None,
-    health_probes: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     replicas: int = 0,
     chain_mode: str = "store-forward",
@@ -215,7 +214,6 @@ def fresh_federation(
         chunk_budget_bytes=chunk_budget_bytes,
         buffer_pages=buffer_pages,
         retry_policy=retry_policy,
-        health_probes=health_probes,
         fault_plan=fault_plan,
         replicas=replicas,
         chain_mode=chain_mode,

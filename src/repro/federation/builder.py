@@ -54,8 +54,6 @@ class FederationConfig:
     #: Retry/timeout/breaker configuration for the Portal and every node's
     #: outbound calls. None keeps single-shot RPCs (the seed's behaviour).
     retry_policy: Optional[RetryPolicy] = None
-    #: Portal pings archives before planning (graceful degradation).
-    health_probes: bool = True
     #: Which spatial index every node's cross-match uses: ``zone``
     #: (declination zones with sorted-merge windows, the default) or
     #: ``htm`` (trixel covers, the reference oracle). Federated results,
@@ -259,7 +257,6 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
         network.install_tracer(Tracer())
     portal = Portal(
         retry_policy=config.retry_policy,
-        health_probes=config.health_probes,
         chain_mode=config.chain_mode,
         stream_batch_size=config.stream_batch_size,
         match_engine=config.match_engine,

@@ -3,7 +3,7 @@
 A federation serving millions of users sees the same popular queries over
 and over (zipf-shaped workloads); re-running the whole probe + chain
 pipeline for each repeat wastes both wire bytes and node time. This
-module memoizes three things, each guarded by the snapshot-epoch
+module memoizes two things, each guarded by the snapshot-epoch
 machinery PR 6 introduced so a cached answer is valid *exactly* while the
 epochs it was computed at are still the archives' current ones:
 
@@ -15,10 +15,6 @@ epochs it was computed at are still the archives' current ones:
   fingerprint already folds in every pinned epoch and the portal's
   execution profile, so "fingerprint + epochs live" is the full validity
   condition.
-* **count-star probes** — ``(archive, perf_sql) -> (count, epoch)``; a
-  repeat of the planner's performance query is answered locally at the
-  epoch the archive last reported, as long as that epoch is still
-  current.
 * **AREA-containment reuse** — a cached cross-match over a circle keeps
   its pre-projection partial tuples; a later query whose circle is
   contained in the cached one is answered by re-filtering those tuples
@@ -79,12 +75,8 @@ class CacheConfig:
 
     #: Whole-query result entries kept (LRU-evicted beyond this).
     max_entries: int = 128
-    #: Count-star probe entries kept (LRU-evicted beyond this).
-    max_probe_entries: int = 512
     #: Memoize whole-query results.
     results: bool = True
-    #: Memoize count-star performance probes.
-    count_probes: bool = True
     #: Serve contained-circle queries from cached partial tuples. Also
     #: controls whether the planner widens ``attr_select`` with each
     #: mandatory archive's position columns (needed to re-filter).
@@ -93,8 +85,6 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError("cache max_entries must be >= 1")
-        if self.max_probe_entries < 1:
-            raise ValueError("cache max_probe_entries must be >= 1")
 
 
 @dataclass
@@ -105,8 +95,6 @@ class CacheStats:
     fingerprint_hits: int = 0  # post-plan fingerprint hits
     containment_hits: int = 0
     misses: int = 0
-    probe_hits: int = 0
-    probe_misses: int = 0
     stores: int = 0
     invalidations: int = 0
     evictions: int = 0
@@ -139,7 +127,7 @@ def _digest(payload: object) -> str:
 
 
 class SemanticCache:
-    """Epoch-validated memoization of probes, results, and regions."""
+    """Epoch-validated memoization of results and regions."""
 
     def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig()
@@ -149,10 +137,6 @@ class SemanticCache:
         self._by_fingerprint: Dict[str, _ResultEntry] = {}
         #: containment_key -> exact keys of circle entries sharing it.
         self._containment: Dict[str, List[str]] = {}
-        #: (archive, perf_sql) -> (count, epoch), in LRU order.
-        self._probes: "OrderedDict[Tuple[str, str], Tuple[int, int]]" = (
-            OrderedDict()
-        )
         #: archive -> last epoch committed while this cache was watching.
         self._current_epochs: Dict[str, int] = {}
 
@@ -229,22 +213,13 @@ class SemanticCache:
         for key in stale:
             self._drop(key)
             self.stats.invalidations += 1
-        stale_probes = [
-            key
-            for key, (_, probe_epoch) in self._probes.items()
-            if key[0] == archive and probe_epoch != epoch
-        ]
-        for key in stale_probes:
-            del self._probes[key]
-            self.stats.invalidations += 1
 
     def invalidate_all(self) -> None:
         """Drop every entry (the blunt instrument for out-of-band writes)."""
-        dropped = len(self._entries) + len(self._probes)
+        dropped = len(self._entries)
         self._entries.clear()
         self._by_fingerprint.clear()
         self._containment.clear()
-        self._probes.clear()
         self.stats.invalidations += dropped
 
     def _epochs_live(self, archive_epochs: Dict[str, int]) -> bool:
@@ -258,49 +233,6 @@ class SemanticCache:
             self._current_epochs.get(archive, epoch) == epoch
             for archive, epoch in archive_epochs.items()
         )
-
-    # -- count-star probes ----------------------------------------------------
-
-    def probe_lookup(
-        self, archive: str, perf_sql: str, pin_epoch: Optional[int]
-    ) -> Optional[Tuple[int, int]]:
-        """A memoized ``(count, epoch)`` for one performance query.
-
-        Pinned probes are served only when the pin equals the cached live
-        epoch (a historical pin must go to the node — it may legitimately
-        raise ``StaleEpochError`` there, and the cache must not mask it).
-        """
-        if not self.config.count_probes:
-            return None
-        key = (archive, perf_sql)
-        cached = self._probes.get(key)
-        if cached is None:
-            self.stats.probe_misses += 1
-            return None
-        count, epoch = cached
-        if not self._epochs_live({archive: epoch}):
-            del self._probes[key]
-            self.stats.probe_misses += 1
-            return None
-        if pin_epoch is not None and pin_epoch != epoch:
-            self.stats.probe_misses += 1
-            return None
-        self._probes.move_to_end(key)
-        self.stats.probe_hits += 1
-        return count, epoch
-
-    def probe_store(
-        self, archive: str, perf_sql: str, count: int, epoch: int
-    ) -> None:
-        """Remember a live probe's answer (pinned probes are not stored:
-        they describe a snapshot, not the archive's current state)."""
-        if not self.config.count_probes:
-            return
-        self._probes[(archive, perf_sql)] = (count, epoch)
-        self._probes.move_to_end((archive, perf_sql))
-        while len(self._probes) > self.config.max_probe_entries:
-            self._probes.popitem(last=False)
-            self.stats.evictions += 1
 
     # -- whole-query results --------------------------------------------------
 

@@ -51,6 +51,7 @@ from repro.db.engine import ASTRO_CONSTANTS
 from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
+    RequestTimeoutError,
     ShardUnavailableError,
     SoapFaultError,
     TransportError,
@@ -184,7 +185,8 @@ class ChainExecutor:
         degrades with a warning naming the shard. Failing over resets the
         transient-retry budget: a re-routed plan is a fresh chain. ``dead``
         is the query's set of endpoint URLs already seen dead — planning
-        hands over what its probes learned, so recovery never re-asks (nor
+        hands over what its count probes learned, and a head the Portal
+        could not reach at all joins it — so recovery never re-asks (nor
         fails back onto) an endpoint this query already watched die.
 
         ``qid`` is the Portal-minted query id of a budgeted submission; it
@@ -291,6 +293,14 @@ class ChainExecutor:
                     xid if resume else f"{xid}/{tries}",
                 )
             except (TransportError, SoapFaultError) as exc:
+                if isinstance(exc, TransportError) and not isinstance(
+                    exc, RequestTimeoutError
+                ):
+                    # The Portal's own call to the head failed outright:
+                    # the head is dead, exactly as a walk would record it,
+                    # so recovery does not ping it again. A timeout proves
+                    # nothing — a slow hop downstream times out here too.
+                    self._mark_dead(chains[index], dead)
                 attempts += 1
                 next_plan, lost = self._recover(
                     chains[index], warnings, exc, attempts, counters, dead
@@ -300,6 +310,15 @@ class ChainExecutor:
                 if next_plan is not chains[index]:
                     attempts = 0
                 chains[index] = next_plan
+
+    def _mark_dead(self, plan: ExecutionPlan, dead: Set[str]) -> None:
+        """Put the endpoint set of ``plan``'s head into ``dead``."""
+        head = plan.step(0)
+        for endpoints in self._portal.planner.candidates(
+            head.archive, plan.partition
+        ):
+            if endpoints.get("crossmatch") == head.url:
+                dead.update(endpoints.values())
 
     def _batch_size(self) -> int:
         """What the chain mode means: how many tuples make a batch."""

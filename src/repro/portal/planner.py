@@ -116,25 +116,25 @@ class Planner:
         random_seed: int = 0,
         pin_epochs: Optional[Dict[str, int]] = None,
     ) -> PlanPass:
-        """The one plan pass: route ∥ count → decide → calibrate → build.
+        """The one plan pass: count → decide → calibrate → build.
 
         ``Portal.submit`` executes its outcome, ``Portal.explain`` renders
         it, and the executor's recovery re-enters :meth:`route` with the
-        same dead set. Health probes and count-star probes are
-        independent round trips to the same archives, so both go out in
-        one parallel block and the probing hides under the count-star
-        makespan. The pass ends without a plan when a mandatory archive
-        is lost or fails its count probe on every candidate (degraded),
-        or has nothing inside the AREA: no tuple can survive the inner
-        join — the count-star probes pay for themselves here.
+        same dead set. The count-star probes are the only messages sent
+        before the chain, and they double as the liveness check: each
+        walks its archive's endpoint candidates, so a dead primary is in
+        the dead set by the time :meth:`route` decides — without sending
+        anything — which endpoint each hop uses. A dead drop-out archive
+        (never counted) is found by the chain itself. The pass ends
+        without a plan when a mandatory archive is lost or fails its
+        count probe (degraded), or has nothing inside the AREA: no tuple
+        can survive the inner join — the count-star probes pay for
+        themselves here.
         """
         portal = self._portal
         network = portal.require_network()
-        probing = portal.health_probes
         done = PlanPass()
-        # With probes disabled the Portal keeps the seed's strict
-        # behaviour: a failed performance query raises, not degrades.
-        failures: Optional[Dict[str, str]] = {} if probing else None
+        failures: Dict[str, str] = {}
         hops = sorted(
             (
                 (s.alias, s.archive, s.dropout,
@@ -149,17 +149,16 @@ class Planner:
             if tracer is not None
             else nullcontext()
         ):
-            with network.parallel() if probing else nullcontext():
-                moved, done.skipped, lost = self.route(
-                    hops, done.dead, done.warnings, probe=probing
-                )
-                done.counts = self.performance_counts(
-                    decomposed,
-                    failures=failures,
-                    epochs=done.epochs,
-                    pin_epochs=pin_epochs,
-                    dead=done.dead,
-                )
+            done.counts = self.performance_counts(
+                decomposed,
+                failures=failures,
+                epochs=done.epochs,
+                pin_epochs=pin_epochs,
+                dead=done.dead,
+            )
+            moved, done.skipped, lost = self.route(
+                hops, done.dead, done.warnings
+            )
             done.failovers = len(moved)
             done.degraded = bool(done.skipped or lost or failures)
             if failures and not lost:
@@ -200,16 +199,17 @@ class Planner:
         warnings: List[str],
         *,
         mid_chain: bool = False,
-        probe: bool = True,
         partition: Optional[int] = None,
     ) -> Tuple[Dict[str, Mapping[str, str]], List[str], List[str]]:
         """Find each hop's first live endpoint set and decide what a dead
         one costs — for planning and for mid-chain recovery alike.
 
-        Archives are probed concurrently; within one archive the walk is
-        a single branch (a replica is only asked once everything before
-        it is dead). ``probe=False`` trusts the first candidate not in
-        ``dead`` without sending anything. Returns ``(moved, skipped,
+        At plan time nothing is sent: the first candidate not in
+        ``dead`` is trusted, because the count-star probes have already
+        walked every mandatory archive. Mid-chain each candidate is
+        pinged (``IsAlive``), archives concurrently; within one archive
+        the walk is a single branch (a replica is only asked once
+        everything before it is dead). Returns ``(moved, skipped,
         lost)``: alias -> replica endpoint set substituted for a dead one
         (a failover: warned, annotated, counted, the answer stays
         complete); drop-out aliases with no endpoint left (skip them:
@@ -224,23 +224,17 @@ class Planner:
         """
         portal = self._portal
         network = portal.require_network()
-        attempt = portal.ping if probe else (lambda endpoints: None)
+        attempt = portal.ping if mid_chain else (lambda endpoints: None)
         routes: Dict[str, Optional[Mapping[str, str]]] = {}
         with network.phase("health-probe"), (
-            network.parallel() if probe else nullcontext()
+            network.parallel() if mid_chain else nullcontext()
         ):
             for archive in dict.fromkeys(hop[1] for hop in hops):
-                record = portal.catalog.node(archive)
-                candidates = (
-                    record.endpoint_candidates()
-                    if partition is None
-                    else record.shard_set.members[partition].endpoints
-                )
                 with network.branch():
                     try:
-                        routes[archive], _ = next(
-                            portal.walk(candidates, dead, attempt)
-                        )
+                        routes[archive], _ = next(portal.walk(
+                            self.candidates(archive, partition), dead, attempt
+                        ))
                     except TransportError:
                         routes[archive] = None
         if partition is not None:
@@ -291,6 +285,16 @@ class Planner:
             )
         return moved, skipped, lost
 
+    def candidates(
+        self, archive: str, partition: Optional[int] = None
+    ) -> Sequence[Mapping[str, str]]:
+        """The endpoint sets that serve ``archive`` (its shard of stripe
+        ``partition``, when given) in failover order: primary first."""
+        record = self._portal.catalog.node(archive)
+        if partition is None:
+            return record.endpoint_candidates()
+        return record.shard_set.members[partition].endpoints
+
     def reroute(
         self,
         plan: ExecutionPlan,
@@ -298,7 +302,6 @@ class Planner:
         warnings: List[str],
         *,
         mid_chain: bool = False,
-        probe: bool = True,
     ) -> Tuple[ExecutionPlan, int, List[str], List[str]]:
         """:meth:`route` a built plan's hops (a partition chain's at its
         stripe) and apply it: ``(plan with every moved hop on its new
@@ -309,7 +312,6 @@ class Planner:
             dead,
             warnings,
             mid_chain=mid_chain,
-            probe=probe,
             partition=plan.partition,
         )
         for index, step in enumerate(plan.steps):
@@ -335,9 +337,10 @@ class Planner:
         split the answer with no overlap. Otherwise the archives' full
         copies answer, as in an unsharded federation: no query is refused.
         Each chain is routed like the plan itself, against the query's
-        dead set, without probing: a mandatory archive's shard with no
-        live endpoint has already failed its count probe, so only a
-        drop-out's can turn up dead — mid-chain, where recovery handles it.
+        dead set, without sending anything: a mandatory archive's shard
+        with no live endpoint has already failed its count probe, so only
+        a drop-out's can turn up dead — mid-chain, where recovery handles
+        it.
         """
         records = [self._portal.catalog.node(s.archive) for s in plan.steps]
         layouts = {
@@ -371,7 +374,6 @@ class Planner:
                 replace(plan, partition=index, steps=tuple(steps)),
                 dead,
                 [],
-                probe=False,
             )
             chains.append(chain)
             failovers += moved
@@ -409,8 +411,6 @@ class Planner:
         degradation path. With the default ``None``, failures raise.
         """
         network = self._portal.require_network()
-        cache = self._portal.cache
-        tracer = network.tracer
         dead = set() if dead is None else dead
         counts: Dict[str, int] = {}
         with network.phase("performance-query"), network.parallel():
@@ -419,24 +419,6 @@ class Planner:
                 record = self._portal.catalog.node(subquery.archive)
                 assert subquery.perf_sql is not None
                 pin = (pin_epochs or {}).get(alias, -1)
-                if cache is not None:
-                    memo = cache.probe_lookup(
-                        record.archive,
-                        subquery.perf_sql,
-                        None if pin == -1 else pin,
-                    )
-                    if memo is not None:
-                        # Served locally at the epoch the archive last
-                        # reported — zero wire bytes, zero sim time.
-                        counts[alias], memo_epoch = memo
-                        if epochs is not None:
-                            epochs[alias] = memo_epoch
-                        if tracer is not None:
-                            tracer.annotate(
-                                "cache", outcome="hit", kind="probe",
-                                alias=alias, epoch=memo_epoch,
-                            )
-                        continue
                 try:
                     # One archive's whole probe — failover walks, shard
                     # fan-out — is one branch of the per-alias dispatch.
@@ -461,12 +443,6 @@ class Planner:
                 counts[alias] = count
                 if epochs is not None:
                     epochs[alias] = epoch
-                if cache is not None and pin == -1:
-                    # Only live probes are memoized: a pinned probe
-                    # describes a snapshot, not the archive's present.
-                    cache.probe_store(
-                        record.archive, subquery.perf_sql, count, epoch
-                    )
         return counts
 
     def _count(

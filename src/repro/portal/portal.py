@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from typing import (
     Any,
@@ -49,10 +50,11 @@ class Portal:
     """The mediator of the federation.
 
     ``retry_policy`` arms every Portal-side proxy with retries/timeouts and
-    per-endpoint circuit breakers; ``health_probes`` (on by default) makes
-    the Portal ping each involved archive's Information service before
-    planning so unreachable drop-out archives are skipped — and a lost
-    mandatory archive yields a degraded result instead of an exception.
+    per-endpoint circuit breakers. Liveness is learned from the messages a
+    query sends anyway: the count-star probes walk each mandatory
+    archive's endpoint candidates before planning, and the chain finds a
+    dead drop-out archive. Either way a lost archive yields a degraded
+    result instead of an exception.
     """
 
     def __init__(
@@ -62,7 +64,6 @@ class Portal:
         parser_memory_limit: Optional[int] = None,
         parser_overhead_factor: float = 4.0,
         retry_policy: Optional[RetryPolicy] = None,
-        health_probes: bool = True,
         chain_mode: str = "store-forward",
         stream_batch_size: int = 200,
         match_engine: str = "zone",
@@ -102,7 +103,6 @@ class Portal:
         self.network: Optional[SimulatedNetwork] = None
         self.queries_served = 0
         self.retry_policy = retry_policy
-        self.health_probes = health_probes
         #: The node-side match engine this Portal assumes for its archives
         #: (what build_federation configured every SkyNode with). It never
         #: changes node queries or result rows, but like the chain mode
@@ -228,7 +228,7 @@ class Portal:
 
     def ping(self, endpoints: Endpoints) -> None:
         """``IsAlive`` at an endpoint set's Information service: the
-        :meth:`walk` attempt of every health probe."""
+        :meth:`walk` attempt of every mid-chain health probe."""
         try:
             self.proxy(endpoints["information"]).call("IsAlive")
         except SoapFaultError as exc:  # it answered, but not "alive"
@@ -247,16 +247,19 @@ class Portal:
     ) -> FederatedResult:
         """Figure 3 end to end: decompose, probe, plan, chain, project.
 
-        Resilience: before planning, the Portal health-probes every archive
-        the query touches. Dead *drop-out* archives are skipped at plan
-        time (with a warning); a dead *mandatory* archive — or one whose
+        Resilience: the count-star probes walk each mandatory archive's
+        endpoint candidates, so a dead primary with a live replica fails
+        over at plan time, and a dead *mandatory* archive — or one whose
         performance query fails after retries — yields a degraded empty
-        result whose warnings name the node, instead of an exception.
+        result whose warnings name the node, instead of an exception. A
+        dead *drop-out* archive is found by the chain: recovery pings the
+        chain's hops, prunes it (with a warning) and reruns the rest.
 
-        Deadlines: ``deadline_s`` (an *absolute* time on the simulated
-        clock) arms an end-to-end :class:`~repro.budget.QueryBudget` that
-        rides a ``<sq:QueryBudget>`` SOAP Header on every hop of the
-        submission — probes, performance queries, the chain, batch pulls.
+        Deadlines: ``deadline_s`` (an *absolute*, finite time on the
+        simulated clock; anything else is a :class:`ValueError`) arms an
+        end-to-end :class:`~repro.budget.QueryBudget` that rides a
+        ``<sq:QueryBudget>`` SOAP Header on every hop of the
+        submission — performance queries, the chain, batch pulls, pings.
         Each hop clamps its retries to the remaining budget and refuses
         budget-expired work with a typed fault; when the budget runs out
         anywhere, the Portal eagerly cancels the chain's server state and
@@ -274,6 +277,8 @@ class Portal:
         ``SubmitQuery`` root span and the returned result carries the
         assembled :class:`~repro.tracing.Trace` as ``result.trace``.
         """
+        if deadline_s is not None and not math.isfinite(deadline_s):
+            raise ValueError(f"deadline_s must be finite, not {deadline_s}")
         self.queries_served += 1
         query = parse_query(sql) if isinstance(sql, str) else sql
         analysis = validate_query(query)
@@ -496,12 +501,14 @@ class Portal:
         performance queries and their counts, the node queries, the
         cross-archive predicates kept at the Portal, and the ordered plan.
         It is the outcome of the same :meth:`Planner.plan` pass
-        :meth:`submit` executes — same health probes, same failover and
-        skip decisions (``warnings``/``failovers``/``skipped``) — so
+        :meth:`submit` executes — same count-star probes, same failover
+        decisions (``warnings``/``failovers``) — so
         ``plan`` is exactly what would be sent to the first SkyNode, and
         ``None`` (``would_execute`` false) when no chain would run. On
         co-partitioned archives ``partitions`` lists the per-stripe chains
         actually sent in its place (empty when ``plan`` runs as itself).
+        Only the chain finds a dead drop-out archive, so ``explain`` does
+        not reveal one: its plan still lists the archive.
         """
         query = parse_query(sql) if isinstance(sql, str) else sql
         analysis = validate_query(query)

@@ -34,7 +34,7 @@ class InformationService(WebService):
             "IsAlive",
             self._is_alive,
             returns="boolean",
-            doc="Lightweight health probe the Portal consults before planning.",
+            doc="Lightweight health probe; the Portal pings it mid-chain.",
         )
 
     def _get_info(self) -> Dict[str, Any]:

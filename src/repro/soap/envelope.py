@@ -10,6 +10,7 @@ the original wire format.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Optional, Tuple
 
 from repro.budget import QueryBudget
@@ -134,7 +135,12 @@ def parse_trace_context(document: Element) -> Optional[TraceContext]:
 
 
 def parse_query_budget(document: Element) -> Optional[QueryBudget]:
-    """The envelope's ``<sq:QueryBudget>`` Header block, if present."""
+    """The envelope's ``<sq:QueryBudget>`` Header block, if present.
+
+    A ``deadlineS`` that is missing, unparsable or not finite (``nan``,
+    ``inf``) is dropped: such a budget could never expire, and its NaN
+    would reach every timeout clamped to it.
+    """
     header = document.find("Header")
     if header is None:
         return None
@@ -147,6 +153,8 @@ def parse_query_budget(document: Element) -> Optional[QueryBudget]:
     try:
         deadline_s = float(deadline)
     except ValueError:
+        return None
+    if not math.isfinite(deadline_s):
         return None
     return QueryBudget(deadline_s, block.get("queryId") or "")
 

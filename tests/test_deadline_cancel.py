@@ -10,6 +10,8 @@ backstop. Cancellation and aborts are idempotent against the reaper in
 every interleaving.
 """
 
+import math
+
 import pytest
 
 from repro.budget import (
@@ -88,6 +90,16 @@ class TestBudgetHeader:
         _, _, _, parsed = parse_rpc_call(envelope)
         assert parsed == QueryBudget(3.0, "")
 
+    @pytest.mark.parametrize("deadline", ["nan", "NaN", "inf", "-inf", "soon"])
+    def test_unusable_deadline_is_dropped(self, deadline):
+        # A NaN budget never expires and would reach every clamped
+        # timeout; it is dropped exactly like an unparsable one.
+        envelope = build_rpc_request("Ping", {}, budget=QueryBudget(3.0, "q"))
+        assert 'deadlineS="3.0"' in envelope
+        envelope = envelope.replace('"3.0"', f'"{deadline}"')
+        _, _, _, parsed = parse_rpc_call(envelope)
+        assert parsed is None
+
     def test_remaining_and_expired(self):
         budget = QueryBudget(10.0, "q")
         assert budget.remaining_s(4.0) == pytest.approx(6.0)
@@ -126,6 +138,14 @@ class TestDeadlines:
         assert not got.degraded
         assert got.counts == want.counts
         assert got.epochs == want.epochs
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deadline_is_refused(self, deadline):
+        federation = small_federation()
+        sent = len(federation.network.metrics.messages)
+        with pytest.raises(ValueError, match="finite"):
+            federation.portal.submit(XMATCH_SQL, deadline_s=deadline)
+        assert len(federation.network.metrics.messages) == sent
 
     def test_already_expired_deadline_degrades_without_dispatch(self):
         federation = small_federation()

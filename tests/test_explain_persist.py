@@ -60,9 +60,9 @@ class TestExplain:
         assert plan["failovers"] == 0 and plan["degraded"] is False
 
     def test_explain_probes_like_submit(self, fresh_metrics):
-        """EXPLAIN is SUBMIT minus the chain: the same health probes and
-        count-star probes cross the wire (the parent commit's explain sent
-        no health probe at all, so it planned through dead archives)."""
+        """EXPLAIN is SUBMIT minus the chain: the same count-star probes
+        cross the wire, and they are all planning sends — neither pings
+        an archive before its chain."""
         fed = fresh_metrics
 
         def planning_traffic(action):
@@ -76,7 +76,8 @@ class TestExplain:
 
         explained = planning_traffic(fed.portal.explain)
         assert explained == planning_traffic(fed.portal.submit)
-        assert any(phase == "health-probe" for *_, phase, _ in explained)
+        assert any(phase == "performance-query" for *_, phase, _ in explained)
+        assert not any(phase == "health-probe" for *_, phase, _ in explained)
 
     def test_explain_pinned_epochs(self):
         """A pinned (time-travel) read can be explained: the plan carries

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SoapFaultError, TransportError
+from repro.errors import TransportError
 from repro.transport.http import HttpRequest, HttpResponse
 from repro.transport.network import SimulatedNetwork
 
@@ -148,24 +148,6 @@ class TestFederationFailures:
         for other in fed.nodes.values():
             leftovers = [n for n in other.db._tables if "tmp" in n]
             assert leftovers == []
-
-    def test_strict_portal_still_raises(self, small_federation):
-        # With health probes off the seed's fail-fast contract survives.
-        fed = small_federation
-        sql = (
-            "SELECT O.object_id, T.obj_id "
-            "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T "
-            "WHERE AREA(185.0, -0.5, 600.0) AND XMATCH(O, T) < 3.5"
-        )
-        node = fed.node("TWOMASS")
-        fed.network.fail_host(node.hostname)
-        fed.portal.health_probes = False
-        try:
-            with pytest.raises((SoapFaultError, TransportError)):
-                fed.portal.submit(sql)
-        finally:
-            fed.portal.health_probes = True
-            fed.network.restore_host(node.hostname)
 
     def test_registration_of_unreachable_portal_fails(self, small_federation):
         fed = small_federation

@@ -286,9 +286,11 @@ PLAN_SCENARIOS = {
 def test_explain_is_the_plan_submit_runs(scenario, replicas, chain_mode, seed):
     """One plan pass: whatever is down — nothing, a mandatory archive's
     primary, a drop-out archive's, one shard's — and whether or not a
-    replica can take over, EXPLAIN shows the plan SUBMIT sends (or that
-    neither has one), the partition chains it runs that plan as, and the
-    same warnings and failover count."""
+    replica can take over, EXPLAIN shows the plan SUBMIT hands to its
+    chain (or that neither has one), the partition chains it runs that
+    plan as, and the same warnings and failover count. A drop-out archive
+    is never counted, so only the chain finds it dead: SUBMIT then fails
+    it over or prunes it mid-chain, which EXPLAIN cannot show."""
     from repro.federation.builder import FederationConfig, build_federation
     from repro.services.retry import RetryPolicy
     from repro.workloads.skysim import SkyField
@@ -318,24 +320,44 @@ def test_explain_is_the_plan_submit_runs(scenario, replicas, chain_mode, seed):
     # other's probes.
     explained = build().portal.explain(PLAN_SQL)
     fed = build()
-    sent = []
+    handed = {}
     execute = fed.portal.executor.execute
 
     def recording(plan, decomposed, **kwargs):
-        sent.extend(chain.to_wire() for chain in kwargs["partitions"])
+        handed.update(
+            plan=plan.to_wire(),
+            partitions=[chain.to_wire() for chain in kwargs["partitions"]],
+            warnings=list(kwargs["warnings"]),
+            failovers=kwargs["failovers"],
+            degraded=kwargs["degraded"],
+        )
         return execute(plan, decomposed, **kwargs)
 
     fed.portal.executor.execute = recording
     submitted = fed.portal.submit(PLAN_SQL)
-    ran = submitted.plan.to_wire() if submitted.plan is not None else None
+    if not handed:  # no chain ran: the plan pass's outcome is the answer
+        handed.update(
+            plan=None,
+            partitions=[],
+            warnings=submitted.warnings,
+            failovers=submitted.failovers,
+            degraded=submitted.degraded,
+        )
+    ran = handed["plan"]
     assert explained["plan"] == ran
-    assert explained["partitions"] == sent
-    assert bool(sent) == ("shards" in layout and ran is not None)
+    assert explained["partitions"] == handed["partitions"]
+    assert bool(handed["partitions"]) == (
+        "shards" in layout and ran is not None
+    )
     assert explained["would_execute"] == (ran is not None)
-    assert explained["warnings"] == submitted.warnings
-    assert explained["failovers"] == submitted.failovers
-    assert explained["degraded"] == submitted.degraded
+    assert explained["warnings"] == handed["warnings"]
+    assert explained["failovers"] == handed["failovers"]
+    assert explained["degraded"] == handed["degraded"]
     assert explained["counts"] == submitted.counts
     assert explained["epochs"] == submitted.epochs
     if scenario == "fault-free":
         assert ran is not None and not submitted.warnings
+    if scenario == "drop-out primary":
+        assert submitted.failovers == replicas
+        assert submitted.degraded == (replicas == 0)
+        assert len(submitted) > 0

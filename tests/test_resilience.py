@@ -461,9 +461,53 @@ class TestFederationResilience:
         assert sorted(first_rows) == sorted(replay_rows)
 
     def test_health_probe_traffic_is_phased(self, baseline_federation):
+        """Liveness comes from the count probes and the chain: a fault-free
+        query pings nobody, and only a chain failure's recovery sends
+        ``IsAlive`` — all of it under the ``health-probe`` phase."""
         fed = baseline_federation
-        fed.client().submit(XMATCH_SQL)
-        assert fed.network.metrics.message_count(phase="health-probe") > 0
+        messages = fed.network.metrics.messages
+
+        def pings(sql):
+            before = len(messages)
+            fed.client().submit(sql)
+            return [m for m in messages[before:] if m.operation == "IsAlive"]
+
+        assert pings(XMATCH_SQL) == []
+        node = fed.node("FIRST")
+        fed.network.fail_host(node.hostname)
+        try:
+            recovery = pings(DROPOUT_SQL)
+        finally:
+            fed.network.restore_host(node.hostname)
+        assert recovery
+        assert {m.phase for m in recovery} == {"health-probe"}
+
+    def test_dead_dropout_head_is_not_pinged(self, baseline_federation):
+        """The Portal's own open of a dead head already proved it dead:
+        recovery prunes it without asking its Information service, so
+        the only retries are the open's."""
+        fed = baseline_federation
+        first = fed.node("FIRST")
+        information = first.service_urls()["information"]
+        asked = []
+        ping = fed.portal.ping
+
+        def recording_ping(endpoints):
+            asked.append(endpoints["information"])
+            return ping(endpoints)
+
+        fed.portal.ping = recording_ping
+        fed.network.fail_host(first.hostname)
+        retries = fed.network.metrics.retries
+        try:
+            result = fed.client().submit(DROPOUT_SQL)
+        finally:
+            fed.network.restore_host(first.hostname)
+            del fed.portal.ping
+        assert result.degraded and len(result) > 0
+        assert asked and information not in asked
+        policy = fed.config.retry_policy
+        assert fed.network.metrics.retries - retries == policy.max_attempts - 1
 
     def test_dead_dropout_archive_degrades_with_partial_result(
         self, baseline_federation

@@ -45,8 +45,6 @@ def _ingest(fed, archive, n_rows, seed_offset=77):
 def test_config_validation():
     with pytest.raises(ValueError):
         CacheConfig(max_entries=0)
-    with pytest.raises(ValueError):
-        CacheConfig(max_probe_entries=0)
 
 
 def test_builder_rejects_junk_cache_config():
@@ -80,19 +78,21 @@ def test_exact_hit_identical_and_zero_wire():
     assert second.trace is None or second.trace.total_wire_bytes() == 0
 
 
-def test_strategy_changes_key_but_probes_memoize():
+def test_strategy_changes_the_exact_key():
     from repro.portal.planner import OrderingStrategy
 
     # Containment off: it would (correctly) serve the same circle under
-    # any strategy, but this test is about the probe memo.
+    # any strategy, but this test is about the exact key.
     fed = _fed(cache=CacheConfig(containment=False))
     sql = paper_query(900.0)
     first = fed.portal.submit(sql, strategy=OrderingStrategy.COUNT_DESC)
+    probes = fed.network.metrics.message_count
+    before = probes(phase="performance-query")
     second = fed.portal.submit(sql, strategy=OrderingStrategy.COUNT_ASC)
-    # Different exact key: not served from the result cache...
+    # Different exact key: not served from the result cache, so the
+    # count-star probes go to the archives again.
     assert second.cache is None
-    # ...but the identical count-star probes were.
-    assert fed.cache.stats.probe_hits >= 2
+    assert probes(phase="performance-query") > before
     assert sorted(second.rows) == sorted(first.rows)
     assert second.counts == first.counts
 
@@ -118,13 +118,21 @@ def test_ingest_commit_invalidates_and_pins_still_serve():
 
 
 def test_note_epoch_is_surgical():
-    cache = SemanticCache()
-    cache.probe_store("SDSS", "SELECT COUNT(*)", 10, 0)
-    cache.probe_store("FIRST", "SELECT COUNT(*)", 7, 0)
-    cache.note_epoch("SDSS", 1)
-    assert cache.probe_lookup("SDSS", "SELECT COUNT(*)", None) is None
-    assert cache.probe_lookup("FIRST", "SELECT COUNT(*)", None) == (7, 0)
-    assert cache.stats.invalidations == 1
+    fed = _fed()
+    twomass = XMATCH_2.format(radius=600.0)
+    first = (
+        "SELECT O.object_id FROM SDSS:Photo_Object O, FIRST:Primary_Object P "
+        "WHERE AREA(185.0, -0.5, 600.0) AND XMATCH(O, P) < 3.5"
+    )
+    fed.portal.submit(twomass)
+    fed.portal.submit(first)
+    epoch = fed.portal.submit(twomass).epochs["T"]
+    invalidations = fed.cache.stats.invalidations
+    fed.cache.note_epoch("TWOMASS", epoch + 1)
+    # Only entries pinned to TWOMASS's old epoch go; the rest still serve.
+    assert fed.cache.stats.invalidations == invalidations + 1
+    assert fed.portal.submit(first).cache == "exact"
+    assert fed.portal.submit(twomass).cache is None
 
 
 def test_lru_eviction_bounds_entries():

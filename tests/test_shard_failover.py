@@ -223,15 +223,22 @@ class TestShardFailover:
         assert list(result.rows) == rows
 
     def test_archive_coordinator_failover_composes_with_shards(self):
-        """Kill the *archive* primary of a sharded archive: planning
-        fails the archive over to its replica, the partition chains still
-        run on the shards, and the answer matches the oracle."""
+        """Kill the *archive* primary of a sharded archive: its count
+        probe and the partition chains run on the shards, which never
+        need it, and the answer matches the oracle."""
         rows, _ = _oracle()
         fed = _build(replicas=1)
         fed.network.remove_host(fed.nodes["SDSS"].hostname)
         result = fed.portal.submit(XMATCH_SQL)
         assert not result.degraded
         assert list(result.rows) == rows
+
+
+#: The same query at a threshold whose reach (80 x (0.1 + 0.3) arcsec)
+#: exceeds the shards' margin, so it runs on the archives' full copies.
+#: Only such a plan reaches a sharded archive's own endpoints: its count
+#: probe goes to the shards, so a dead coordinator is met by the chain.
+FULL_COPY_SQL = XMATCH_SQL.replace("< 3.5", "< 80")
 
 
 class TestEndpointCandidateOrdering:
@@ -245,7 +252,7 @@ class TestEndpointCandidateOrdering:
         whatever shard and shard-mirror endpoints are registered."""
         fed = _build(replicas=1)
         fed.network.remove_host(fed.nodes["SDSS"].hostname)
-        result = fed.portal.submit(XMATCH_SQL)
+        result = fed.portal.submit(FULL_COPY_SQL)
         assert result.failovers == 1 and not result.degraded
         slices = {node.hostname for node in fed.shards["SDSS"]}
         for mirrors in fed.shard_replicas["SDSS"].values():
@@ -264,7 +271,7 @@ class TestEndpointCandidateOrdering:
             order = [fed.nodes["SDSS"], *fed.replicas["SDSS"]]
             for node in order[:dead]:
                 fed.network.remove_host(node.hostname)
-            result = fed.portal.submit(XMATCH_SQL)
+            result = fed.portal.submit(FULL_COPY_SQL)
             assert not result.degraded
             assert result.failovers == (1 if dead else 0)
             for step in result.plan.steps:

@@ -188,7 +188,7 @@ class TestShardOracle:
         shards=st.sampled_from([2, 7]),
         seed=st.integers(0, 10_000),
     )
-    def test_count_probes_agree_with_monolithic(self, shards, seed):
+    def test_count_star_probes_agree_with_monolithic(self, shards, seed):
         """Per-stripe count-star probes sum to the monolithic counts, so
         both planners order the chain identically."""
         mono_fed = _build(200, seed)
