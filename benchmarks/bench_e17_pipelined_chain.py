@@ -54,7 +54,7 @@ def test_e17_pipelined_chain(benchmark, report_sink):
     from repro.bench.experiments import _e17_federation
 
     fed = _e17_federation(3, 400 if QUICK else 1200, 1_000_000.0)
-    fed.portal.chain_mode = "pipelined"
+    fed.portal.batch_size = 200
     client = fed.client()
     sql = (
         "SELECT S0.object_id "

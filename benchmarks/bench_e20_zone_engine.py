@@ -3,8 +3,9 @@
 ``SKYQUERY_BENCH_QUICK=1`` shrinks every layer to smoke-test sizes (the
 CI benchmark job); at that scale the zone engine's index-build overhead
 dominates and wall-clock ratios are meaningless, so quick mode checks
-only the identity half of each row. The scalar arms run the reference
-procedure installed over ``sp_xmatch`` through ``db.register_procedure``.
+only the identity half of each row. The federation is built on zones;
+its HTM and scalar arms run procedure bodies installed over ``sp_xmatch``
+through ``db.register_procedure``.
 """
 
 import os

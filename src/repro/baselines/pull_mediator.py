@@ -37,15 +37,13 @@ PHASE = "pull-mediator"
 class PullMediator:
     """Pulls full per-archive results to the Portal and matches there.
 
-    ``kernel`` selects the central matcher engine: the numpy batch kernel
-    (``vectorized``, the default), the brute-force reference (``scalar``),
-    or the optional scipy ``kdtree`` — all three produce identical match
-    sets (see :func:`repro.xmatch.stream.run_chain`).
+    The central matcher is :func:`repro.xmatch.stream.run_chain`'s default
+    engine; the Portal-side finish is the chain executor's own, so both
+    strategies answer every query with the same rows in the same order.
     """
 
-    def __init__(self, portal: Portal, *, kernel: str = "vectorized") -> None:
+    def __init__(self, portal: Portal) -> None:
         self._portal = portal
-        self._kernel = kernel
 
     def execute(self, sql: str) -> FederatedResult:
         """Run a cross-match query with the pull strategy."""
@@ -75,27 +73,9 @@ class PullMediator:
                     term.dropout,
                 )
             )
-        tuples = run_chain(
-            chain_spec, decomposed.xmatch.threshold, engine=self._kernel
-        )
-        return self._finish(decomposed, tuples)
-
-    def _finish(
-        self, decomposed: DecomposedQuery, tuples: List
-    ) -> FederatedResult:
-        executor = self._portal.executor
-        survivors = [
-            t for t in tuples if executor._passes_cross_conjuncts(decomposed, t)
-        ]
-        columns = executor._output_columns(decomposed.query.items)
-        rows = [executor._project(decomposed.query.items, t) for t in survivors]
-        limit = decomposed.query.limit
-        if limit is not None:
-            rows = rows[:limit]
-        return FederatedResult(
-            columns=columns,
-            rows=rows,
-            matched_tuples=len(tuples),
+        tuples = run_chain(chain_spec, decomposed.xmatch.threshold)
+        return self._portal.executor._finish(
+            None, decomposed, tuples, stats=[]
         )
 
     def _pull_archive(

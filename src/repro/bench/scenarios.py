@@ -197,7 +197,6 @@ def fresh_federation(
     keep_epochs: Optional[int] = 8,
     scheduler=None,
     cache=None,
-    match_engine: str = "zone",
 ) -> Federation:
     """An uncached federation with experiment-specific knobs."""
     from repro.skynode.node import DEFAULT_PARSER_MEMORY_LIMIT
@@ -221,5 +220,4 @@ def fresh_federation(
         keep_epochs=keep_epochs,
         scheduler=scheduler,
         cache=cache,
-        match_engine=match_engine,
     ))

@@ -187,14 +187,6 @@ def _federation_args(parser: argparse.ArgumentParser) -> None:
              "(default: no timeout)",
     )
     parser.add_argument(
-        "--match-engine", default="zone",
-        choices=["htm", "zone"],
-        help="spatial index for the cross-match at every node: "
-             "declination zones with sorted-merge windows (default) or "
-             "HTM trixel covers (the reference oracle) — byte-identical "
-             "results either way",
-    )
-    parser.add_argument(
         "--chain-mode", default="store-forward",
         choices=["store-forward", "pipelined"],
         help="how the chain's tuple streams are cut: store-forward "
@@ -242,7 +234,6 @@ def _make_federation(args: argparse.Namespace, *, ingest: bool = False,
         retry_policy=_retry_policy(args),
         chain_mode=args.chain_mode,
         stream_batch_size=args.batch_size,
-        match_engine=args.match_engine,
         replicas=args.replicas,
         shards=getattr(args, "shards", 0),
         ingest=ingest,

@@ -13,12 +13,14 @@ from repro.db.types import ColumnType
 from repro.errors import ConfigurationError, RegistrationError
 from repro.federation.surveys import default_surveys
 from repro.portal.cache import CacheConfig, SemanticCache
+from repro.portal.executor import WHOLE_RESULT
 from repro.portal.portal import Portal
 from repro.portal.scheduler import QueryScheduler, SchedulerConfig
 from repro.services.retry import RetryPolicy
 from repro.shard import ZONE_KEY
 from repro.skynode.node import DEFAULT_PARSER_MEMORY_LIMIT, SkyNode
 from repro.skynode.wrapper import ArchiveInfo
+from repro.skynode.xmatch_proc import MATCH_ENGINE_ZONE, PROCEDURE_NAME
 from repro.sql.ast import AreaClause
 from repro.transport.faults import FaultPlan
 from repro.transport.network import SimulatedNetwork
@@ -54,11 +56,14 @@ class FederationConfig:
     #: Retry/timeout/breaker configuration for the Portal and every node's
     #: outbound calls. None keeps single-shot RPCs (the seed's behaviour).
     retry_policy: Optional[RetryPolicy] = None
-    #: Which spatial index every node's cross-match uses: ``zone``
-    #: (declination zones with sorted-merge windows, the default) or
-    #: ``htm`` (trixel covers, the reference oracle). Federated results,
-    #: node stats, and wire traffic are byte-identical either way.
-    match_engine: str = "zone"
+    #: The spatial index of every node's cross-match: ``zone``
+    #: (declination zones with sorted-merge windows) is the only one, and
+    #: any other value is refused. HTM matching is an argument of the
+    #: stored procedure, installed over ``sp_xmatch`` on a built
+    #: federation's databases (see :mod:`repro.skynode.xmatch_proc`). The
+    #: field survives only because the ledger's workloads
+    #: (``benchmarks/ledger/workloads.py``) pass ``match_engine="zone"``.
+    match_engine: str = MATCH_ENGINE_ZONE
     #: Scripted transient faults, installed only AFTER registration
     #: completes so federation construction is never fault-injected.
     fault_plan: Optional[FaultPlan] = None
@@ -66,8 +71,9 @@ class FederationConfig:
     #: (each hop's whole result is one batch, carried by the
     #: PerformXMatch response — the paper's nested round trips) or
     #: ``pipelined`` (``stream_batch_size`` tuples a batch, pulled
-    #: concurrently so transfer
-    #: overlaps compute).
+    #: concurrently so transfer overlaps compute). Together the two
+    #: fields spell one number, the Portal's ``batch_size``;
+    #: :func:`build_federation` is the only reader of either.
     chain_mode: str = "store-forward"
     #: Tuples per batch when the chain is pipelined.
     stream_batch_size: int = 200
@@ -190,7 +196,6 @@ class Federation:
 #: through silently into node config and only blow up (or worse, be
 #: ignored) deep inside the first query.
 _CONFIG_CHOICES = {
-    "match_engine": ("htm", "zone"),
     "chain_mode": ("store-forward", "pipelined"),
 }
 
@@ -222,6 +227,13 @@ def _validate_config(config: FederationConfig) -> None:
     if config.shards < 0:
         raise ConfigurationError(
             f"FederationConfig.shards must be >= 0, got {config.shards}"
+        )
+    if config.match_engine != MATCH_ENGINE_ZONE:
+        raise ConfigurationError(
+            f"FederationConfig.match_engine={config.match_engine!r} is not "
+            f"supported; every node matches with {MATCH_ENGINE_ZONE!r}. "
+            "Other engines are an argument of the stored procedure: install "
+            f"one over {PROCEDURE_NAME!r} on the built federation's databases"
         )
     if config.shard_key != ZONE_KEY:
         raise ConfigurationError(
@@ -257,9 +269,11 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
         network.install_tracer(Tracer())
     portal = Portal(
         retry_policy=config.retry_policy,
-        chain_mode=config.chain_mode,
-        stream_batch_size=config.stream_batch_size,
-        match_engine=config.match_engine,
+        batch_size=(
+            config.stream_batch_size
+            if config.chain_mode == "pipelined"
+            else WHOLE_RESULT
+        ),
     )
     if config.cache:
         portal.cache = SemanticCache(
@@ -474,7 +488,6 @@ def _make_node(
         chunk_budget_bytes=config.chunk_budget_bytes,
         processing_seconds_per_row=config.processing_seconds_per_row,
         retry_policy=config.retry_policy,
-        match_engine=config.match_engine,
     )
     node.attach(network)
     return node

@@ -12,9 +12,10 @@ epochs it was computed at are still the archives' current ones:
   single byte hits the wire — the zero-wire fast path) and by
   ``ExecutionPlan.fingerprint`` (consultable once a plan exists, catching
   textually different submissions that compile to the same chain). The
-  fingerprint already folds in every pinned epoch and the portal's
-  execution profile, so "fingerprint + epochs live" is the full validity
-  condition.
+  fingerprint folds in every pinned epoch and the portal's execution
+  profile but covers only the node-side work, so a fingerprint hit also
+  needs the same Portal-side finish (:meth:`SemanticCache.finish_key`):
+  "fingerprint + finish + epochs live" is the full validity condition.
 * **AREA-containment reuse** — a cached cross-match over a circle keeps
   its pre-projection partial tuples; a later query whose circle is
   contained in the cached one is answered by re-filtering those tuples
@@ -59,7 +60,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.sphere.coords import radec_to_vector
 from repro.sphere.distance import angular_separation
 from repro.sql.area import region_for
-from repro.sql.ast import AreaClause
+from repro.sql.ast import AreaClause, Query, and_together
+from repro.sql.printer import to_sql
 from repro.units import arcsec_to_rad
 
 if TYPE_CHECKING:
@@ -109,6 +111,9 @@ class _ResultEntry:
 
     exact_key: str
     fingerprint: Optional[str]
+    #: The Portal-side finish the cached rows went through
+    #: (:meth:`SemanticCache.finish_key`).
+    finish: str
     #: archive name -> the epoch this answer was computed at.
     archive_epochs: Dict[str, int]
     result: "FederatedResult"
@@ -134,7 +139,8 @@ class SemanticCache:
         self.stats = CacheStats()
         #: exact_key -> entry, in LRU order (oldest first).
         self._entries: "OrderedDict[str, _ResultEntry]" = OrderedDict()
-        self._by_fingerprint: Dict[str, _ResultEntry] = {}
+        #: (fingerprint, finish) -> entry.
+        self._by_fingerprint: Dict[Tuple[str, str], _ResultEntry] = {}
         #: containment_key -> exact keys of circle entries sharing it.
         self._containment: Dict[str, List[str]] = {}
         #: archive -> last epoch committed while this cache was watching.
@@ -153,6 +159,26 @@ class SemanticCache:
         """Pre-wire key: the canonical query text plus every planner knob
         that can change the answer's bytes."""
         return _digest((canonical_sql, strategy, random_seed, pins, profile))
+
+    @staticmethod
+    def finish_key(decomposed: "DecomposedQuery") -> str:
+        """What the Portal does to the chain's tuples, as canonical SQL:
+        the select list, DISTINCT, the cross-archive conjuncts, ORDER BY
+        and LIMIT. Two queries with one plan fingerprint share rows only
+        if they also share this."""
+        query = decomposed.query
+        return to_sql(
+            Query(
+                items=query.items,
+                tables=(),
+                distinct=query.distinct,
+                where=and_together(
+                    tuple(decomposed.analysis.cross_conjuncts)
+                ),
+                order_by=query.order_by,
+                limit=query.limit,
+            )
+        )
 
     @staticmethod
     def containment_key(
@@ -254,15 +280,16 @@ class SemanticCache:
         return served
 
     def lookup_fingerprint(
-        self, fingerprint: str
+        self, fingerprint: str, finish: str
     ) -> Optional["FederatedResult"]:
         """Post-plan lookup: catches different SQL text compiling to the
-        same chain. The fingerprint embeds the pinned epochs and profile;
-        liveness is still re-checked so a commit between planning and
-        lookup cannot serve a stale answer."""
+        same chain and the same Portal-side ``finish``
+        (:meth:`finish_key`). The fingerprint embeds the pinned epochs and
+        profile; liveness is still re-checked so a commit between planning
+        and lookup cannot serve a stale answer."""
         if not self.config.results:
             return None
-        entry = self._by_fingerprint.get(fingerprint)
+        entry = self._by_fingerprint.get((fingerprint, finish))
         if entry is None or not self._epochs_live(entry.archive_epochs):
             if entry is not None:
                 self._drop(entry.exact_key)
@@ -280,6 +307,7 @@ class SemanticCache:
         result: "FederatedResult",
         *,
         archives_by_alias: Dict[str, str],
+        finish: str,
         containment_key: Optional[str] = None,
         area: Optional[AreaClause] = None,
     ) -> None:
@@ -312,6 +340,7 @@ class SemanticCache:
             fingerprint=(
                 result.plan.fingerprint(0) if result.plan is not None else None
             ),
+            finish=finish,
             archive_epochs=archive_epochs,
             result=self._stored_copy(result),
             raw_tuples=list(raw) if raw is not None else None,
@@ -325,7 +354,7 @@ class SemanticCache:
             self._drop(exact_key)
         self._entries[exact_key] = entry
         if entry.fingerprint is not None:
-            self._by_fingerprint.setdefault(entry.fingerprint, entry)
+            self._by_fingerprint.setdefault((entry.fingerprint, finish), entry)
         if entry.containment_key is not None:
             self._containment.setdefault(entry.containment_key, []).append(
                 exact_key
@@ -377,12 +406,12 @@ class SemanticCache:
         self._unindex(oldest=exact_key)
 
     def _unindex(self, *, oldest: str) -> None:
-        for fingerprint in [
-            fp
-            for fp, entry in self._by_fingerprint.items()
+        for key in [
+            key
+            for key, entry in self._by_fingerprint.items()
             if entry.exact_key == oldest
         ]:
-            del self._by_fingerprint[fingerprint]
+            del self._by_fingerprint[key]
         for ckey in list(self._containment):
             keys = [k for k in self._containment[ckey] if k != oldest]
             if keys:

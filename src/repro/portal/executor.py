@@ -11,16 +11,16 @@ transient failures, re-plans around drop-out archives that died mid-run,
 and — when a *mandatory* node is permanently lost — returns a degraded
 :class:`FederatedResult` carrying structured warnings instead of raising.
 
-There is one chain transport, a tuple stream per hop, and the chain mode
-only sets its batch size. ``store-forward`` (the default) asks for the
-whole result as one batch, which the open's own response carries: the
-classic N nested round trips, each node waiting for its neighbour's
-complete tuple set. ``pipelined`` asks for ``stream_batch_size`` tuples a
-batch and pulls the batches inside one ``parallel()`` block, so each
-batch's whole chain traversal is one branch and the clock charges the
-*makespan* over batches — transfer of one batch overlaps compute of
-another, exactly the overlap a real pipelined chain would enjoy. Every
-batch size returns identical rows in identical order.
+There is one chain transport, a tuple stream per hop, and the Portal's
+``batch_size`` is its only setting. :data:`WHOLE_RESULT` (the default,
+the paper's store-and-forward chain) asks for the whole result as one
+batch, which the open's own response carries: the classic N nested round
+trips, each node waiting for its neighbour's complete tuple set. A
+smaller batch size pipelines the chain: the batches are pulled inside one
+``parallel()`` block, so each batch's whole chain traversal is one branch
+and the clock charges the *makespan* over batches — transfer of one batch
+overlaps compute of another, exactly the overlap a real pipelined chain
+would enjoy. Every batch size returns identical rows in identical order.
 
 Sharding is a plan, not a hop: on co-partitioned archives the Planner
 hands over one chain per shard stripe, and the executor runs them as the
@@ -320,18 +320,6 @@ class ChainExecutor:
             if endpoints.get("crossmatch") == head.url:
                 dead.update(endpoints.values())
 
-    def _batch_size(self) -> int:
-        """What the chain mode means: how many tuples make a batch."""
-        mode = self._portal.chain_mode
-        if mode == "store-forward":
-            return WHOLE_RESULT
-        if mode == "pipelined":
-            return int(self._portal.stream_batch_size)
-        raise ExecutionError(
-            f"unknown chain mode {mode!r}; expected 'store-forward' or "
-            "'pipelined'"
-        )
-
     def _run_chain(
         self,
         plan: ExecutionPlan,
@@ -368,7 +356,7 @@ class ChainExecutor:
         high_water = parts.index(None) if None in parts else len(parts)
         proxy = self._portal.proxy(plan.step(0).url)
         plan_wire = plan.to_wire()
-        batch_size = self._batch_size()
+        batch_size = self._portal.batch_size
 
         def open_at(start_seq: int) -> Dict[str, Any]:
             opened = proxy.call(
@@ -553,7 +541,7 @@ class ChainExecutor:
 
     def _finish(
         self,
-        plan: ExecutionPlan,
+        plan: Optional[ExecutionPlan],
         decomposed: DecomposedQuery,
         tuples: List[PartialTuple],
         stats: List[Dict[str, Any]],

@@ -137,13 +137,12 @@ class ExecutionPlan:
     area: Optional[AreaLike]
     #: Portal-side execution profile: sorted ``(knob, value)`` pairs for
     #: every setting that changes observable result bytes without changing
-    #: the node queries — chain mode, stream wire format and batch size,
-    #: match engine. Folded into ``fingerprint()``
-    #: so a semantic cache never serves a result produced under a
-    #: different profile, but deliberately NOT serialized to the wire:
-    #: nodes derive these from the call surface (PerformXMatch
-    #: params), and keeping them off the plan struct preserves
-    #: the htm/zone wire-byte parity invariant.
+    #: the node queries — the batch size and each sharded archive's
+    #: layout. Folded into ``fingerprint()`` so a semantic cache never
+    #: serves a result produced under a different profile, but
+    #: deliberately NOT serialized to the wire: nodes get the batch size
+    #: from the call surface (PerformXMatch params), so the plan bytes
+    #: stay the same whatever the profile.
     profile: Tuple[Tuple[str, str], ...] = ()
     #: Set on a partition chain of a sharded query: the index of the
     #: shard stripe every step runs on. Its seed hop tags each tuple with

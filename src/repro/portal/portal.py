@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.portal.cache import SemanticCache, _ResultEntry
 from repro.portal.catalog import FederationCatalog, NodeRecord
 from repro.portal.decompose import DecomposedQuery, decompose
-from repro.portal.executor import ChainExecutor, FederatedResult
+from repro.portal.executor import WHOLE_RESULT, ChainExecutor, FederatedResult
 from repro.portal.planner import OrderingStrategy, Planner
 from repro.portal.registration import RegistrationService
 from repro.portal.skyquery_service import SkyQueryService
@@ -55,6 +55,10 @@ class Portal:
     archive's endpoint candidates before planning, and the chain finds a
     dead drop-out archive. Either way a lost archive yields a degraded
     result instead of an exception.
+
+    The Portal ships each SkyNode a plan and nothing else: every node runs
+    the one ``sp_xmatch``. Its one execution setting is ``batch_size``,
+    how many tuples the chain's streams carry a batch.
     """
 
     def __init__(
@@ -64,18 +68,14 @@ class Portal:
         parser_memory_limit: Optional[int] = None,
         parser_overhead_factor: float = 4.0,
         retry_policy: Optional[RetryPolicy] = None,
-        chain_mode: str = "store-forward",
-        stream_batch_size: int = 200,
-        match_engine: str = "zone",
+        batch_size: int = WHOLE_RESULT,
     ) -> None:
         self.hostname = hostname
-        #: The batch size of the chain's tuple streams: ``store-forward``
-        #: (the whole result is one batch, carried by the PerformXMatch
-        #: response) or ``pipelined`` (``stream_batch_size`` tuples a
-        #: batch, the batches pulled concurrently).
-        self.chain_mode = chain_mode
-        #: Tuples per batch when the chain is pipelined.
-        self.stream_batch_size = stream_batch_size
+        #: Tuples per batch of the chain's tuple streams. ``WHOLE_RESULT``
+        #: (the default) is the paper's store-and-forward chain: one batch,
+        #: carried by the PerformXMatch response. Anything smaller
+        #: pipelines it: the batches are pulled concurrently.
+        self.batch_size = batch_size
         #: Whether the attempts of one query share an execution id, so a
         #: retried/failed-over chain finds the streams it opened before
         #: and resumes at the first batch it lacks. Off, streams are
@@ -103,13 +103,6 @@ class Portal:
         self.network: Optional[SimulatedNetwork] = None
         self.queries_served = 0
         self.retry_policy = retry_policy
-        #: The node-side match engine this Portal assumes for its archives
-        #: (what build_federation configured every SkyNode with). It never
-        #: changes node queries or result rows, but like the chain mode
-        #: it is an execution setting a cached entry must not cross — so
-        #: it folds into every plan's ``profile`` and thereby its
-        #: fingerprint.
-        self.match_engine = match_engine
         #: Whether a deadline-dead chain is cancelled eagerly with a
         #: ``CancelQuery`` fan-down (the default) or left to the nodes'
         #: TTL reapers — the E22 comparison arm, not a recommended
@@ -145,11 +138,7 @@ class Portal:
         is content-based (no endpoint URLs), so shard-mirror failover
         stays fingerprint-neutral.
         """
-        knobs = {
-            "chain_mode": str(self.chain_mode),
-            "stream_batch_size": str(self.stream_batch_size),
-            "match_engine": str(self.match_engine),
-        }
+        knobs = {"batch_size": str(self.batch_size)}
         for archive in self.catalog.archives():
             record = self.catalog.node(archive)
             if record.shard_set is not None:
@@ -336,6 +325,7 @@ class Portal:
         decomposed = decompose(query, self.catalog)
         cache = self.cache
         exact_key = None
+        finish = None
         containment_key = None
         pins = tuple(sorted((pin_epochs or {}).items()))
         if cache is not None:
@@ -348,6 +338,7 @@ class Portal:
                 if tracer is not None:
                     tracer.annotate("cache", outcome="hit", kind="exact")
                 return served
+            finish = cache.finish_key(decomposed)
             containment_key = cache.containment_key(decomposed, profile)
             if not pins and query.limit is None:
                 # LIMIT without the containment path: the cut through a
@@ -393,7 +384,9 @@ class Portal:
                 # that cancel out): the fingerprint embeds the pinned
                 # epochs, so a hit skips the chain — the probes were
                 # already paid for.
-                served = cache.lookup_fingerprint(planned.plan.fingerprint(0))
+                served = cache.lookup_fingerprint(
+                    planned.plan.fingerprint(0), finish
+                )
                 if served is not None:
                     if tracer is not None:
                         tracer.annotate(
@@ -422,6 +415,7 @@ class Portal:
                     alias: sub.archive
                     for alias, sub in decomposed.subqueries.items()
                 },
+                finish=finish,
                 containment_key=containment_key,
                 area=decomposed.area if containment_key is not None else None,
             )

@@ -666,7 +666,6 @@ class CrossMatchService(WebService):
                         else None
                     ),
                     attr_columns=attr_columns,
-                    engine=self._node.match_engine,
                     epoch=me.epoch,
                 )
             finally:

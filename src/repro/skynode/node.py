@@ -44,15 +44,10 @@ class SkyNode:
         chunk_budget_bytes: Optional[int] = None,
         processing_seconds_per_row: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
-        match_engine: str = "zone",
     ) -> None:
         self.wrapper = ArchiveWrapper(db, info)
         self.info = info
         self.hostname = hostname or f"{info.archive.lower()}.skyquery.net"
-        #: Which spatial index narrows the cross-match search: ``zone``
-        #: (declination zones, the default) or ``htm`` (trixel covers, the
-        #: reference oracle). Byte-identical results and stats either way.
-        self.match_engine = match_engine
         if not db.has_procedure(PROCEDURE_NAME):
             register_xmatch_procedure(db)
         #: Parser for everything this node receives from its chain neighbour

@@ -17,11 +17,14 @@ costs (and cache warming) are observable.
 ``htm`` (trixel cover ranges, the reference oracle) or ``zone``
 (declination-zone sorted-merge windows).
 
-``sp_xmatch`` is always the set-at-a-time numpy body. The per-tuple /
-per-candidate Python loop it replaced stays here as
-:func:`sp_xmatch_reference` — the oracle that tests and the E16/E20
-experiments install over it through the engine's own seam,
-``db.register_procedure(PROCEDURE_NAME, sp_xmatch_reference)``.
+Every SkyNode runs the one procedure with its default, ``zone``; no
+node, Portal or federation setting picks another. ``sp_xmatch`` is always
+the set-at-a-time numpy body. The per-tuple / per-candidate Python loop
+it replaced stays here as :func:`sp_xmatch_reference` — the oracle that
+tests and the E16/E20 experiments install over it through the engine's
+own seam, ``db.register_procedure(PROCEDURE_NAME, sp_xmatch_reference)``.
+The HTM arm is installed the same way, as a body pinned by
+:func:`with_engine`.
 
 Both bodies and both engines are interchangeable by construction:
 whatever the index returns is only a superset hint — every body then keeps
@@ -103,7 +106,7 @@ class XMatchProcResult:
 
 def register_xmatch_procedure(db: Database) -> None:
     """Install ``sp_xmatch`` on an archive database."""
-    db.register_procedure(PROCEDURE_NAME, _sp_xmatch)
+    db.register_procedure(PROCEDURE_NAME, sp_xmatch)
 
 
 def _as_procedure(body):
@@ -410,9 +413,26 @@ def _sp_xmatch_vectorized(
 
 
 #: The production procedure body.
-_sp_xmatch = _as_procedure(_sp_xmatch_vectorized)
+sp_xmatch = _as_procedure(_sp_xmatch_vectorized)
 
 #: The scalar loop as an installable procedure — the testing oracle, never
 #: a production option: ``db.register_procedure(PROCEDURE_NAME,
 #: sp_xmatch_reference)`` swaps it in on one database.
 sp_xmatch_reference = _as_procedure(_sp_xmatch_scalar)
+
+
+def with_engine(procedure, engine: str):
+    """``procedure`` with its spatial index pinned to ``engine``, whatever
+    the caller passes. The HTM arm of a comparison is installed this way
+    on a built federation's databases::
+
+        db.drop_procedure(PROCEDURE_NAME)
+        db.register_procedure(
+            PROCEDURE_NAME, with_engine(sp_xmatch, MATCH_ENGINE_HTM)
+        )
+    """
+
+    def pinned(db: Database, **params) -> XMatchProcResult:
+        return procedure(db, **{**params, "engine": engine})
+
+    return pinned

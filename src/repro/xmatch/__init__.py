@@ -12,7 +12,6 @@ network-cost reasons.
 
 from repro.xmatch.chi2 import Accumulator
 from repro.xmatch.tuples import LocalObject, PartialTuple
-from repro.xmatch.kdtree import KDTreeSearch, kdtree_search
 from repro.xmatch.kernel import (
     ColumnarObjects,
     batch_dropout_step,
@@ -35,8 +34,6 @@ __all__ = [
     "CandidateSearch",
     "ColumnarObjects",
     "ENGINES",
-    "KDTreeSearch",
-    "kdtree_search",
     "batch_dropout_step",
     "batch_match_step",
     "dropout_step",

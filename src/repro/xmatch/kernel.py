@@ -15,7 +15,7 @@ reference in :mod:`repro.xmatch.chi2` / :mod:`repro.xmatch.stream`
 carry bitwise-identical accumulators — the scalar path stays available
 everywhere as the testing oracle, and the wire traffic does not change.
 
-Only numpy is required; the scipy k-d-tree matcher is an optional extra.
+Only numpy is required.
 """
 
 from __future__ import annotations

@@ -23,9 +23,8 @@ from repro.xmatch.tuples import LocalObject, PartialTuple
 #: Engines :func:`run_chain` can match with. ``vectorized`` (the default)
 #: is the numpy broadcast batch kernel and needs only numpy; ``zone`` is
 #: the declination-zone sorted-merge batch kernel (also numpy-only);
-#: ``scalar`` is the per-tuple brute-force reference; ``kdtree`` is the
-#: per-tuple scipy cKDTree search (optional ``[kdtree]`` extra).
-ENGINES = ("vectorized", "zone", "scalar", "kdtree")
+#: ``scalar`` is the per-tuple brute-force reference.
+ENGINES = ("vectorized", "zone", "scalar")
 
 
 class CandidateSearch(Protocol):
@@ -130,11 +129,10 @@ def run_chain(
     Used as the oracle the distributed implementation is checked against
     and as the pull-to-portal baseline's matcher. ``engine`` selects the
     matcher: the numpy broadcast batch kernel (``vectorized``, the
-    default — no scipy required), the declination-zone sorted-merge batch
-    kernel (``zone``, also numpy-only), the per-tuple brute-force scan
-    (``scalar``, the reference oracle), or the per-tuple scipy cKDTree
-    search (``kdtree``, the optional extra). All four return identical
-    match sets; the tests verify it.
+    default), the declination-zone sorted-merge batch
+    kernel (``zone``, also numpy-only), or the per-tuple brute-force scan
+    (``scalar``, the reference oracle). All three return identical match
+    sets; the tests verify it.
 
     ``batch_size`` mirrors the pipelined wire protocol in memory: the seed
     tuples are partitioned into batches and the rest of the chain runs per
@@ -202,12 +200,7 @@ def _chain_rest(
                     tuples, alias, zoned, sigma_rad, threshold
                 )
             continue
-        if engine == "kdtree":
-            from repro.xmatch.kdtree import kdtree_search
-
-            search = kdtree_search(objects)
-        else:
-            search = in_memory_search(objects)
+        search = in_memory_search(objects)
         if is_dropout:
             tuples = dropout_step(tuples, search, sigma_rad, threshold)
         else:

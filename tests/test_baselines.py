@@ -64,3 +64,21 @@ def test_pull_ships_more_for_unselective_queries(small_federation):
 def test_pull_respects_limit(small_federation):
     pull = PullMediator(small_federation.portal).execute(PAPER_SQL + " LIMIT 2")
     assert len(pull.rows) == 2
+
+
+def test_pull_applies_distinct(small_federation):
+    sql = PAPER_SQL.replace(
+        "SELECT O.object_id, O.ra, T.obj_id", "SELECT DISTINCT O.type"
+    ).replace(" AND O.type = GALAXY", "")
+    chain = small_federation.client().submit(sql)
+    pull = PullMediator(small_federation.portal).execute(sql)
+    assert len(set(chain.rows)) == len(chain.rows) > 1
+    assert sorted(pull.rows) == sorted(chain.rows)
+
+
+def test_pull_applies_order_by(small_federation):
+    sql = PAPER_SQL + " ORDER BY O.ra DESC"
+    chain = small_federation.client().submit(sql)
+    pull = PullMediator(small_federation.portal).execute(sql)
+    assert len(chain.rows) > 1
+    assert pull.rows == chain.rows

@@ -4,16 +4,13 @@ The original default matcher imported scipy unconditionally, so a bare
 ``pip install`` produced a package whose quickstart crashed. These tests
 block scipy (``sys.modules["scipy"] = None`` makes any import raise
 ImportError) and run the full federation quickstart end-to-end to pin the
-fix: the default vectorized kernel needs only numpy, and the k-d-tree
-extra fails with an actionable message instead of a bare ImportError.
+fix: every matcher needs only numpy.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,36 +64,11 @@ def test_chain_and_pull_baseline_run_without_scipy():
     assert proc.stdout.startswith("rows ")
 
 
-def test_kdtree_engine_fails_with_actionable_error_without_scipy():
-    proc = run_blocked(
-        "from repro.xmatch.kdtree import kdtree_search\n"
-        "try:\n"
-        "    kdtree_search([])\n"
-        "except ImportError as exc:\n"
-        "    print('MSG:', exc)\n"
-        "else:\n"
-        "    raise SystemExit('expected ImportError')\n"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "skyquery-repro[kdtree]" in proc.stdout
-    assert "pip install" in proc.stdout
-
-
 def test_importing_xmatch_package_needs_no_scipy():
     proc = run_blocked(
         "import repro.xmatch\n"
-        "import repro.xmatch.kdtree\n"
         "from repro.xmatch import batch_match_step, ColumnarObjects\n"
         "print('ok')\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
-
-
-def test_kdtree_error_message_in_process(monkeypatch):
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    monkeypatch.setitem(sys.modules, "scipy.spatial", None)
-    from repro.xmatch.kdtree import KDTreeSearch
-
-    with pytest.raises(ImportError, match=r"skyquery-repro\[kdtree\]"):
-        KDTreeSearch([])

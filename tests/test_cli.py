@@ -140,10 +140,9 @@ def test_query_explain(capsys):
 
 
 def test_bad_enumerated_flags_rejected_with_choices(capsys):
-    """argparse rejects unsupported engine/mode values up front,
+    """argparse rejects unsupported mode values up front,
     naming the legal choices instead of failing deep inside a query."""
     for flag, bad in [
-        ("--match-engine", "quadtree"),
         ("--chain-mode", "broadcast"),
     ]:
         with pytest.raises(SystemExit) as excinfo:
@@ -152,25 +151,6 @@ def test_bad_enumerated_flags_rejected_with_choices(capsys):
         err = capsys.readouterr().err
         assert "invalid choice" in err
         assert bad in err
-
-
-def test_query_zone_engine_output_identical_to_htm(capsys):
-    """The full CLI query path prints byte-identical rows and stats under
-    either match engine — and under no flag at all (the zone default)."""
-    outputs = {}
-    for engine in ("htm", "zone", None):
-        code = main([
-            "query",
-            "SELECT O.object_id, T.obj_id FROM SDSS:Photo_Object O, "
-            "TWOMASS:Photo_Primary T "
-            "WHERE AREA(185.0, -0.5, 600.0) AND XMATCH(O, T) < 3.5",
-            "--bodies", "300", "--stats",
-            *(["--match-engine", engine] if engine else []),
-        ])
-        assert code == 0
-        outputs[engine] = capsys.readouterr().out
-    assert outputs["zone"] == outputs["htm"] == outputs[None]
-    assert "crossmatch-chain" in outputs["zone"]
 
 
 def test_serve_multi_client_driver(capsys):

@@ -1,9 +1,9 @@
 """Property-based tests: deadlines and cancellation leave no trace.
 
 The contract, stated as a property: for ANY deadline placed anywhere in a
-query's lifetime, across both chain modes and both match engines, the
-outcome is one of exactly two shapes — a complete answer byte-identical
-to an unbudgeted oracle twin, or a degraded empty answer carrying a
+query's lifetime, across both chain modes, the outcome is one of exactly
+two shapes — a complete answer byte-identical to an unbudgeted oracle
+twin, or a degraded empty answer carrying a
 "deadline exceeded" warning — and in the degraded case the federation
 holds ZERO residual state for the cancelled query (no streams, no
 chunked transfers, on primaries or replicas), and a
@@ -37,15 +37,10 @@ SQL = (
     "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, P) < 3.5"
 )
 
-COMBOS = [
-    ("store-forward", "htm"),
-    ("store-forward", "zone"),
-    ("pipelined", "htm"),
-    ("pipelined", "zone"),
-]
+CHAIN_MODES = ["store-forward", "pipelined"]
 
 
-def _build(chain_mode, match_engine):
+def _build(chain_mode):
     config = FederationConfig(
         n_bodies=N_BODIES,
         seed=37 + CHAOS_SEED,
@@ -54,7 +49,6 @@ def _build(chain_mode, match_engine):
         chunk_budget_bytes=1024,
         replicas=1,
     )
-    config.match_engine = match_engine
     federation = build_federation(config)
     # A bounded pull window makes pipelined chains re-check the budget at
     # every batch wave instead of only at stream open.
@@ -81,29 +75,27 @@ def _residuals(federation, qid):
 _oracles = {}
 
 
-def _oracle(chain_mode, match_engine):
-    """One oracle run per combo: the full answer and its wall duration."""
-    key = (chain_mode, match_engine)
-    if key not in _oracles:
-        federation = _build(chain_mode, match_engine)
+def _oracle(chain_mode):
+    """One oracle run per chain mode: the full answer and its wall
+    duration."""
+    if chain_mode not in _oracles:
+        federation = _build(chain_mode)
         t0 = federation.network.clock.now
         result = federation.portal.submit(SQL)
-        _oracles[key] = (result, federation.network.clock.now - t0)
-    return _oracles[key]
+        _oracles[chain_mode] = (result, federation.network.clock.now - t0)
+    return _oracles[chain_mode]
 
 
-@pytest.mark.parametrize("chain_mode,match_engine", COMBOS)
+@pytest.mark.parametrize("chain_mode", CHAIN_MODES)
 @given(fraction=st.floats(min_value=0.0, max_value=1.5))
 @settings(
     max_examples=4,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_deadline_leaves_zero_residual_state(
-    chain_mode, match_engine, fraction
-):
-    oracle_result, duration = _oracle(chain_mode, match_engine)
-    federation = _build(chain_mode, match_engine)
+def test_deadline_leaves_zero_residual_state(chain_mode, fraction):
+    oracle_result, duration = _oracle(chain_mode)
+    federation = _build(chain_mode)
     portal = federation.portal
     qid = f"{portal.hostname}-q{portal.queries_served + 1}"
     deadline = federation.network.clock.now + fraction * duration
@@ -133,10 +125,10 @@ def test_deadline_leaves_zero_residual_state(
     assert not follow_up.degraded and not follow_up.warnings
 
 
-@pytest.mark.parametrize("chain_mode,match_engine", COMBOS)
-def test_generous_deadline_identical_to_oracle(chain_mode, match_engine):
-    oracle_result, _ = _oracle(chain_mode, match_engine)
-    federation = _build(chain_mode, match_engine)
+@pytest.mark.parametrize("chain_mode", CHAIN_MODES)
+def test_generous_deadline_identical_to_oracle(chain_mode):
+    oracle_result, _ = _oracle(chain_mode)
+    federation = _build(chain_mode)
     result = federation.portal.submit(
         SQL, deadline_s=federation.network.clock.now + 1e9
     )

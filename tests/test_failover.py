@@ -395,7 +395,7 @@ class TestStreamResume:
         """Bounded pull waves change pacing, never the answer."""
         rows, columns, _, _ = _oracle("pipelined")
         fed = _build(chain_mode="pipelined")
-        fed.portal.stream_batch_size = 8
+        fed.portal.batch_size = 8
         fed.portal.stream_pull_window = window
         result = fed.client().submit(XMATCH_SQL)
         assert tuple(result.rows) == rows

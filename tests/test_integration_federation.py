@@ -241,22 +241,29 @@ def test_unsupported_config_knobs_rejected():
 
 
 def test_match_engine_defaults_to_zone(monkeypatch):
-    """Zone is the production engine at every layer that has a default,
-    and no environment variable can say otherwise."""
+    """Zone is the one federation engine, and no environment variable can
+    say otherwise: HTM is only an argument of the stored procedure, so
+    ``FederationConfig(match_engine="htm")`` is refused at build time and
+    the refusal names the procedure seam."""
     import inspect
 
-    from repro.federation.builder import FederationConfig
+    from repro.errors import ConfigurationError
+    from repro.federation.builder import FederationConfig, build_federation
     from repro.portal.portal import Portal
     from repro.skynode.node import SkyNode
-    from repro.skynode.xmatch_proc import sp_xmatch_reference
+    from repro.skynode.xmatch_proc import PROCEDURE_NAME, sp_xmatch
 
     monkeypatch.setenv("SKYQUERY_MATCH_ENGINE", "htm")
     assert FederationConfig().match_engine == "zone"
-    assert Portal().match_engine == "zone"
-    for function, parameter in (
-        (SkyNode.__init__, "match_engine"),
-        (sp_xmatch_reference, "engine"),  # the sp_xmatch call surface
-    ):
-        signature = inspect.signature(function)
-        assert signature.parameters[parameter].default == "zone"
-    assert FederationConfig(match_engine="htm").match_engine == "htm"
+    assert inspect.signature(sp_xmatch).parameters["engine"].default == "zone"
+    for cls in (Portal, SkyNode):
+        assert "match_engine" not in inspect.signature(cls).parameters
+    with pytest.raises(ConfigurationError, match=PROCEDURE_NAME):
+        build_federation(FederationConfig(n_bodies=10, match_engine="htm"))
+    fed = build_federation(
+        FederationConfig(
+            n_bodies=10, match_engine="zone", chain_mode="pipelined",
+            shard_key="zone",
+        )
+    )
+    assert fed.portal.batch_size == fed.config.stream_batch_size

@@ -262,7 +262,7 @@ def test_chunked_batches_do_not_evict_other_queries_checkpoints(reopen_hop):
     plan = portal.explain(wide)["plan"]
     portal.submit(wide)
     earlier = f"{portal.hostname}-x1"
-    portal.chain_mode, portal.stream_batch_size = "pipelined", 5
+    portal.batch_size = 5
     head = fed.nodes[plan["steps"][0]["archive"]]
     sender, responses = head.crossmatch.sender, []
     respond = sender.respond

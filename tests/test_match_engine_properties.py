@@ -2,13 +2,14 @@
 
 The tentpole contract, stated as a property: for ANY random federation
 (body count, seed, survey sigmas) and EITHER chain mode, running the same
-cross-match query on a zone-indexed federation and an HTM-indexed one
-yields identical rows, identical per-node scan statistics, and identical
-wire traffic byte-for-byte. The engines may examine their candidate
-supersets through different index structures, but nothing observable —
-result set, stats on the wire, message sizes — may differ. Chaos seeds
-(``SKYQUERY_CHAOS_SEED``) vary the simulated retry timings like the other
-property suites.
+cross-match query on a federation as built (zone) and on its HTM twin —
+the same federation with ``sp_xmatch`` pinned to HTM on every archive,
+installed through the procedure seam — yields identical rows, identical
+per-node scan statistics, and identical wire traffic byte-for-byte. The
+engines may examine their candidate supersets through different index
+structures, but nothing observable — result set, stats on the wire,
+message sizes — may differ. Chaos seeds (``SKYQUERY_CHAOS_SEED``) vary the
+simulated retry timings like the other property suites.
 """
 
 import os
@@ -18,6 +19,12 @@ from hypothesis import strategies as st
 
 from repro.federation.builder import FederationConfig, build_federation
 from repro.services.retry import RetryPolicy
+from repro.skynode.xmatch_proc import (
+    MATCH_ENGINE_HTM,
+    PROCEDURE_NAME,
+    sp_xmatch,
+    with_engine,
+)
 from repro.workloads.skysim import SkyField
 
 CHAOS_SEED = int(os.environ.get("SKYQUERY_CHAOS_SEED", "0"))
@@ -37,7 +44,7 @@ DROPOUT_SQL = (
 
 
 def _build(match_engine, chain_mode, n_bodies, seed):
-    return build_federation(
+    fed = build_federation(
         FederationConfig(
             n_bodies=n_bodies,
             seed=seed,
@@ -47,9 +54,15 @@ def _build(match_engine, chain_mode, n_bodies, seed):
                 max_backoff_s=2.0, seed=seed + CHAOS_SEED,
             ),
             chain_mode=chain_mode,
-            match_engine=match_engine,
         )
     )
+    if match_engine == MATCH_ENGINE_HTM:
+        for node in fed.nodes.values():
+            node.db.drop_procedure(PROCEDURE_NAME)
+            node.db.register_procedure(
+                PROCEDURE_NAME, with_engine(sp_xmatch, MATCH_ENGINE_HTM)
+            )
+    return fed
 
 
 def _observe(match_engine, chain_mode, n_bodies, seed, sql):
@@ -144,7 +157,7 @@ def test_sp_xmatch_buffer_state_matches_reference(
     from repro.db.types import ColumnType
     from repro.skynode.xmatch_proc import (
         PROCEDURE_NAME,
-        _sp_xmatch,
+        sp_xmatch,
         sp_xmatch_reference,
     )
     from repro.sphere.coords import radec_to_vector, vector_to_radec
@@ -175,7 +188,7 @@ def test_sp_xmatch_buffer_state_matches_reference(
     )
     for engine in ("htm", "zone"):
         observed = []
-        for body in (_sp_xmatch, sp_xmatch_reference):
+        for body in (sp_xmatch, sp_xmatch_reference):
             db = _match_database(body, rows, pool_pages)
             assert pool_pages < db.table("objects").page_count
             temp = db.create_temp_table(
@@ -197,3 +210,22 @@ def test_sp_xmatch_buffer_state_matches_reference(
             ))
         assert observed[0] == observed[1], engine
         assert observed[0][1].matches_found or with_area or with_residual
+
+
+def test_htm_twin_probes_trixels_and_the_built_federation_zones(monkeypatch):
+    """The twin really is HTM: its procedure probes the trixel index,
+    while the federation as built never does."""
+    from repro.skynode import xmatch_proc
+
+    probes = []
+    real_probe = xmatch_proc.batch_spatial_probe
+
+    def counting_probe(*args, **kwargs):
+        probes.append(1)
+        return real_probe(*args, **kwargs)
+
+    monkeypatch.setattr(xmatch_proc, "batch_spatial_probe", counting_probe)
+    _observe("zone", "store-forward", 80, 5, XMATCH_SQL)
+    assert not probes
+    _observe(MATCH_ENGINE_HTM, "store-forward", 80, 5, XMATCH_SQL)
+    assert probes

@@ -108,15 +108,13 @@ def test_all_dropout_rejected():
 # -- fingerprint coverage: every byte-changing knob, nothing else ---------------
 
 BASE_PROFILE = (
-    ("chain_mode", "store-forward"),
-    ("match_engine", "zone"),
-    ("stream_batch_size", "200"),
+    ("batch_size", "2147483647"),
+    ("shard_layout:SDSS", "layout-a"),
 )
 
 PROFILE_FLIPS = {
-    "chain_mode": "pipelined",
-    "match_engine": "htm",
-    "stream_batch_size": "64",
+    "batch_size": "64",
+    "shard_layout:SDSS": "layout-b",
 }
 
 
@@ -178,7 +176,7 @@ def test_fingerprint_ignores_placement_and_estimates():
 
 def test_profile_stays_off_the_wire():
     """The profile keys the cache but never serializes: node-side plan
-    bytes stay identical across engines (the htm/zone parity invariant)."""
+    bytes stay identical whatever the batch size or shard layout."""
     plain = make_plan()
     profiled = make_profiled_plan()
     assert profiled.to_wire() == plain.to_wire()

@@ -1,8 +1,8 @@
 """Property-based tests: scheduling + caching never change any answer.
 
 The contract, stated as a property: for ANY interleaving of concurrent
-query batches and ingest commits, across both chain modes and both match
-engines, every result the scheduled + cached portal returns is identical
+query batches and ingest commits, across both chain modes, every result
+the scheduled + cached portal returns is identical
 to the same query run alone on an uncached twin federation — same rows,
 same warnings, same counts, same pinned epochs, same node statistics.
 (``physical_reads`` is excluded: page residency is history the semantic
@@ -37,7 +37,7 @@ SQL = (
 )
 
 
-def _build(chain_mode, match_engine, *, scheduled):
+def _build(chain_mode, *, scheduled):
     config = FederationConfig(
         n_bodies=N_BODIES,
         seed=23 + CHAOS_SEED,
@@ -48,7 +48,6 @@ def _build(chain_mode, match_engine, *, scheduled):
         scheduler=SchedulerConfig(max_inflight=3) if scheduled else None,
         cache=scheduled,
     )
-    config.match_engine = match_engine
     return build_federation(config)
 
 
@@ -119,26 +118,16 @@ ops_strategy = st.lists(
 )
 
 
-@pytest.mark.parametrize(
-    "chain_mode,match_engine",
-    [
-        ("store-forward", "htm"),
-        ("store-forward", "zone"),
-        ("pipelined", "htm"),
-        ("pipelined", "zone"),
-    ],
-)
+@pytest.mark.parametrize("chain_mode", ["store-forward", "pipelined"])
 @given(ops=ops_strategy)
 @settings(
     max_examples=4,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_scheduled_cached_results_identical_to_solo(
-    chain_mode, match_engine, ops
-):
-    scheduled = _build(chain_mode, match_engine, scheduled=True)
-    solo_fed = _build(chain_mode, match_engine, scheduled=False)
+def test_scheduled_cached_results_identical_to_solo(chain_mode, ops):
+    scheduled = _build(chain_mode, scheduled=True)
+    solo_fed = _build(chain_mode, scheduled=False)
     first_answer = None
     for op_index, op in enumerate(ops):
         if op[0] == "ingest":
@@ -183,8 +172,8 @@ def test_scheduled_cached_results_identical_to_solo(
 def test_containment_multiset_equals_fresh_execution(radii):
     big = max(radii)
     small = min(radii)
-    cached = _build("store-forward", "htm", scheduled=True)
-    plain = _build("store-forward", "htm", scheduled=False)
+    cached = _build("store-forward", scheduled=True)
+    plain = _build("store-forward", scheduled=False)
     cached.portal.submit(SQL.format(radius=big))
     served = cached.portal.submit(SQL.format(radius=small))
     fresh = plain.portal.submit(SQL.format(radius=small))

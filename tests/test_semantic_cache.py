@@ -224,18 +224,86 @@ def test_degraded_results_never_cached():
         columns=["a"], rows=[(1,)], degraded=True, warnings=["lost FIRST"]
     )
     key = SemanticCache.exact_key("sql", "count_desc", 0, (), ())
-    cache.store_result(key, degraded, archives_by_alias={})
+    cache.store_result(key, degraded, archives_by_alias={}, finish="")
     assert cache.stats.stores == 0
     assert cache.lookup_exact(key) is None
 
 
 def test_profile_knobs_produce_disjoint_plans():
     base = fresh_federation(n_bodies=SMALL)
-    htm = fresh_federation(n_bodies=SMALL, match_engine="htm")
     piped = fresh_federation(n_bodies=SMALL, chain_mode="pipelined")
     sql = XMATCH_2.format(radius=900.0)
     prints = {
-        fed.portal.submit(sql).plan.fingerprint(0)
-        for fed in (base, htm, piped)
+        fed.portal.submit(sql).plan.fingerprint(0) for fed in (base, piped)
     }
-    assert len(prints) == 3
+    assert len(prints) == 2
+
+
+# -- fingerprint hits: same chain AND same Portal-side finish ----------------
+
+#: A drop-out archive keeps the containment path out of the way, so a
+#: second query's only cache route is the plan fingerprint.
+DROPOUT_3 = (
+    "SELECT O.object_id, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, "
+    "FIRST:Primary_Object P "
+    "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, !P) < 3.5"
+)
+
+
+def _uncached(fed, sql):
+    """The answer a fresh run gives: the same federation, cache off."""
+    cache, fed.portal.cache = fed.portal.cache, None
+    try:
+        return fed.portal.submit(sql)
+    finally:
+        fed.portal.cache = cache
+
+
+def _assert_fresh(fed, served, sql):
+    fresh = _uncached(fed, sql)
+    assert served.columns == fresh.columns
+    assert served.rows == fresh.rows
+
+
+def test_fingerprint_hit_never_serves_another_limit():
+    fed = _fed(n_bodies=600, seed=3)
+    assert len(fed.portal.submit(DROPOUT_3 + " LIMIT 2").rows) == 2
+    full = fed.portal.submit(DROPOUT_3)
+    assert full.cache is None
+    assert len(full.rows) > 2
+    _assert_fresh(fed, full, DROPOUT_3)
+
+
+def test_fingerprint_hit_never_serves_another_select_list():
+    fed = _fed(n_bodies=600, seed=3)
+    fed.portal.submit(DROPOUT_3)
+    swapped = DROPOUT_3.replace(
+        "SELECT O.object_id, T.obj_id", "SELECT T.obj_id, O.object_id"
+    )
+    served = fed.portal.submit(swapped)
+    assert served.columns == ["T.obj_id", "O.object_id"]
+    _assert_fresh(fed, served, swapped)
+
+
+def test_fingerprint_hit_never_skips_a_cross_archive_conjunct():
+    fed = _fed(n_bodies=600, seed=3)
+    fed.portal.submit(DROPOUT_3)
+    crossed = DROPOUT_3 + " AND O.object_id > T.obj_id"
+    served = fed.portal.submit(crossed)
+    assert served.cache is None
+    _assert_fresh(fed, served, crossed)
+
+
+def test_fingerprint_hit_serves_the_same_finish():
+    """Different query text, same chain, same finish: a fingerprint hit
+    with exactly the fresh rows."""
+    fed = _fed(n_bodies=600, seed=3)
+    fed.portal.submit(DROPOUT_3)
+    reordered = DROPOUT_3.replace(
+        "AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, !P) < 3.5",
+        "XMATCH(O, T, !P) < 3.5 AND AREA(185.0, -0.5, 900.0)",
+    )
+    served = fed.portal.submit(reordered)
+    assert served.cache == "fingerprint"
+    _assert_fresh(fed, served, reordered)

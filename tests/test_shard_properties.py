@@ -1,8 +1,8 @@
 """Property-based tests: sharded federations are byte-identical twins.
 
 The contract, stated as a property: for ANY random federation (body
-count, seed), ANY shard count in {1, 2, 4, 7}, EITHER chain mode, and
-EITHER match engine, a sharded federation — one chain per shard stripe,
+count, seed), ANY shard count in {1, 2, 4, 7}, and EITHER chain mode, a
+sharded federation — one chain per shard stripe,
 merged at the Portal — answers every query with *exactly* the bytes its
 monolithic twin produces: same rows in the same order, same columns,
 same warnings, same degraded flag, same per-archive epochs and counts,
@@ -55,8 +55,7 @@ COUNT_SQL = (
 )
 
 
-def _build(n_bodies, seed, *, shards=0, chain_mode="store-forward",
-           match_engine="htm"):
+def _build(n_bodies, seed, *, shards=0, chain_mode="store-forward"):
     return build_federation(
         FederationConfig(
             n_bodies=n_bodies,
@@ -68,7 +67,6 @@ def _build(n_bodies, seed, *, shards=0, chain_mode="store-forward",
             ),
             shards=shards,
             chain_mode=chain_mode,
-            match_engine=match_engine,
         )
     )
 
@@ -143,16 +141,12 @@ class TestShardOracle:
     @given(
         shards=st.sampled_from([2, 4, 7]),
         chain_mode=st.sampled_from(["store-forward", "pipelined"]),
-        match_engine=st.sampled_from(["htm", "zone"]),
         seed=st.integers(0, 10_000),
     )
-    def test_chain_mode_and_engine_composition(self, shards, chain_mode,
-                                               match_engine, seed):
-        mono = _observe(150, seed, XMATCH_SQL, chain_mode=chain_mode,
-                        match_engine=match_engine)
+    def test_chain_mode_composition(self, shards, chain_mode, seed):
+        mono = _observe(150, seed, XMATCH_SQL, chain_mode=chain_mode)
         sharded = _observe(150, seed, XMATCH_SQL, shards=shards,
-                           chain_mode=chain_mode,
-                           match_engine=match_engine)
+                           chain_mode=chain_mode)
         assert sharded == mono
 
     @settings(max_examples=6, deadline=None,

@@ -102,7 +102,7 @@ def test_every_batch_size_equals_the_in_memory_reference(
     """Not merely "the modes agree": each batch size's tuple accounting is
     the reference chain's."""
     fed = make_fed(n_bodies=300, chain_mode="pipelined")
-    fed.portal.stream_batch_size = batch_size
+    fed.portal.batch_size = batch_size
     result, _ = submit(fed, sql)
     matched, per_hop = reference_counts[sql]
     assert result.matched_tuples == matched
