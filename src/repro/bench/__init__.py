@@ -1,98 +1,9 @@
-"""The experiment harness behind ``benchmarks/``.
+"""The experiment harness behind EXPERIMENTS.md.
 
-Each ``run_eN`` function reproduces one figure or quantitative claim of the
-paper (see DESIGN.md's experiment table) and returns an
-:class:`~repro.bench.reporting.ExperimentReport` whose rows are what the
-benchmark files print and EXPERIMENTS.md records.
+Each module of :mod:`repro.bench.experiments` reproduces one figure or
+quantitative claim of the paper (see DESIGN.md's experiment table) and
+declares it once, as an entry of :mod:`repro.bench.registry`; its run
+function returns an :class:`~repro.bench.reporting.ExperimentReport`
+whose rows are what ``python -m repro experiments`` prints and
+EXPERIMENTS.md records.
 """
-
-from repro.bench.reporting import ExperimentReport
-from repro.bench.scenarios import (
-    PAPER_QUERY,
-    PAPER_QUERY_DROPOUT,
-    build_figure2_federation,
-    standard_federation,
-)
-from repro.bench.experiments import (
-    run_e1_architecture,
-    run_e2_xmatch_semantics,
-    run_e3_execution_flow,
-    run_e4_countstar_ordering,
-    run_e5_chain_vs_pull,
-    run_e6_chunking,
-    run_e7_soap_overhead,
-    run_e8_htm_rangesearch,
-    run_e9_cache_warming,
-    run_e10_symmetry_accuracy,
-    run_e11_scalability,
-    run_e11_sharded,
-    run_e12_radius_ablation,
-    run_e13_async_dispatch,
-    run_e14_byte_ordering,
-    run_e15_fault_recovery,
-    run_e16_kernel_speedup,
-    run_e17_pipelined_chain,
-    run_e18_failover_recovery,
-    run_e19_ingest_under_load,
-    run_e20_zone_engine,
-    run_e21_scheduler_cache,
-    run_e22_deadline_cancellation,
-)
-
-ALL_EXPERIMENTS = (
-    run_e1_architecture,
-    run_e2_xmatch_semantics,
-    run_e3_execution_flow,
-    run_e4_countstar_ordering,
-    run_e5_chain_vs_pull,
-    run_e6_chunking,
-    run_e7_soap_overhead,
-    run_e8_htm_rangesearch,
-    run_e9_cache_warming,
-    run_e10_symmetry_accuracy,
-    run_e11_scalability,
-    run_e11_sharded,
-    run_e12_radius_ablation,
-    run_e13_async_dispatch,
-    run_e14_byte_ordering,
-    run_e15_fault_recovery,
-    run_e16_kernel_speedup,
-    run_e17_pipelined_chain,
-    run_e18_failover_recovery,
-    run_e19_ingest_under_load,
-    run_e20_zone_engine,
-    run_e21_scheduler_cache,
-    run_e22_deadline_cancellation,
-)
-
-__all__ = [
-    "ExperimentReport",
-    "PAPER_QUERY",
-    "PAPER_QUERY_DROPOUT",
-    "build_figure2_federation",
-    "standard_federation",
-    "ALL_EXPERIMENTS",
-    "run_e1_architecture",
-    "run_e2_xmatch_semantics",
-    "run_e3_execution_flow",
-    "run_e4_countstar_ordering",
-    "run_e5_chain_vs_pull",
-    "run_e6_chunking",
-    "run_e7_soap_overhead",
-    "run_e8_htm_rangesearch",
-    "run_e9_cache_warming",
-    "run_e10_symmetry_accuracy",
-    "run_e11_scalability",
-    "run_e11_sharded",
-    "run_e12_radius_ablation",
-    "run_e13_async_dispatch",
-    "run_e14_byte_ordering",
-    "run_e15_fault_recovery",
-    "run_e16_kernel_speedup",
-    "run_e17_pipelined_chain",
-    "run_e18_failover_recovery",
-    "run_e19_ingest_under_load",
-    "run_e20_zone_engine",
-    "run_e21_scheduler_cache",
-    "run_e22_deadline_cancellation",
-]

@@ -1,9 +1,11 @@
-"""Experiment report objects and their text/markdown rendering."""
+"""Experiment report objects, their text/markdown rendering, and the
+best-of-N wall timer the wall-clock columns share."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.client.formatting import format_table
 
@@ -55,3 +57,14 @@ def _md_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
+
+
+def best_of(fn: Callable[[], Any], repeats: int) -> Tuple[Any, float]:
+    """``fn()``'s value and its best wall seconds over ``repeats`` calls."""
+    best = float("inf")
+    value = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - started)
+    return value, best

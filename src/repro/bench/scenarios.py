@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,7 @@ from repro.sphere.random import perturb_gaussian
 from repro.sphere.vector import Vec3
 from repro.transport.network import SimulatedNetwork
 from repro.units import arcsec_to_rad
-from repro.workloads.skysim import SkyField
+from repro.workloads.skysim import SkyField, SurveySpec
 
 #: The sample query of Section 5.2, adapted to the reproduction's schemas.
 PAPER_QUERY = """
@@ -79,20 +78,6 @@ def zipf_workload(
         {"sql": pool[pick], "tenant": tenants[i % len(tenants)]}
         for i, pick in enumerate(picks)
     ]
-
-
-@functools.lru_cache(maxsize=4)
-def standard_federation(
-    n_bodies: int = 1500, radius_arcsec: float = 1800.0, seed: int = 1234
-) -> Federation:
-    """A cached default three-survey federation (benchmarks share it)."""
-    return build_federation(
-        FederationConfig(
-            n_bodies=n_bodies,
-            seed=seed,
-            sky_field=SkyField(185.0, -0.5, radius_arcsec),
-        )
-    )
 
 
 def build_figure2_federation() -> Tuple[Federation, Dict[str, Dict[str, int]]]:
@@ -221,3 +206,50 @@ def fresh_federation(
         scheduler=scheduler,
         cache=cache,
     ))
+
+
+def survey_chain_federation(n_nodes: int, n_bodies: int, procedure=None, **config):
+    """The scalability scenario of E11 and its descendants (E16, E17, E20):
+    ``n_nodes`` single-band archives of growing positional error over one
+    field; ``config`` overrides any other FederationConfig field.
+
+    A ``procedure`` (the scalar oracle, or a body pinned to the HTM
+    engine) replaces ``sp_xmatch`` on every archive through the engine's
+    own seam — comparison arms, not federation options."""
+    from repro.skynode.xmatch_proc import PROCEDURE_NAME
+
+    surveys = [
+        SurveySpec(
+            archive=f"SURV{i}",
+            sigma_arcsec=0.1 + 0.2 * i,
+            detection_rate=0.9,
+            primary_table="objects",
+            bands=("i",),
+            has_type=False,
+        )
+        for i in range(n_nodes)
+    ]
+    fed = build_federation(
+        FederationConfig(
+            surveys=surveys,
+            n_bodies=n_bodies,
+            seed=99,
+            sky_field=SkyField(185.0, -0.5, 1800.0),
+            **config,
+        )
+    )
+    if procedure is not None:
+        for node in fed.nodes.values():
+            node.db.drop_procedure(PROCEDURE_NAME)
+            node.db.register_procedure(PROCEDURE_NAME, procedure)
+    return fed
+
+
+def survey_chain_query(n_nodes: int) -> str:
+    """The cross-match of every archive of :func:`survey_chain_federation`."""
+    froms = ", ".join(f"SURV{i}:objects S{i}" for i in range(n_nodes))
+    aliases = ", ".join(f"S{i}" for i in range(n_nodes))
+    return (
+        f"SELECT S0.object_id FROM {froms} "
+        f"WHERE AREA(185.0, -0.5, 900.0) AND XMATCH({aliases}) < 3.5"
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro import __version__
@@ -162,10 +163,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "--ids", default="",
-        help="comma-separated experiment ids (e.g. E1,E4); default: all",
+        help="comma-separated registry ids (e.g. E1,E11-sharded); "
+             "default: all. SKYQUERY_BENCH_QUICK=1 runs each at its quick "
+             "size",
     )
     experiments.add_argument(
-        "--out", default="", help="also write a markdown report to this file"
+        "--out", default="",
+        help="also write the report (EXPERIMENTS.md's form) to this file",
     )
     return parser
 
@@ -546,33 +550,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.bench import ALL_EXPERIMENTS
+    from repro.bench.registry import quick_mode, render, select
 
-    wanted = {
-        token.strip().upper()
-        for token in args.ids.split(",")
-        if token.strip()
-    }
-    reports = []
-    for runner in ALL_EXPERIMENTS:
-        report = None
-        # Run only experiments whose id is requested (cheap check by name).
-        exp_id = runner.__name__.split("_")[1].upper()  # run_e4_... -> E4
-        if wanted and exp_id not in wanted:
-            continue
-        report = runner()
-        reports.append(report)
-        print(report.to_text())
-        print()
-    if not reports:
-        print(f"no experiments matched ids {sorted(wanted)!r}",
-              file=sys.stderr)
+    quick = quick_mode()
+    if quick and args.out:
+        print("error: quick-size tables would overwrite the published "
+              "report; --out needs a full-size run", file=sys.stderr)
+        return 2
+    entries, unknown = select(args.ids.split(","))
+    if unknown:
+        print(f"no experiments matched ids {unknown!r}", file=sys.stderr)
         return 1
+    outcomes = []
+    for entry in entries:
+        started = time.perf_counter()
+        report = entry.run(**entry.arguments(quick))
+        verdict = entry.verdict(report, quick)
+        print(report.to_text())
+        print(f"  check: {verdict} ({time.perf_counter() - started:.1f}s)\n")
+        outcomes.append((entry, report, verdict))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(r.to_markdown() for r in reports))
+            handle.write(render(outcomes))
         print(f"wrote {args.out}")
-    return 0
+    return 0 if all(verdict == "yes" for _, _, verdict in outcomes) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -47,7 +47,6 @@ class FederationConfig:
     default_latency_s: float = 0.05
     default_bandwidth_bps: float = 1_000_000.0
     parser_memory_limit: Optional[int] = DEFAULT_PARSER_MEMORY_LIMIT
-    parser_overhead_factor: float = 4.0
     chunk_budget_bytes: Optional[int] = None
     #: Per-row scan cost charged to the simulated clock (paper Section 5.3
     #: counts processing alongside transmission). 5 microseconds/row by
@@ -484,7 +483,6 @@ def _make_node(
         info,
         hostname=hostname,
         parser_memory_limit=config.parser_memory_limit,
-        parser_overhead_factor=config.parser_overhead_factor,
         chunk_budget_bytes=config.chunk_budget_bytes,
         processing_seconds_per_row=config.processing_seconds_per_row,
         retry_policy=config.retry_policy,

@@ -77,8 +77,6 @@ class CacheConfig:
 
     #: Whole-query result entries kept (LRU-evicted beyond this).
     max_entries: int = 128
-    #: Memoize whole-query results.
-    results: bool = True
     #: Serve contained-circle queries from cached partial tuples. Also
     #: controls whether the planner widens ``attr_select`` with each
     #: mandatory archive's position columns (needed to re-filter).
@@ -264,8 +262,6 @@ class SemanticCache:
 
     def lookup_exact(self, exact_key: str) -> Optional["FederatedResult"]:
         """A byte-identical served copy for a repeat submission, or None."""
-        if not self.config.results:
-            return None
         entry = self._entries.get(exact_key)
         if entry is None or not self._epochs_live(entry.archive_epochs):
             if entry is not None:
@@ -287,8 +283,6 @@ class SemanticCache:
         (:meth:`finish_key`). The fingerprint embeds the pinned epochs and
         profile; liveness is still re-checked so a commit between planning
         and lookup cannot serve a stale answer."""
-        if not self.config.results:
-            return None
         entry = self._by_fingerprint.get((fingerprint, finish))
         if entry is None or not self._epochs_live(entry.archive_epochs):
             if entry is not None:
@@ -318,8 +312,6 @@ class SemanticCache:
         state, not the query's semantics. Served hits (``result.cache``
         set) are never re-admitted.
         """
-        if not self.config.results:
-            return
         if (
             result.cache is not None
             or result.degraded
@@ -376,7 +368,7 @@ class SemanticCache:
         tolerance — a false negative costs a miss, a false positive would
         cost correctness). The newest qualifying entry wins.
         """
-        if not (self.config.containment and self.config.results):
+        if not self.config.containment:
             return None
         if containment_key is None or not isinstance(area, AreaClause):
             return None

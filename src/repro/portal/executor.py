@@ -231,8 +231,7 @@ class ChainExecutor:
                 else "shard unavailable"
             )
             warnings.append(f"{label}: {exc}")
-            if self._portal.eager_cancel:
-                self._cancel_chain(chains, xid)
+            self._cancel_chain(chains, xid)
             return self.degraded(
                 decomposed.query, warnings, counters["failovers"],
                 plan if partitions else chains[0],
@@ -273,25 +272,16 @@ class ChainExecutor:
         """Run chain ``index`` to its answer, retrying and failing over.
 
         ``state`` — the batches already acknowledged — serves every
-        attempt of this chain, so a retry resumes at the high-water mark.
-        With ``checkpoint_resume`` off (the full-restart arm of E18) it
-        does not outlive an attempt, and each attempt runs under its own
-        execution id, ``xid/<attempt>``: nothing an earlier attempt left
-        on a node is found again, every hop recomputes, and a cancel of
-        ``xid`` still frees all of it. None means the chain's mandatory
-        archive is lost (the warnings say so).
+        attempt of this chain, and every attempt runs under the query's
+        execution id ``xid``, so a retry resumes at the high-water mark.
+        None means the chain's mandatory archive is lost (the warnings
+        say so).
         """
-        resume = self._portal.checkpoint_resume
         state: Dict[str, Any] = {}
-        attempts = tries = 0
+        attempts = 0
         while True:
-            tries += 1
             try:
-                return self._run_chain(
-                    chains[index],
-                    state if resume else {},
-                    xid if resume else f"{xid}/{tries}",
-                )
+                return self._run_chain(chains[index], state, xid)
             except (TransportError, SoapFaultError) as exc:
                 if isinstance(exc, TransportError) and not isinstance(
                     exc, RequestTimeoutError
@@ -413,9 +403,8 @@ class ChainExecutor:
                             ))
         except DeadlineExceededError:
             # Budget expiry is a cancellation-subsystem event, not a
-            # retry-path failure: the caller's ``CancelQuery`` sweep (or,
-            # with eager cancellation off, the TTL reapers) owns the
-            # cleanup of every hop's stream — a lone head abort here
+            # retry-path failure: the caller's ``CancelQuery`` sweep owns
+            # the cleanup of every hop's stream — a lone head abort here
             # would fragment the accounting between the two paths.
             raise
         except Exception:

@@ -66,7 +66,6 @@ class Portal:
         hostname: str = "portal.skyquery.net",
         *,
         parser_memory_limit: Optional[int] = None,
-        parser_overhead_factor: float = 4.0,
         retry_policy: Optional[RetryPolicy] = None,
         batch_size: int = WHOLE_RESULT,
     ) -> None:
@@ -76,12 +75,6 @@ class Portal:
         #: carried by the PerformXMatch response. Anything smaller
         #: pipelines it: the batches are pulled concurrently.
         self.batch_size = batch_size
-        #: Whether the attempts of one query share an execution id, so a
-        #: retried/failed-over chain finds the streams it opened before
-        #: and resumes at the first batch it lacks. Off, streams are
-        #: unkeyed and every recovery is a full restart — the E18
-        #: comparison arm, not a recommended setting.
-        self.checkpoint_resume = True
         #: Pipelined-mode flow control: how many batches may be in flight
         #: at once (0 = unbounded, the full-overlap default). A bounded
         #: window acknowledges batches progressively, which is what lets
@@ -89,10 +82,7 @@ class Portal:
         #: losing every in-flight batch together.
         self.stream_pull_window = 0
         self.catalog = FederationCatalog()
-        self.parser = XMLParser(
-            memory_limit_bytes=parser_memory_limit,
-            overhead_factor=parser_overhead_factor,
-        )
+        self.parser = XMLParser(memory_limit_bytes=parser_memory_limit)
         self.registration = RegistrationService(self)
         self.skyquery = SkyQueryService(self)
         self.host = ServiceHost(hostname)
@@ -103,12 +93,6 @@ class Portal:
         self.network: Optional[SimulatedNetwork] = None
         self.queries_served = 0
         self.retry_policy = retry_policy
-        #: Whether a deadline-dead chain is cancelled eagerly with a
-        #: ``CancelQuery`` fan-down (the default) or left to the nodes'
-        #: TTL reapers — the E22 comparison arm, not a recommended
-        #: setting: leftover streams and transfers then sit in server
-        #: memory for the whole TTL.
-        self.eager_cancel = True
         #: The semantic result cache (None = caching off, the seed's
         #: behaviour; installed via ``FederationConfig(cache=...)``).
         self.cache: Optional[SemanticCache] = None

@@ -63,13 +63,9 @@ class WebService:
         name: str,
         *,
         parser_memory_limit: Optional[int] = None,
-        parser_overhead_factor: float = 4.0,
     ) -> None:
         self.name = name
-        self.parser = XMLParser(
-            memory_limit_bytes=parser_memory_limit,
-            overhead_factor=parser_overhead_factor,
-        )
+        self.parser = XMLParser(memory_limit_bytes=parser_memory_limit)
         self._operations: Dict[str, _Operation] = {}
         self.calls_handled = 0
         self.faults_returned = 0

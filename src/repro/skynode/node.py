@@ -40,7 +40,6 @@ class SkyNode:
         hostname: Optional[str] = None,
         *,
         parser_memory_limit: Optional[int] = DEFAULT_PARSER_MEMORY_LIMIT,
-        parser_overhead_factor: float = 4.0,
         chunk_budget_bytes: Optional[int] = None,
         processing_seconds_per_row: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
@@ -52,10 +51,7 @@ class SkyNode:
             register_xmatch_procedure(db)
         #: Parser for everything this node receives from its chain neighbour
         #: (the big partial-result messages); models the node's XML memory.
-        self.parser = XMLParser(
-            memory_limit_bytes=parser_memory_limit,
-            overhead_factor=parser_overhead_factor,
-        )
+        self.parser = XMLParser(memory_limit_bytes=parser_memory_limit)
         self.information = InformationService(
             self.wrapper, parser_memory_limit=parser_memory_limit
         )

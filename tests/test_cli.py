@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.bench.registry import experiments, published_index, select
 from repro.cli import main
 
 
@@ -88,6 +89,34 @@ def test_experiments_filter(capsys, tmp_path):
 def test_experiments_unknown_id(capsys):
     assert main(["experiments", "--ids", "E99"]) == 1
     assert "no experiments matched" in capsys.readouterr().err
+
+
+def _selected(ids):
+    entries, unknown = select(ids.split(","))
+    assert unknown == []
+    return [entry.exp_id for entry in entries]
+
+
+def test_experiments_select_sharded_by_registry_id():
+    assert _selected("E11-sharded") == ["E11-sharded"]
+    assert _selected("e11-SHARDED") == ["E11-sharded"]
+
+
+def test_experiments_select_e11_alone():
+    assert _selected("E11") == ["E11"]
+
+
+def test_experiment_ids_unique():
+    ids = [entry.exp_id for entry in experiments()]
+    assert len(ids) == len(set(ids)) == 23
+
+
+def test_published_index_matches_registry():
+    index = published_index()
+    assert list(index) == [entry.exp_id for entry in experiments()]
+    for entry in experiments():
+        claim, shape, _ = index[entry.exp_id]
+        assert (claim, shape) == (entry.claim, entry.shape), entry.exp_id
 
 
 def test_module_invocation():

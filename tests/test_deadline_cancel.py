@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from repro.bench.experiments.e18_failover import RestartExecutor
 from repro.budget import (
     CLEANUP_OPERATIONS,
     QueryBudget,
@@ -174,7 +175,8 @@ class TestDeadlines:
 
         federation = small_federation(chunk_budget_bytes=1024)
         portal = federation.portal
-        portal.checkpoint_resume = resume
+        if not resume:
+            portal.executor = RestartExecutor(portal)
         qid = qid_of_next_submit(portal)
         metrics = federation.network.metrics
         result = portal.submit(
@@ -192,9 +194,9 @@ class TestDeadlines:
         self.expire_mid_chain(resume=True)
 
     def test_mid_chain_expiry_names_the_hop_and_cancels_resume_off(self):
-        """The same expiry with ``checkpoint_resume`` off (E18's restart
-        arm): every attempt runs under its own id within the query's, so
-        the one cancel still reaches — and frees — every hop's state."""
+        """The same expiry under E18's restart arm: every attempt runs
+        under its own id within the query's, so the one cancel still
+        reaches — and frees — every hop's state."""
         self.expire_mid_chain(resume=False)
 
     def test_pipelined_mid_stream_expiry_cancels_cleanly(self):
