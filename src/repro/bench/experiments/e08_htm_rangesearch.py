@@ -89,8 +89,10 @@ def run(
     report.note(
         "Deeper meshes tighten the cover: fewer rows examined at every "
         "step. The set-at-a-time engine makes a visited row so cheap that "
-        "the wall column is now almost all cover computation, so it rises "
-        "with depth from depth 6 on."
+        "the wall column is almost all cover computation, so it rises "
+        "with depth from depth 8 on (depths 6 and 8 are within noise of "
+        "each other). The array cover walks wide levels in numpy, so the "
+        "deep end rises far less than it did with the per-trixel walk."
     )
     report.note(
         f"Losing regime: at {n_objects} rows the vectorised full scan beats "

@@ -16,7 +16,7 @@ exact geometric test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,8 +67,10 @@ def spatial_probe(
     if table.spatial is None:
         raise ValueError(f"table {table.name!r} is not spatially indexed")
     reg_cover = cover(region, table.spatial.htm_depth)
-    full, partial = list(reg_cover.full), list(reg_cover.partial)
-    rows, lengths = _rows_in_ranges(table, full + partial)
+    full, partial = reg_cover.full, reg_cover.partial
+    rows, lengths = _rows_in_ranges(
+        table, np.concatenate((full.bounds(), partial.bounds()))
+    )
     split = int(lengths[: len(full)].sum())
     exact, candidates = rows[:split], rows[split:]
     if limit is not None:
@@ -118,11 +120,13 @@ def batch_spatial_probe(
 
 
 def _rows_in_ranges(
-    table: Table, ranges: Sequence[Tuple[int, int]]
+    table: Table, ranges: Union[np.ndarray, Sequence[Tuple[int, int]]]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row positions of inclusive ``[lo, hi]`` trixel-id ranges, in order.
 
-    Returns the concatenated rows of every range (each range's rows as
+    ``ranges`` is an ``(n, 2)`` int64 bounds array (as
+    :meth:`HTMRanges.bounds` gives) or a sequence of pairs. Returns the
+    concatenated rows of every range (each range's rows as
     :meth:`Table.spatial_arrays` sorts them) and each range's row count.
     One ``searchsorted`` per bound serves every range.
     """

@@ -87,6 +87,8 @@ class Table:
         #: Zone index caches keyed by zone height (degrees); built lazily
         #: like the HTM companions, invalidated together with them.
         self._zone_arrays: Dict[float, ZoneArrays] = {}
+        #: int64 column arrays keyed by column name, same lifetime.
+        self._int_columns: Dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -127,6 +129,7 @@ class Table:
     def _invalidate_derived(self) -> None:
         self._spatial_arrays = None
         self._zone_arrays.clear()
+        self._int_columns.clear()
 
     def insert(self, row: Dict[str, Any] | Sequence[Any]) -> int:
         """Insert one row (mapping or positional); returns its row position."""
@@ -152,6 +155,7 @@ class Table:
             ids = ids_for_points(vectors, self.spatial.htm_depth)
             self._vectors = np.concatenate((self._vectors, vectors))
             self._htm_ids = np.concatenate((self._htm_ids, ids))
+        if rows.count:
             self._invalidate_derived()
         self._rows.extend(rows.rows())
         self._epoch_marks[-1][1] = len(self._rows)
@@ -245,6 +249,21 @@ class Table:
             order = np.argsort(self._htm_ids, kind="stable").astype(np.int64)
             self._spatial_arrays = (self._htm_ids[order], order)
         return self._spatial_arrays
+
+    def int_column(self, name: str) -> np.ndarray:
+        """Every stored row's value of an integer column, as int64.
+
+        Built with one pass over the rows on first use and cached until
+        the next insert/truncate, like the spatial and zone arrays.
+        """
+        cached = self._int_columns.get(name)
+        if cached is None:
+            column = self.schema.column_index(name)
+            cached = np.fromiter(
+                (row[column] for row in self._rows), dtype=np.int64, count=len(self._rows)
+            )
+            self._int_columns[name] = cached
+        return cached
 
     def position_matrix(self) -> np.ndarray:
         """The ``(n, 3)`` float64 unit-vector position of every row.

@@ -1,77 +1,28 @@
 """Batched HTM covers: classify many caps against the quad tree at once.
 
-:func:`repro.htm.cover.cover` walks the quad tree per region, calling
-``classify_triangle`` once per (region, trixel) visit — fine for one AREA
-clause, but the vectorized cross-match kernel probes the index with one
-cap *per incoming tuple*, so a chain step issues hundreds of covers whose
-frontiers overlap heavily. :func:`batch_cap_covers` walks the tree once,
-breadth-first, carrying every cap's frontier together: each level's
-(cap, trixel) pairs are classified in a handful of numpy array passes, and
-trixel geometry (corners, edge-plane normals) is computed once per distinct
-trixel instead of once per cap.
-
-The classification replicates :meth:`repro.sphere.regions.Cap.
-classify_triangle` operation for operation (same component order, same
-epsilons), so every cover returned here is identical — full and partial
-ranges alike — to what the per-region walk produces. The one non-trivial
-step, the arc-intersection test behind the ``|sin distance|`` prefilter,
-is delegated to the scalar ``Cap._intersects_edge`` itself for the few
-pairs that reach it.
+:func:`repro.htm.cover.cover` walks the quad tree per region — fine for one
+AREA clause, but the HTM arm of the cross-match kernel probes the index
+with one cap *per incoming tuple*, so a chain step issues hundreds of
+covers. :func:`batch_cap_covers` walks every cap's frontier together:
+each level's (cap, trixel) rows go through one
+:meth:`repro.sphere.regions.CapRows.classify` call and one vectorised
+subdivision, the same array walk (:func:`repro.htm.cover.walk_arrays`)
+that a single wide cover runs. The classifier repeats
+``Cap.classify_triangle`` operation for operation, so every cover returned
+here is identical — full and partial ranges alike — to ``cover()``'s.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import HTMError
-from repro.htm.cover import Cover
+from repro.htm.cover import Cover, walk_arrays
 from repro.htm.mesh import DEPTH_MAX, roots
-from repro.htm.ranges import HTMRanges
-from repro.htm.trixel import Trixel
-from repro.sphere.regions import Cap
-
-# The epsilons of Cap.contains and Cap._center_in_triangle.
-_CONTAINS_EPS = 1e-15
-_TRIANGLE_EPS = -1e-15
-
-
-class _LevelGeometry:
-    """Per-trixel arrays for one BFS level (shared by every cap)."""
-
-    __slots__ = ("hids", "corners", "crosses", "normals", "degenerate")
-
-    def __init__(self, nodes: Sequence[Trixel]) -> None:
-        u = len(nodes)
-        self.hids = np.fromiter(
-            (t.hid for t in nodes), dtype=np.int64, count=u
-        )
-        corners = np.empty((u, 3, 3), dtype=np.float64)
-        for i, t in enumerate(nodes):
-            corners[i, 0] = t.v0
-            corners[i, 1] = t.v1
-            corners[i, 2] = t.v2
-        self.corners = corners
-        # Edge cross products for edges (v0,v1), (v1,v2), (v2,v0) — the
-        # raw vectors are Cap._center_in_triangle's half-space normals and,
-        # normalized, Cap._intersects_edge's great-circle plane normals.
-        a = corners
-        b = corners[:, (1, 2, 0), :]
-        crosses = np.empty_like(corners)
-        crosses[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-        crosses[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-        crosses[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-        self.crosses = crosses
-        lengths = np.sqrt(
-            crosses[..., 0] * crosses[..., 0]
-            + crosses[..., 1] * crosses[..., 1]
-            + crosses[..., 2] * crosses[..., 2]
-        )
-        self.degenerate = lengths < 1e-300
-        safe = np.where(self.degenerate, 1.0, lengths)
-        self.normals = crosses / safe[..., None]
+from repro.htm.ranges import split_disjoint
+from repro.sphere.regions import Cap, CapRows
 
 
 def batch_cap_covers(caps: Sequence[Cap], depth: int) -> List[Cover]:
@@ -79,124 +30,23 @@ def batch_cap_covers(caps: Sequence[Cap], depth: int) -> List[Cover]:
     if not 0 <= depth <= DEPTH_MAX:
         raise HTMError(f"depth {depth!r} outside [0, {DEPTH_MAX}]")
     m = len(caps)
-    full: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    partial: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
     if m == 0:
         return []
-
-    centers = np.array([c.center for c in caps], dtype=np.float64)
-    # Precompute each cap's scalar thresholds with math.* exactly as the
-    # scalar methods evaluate them per call.
-    contains_thr = np.array(
-        [math.cos(c.radius_rad) - _CONTAINS_EPS for c in caps]
+    nodes = roots()
+    root_ids = np.array([t.hid for t in nodes], dtype=np.int64)
+    root_corners = np.array([t.corners for t in nodes], dtype=np.float64)
+    lo, hi, full_owner, leaves, leaf_owner = walk_arrays(
+        CapRows(caps).classify,
+        np.tile(root_ids, m),
+        np.tile(root_corners, (m, 1, 1)),
+        0,
+        depth,
+        owner=np.repeat(np.arange(m, dtype=np.intp), len(nodes)),
     )
-    sin_bound = np.array(
-        [math.sin(min(c.radius_rad, math.pi / 2.0)) for c in caps]
-    )
-    wide = np.array(
-        [c.radius_rad > math.pi / 2.0 for c in caps], dtype=bool
-    )
-
-    nodes: List[Trixel] = list(roots())
-    cap_idx = np.repeat(np.arange(m, dtype=np.intp), len(nodes))
-    node_idx = np.tile(np.arange(len(nodes), dtype=np.intp), m)
-
-    level = 0
-    while len(cap_idx):
-        geom = _LevelGeometry(nodes)
-        C = centers[cap_idx]
-        cx, cy, cz = C[:, 0], C[:, 1], C[:, 2]
-        corners = geom.corners[node_idx]
-
-        thr = contains_thr[cap_idx]
-        inside = [
-            corners[:, k, 0] * cx + corners[:, k, 1] * cy
-            + corners[:, k, 2] * cz >= thr
-            for k in range(3)
-        ]
-        all_in = inside[0] & inside[1] & inside[2]
-        any_in = inside[0] | inside[1] | inside[2]
-
-        # Corners all outside: the cap may contain the triangle's interior
-        # (center inside every edge half-space) or poke through an edge.
-        none_in = ~any_in
-        crosses = geom.crosses[node_idx]
-        center_in = none_in.copy()
-        for e in range(3):
-            center_in &= (
-                crosses[:, e, 0] * cx + crosses[:, e, 1] * cy
-                + crosses[:, e, 2] * cz >= _TRIANGLE_EPS
-            )
-
-        # Edge test: the vectorized |sin distance| prefilter is exactly
-        # Cap._intersects_edge's early exit; survivors (rare — the cap must
-        # graze an edge's great circle) get the full scalar test.
-        need_edge = none_in & ~center_in
-        hits = np.zeros(len(cap_idx), dtype=bool)
-        if need_edge.any():
-            normals = geom.normals[node_idx]
-            bound = sin_bound[cap_idx]
-            degenerate = geom.degenerate[node_idx]
-            maybe = []
-            for e in range(3):
-                sin_dist = (
-                    normals[:, e, 0] * cx + normals[:, e, 1] * cy
-                    + normals[:, e, 2] * cz
-                )
-                maybe.append(
-                    need_edge & ~degenerate[:, e] & (np.abs(sin_dist) <= bound)
-                )
-            for k in np.nonzero(maybe[0] | maybe[1] | maybe[2])[0].tolist():
-                cap = caps[cap_idx[k]]
-                v0, v1, v2 = nodes[node_idx[k]].corners
-                for e, (ea, eb) in enumerate(((v0, v1), (v1, v2), (v2, v0))):
-                    if maybe[e][k] and cap._intersects_edge(ea, eb):
-                        hits[k] = True
-                        break
-
-        is_inside = all_in & ~wide[cap_idx]
-        is_partial = (all_in & wide[cap_idx]) | (any_in & ~all_in) | (
-            none_in & (center_in | hits)
-        )
-
-        hids = geom.hids[node_idx]
-        shift = 2 * (depth - level)
-        if is_inside.any():
-            sel = np.nonzero(is_inside)[0]
-            lo = hids[sel] << shift
-            hi = ((hids[sel] + 1) << shift) - 1
-            for ci, rlo, rhi in zip(
-                cap_idx[sel].tolist(), lo.tolist(), hi.tolist()
-            ):
-                full[ci].append((rlo, rhi))
-
-        sel = np.nonzero(is_partial)[0]
-        if level == depth:
-            for ci, hid in zip(cap_idx[sel].tolist(), hids[sel].tolist()):
-                partial[ci].append((hid, hid))
-            break
-        # Expand partial pairs one level down; each distinct trixel's
-        # children are computed once, shared by every cap that needs them.
-        next_nodes: List[Trixel] = []
-        child_base: Dict[int, int] = {}
-        next_cap: List[int] = []
-        next_node: List[int] = []
-        for k in sel.tolist():
-            ni = int(node_idx[k])
-            base = child_base.get(ni)
-            if base is None:
-                base = len(next_nodes)
-                next_nodes.extend(nodes[ni].children())
-                child_base[ni] = base
-            ci = int(cap_idx[k])
-            next_cap.extend((ci, ci, ci, ci))
-            next_node.extend((base, base + 1, base + 2, base + 3))
-        nodes = next_nodes
-        cap_idx = np.asarray(next_cap, dtype=np.intp)
-        node_idx = np.asarray(next_node, dtype=np.intp)
-        level += 1
-
     return [
-        Cover(depth=depth, full=HTMRanges(f), partial=HTMRanges(p))
-        for f, p in zip(full, partial)
+        Cover(depth=depth, full=full, partial=partial)
+        for full, partial in zip(
+            split_disjoint(full_owner, lo, hi, m),
+            split_disjoint(leaf_owner, leaves, leaves, m),
+        )
     ]

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GeometryError, HTMError
+from repro.errors import HTMError
 from repro.htm.mesh import DEPTH_MAX, roots
-from repro.htm.trixel import _EPS
+from repro.htm.trixel import _EPS, CHILD_CORNERS, corner_slots
 from repro.sphere.coords import radec_to_vector
-from repro.sphere.vector import Vec3, normalize
+from repro.sphere.vector import Vec3, normalize, normalize_rows
 
 
 def id_for_point(v: Vec3, depth: int) -> int:
@@ -28,27 +28,8 @@ def id_for_point(v: Vec3, depth: int) -> int:
     return node.hid
 
 
-#: Corner slots of one descent step: the parent's v0, v1, v2, then the edge
-#: midpoints w0, w1, w2 (opposite v0, v1, v2), as in ``Trixel.children``.
-_MIDPOINT_ENDS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
-#: Each child's corners as slots of that six-corner table, children 0..3.
-_CHILD_CORNERS = np.array([[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]])
 #: The second vertex of each child edge (v0,v1), (v1,v2), (v2,v0).
 _EDGE_NEXT = np.array([1, 2, 0])
-
-
-def _normalized_rows(vectors: np.ndarray) -> np.ndarray:
-    """``normalize`` applied to every row of an ``(..., 3)`` array.
-
-    The same float operations in the same order as the scalar
-    ``normalize``: the squared length summed x, y, z left to right, one
-    correctly rounded ``sqrt``, one division per component.
-    """
-    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
-    length = np.sqrt(x * x + y * y + z * z)
-    if np.any(length < 1e-300):
-        raise GeometryError("cannot normalize a zero vector")
-    return vectors / length[..., None]
 
 
 def _edge_tests(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -84,7 +65,7 @@ def ids_for_points(vectors: np.ndarray, depth: int) -> np.ndarray:
     """
     if not 0 <= depth <= DEPTH_MAX:
         raise HTMError(f"depth {depth!r} outside [0, {DEPTH_MAX}]")
-    points = _normalized_rows(np.asarray(vectors, dtype=np.float64))
+    points = normalize_rows(np.asarray(vectors, dtype=np.float64))
     n = len(points)
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -96,14 +77,11 @@ def ids_for_points(vectors: np.ndarray, depth: int) -> np.ndarray:
     corners = root_corners[first]
     rows = np.arange(n)[:, None]
     for _ in range(depth):
-        mids = _normalized_rows(
-            corners[:, _MIDPOINT_ENDS[0]] + corners[:, _MIDPOINT_ENDS[1]]
-        )
-        slots = np.concatenate((corners, mids), axis=1)
-        inside = _edge_tests(slots[:, _CHILD_CORNERS[:3]], points[:, None, :])
+        slots = corner_slots(corners)
+        inside = _edge_tests(slots[:, CHILD_CORNERS[:3]], points[:, None, :])
         child = np.where(inside.any(axis=1), inside.argmax(axis=1), 3)
         ids = ids * 4 + child
-        corners = slots[rows, _CHILD_CORNERS[child]]
+        corners = slots[rows, CHILD_CORNERS[child]]
     return ids
 
 

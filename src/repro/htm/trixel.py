@@ -5,11 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.sphere.vector import Vec3, cross, dot, midpoint
+import numpy as np
+
+from repro.sphere.vector import Vec3, cross, dot, midpoint, normalize_rows
 
 # Corners are stored counter-clockwise as seen from outside the sphere, so a
 # point is inside iff it is on the non-negative side of each edge plane.
 _EPS = -1e-12
+
+#: Corner slots of one subdivision: the parent's v0, v1, v2, then the edge
+#: midpoints w0, w1, w2 (opposite v0, v1, v2), as in ``Trixel.children``.
+_MIDPOINT_ENDS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
+#: Each child's corners as slots of that six-corner table, children 0..3.
+CHILD_CORNERS = np.array([[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]])
 
 
 @dataclass(frozen=True)
@@ -62,3 +70,28 @@ class Trixel:
             if kid.contains(p):
                 return kid
         return kids[3]
+
+
+def corner_slots(corners: np.ndarray) -> np.ndarray:
+    """The six subdivision corners of ``(n, 3, 3)`` trixels, ``(n, 6, 3)``.
+
+    Slots 0..2 are the trixel's own corners, 3..5 the edge midpoints
+    ``Trixel.children`` computes: the same sum and the same normalisation
+    per component, so every midpoint is bitwise the scalar one.
+    """
+    mids = normalize_rows(corners[:, _MIDPOINT_ENDS[0]] + corners[:, _MIDPOINT_ENDS[1]])
+    return np.concatenate((corners, mids), axis=1)
+
+
+def children_arrays(
+    hids: np.ndarray, corners: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`Trixel.children` for ``n`` trixels held as arrays.
+
+    ``hids`` is an int64 array of ``n`` ids and ``corners`` their
+    ``(n, 3, 3)`` corners. Returns the ``4n`` children in order (every
+    parent's children 0..3 together) as ids and ``(4n, 3, 3)`` corners.
+    """
+    kids = corner_slots(corners)[:, CHILD_CORNERS]
+    child_ids = (hids[:, None] * 4 + np.arange(4)).reshape(-1)
+    return child_ids, kids.reshape(-1, 3, 3)

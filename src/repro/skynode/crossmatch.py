@@ -513,14 +513,8 @@ class CrossMatchService(WebService):
                 # stored with it. The scan emits rows from fully covered
                 # trixels first, so "partial" is a result index at or past
                 # their count.
-                column = table.schema.column_index(SHARD_POS_COLUMN)
                 stored = np.searchsorted(
-                    np.fromiter(
-                        (row[column] for row in table.rows_at(range(len(table)))),
-                        dtype=np.int64,
-                        count=len(table),
-                    ),
-                    positions,
+                    table.int_column(SHARD_POS_COLUMN), positions
                 )
                 keys = seed_order_keys(
                     positions,

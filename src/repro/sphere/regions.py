@@ -10,7 +10,11 @@ Two region shapes are provided:
   polygons").
 
 Both implement the :class:`Region` interface needed by the HTM cover:
-point containment plus a conservative trixel classification.
+point containment plus a conservative trixel classification, one
+triangle at a time (:meth:`Region.classify_triangle`) or a whole array
+of triangles at once (:meth:`Region.classify_triangles`). The array form
+repeats the scalar float operations in the same order, so both give the
+same verdict for every triangle.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +41,22 @@ class TrixelRelation(Enum):
     INSIDE = "inside"
     PARTIAL = "partial"
     OUTSIDE = "outside"
+
+
+#: Relation codes of the array classifiers, one int8 per triangle.
+INSIDE, PARTIAL, OUTSIDE = 0, 1, 2
+
+#: Edge verdicts whose arc angle lies this close (radians) to its
+#: ``ab + 1e-12`` threshold are decided again by the scalar
+#: ``Cap._intersects_edge``. ``np.arctan2`` is not guaranteed bitwise equal
+#: to ``math.atan2``; both are within a few ulps (under 4.4e-16 rad) of the
+#: true angle, so every verdict outside this band agrees.
+ATAN2_GUARD_RAD = 1e-14
+
+#: Index rolls by one and by two: the second vertex of each triangle edge
+#: (v0,v1), (v1,v2), (v2,v0), and the cross product's component pattern.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 class Region(ABC):
@@ -61,6 +82,15 @@ class Region(ABC):
         exact, anything uncertain must be reported PARTIAL. The HTM cover
         relies on this to produce a superset of matching trixels whose
         PARTIAL members are then filtered point-by-point.
+        """
+
+    @abstractmethod
+    def classify_triangles(self, corners: np.ndarray) -> np.ndarray:
+        """:meth:`classify_triangle` for ``(n, 3, 3)`` triangles at once.
+
+        Returns an int8 array of :data:`INSIDE` / :data:`PARTIAL` /
+        :data:`OUTSIDE` codes that agrees with the scalar verdicts
+        triangle for triangle.
         """
 
     @abstractmethod
@@ -128,6 +158,13 @@ class Cap(Region):
             return TrixelRelation.PARTIAL
         return TrixelRelation.OUTSIDE
 
+    def classify_triangles(self, corners: np.ndarray) -> np.ndarray:
+        return self._as_rows.classify(corners)
+
+    @cached_property
+    def _as_rows(self) -> "CapRows":
+        return CapRows((self,))
+
     def bounding_cap(self) -> "Cap":
         return self
 
@@ -180,6 +217,165 @@ def _on_arc(p: Vec3, a: Vec3, b: Vec3) -> bool:
     )
 
 
+def _per_row(value, ndim: int):
+    """A scalar as is; a per-row array shaped to broadcast over ``ndim`` axes."""
+    return value.reshape((-1,) + (1,) * (ndim - 1)) if np.ndim(value) else value
+
+
+def _dots(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``dot(center, v)`` for every vector of ``(n, ..., 3)`` rows.
+
+    ``center`` is one ``(3,)`` vector or one per row, ``(n, 3)``; the
+    products are summed x, y, z left to right, as :func:`dot` does.
+    """
+    if center.ndim > 1:
+        center = center.reshape((len(center),) + (1,) * (vectors.ndim - 2) + (3,))
+    return (
+        vectors[..., 0] * center[..., 0]
+        + vectors[..., 1] * center[..., 1]
+        + vectors[..., 2] * center[..., 2]
+    )
+
+
+def _crosses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`cross` of matching rows of two ``(..., 3)`` arrays.
+
+    Component ``i`` is ``a[i+1] * b[i+2] - a[i+2] * b[i+1]`` (indices mod
+    3), the scalar formula component for component.
+    """
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """:func:`repro.sphere.vector.norm` of every row of a ``(..., 3)`` array."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+
+
+def _separations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`angular_separation` of matching rows, with ``np.arctan2``."""
+    dots = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    return np.arctan2(_norms(_crosses(a, b)), dots)
+
+
+class CapRows:
+    """Caps as parameter arrays, for classifying many triangles at once.
+
+    :meth:`classify` is :meth:`Cap.classify_triangle` for ``n`` rows of
+    triangles, each against one cap of the set: the same center, the same
+    ``math``-computed thresholds and the same float operations in the same
+    order, so every verdict is the scalar one. One cap classifying a whole
+    quad-tree level and many caps classifying their own frontiers share
+    this code.
+    """
+
+    def __init__(self, caps: Sequence[Cap]) -> None:
+        self.caps: Tuple[Cap, ...] = tuple(caps)
+        self.centers = np.array([cap.center for cap in self.caps], dtype=np.float64)
+        self.contains_thr = np.array(
+            [cap.cos_radius - 1e-15 for cap in self.caps], dtype=np.float64
+        )
+        self.sin_bound = np.array(
+            [math.sin(min(cap.radius_rad, math.pi / 2.0)) for cap in self.caps],
+            dtype=np.float64,
+        )
+        self.wide = np.array(
+            [cap.radius_rad > math.pi / 2.0 for cap in self.caps], dtype=bool
+        )
+
+    def _params(self, owner: Optional[np.ndarray]):
+        """``(center, contains threshold, sin bound, wide)`` per row, or
+        cap 0's for every row when ``owner`` is None."""
+        pick = 0 if owner is None else owner
+        return (
+            self.centers[pick], self.contains_thr[pick],
+            self.sin_bound[pick], self.wide[pick],
+        )
+
+    def classify(
+        self, corners: np.ndarray, owner: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Relation codes of ``(n, 3, 3)`` triangles.
+
+        Row ``i`` is classified against cap ``owner[i]``, or against the
+        set's only cap when ``owner`` is None.
+        """
+        center, thr, _, wide = self._params(owner)
+        inside = _dots(corners, center) >= _per_row(thr, 2)
+        any_in = inside.any(axis=1)
+        codes = np.where(any_in, np.int8(PARTIAL), np.int8(OUTSIDE))
+        # All corners inside: INSIDE, except for caps wider than a
+        # hemisphere, which are not convex and stay PARTIAL.
+        codes[inside.all(axis=1) & ~wide] = INSIDE
+        rest = np.flatnonzero(~any_in)
+        if len(rest):
+            sub = None if owner is None else owner[rest]
+            codes[rest[self._meets(corners[rest], sub)]] = PARTIAL
+        return codes
+
+    def _meets(self, corners: np.ndarray, owner: Optional[np.ndarray]) -> np.ndarray:
+        """For triangles with no corner inside: the cap center lies in the
+        triangle (``Cap._center_in_triangle``), or the cap meets one of
+        its edges (``Cap._intersects_any_edge``)."""
+        center, _, bound, _ = self._params(owner)
+        ends = corners[:, _NEXT]
+        crosses = _crosses(corners, ends)
+        met = (_dots(crosses, center) >= -1e-15).all(axis=1)
+        rest = np.flatnonzero(~met)
+        if not len(rest):
+            return met
+        crosses = crosses[rest]
+        # _intersects_edge's early exits: a degenerate edge, or a great
+        # circle farther from the center than the radius.
+        lengths = _norms(crosses)
+        usable = lengths >= 1e-300
+        normals = crosses / np.where(usable, lengths, 1.0)[..., None]
+        sin_dist = _dots(normals, center if owner is None else center[rest])
+        near = usable & (np.abs(sin_dist) <= _per_row(bound if owner is None else bound[rest], 2))
+        row, edge = np.nonzero(near)
+        if len(row):
+            sub = rest[row]
+            hit = self._meets_arc(
+                corners[sub, edge], ends[sub, edge], normals[row, edge],
+                sin_dist[row, edge], None if owner is None else owner[sub],
+            )
+            met[sub[hit]] = True
+        return met
+
+    def _meets_arc(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        normals: np.ndarray,
+        sin_dist: np.ndarray,
+        owner: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The rest of ``Cap._intersects_edge`` for edges ``a``-``b``
+        (``(k, 3)`` each) whose great circle passes within the radius:
+        the foot of the center on that circle lies on the arc and in the
+        cap."""
+        center, thr, _, _ = self._params(owner)
+        foot = center + normals * -sin_dist[:, None]
+        foot_len = _norms(foot)
+        found = foot_len >= 1e-300
+        foot = foot / np.where(found, foot_len, 1.0)[:, None]
+        # _on_arc: the angles a-b, a-foot and foot-b in one pass.
+        angles = _separations(np.stack((a, a, foot)), np.stack((b, foot, b)))
+        limit = angles[0] + 1e-12
+        verdict = (
+            found
+            & (angles[1] <= limit)
+            & (angles[2] <= limit)
+            & (_dots(foot, center) >= thr)
+        )
+        unsure = np.flatnonzero(
+            found & (np.abs(angles[1:] - limit).min(axis=0) <= ATAN2_GUARD_RAD)
+        )
+        for k in unsure.tolist():
+            cap = self.caps[0 if owner is None else owner[k]]
+            verdict[k] = cap._intersects_edge(tuple(a[k].tolist()), tuple(b[k].tolist()))
+        return verdict
+
+
 class ConvexPolygon(Region):
     """Convex spherical polygon given by vertices in counter-clockwise order.
 
@@ -203,6 +399,7 @@ class ConvexPolygon(Region):
                     raise GeometryError(
                         "polygon vertices are not in counter-clockwise convex order"
                     )
+        self._bound = _enclosing_cap(self.vertices)
 
     @classmethod
     def from_radec(cls, points_deg: Sequence[Tuple[float, float]]) -> "ConvexPolygon":
@@ -229,18 +426,31 @@ class ConvexPolygon(Region):
         # polygon's bounding cap, call it PARTIAL.
         if any(inside):
             return TrixelRelation.PARTIAL
-        bound = self.bounding_cap()
-        if bound.classify_triangle(corners) is TrixelRelation.OUTSIDE:
+        if self._bound.classify_triangle(corners) is TrixelRelation.OUTSIDE:
             return TrixelRelation.OUTSIDE
         return TrixelRelation.PARTIAL
 
+    def classify_triangles(self, corners: np.ndarray) -> np.ndarray:
+        inside = self.contains_many(corners.reshape(-1, 3)).reshape(-1, 3)
+        codes = np.where(inside.all(axis=1), INSIDE, PARTIAL).astype(np.int8)
+        rest = np.flatnonzero(~inside.any(axis=1))
+        if len(rest):
+            apart = self._bound.classify_triangles(corners[rest]) == OUTSIDE
+            codes[rest[apart]] = OUTSIDE
+        return codes
+
     def bounding_cap(self) -> Cap:
-        centroid = normalize(
-            (
-                sum(v[0] for v in self.vertices),
-                sum(v[1] for v in self.vertices),
-                sum(v[2] for v in self.vertices),
-            )
+        return self._bound
+
+
+def _enclosing_cap(vertices: Sequence[Vec3]) -> Cap:
+    """A cap about the vertices' normalized centroid that holds them all."""
+    centroid = normalize(
+        (
+            sum(v[0] for v in vertices),
+            sum(v[1] for v in vertices),
+            sum(v[2] for v in vertices),
         )
-        radius = max(angular_separation(centroid, v) for v in self.vertices)
-        return Cap(centroid, min(math.pi, radius + 1e-12))
+    )
+    radius = max(angular_separation(centroid, v) for v in vertices)
+    return Cap(centroid, min(math.pi, radius + 1e-12))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
+import numpy as np
+
 from repro.errors import GeometryError
 
 Vec3 = Tuple[float, float, float]
@@ -64,3 +66,17 @@ def normalize(a: Vec3) -> Vec3:
 def midpoint(a: Vec3, b: Vec3) -> Vec3:
     """Unit vector halfway along the great circle between ``a`` and ``b``."""
     return normalize(add(a, b))
+
+
+def normalize_rows(vectors: np.ndarray) -> np.ndarray:
+    """:func:`normalize` applied to every row of an ``(..., 3)`` array.
+
+    The same float operations in the same order as the scalar
+    ``normalize``: the squared length summed x, y, z left to right, one
+    correctly rounded ``sqrt``, one division per component.
+    """
+    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+    length = np.sqrt(x * x + y * y + z * z)
+    if np.any(length < 1e-300):
+        raise GeometryError("cannot normalize a zero vector")
+    return vectors / length[..., None]

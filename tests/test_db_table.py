@@ -225,3 +225,19 @@ def test_columnar_accessors_require_spatial():
         table.spatial_arrays()
     with pytest.raises(SchemaError):
         table.position_of(0)
+
+
+def test_int_column_cached_until_the_next_insert():
+    """The seed hop's storage lookup reads an integer column as one int64
+    array, built once and rebuilt only after a mutation."""
+    import numpy as np
+
+    table = make_table(spatial=False)
+    table.insert_many([(i * 3, 185.0, -0.5) for i in range(5)])
+    ids = table.int_column("object_id")
+    assert ids.dtype == np.int64 and ids.tolist() == [0, 3, 6, 9, 12]
+    assert table.int_column("object_id") is ids
+    table.insert((15, 185.0, -0.5))
+    assert table.int_column("object_id").tolist() == [0, 3, 6, 9, 12, 15]
+    table.truncate()
+    assert table.int_column("object_id").tolist() == []

@@ -158,3 +158,30 @@ class TestConvexPolygon:
             )
             if not near_edge:
                 assert poly.contains(p) == manual
+
+
+def test_polygon_bounding_cap_computed_once(monkeypatch):
+    """The bounding cap is built in ``__init__``, not per classified
+    trixel, and it is the cap the per-call computation used to build:
+    the centroid cap with the largest vertex separation plus 1e-12."""
+    from repro.htm.cover import cover
+    from repro.sphere import regions
+    from repro.sphere.distance import angular_separation
+    from repro.sphere.vector import normalize
+    from tests.cover_reference import cover_reference
+
+    builds = []
+    enclosing = regions._enclosing_cap
+    monkeypatch.setattr(
+        regions, "_enclosing_cap", lambda vs: builds.append(1) or enclosing(vs)
+    )
+    poly = ConvexPolygon.from_radec(
+        [(10.0, 10.0), (12.0, 10.0), (12.0, 12.0), (10.0, 12.0)]
+    )
+    for depth in (4, 8, 11):
+        got, want = cover(poly, depth), cover_reference(poly, depth)
+        assert got.full == want.full and got.partial == want.partial
+    assert len(builds) == 1
+    centroid = normalize(tuple(sum(v[i] for v in poly.vertices) for i in range(3)))
+    radius = max(angular_separation(centroid, v) for v in poly.vertices)
+    assert poly.bounding_cap() == Cap(centroid, min(math.pi, radius + 1e-12))
