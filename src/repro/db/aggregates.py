@@ -2,30 +2,22 @@
 
 The engine detects aggregate queries (any select item, HAVING, or ORDER BY
 key containing an aggregate call, or an explicit GROUP BY), scans matching
-rows once while accumulating per-group state, then evaluates the output
-expressions against the finished groups. Standard SQL NULL semantics:
+rows once while accumulating per-group state, then evaluates HAVING, the
+select list and ORDER BY against each finished group's *group row* (GROUP
+BY keys, then aggregate values) with the one expression compiler of
+:mod:`repro.db.expr` — so grouped expressions follow row semantics. Standard SQL NULL semantics:
 ``COUNT(*)`` counts rows, every other aggregate ignores NULL inputs, and an
 empty input yields NULL (0 for COUNT).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.db.expr import RowContext, evaluate
+from repro.db.expr import compile_expr, compile_row
 from repro.errors import QueryError
-from repro.sql.ast import (
-    BinaryOp,
-    ColumnRef,
-    Expr,
-    FuncCall,
-    IsNull,
-    Literal,
-    Query,
-    Star,
-    UnaryOp,
-)
+from repro.sql.ast import BinaryOp, Expr, FuncCall, IsNull, Query, Star, UnaryOp
 
 AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
@@ -33,6 +25,16 @@ AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 def is_aggregate_call(expr: Expr) -> bool:
     """True for a COUNT/SUM/AVG/MIN/MAX call node."""
     return isinstance(expr, FuncCall) and expr.name.upper() in AGGREGATE_NAMES
+
+
+def is_count_star(expr: Expr) -> bool:
+    """True for ``COUNT(*)``."""
+    return (
+        isinstance(expr, FuncCall)
+        and expr.name.upper() == "COUNT"
+        and len(expr.args) == 1
+        and isinstance(expr.args[0], Star)
+    )
 
 
 def contains_aggregate(expr: Expr) -> bool:
@@ -149,111 +151,45 @@ def _less(a: Any, b: Any) -> bool:
         ) from None
 
 
-@dataclass
-class Group:
-    """One GROUP BY bucket: its key values + finished aggregate values."""
+def group_rows(
+    query: Query,
+    aggregates: Sequence[FuncCall],
+    rows: Iterable[Sequence[Any]],
+    columns: Sequence[Expr],
+    constants: Optional[Mapping[str, Any]] = None,
+) -> List[Tuple[Any, ...]]:
+    """Accumulate matching rows into GROUP BY buckets, in first-seen order.
 
-    key: Tuple[Any, ...]
-    states: Dict[FuncCall, _AggState] = field(default_factory=dict)
-
-    def aggregate_value(self, call: FuncCall) -> Any:
-        state = self.states.get(call)
-        if state is None:
-            raise QueryError(f"aggregate {call!r} was not accumulated")
-        return state.result(call.name.upper())
-
-
-class GroupedAccumulator:
-    """Feeds row contexts into per-group aggregate states."""
-
-    def __init__(self, query: Query) -> None:
-        self.query = query
-        self.aggregates = collect_aggregates(query)
-        self.groups: Dict[Tuple[Any, ...], Group] = {}
-
-    def feed(self, ctx: RowContext) -> None:
-        """Accumulate one matching row."""
-        key = tuple(evaluate(expr, ctx) for expr in self.query.group_by)
-        group = self.groups.get(key)
-        if group is None:
-            group = Group(
-                key=key,
-                states={call: _AggState() for call in self.aggregates},
-            )
-            self.groups[key] = group
-        for call in self.aggregates:
-            arg = call.args[0] if call.args else Star()
-            name = call.name.upper()
-            if isinstance(arg, Star):
-                if name != "COUNT":
-                    raise QueryError(f"{name}(*) is not valid; only COUNT(*)")
-                group.states[call].update_star()
-            else:
-                group.states[call].update(name, evaluate(arg, ctx))
-
-    def finished_groups(self) -> List[Group]:
-        """All groups; ungrouped aggregate queries get one (possibly empty)
-        group even when no rows matched — ``SELECT COUNT(*) ... `` is 0, not
-        zero rows."""
-        if not self.groups and not self.query.group_by:
-            return [
-                Group(
-                    key=(),
-                    states={call: _AggState() for call in self.aggregates},
-                )
-            ]
-        return list(self.groups.values())
-
-
-def evaluate_grouped(
-    expr: Expr, group: Group, group_by: Sequence[Expr]
-) -> Any:
-    """Evaluate an output expression against a finished group.
-
-    Aggregate calls read the group's accumulated value; subexpressions
-    structurally equal to a GROUP BY key read the group's key value; only
-    literals and operators may appear elsewhere (standard SQL's "must be
-    grouped or aggregated" rule).
+    Each bucket comes back as its *group row*: the GROUP BY key values,
+    then one value per call in ``aggregates``. An ungrouped aggregate
+    query gets one (possibly empty) group even when no rows matched —
+    ``SELECT COUNT(*) ...`` is 0, not zero rows.
     """
-    if is_aggregate_call(expr):
-        return group.aggregate_value(expr)  # type: ignore[arg-type]
-    for i, key_expr in enumerate(group_by):
-        if expr == key_expr:
-            return group.key[i]
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        raise QueryError(
-            f"column {expr!s} must appear in GROUP BY or inside an aggregate"
+    key_of = compile_row(query.group_by, columns, constants)
+    updates = []
+    for call in aggregates:
+        arg = call.args[0] if call.args else Star()
+        compiled = (
+            None if isinstance(arg, Star)
+            else compile_expr(arg, columns, constants)
         )
-    if isinstance(expr, BinaryOp):
-        left = evaluate_grouped(expr.left, group, group_by)
-        right = evaluate_grouped(expr.right, group, group_by)
-        return _apply_binary(expr.op, left, right)
-    if isinstance(expr, UnaryOp):
-        value = evaluate_grouped(expr.operand, group, group_by)
-        if expr.op == "-":
-            return None if value is None else -value
-        if expr.op == "NOT":
-            return None if value is None else not value
-    if isinstance(expr, IsNull):
-        value = evaluate_grouped(expr.operand, group, group_by)
-        return (value is not None) if expr.negated else (value is None)
-    if isinstance(expr, FuncCall) and expr.name.upper() == "ABS":
-        value = evaluate_grouped(expr.args[0], group, group_by)
-        return None if value is None else abs(value)
-    raise QueryError(f"cannot evaluate {expr!r} in a grouped query")
-
-
-def _apply_binary(op: str, left: Any, right: Any) -> Any:
-    from repro.db.expr import _arith, _compare  # same SQL semantics
-
-    if op in ("+", "-", "*", "/"):
-        return _arith(op, left, right)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return _compare(op, left, right)
-    if op == "AND":
-        return bool(left) and bool(right) if None not in (left, right) else False
-    if op == "OR":
-        return bool(left) or bool(right) if None not in (left, right) else False
-    raise QueryError(f"unknown operator {op!r} in grouped expression")
+        updates.append((call.name.upper(), compiled))
+    groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
+    for row in rows:
+        key = key_of(row)
+        states = groups.get(key)
+        if states is None:
+            states = groups[key] = [_AggState() for _ in updates]
+        for state, (name, arg) in zip(states, updates):
+            if arg is not None:
+                state.update(name, arg(row))
+            elif name == "COUNT":
+                state.update_star()
+            else:
+                raise QueryError(f"{name}(*) is not valid; only COUNT(*)")
+    if not groups and not query.group_by:
+        groups[()] = [_AggState() for _ in updates]
+    return [
+        key + tuple(state.result(name) for state, (name, _) in zip(states, updates))
+        for key, states in groups.items()
+    ]

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.db.aggregates import (
+    collect_aggregates,
+    group_rows,
+    is_aggregate_query,
+    is_count_star,
+)
 from repro.db.buffer import BufferPool
-from repro.db.expr import RowContext, evaluate, is_true
+from repro.db.expr import compile_predicate, compile_row
+from repro.db.finish import finish, output_columns
 from repro.db.indexes import spatial_probe
 from repro.db.schema import CoercedColumns, Column, TableSchema
 from repro.db.table import SpatialSpec, Table
@@ -29,10 +35,7 @@ from repro.sql.ast import (
     AreaLike,
     ColumnRef,
     Expr,
-    FuncCall,
-    OrderItem,
     Query,
-    SelectItem,
     Star,
     XMatchClause,
     and_together,
@@ -93,62 +96,10 @@ class ResultSet:
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-def _pick_columns(
-    rows: List[List[Any]], indexes: List[int]
-) -> List[Tuple[Any, ...]]:
-    """Project stored rows onto column indexes, as output tuples."""
-    if len(indexes) == 1:
-        (index,) = indexes
-        return [(row[index],) for row in rows]
-    pick = itemgetter(*indexes)
-    return [pick(row) for row in rows]
-
-
-def _dedupe(rows, keys):
-    """DISTINCT: keep each projected row's first occurrence (and its key)."""
-    seen = set()
-    out_rows, out_keys = [], []
-    for i, row in enumerate(rows):
-        if row in seen:
-            continue
-        seen.add(row)
-        out_rows.append(row)
-        if keys:
-            out_keys.append(keys[i])
-    return out_rows, out_keys
-
-
-class _SortKey:
-    """ORDER BY key wrapper: NULLs sort first; DESC flips the comparison."""
-
-    __slots__ = ("value", "descending")
-
-    def __init__(self, value: Any, descending: bool) -> None:
-        self.value = value
-        self.descending = descending
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SortKey):
-            return NotImplemented
-        return self.value == other.value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        a, b = self.value, other.value
-        if a == b:
-            return False
-        if a is None:
-            before = True
-        elif b is None:
-            before = False
-        else:
-            try:
-                before = a < b
-            except TypeError:
-                raise QueryError(
-                    f"ORDER BY cannot compare {type(a).__name__} "
-                    f"with {type(b).__name__}"
-                ) from None
-        return not before if self.descending else before
+def row_columns(table: Table, alias: str) -> List[ColumnRef]:
+    """The names of a stored row's slots, for :mod:`repro.db.expr`: each
+    column bare and under the query's alias."""
+    return [ColumnRef(alias, column.name) for column in table.schema.columns]
 
 
 ProcedureFn = Callable[..., Any]
@@ -352,47 +303,31 @@ class Database:
         stats = QueryStats()
         before = (self.buffer.stats.logical_reads, self.buffer.stats.physical_reads)
 
-        from repro.db.aggregates import is_aggregate_query
-
-        if self._is_count_star(query.items):
-            count = len(self._scan(table, alias, region, residual, stats, epoch))
-            columns = [query.items[0].alias or "count"]
-            rows: List[Tuple[Any, ...]] = [(count,)]
-        elif is_aggregate_query(query):
+        if is_aggregate_query(query):
             columns, rows = self._execute_grouped(
                 query, table, alias, region, residual, stats, epoch=epoch
             )
         else:
-            columns = self._output_columns(query.items, table)
+            columns = output_columns(query.items, table.schema.column_names)
             can_stop_early = not query.order_by and not query.distinct
             positions = self._scan(
                 table, alias, region, residual, stats, epoch,
                 stop_after=query.limit if can_stop_early else None,
             )
-            keys: List[Tuple[Any, ...]] = []
-            indexes = (
-                None if query.order_by
-                else self._column_indexes(query.items, table, alias)
+            slots = row_columns(table, alias)
+            select = [  # ``*`` is every stored column
+                expr
+                for item in query.items
+                for expr in (
+                    slots if isinstance(item.expr, Star) else (item.expr,)
+                )
+            ]
+            project = compile_row(select, slots, self.constants)
+            sources = table.rows_at(positions.tolist())
+            rows = finish(
+                query, list(map(project, sources)), sources, slots,
+                self.constants,
             )
-            if indexes is not None:
-                rows = _pick_columns(table.rows_at(positions.tolist()), indexes)
-            else:
-                rows = []
-                for pos in positions.tolist():
-                    ctx = self._context_for(table, alias, pos)
-                    rows.append(self._project(query.items, table, ctx))
-                    if query.order_by:
-                        keys.append(self._order_key(query.order_by, ctx))
-            if query.distinct:
-                rows, keys = _dedupe(rows, keys)
-            if query.order_by:
-                rows = [
-                    row for _, row in sorted(
-                        zip(keys, rows), key=lambda pair: pair[0]
-                    )
-                ]
-            if query.limit is not None:
-                rows = rows[: query.limit]
 
         stats.rows_returned = len(rows)
         stats.logical_reads = self.buffer.stats.logical_reads - before[0]
@@ -410,24 +345,27 @@ class Database:
         *,
         epoch: Optional[int] = None,
     ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
-        """The aggregate / GROUP BY / HAVING execution path."""
-        from repro.db.aggregates import GroupedAccumulator, evaluate_grouped
-        from repro.db.expr import is_true as _is_true
+        """The aggregate / GROUP BY / HAVING execution path.
+
+        A query whose aggregates are all ``COUNT(*)`` with no GROUP BY —
+        the Planner's count probes — needs nothing from a row but its
+        existence, so its one group row is the scan's length.
+        """
         from repro.sql.printer import to_sql
 
-        accumulator = GroupedAccumulator(query)
+        aggregates = collect_aggregates(query)
         positions = self._scan(table, alias, region, residual, stats, epoch)
-        for pos in positions.tolist():
-            accumulator.feed(self._context_for(table, alias, pos))
-
-        groups = accumulator.finished_groups()
+        if not query.group_by and all(map(is_count_star, aggregates)):
+            groups = [(len(positions),) * len(aggregates)]
+        else:
+            groups = group_rows(
+                query, aggregates, table.rows_at(positions.tolist()),
+                row_columns(table, alias), self.constants,
+            )
+        slots = (*query.group_by, *aggregates)
         if query.having is not None:
-            groups = [
-                g for g in groups
-                if _is_true(
-                    evaluate_grouped(query.having, g, query.group_by)
-                )
-            ]
+            having = compile_predicate(query.having, slots, self.constants)
+            groups = [group for group in groups if having(group)]
 
         columns: List[str] = []
         for item in query.items:
@@ -437,42 +375,17 @@ class Database:
                 columns.append(item.alias)
             elif isinstance(item.expr, ColumnRef):
                 columns.append(str(item.expr))
+            elif len(query.items) == 1 and is_count_star(item.expr):
+                columns.append("count")
             else:
                 columns.append(to_sql(item.expr))
 
-        rows = [
-            tuple(
-                evaluate_grouped(item.expr, group, query.group_by)
-                for item in query.items
-            )
-            for group in groups
-        ]
-        if query.distinct:
-            deduped_rows, deduped_groups = [], []
-            seen = set()
-            for row, group in zip(rows, groups):
-                marker = tuple(row)
-                if marker not in seen:
-                    seen.add(marker)
-                    deduped_rows.append(row)
-                    deduped_groups.append(group)
-            rows, groups = deduped_rows, deduped_groups
-        if query.order_by:
-            keys = [
-                tuple(
-                    _SortKey(
-                        evaluate_grouped(order.expr, group, query.group_by),
-                        order.descending,
-                    )
-                    for order in query.order_by
-                )
-                for group in groups
-            ]
-            rows = [
-                row for _, row in sorted(zip(keys, rows), key=lambda p: p[0])
-            ]
-        if query.limit is not None:
-            rows = rows[: query.limit]
+        project = compile_row(
+            [item.expr for item in query.items], slots, self.constants
+        )
+        rows = finish(
+            query, list(map(project, groups)), groups, slots, self.constants
+        )
         return columns, rows
 
     def count_rows(
@@ -596,11 +509,14 @@ class Database:
         visited = len(order)
         try:
             if residual is not None:
+                passes = compile_predicate(
+                    residual, row_columns(table, alias), self.constants
+                )
+                row = table.row
                 kept: List[int] = []
                 for index, pos in zip(hits.tolist(), order[hits].tolist()):
                     visited = index + 1  # a row that raises was visited
-                    ctx = self._context_for(table, alias, pos)
-                    if is_true(evaluate(residual, ctx)):
+                    if passes(row(pos)):
                         kept.append(index)
                         if stop_after is not None and len(kept) >= stop_after:
                             break
@@ -619,86 +535,3 @@ class Database:
                 stats.rows_tested_geometrically += max(0, visited - n_exact)
         stats.rows_from_full_ranges += int(np.count_nonzero(hits < n_exact))
         return order[hits]
-
-    def _context_for(self, table: Table, alias: str, pos: int) -> RowContext:
-        ctx = RowContext(self.constants)
-        row = table.row(pos)
-        for col, value in zip(table.schema.columns, row):
-            ctx.bind(alias, col.name, value)
-        return ctx
-
-    @staticmethod
-    def _order_key(
-        order_by: Tuple[OrderItem, ...], ctx: RowContext
-    ) -> Tuple[Any, ...]:
-        return tuple(
-            _SortKey(evaluate(item.expr, ctx), item.descending)
-            for item in order_by
-        )
-
-    @staticmethod
-    def _is_count_star(items: Tuple[SelectItem, ...]) -> bool:
-        if len(items) != 1:
-            return False
-        expr = items[0].expr
-        return (
-            isinstance(expr, FuncCall)
-            and expr.name.upper() == "COUNT"
-            and len(expr.args) == 1
-            and isinstance(expr.args[0], Star)
-        )
-
-    @staticmethod
-    def _column_indexes(
-        items: Tuple[SelectItem, ...], table: Table, alias: str
-    ) -> Optional[List[int]]:
-        """Storage indexes of a SELECT list of plain column references.
-
-        ``None`` when any item is something else — an expression, a
-        constant, a reference under another qualifier — which then takes
-        the per-row :class:`RowContext` path (and its errors).
-        """
-        indexes: List[int] = []
-        for item in items:
-            expr = item.expr
-            if isinstance(expr, Star):
-                indexes.extend(range(len(table.schema)))
-            elif (
-                isinstance(expr, ColumnRef)
-                and table.schema.has_column(expr.name)
-                and (
-                    expr.qualifier is None
-                    or (alias and expr.qualifier.lower() == alias.lower())
-                )
-            ):
-                indexes.append(table.schema.column_index(expr.name))
-            else:
-                return None
-        return indexes
-
-    @staticmethod
-    def _output_columns(items: Tuple[SelectItem, ...], table: Table) -> List[str]:
-        columns: List[str] = []
-        for item in items:
-            if isinstance(item.expr, Star):
-                columns.extend(table.schema.column_names)
-            elif item.alias:
-                columns.append(item.alias)
-            elif isinstance(item.expr, ColumnRef):
-                columns.append(str(item.expr))
-            else:
-                columns.append(f"expr{len(columns) + 1}")
-        return columns
-
-    @staticmethod
-    def _project(
-        items: Tuple[SelectItem, ...], table: Table, ctx: RowContext
-    ) -> Tuple[Any, ...]:
-        values: List[Any] = []
-        for item in items:
-            if isinstance(item.expr, Star):
-                for col in table.schema.columns:
-                    values.append(ctx.lookup(ColumnRef(None, col.name)))
-            else:
-                values.append(evaluate(item.expr, ctx))
-        return tuple(values)

@@ -46,8 +46,9 @@ from typing import (
 )
 
 from repro.budget import use_budget
-from repro.db.expr import RowContext, evaluate, is_true
 from repro.db.engine import ASTRO_CONSTANTS
+from repro.db.expr import compile_predicate, compile_row
+from repro.db.finish import finish, output_columns
 from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
@@ -61,7 +62,7 @@ from repro.portal.plan import ExecutionPlan
 from repro.services.chunked import receive_rowset
 from repro.shard import merge_seed_rows
 from repro.soap.encoding import WireRowSet
-from repro.sql.ast import ColumnRef, Query, SelectItem
+from repro.sql.ast import ColumnRef, Query, and_together
 from repro.xmatch.tuples import PartialTuple
 from repro.xmatch.wire import rowset_to_tuples
 
@@ -520,7 +521,7 @@ class ChainExecutor:
         """The empty, degraded answer of a query that could not be finished
         (here or at plan time); its warnings name what was lost."""
         return FederatedResult(
-            columns=self._output_columns(query.items),
+            columns=output_columns(query.items),
             rows=[],
             plan=plan,
             warnings=list(warnings),
@@ -535,46 +536,31 @@ class ChainExecutor:
         tuples: List[PartialTuple],
         stats: List[Dict[str, Any]],
     ) -> FederatedResult:
-        """Cross-archive predicates + SELECT projection, at the Portal."""
-        survivors = [
-            partial
-            for partial in tuples
-            if self._passes_cross_conjuncts(decomposed, partial)
-        ]
-        columns = self._output_columns(decomposed.query.items)
-        rows = [
-            self._project(decomposed.query.items, partial)
-            for partial in survivors
-        ]
-        if decomposed.query.distinct:
-            seen = set()
-            deduped_rows, deduped_survivors = [], []
-            for row, partial in zip(rows, survivors):
-                if row in seen:
-                    continue
-                seen.add(row)
-                deduped_rows.append(row)
-                deduped_survivors.append(partial)
-            rows, survivors = deduped_rows, deduped_survivors
-        order_by = decomposed.query.order_by
-        if order_by:
-            from repro.db.engine import _SortKey
+        """Cross-archive predicates + SELECT projection, at the Portal.
 
-            keys = [
-                tuple(
-                    _SortKey(evaluate(item.expr, self._context_for(partial)),
-                             item.descending)
-                    for item in order_by
-                )
-                for partial in survivors
-            ]
-            rows = [row for _, row in sorted(zip(keys, rows),
-                                             key=lambda pair: pair[0])]
-        limit = decomposed.query.limit
-        if limit is not None:
-            rows = rows[:limit]
+        Every tuple of one answer carries the same ``alias.column``
+        attributes in the same order (the plan's attribute columns), so
+        each tuple's attribute values form one row over those names, and
+        every expression is compiled once per answer.
+        """
+        query = decomposed.query
+        layout = tuples[0].attributes if tuples else {}
+        slots = [ColumnRef(*key.partition(".")[::2]) for key in layout]
+        sources = [tuple(partial.attributes.values()) for partial in tuples]
+        cross = decomposed.analysis.cross_conjuncts
+        if cross:
+            passes = compile_predicate(
+                and_together(tuple(cross)), slots, ASTRO_CONSTANTS
+            )
+            sources = [row for row in sources if passes(row)]
+        project = compile_row(
+            [item.expr for item in query.items], slots, ASTRO_CONSTANTS
+        )
+        rows = finish(
+            query, list(map(project, sources)), sources, slots, ASTRO_CONSTANTS
+        )
         result = FederatedResult(
-            columns=columns,
+            columns=output_columns(query.items),
             rows=rows,
             node_stats=stats,
             plan=plan,
@@ -586,40 +572,3 @@ class ChainExecutor:
             # later contained-AREA query is served from.
             result.raw_tuples = list(tuples)
         return result
-
-    def _passes_cross_conjuncts(
-        self, decomposed: DecomposedQuery, partial: PartialTuple
-    ) -> bool:
-        if not decomposed.analysis.cross_conjuncts:
-            return True
-        ctx = self._context_for(partial)
-        return all(
-            is_true(evaluate(conjunct, ctx))
-            for conjunct in decomposed.analysis.cross_conjuncts
-        )
-
-    @staticmethod
-    def _context_for(partial: PartialTuple) -> RowContext:
-        ctx = RowContext(ASTRO_CONSTANTS)
-        for key, value in partial.attributes.items():
-            alias, _, column = key.partition(".")
-            ctx.bind(alias, column, value)
-        return ctx
-
-    @staticmethod
-    def _output_columns(items: Tuple[SelectItem, ...]) -> List[str]:
-        columns: List[str] = []
-        for item in items:
-            if item.alias:
-                columns.append(item.alias)
-            elif isinstance(item.expr, ColumnRef):
-                columns.append(str(item.expr))
-            else:
-                columns.append(f"expr{len(columns) + 1}")
-        return columns
-
-    def _project(
-        self, items: Tuple[SelectItem, ...], partial: PartialTuple
-    ) -> Tuple[Any, ...]:
-        ctx = self._context_for(partial)
-        return tuple(evaluate(item.expr, ctx) for item in items)

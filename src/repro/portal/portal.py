@@ -17,6 +17,7 @@ from typing import (
 )
 
 from repro.budget import QueryBudget, use_budget
+from repro.db.finish import output_columns
 from repro.errors import (
     DeadlineExceededError,
     SoapFaultError,
@@ -351,7 +352,7 @@ class Portal:
             # No chain to run: a mandatory archive is lost (degraded, its
             # warnings name the node) or has nothing inside the AREA.
             result = FederatedResult(
-                columns=self.executor._output_columns(query.items),
+                columns=output_columns(query.items),
                 rows=[],
                 warnings=planned.warnings,
                 degraded=planned.degraded,

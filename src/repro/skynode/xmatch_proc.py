@@ -44,8 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.db.engine import Database
-from repro.db.expr import RowContext, evaluate, is_true
+from repro.db.engine import Database, row_columns
+from repro.db.expr import compile_predicate
 from repro.db.indexes import (
     batch_spatial_probe,
     batch_zone_probe,
@@ -198,6 +198,10 @@ def _sp_xmatch_scalar(
     ra_idx = primary.schema.column_index(ra_column)
     dec_idx = primary.schema.column_index(dec_column)
     attr_idx = [(name, primary.schema.column_index(name)) for name in attr_columns]
+    residual_holds = (
+        None if residual is None
+        else compile_predicate(residual, row_columns(primary, alias), db.constants)
+    )
 
     result = XMatchProcResult()
     # The temp table is read whole before the first probe, as the
@@ -238,12 +242,8 @@ def _sp_xmatch_scalar(
             result.stats.candidates_tested += 1
             if area is not None and not area.contains(position):
                 continue
-            if residual is not None:
-                ctx = RowContext(db.constants)
-                for col, value in zip(primary.schema.columns, crow):
-                    ctx.bind(alias, col.name, value)
-                if not is_true(evaluate(residual, ctx)):
-                    continue
+            if residual_holds is not None and not residual_holds(crow):
+                continue
             if acc.with_observation(position, sigma_rad).chi2() > threshold_sq:
                 continue
             matched.append(
@@ -381,12 +381,11 @@ def _sp_xmatch_vectorized(
         else area.contains_many(positions[rows])
     )
     if residual is not None:
-        columns = primary.schema.columns
+        residual_holds = compile_predicate(
+            residual, row_columns(primary, alias), db.constants
+        )
         for k in np.flatnonzero(verdict).tolist():
-            ctx = RowContext(db.constants)
-            for col, value in zip(columns, primary.row(int(rows[k]))):
-                ctx.bind(alias, col.name, value)
-            verdict[k] = is_true(evaluate(residual, ctx))
+            verdict[k] = residual_holds(primary.row(int(rows[k])))
     passes = verdict[row_of_pair]
     ti = pair_t[passes]
     ri = pair_i[passes]

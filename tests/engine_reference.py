@@ -5,9 +5,9 @@ scan is the loop the set-at-a-time ``Database._scan`` replaced: walk the
 sorted ``(htm_id, row)`` entries range by range with ``bisect``, touch the
 buffer pool once per visited row, test each partial-range candidate with
 the scalar ``Region.contains`` on a unit vector computed from the row's
-own ra/dec, bind a ``RowContext`` per row for the residual, and stop at
-the row that makes a LIMIT's worth of matches. Its SELECT list always
-takes the per-row ``RowContext`` projection.
+own ra/dec, evaluate the residual per row with the reference evaluator
+(``tests.expr_reference``: a ``RowContext`` bound per row), and stop at
+the row that makes a LIMIT's worth of matches.
 
 Two declared fixes ride in both the engine and this oracle: ``LIMIT 0``
 visits no row (the old loop read one before it checked the limit), and
@@ -23,12 +23,12 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.db.engine import Database, QueryStats
-from repro.db.expr import evaluate, is_true
 from repro.db.table import Table
 from repro.htm.cover import cover
 from repro.sphere.coords import radec_to_vector
 from repro.sphere.regions import Region
 from repro.sql.ast import Expr
+from tests.expr_reference import evaluate, is_true, row_context
 
 
 def rows_in_id_range(
@@ -69,7 +69,7 @@ def reference_probe(
 
 
 class ReferenceDatabase(Database):
-    """A database whose scan and projection run one row at a time."""
+    """A database whose scan runs one row at a time."""
 
     def _scan(
         self,
@@ -151,8 +151,5 @@ class ReferenceDatabase(Database):
     ) -> bool:
         if residual is None:
             return True
-        return is_true(evaluate(residual, self._context_for(table, alias, pos)))
-
-    @staticmethod
-    def _column_indexes(items, table, alias):
-        return None
+        ctx = row_context(table, alias, table.row(pos), self.constants)
+        return is_true(evaluate(residual, ctx))

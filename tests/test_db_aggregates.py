@@ -175,3 +175,67 @@ def test_single_archive_aggregate_via_portal(small_federation):
         "GROUP BY t.type ORDER BY t.type"
     )
     assert result.rows == direct.rows
+
+
+@pytest.fixture()
+def names_db():
+    database = Database("names")
+    database.create_table(
+        "t",
+        [Column("x", ColumnType.INT), Column("name", ColumnType.STRING)],
+    )
+    database.insert("t", [(1, "a"), (2, "b"), (3, "b")])
+    return database
+
+
+def test_count_star_honours_group_by(names_db):
+    result = names_db.execute("SELECT COUNT(*) FROM t GROUP BY name")
+    assert result.rows == [(1,), (2,)]
+    assert result.columns == ["count"]
+
+
+def test_count_star_honours_having(names_db):
+    sql = "SELECT COUNT(*) FROM t GROUP BY name HAVING COUNT(*) > 5"
+    assert names_db.execute(sql).rows == []
+    assert names_db.execute("SELECT COUNT(*) FROM t HAVING COUNT(*) > 5").rows == []
+    assert names_db.execute("SELECT COUNT(*) FROM t HAVING COUNT(*) > 2").rows == [(3,)]
+
+
+def test_count_star_honours_limit_and_distinct(names_db):
+    assert names_db.execute("SELECT COUNT(*) FROM t LIMIT 0").rows == []
+    assert names_db.execute(
+        "SELECT DISTINCT COUNT(*) FROM t GROUP BY x"
+    ).rows == [(1,)]
+
+
+def test_count_star_group_by_via_portal(small_federation):
+    counts = small_federation.client().submit(
+        "SELECT COUNT(*) FROM SDSS:Photo_Object t GROUP BY t.type"
+    )
+    typed = small_federation.node("SDSS").db.execute(
+        "SELECT t.type, COUNT(*) FROM Photo_Object t GROUP BY t.type"
+    )
+    assert len(typed.rows) > 1
+    assert counts.rows == [(n,) for _, n in typed.rows]
+
+
+def test_having_or_null_keeps_group_like_where(names_db):
+    where = names_db.execute("SELECT x FROM t WHERE x > 0 OR NULL")
+    having = names_db.execute(
+        "SELECT name FROM t GROUP BY name HAVING MAX(x) > 0 OR NULL"
+    )
+    assert where.rows == [(1,), (2,), (3,)]
+    assert having.rows == [("a",), ("b",)]
+
+
+@pytest.mark.parametrize(
+    "select, message",
+    [
+        ("-MAX(name)", "unary minus applied to non-number 'b'"),
+        ("ABS(MAX(name))", "ABS applied to non-number 'b'"),
+        ("NOT COUNT(*)", "NOT applied to non-boolean 3"),
+    ],
+)
+def test_grouped_type_errors_are_query_errors(names_db, select, message):
+    with pytest.raises(QueryError, match=message):
+        names_db.execute(f"SELECT {select} FROM t")

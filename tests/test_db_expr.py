@@ -1,21 +1,19 @@
-"""Expression evaluation semantics."""
+"""Expression evaluation semantics, on the compiled form."""
 
 import pytest
 
-from repro.db.expr import RowContext, evaluate, is_true
+from repro.db.expr import compile_expr, compile_predicate
 from repro.errors import QueryError
+from repro.sql.ast import ColumnRef, Literal
 from repro.sql.parser import parse_expression
 
-
-def ctx(**values):
-    context = RowContext({"GALAXY": "GALAXY", "STAR": "STAR"})
-    for key, value in values.items():
-        context.bind("O", key, value)
-    return context
+CONSTANTS = {"GALAXY": "GALAXY", "STAR": "STAR"}
 
 
 def ev(text, **values):
-    return evaluate(parse_expression(text), ctx(**values))
+    columns = [ColumnRef("O", key) for key in values]
+    compiled = compile_expr(parse_expression(text), columns, CONSTANTS)
+    return compiled(list(values.values()))
 
 
 def test_arithmetic():
@@ -37,7 +35,7 @@ def test_unknown_column_raises():
 
 def test_unknown_qualifier_raises():
     with pytest.raises(QueryError):
-        evaluate(parse_expression("T.flux"), ctx(flux=1.0))
+        ev("T.flux", flux=1.0)
 
 
 def test_named_constants():
@@ -47,11 +45,10 @@ def test_named_constants():
 
 
 def test_column_shadows_constant():
-    context = RowContext({"galaxy": "CONST"})
-    context.bind("O", "galaxy", "COLUMN")
-    from repro.sql.ast import ColumnRef
-
-    assert context.lookup(ColumnRef(None, "galaxy")) == "COLUMN"
+    compiled = compile_expr(
+        ColumnRef(None, "galaxy"), [ColumnRef("O", "galaxy")], {"galaxy": "CONST"}
+    )
+    assert compiled(["COLUMN"]) == "COLUMN"
 
 
 def test_comparisons():
@@ -112,12 +109,20 @@ def test_abs_function():
     assert ev("ABS(flux)", flux=None) is None
 
 
+def test_abs_without_argument_is_a_query_error():
+    with pytest.raises(QueryError, match="ABS needs an argument"):
+        ev("ABS()")
+
+
 def test_unknown_function():
     with pytest.raises(QueryError):
         ev("FOO(1)")
 
 
 def test_is_true():
+    def is_true(value):
+        return compile_predicate(Literal(value), [])([])
+
     assert is_true(True)
     assert not is_true(False)
     assert not is_true(None)

@@ -1,5 +1,6 @@
 """The example scripts must run clean and print what they promise."""
 
+import functools
 import pathlib
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
+@functools.cache
 def run_example(name):
+    """Run one script once per session; every test of it reads this run."""
     return subprocess.run(
         [sys.executable, str(EXAMPLES / name)],
         capture_output=True,
