@@ -14,22 +14,16 @@ from typing import Dict, List
 from repro.errors import ExecutionError
 from repro.portal.decompose import DecomposedQuery, NodeSubquery, decompose
 from repro.portal.executor import FederatedResult
+from repro.portal.plan import node_query
 from repro.portal.portal import Portal
 from repro.soap.encoding import WireRowSet
 from repro.sphere.coords import radec_to_vector
-from repro.sql.ast import (
-    BinaryOp,
-    ColumnRef,
-    Expr,
-    Query,
-    SelectItem,
-    TableRef,
-)
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_expression, parse_query
 from repro.sql.printer import to_sql
 from repro.units import arcsec_to_rad
 from repro.xmatch.stream import run_chain
 from repro.xmatch.tuples import LocalObject
+from repro.xmatch.wire import attribute_rows, tuples_to_rowset
 
 PHASE = "pull-mediator"
 
@@ -74,8 +68,15 @@ class PullMediator:
                 )
             )
         tuples = run_chain(chain_spec, decomposed.xmatch.threshold)
+        aliases = [term.alias for term in decomposed.xmatch.mandatory]
+        attrs = [
+            (wire_name, typecode)
+            for alias in aliases
+            for _, wire_name, typecode in decomposed.subqueries[alias].attr_select
+        ]
+        rows = tuples_to_rowset(tuples, aliases, attrs).rows
         return self._portal.executor._finish(
-            None, decomposed, tuples, stats=[]
+            None, decomposed, attribute_rows(rows, aliases, attrs), stats=[]
         )
 
     def _pull_archive(
@@ -83,32 +84,24 @@ class PullMediator:
     ) -> List[LocalObject]:
         record = self._portal.catalog.node(subquery.archive)
         info = record.info
-        items: List[SelectItem] = [
-            SelectItem(ColumnRef(subquery.alias, info.object_id_column)),
-            SelectItem(ColumnRef(subquery.alias, info.ra_column)),
-            SelectItem(ColumnRef(subquery.alias, info.dec_column)),
-        ]
-        items.extend(
-            SelectItem(ColumnRef(subquery.alias, column))
-            for column, _, _ in subquery.attr_select
-        )
-        where: Expr | None = decomposed.area
-        if subquery.residual_sql:
-            from repro.sql.parser import parse_expression
-
-            residual = parse_expression(subquery.residual_sql)
-            where = residual if where is None else BinaryOp("AND", where, residual)
-        node_query = Query(
-            items=tuple(items),
-            tables=(TableRef(None, subquery.table, subquery.alias),),
-            where=where,
-        )
+        node_sql = to_sql(node_query(
+            subquery.alias,
+            subquery.table,
+            [
+                info.object_id_column, info.ra_column, info.dec_column,
+                *(column for column, _, _ in subquery.attr_select),
+            ],
+            decomposed.area,
+            parse_expression(subquery.residual_sql)
+            if subquery.residual_sql
+            else None,
+        ))
         proxy = self._portal.proxy(record.services["query"])
         # The chunk-aware call: pull-based mediators face exactly the same
         # XML parser ceiling as the chain, so they need the same workaround.
         from repro.services.chunked import receive_rowset
 
-        response = proxy.call("ExecuteQueryChunked", sql=to_sql(node_query))
+        response = proxy.call("ExecuteQueryChunked", sql=node_sql)
         rowset = receive_rowset(response, proxy)
         if not isinstance(rowset, WireRowSet):
             raise ExecutionError(

@@ -17,9 +17,10 @@ epochs it was computed at are still the archives' current ones:
   needs the same Portal-side finish (:meth:`SemanticCache.finish_key`):
   "fingerprint + finish + epochs live" is the full validity condition.
 * **AREA-containment reuse** — a cached cross-match over a circle keeps
-  its pre-projection partial tuples; a later query whose circle is
-  contained in the cached one is answered by re-filtering those tuples
-  with the *same* per-row predicate the nodes would run
+  its pre-projection attribute rows (one per answer tuple, columns named
+  ``alias.column``); a later query whose circle is contained in the
+  cached one is answered by re-filtering those rows with the *same*
+  per-row predicate the nodes would run
   (``region.contains(radec_to_vector(ra, dec))`` per member), skipping
   the federation entirely.
 
@@ -68,7 +69,7 @@ if TYPE_CHECKING:
     from repro.portal.decompose import DecomposedQuery
     from repro.portal.executor import FederatedResult
     from repro.portal.plan import ExecutionPlan
-    from repro.xmatch.tuples import PartialTuple
+    from repro.soap.encoding import WireRowSet
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class CacheConfig:
 
     #: Whole-query result entries kept (LRU-evicted beyond this).
     max_entries: int = 128
-    #: Serve contained-circle queries from cached partial tuples. Also
+    #: Serve contained-circle queries from cached attribute rows. Also
     #: controls whether the planner widens ``attr_select`` with each
     #: mandatory archive's position columns (needed to re-filter).
     containment: bool = True
@@ -115,9 +116,10 @@ class _ResultEntry:
     #: archive name -> the epoch this answer was computed at.
     archive_epochs: Dict[str, int]
     result: "FederatedResult"
-    #: Pre-cross-conjunct partial tuples (containment raw material);
-    #: only kept for containment-eligible entries.
-    raw_tuples: Optional[List["PartialTuple"]] = None
+    #: Pre-cross-conjunct attribute rows and their ``alias.column`` names
+    #: (containment raw material); only kept for containment-eligible
+    #: entries.
+    raw_rows: Optional["WireRowSet"] = None
     #: Area-independent key of the node-side computation (containment
     #: index) and the circle it was evaluated over.
     containment_key: Optional[str] = None
@@ -326,7 +328,7 @@ class SemanticCache:
         }
         if not archive_epochs or not self._epochs_live(archive_epochs):
             return
-        raw = result.raw_tuples if self.config.containment else None
+        raw = result.raw_rows if self.config.containment else None
         entry = _ResultEntry(
             exact_key=exact_key,
             fingerprint=(
@@ -335,7 +337,7 @@ class SemanticCache:
             finish=finish,
             archive_epochs=archive_epochs,
             result=self._stored_copy(result),
-            raw_tuples=list(raw) if raw is not None else None,
+            raw_rows=raw,
             containment_key=(
                 containment_key if raw is not None else None
             ),

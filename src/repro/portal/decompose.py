@@ -10,11 +10,12 @@ mandatory archives — the count-star performance query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.portal.catalog import FederationCatalog, NodeRecord
+from repro.portal.plan import node_query
 from repro.sql.ast import (
     AreaLike,
     BinaryOp,
@@ -106,6 +107,7 @@ def decompose(query: Query, catalog: FederationCatalog) -> DecomposedQuery:
                 "archive qualifier"
             )
         record = catalog.node(table_ref.archive)
+        info = record.info
         table = record.resolve_table(table_ref.table)
         attr_select = _resolve_attrs(
             attr_needs.get(term.alias, []), term.alias, table, record
@@ -120,7 +122,13 @@ def decompose(query: Query, catalog: FederationCatalog) -> DecomposedQuery:
             dropout=term.dropout,
             residual_sql=residual_sql,
             attr_select=attr_select,
-            node_sql=_node_sql(record, term.alias, table, analysis, residual),
+            node_sql=to_sql(node_query(
+                term.alias,
+                table,
+                (info.object_id_column, info.ra_column, info.dec_column),
+                analysis.area,
+                residual,
+            )),
             perf_sql=None
             if term.dropout
             else _perf_sql(term.alias, table, analysis, residual),
@@ -199,43 +207,11 @@ def _check_columns_exist(
             _check_columns_exist(arg, alias, table, record)
 
 
-def _where_with_area(
-    analysis: QueryAnalysis, residual: Optional[Expr]
-) -> Optional[Expr]:
-    where: Optional[Expr] = analysis.area
-    if residual is not None:
-        where = residual if where is None else BinaryOp("AND", where, residual)
-    return where
-
-
 def _perf_sql(
     alias: str, table: str, analysis: QueryAnalysis, residual: Optional[Expr]
 ) -> str:
     """The count-star performance query for a mandatory archive."""
-    query = Query(
-        items=(SelectItem(FuncCall("COUNT", (Star(),))),),
-        tables=(TableRef(None, table, alias),),
-        where=_where_with_area(analysis, residual),
+    query = node_query(alias, table, (), analysis.area, residual)
+    return to_sql(
+        replace(query, items=(SelectItem(FuncCall("COUNT", (Star(),))),))
     )
-    return to_sql(query)
-
-
-def _node_sql(
-    record: NodeRecord,
-    alias: str,
-    table: str,
-    analysis: QueryAnalysis,
-    residual: Optional[Expr],
-) -> str:
-    """Display form of the spatial query shipped in the plan."""
-    info = record.info
-    query = Query(
-        items=(
-            SelectItem(ColumnRef(alias, info.object_id_column)),
-            SelectItem(ColumnRef(alias, info.ra_column)),
-            SelectItem(ColumnRef(alias, info.dec_column)),
-        ),
-        tables=(TableRef(None, table, alias),),
-        where=_where_with_area(analysis, residual),
-    )
-    return to_sql(query)

@@ -63,8 +63,7 @@ from repro.services.chunked import receive_rowset
 from repro.shard import merge_seed_rows
 from repro.soap.encoding import WireRowSet
 from repro.sql.ast import ColumnRef, Query, and_together
-from repro.xmatch.tuples import PartialTuple
-from repro.xmatch.wire import rowset_to_tuples
+from repro.xmatch.wire import Row, attribute_rows, tuple_rows
 
 if TYPE_CHECKING:
     from repro.portal.portal import Portal
@@ -106,10 +105,10 @@ class FederatedResult:
     #: "containment" (see repro.portal.cache). Excluded from equality so
     #: a cache hit still compares equal to the fresh run it mirrors.
     cache: Optional[str] = field(default=None, repr=False, compare=False)
-    #: Pre-cross-conjunct partial tuples, retained only when the Portal's
-    #: cache wants AREA-containment raw material. Never part of the wire
-    #: response or of result equality.
-    raw_tuples: Optional[List[PartialTuple]] = field(
+    #: Pre-cross-conjunct attribute rows (columns named ``alias.column``),
+    #: retained only when the Portal's cache wants AREA-containment raw
+    #: material. Never part of the wire response or of result equality.
+    raw_rows: Optional[WireRowSet] = field(
         default=None, repr=False, compare=False
     )
 
@@ -208,7 +207,7 @@ class ChainExecutor:
         xid = qid or f"{self._portal.hostname}-x{next(self._xid_counter)}"
         #: Each chain's current plan, re-routed in place by its recovery.
         chains = list(partitions) or [plan]
-        outcomes: List[Optional[Tuple[WireRowSet, List[Dict[str, Any]]]]] = []
+        outcomes: List[Optional[Tuple[List[Row], List[Dict[str, Any]]]]] = []
         try:
             with network.phase("crossmatch-chain"), (
                 network.parallel() if len(chains) > 1 else nullcontext()
@@ -242,20 +241,15 @@ class ChainExecutor:
                 decomposed.query, warnings, counters["failovers"], chains[0]
             )
         if partitions:
-            rowset = WireRowSet(
-                outcomes[0][0].columns[:-1],
-                merge_seed_rows([rows.rows for rows, _ in outcomes]),
-            )
+            rows = merge_seed_rows([rows for rows, _ in outcomes])
             stats = [_fold_hop(hop) for hop in zip(*(s for _, s in outcomes))]
         else:
             plan = chains[0]
-            rowset, stats = outcomes[0]
-        tuples = rowset_to_tuples(
-            rowset,
-            plan.member_aliases_after(0),
-            plan.attr_columns_after(0),
+            rows, stats = outcomes[0]
+        attributes = attribute_rows(
+            rows, plan.member_aliases_after(0), plan.attr_columns_after(0)
         )
-        result = self._finish(plan, decomposed, tuples, stats)
+        result = self._finish(plan, decomposed, attributes, stats)
         result.warnings = warnings
         result.degraded = bool(counters["degraded"])
         result.failovers = counters["failovers"]
@@ -269,7 +263,7 @@ class ChainExecutor:
         counters: Dict[str, Any],
         dead: Set[str],
         xid: str,
-    ) -> Optional[Tuple[WireRowSet, List[Dict[str, Any]]]]:
+    ) -> Optional[Tuple[List[Row], List[Dict[str, Any]]]]:
         """Run chain ``index`` to its answer, retrying and failing over.
 
         ``state`` — the batches already acknowledged — serves every
@@ -316,9 +310,11 @@ class ChainExecutor:
         plan: ExecutionPlan,
         state: Dict[str, Any],
         xid: str,
-    ) -> Tuple[WireRowSet, List[Dict[str, Any]]]:
+    ) -> Tuple[List[Row], List[Dict[str, Any]]]:
         """Open the head's stream, pull whatever batches the open did not
-        carry, and reassemble them — the one conversation with the chain.
+        carry, and reassemble their rows, checked against the plan's
+        schema (:func:`~repro.xmatch.wire.tuple_rows`) — the one
+        conversation with the chain.
 
         The open cascades once (the last node seeds and partitions). When
         one batch is all there is left, its response carries it and the
@@ -411,7 +407,11 @@ class ChainExecutor:
         except Exception:
             abort(stream_id)
             raise
-        return WireRowSet.concat(parts), state["stats"]
+        return tuple_rows(
+            WireRowSet.concat(parts),
+            plan.member_aliases_after(0),
+            plan.attr_columns_after(0),
+        ), state["stats"]
 
     def _cancel_chain(self, chains: Sequence[ExecutionPlan], qid: str) -> None:
         """Eagerly free every hop's state for a dead query (best effort).
@@ -533,20 +533,22 @@ class ChainExecutor:
         self,
         plan: Optional[ExecutionPlan],
         decomposed: DecomposedQuery,
-        tuples: List[PartialTuple],
+        attributes: WireRowSet,
         stats: List[Dict[str, Any]],
     ) -> FederatedResult:
         """Cross-archive predicates + SELECT projection, at the Portal.
 
-        Every tuple of one answer carries the same ``alias.column``
-        attributes in the same order (the plan's attribute columns), so
-        each tuple's attribute values form one row over those names, and
-        every expression is compiled once per answer.
+        ``attributes`` holds one row per answer tuple: its attribute
+        values, in columns named ``alias.column`` (the plan's attribute
+        columns). Every expression is compiled once per answer against
+        those names.
         """
         query = decomposed.query
-        layout = tuples[0].attributes if tuples else {}
-        slots = [ColumnRef(*key.partition(".")[::2]) for key in layout]
-        sources = [tuple(partial.attributes.values()) for partial in tuples]
+        slots = [
+            ColumnRef(*name.partition(".")[::2])
+            for name in attributes.column_names
+        ]
+        sources = attributes.rows
         cross = decomposed.analysis.cross_conjuncts
         if cross:
             passes = compile_predicate(
@@ -564,11 +566,11 @@ class ChainExecutor:
             rows=rows,
             node_stats=stats,
             plan=plan,
-            matched_tuples=len(tuples),
+            matched_tuples=len(attributes),
         )
         cache = self._portal.cache
         if cache is not None and cache.config.containment:
-            # Keep the pre-projection tuples: they are the raw material a
+            # Keep the pre-projection rows: they are the raw material a
             # later contained-AREA query is served from.
-            result.raw_tuples = list(tuples)
+            result.raw_rows = attributes
         return result

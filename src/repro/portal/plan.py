@@ -16,12 +16,37 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
 from repro.shard.merge import SEED_KEY
 from repro.sql.area import area_from_wire, area_to_wire
-from repro.sql.ast import AreaLike
+from repro.sql.ast import (
+    AreaLike,
+    ColumnRef,
+    Expr,
+    Query,
+    SelectItem,
+    TableRef,
+    and_together,
+)
+
+
+def node_query(
+    alias: str,
+    table: str,
+    columns: Sequence[str],
+    area: Optional[Expr],
+    residual: Optional[Expr],
+) -> Query:
+    """The spatial query one archive runs: ``columns`` of its ``table``
+    inside the AREA that pass its local residual — the seed hop's node
+    query, the pull baseline's pull, and the plan's display form."""
+    return Query(
+        items=tuple(SelectItem(ColumnRef(alias, column)) for column in columns),
+        tables=(TableRef(None, table, alias),),
+        where=and_together(tuple(e for e in (area, residual) if e is not None)),
+    )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import (
     Any,
     Callable,
@@ -34,6 +35,7 @@ from repro.portal.skyquery_service import SkyQueryService
 from repro.services.client import ServiceProxy
 from repro.services.framework import ServiceHost
 from repro.services.retry import BreakerRegistry, RetryPolicy
+from repro.soap.encoding import WireRowSet
 from repro.soap.xmlparser import XMLParser
 from repro.sql.ast import Query
 from repro.sql.parser import parse_query
@@ -411,7 +413,7 @@ class Portal:
     ) -> Optional[FederatedResult]:
         """Answer a contained-circle query from a cached covering entry.
 
-        Re-filters the entry's pre-projection partial tuples with the
+        Re-filters the entry's pre-projection attribute rows with the
         *same* per-row predicate every node runs
         (``region.contains(radec_to_vector(ra, dec))``, one test per
         mandatory member), then re-finishes — cross-archive conjuncts,
@@ -423,44 +425,42 @@ class Portal:
         from repro.sphere.coords import radec_to_vector
         from repro.sql.area import region_for
 
-        if entry.plan is None or entry.raw_tuples is None:
+        raw = entry.raw_rows
+        if entry.plan is None or raw is None:
             return None
         assert decomposed.area is not None
         region = region_for(decomposed.area)
-        members = [step for step in entry.plan.steps if not step.dropout]
-        position_keys = [
-            (f"{step.alias}.{step.ra_column}", f"{step.alias}.{step.dec_column}")
-            for step in members
-        ]
-        if entry.raw_tuples and not all(
-            ra_key in entry.raw_tuples[0].attributes
-            and dec_key in entry.raw_tuples[0].attributes
-            for ra_key, dec_key in position_keys
-        ):
+        slot = {name: index for index, name in enumerate(raw.column_names)}
+        try:
+            positions = [
+                (slot[f"{step.alias}.{step.ra_column}"],
+                 slot[f"{step.alias}.{step.dec_column}"])
+                for step in entry.plan.steps
+                if not step.dropout
+            ]
+        except KeyError:
             # The entry predates position widening: unusable raw material.
             return None
         kept = [
-            partial
-            for partial in entry.raw_tuples
+            row
+            for row in raw.rows
             if all(
-                region.contains(
-                    radec_to_vector(
-                        partial.attributes[ra_key], partial.attributes[dec_key]
-                    )
-                )
-                for ra_key, dec_key in position_keys
+                region.contains(radec_to_vector(row[ra], row[dec]))
+                for ra, dec in positions
             )
         ]
-        result = self.executor._finish(entry.plan, decomposed, kept, stats=[])
+        result = self.executor._finish(
+            entry.plan, decomposed, WireRowSet(raw.columns, kept), stats=[]
+        )
         result.cache = "containment"
-        result.raw_tuples = None
+        result.raw_rows = None
         result.counts = {}
         result.epochs = dict(entry.result.epochs)
         result.node_stats = [
             {
                 "cache": "containment",
                 "source_fingerprint": entry.fingerprint,
-                "tuples_scanned": len(entry.raw_tuples),
+                "tuples_scanned": len(raw),
                 "tuples_kept": len(kept),
             }
         ]
@@ -553,16 +553,10 @@ class Portal:
         """Route a plain single-archive query to that node's Query service."""
         table_ref = query.tables[0]
         record = self._direct_target(query)
-        local_query = Query(
-            items=query.items,
-            tables=(
-                type(table_ref)(None, table_ref.table, table_ref.alias),
-            ),
-            where=query.where,
-            group_by=query.group_by,
-            having=query.having,
-            order_by=query.order_by,
-            limit=query.limit,
+        # Every clause travels; only the archive prefix is dropped.
+        local_query = replace(
+            query,
+            tables=(replace(table_ref, archive=None),),
         )
         proxy = self.proxy(record.services["query"])
         with self.require_network().phase("direct-query"):

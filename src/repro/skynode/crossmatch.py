@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -71,13 +72,12 @@ import numpy as np
 
 from repro.db.schema import Column
 from repro.db.types import ColumnType
-from repro.errors import ExecutionError
-from repro.portal.plan import ExecutionPlan, PlanStep
+from repro.errors import ExecutionError, GeometryError
+from repro.portal.plan import ExecutionPlan, PlanStep, node_query
 from repro.services.chunked import ChunkedSender, receive_rowset
 from repro.services.framework import WebService
 from repro.services.leases import Lease, LeaseTable
 from repro.shard import (
-    SEED_KEY,
     SHARD_POS_COLUMN,
     margin_table,
     merge_match_lists,
@@ -87,21 +87,13 @@ from repro.skynode.xmatch_proc import PROCEDURE_NAME
 from repro.tracing.tracer import active_tracer
 from repro.soap.encoding import ColumnarRowSet
 from repro.sphere.coords import radec_to_vector
+from repro.sphere.vector import Vec3
 from repro.sql.area import region_for
-from repro.sql.ast import (
-    BinaryOp,
-    ColumnRef,
-    Expr,
-    Query,
-    SelectItem,
-    TableRef,
-)
+from repro.sql.ast import Query
 from repro.sql.parser import parse_expression
 from repro.transport.chunking import batch_slices
 from repro.units import arcsec_to_rad
-from repro.xmatch.stream import seed_tuples
-from repro.xmatch.tuples import LocalObject, PartialTuple
-from repro.xmatch.wire import rowset_to_tuples, tuples_to_payload
+from repro.xmatch.wire import Row, tuple_rows, tuples_to_payload
 
 if TYPE_CHECKING:
     from repro.skynode.node import SkyNode
@@ -130,7 +122,35 @@ _COST_KEYS = (
 AccRow = Tuple[int, float, float, float, float]
 #: A hop's matches in emission order: ascending seq, each tuple's
 #: candidates in ascending row-position order.
-Matches = List[Tuple[int, List[LocalObject]]]
+Matches = List[Tuple[int, List[Any]]]
+
+#: The row of the empty tuple (``Accumulator.empty()``); a seed row is it
+#: extended by one observation. Its sums are +0.0, so a -0.0 product is
+#: stored as +0.0, exactly as the oracle stores it.
+_EMPTY = (0.0, 0.0, 0.0, 0.0)
+
+
+def _weight(me: PlanStep) -> float:
+    """The weight ``1/sigma^2`` of one archive's observations."""
+    sigma_rad = arcsec_to_rad(me.sigma_arcsec)
+    if sigma_rad <= 0.0:
+        raise GeometryError(f"sigma must be positive, got {sigma_rad!r}")
+    return 1.0 / (sigma_rad * sigma_rad)
+
+
+def _extended(
+    row: Row, n_ids: int, keyed: bool, obj_id: Any, v: Vec3, values: Row, w: float
+) -> Row:
+    """``row`` (``n_ids`` ids; a seed key last if ``keyed``) extended by one
+    observation: ``Accumulator.with_observation``'s operations, in order,
+    so the sums are bit-identical to the in-memory oracle's."""
+    a, ax, ay, az = row[n_ids:n_ids + 4]
+    end = len(row) - keyed
+    return (
+        *row[:n_ids], obj_id,
+        a + w, ax + w * v[0], ay + w * v[1], az + w * v[2],
+        *row[n_ids + 4:end], *values, *row[end:],
+    )
 
 
 @dataclass
@@ -153,8 +173,8 @@ class _Stream:
     stats: Dict[str, Any] = field(default_factory=dict)
     #: Per-batch tuples shipped upstream (batch-granular accounting).
     batch_rows: List[int] = field(default_factory=list)
-    # Last node on the list: the seeded tuples and their batch partition.
-    tuples: Optional[List[PartialTuple]] = None
+    # Last node on the list: the seeded rows and their batch partition.
+    rows: Optional[List[Row]] = None
     slices: Optional[List[Tuple[int, int]]] = None
     # Middle/first nodes: where the incoming batches come from.
     downstream_url: Optional[str] = None
@@ -283,9 +303,9 @@ class CrossMatchService(WebService):
                 # The partition is deterministic, so a resumed stream
                 # (start_seq > 0) slices the batches identically and serves
                 # exactly the missing suffix.
-                stream.tuples, stream.stats = self._seed_step(plan_obj, me)
-                stream.stats["tuples_out"] = len(stream.tuples)
-                stream.slices = batch_slices(len(stream.tuples), batch_size)
+                stream.rows, stream.stats = self._seed_step(plan_obj, me)
+                stream.stats["tuples_out"] = len(stream.rows)
+                stream.slices = batch_slices(len(stream.rows), batch_size)
                 stream.batch_count = len(stream.slices)
             else:
                 next_step = plan_obj.step(position + 1)
@@ -367,33 +387,33 @@ class CrossMatchService(WebService):
                     f"(expected {stream.next_seq} of {stream.batch_count})"
                 )
             plan, position = stream.plan, stream.position
-            if stream.tuples is not None and stream.slices is not None:
+            if stream.rows is not None and stream.slices is not None:
                 start, stop = stream.slices[seq]
-                out_tuples = stream.tuples[start:stop]
+                out_rows = stream.rows[start:stop]
             else:
                 proxy = self._node.proxy(stream.downstream_url)
                 if delivered is None:
                     delivered = proxy.call(
                         "PullBatch", stream_id=stream.downstream_id, seq=seq
                     )
-                incoming = rowset_to_tuples(
+                incoming = tuple_rows(
                     receive_rowset(delivered, proxy),
                     plan.member_aliases_after(position + 1),
                     plan.attr_columns_after(position + 1),
                 )
                 if delivered.get("stats"):
                     stream.downstream_stats = list(delivered["stats"])
-                out_tuples, step_stats = self._local_step(
-                    plan, stream.me, incoming
+                out_rows, step_stats = self._local_step(
+                    plan, position, incoming
                 )
                 stream.stats["tuples_in"] += step_stats["tuples_in"]
                 self._fold_costs(stream.stats, step_stats)
-                stream.stats["tuples_out"] += len(out_tuples)
-            stream.batch_rows.append(len(out_tuples))
+                stream.stats["tuples_out"] += len(out_rows)
+            stream.batch_rows.append(len(out_rows))
             extra: Dict[str, Any] = {}
             stream.next_seq = seq + 1
             if stream.next_seq == stream.batch_count:
-                stream.tuples = None  # the batches are out; free the seed set
+                stream.rows = None  # the batches are out; free the seed set
                 stream.stats["batch_rows"] = list(stream.batch_rows)
                 extra["stats"] = [
                     *(stream.downstream_stats or []), stream.stats
@@ -401,7 +421,7 @@ class CrossMatchService(WebService):
                 self.leases.settle(lease, checkpoint=True)
             stream.served = (
                 tuples_to_payload(
-                    out_tuples,
+                    out_rows,
                     plan.member_aliases_after(position),
                     plan.attr_columns_after(position),
                 ),
@@ -475,31 +495,31 @@ class CrossMatchService(WebService):
 
     def _seed_step(
         self, plan: ExecutionPlan, me: PlanStep
-    ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
-        """Last node on the list: run the node query, emit 1-tuples.
+    ) -> Tuple[List[Row], Dict[str, Any]]:
+        """Last node on the list: run the node query, emit 1-tuple rows.
 
-        The node query reads only this node's own table — on a shard, the
-        rows it owns, never its margin copies — so every seed starts in
-        exactly one partition chain. A partition chain's seeds are tagged
-        with their place in the monolithic order for the Portal's merge.
+        A seed row is the empty tuple extended by one observation. The node
+        query reads only this node's own table — on a shard, the rows it
+        owns, never its margin copies — so every seed starts in exactly one
+        partition chain. A partition chain's seeds carry their place in the
+        monolithic order (the trailing seed key) for the Portal's merge.
         """
         stats = self._stats_dict(me, role="seed", tuples_in=0)
         tagged = plan.partition is not None
-        query = self._node_query_ast(
-            plan, me, (SHARD_POS_COLUMN,) if tagged else ()
+        query = node_query(
+            me.alias,
+            me.table,
+            [
+                me.id_column, me.ra_column, me.dec_column,
+                *(column for column, _, _ in me.attr_select),
+                *((SHARD_POS_COLUMN,) if tagged else ()),
+            ],
+            plan.area,
+            parse_expression(me.residual_sql) if me.residual_sql else None,
         )
         result, costs = self._probe_seed(query, me.epoch)
         self._fold_costs(stats, costs)
-        attr_names = [column for column, _, _ in me.attr_select]
-        objects = [
-            LocalObject(
-                object_id=row[0],
-                position=radec_to_vector(row[1], row[2]),
-                attributes=dict(zip(attr_names, row[3:])),
-            )
-            for row in result.rows
-        ]
-        tuples = seed_tuples(me.alias, objects, arcsec_to_rad(me.sigma_arcsec))
+        heads: Iterable[Row] = repeat(_EMPTY)
         if tagged:
             db = self._node.wrapper.db
             table = db.table(me.table)
@@ -522,18 +542,22 @@ class CrossMatchService(WebService):
                     result.stats.rows_from_full_ranges,
                     spec.htm_depth,
                 )
-            tuples = [
-                partial.with_attributes({SEED_KEY: key})
-                for partial, key in zip(tuples, keys)
-            ]
-        return tuples, stats
+            heads = [_EMPTY + (key,) for key in keys]
+        w, end = _weight(me), 3 + len(me.attr_select)
+        return [
+            _extended(
+                head, 0, tagged,
+                row[0], radec_to_vector(row[1], row[2]), row[3:end], w,
+            )
+            for row, head in zip(result.rows, heads)
+        ], stats
 
     def _local_step(
-        self, plan: ExecutionPlan, me: PlanStep, incoming: List[PartialTuple]
-    ) -> Tuple[List[PartialTuple], Dict[str, Any]]:
+        self, plan: ExecutionPlan, position: int, incoming: List[Row]
+    ) -> Tuple[List[Row], Dict[str, Any]]:
         """Middle/first nodes: sp_xmatch over every partition of this
         node's rows, then extend (mandatory archive) or filter (drop-out
-        archive).
+        archive) the incoming rows.
 
         The partitions are local tables: the node's own table, plus — on a
         shard — the margin copies of its neighbours' rows, which a tuple
@@ -541,15 +565,15 @@ class CrossMatchService(WebService):
         back into monolithic position order; for one, sorting the matches
         by seq is the whole merge.
         """
+        me = plan.step(position)
         stats = self._stats_dict(
             me,
             role="dropout" if me.dropout else "match",
             tuples_in=len(incoming),
         )
-        sigma_rad = arcsec_to_rad(me.sigma_arcsec)
+        n_ids = len(plan.member_aliases_after(position + 1))
         staged: List[AccRow] = [
-            (seq, partial.acc.a, partial.acc.ax, partial.acc.ay, partial.acc.az)
-            for seq, partial in enumerate(incoming)
+            (seq, *row[n_ids:n_ids + 4]) for seq, row in enumerate(incoming)
         ]
         db = self._node.wrapper.db
         tables = [me.table]
@@ -576,18 +600,19 @@ class CrossMatchService(WebService):
             ]
         if me.dropout:
             matched = {seq for seq, _ in merged}
-            tuples = [
-                partial
-                for seq, partial in enumerate(incoming)
-                if seq not in matched
-            ]
-        else:
-            tuples = [
-                incoming[seq].extended(me.alias, obj, sigma_rad)
-                for seq, objects in merged
-                for obj in objects
-            ]
-        return tuples, stats
+            return [
+                row for seq, row in enumerate(incoming) if seq not in matched
+            ], stats
+        w, keyed = _weight(me), plan.partition is not None
+        names = [column for column, _, _ in me.attr_select]
+        return [
+            _extended(
+                incoming[seq], n_ids, keyed, obj.object_id, obj.position,
+                tuple(obj.attributes[name] for name in names), w,
+            )
+            for seq, objects in merged
+            for obj in objects
+        ], stats
 
     # -- the probe: one local table at a time ---------------------------------
 
@@ -629,7 +654,7 @@ class CrossMatchService(WebService):
         staged: Iterable[AccRow],
         table: str,
         extra_columns: Tuple[str, ...] = (),
-    ) -> Tuple[Dict[int, List[LocalObject]], Dict[str, int]]:
+    ) -> Tuple[Dict[int, List[Any]], Dict[str, int]]:
         """The match probe (paper Section 5.3): load the incoming tuples
         into a temp table, run ``sp_xmatch`` against one partition's
         table, drop the temp table."""
@@ -671,36 +696,6 @@ class CrossMatchService(WebService):
             )
 
         return self._measured(run)
-
-    def _node_query_ast(
-        self,
-        plan: ExecutionPlan,
-        me: PlanStep,
-        extra_columns: Tuple[str, ...] = (),
-    ) -> Query:
-        items = [
-            SelectItem(ColumnRef(me.alias, me.id_column)),
-            SelectItem(ColumnRef(me.alias, me.ra_column)),
-            SelectItem(ColumnRef(me.alias, me.dec_column)),
-        ]
-        items.extend(
-            SelectItem(ColumnRef(me.alias, column))
-            for column, _, _ in me.attr_select
-        )
-        items.extend(
-            SelectItem(ColumnRef(me.alias, column)) for column in extra_columns
-        )
-        where: Optional[Expr] = None
-        if plan.area is not None:
-            where = plan.area  # AREA clauses are themselves WHERE conjuncts
-        if me.residual_sql:
-            residual = parse_expression(me.residual_sql)
-            where = residual if where is None else BinaryOp("AND", where, residual)
-        return Query(
-            items=tuple(items),
-            tables=(TableRef(None, me.table, me.alias),),
-            where=where,
-        )
 
     @staticmethod
     def _fold_costs(total: Dict[str, Any], costs: Dict[str, Any]) -> None:

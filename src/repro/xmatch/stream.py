@@ -8,9 +8,13 @@ tuples whose log likelihood still clears the threshold. Drop-out archives
 invert the test: a tuple survives only if *no* local candidate would have
 cleared the threshold.
 
-The search itself is abstracted as a :class:`CandidateSearch` callable so
-the same algorithm runs against the pure in-memory matcher (tests, property
-checks) and the SkyNode's stored procedure (temp table + HTM range scan).
+This is the in-memory oracle of the chain: the search is abstracted as a
+:class:`CandidateSearch` callable over the pure in-memory matcher (tests,
+property checks, the pull baseline), and :func:`run_chain` runs whole
+chains of :class:`PartialTuple` objects. A SkyNode runs none of it: its
+hop extends and filters wire rows with ``sp_xmatch``'s set-at-a-time
+matches (see :mod:`repro.skynode.crossmatch`), and is held to this oracle
+bit for bit.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 from repro.sphere.vector import Vec3
@@ -68,9 +68,3 @@ class PartialTuple:
     def length(self) -> int:
         """Number of archives joined so far."""
         return len(self.members)
-
-    def with_attributes(self, extra: Dict[str, Any]) -> "PartialTuple":
-        """A copy with extra attribute values merged in."""
-        merged = dict(self.attributes)
-        merged.update(extra)
-        return replace(self, attributes=merged)

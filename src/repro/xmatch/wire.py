@@ -1,17 +1,20 @@
-"""Serializing partial tuples to the SOAP rowset transfer format.
+"""Partial tuples in the SOAP rowset transfer format.
 
 Between adjacent SkyNodes, the partial-result set travels as a rowset: one
 row per partial tuple, carrying the member object ids, the four cumulative
 values, and any attribute values the final SELECT (or a Portal-evaluated
-cross-archive predicate) needs.
+cross-archive predicate) needs. That row is the whole state of a tuple, so
+it is the only form the chain's hops and the Portal work on: they check
+an incoming batch with :func:`tuple_rows` and encode an outgoing one with
+:func:`tuples_to_payload`. :func:`tuples_to_rowset` and
+:func:`rowset_to_tuples` are the codec of the in-memory oracle
+(:class:`~repro.xmatch.tuples.PartialTuple`, ``run_chain``).
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import repeat
-from operator import attrgetter, methodcaller
-from typing import Any, Iterable, List, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, List, Sequence, Tuple
 
 from repro.errors import SoapError
 from repro.soap.encoding import ColumnarRowSet, WireRowSet
@@ -25,6 +28,11 @@ _ACC_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("acc_az", "double"),
 )
 _ACC_VALUES = attrgetter("a", "ax", "ay", "az")
+
+#: One partial tuple as the chain carries it: a row of ``tuple_schema`` —
+#: member ids, ``(a, ax, ay, az)``, attributes, and on a partition chain
+#: the seed key last.
+Row = Tuple[Any, ...]
 
 
 def tuple_schema(
@@ -43,32 +51,41 @@ def tuple_schema(
     return columns
 
 
-def _member_id_columns(
-    members: List[Tuple[Tuple[str, int], ...]], member_aliases: Sequence[str]
-) -> List[Sequence[int]]:
-    """One object-id column per schema alias.
+def tuple_rows(
+    rowset: WireRowSet,
+    member_aliases: Sequence[str],
+    attr_columns: Sequence[Tuple[str, str]],
+) -> List[Row]:
+    """The rows of a partial-tuple rowset, checked against its plan.
 
-    A tuple lists its members in chain order (``seed`` then ``extended``
-    per hop), which is the schema's, so member position i is column i and
-    every alias in it must be the schema's i-th.
+    The schema must be exactly ``tuple_schema(member_aliases,
+    attr_columns)``, and no member id or accumulator cell may be NULL
+    (attribute cells may). Anything else is a hostile batch: it raises
+    :class:`SoapError`, never a ``TypeError`` further on.
     """
-    aliases = list(member_aliases)
-    if set(map(len, members)) <= {len(aliases)}:
-        columns: List[Sequence[int]] = []
-        for alias, pairs in zip(
-            aliases, zip(*members) if members else [()] * len(aliases)
-        ):
-            names, ids = zip(*pairs) if pairs else ((), ())
-            if names.count(alias) != len(names):
-                break
-            columns.append(ids)
-        else:
-            return columns
-    listed = next(m for m in members if [a for a, _ in m] != aliases)
-    raise SoapError(
-        f"tuple members {[a for a, _ in listed]} do not match schema "
-        f"aliases {aliases}"
-    )
+    expected = tuple_schema(member_aliases, attr_columns)
+    if rowset.columns != expected:
+        raise SoapError(
+            f"rowset schema {rowset.columns} does not match expected {expected}"
+        )
+    rows = rowset.rows
+    width = len(member_aliases) + len(_ACC_COLUMNS)
+    for index, row in enumerate(rows):
+        if None in row[:width]:
+            column = expected[row[:width].index(None)][0]
+            raise SoapError(f"row {index} has a NULL {column} cell")
+    return rows
+
+
+def attribute_rows(
+    rows: Sequence[Row],
+    member_aliases: Sequence[str],
+    attr_columns: Sequence[Tuple[str, str]],
+) -> WireRowSet:
+    """The attribute columns of partial-tuple rows: per tuple, its values
+    in the ``attr_columns`` (``alias.column``) order."""
+    skip = len(member_aliases) + len(_ACC_COLUMNS)
+    return WireRowSet(list(attr_columns), [row[skip:] for row in rows])
 
 
 def tuples_to_rowset(
@@ -76,40 +93,42 @@ def tuples_to_rowset(
     member_aliases: Sequence[str],
     attr_columns: Sequence[Tuple[str, str]],
 ) -> WireRowSet:
-    """Encode partial tuples as a rowset, built a column at a time."""
-    columns = _member_id_columns(
-        [item.members for item in tuples], member_aliases
-    )
-    accs = [item.acc for item in tuples]
-    columns.extend(
-        zip(*map(_ACC_VALUES, accs)) if accs else [()] * len(_ACC_COLUMNS)
-    )
-    attributes = [item.attributes for item in tuples]
-    columns.extend(
-        list(map(methodcaller("get", name), attributes))
-        for name, _ in attr_columns
-    )
-    return WireRowSet(
-        tuple_schema(member_aliases, attr_columns), list(zip(*columns))
-    )
+    """Encode partial tuples as a rowset (the oracle's codec).
+
+    A tuple lists its members in chain order (``seed`` then ``extended``
+    per hop), which must be the schema's.
+    """
+    aliases = list(member_aliases)
+    names = [name for name, _ in attr_columns]
+    rows = []
+    for item in tuples:
+        listed, ids = zip(*item.members) if item.members else ((), ())
+        if list(listed) != aliases:
+            raise SoapError(
+                f"tuple members {list(listed)} do not match schema "
+                f"aliases {aliases}"
+            )
+        rows.append(
+            (*ids, *_ACC_VALUES(item.acc), *map(item.attributes.get, names))
+        )
+    return WireRowSet(tuple_schema(member_aliases, attr_columns), rows)
 
 
 def tuples_to_payload(
-    tuples: Sequence[PartialTuple],
+    rows: Sequence[Row],
     member_aliases: Sequence[str],
     attr_columns: Sequence[Tuple[str, str]],
 ) -> ColumnarRowSet:
-    """Encode one streamed batch of partial tuples.
+    """Encode one streamed batch of partial-tuple rows.
 
     The streaming chain ships its batches as the compact column-major
     ``colset`` (delta-encoded ids, dictionary-encoded strings): the id
     columns delta-encode tightly and the accumulator doubles dominate what
     is left, cutting envelope bytes (and therefore simulated transfer
-    time) without changing the decoded tuples at all. Receivers decode it
-    to the same rowset :func:`tuples_to_rowset` builds.
+    time) without changing the decoded rows at all.
     """
     return ColumnarRowSet(
-        tuples_to_rowset(tuples, member_aliases, attr_columns)
+        WireRowSet(tuple_schema(member_aliases, attr_columns), list(rows))
     )
 
 
@@ -118,30 +137,14 @@ def rowset_to_tuples(
     member_aliases: Sequence[str],
     attr_columns: Sequence[Tuple[str, str]],
 ) -> List[PartialTuple]:
-    """Decode a rowset back into partial tuples, a column at a time."""
-    expected = tuple_schema(member_aliases, attr_columns)
-    if rowset.columns != expected:
-        raise SoapError(
-            f"rowset schema {rowset.columns} does not match expected {expected}"
-        )
-    count = len(rowset.rows)
-    columns = list(zip(*rowset.rows)) if count else [()] * len(expected)
-    n_members = len(member_aliases)
-    members = _rows(
-        [
-            list(zip(repeat(alias), map(int, ids)))
-            for alias, ids in zip(member_aliases, columns)
-        ],
-        count,
-    )
-    accs = map(Accumulator, *columns[n_members : n_members + 4])
+    """Decode a rowset back into partial tuples (the oracle's codec)."""
+    n = len(member_aliases)
     names = [name for name, _ in attr_columns]
-    attributes = map(
-        dict, map(partial(zip, names), _rows(columns[n_members + 4 :], count))
-    )
-    return list(map(PartialTuple, members, accs, attributes))
-
-
-def _rows(columns: Sequence[Sequence[Any]], count: int) -> Iterable[Tuple[Any, ...]]:
-    """``count`` row tuples of ``columns`` (empty ones when there are none)."""
-    return zip(*columns) if columns else repeat((), count)
+    return [
+        PartialTuple(
+            tuple(zip(member_aliases, map(int, row[:n]))),
+            Accumulator(*row[n:n + 4]),
+            dict(zip(names, row[n + 4:])),
+        )
+        for row in tuple_rows(rowset, member_aliases, attr_columns)
+    ]

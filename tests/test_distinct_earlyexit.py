@@ -124,3 +124,24 @@ class TestEarlyExit:
         )
         assert len(result) == 0
         assert fed.network.metrics.message_count(phase="crossmatch-chain") == 0
+
+
+SINGLE_ARCHIVE_DISTINCT = "SELECT DISTINCT t.type FROM SDSS:Photo_Object t"
+
+
+def _engine_distinct_types(fed):
+    return fed.node("SDSS").db.execute(
+        "SELECT DISTINCT t.type FROM Photo_Object t"
+    ).rows
+
+
+def test_single_archive_distinct_through_the_portal(small_federation):
+    answer = small_federation.portal.submit(SINGLE_ARCHIVE_DISTINCT)
+    expected = _engine_distinct_types(small_federation)
+    assert 1 < len(expected) < 10
+    assert answer.rows == expected
+
+
+def test_single_archive_distinct_through_the_client(small_federation):
+    answer = small_federation.client().submit(SINGLE_ARCHIVE_DISTINCT)
+    assert answer.rows == _engine_distinct_types(small_federation)

@@ -21,6 +21,7 @@ from repro.db.expr import compile_expr
 from repro.db.schema import Column
 from repro.db.types import ColumnType
 from repro.portal.executor import ChainExecutor
+from repro.soap.encoding import WireRowSet
 from repro.sql.ast import (
     AreaClause,
     BinaryOp,
@@ -38,7 +39,6 @@ from repro.sql.ast import (
     XMatchTerm,
     and_together,
 )
-from repro.xmatch.tuples import PartialTuple
 from tests.expr_reference import RowContext, evaluate, reference_finish, reference_select
 
 CONSTANTS = {"GALAXY": "GALAXY", "STAR": "STAR", "SEVEN": 7}
@@ -292,13 +292,15 @@ def test_portal_finish_matches_reference(rows, items, cross, order, distinct, li
         limit=limit,
     )
     attributes = [dict(zip(LAYOUT, row)) for row in rows]
-    tuples = [PartialTuple((), None, attrs) for attrs in attributes]
+    answer = WireRowSet(
+        [(name, "double") for name in LAYOUT], [tuple(row) for row in rows]
+    )
     executor = ChainExecutor(SimpleNamespace(cache=None))
     decomposed = SimpleNamespace(
         query=query, analysis=SimpleNamespace(cross_conjuncts=cross)
     )
     assert outcome(
-        lambda: executor._finish(None, decomposed, tuples, []).rows
+        lambda: executor._finish(None, decomposed, answer, []).rows
     ) == outcome(
         lambda: reference_finish(query, cross, attributes, ASTRO_CONSTANTS)
     ), query

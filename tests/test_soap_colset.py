@@ -21,6 +21,7 @@ from repro.soap.xmlparser import parse_xml
 from repro.soap.xmlwriter import render
 from repro.xmatch.wire import (
     rowset_to_tuples,
+    tuple_schema,
     tuples_to_payload,
     tuples_to_rowset,
 )
@@ -181,22 +182,34 @@ CHAIN_SQL = [
 
 
 @pytest.mark.parametrize("sql", CHAIN_SQL)
-def test_streamed_batch_decodes_to_the_row_form(sql):
+def test_streamed_batch_decodes_to_the_row_form(sql, monkeypatch):
     """``tuples_to_payload`` (what every ``PullBatch`` ships) is the row
-    form in a different wire shape: a real chain's partial tuples, sent
+    form in a different wire shape: a real chain's partial-tuple rows, sent
     through a PullBatch envelope, decode to exactly the rowset — and the
-    tuples — the classic ``<r><c>`` encoding carries. This is what the
-    retired ``rows`` stream format used to prove end to end."""
+    rows — the classic ``<r><c>`` encoding carries, and the oracle's codec
+    reads them back unchanged. This is what the retired ``rows`` stream
+    format used to prove end to end."""
     from repro.federation.builder import FederationConfig, build_federation
+    from repro.skynode import crossmatch
 
-    fed = build_federation(FederationConfig(n_bodies=400, seed=7, cache=True))
+    shipped = []
+    encode = crossmatch.tuples_to_payload
+
+    def recording(rows, member_aliases, attr_columns):
+        shipped.append((list(rows), member_aliases, attr_columns))
+        return encode(rows, member_aliases, attr_columns)
+
+    monkeypatch.setattr(crossmatch, "tuples_to_payload", recording)
+    fed = build_federation(FederationConfig(n_bodies=400, seed=7))
     result = fed.portal.submit(sql)
-    tuples = result.raw_tuples  # retained for the cache's containment tier
-    assert tuples
     aliases = result.plan.member_aliases_after(0)
     attrs = result.plan.attr_columns_after(0)
-    rowset = tuples_to_rowset(tuples, aliases, attrs)
-    payload = tuples_to_payload(tuples, aliases, attrs)
+    # The head's batch, shipped last: the answer as the Portal received it.
+    rows, *schema = shipped[-1]
+    assert schema == [aliases, attrs]
+    assert rows
+    rowset = WireRowSet(tuple_schema(aliases, attrs), rows)
+    payload = tuples_to_payload(rows, aliases, attrs)
     assert isinstance(payload, ColumnarRowSet)
     decoded = parse_rpc_response(
         build_rpc_response("PullBatch", {"rows": payload, "batch": 0})
@@ -206,4 +219,5 @@ def test_streamed_batch_decodes_to_the_row_form(sql):
     assert decoded.rows == parse_rpc_response(
         build_rpc_response("PullBatch", {"rows": rowset, "batch": 0})
     )["rows"].rows
-    assert rowset_to_tuples(decoded, aliases, attrs) == list(tuples)
+    tuples = rowset_to_tuples(decoded, aliases, attrs)
+    assert tuples_to_rowset(tuples, aliases, attrs).rows == rows

@@ -134,14 +134,6 @@ def test_partial_tuple_attributes_accumulate():
         t.member_id("C")
 
 
-def test_with_attributes_merges():
-    obj = LocalObject(1, radec_to_vector(0.0, 0.0), {"x": 1})
-    t = PartialTuple.seed("A", obj, 1e-6)
-    t2 = t.with_attributes({"extra": 2})
-    assert t2.attributes["extra"] == 2
-    assert "extra" not in t.attributes
-
-
 @pytest.mark.parametrize("batch_size", [1, 7, 64, 1000])
 def test_run_chain_batched_matches_unbatched(batch_size):
     # The streaming chain's partition invariant: splitting the seed set
