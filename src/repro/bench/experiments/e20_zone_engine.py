@@ -191,8 +191,8 @@ def run(
 
     def proc_key(result):
         return (
-            {seq: [(o.object_id, o.position) for o in matched]
-             for seq, matched in result.matches.items()},
+            [(*pair[:3], *map(float.hex, pair[3:7]))
+             for pair in result.pairs()],
             (result.stats.tuples_in, result.stats.candidates_tested,
              result.stats.rows_examined, result.stats.matches_found),
         )
@@ -212,7 +212,7 @@ def run(
         report.add_row(
             "sp_xmatch", n, "batched-htm",
             round(htm_s, 3), round(zone_s, 3), round(htm_s / zone_s, 2),
-            round(scalar_s, 3), len(zone_result.matches),
+            round(scalar_s, 3), len(set(zone_result.seqs.tolist())),
             "yes" if identical else "NO",
         )
 

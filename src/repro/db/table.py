@@ -218,8 +218,7 @@ class Table:
 
     def rows_at(self, positions: Sequence[int]) -> List[List[Any]]:
         """The raw rows at many positions, in the order given."""
-        rows = self._rows
-        return [rows[pos] for pos in positions]
+        return list(map(self._rows.__getitem__, positions))
 
     def iter_positions(self, epoch: Optional[int] = None) -> Iterator[int]:
         """Row positions in storage order (a full scan).

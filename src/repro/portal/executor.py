@@ -70,6 +70,13 @@ if TYPE_CHECKING:
     from repro.tracing.tracer import Trace
 
 
+def _chain_failed(attempts: int, exc: Exception) -> ExecutionError:
+    """The error a chain that will not be retried again fails with."""
+    return ExecutionError(
+        f"cross-match chain failed after {attempts} attempt(s): {exc}"
+    )
+
+
 @dataclass
 class FederatedResult:
     """What the Portal relays back to the client.
@@ -148,6 +155,14 @@ class ChainExecutor:
     #: Whole-chain retry budget when every plan node still looks healthy
     #: (the failure was transient but outlasted the per-hop retries).
     MAX_CHAIN_ATTEMPTS = 3
+
+    #: Fault details (the error class a hop raised) that a rerun would
+    #: raise again: a hostile batch, a bad query, bad geometry, a schema
+    #: mismatch. The chain fails at the first such fault; lost leases,
+    #: timeouts and every other fault are retried.
+    DETERMINISTIC_FAULTS = frozenset(
+        {"SoapError", "QueryError", "GeometryError", "SchemaError"}
+    )
 
     def __init__(self, portal: "Portal") -> None:
         self._portal = portal
@@ -278,6 +293,12 @@ class ChainExecutor:
             try:
                 return self._run_chain(chains[index], state, xid)
             except (TransportError, SoapFaultError) as exc:
+                attempts += 1
+                if (
+                    isinstance(exc, SoapFaultError)
+                    and exc.detail in self.DETERMINISTIC_FAULTS
+                ):
+                    raise _chain_failed(attempts, exc) from exc
                 if isinstance(exc, TransportError) and not isinstance(
                     exc, RequestTimeoutError
                 ):
@@ -286,7 +307,6 @@ class ChainExecutor:
                     # so recovery does not ping it again. A timeout proves
                     # nothing — a slow hop downstream times out here too.
                     self._mark_dead(chains[index], dead)
-                attempts += 1
                 next_plan, lost = self._recover(
                     chains[index], warnings, exc, attempts, counters, dead
                 )
@@ -491,10 +511,7 @@ class ChainExecutor:
             return plan, True
         if not moved and not skipped:
             if attempts >= self.MAX_CHAIN_ATTEMPTS:
-                raise ExecutionError(
-                    f"cross-match chain failed after {attempts} attempt(s): "
-                    f"{exc}"
-                ) from exc
+                raise _chain_failed(attempts, exc) from exc
             return plan, False  # transient: retry the same plan
         if skipped:
             # Drop-out archives with no replica left: prune them and

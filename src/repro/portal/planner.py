@@ -39,7 +39,7 @@ from repro.portal.calibration import ArchiveCostModel, CostCalibrator
 from repro.portal.decompose import DecomposedQuery, NodeSubquery
 from repro.portal.plan import ExecutionPlan, PlanStep
 from repro.shard import MARGIN_DEG, prune_members
-from repro.skynode.xmatch_proc import _cap_bounds
+from repro.skynode.xmatch_proc import cap_bounds
 from repro.soap.encoding import WireRowSet
 from repro.units import arcsec_to_rad
 
@@ -331,7 +331,7 @@ class Planner:
         within the reach of its seed: the sum, over the non-seed hops, of
         each hop's widest search radius — ``threshold × (σ_hop + σ_seed)``,
         because the seed's weight bounds every later accumulator's width —
-        widened through ``_cap_bounds`` exactly as the probe widens it.
+        widened through ``cap_bounds`` exactly as the probe widens it.
         Then one chain per stripe the AREA can touch, each hop on that
         stripe's shard, sees every row its tuples can reach, and seeds
         split the answer with no overlap. Otherwise the archives' full
@@ -349,11 +349,11 @@ class Planner:
         }
         seed = plan.steps[-1]
         reach = sum(
-            _cap_bounds(
+            cap_bounds([
                 plan.threshold
                 * arcsec_to_rad(step.sigma_arcsec + seed.sigma_arcsec)
-            )[1]
-            for step in plan.steps[:-1]
+                for step in plan.steps[:-1]
+            ])[1].tolist()
         )
         if None in layouts or len(layouts) > 1 or (
             math.degrees(reach) > MARGIN_DEG

@@ -24,12 +24,13 @@ sorted on the seed key, and seeds are owned by exactly one partition:
 :func:`merge_seed_rows` merging the partitions' answers on that key is
 the monolithic answer.
 
-**Match hops.** The monolithic step emits matches as ``for seq in
-sorted(matches): for obj in objects`` with each tuple's objects in
-ascending row-position order; a shard probes its owned rows and its
-margin copies separately, and per-seq concatenation sorted by
-``_skyq_pos`` (:func:`merge_match_lists`) reproduces it (a row is either
-owned or a margin copy, never both).
+**Match hops.** The monolithic step emits its matches by ascending seq,
+each tuple's rows in ascending row-position order; a shard probes its
+owned rows and its margin copies separately, and ordering the union by
+``(seq, _skyq_pos)`` reproduces it (a row is either owned or a margin
+copy, never both). The hop does that with one ``np.lexsort`` over the two
+probes' pair arrays; :func:`merge_match_lists` is the same order over
+match rows, which the benchmark's layer probe times.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -80,14 +80,12 @@ from repro.services.leases import Lease, LeaseTable
 from repro.shard import (
     SHARD_POS_COLUMN,
     margin_table,
-    merge_match_lists,
     seed_order_keys,
 )
-from repro.skynode.xmatch_proc import PROCEDURE_NAME
+from repro.skynode.xmatch_proc import PROCEDURE_NAME, XMatchProcResult
 from repro.tracing.tracer import active_tracer
 from repro.soap.encoding import ColumnarRowSet
 from repro.sphere.coords import radec_to_vector
-from repro.sphere.vector import Vec3
 from repro.sql.area import region_for
 from repro.sql.ast import Query
 from repro.sql.parser import parse_expression
@@ -120,14 +118,6 @@ _COST_KEYS = (
 
 #: One temp-table row: ``(seq, a, ax, ay, az)``.
 AccRow = Tuple[int, float, float, float, float]
-#: A hop's matches in emission order: ascending seq, each tuple's
-#: candidates in ascending row-position order.
-Matches = List[Tuple[int, List[Any]]]
-
-#: The row of the empty tuple (``Accumulator.empty()``); a seed row is it
-#: extended by one observation. Its sums are +0.0, so a -0.0 product is
-#: stored as +0.0, exactly as the oracle stores it.
-_EMPTY = (0.0, 0.0, 0.0, 0.0)
 
 
 def _weight(me: PlanStep) -> float:
@@ -136,21 +126,6 @@ def _weight(me: PlanStep) -> float:
     if sigma_rad <= 0.0:
         raise GeometryError(f"sigma must be positive, got {sigma_rad!r}")
     return 1.0 / (sigma_rad * sigma_rad)
-
-
-def _extended(
-    row: Row, n_ids: int, keyed: bool, obj_id: Any, v: Vec3, values: Row, w: float
-) -> Row:
-    """``row`` (``n_ids`` ids; a seed key last if ``keyed``) extended by one
-    observation: ``Accumulator.with_observation``'s operations, in order,
-    so the sums are bit-identical to the in-memory oracle's."""
-    a, ax, ay, az = row[n_ids:n_ids + 4]
-    end = len(row) - keyed
-    return (
-        *row[:n_ids], obj_id,
-        a + w, ax + w * v[0], ay + w * v[1], az + w * v[2],
-        *row[n_ids + 4:end], *values, *row[end:],
-    )
 
 
 @dataclass
@@ -519,14 +494,17 @@ class CrossMatchService(WebService):
         )
         result, costs = self._probe_seed(query, me.epoch)
         self._fold_costs(stats, costs)
-        heads: Iterable[Row] = repeat(_EMPTY)
+        if not result.rows:
+            return [], stats
+        # On a partition chain, one more column: each seed's key.
+        key_column: List[List[int]] = []
         if tagged:
             db = self._node.wrapper.db
             table = db.table(me.table)
             positions = [row[-1] for row in result.rows]
             spec = table.spatial
             if plan.area is None or spec is None or not db.use_spatial_index:
-                keys = seed_order_keys(positions)
+                key_column = [seed_order_keys(positions)]
             else:
                 # Shard rows are stored in position order: one searchsorted
                 # finds each seed's storage index, and so the trixel id
@@ -536,21 +514,23 @@ class CrossMatchService(WebService):
                 stored = np.searchsorted(
                     table.int_column(SHARD_POS_COLUMN), positions
                 )
-                keys = seed_order_keys(
+                key_column = [seed_order_keys(
                     positions,
                     [table.htm_id(index) for index in stored.tolist()],
                     result.stats.rows_from_full_ranges,
                     spec.htm_depth,
-                )
-            heads = [_EMPTY + (key,) for key in keys]
-        w, end = _weight(me), 3 + len(me.attr_select)
-        return [
-            _extended(
-                head, 0, tagged,
-                row[0], radec_to_vector(row[1], row[2]), row[3:end], w,
-            )
-            for row, head in zip(result.rows, heads)
-        ], stats
+                )]
+        # The empty tuple's sums are +0.0, so each sum is ``0.0 + w * v``
+        # (a -0.0 product is stored as +0.0), elementwise in numpy: the
+        # operations, and so the bits, of ``Accumulator.with_observation``.
+        ids, ras, decs, *values = zip(*result.rows)
+        w = _weight(me)
+        vectors = np.array(list(map(radec_to_vector, ras, decs)))
+        sums = (0.0 + w * vectors).T.tolist()
+        return list(zip(
+            ids, repeat(0.0 + w), *sums,
+            *values[:len(me.attr_select)], *key_column,
+        )), stats
 
     def _local_step(
         self, plan: ExecutionPlan, position: int, incoming: List[Row]
@@ -561,9 +541,11 @@ class CrossMatchService(WebService):
 
         The partitions are local tables: the node's own table, plus — on a
         shard — the margin copies of its neighbours' rows, which a tuple
-        seeded near the stripe's edge may match. Two partitions are merged
-        back into monolithic position order; for one, sorting the matches
-        by seq is the whole merge.
+        seeded near the stripe's edge may match. ``sp_xmatch`` returns its
+        accepted pairs in (seq, row) order with their extended sums, so the
+        outgoing rows are column gathers: the incoming rows by seq, zipped
+        with the pairs' ids, sums and attributes. Two partitions are merged
+        back into monolithic position order first; one already is in it.
         """
         me = plan.step(position)
         stats = self._stats_dict(
@@ -581,38 +563,53 @@ class CrossMatchService(WebService):
         if db.has_table(margin) and len(db.table(margin)):
             tables.append(margin)
         extra = (SHARD_POS_COLUMN,) if len(tables) > 1 else ()
-        probed = []
+        probed: List[XMatchProcResult] = []
         for table in tables:
-            matches, costs = self._probe_match(plan, me, staged, table, extra)
+            result, costs = self._probe_match(plan, me, staged, table, extra)
             self._fold_costs(stats, costs)
-            probed.append(matches)
-        if len(probed) == 1:
-            merged: Matches = sorted(probed[0].items())
-        else:
-            merged = [
-                (seq, [row[2] for row in rows])
-                for seq, rows in merge_match_lists([
-                    (seq, obj.attributes[SHARD_POS_COLUMN], obj)
-                    for matches in probed
-                    for seq, objects in matches.items()
-                    for obj in objects
-                ])
-            ]
+            probed.append(result)
+        seqs = np.concatenate([result.seqs for result in probed])
         if me.dropout:
-            matched = {seq for seq, _ in merged}
-            return [
-                row for seq, row in enumerate(incoming) if seq not in matched
-            ], stats
-        w, keyed = _weight(me), plan.partition is not None
+            keep = np.ones(len(incoming), dtype=bool)
+            keep[np.unique(seqs)] = False
+            return list(compress(incoming, keep.tolist())), stats
+        if not len(seqs):
+            return [], stats
         names = [column for column, _, _ in me.attr_select]
-        return [
-            _extended(
-                incoming[seq], n_ids, keyed, obj.object_id, obj.position,
-                tuple(obj.attributes[name] for name in names), w,
-            )
-            for seq, objects in merged
-            for obj in objects
-        ], stats
+        a = np.concatenate([result.a for result in probed])
+        avec = np.concatenate([result.avec for result in probed])
+        columns = [
+            list(chain.from_iterable(result.ids for result in probed)),
+            *(
+                list(chain.from_iterable(
+                    result.attributes[name] for result in probed
+                ))
+                for name in names
+            ),
+        ]
+        if len(probed) > 1:
+            # One partition's pairs are in (seq, row) order; the margin
+            # copy's rows interleave the owned ones by their monolithic
+            # position, so one sort on (seq, position) is the merge.
+            order = np.lexsort((
+                np.concatenate([
+                    result.attributes[SHARD_POS_COLUMN] for result in probed
+                ]),
+                seqs,
+            ))
+            seqs, a, avec = seqs[order], a[order], avec[order]
+            index = order.tolist()
+            columns = [list(map(column.__getitem__, index)) for column in columns]
+        # Each outgoing row is its tuple's incoming row with this hop's id,
+        # sums and attributes spliced in: ids, sums, carried attributes,
+        # new attributes, then (on a partition chain) the seed key.
+        heads = list(zip(*map(incoming.__getitem__, seqs.tolist())))
+        end = len(heads) - (plan.partition is not None)
+        new_id, *new_values = columns
+        return list(zip(
+            *heads[:n_ids], new_id, a.tolist(), *avec.T.tolist(),
+            *heads[n_ids + 4:end], *new_values, *heads[end:],
+        )), stats
 
     # -- the probe: one local table at a time ---------------------------------
 
@@ -654,7 +651,7 @@ class CrossMatchService(WebService):
         staged: Iterable[AccRow],
         table: str,
         extra_columns: Tuple[str, ...] = (),
-    ) -> Tuple[Dict[int, List[Any]], Dict[str, int]]:
+    ) -> Tuple[XMatchProcResult, Dict[str, int]]:
         """The match probe (paper Section 5.3): load the incoming tuples
         into a temp table, run ``sp_xmatch`` against one partition's
         table, drop the temp table."""
@@ -690,7 +687,7 @@ class CrossMatchService(WebService):
             finally:
                 db.drop_table(temp.name)  # "The temporary table is deleted."
             return (
-                result.matches,
+                result,
                 result.stats.rows_examined,
                 result.stats.candidates_tested,
             )

@@ -9,9 +9,13 @@ The procedure reads the incoming partial tuples from a temp table (seq +
 cumulative values), range-searches the primary table around each tuple's
 best position via a spatial index, applies the archive's local predicates
 and the query's AREA clause to every candidate, runs the chi-squared test,
-and returns — per incoming tuple — the candidates that keep the tuple
-alive. All row touches go through the engine's buffer pool so processing
-costs (and cache warming) are observable.
+and returns what it computed, as arrays (:class:`XMatchProcResult`): the
+accepted (tuple, row) pairs in (tuple, row-position) order, each pair's
+extended sums ``(a, ax, ay, az)``, and the rows' id and attribute columns,
+gathered once. The calling hop builds its outgoing rows from them by
+column gathers, with no per-match object on either side. All row touches
+go through the engine's buffer pool so processing costs (and cache
+warming) are observable.
 
 ``engine`` picks the *spatial index* that narrows each tuple's search:
 ``htm`` (trixel cover ranges, the reference oracle) or ``zone``
@@ -31,16 +35,17 @@ whatever the index returns is only a superset hint — every body then keeps
 exactly the rows inside the tuple's search cap (one cosine test per row
 against the index-stored unit vectors, identical float64 operations
 everywhere) and visits them in ascending row-position order. The examined
-row set, the buffer-pool charges, the cost stats, and the matches — and
-therefore the node stats and wire traffic of a federated query — are
-byte-identical across engines and bodies.
+row set, the buffer-pool charges, the cost stats, and the pairs with
+their sums — and therefore the node stats and wire traffic of a federated
+query — are byte-identical across engines and bodies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +66,6 @@ from repro.units import arcsec_to_rad
 from repro.xmatch import kernel as xkernel
 from repro.xmatch.chi2 import Accumulator
 from repro.xmatch.kernel import _COS_SLACK
-from repro.xmatch.tuples import LocalObject
 
 PROCEDURE_NAME = "sp_xmatch"
 
@@ -70,20 +74,28 @@ MATCH_ENGINE_ZONE = "zone"
 MATCH_ENGINES = (MATCH_ENGINE_HTM, MATCH_ENGINE_ZONE)
 
 
-def _cap_bounds(radius: float) -> Tuple[float, float]:
-    """The exact-filter cosine threshold and effective probe radius.
+def cap_bounds(radii: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per search radius, the exact-filter cosine threshold and the
+    effective probe radius.
 
     ``cos_r`` is the broadcast kernel's boundary-slackened cosine of the
     search radius: a candidate row is *in the cap* iff its index-stored
     unit vector dots with the tuple's center at or above it. ``r_eff``
     (``acos`` of that threshold) is the radius whose ball contains every
     such row — the index is probed with it so no engine's superset can
-    miss a row another engine would keep. Evaluated per tuple with the
-    same scalar ``math`` calls in both bodies, so the admitted set is
-    bitwise engine- and body-independent.
+    miss a row another engine would keep. Both come from one ``map`` of
+    the scalar ``math`` calls per radius (``np.fmax`` keeps ``max``'s
+    NaN rule), so the admitted set is bitwise engine- and
+    body-independent, and the planner's reach uses the same bounds.
     """
-    cos_r = math.cos(min(radius, math.pi)) - _COS_SLACK
-    return cos_r, math.acos(max(-1.0, cos_r))
+    n = len(radii)
+    cos_r = np.fromiter(
+        map(math.cos, np.minimum(radii, math.pi).tolist()), np.float64, n
+    ) - _COS_SLACK
+    r_eff = np.fromiter(
+        map(math.acos, np.fmax(cos_r, -1.0).tolist()), np.float64, n
+    )
+    return cos_r, r_eff
 
 
 @dataclass
@@ -96,12 +108,62 @@ class XMatchProcStats:
     matches_found: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class XMatchProcResult:
-    """Matches per incoming tuple sequence number, plus cost stats."""
+    """The accepted (tuple, row) pairs, as parallel arrays, plus cost stats.
 
-    matches: Dict[int, List[LocalObject]] = field(default_factory=dict)
-    stats: XMatchProcStats = field(default_factory=XMatchProcStats)
+    Pairs come in (tuple, row-position) order: incoming tuples in
+    temp-table order, each tuple's rows ascending. Per pair: the tuple's
+    ``seq``, the primary ``row`` position, the extended sums ``a`` and
+    ``avec`` (``(ax, ay, az)``, one row per pair) — the exact operations of
+    ``Accumulator.with_observation`` — the row's id, and its value of
+    every requested attribute column.
+    """
+
+    seqs: np.ndarray
+    rows: np.ndarray
+    a: np.ndarray
+    avec: np.ndarray
+    ids: List[Any]
+    attributes: Dict[str, List[Any]]
+    stats: XMatchProcStats
+
+    def pairs(self) -> List[Tuple[Any, ...]]:
+        """The result pair by pair: ``(seq, row, id, a, ax, ay, az,
+        *attribute values)``, attributes in the requested order."""
+        return list(zip(
+            self.seqs.tolist(), self.rows.tolist(), self.ids,
+            self.a.tolist(), *self.avec.T.tolist(), *self.attributes.values(),
+        ))
+
+
+def _accepted(
+    primary: Table,
+    id_column: str,
+    attr_columns: Sequence[str],
+    seqs: np.ndarray,
+    rows: np.ndarray,
+    a: np.ndarray,
+    avec: np.ndarray,
+    stats: XMatchProcStats,
+) -> XMatchProcResult:
+    """The result of the accepted pairs: the id and attribute columns of
+    their rows are gathered once, column by column."""
+    raw = primary.rows_at(rows.tolist())
+    column = primary.schema.column_index
+    stats.matches_found = len(raw)
+    return XMatchProcResult(
+        seqs=seqs,
+        rows=rows,
+        a=a,
+        avec=avec,
+        ids=list(map(itemgetter(column(id_column)), raw)),
+        attributes={
+            name: list(map(itemgetter(column(name)), raw))
+            for name in attr_columns
+        },
+        stats=stats,
+    )
 
 
 def register_xmatch_procedure(db: Database) -> None:
@@ -194,16 +256,17 @@ def _sp_xmatch_scalar(
 
     seq_idx = temp.schema.column_index("seq")
     acc_idx = [temp.schema.column_index(c) for c in ("a", "ax", "ay", "az")]
-    id_idx = primary.schema.column_index(id_column)
     ra_idx = primary.schema.column_index(ra_column)
     dec_idx = primary.schema.column_index(dec_column)
-    attr_idx = [(name, primary.schema.column_index(name)) for name in attr_columns]
     residual_holds = (
         None if residual is None
         else compile_predicate(residual, row_columns(primary, alias), db.constants)
     )
 
-    result = XMatchProcResult()
+    stats = XMatchProcStats()
+    seqs: List[int] = []
+    rows: List[int] = []
+    sums: List[Tuple[float, float, float, float]] = []
     # The temp table is read whole before the first probe, as the
     # set-at-a-time body reads it, so both leave one buffer-pool state.
     incoming = []
@@ -213,11 +276,11 @@ def _sp_xmatch_scalar(
     for row in incoming:
         seq = row[seq_idx]
         acc = Accumulator(*(row[i] for i in acc_idx))
-        result.stats.tuples_in += 1
+        stats.tuples_in += 1
 
         center = acc.best_position()
         radius = acc.search_radius(sigma_rad, threshold)
-        cos_r, r_eff = _cap_bounds(radius)
+        (cos_r,), (r_eff,) = (bound.tolist() for bound in cap_bounds([radius]))
         cx, cy, cz = center
         if engine == MATCH_ENGINE_ZONE:
             window_rows = zone_probe(primary, center, r_eff, limit=limit)
@@ -233,30 +296,28 @@ def _sp_xmatch_scalar(
             if px * cx + py * cy + pz * cz >= cos_r:
                 candidate_rows.append(window_pos)
         candidate_rows.sort()
-        matched: List[LocalObject] = []
         for candidate_pos in candidate_rows:
             db.buffer.access(primary.name, primary.page_of(candidate_pos))
-            result.stats.rows_examined += 1
+            stats.rows_examined += 1
             crow = primary.row(candidate_pos)
             position = radec_to_vector(crow[ra_idx], crow[dec_idx])
-            result.stats.candidates_tested += 1
+            stats.candidates_tested += 1
             if area is not None and not area.contains(position):
                 continue
             if residual_holds is not None and not residual_holds(crow):
                 continue
-            if acc.with_observation(position, sigma_rad).chi2() > threshold_sq:
+            extended = acc.with_observation(position, sigma_rad)
+            if extended.chi2() > threshold_sq:
                 continue
-            matched.append(
-                LocalObject(
-                    object_id=crow[id_idx],
-                    position=position,
-                    attributes={name: crow[i] for name, i in attr_idx},
-                )
-            )
-        if matched:
-            result.matches[seq] = matched
-            result.stats.matches_found += len(matched)
-    return result
+            seqs.append(seq)
+            rows.append(candidate_pos)
+            sums.append((extended.a, extended.ax, extended.ay, extended.az))
+    matrix = np.array(sums, dtype=np.float64).reshape(-1, 4)
+    return _accepted(
+        primary, id_column, attr_columns,
+        np.array(seqs, dtype=np.int64), np.array(rows, dtype=np.int64),
+        matrix[:, 0], matrix[:, 1:], stats,
+    )
 
 
 def _primary_positions(
@@ -306,46 +367,41 @@ def _sp_xmatch_vectorized(
 
     Charges the same page touches in the same order as the scalar loop
     (every temp row, then one primary page per (tuple, candidate) pair),
-    through :meth:`BufferPool.access_pages`, and produces identical
-    matches and stats. The per-tuple and per-pair Python arithmetic is
-    replaced by array passes over flat (tuple, row) pairs; what stays per
-    row is the residual predicate (once per distinct candidate row) and
-    building each match's :class:`LocalObject`.
+    through :meth:`BufferPool.access_pages`, and returns identical pairs,
+    sums and stats. No Python code runs per tuple or per pair: array
+    passes over flat (tuple, row) pairs, the cap bounds and the gathers
+    are ``map``s of C callables, and only the residual predicate is
+    evaluated per distinct candidate row.
     """
     sigma_rad = arcsec_to_rad(sigma_arcsec)
     threshold_sq = threshold * threshold
-
-    seq_idx = temp.schema.column_index("seq")
-    acc_idx = [temp.schema.column_index(c) for c in ("a", "ax", "ay", "az")]
-    id_idx = primary.schema.column_index(id_column)
-    attr_idx = [(name, primary.schema.column_index(name)) for name in attr_columns]
-
-    result = XMatchProcResult()
+    stats = XMatchProcStats()
 
     # Stage 1: read the incoming tuples into columnar accumulator arrays
     # (the scalar loop's temp-table charges: every row, in order).
     n_in = len(temp)
     db.buffer.access_pages(temp.name, np.arange(n_in) // temp.page_size)
     temp_rows = temp.rows_at(range(n_in))
-    seqs = [row[seq_idx] for row in temp_rows]
-    result.stats.tuples_in = n_in
-    if not seqs:
-        return result
-
-    stacked = np.asarray(temp_rows, dtype=np.float64)[:, acc_idx]
+    stats.tuples_in = n_in
+    seqs = np.fromiter(
+        map(itemgetter(temp.schema.column_index("seq")), temp_rows),
+        np.int64, n_in,
+    )
+    acc_idx = [temp.schema.column_index(c) for c in ("a", "ax", "ay", "az")]
+    stacked = np.asarray(temp_rows, dtype=np.float64).reshape(
+        n_in, len(temp.schema)
+    )[:, acc_idx]
     a = np.ascontiguousarray(stacked[:, 0])
     avec = np.ascontiguousarray(stacked[:, 1:])
+    if not n_in:
+        return _accepted(
+            primary, id_column, attr_columns, seqs, seqs, a, avec, stats
+        )
     try:
         centers = xkernel.best_positions(a, avec)
     except GeometryError as exc:
         raise GeometryError(f"{exc} [temp table {temp.name!r}]") from exc
-    radii = xkernel.search_radii(a, sigma_rad, threshold)
-    # Per-tuple cap bounds via the same scalar math calls the reference
-    # loop makes, so the admitted candidate sets agree bitwise.
-    cos_r, r_eff = (
-        np.asarray(column)
-        for column in zip(*(_cap_bounds(r) for r in radii.tolist()))
-    )
+    cos_r, r_eff = cap_bounds(xkernel.search_radii(a, sigma_rad, threshold))
 
     # Stage 2: one batched index probe over every tuple's effective cap,
     # then one exact cosine filter over every (tuple, row) pair. The
@@ -372,8 +428,8 @@ def _sp_xmatch_vectorized(
     # on AREA/residual per *unique* candidate row (both predicates are
     # row-local, so one verdict serves every tuple that examined the row).
     db.buffer.access_pages(primary.name, pair_i // primary.page_size)
-    result.stats.rows_examined = len(pair_i)
-    result.stats.candidates_tested = len(pair_i)
+    stats.rows_examined = len(pair_i)
+    stats.candidates_tested = len(pair_i)
     positions = _primary_positions(primary, ra_column, dec_column)
     rows, row_of_pair = np.unique(pair_i, return_inverse=True)
     verdict = (
@@ -384,31 +440,30 @@ def _sp_xmatch_vectorized(
         residual_holds = compile_predicate(
             residual, row_columns(primary, alias), db.constants
         )
-        for k in np.flatnonzero(verdict).tolist():
-            verdict[k] = residual_holds(primary.row(int(rows[k])))
+        still = np.flatnonzero(verdict)
+        verdict[still] = np.fromiter(
+            map(residual_holds, primary.rows_at(rows[still].tolist())),
+            dtype=bool, count=len(still),
+        )
     passes = verdict[row_of_pair]
     ti = pair_t[passes]
     ri = pair_i[passes]
     if not len(ri):
-        return result
-
-    # Stage 4: the broadcasted chi-squared pass over all surviving pairs.
-    _, _, chi2 = xkernel.extend_pairs(a[ti], avec[ti], positions[ri], sigma_rad)
-    accepted = chi2 <= threshold_sq
-    ri = ri[accepted]
-    for i, row_pos, position in zip(
-        ti[accepted].tolist(), ri.tolist(), positions[ri].tolist()
-    ):
-        crow = primary.row(row_pos)
-        result.matches.setdefault(seqs[i], []).append(
-            LocalObject(
-                object_id=crow[id_idx],
-                position=tuple(position),
-                attributes={name: crow[j] for name, j in attr_idx},
-            )
+        return _accepted(
+            primary, id_column, attr_columns, seqs[ti], ri, a[ti], avec[ti], stats
         )
-    result.stats.matches_found = len(ri)
-    return result
+
+    # Stage 4: the broadcasted chi-squared pass over all surviving pairs;
+    # the accepted pairs keep their extended sums.
+    a_new, avec_new, chi2 = xkernel.extend_pairs(
+        a[ti], avec[ti], positions[ri], sigma_rad
+    )
+    accepted = chi2 <= threshold_sq
+    return _accepted(
+        primary, id_column, attr_columns,
+        seqs[ti[accepted]], ri[accepted],
+        a_new[accepted], avec_new[accepted], stats,
+    )
 
 
 #: The production procedure body.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -112,6 +112,20 @@ def cap_windows(
     return dec_lo, dec_hi, halfwidth
 
 
+def _expand(
+    starts: np.ndarray, lengths: np.ndarray, owners: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Runs ``starts[k] .. starts[k] + lengths[k] - 1`` laid end to end.
+
+    Returns, per element, the index of its run (or ``owners`` of that run)
+    and its value.
+    """
+    run = np.repeat(np.arange(len(starts), dtype=np.int64), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    values = np.arange(len(run), dtype=np.int64) - offsets[run] + starts[run]
+    return (run if owners is None else owners[run]), values
+
+
 @dataclass(frozen=True)
 class ZoneArrays:
     """One table's (or object list's) zone index, sorted by ``(zone, ra)``.
@@ -195,36 +209,21 @@ class ZoneArrays:
         b_lo = np.where(wrap_lo, ra_lo + 360.0, np.where(wrap_hi, 0.0, 1.0))
         b_hi = np.where(wrap_lo, 360.0, np.where(wrap_hi, ra_hi - 360.0, 0.0))
 
-        widx = np.arange(m, dtype=np.int64)
-        pair_t_parts = []
-        pair_i_parts = []
-        max_span = int(np.max(zmax - zmin))
-        for d in range(max_span + 1):
-            z = zmin + d
-            active = z <= zmax
-            if not np.any(active):
-                break
-            zbase = z[active].astype(np.float64) * 360.0
-            for lo, hi in ((a_lo, a_hi), (b_lo, b_hi)):
-                starts = np.searchsorted(self.keys, zbase + lo[active], side="left")
-                stops = np.searchsorted(self.keys, zbase + hi[active], side="right")
-                lengths = stops - starts
-                nonzero = lengths > 0
-                if not np.any(nonzero):
-                    continue
-                starts = starts[nonzero]
-                lengths = lengths[nonzero]
-                tuple_ids = widx[active][nonzero]
-                total = int(lengths.sum())
-                offsets = np.cumsum(lengths) - lengths
-                flat = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(offsets, lengths)
-                    + np.repeat(starts, lengths)
-                )
-                pair_t_parts.append(np.repeat(tuple_ids, lengths))
-                pair_i_parts.append(self.order[flat])
-        if not pair_t_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(pair_t_parts), np.concatenate(pair_i_parts)
+        # Every (window, zone) pair at once, once per interval; then one
+        # searchsorted per bound serves them all.
+        per_zone, zone = _expand(zmin, np.maximum(zmax - zmin + 1, 0))
+        window = np.tile(per_zone, 2)
+        zbase = np.tile(zone.astype(np.float64) * 360.0, 2)
+        starts = np.searchsorted(
+            self.keys,
+            zbase + np.concatenate((a_lo[per_zone], b_lo[per_zone])),
+            side="left",
+        )
+        stops = np.searchsorted(
+            self.keys,
+            zbase + np.concatenate((a_hi[per_zone], b_hi[per_zone])),
+            side="right",
+        )
+        hit = stops > starts
+        pair_t, flat = _expand(starts[hit], stops[hit] - starts[hit], window[hit])
+        return pair_t, self.order[flat]

@@ -205,8 +205,11 @@ def test_sp_xmatch_buffer_state_matches_reference(
                 PROCEDURE_NAME, temp_table=temp.name, engine=engine, **params
             )
             observed.append((
-                result.matches, result.stats, db.buffer.stats,
-                db.buffer.resident_order(),
+                [
+                    (*pair[:3], *map(float.hex, pair[3:7]), *pair[7:])
+                    for pair in result.pairs()
+                ],
+                result.stats, db.buffer.stats, db.buffer.resident_order(),
             ))
         assert observed[0] == observed[1], engine
         assert observed[0][1].matches_found or with_area or with_residual

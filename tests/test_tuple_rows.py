@@ -112,6 +112,26 @@ def test_a_hop_refuses_a_null_id_with_a_typed_fault(monkeypatch):
         fed.portal.submit(PAIR_SQL)
 
 
+def test_a_deterministic_chain_fault_is_not_retried(monkeypatch):
+    """A hop's SoapError would recur on every rerun (the drained seed
+    stream replays the same bad payload), so the Portal opens the chain
+    once and gives up, in the retry budget's own words."""
+    fed = build_federation(_config())
+    monkeypatch.setattr(crossmatch_module, "tuples_to_payload", _null_first_id(1))
+    before = len(fed.network.metrics.messages)
+    with pytest.raises(
+        ExecutionError,
+        match=r"chain failed after 1 attempt\(s\): soap:Server: row 0 has a NULL",
+    ):
+        fed.portal.submit(PAIR_SQL)
+    opens = [
+        m for m in fed.network.metrics.messages[before:]
+        if m.operation == "PerformXMatch" and m.kind == "request"
+        and m.src == fed.portal.hostname
+    ]
+    assert len(opens) == 1
+
+
 def test_the_portal_refuses_a_null_id(monkeypatch):
     fed = build_federation(_config())
     # Only the head's answer (both members) carries the NULL.

@@ -101,8 +101,8 @@ def test_finds_nearby_object(db):
     )
     temp = make_temp(db, [incoming])
     result = call_proc(db, temp)
-    assert 0 in result.matches
-    assert result.matches[0][0].object_id == 1
+    assert result.seqs.tolist() == [0]
+    assert result.ids == [1]
     assert result.stats.tuples_in == 1
 
 
@@ -112,7 +112,7 @@ def test_rejects_distant_object(db):
     incoming = Accumulator.of_observation(radec_to_vector(185.0, -0.5), sigma)
     temp = make_temp(db, [incoming])
     result = call_proc(db, temp)
-    assert result.matches == {}
+    assert result.pairs() == []
 
 
 def test_area_filters_candidates(db):
@@ -123,7 +123,7 @@ def test_area_filters_candidates(db):
     temp = make_temp(db, [incoming])
     far_area = Cap.from_radec(10.0, 10.0, 60.0)
     result = call_proc(db, temp, area=far_area)
-    assert result.matches == {}
+    assert result.pairs() == []
 
 
 def test_residual_filters_candidates(db):
@@ -136,8 +136,8 @@ def test_residual_filters_candidates(db):
     failing = call_proc(
         db, make_temp(db, [incoming]), residual=parse_expression("X.flux > 9")
     )
-    assert 0 in passing.matches
-    assert failing.matches == {}
+    assert passing.seqs.tolist() == [0]
+    assert failing.pairs() == []
 
 
 def test_attr_columns_carried(db):
@@ -146,7 +146,7 @@ def test_attr_columns_carried(db):
     insert_objects(db, [position], fluxes=[7.5])
     temp = make_temp(db, [Accumulator.of_observation(position, sigma)])
     result = call_proc(db, temp, attr_columns=("flux",))
-    assert result.matches[0][0].attributes == {"flux": 7.5}
+    assert result.attributes == {"flux": [7.5]}
 
 
 def test_multiple_tuples_and_candidates(db):
@@ -166,9 +166,8 @@ def test_multiple_tuples_and_candidates(db):
         ],
     )
     result = call_proc(db, temp)
-    assert set(result.matches) == {0, 1}
-    assert result.matches[0][0].object_id == 1
-    assert result.matches[1][0].object_id == 2
+    assert result.seqs.tolist() == [0, 1]
+    assert result.ids == [1, 2]
 
 
 def test_requires_spatial_primary(db):
@@ -213,12 +212,14 @@ def make_crowded(db, seed=7, n=40):
 
 
 def snapshot(result):
+    """Every pair with its sums as ``float.hex`` (bit for bit), the
+    attribute names, and the cost counters."""
     return (
-        {
-            seq: [(o.object_id, o.position, sorted(o.attributes.items()))
-                  for o in matched]
-            for seq, matched in result.matches.items()
-        },
+        [
+            (*pair[:3], *map(float.hex, pair[3:7]), *pair[7:])
+            for pair in result.pairs()
+        ],
+        list(result.attributes),
         (result.stats.tuples_in, result.stats.candidates_tested,
          result.stats.rows_examined, result.stats.matches_found),
     )
@@ -248,14 +249,43 @@ def test_reference_procedure_agrees_with_production(overrides):
     baseline = results[("htm", True)]
     for combo, outcome in results.items():
         assert outcome == baseline, combo
-    (matches, _), _, _ = baseline
-    assert matches  # the scenario is non-trivial
+    (pairs, _, _), _, _ = baseline
+    assert pairs  # the scenario is non-trivial
+
+
+def test_array_result_is_the_reference_bit_for_bit():
+    """``sp_xmatch`` and ``sp_xmatch_reference`` return the same pairs,
+    ids, attributes and extended sums (compared as ``float.hex``) under
+    both engines, with a residual and an AREA, on two-observation tuples
+    of which some find no partner — the ones a drop-out hop keeps."""
+    sigma = arcsec_to_rad(0.5)
+    results = {}
+    for engine in ("htm", "zone"):
+        for reference in (True, False):
+            database = make_database(reference)
+            incoming = [
+                acc.with_observation(acc.best_position(), arcsec_to_rad(0.3))
+                for acc in make_crowded(database)
+            ] + [Accumulator.of_observation(radec_to_vector(186.0, 0.5), sigma)]
+            temp = make_temp(database, incoming)
+            result = call_proc(
+                database, temp, engine=engine,
+                area=Cap.from_radec(185.0, -0.5, 300.0),
+                residual=parse_expression("X.flux > 10"),
+                attr_columns=("flux",),
+            )
+            results[(engine, reference)] = (snapshot(result), len(incoming))
+    baseline = results[("htm", True)]
+    assert all(outcome == baseline for outcome in results.values())
+    (pairs, names, _), n_in = baseline
+    assert names == ["flux"]
+    assert 0 < len({pair[0] for pair in pairs}) < n_in
 
 
 def test_production_procedure_empty_temp(db):
     temp = make_temp(db, [])
     result = call_proc(db, temp)
-    assert result.matches == {} and result.stats.tuples_in == 0
+    assert result.pairs() == [] and result.stats.tuples_in == 0
 
 
 def test_kernel_is_not_a_procedure_parameter(db):
@@ -268,7 +298,7 @@ def test_kernel_is_not_a_procedure_parameter(db):
 def test_zone_engine_empty_temp(db):
     temp = make_temp(db, [])
     result = call_proc(db, temp, engine="zone")
-    assert result.matches == {} and result.stats.tuples_in == 0
+    assert result.pairs() == [] and result.stats.tuples_in == 0
 
 
 def test_unknown_engine_rejected(db):

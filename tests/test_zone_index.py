@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.indexes import batch_zone_probe, spatial_probe, zone_probe
 from repro.db.schema import Column
@@ -23,6 +25,7 @@ from repro.zone.index import (
     zone_count,
     zone_of,
 )
+from tests.zone_reference import window_pairs_reference
 
 
 # ---------------------------------------------------------------- zone math
@@ -163,6 +166,41 @@ def test_window_pairs_matches_brute_force():
             delta = abs((ra[i] - rc + 180.0) % 360.0 - 180.0)
             if delta <= hw or hw >= 180.0:
                 expected.add((w, i))
+    assert got == expected
+
+
+_WINDOW = st.tuples(
+    st.floats(-95.0, 95.0),  # window center dec (past a pole: polar)
+    st.floats(0.0, 12.0),  # dec half-height
+    # RA centers hug 0/360 so the intervals wrap both ways.
+    st.one_of(st.floats(0.0, 360.0), st.floats(-3.0, 3.0).map(lambda r: r % 360.0)),
+    # Half-widths reach past 180: whole-zone scans.
+    st.one_of(st.floats(0.0, 8.0), st.floats(170.0, 200.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 300),
+    height=st.sampled_from([0.5, 2.0, 7.0]),
+    windows=st.lists(_WINDOW, max_size=12),
+)
+def test_window_pairs_equal_the_zone_offset_loop(seed, n, height, windows):
+    """The flattened probe returns exactly the pairs of the loop over zone
+    offsets it replaced, on wrapped, polar and whole-zone windows."""
+    rng = random.Random(seed)
+    ra = np.asarray([rng.uniform(0.0, 360.0) for _ in range(n)])
+    dec = np.asarray([rng.uniform(-90.0, 90.0) for _ in range(n)])
+    za = ZoneArrays.build(ra, dec, height)
+    dec_c, half_height, ra_c, half = (
+        np.asarray(column, dtype=np.float64) for column in zip(*windows)
+    ) if windows else (np.empty(0),) * 4
+    args = (dec_c - half_height, dec_c + half_height, ra_c, half)
+    got = sorted(zip(*(part.tolist() for part in za.window_pairs(*args))))
+    expected = sorted(
+        zip(*(part.tolist() for part in window_pairs_reference(za, *args)))
+    )
     assert got == expected
 
 
