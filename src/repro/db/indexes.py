@@ -144,13 +144,19 @@ def _rows_in_ranges(
 def _sorted_pairs(
     pair_t: np.ndarray, pair_i: np.ndarray, limit: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Epoch-filter ``(tuple, row)`` pairs and sort them by tuple, then row."""
+    """Epoch-filter ``(tuple, row)`` pairs and sort them by tuple, then row.
+
+    One sort of the int64 key ``tuple * span + row`` (``span`` exceeds
+    every row position) orders the pairs exactly as a two-key lexsort.
+    """
     if limit is not None:
         keep = pair_i < limit
         pair_t = pair_t[keep]
         pair_i = pair_i[keep]
-    order = np.lexsort((pair_i, pair_t))
-    return pair_t[order], pair_i[order]
+    if not len(pair_i):
+        return pair_t, pair_i
+    span = int(pair_i.max()) + 1
+    return np.divmod(np.sort(pair_t.astype(np.int64) * span + pair_i), span)
 
 
 def batch_zone_probe(

@@ -21,7 +21,6 @@ from repro.shard import ZONE_KEY
 from repro.skynode.node import DEFAULT_PARSER_MEMORY_LIMIT, SkyNode
 from repro.skynode.wrapper import ArchiveInfo
 from repro.skynode.xmatch_proc import MATCH_ENGINE_ZONE, PROCEDURE_NAME
-from repro.sql.ast import AreaClause
 from repro.transport.faults import FaultPlan
 from repro.transport.network import SimulatedNetwork
 from repro.workloads.skysim import (
@@ -77,9 +76,10 @@ class FederationConfig:
     #: Tuples per batch when the chain is pipelined.
     stream_batch_size: int = 200
     #: Replica SkyNodes provisioned per archive (0 = none). Each replica is
-    #: a full mirror: its own database is populated from the primary over
-    #: the transactional region-replication exchange (2PC), and its
-    #: endpoints are advertised to the Portal as failover candidates.
+    #: a full mirror, its primary row for row: one table-order pull of the
+    #: primary's rows is committed at all of the archive's mirrors under
+    #: one 2PC exchange, and their endpoints are advertised to the Portal
+    #: as failover candidates.
     #: With ``shards`` > 0 the same count also provisions mirrors of each
     #: *shard*, advertised as that shard's endpoint candidates.
     replicas: int = 0
@@ -394,59 +394,50 @@ def _provision_replicas(
     """Stand up ``config.replicas`` mirror SkyNodes for one archive.
 
     Each replica starts with an *empty* copy of the primary table (same
-    spatial indexing) and is filled over the wire: the transactional
-    region-replication exchange pulls the primary's rows through its Query
-    service and commits them at the replica under 2PC — so a replica is
-    provisioned exactly the way two real archives would exchange data,
-    never by reaching into the primary's database object. The primary then
-    re-registers, advertising the replicas' endpoints as failover
-    candidates.
+    spatial indexing) and is filled over the wire, exactly as shards are:
+    one table-order pull of the primary's rows through its Query service,
+    committed at every mirror under one 2PC — so a replica is its primary
+    row for row, provisioned the way two real archives would exchange
+    data, never by reaching into the primary's database object. The
+    primary then re-registers, advertising the replicas' endpoints as
+    failover candidates.
     """
     from repro.transactions.exchange import DataExchange
 
-    info = primary.info
-    field_ = config.sky_field
-    # Generous circle: every observed position (field radius + positional
-    # scatter) falls inside it, so the replica is a complete mirror.
-    everything = AreaClause(
-        field_.center_ra_deg,
-        field_.center_dec_deg,
-        field_.radius_arcsec * 4.0,
-    )
-    column_names = [column.name for column in survey.columns()]
-    replica_nodes: List[SkyNode] = []
-    for index in range(1, config.replicas + 1):
-        replica = _make_node(
+    lower = survey.archive.lower()
+    replica_nodes = {
+        f"{survey.archive}-r{index}": _make_node(
             config,
             network,
             survey,
-            info,
-            f"{survey.archive.lower()}_r{index}",
+            primary.info,
+            f"{lower}_r{index}",
             survey.columns(),
-            hostname=f"{survey.archive.lower()}-r{index}.skyquery.net",
+            hostname=f"{lower}-r{index}.skyquery.net",
         )
-        replica_key = f"{survey.archive}-r{index}"
-        exchange = DataExchange(
-            portal, {replica_key: replica.enable_transactions()}
+        for index in range(1, config.replicas + 1)
+    }
+    exchange = DataExchange(
+        portal,
+        {key: node.enable_transactions() for key, node in replica_nodes.items()},
+    )
+    result = exchange.replicate_region(
+        survey.archive,
+        list(replica_nodes),
+        None,
+        columns=[column.name for column in survey.columns()],
+        target_table=survey.primary_table,
+    )
+    if not result.committed:
+        raise RegistrationError(
+            f"replica provisioning for {survey.archive!r} aborted: "
+            f"{result.abort_reason}"
         )
-        result = exchange.replicate_region(
-            survey.archive,
-            [replica_key],
-            everything,
-            columns=column_names,
-            target_table=survey.primary_table,
-        )
-        if not result.committed:
-            raise RegistrationError(
-                f"replica provisioning for {survey.archive!r} aborted: "
-                f"{result.abort_reason}"
-            )
-        replica_nodes.append(replica)
     primary.register_with_portal(
         portal.service_url("registration"),
-        replicas=[replica.service_urls() for replica in replica_nodes],
+        replicas=[replica.service_urls() for replica in replica_nodes.values()],
     )
-    return replica_nodes
+    return list(replica_nodes.values())
 
 
 def _make_node(
@@ -529,8 +520,13 @@ def _provision_shards(
     decs: Dict[str, List[float]] = {}
     for survey in config.surveys:
         column_names = [column.name for column in survey.columns()]
-        pulled[survey.archive] = puller.pull_table_with_positions(
-            survey.archive, column_names, position_column=SHARD_POS_COLUMN
+        rowset = puller.pull(survey.archive, column_names)
+        # Each row's index in the primary's table order, assigned here
+        # because it is an artifact of that table's layout, not a column
+        # the source schema knows about.
+        pulled[survey.archive] = WireRowSet(
+            list(rowset.columns) + [(SHARD_POS_COLUMN, "int")],
+            [tuple(row) + (pos,) for pos, row in enumerate(rowset.rows)],
         )
         dec_idx = column_names.index(survey.dec_column)
         decs[survey.archive] = [
@@ -594,21 +590,20 @@ def _provision_shards(
         for row, dec in zip(rowset.rows, decs[archive]):
             for member in members_for_tuple(members, dec, MARGIN_DEG):
                 into = owned if member.ownership.owns(dec) else margin
-                into[member.name].append(tuple(row))
+                into[member.name].append(row)
         assignments = {
-            key: {
-                table: WireRowSet(list(rowset.columns), owned[name]),
-                margin_table(table): WireRowSet(
-                    list(rowset.columns), margin[name]
+            key: [
+                (table, WireRowSet(list(rowset.columns), owned[name])),
+                (
+                    margin_table(table),
+                    WireRowSet(list(rowset.columns), margin[name]),
                 ),
-            }
+            ]
             for name, keys in holders.items()
             for key in keys
         }
         exchange = DataExchange(portal, transaction_urls)
-        result = exchange.stage_partitioned(
-            assignments, txn_label=f"shard-{lower}"
-        )
+        result = exchange.ship(f"shard-{lower}", assignments)
         if not result.committed:
             raise RegistrationError(
                 f"shard provisioning for {archive!r} aborted: "

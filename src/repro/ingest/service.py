@@ -5,7 +5,10 @@ This extension service accepts batched row uploads against a primary
 archive and commits each upload set as ONE new snapshot epoch, fanned out
 to every replica through the two-phase-commit Transaction services — so
 primaries and mirrors advance their epoch counters in lockstep and no
-replica ever exposes a partial upload. In-flight queries keep reading the
+replica ever exposes a partial upload. CommitEpoch ships the batches
+through :meth:`TwoPhaseCoordinator.stage_and_complete`, the staging path
+replica and shard provisioning use too; a participant that cannot be
+staged aborts the epoch everywhere. In-flight queries keep reading the
 epoch they were planned at (see ``Portal.submit(pin_epochs=...)``).
 
 Upload sessions are *volatile*: a primary crash before CommitEpoch drops
@@ -21,9 +24,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ContextManager, Dict, List, Optional
 
-from repro.errors import IngestError, SoapFaultError, TransportError
+from repro.errors import IngestError
 from repro.services.framework import WebService
-from repro.soap.encoding import ColumnarRowSet, WireRowSet
+from repro.soap.encoding import WireRowSet
 from repro.transactions.coordinator import CoordinatorLog, TwoPhaseCoordinator
 
 if TYPE_CHECKING:
@@ -137,28 +140,21 @@ class IngestService(WebService):
         txn_id = f"{ingest_id}-txn"
         participants = [node.enable_transactions()]
         participants.extend(node.replica_transaction_urls)
+        stages = [(session.table, batch) for batch in session.batches]
 
         with self._span("ingest-commit"):
-            staged = self._stage_everywhere(txn_id, session, participants)
-            if not staged:
-                # A participant was unreachable mid-staging: no one can
-                # vote commit on a partial stage, so presume abort
-                # everywhere (best effort — a crashed replica lost its
-                # ACTIVE txn anyway and Prepare-on-unknown votes abort).
-                self._abort_everywhere(txn_id, participants)
-                del self._sessions[ingest_id]
-                return {
-                    "committed": False,
-                    "epoch": node.db.committed_epoch,
-                    "txn_id": txn_id,
-                    "participants": [],
-                    "votes": [],
-                    "abort_reason": "staging failed: participant unreachable",
-                }
-            coordinator = TwoPhaseCoordinator(
+            # An epoch exists on every mirror or on none: a participant
+            # that cannot be staged aborts the upload everywhere.
+            outcome = TwoPhaseCoordinator(
                 network, node.hostname, self.coordinator_log
+            ).stage_and_complete(
+                txn_id,
+                {url: stages for url in participants},
+                proxy=node.proxy,
+                phase=PHASE,
+                rows_per_call=self.stage_rows_per_call,
+                advance_epoch=True,
             )
-            outcome = coordinator.complete(txn_id, participants)
             if network.tracer is not None:
                 network.tracer.annotate(
                     "ingest",
@@ -203,57 +199,6 @@ class IngestService(WebService):
             "committed": sum(1 for o in outcomes if o.committed),
             "committed_epoch": node.db.committed_epoch,
         }
-
-    # -- fan-out ---------------------------------------------------------------
-
-    def _stage_everywhere(
-        self,
-        txn_id: str,
-        session: _IngestSession,
-        participants: List[str],
-    ) -> bool:
-        """Begin + stage every batch at every participant; False on failure.
-
-        Staging sequence numbers make retried batches idempotent; an
-        unreachable participant aborts the whole upload (no quorum games —
-        an epoch exists on every mirror or on none).
-        """
-        from repro.transport.chunking import chunk_rowset
-
-        node = self._node
-        try:
-            with node.network.phase(PHASE):
-                for url in participants:
-                    proxy = node.proxy(url)
-                    proxy.call("Begin", txn_id=txn_id, advance_epoch=True)
-                    seq = 0
-                    for batch in session.batches:
-                        for chunk in chunk_rowset(
-                            ColumnarRowSet(batch), self.stage_rows_per_call
-                        ):
-                            proxy.call(
-                                "StageRows",
-                                txn_id=txn_id,
-                                table=session.table,
-                                rows=chunk,
-                                seq=seq,
-                            )
-                            seq += 1
-        except (TransportError, SoapFaultError):
-            # Unreachable, or a participant that crashed mid-protocol and
-            # lost its ACTIVE transaction — either way the stage set is
-            # incomplete and the upload must abort everywhere.
-            return False
-        return True
-
-    def _abort_everywhere(self, txn_id: str, participants: List[str]) -> None:
-        node = self._node
-        with node.network.phase(PHASE):
-            for url in participants:
-                try:
-                    node.proxy(url).call("Abort", txn_id=txn_id)
-                except TransportError:
-                    pass  # presumed abort: Prepare on an unknown txn fails
 
     # -- helpers ---------------------------------------------------------------
 

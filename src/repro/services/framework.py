@@ -18,6 +18,7 @@ from repro.errors import (
     ServiceError,
     SkyQueryError,
     SoapError,
+    SoapFaultError,
     XMLMemoryError,
 )
 from repro.soap.envelope import build_fault, build_rpc_response, parse_rpc_call
@@ -166,6 +167,11 @@ class WebService:
         try:
             self._check_budget(operation, hostname)
             result = entry.fn(**params)
+        except SoapFaultError as exc:
+            # A fault relayed from a service this one called keeps its
+            # class, so a caller any number of hops up sees the fault the
+            # failing service raised, not this relay.
+            return self._fault(exc.faultcode, exc.faultstring, exc.detail)
         except SkyQueryError as exc:
             # The fault detail names the error class so callers can tell a
             # caller mistake (e.g. pinning a garbage-collected epoch) from

@@ -1,5 +1,14 @@
 """The two-phase-commit coordinator with a write-ahead log.
 
+Rows reach participants one way, :meth:`TwoPhaseCoordinator.
+stage_and_complete`: ``Begin`` at every participant, ``StageRows`` in
+numbered chunks, then :meth:`~TwoPhaseCoordinator.complete`. Replica and
+shard provisioning (:mod:`repro.transactions.exchange`) and every ingest
+epoch (:mod:`repro.ingest.service`) ship their rows through it. A staging
+call that fails makes the decision abort, logged and delivered like any
+other, so no participant is left holding an ACTIVE transaction nobody
+will finish: one the Abort cannot reach is replayed by ``recover()``.
+
 Protocol: once staging is done, the coordinator logs BEGIN, collects
 Prepare votes from every participant, logs its DECISION (commit only on a
 unanimous yes — presumed abort otherwise), delivers the decision to every
@@ -14,10 +23,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Dict, List, Optional
+from typing import (
+    Callable, ContextManager, Dict, List, Optional, Sequence, Tuple,
+)
 
-from repro.errors import TransactionError, TransportError
+from repro.errors import SoapFaultError, TransactionError, TransportError
 from repro.services.client import ServiceProxy
+from repro.soap.encoding import ColumnarRowSet, WireRowSet
+from repro.transport.chunking import chunk_rowset
 from repro.transport.network import SimulatedNetwork
 
 PHASE = "transaction"
@@ -99,6 +112,58 @@ class TwoPhaseCoordinator:
             return nullcontext(None)
         return tracer.span(name, host=self.hostname)
 
+    def stage_and_complete(
+        self,
+        txn_id: str,
+        stages: Dict[str, Sequence[Tuple[str, WireRowSet]]],
+        *,
+        proxy: Callable[[str], ServiceProxy],
+        phase: str,
+        rows_per_call: int,
+        advance_epoch: bool = False,
+    ) -> TxnOutcome:
+        """Ship each participant its ``(table, rowset)`` list, then 2PC.
+
+        ``stages`` maps participant URL -> the rowsets it applies, in
+        order. Each participant gets ``Begin``, then ``StageRows`` in
+        ``rows_per_call`` chunks numbered from 0 (a retried chunk is not
+        staged twice), over the caller's ``proxy`` (and so its retry
+        policy) under the caller's metrics ``phase``. If any staging call
+        fails, the decision is abort (logged, delivered to every
+        participant, replayed by :meth:`recover` where delivery failed)
+        and the outcome is uncommitted; otherwise :meth:`complete`
+        decides it.
+        """
+        participants = list(stages)
+        try:
+            with self.network.phase(phase):
+                for url, rowsets in stages.items():
+                    call = proxy(url).call
+                    call("Begin", txn_id=txn_id, advance_epoch=advance_epoch)
+                    chunks = [
+                        (table, chunk)
+                        for table, rowset in rowsets
+                        for chunk in chunk_rowset(
+                            ColumnarRowSet(rowset), rows_per_call
+                        )
+                    ]
+                    for seq, (table, chunk) in enumerate(chunks):
+                        call(
+                            "StageRows",
+                            txn_id=txn_id, table=table, rows=chunk, seq=seq,
+                        )
+        except (TransportError, SoapFaultError) as exc:
+            # Unreachable, or a participant that crashed mid-protocol and
+            # lost its ACTIVE transaction: the stage set is incomplete, so
+            # nobody may vote commit on it. A participant the Abort cannot
+            # reach stays in doubt in the log until recover() replays it.
+            with self.network.phase(PHASE):
+                self._decide(txn_id, "abort", participants)
+            return TxnOutcome(
+                txn_id, committed=False, abort_reason=f"staging failed: {exc}"
+            )
+        return self.complete(txn_id, participants)
+
     def complete(self, txn_id: str, participants: List[str]) -> TxnOutcome:
         """Run prepare + decision + delivery for an already-staged txn."""
         with self.network.phase(PHASE), self._span("2pc-complete"):
@@ -121,23 +186,29 @@ class TwoPhaseCoordinator:
                 if all(vote == "commit" for vote in votes.values())
                 else "abort"
             )
-            self.log.append(
-                LogRecord(txn_id, "decision", decision=decision,
-                          participants=list(participants))
-            )
-            if self.network.tracer is not None:
-                self.network.tracer.annotate(
-                    "decision", txn_id=txn_id, decision=decision
-                )
-            if self._deliver_decision(txn_id, decision, participants):
-                self.log.append(LogRecord(txn_id, "complete"))
-            # else: the txn stays in doubt in the log; recover() replays it.
+            self._decide(txn_id, decision, participants)
             return TxnOutcome(
                 txn_id=txn_id,
                 committed=decision == "commit",
                 votes=votes,
                 abort_reason="" if decision == "commit" else abort_reason,
             )
+
+    def _decide(
+        self, txn_id: str, decision: str, participants: List[str]
+    ) -> None:
+        """Log ``decision`` and deliver it to every participant."""
+        self.log.append(
+            LogRecord(txn_id, "decision", decision=decision,
+                      participants=list(participants))
+        )
+        if self.network.tracer is not None:
+            self.network.tracer.annotate(
+                "decision", txn_id=txn_id, decision=decision
+            )
+        if self._deliver_decision(txn_id, decision, participants):
+            self.log.append(LogRecord(txn_id, "complete"))
+        # else: the txn stays in doubt in the log; recover() replays it.
 
     def _deliver_decision(
         self, txn_id: str, decision: str, participants: List[str]

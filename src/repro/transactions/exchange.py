@@ -1,10 +1,16 @@
-"""Transactional data exchange: replicate a sky region across archives.
+"""Transactional data exchange: copy a source archive's rows to others.
 
-The motivating use case for the paper's transactions extension: copy all
-of a source archive's objects inside an AREA into replica tables at one or
-more target archives — atomically, so no target ever exposes a partial
-copy. The rows travel over the Query service (chunk-aware), staging and
-2PC over the Transaction services.
+The motivating use case for the paper's transactions extension: copy a
+source archive's objects — inside an AREA, or all of them in table order —
+into tables at one or more target archives, atomically, so no target ever
+exposes a partial copy. An exchange is one pull and one shipment: the rows
+travel from the source over its Query service (:meth:`DataExchange.pull`,
+chunk-aware), and reach the targets through
+:meth:`TwoPhaseCoordinator.stage_and_complete` (:meth:`DataExchange.ship`),
+the one staging path every 2PC writer uses. Replica provisioning is a
+whole-table :meth:`DataExchange.replicate_region` to every mirror, so a
+replica is its primary row for row; shard provisioning pulls once and
+ships each shard its own slice.
 """
 
 from __future__ import annotations
@@ -12,13 +18,14 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
-from repro.errors import TransactionError
+from repro.errors import SoapFaultError, TransactionError, TransportError
 from repro.portal.portal import Portal
 from repro.services.chunked import receive_rowset
 from repro.services.client import ServiceProxy
-from repro.soap.encoding import ColumnarRowSet, WireRowSet
+from repro.soap.encoding import WireRowSet
 from repro.sql.ast import (
     AreaLike,
     ColumnRef,
@@ -27,26 +34,32 @@ from repro.sql.ast import (
     TableRef,
 )
 from repro.sql.printer import to_sql
-from repro.transactions.coordinator import TwoPhaseCoordinator, TxnOutcome
-from repro.transport.chunking import chunk_rowset
+from repro.transactions.coordinator import PHASE, TwoPhaseCoordinator
 
-_txn_counter = itertools.count(1)
+#: Txn-id sequence numbers, one sequence per coordinating Portal (not one
+#: per process): identically built federations mint identical ids and so
+#: send identical bytes, and two exchanges of one Portal never reuse an id
+#: a participant still remembers.
+_TXN_COUNTERS: "WeakKeyDictionary[Portal, Iterator[int]]" = WeakKeyDictionary()
 
 
 @dataclass
 class ExchangeResult:
-    """Outcome of one replication exchange."""
+    """Outcome of one exchange."""
 
     txn_id: str
     committed: bool
+    #: Rows each target applied (the most any one applied, when targets
+    #: get different slices); 0 unless committed.
     rows_copied: int
+    #: The target table names, comma-separated.
     replica_table: str
     votes: Dict[str, str] = field(default_factory=dict)
     abort_reason: str = ""
 
 
 class DataExchange:
-    """Region replication from one archive into others, under 2PC."""
+    """Row copies from one archive into others, under 2PC."""
 
     def __init__(
         self,
@@ -63,22 +76,29 @@ class DataExchange:
             portal.require_network(), portal.hostname
         )
         self.stage_rows_per_call = stage_rows_per_call
+        self._txn_ids = _TXN_COUNTERS.setdefault(
+            portal, itertools.count(1)
+        )
 
     def replicate_region(
         self,
         source_archive: str,
         target_archives: List[str],
-        area: AreaLike,
+        area: Optional[AreaLike],
         *,
         columns: Optional[List[str]] = None,
         target_table: Optional[str] = None,
     ) -> ExchangeResult:
         """Copy the source's in-AREA objects into each target, atomically.
 
+        ``area=None`` copies the whole primary table in table order.
         ``target_table`` overrides the default ``{source}_replica`` name —
-        the full-replica provisioning path uses the source's own primary
-        table name so a replica SkyNode answers the same node queries.
+        replica provisioning uses the source's own primary table name so
+        a replica SkyNode answers the same node queries.
         """
+        if not target_archives:
+            raise TransactionError("replicate_region needs at least one target")
+        table = target_table or f"{source_archive.lower()}_replica"
         tracer = self.portal.require_network().tracer
         scope = (
             tracer.span("replicate-region", host=self.portal.hostname)
@@ -86,12 +106,10 @@ class DataExchange:
             else nullcontext(None)
         )
         with scope:
-            result = self._replicate_region(
-                source_archive,
-                target_archives,
-                area,
-                columns=columns,
-                target_table=target_table,
+            rowset = self.pull(source_archive, columns, area)
+            result = self.ship(
+                source_archive.lower(),
+                {archive: [(table, rowset)] for archive in target_archives},
             )
             if tracer is not None:
                 tracer.annotate(
@@ -102,174 +120,16 @@ class DataExchange:
                 )
         return result
 
-    def _replicate_region(
+    def pull(
         self,
         source_archive: str,
-        target_archives: List[str],
-        area: AreaLike,
-        *,
         columns: Optional[List[str]] = None,
-        target_table: Optional[str] = None,
-    ) -> ExchangeResult:
-        if not target_archives:
-            raise TransactionError("replicate_region needs at least one target")
-        source = self.portal.catalog.node(source_archive)
-        rowset = self._pull_source_rows(source, area, columns)
-        replica_table = target_table or f"{source_archive.lower()}_replica"
-        txn_id = f"xchg-{source_archive.lower()}-{next(_txn_counter)}"
-
-        participants = []
-        for archive in target_archives:
-            url = self.transaction_urls.get(archive)
-            if url is None:
-                raise TransactionError(
-                    f"archive {archive!r} has no Transaction service"
-                )
-            participants.append(url)
-
-        network = self.portal.require_network()
-        with network.phase("transaction"):
-            column_specs = [
-                {"name": name.split(".", 1)[-1], "type": code}
-                for name, code in rowset.columns
-            ]
-            for url in participants:
-                proxy = self._proxy(url)
-                proxy.call("Begin", txn_id=txn_id)
-                proxy.call(
-                    "EnsureTable", table=replica_table, columns=column_specs
-                )
-                for chunk in chunk_rowset(
-                    ColumnarRowSet(rowset), self.stage_rows_per_call
-                ):
-                    proxy.call(
-                        "StageRows",
-                        txn_id=txn_id,
-                        table=replica_table,
-                        rows=chunk,
-                    )
-        outcome: TxnOutcome = self.coordinator.complete(txn_id, participants)
-        return ExchangeResult(
-            txn_id=txn_id,
-            committed=outcome.committed,
-            rows_copied=len(rowset.rows) if outcome.committed else 0,
-            replica_table=replica_table,
-            votes=outcome.votes,
-            abort_reason=outcome.abort_reason,
-        )
-
-    def pull_table_with_positions(
-        self,
-        source_archive: str,
-        columns: List[str],
-        *,
-        position_column: str = "_skyq_pos",
+        area: Optional[AreaLike] = None,
     ) -> WireRowSet:
-        """Pull every row of the source's primary table, in table order,
-        with each row's position appended as a trailing int column.
-
-        The position is the row's index in the source's own scan order —
-        the same order the monolithic cross-match engine visits rows in —
-        so shard tables carrying it can reproduce the monolithic result
-        order exactly after a partitioned query's merge (see
-        :mod:`repro.shard.merge`). Travels over the source's Query
-        service like any replication pull; the position is assigned
-        client-side because it is an artifact of *this* table's layout,
-        not a column the source schema knows about.
-        """
+        """``SELECT columns FROM primary [WHERE area]`` at the source, over
+        its Query service: the rows in the source's own table order (or
+        its AREA scan order). ``columns`` defaults to id, ra and dec."""
         source = self.portal.catalog.node(source_archive)
-        info = source.info
-        query = Query(
-            items=tuple(
-                SelectItem(ColumnRef("s", column)) for column in columns
-            ),
-            tables=(TableRef(None, info.primary_table, "s"),),
-        )
-        proxy = self._proxy(source.services["query"])
-        network = self.portal.require_network()
-        with network.phase("transaction"):
-            response = proxy.call("ExecuteQueryChunked", sql=to_sql(query))
-            rowset = receive_rowset(response, proxy)
-        return WireRowSet(
-            list(rowset.columns) + [(position_column, "int")],
-            [tuple(row) + (pos,) for pos, row in enumerate(rowset.rows)],
-        )
-
-    def stage_partitioned(
-        self,
-        assignments: Dict[str, Dict[str, WireRowSet]],
-        *,
-        txn_label: str,
-    ) -> ExchangeResult:
-        """Stage *different* rows at each participant, under ONE 2PC.
-
-        The shard-provisioning path: ``assignments`` maps participant
-        keys (present in ``transaction_urls``) to the rows each must
-        apply, by target table — a shard and its mirrors receive
-        identical slices, sibling shards disjoint ones (and each its own
-        margin copies in a second table). A single transaction spans
-        every participant, so either the whole sharded layout appears or
-        none of it does; no query can ever observe a half-provisioned
-        archive.
-        """
-        if not assignments:
-            raise TransactionError(
-                "stage_partitioned needs at least one participant"
-            )
-        participants: List[str] = []
-        for key in assignments:
-            url = self.transaction_urls.get(key)
-            if url is None:
-                raise TransactionError(
-                    f"participant {key!r} has no Transaction service"
-                )
-            participants.append(url)
-        txn_id = f"xchg-{txn_label}-{next(_txn_counter)}"
-        network = self.portal.require_network()
-        with network.phase("transaction"):
-            for key in sorted(assignments):
-                proxy = self._proxy(self.transaction_urls[key])
-                proxy.call("Begin", txn_id=txn_id)
-                for table, rowset in assignments[key].items():
-                    column_specs = [
-                        {"name": name.split(".", 1)[-1], "type": code}
-                        for name, code in rowset.columns
-                    ]
-                    proxy.call(
-                        "EnsureTable", table=table, columns=column_specs
-                    )
-                    for chunk in chunk_rowset(
-                        ColumnarRowSet(rowset), self.stage_rows_per_call
-                    ):
-                        proxy.call(
-                            "StageRows", txn_id=txn_id, table=table, rows=chunk
-                        )
-        outcome: TxnOutcome = self.coordinator.complete(txn_id, participants)
-        tables = sorted({t for slices in assignments.values() for t in slices})
-        return ExchangeResult(
-            txn_id=txn_id,
-            committed=outcome.committed,
-            rows_copied=sum(
-                len(rowset.rows)
-                for slices in assignments.values()
-                for rowset in slices.values()
-            ) if outcome.committed else 0,
-            replica_table=", ".join(tables),
-            votes=outcome.votes,
-            abort_reason=outcome.abort_reason,
-        )
-
-    def _proxy(self, url: str) -> ServiceProxy:
-        return ServiceProxy(
-            self.portal.require_network(), self.portal.hostname, url
-        )
-
-    def _pull_source_rows(
-        self,
-        source,  # NodeRecord
-        area: AreaLike,
-        columns: Optional[List[str]],
-    ) -> WireRowSet:
         info = source.info
         wanted = columns or [
             info.object_id_column, info.ra_column, info.dec_column
@@ -282,7 +142,81 @@ class DataExchange:
             where=area,
         )
         proxy = self._proxy(source.services["query"])
-        network = self.portal.require_network()
-        with network.phase("transaction"):
+        with self.portal.require_network().phase(PHASE):
             response = proxy.call("ExecuteQueryChunked", sql=to_sql(query))
             return receive_rowset(response, proxy)
+
+    def ship(
+        self,
+        label: str,
+        assignments: Dict[str, Sequence[Tuple[str, WireRowSet]]],
+    ) -> ExchangeResult:
+        """Stage each participant its ``(table, rowset)`` list under ONE 2PC.
+
+        ``assignments`` maps participant keys (present in
+        ``transaction_urls``) to the rows each must apply — a replica gets
+        the whole table, a shard and its mirrors an identical slice,
+        sibling shards disjoint ones. Either every participant applies its
+        rows or none does. Each target table is ensured (``EnsureTable``)
+        before any ``Begin``; a participant that cannot be reached or
+        refuses a call leaves the exchange uncommitted, and no participant
+        holds an ACTIVE transaction once the coordinator has recovered.
+        """
+        if not assignments:
+            raise TransactionError("an exchange needs at least one target")
+        for key in assignments:
+            if key not in self.transaction_urls:
+                raise TransactionError(
+                    f"archive {key!r} has no Transaction service"
+                )
+        txn_id = f"xchg-{label}-{next(self._txn_ids)}"
+        stages = {
+            self.transaction_urls[key]: list(rows)
+            for key, rows in assignments.items()
+        }
+        try:
+            with self.portal.require_network().phase(PHASE):
+                for url, rowsets in stages.items():
+                    proxy = self._proxy(url)
+                    for table, rowset in rowsets:
+                        proxy.call(
+                            "EnsureTable",
+                            table=table,
+                            columns=[
+                                {"name": name.split(".", 1)[-1], "type": code}
+                                for name, code in rowset.columns
+                            ],
+                        )
+        except (TransportError, SoapFaultError) as exc:
+            return ExchangeResult(
+                txn_id, False, 0, _tables(stages),
+                abort_reason=f"EnsureTable failed: {exc}",
+            )
+        outcome = self.coordinator.stage_and_complete(
+            txn_id,
+            stages,
+            proxy=self._proxy,
+            phase=PHASE,
+            rows_per_call=self.stage_rows_per_call,
+        )
+        rows = max(
+            sum(len(rowset.rows) for _, rowset in rowsets)
+            for rowsets in stages.values()
+        )
+        return ExchangeResult(
+            txn_id=txn_id,
+            committed=outcome.committed,
+            rows_copied=rows if outcome.committed else 0,
+            replica_table=_tables(stages),
+            votes=outcome.votes,
+            abort_reason=outcome.abort_reason,
+        )
+
+    def _proxy(self, url: str) -> ServiceProxy:
+        return ServiceProxy(
+            self.portal.require_network(), self.portal.hostname, url
+        )
+
+
+def _tables(stages: Dict[str, List[Tuple[str, WireRowSet]]]) -> str:
+    return ", ".join(sorted({t for rowsets in stages.values() for t, _ in rowsets}))

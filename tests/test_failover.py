@@ -54,7 +54,7 @@ def _build(**kwargs):
 
 def _table_rows(node, table_name):
     table = node.db.table(table_name)
-    return sorted(tuple(table.row(pos)) for pos in table.iter_positions())
+    return [tuple(table.row(pos)) for pos in table.iter_positions()]
 
 
 @functools.lru_cache(maxsize=4)
@@ -77,6 +77,7 @@ def _oracle(chain_mode):
 
 class TestReplicaProvisioning:
     def test_replicas_mirror_primary_content(self):
+        """A replica is its primary row for row, in table order."""
         fed = _build()
         for archive, replica_nodes in fed.replicas.items():
             assert len(replica_nodes) == 1
@@ -86,6 +87,22 @@ class TestReplicaProvisioning:
             assert want
             for replica in replica_nodes:
                 assert _table_rows(replica, table) == want
+
+    def test_failover_keeps_the_primary_row_order(self):
+        """The full-field answer with TWOMASS's primary down is the
+        fault-free answer, row for row and in order."""
+        sql = (
+            "SELECT O.object_id, T.obj_id "
+            "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T "
+            "WHERE XMATCH(O, T) < 3.5"
+        )
+        fed = _build()
+        want = fed.client().submit(sql)
+        fed.network.fail_host(fed.node("TWOMASS").hostname)
+        got = fed.client().submit(sql)
+        assert got.failovers == 1 and not got.degraded
+        assert len(want.rows) > 0
+        assert list(got.rows) == list(want.rows)
 
     def test_every_archive_fails_over_to_its_own_replica(self):
         """The Portal learned one replica per archive: with a primary

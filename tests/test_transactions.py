@@ -174,6 +174,25 @@ class TestExchange:
         with pytest.raises(TransactionError):
             exchange.replicate_region("SDSS", ["TWOMASS"], AREA)
 
+    def test_twin_federations_send_identical_bytes(self):
+        """Txn ids are minted per Portal, so identically built federations
+        in one process send the same bytes and end at the same instant."""
+        seen = []
+        for _ in range(5):
+            twin = build_federation(
+                FederationConfig(n_bodies=200, replicas=1, seed=3)
+            )
+            replica = twin.replicas["SDSS"][0]
+            status = ServiceProxy(
+                twin.network, "tester", replica.enable_transactions()
+            ).call("GetStatus", txn_id="xchg-sdss-1")
+            seen.append(
+                (twin.network.metrics.total_bytes(), twin.network.clock.now,
+                 status)
+            )
+        assert seen[0][2] == "committed"
+        assert seen == [seen[0]] * 5
+
 
 class TestCoordinatorRecovery:
     def test_coordinator_crash_then_recovery_commits_everyone(self, fed):
@@ -333,6 +352,97 @@ class TestFaultInjectedTwoPhase:
             assert fed.node(archive).db.count_rows(
                 second.replica_table
             ) == source_count
+
+    def test_unreachable_target_leaves_no_active_transaction(self, fed):
+        first = fed.node("FIRST")
+        fed.network.fail_host(first.hostname)
+        exchange = DataExchange(fed.portal, txn_urls(fed))
+        result = exchange.replicate_region("SDSS", ["TWOMASS", "FIRST"], AREA)
+        fed.network.restore_host(first.hostname)
+        assert not result.committed and result.rows_copied == 0
+        for archive in ("TWOMASS", "FIRST"):
+            assert proxy(fed, archive).call(
+                "GetStatus", txn_id=result.txn_id
+            ) != "active"
+
+    def test_participant_lost_mid_staging_aborts_everywhere(self, fed):
+        """FIRST crashes between two of its StageRows chunks and forgets
+        the ACTIVE transaction: the exchange aborts at every participant,
+        including TWOMASS, which had staged all its rows."""
+        first = fed.node("FIRST")
+        first_url = txn_url(fed, "FIRST")
+        stages_sent = []
+
+        class CrashesFirst(DataExchange):
+            def _proxy(self, url):
+                proxy = super()._proxy(url)
+                if url == first_url:
+                    call = proxy.call
+
+                    def crash_before_second_stage(operation, **params):
+                        if operation == "StageRows":
+                            stages_sent.append(params["table"])
+                            if len(stages_sent) == 2:
+                                first.transaction.simulate_crash()
+                        return call(operation, **params)
+
+                    proxy.call = crash_before_second_stage
+                return proxy
+
+        exchange = CrashesFirst(
+            fed.portal, txn_urls(fed), stage_rows_per_call=20
+        )
+        result = exchange.replicate_region("SDSS", ["TWOMASS", "FIRST"], AREA)
+        assert len(stages_sent) == 2
+        assert not result.committed and result.rows_copied == 0
+        assert "staging failed" in result.abort_reason
+        for archive in ("TWOMASS", "FIRST"):
+            assert proxy(fed, archive).call(
+                "GetStatus", txn_id=result.txn_id
+            ) == "aborted"
+            assert fed.node(archive).db.count_rows(result.replica_table) == 0
+
+    def test_partitioned_mid_staging_is_aborted_by_recovery(self, fed):
+        """FIRST drops off the network while staging: the abort cannot
+        reach it, so it stays in doubt in the log, and recovery aborts
+        the transaction FIRST still holds once it is back."""
+        first = fed.node("FIRST")
+        first_url = txn_url(fed, "FIRST")
+        log = CoordinatorLog()
+        coordinator = TwoPhaseCoordinator(fed.network, fed.portal.hostname, log)
+
+        class PartitionsFirst(DataExchange):
+            def _proxy(self, url):
+                proxy = super()._proxy(url)
+                if url == first_url:
+                    call = proxy.call
+
+                    def partition_on_stage(operation, **params):
+                        if operation == "StageRows":
+                            fed.network.fail_host(first.hostname)
+                        return call(operation, **params)
+
+                    proxy.call = partition_on_stage
+                return proxy
+
+        exchange = PartitionsFirst(
+            fed.portal, txn_urls(fed), coordinator=coordinator
+        )
+        result = exchange.replicate_region("SDSS", ["TWOMASS", "FIRST"], AREA)
+        assert not result.committed
+        fed.network.restore_host(first.hostname)
+        assert proxy(fed, "TWOMASS").call(
+            "GetStatus", txn_id=result.txn_id
+        ) == "aborted"
+        assert proxy(fed, "FIRST").call(
+            "GetStatus", txn_id=result.txn_id
+        ) == "active"
+        outcomes = coordinator.recover()
+        assert [o.committed for o in outcomes] == [False]
+        assert proxy(fed, "FIRST").call(
+            "GetStatus", txn_id=result.txn_id
+        ) == "aborted"
+        assert coordinator.recover() == []
 
     def test_participant_lost_between_prepare_and_commit_recovers(self, fed):
         from repro.transport.faults import FaultPlan

@@ -132,6 +132,32 @@ def test_a_deterministic_chain_fault_is_not_retried(monkeypatch):
     assert len(opens) == 1
 
 
+def test_a_relayed_deterministic_fault_is_not_retried(monkeypatch):
+    """The same hostile seed batch two hops below the head: the head
+    relays its neighbour's fault with the fault's own class, so the
+    Portal still recognises it as deterministic and opens the chain once."""
+    fed = build_federation(_config())
+    monkeypatch.setattr(crossmatch_module, "tuples_to_payload", _null_first_id(1))
+    sql = (
+        "SELECT O.object_id, T.obj_id "
+        "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, "
+        "FIRST:Primary_Object P "
+        "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, P) < 3.5"
+    )
+    before = len(fed.network.metrics.messages)
+    with pytest.raises(ExecutionError) as failed:
+        fed.portal.submit(sql)
+    message = str(failed.value)
+    assert "chain failed after 1 attempt(s): soap:Server: row 0" in message
+    assert "soap:Server: soap:Server" not in message
+    opens = [
+        m for m in fed.network.metrics.messages[before:]
+        if m.operation == "PerformXMatch" and m.kind == "request"
+        and m.src == fed.portal.hostname
+    ]
+    assert len(opens) == 1
+
+
 def test_the_portal_refuses_a_null_id(monkeypatch):
     fed = build_federation(_config())
     # Only the head's answer (both members) carries the NULL.

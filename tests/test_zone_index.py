@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.indexes import batch_zone_probe, spatial_probe, zone_probe
+from repro.db.indexes import (
+    _sorted_pairs,
+    batch_zone_probe,
+    spatial_probe,
+    zone_probe,
+)
 from repro.db.schema import Column
 from repro.db.table import SpatialSpec, Table, TableSchema
 from repro.db.types import ColumnType
@@ -202,6 +207,35 @@ def test_window_pairs_equal_the_zone_offset_loop(seed, n, height, windows):
         zip(*(part.tolist() for part in window_pairs_reference(za, *args)))
     )
     assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 300),
+    height=st.sampled_from([0.5, 2.0, 7.0]),
+    windows=st.lists(_WINDOW, max_size=12),
+    limit=st.one_of(st.none(), st.integers(0, 320)),
+)
+def test_sorted_pairs_is_the_lexsort_order(seed, n, height, windows, limit):
+    """The one key sort of a probe's pairs orders them exactly as the
+    two-key lexsort by (window, row) it replaced, epoch limit included."""
+    rng = random.Random(seed)
+    ra = np.asarray([rng.uniform(0.0, 360.0) for _ in range(n)])
+    dec = np.asarray([rng.uniform(-90.0, 90.0) for _ in range(n)])
+    za = ZoneArrays.build(ra, dec, height)
+    dec_c, half_height, ra_c, half = (
+        np.asarray(column, dtype=np.float64) for column in zip(*windows)
+    ) if windows else (np.empty(0),) * 4
+    args = (dec_c - half_height, dec_c + half_height, ra_c, half)
+    got_t, got_i = _sorted_pairs(*za.window_pairs(*args), limit)
+    pair_t, pair_i = za.window_pairs(*args)
+    if limit is not None:
+        keep = pair_i < limit
+        pair_t, pair_i = pair_t[keep], pair_i[keep]
+    order = np.lexsort((pair_i, pair_t))
+    assert got_t.tolist() == pair_t[order].tolist()
+    assert got_i.tolist() == pair_i[order].tolist()
 
 
 def test_window_pairs_empty_inputs():
