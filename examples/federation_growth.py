@@ -15,6 +15,8 @@ two archives, adds a third *while the federation is running*, and shows:
 Run:  python examples/federation_growth.py
 """
 
+from operator import itemgetter
+
 from repro import FederationConfig, SkyField, build_federation
 from repro.db.engine import Database
 from repro.db.table import SpatialSpec
@@ -60,7 +62,10 @@ def main() -> None:
         spatial=SpatialSpec(FIRST.ra_column, FIRST.dec_column, htm_depth=12),
     )
     observation = observe_survey(FIRST, federation.bodies, config.seed)
-    db.insert(FIRST.primary_table, observation.rows)
+    names = [column.name for column in FIRST.columns()]
+    db.insert(
+        FIRST.primary_table, map(itemgetter(*names), observation.rows), names
+    )
     node = SkyNode(
         db,
         ArchiveInfo(

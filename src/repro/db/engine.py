@@ -197,15 +197,20 @@ class Database:
     # -- DML -----------------------------------------------------------------
 
     def insert(
-        self, table_name: str, rows: Iterable[Dict[str, Any] | Sequence[Any]]
+        self,
+        table_name: str,
+        rows: Iterable[Sequence[Any]],
+        names: Optional[Sequence[str]] = None,
     ) -> int:
-        """Insert rows into a table; returns the count inserted.
+        """Insert positional rows into a table; returns the count inserted.
 
+        ``names`` are the columns the rows' values are in (default: the
+        table's own order; see :meth:`TableSchema.coerce_columns`).
         Routed through the table's bulk path: one deferred spatial-index
         rebuild per statement instead of one invalidation per row.
         """
         table = self.table(table_name)
-        return table.insert_many(list(rows))
+        return table.insert_many(list(rows), names)
 
     # -- snapshot epochs -------------------------------------------------------
 
@@ -233,14 +238,16 @@ class Database:
 
     def apply_epoch(
         self,
-        staged: Sequence[Tuple[str, Sequence[Dict[str, Any] | Sequence[Any]]]],
+        staged: Sequence[Tuple[str, CoercedColumns | Sequence[Sequence[Any]]]],
     ) -> int:
         """Apply staged ingest batches as one new epoch; returns its number.
 
         Every batch is coerced against its table schema *before* any table
-        is touched, so a bad row leaves the whole database at the old
-        epoch. Then each affected table is stamped with the new epoch
-        first and filled second: readers pinned at or below the old epoch
+        is touched (a batch :meth:`TableSchema.coerce_columns` already
+        coerced — a 2PC participant's prepared state — is taken as it is),
+        so a bad row leaves the whole database at the old epoch. Then each
+        affected table is stamped with the new epoch first and filled
+        second: readers pinned at or below the old epoch
         keep their exact row prefix while the new rows become visible only
         from the new epoch onward.
         """
@@ -248,7 +255,9 @@ class Database:
         coerced: List[Tuple[Table, CoercedColumns]] = []
         for table_name, rows in staged:
             table = self.table(table_name)
-            coerced.append((table, table.schema.coerce_columns(rows)))
+            if not isinstance(rows, CoercedColumns):
+                rows = table.schema.coerce_columns(rows)
+            coerced.append((table, rows))
         stamped = set()
         for table, rows in coerced:
             if table.name not in stamped:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.types import ColumnType
 from repro.errors import SchemaError
@@ -92,57 +92,71 @@ class TableSchema:
         return self.columns[self.column_index(name)]
 
     def coerce_columns(
-        self, rows: Sequence[Dict[str, Any] | Sequence[Any]]
+        self,
+        rows: Sequence[Sequence[Any]],
+        names: Optional[Sequence[str]] = None,
     ) -> "CoercedColumns":
-        """Validate and coerce a batch of rows, one column at a time.
+        """Validate and coerce a batch of positional rows, a column at a time.
 
-        Positional rows of the right width are transposed and each column
-        goes through :meth:`ColumnType.coerce_column`; mappings (and any
-        batch that fails) take :meth:`coerce_row` row by row, so a bad
-        batch raises the very error the row-at-a-time path raises first.
+        ``names`` are the columns the rows' values are in (default: the
+        schema's own order). They are mapped to schema slots once: matched
+        case-insensitively, an unknown name raises, a column not named
+        reads as NULL, and a name given twice keeps its last value. Each
+        column then goes through :meth:`ColumnType.coerce_column`; a batch
+        that fails (or has a row of the wrong width) is re-checked row by
+        row with :meth:`coerce_row`, so it raises the first error in row
+        order.
         """
         width = len(self.columns)
-        if all(not isinstance(row, dict) and len(row) == width for row in rows):
+        slots = (
+            range(width)
+            if names is None
+            else [self.column_index(name) for name in names]
+        )
+        if all(len(row) == len(slots) for row in rows):
+            values: List[Sequence[Any]] = [(None,) * len(rows)] * width
+            for slot, column in zip(slots, zip(*rows)):
+                values[slot] = column
             try:
                 return CoercedColumns(
                     tuple(
                         col.ctype.coerce_column(
-                            values, nullable=col.nullable, column=col.name
+                            column, nullable=col.nullable, column=col.name
                         )
-                        for col, values in zip(
-                            self.columns, zip(*rows) if rows else [()] * width
-                        )
+                        for col, column in zip(self.columns, values)
                     ),
                     len(rows),
                 )
             except SchemaError:
                 pass  # re-raised below in row order
-        coerced = [self.coerce_row(row) for row in rows]
+        coerced = [
+            self.coerce_row(row if names is None else self._placed(row, slots))
+            for row in rows
+        ]
         return CoercedColumns(
             tuple(zip(*coerced)) if coerced else ((),) * width, len(coerced)
         )
 
-    def coerce_row(self, row: Dict[str, Any] | Sequence[Any]) -> List[Any]:
-        """Validate and coerce a row (mapping or positional) to storage form."""
-        if isinstance(row, dict):
-            lowered = {k.lower(): v for k, v in row.items()}
-            unknown = set(lowered) - set(self._index)
-            if unknown:
-                raise SchemaError(
-                    f"row has unknown column(s) {sorted(unknown)!r} "
-                    f"for table {self.name!r}"
-                )
-            values: Iterable[Any] = (
-                lowered.get(c.name.lower()) for c in self.columns
+    def _placed(self, row: Sequence[Any], slots: Sequence[int]) -> List[Any]:
+        """A named row's values at their schema slots (NULL elsewhere)."""
+        if len(row) != len(slots):
+            raise SchemaError(
+                f"row has {len(row)} values for {len(slots)} named columns "
+                f"of table {self.name!r}"
             )
-        else:
-            if len(row) != len(self.columns):
-                raise SchemaError(
-                    f"row has {len(row)} values, table {self.name!r} "
-                    f"has {len(self.columns)} columns"
-                )
-            values = row
+        placed: List[Any] = [None] * len(self.columns)
+        for slot, value in zip(slots, row):
+            placed[slot] = value
+        return placed
+
+    def coerce_row(self, row: Sequence[Any]) -> List[Any]:
+        """Validate and coerce a positional row to storage form."""
+        if len(row) != len(self.columns):
+            raise SchemaError(
+                f"row has {len(row)} values, table {self.name!r} "
+                f"has {len(self.columns)} columns"
+            )
         return [
             col.ctype.coerce(v, nullable=col.nullable, column=col.name)
-            for col, v in zip(self.columns, values)
+            for col, v in zip(self.columns, row)
         ]

@@ -131,25 +131,28 @@ class Table:
         self._zone_arrays.clear()
         self._int_columns.clear()
 
-    def insert(self, row: Dict[str, Any] | Sequence[Any]) -> int:
-        """Insert one row (mapping or positional); returns its row position."""
+    def insert(self, row: Sequence[Any]) -> int:
+        """Insert one positional row; returns its row position."""
         pos = len(self._rows)
         self.insert_many([row])
         return pos
 
     def insert_many(
-        self, rows: CoercedColumns | Sequence[Dict[str, Any] | Sequence[Any]]
+        self,
+        rows: CoercedColumns | Sequence[Sequence[Any]],
+        names: Optional[Sequence[str]] = None,
     ) -> int:
         """Bulk insert; returns the number inserted.
 
-        Rows are coerced a column at a time (a batch already coerced by
-        :meth:`TableSchema.coerce_columns` is taken as it is), and a
+        Positional rows (in ``names`` order, default the schema's) are
+        coerced a column at a time by :meth:`TableSchema.coerce_columns`;
+        a batch it already coerced is taken as it is. A
         spatial table computes the whole batch's unit vectors and trixel
         ids before it stores anything, so a bad row leaves the table
         untouched. The derived spatial structures are invalidated once.
         """
         if not isinstance(rows, CoercedColumns):
-            rows = self.schema.coerce_columns(rows)
+            rows = self.schema.coerce_columns(rows, names)
         if self.spatial is not None and rows.count:
             vectors = self._unit_vectors(rows)
             ids = ids_for_points(vectors, self.spatial.htm_depth)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.client.client import SkyQueryClient
@@ -316,7 +317,12 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
             survey.archive.lower(),
             survey.columns(),
         )
-        node.db.insert(survey.primary_table, observation.rows)
+        names = [column.name for column in survey.columns()]
+        node.db.insert(
+            survey.primary_table,
+            map(itemgetter(*names), observation.rows),
+            names,
+        )
         node.register_with_portal(portal.service_url("registration"))
         nodes[survey.archive] = node
 

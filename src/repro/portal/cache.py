@@ -78,10 +78,6 @@ class CacheConfig:
 
     #: Whole-query result entries kept (LRU-evicted beyond this).
     max_entries: int = 128
-    #: Serve contained-circle queries from cached attribute rows. Also
-    #: controls whether the planner widens ``attr_select`` with each
-    #: mandatory archive's position columns (needed to re-filter).
-    containment: bool = True
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
@@ -328,7 +324,7 @@ class SemanticCache:
         }
         if not archive_epochs or not self._epochs_live(archive_epochs):
             return
-        raw = result.raw_rows if self.config.containment else None
+        raw = result.raw_rows
         entry = _ResultEntry(
             exact_key=exact_key,
             fingerprint=(
@@ -370,8 +366,6 @@ class SemanticCache:
         tolerance — a false negative costs a miss, a false positive would
         cost correctness). The newest qualifying entry wins.
         """
-        if not self.config.containment:
-            return None
         if containment_key is None or not isinstance(area, AreaClause):
             return None
         candidates = self._containment.get(containment_key, [])

@@ -113,8 +113,8 @@ class FederatedResult:
     #: a cache hit still compares equal to the fresh run it mirrors.
     cache: Optional[str] = field(default=None, repr=False, compare=False)
     #: Pre-cross-conjunct attribute rows (columns named ``alias.column``),
-    #: retained only when the Portal's cache wants AREA-containment raw
-    #: material. Never part of the wire response or of result equality.
+    #: retained only when the Portal has a cache (AREA-containment raw
+    #: material). Never part of the wire response or of result equality.
     raw_rows: Optional[WireRowSet] = field(
         default=None, repr=False, compare=False
     )
@@ -585,8 +585,7 @@ class ChainExecutor:
             plan=plan,
             matched_tuples=len(attributes),
         )
-        cache = self._portal.cache
-        if cache is not None and cache.config.containment:
+        if self._portal.cache is not None:
             # Keep the pre-projection rows: they are the raw material a
             # later contained-AREA query is served from.
             result.raw_rows = attributes

@@ -73,9 +73,6 @@ class PlanStep:
     residual_sql: str  # "" when the archive has no local predicates
     attr_select: Tuple[Tuple[str, str, str], ...]  # (column, wire name, typecode)
     sql: str
-    #: Alternative Cross match endpoints (replica SkyNodes with identical
-    #: content) the executor may fail over to when ``url`` dies mid-chain.
-    replica_urls: Tuple[str, ...] = ()
     #: Snapshot epoch pinned at plan time: every hop of the chain reads
     #: this archive at exactly this committed version, so an in-flight
     #: query is immune to ingest commits (and failovers land on the same
@@ -98,7 +95,6 @@ class PlanStep:
             "residual_sql": self.residual_sql,
             "attr_select": [list(item) for item in self.attr_select],
             "sql": self.sql,
-            "replica_urls": list(self.replica_urls),
             "epoch": self.epoch,
         }
 
@@ -123,17 +119,14 @@ class PlanStep:
                 (str(c), str(w), str(t)) for c, w, t in data.get("attr_select", [])
             ),
             sql=str(data.get("sql") or ""),
-            replica_urls=tuple(
-                str(u) for u in data.get("replica_urls") or []
-            ),
             epoch=int(epoch) if epoch is not None else None,
         )
 
     def content_key(self) -> Tuple[Any, ...]:
         """What this step *computes*, independent of where it runs.
 
-        Excludes ``url``/``replica_urls`` (a replica substitution must not
-        change the key) and ``count_star`` (an estimate, not an input).
+        Excludes ``url`` (a replica substitution must not change the key)
+        and ``count_star`` (an estimate, not an input).
         Includes ``epoch``: the same query at a different snapshot is a
         different computation, so its streams never answer a resume
         pinned elsewhere.
@@ -218,17 +211,12 @@ class ExecutionPlan:
     def replace_url(self, position: int, new_url: str) -> "ExecutionPlan":
         """A new plan with the step at ``position`` re-routed to ``new_url``.
 
-        The step's previous endpoint joins its replica candidates (minus
-        the new one), so nothing is forgotten if further failovers are
-        needed; everything the step computes is unchanged, so stream
-        keys survive the substitution.
+        Everything the step computes is unchanged, so stream keys survive
+        the substitution; further failovers walk the catalog's candidates
+        (:meth:`Planner.candidates`), not the plan.
         """
-        old = self.step(position)
-        candidates = tuple(
-            u for u in (old.url,) + old.replica_urls if u != new_url
-        )
         steps = list(self.steps)
-        steps[position] = replace(old, url=new_url, replica_urls=candidates)
+        steps[position] = replace(self.step(position), url=new_url)
         return replace(self, steps=tuple(steps))
 
     def member_aliases_after(self, position: int) -> List[str]:

@@ -366,10 +366,10 @@ class Planner:
             index = members.index(member)
             steps = []
             for step, record in zip(plan.steps, records):
-                urls = record.shard_set.members[index].candidate_urls(
+                url = record.shard_set.members[index].candidate_urls(
                     "crossmatch"
-                )
-                steps.append(replace(step, url=urls[0], replica_urls=urls[1:]))
+                )[0]
+                steps.append(replace(step, url=url))
             chain, moved, _, _ = self.reroute(
                 replace(plan, partition=index, steps=tuple(steps)),
                 dead,
@@ -550,10 +550,9 @@ class Planner:
         change the join semantics and is refused. ``services_for``
         overrides the endpoint set per alias (plan-time failover: a dead
         primary is substituted by its live replica before the chain ever
-        starts). Every step also carries the archive's remaining crossmatch
-        candidates as ``replica_urls`` for mid-chain failover, and pins
-        the snapshot epoch its probe answered at (``epochs``, keyed by
-        alias) so the whole chain reads one consistent version.
+        starts). Every step pins the snapshot epoch its probe answered at
+        (``epochs``, keyed by alias) so the whole chain reads one
+        consistent version.
         """
         assert decomposed.xmatch is not None
         mandatory = list(decomposed.mandatory_aliases)
@@ -634,18 +633,8 @@ class Planner:
         info = record.info
         chosen = (services_for or {}).get(subquery.alias, record.services)
         url = chosen["crossmatch"]
-        replica_urls = tuple(
-            candidate["crossmatch"]
-            for candidate in record.endpoint_candidates()
-            if candidate["crossmatch"] != url
-        )
         attr_select = subquery.attr_select
-        cache = self._portal.cache
-        if (
-            cache is not None
-            and cache.config.containment
-            and not subquery.dropout
-        ):
+        if self._portal.cache is not None and not subquery.dropout:
             # Widen the carried attributes with this member's position
             # columns so the cached partial tuples can be re-filtered for
             # a contained AREA. Changes wire bytes (two extra floats per
@@ -664,7 +653,6 @@ class Planner:
             alias=subquery.alias,
             archive=record.archive,
             url=url,
-            replica_urls=replica_urls,
             sigma_arcsec=info.sigma_arcsec,
             dropout=subquery.dropout,
             count_star=count_star,

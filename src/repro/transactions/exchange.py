@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.errors import SoapFaultError, TransactionError, TransportError
@@ -98,6 +98,7 @@ class DataExchange:
         """
         if not target_archives:
             raise TransactionError("replicate_region needs at least one target")
+        self._require_transaction_services(target_archives)
         table = target_table or f"{source_archive.lower()}_replica"
         tracer = self.portal.require_network().tracer
         scope = (
@@ -164,11 +165,7 @@ class DataExchange:
         """
         if not assignments:
             raise TransactionError("an exchange needs at least one target")
-        for key in assignments:
-            if key not in self.transaction_urls:
-                raise TransactionError(
-                    f"archive {key!r} has no Transaction service"
-                )
+        self._require_transaction_services(assignments)
         txn_id = f"xchg-{label}-{next(self._txn_ids)}"
         stages = {
             self.transaction_urls[key]: list(rows)
@@ -211,6 +208,15 @@ class DataExchange:
             votes=outcome.votes,
             abort_reason=outcome.abort_reason,
         )
+
+    def _require_transaction_services(self, keys: Iterable[str]) -> None:
+        """Refuse an exchange to a target this exchange has no
+        Transaction service for, before any row moves."""
+        for key in keys:
+            if key not in self.transaction_urls:
+                raise TransactionError(
+                    f"archive {key!r} has no Transaction service"
+                )
 
     def _proxy(self, url: str) -> ServiceProxy:
         return ServiceProxy(

@@ -1,22 +1,25 @@
 """The per-archive transaction participant service.
 
 A strict two-phase-commit participant: rows are *staged* against a
-transaction id, validated at *prepare* (the vote), and only applied to the
-archive's tables at *commit*. Staged-but-unprepared state is volatile (lost
-on a simulated node crash); a PREPARED vote is durable — the participant
-must be able to commit after recovery, which is what
-:meth:`TransactionService.simulate_crash` exercises.
+transaction id, coerced against their table schemas at *prepare* (the
+vote), and only applied to the archive's tables at *commit*. Each staged
+batch is coerced exactly once: the coerced batches are the prepared state,
+and commit appends them as they are. Staged-but-unprepared state is
+volatile (lost on a simulated node crash); a PREPARED vote and its coerced
+batches are durable — the participant must be able to commit after
+recovery, which is what :meth:`TransactionService.simulate_crash`
+exercises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.db.schema import Column
+from repro.db.schema import CoercedColumns, Column
 from repro.db.types import ColumnType
-from repro.errors import TransactionError
+from repro.errors import SchemaError, TransactionError
 from repro.services.framework import WebService
 from repro.skynode.wrapper import ArchiveWrapper
 from repro.soap.encoding import WireRowSet
@@ -41,8 +44,11 @@ class TxnState(Enum):
 @dataclass
 class _Txn:
     state: TxnState
-    staged: List[tuple[str, WireRowSet]] = field(default_factory=list)
-    #: When True, Commit applies the staged rows as one new snapshot epoch
+    staged: List[Tuple[str, WireRowSet]] = field(default_factory=list)
+    #: The staged batches coerced against their tables at Prepare: the
+    #: durable prepared state, which Commit applies as it is.
+    prepared: List[Tuple[str, CoercedColumns]] = field(default_factory=list)
+    #: When True, Commit applies the prepared rows as one new snapshot epoch
     #: (the live-ingest path) instead of folding them into the current one.
     advance_epoch: bool = False
     #: Staging sequence numbers already accepted — a retried StageRows
@@ -101,12 +107,12 @@ class TransactionService(WebService):
         self.register(
             "Prepare", self._prepare, params=(("txn_id", "string"),),
             returns="struct",
-            doc="Phase 1: validate staged rows and vote commit/abort.",
+            doc="Phase 1: coerce staged rows and vote commit/abort.",
         )
         self.register(
             "Commit", self._commit, params=(("txn_id", "string"),),
             returns="boolean",
-            doc="Phase 2: apply staged rows (idempotent).",
+            doc="Phase 2: apply the prepared rows (idempotent).",
         )
         self.register(
             "Abort", self._abort, params=(("txn_id", "string"),),
@@ -187,11 +193,15 @@ class TransactionService(WebService):
             txn.state = TxnState.ABORTED
             txn.staged.clear()
             return {"vote": "abort", "reason": reason}
-        problem = self._validate(txn)
-        if problem:
+        staged, txn.staged = txn.staged, []
+        try:
+            txn.prepared = [
+                (table, self._coerced(table, rowset))
+                for table, rowset in staged
+            ]
+        except SchemaError as exc:
             txn.state = TxnState.ABORTED
-            txn.staged.clear()
-            return {"vote": "abort", "reason": problem}
+            return {"vote": "abort", "reason": str(exc)}
         txn.state = TxnState.PREPARED  # durable from here on
         return {"vote": "commit", "reason": ""}
 
@@ -213,34 +223,15 @@ class TransactionService(WebService):
             # between messages, never inside a handler). Every 2PC
             # participant computes the same committed_epoch + 1
             # independently, so primaries and mirrors advance in lockstep.
-            staged = [
-                (
-                    table,
-                    [
-                        dict(zip(
-                            [n.split(".", 1)[-1] for n in rowset.column_names],
-                            row,
-                        ))
-                        for row in rowset.rows
-                    ],
-                )
-                for table, rowset in txn.staged
-            ]
-            epoch = db.apply_epoch(staged)
+            epoch = db.apply_epoch(txn.prepared)
             if self.keep_epochs is not None:
                 db.gc_epochs(self.keep_epochs)
             if self.on_epoch_commit is not None:
                 self.on_epoch_commit(epoch)
         else:
-            for table, rowset in txn.staged:
-                names = [
-                    name.split(".", 1)[-1] for name in rowset.column_names
-                ]
-                db.insert(
-                    table,
-                    [dict(zip(names, row)) for row in rowset.rows],
-                )
-        txn.staged.clear()
+            for table, batch in txn.prepared:
+                db.table(table).insert_many(batch)
+        txn.prepared = []
         txn.state = TxnState.COMMITTED
         return True
 
@@ -255,6 +246,7 @@ class TransactionService(WebService):
                 f"cannot abort committed transaction {txn_id!r}"
             )
         txn.staged.clear()
+        txn.prepared = []
         txn.state = TxnState.ABORTED
         return True
 
@@ -270,25 +262,15 @@ class TransactionService(WebService):
             raise TransactionError(f"unknown transaction {txn_id!r}")
         return txn
 
-    def _validate(self, txn: _Txn) -> str:
-        """The prepare-time check: every staged row must be insertable."""
+    def _coerced(self, table: str, rowset: WireRowSet) -> CoercedColumns:
+        """The prepare-time check: a staged batch in storage form."""
         db = self._wrapper.db
-        for table, rowset in txn.staged:
-            if not db.has_table(table):
-                return f"table {table!r} does not exist"
-            schema = db.table(table).schema
-            names = [name.split(".", 1)[-1] for name in rowset.column_names]
-            for name in names:
-                if not schema.has_column(name):
-                    return f"table {table!r} has no column {name!r}"
-            from repro.errors import SchemaError
-
-            for row in rowset.rows:
-                try:
-                    schema.coerce_row(dict(zip(names, row)))
-                except SchemaError as exc:
-                    return str(exc)
-        return ""
+        if not db.has_table(table):
+            raise SchemaError(f"table {table!r} does not exist")
+        return db.table(table).schema.coerce_columns(
+            rowset.rows,
+            [name.split(".", 1)[-1] for name in rowset.column_names],
+        )
 
     def simulate_crash(self) -> None:
         """Lose volatile state: ACTIVE transactions vanish, PREPARED survive.

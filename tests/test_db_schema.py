@@ -61,20 +61,26 @@ def test_coerce_row_positional():
     assert schema.coerce_row((1, 2.5, "GALAXY")) == [1, 2.5, "GALAXY"]
 
 
-def test_coerce_row_mapping():
+def test_coerce_columns_named_batch():
     schema = make_schema()
-    row = schema.coerce_row({"ra": 2.5, "object_id": 1})
-    assert row == [1, 2.5, None]
+    batch = schema.coerce_columns([(2.5, 1)], ["ra", "object_id"])
+    assert batch.rows() == [[1, 2.5, None]]
 
 
-def test_coerce_row_mapping_case_insensitive():
+def test_coerce_columns_named_batch_case_insensitive():
     schema = make_schema()
-    assert schema.coerce_row({"RA": 1.0, "OBJECT_ID": 2}) == [2, 1.0, None]
+    batch = schema.coerce_columns([(1.0, 2)], ["RA", "OBJECT_ID"])
+    assert batch.rows() == [[2, 1.0, None]]
 
 
-def test_coerce_row_unknown_key():
-    with pytest.raises(SchemaError):
-        make_schema().coerce_row({"object_id": 1, "nope": 2})
+def test_coerce_columns_unknown_name():
+    with pytest.raises(SchemaError, match="has no column 'nope'"):
+        make_schema().coerce_columns([(1, 2)], ["object_id", "nope"])
+
+
+def test_coerce_columns_missing_not_null_column():
+    with pytest.raises(SchemaError, match="'object_id' is NOT NULL"):
+        make_schema().coerce_columns([(1.0,)], ["ra"])  # object_id -> None
 
 
 def test_coerce_row_wrong_width():
@@ -84,7 +90,7 @@ def test_coerce_row_wrong_width():
 
 def test_coerce_row_not_null_enforced():
     with pytest.raises(SchemaError):
-        make_schema().coerce_row({"ra": 1.0})  # object_id missing -> None
+        make_schema().coerce_row((None, 1.0, None))
 
 
 def test_coerce_row_type_enforced():

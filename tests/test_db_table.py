@@ -25,8 +25,9 @@ def make_table(page_size=4, spatial=True):
 def test_insert_and_len():
     table = make_table()
     table.insert((1, 185.0, -0.5))
-    table.insert({"object_id": 2, "ra": 186.0, "dec": 0.5})
+    table.insert_many([(0.5, 186.0, 2)], ["dec", "ra", "object_id"])
     assert len(table) == 2
+    assert table.row(1) == [2, 186.0, 0.5]
 
 
 def test_row_retrieval():

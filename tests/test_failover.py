@@ -118,7 +118,10 @@ class TestReplicaProvisioning:
                 home = step["archive"]
                 if home == archive:
                     assert host == fed.replicas[home][0].hostname
-                    assert fed.node(home).hostname in step["replica_urls"][0]
+                    assert [
+                        c["crossmatch"].split("/")[2]
+                        for c in fed.portal.planner.candidates(home)
+                    ] == [fed.node(home).hostname, host]
                 else:
                     assert host == fed.node(home).hostname
 
@@ -135,7 +138,10 @@ class TestReplicaProvisioning:
         result = fed.client().submit(XMATCH_SQL)
         for step in result.plan["steps"]:
             assert step["url"].split("/")[2] == fed.node(step["archive"]).hostname
-            assert step["replica_urls"] == []
+            assert [
+                c["crossmatch"]
+                for c in fed.portal.planner.candidates(step["archive"])
+            ] == [step["url"]]
 
 
 class TestPlanTimeFailover:

@@ -153,8 +153,8 @@ def test_fingerprint_covers_epoch_threshold_area():
 
 
 def test_fingerprint_ignores_placement_and_estimates():
-    """URLs, replica candidates, and count-star estimates are placement,
-    not content: failover must not orphan cached state."""
+    """URLs and count-star estimates are placement, not content:
+    failover must not orphan cached state."""
     base = make_profiled_plan()
     moved = base.replace_url(1, "http://replica-b/crossmatch")
     assert moved.fingerprint(0) == base.fingerprint(0)
@@ -166,7 +166,6 @@ def test_fingerprint_ignores_placement_and_estimates():
             dataclasses.replace(
                 base.steps[1],
                 count_star=999,
-                replica_urls=("http://spare/crossmatch",),
             ),
             base.steps[2],
         ),

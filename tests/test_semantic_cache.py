@@ -15,6 +15,13 @@ WHERE AREA(185.0, -0.5, {radius}) AND XMATCH(O, T) < 3.5
 """
 
 
+CIRCLE_2 = """
+SELECT O.object_id, O.ra, T.obj_id
+FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T
+WHERE AREA({ra}, -0.5, 600.0) AND XMATCH(O, T) < 3.5
+"""
+
+
 def _fed(**kwargs):
     kwargs.setdefault("n_bodies", SMALL)
     kwargs.setdefault("cache", True)
@@ -81,10 +88,11 @@ def test_exact_hit_identical_and_zero_wire():
 def test_strategy_changes_the_exact_key():
     from repro.portal.planner import OrderingStrategy
 
-    # Containment off: it would (correctly) serve the same circle under
-    # any strategy, but this test is about the exact key.
-    fed = _fed(cache=CacheConfig(containment=False))
-    sql = paper_query(900.0)
+    # A drop-out archive keeps the query out of containment, which would
+    # (correctly) serve the same circle under any strategy: this test is
+    # about the exact key.
+    fed = _fed()
+    sql = paper_query(900.0, dropout=True)
     first = fed.portal.submit(sql, strategy=OrderingStrategy.COUNT_DESC)
     probes = fed.network.metrics.message_count
     before = probes(phase="performance-query")
@@ -136,14 +144,15 @@ def test_note_epoch_is_surgical():
 
 
 def test_lru_eviction_bounds_entries():
-    # Containment off so every distinct radius is a genuine store.
-    fed = _fed(cache=CacheConfig(max_entries=2, containment=False))
-    for radius in (600.0, 700.0, 800.0):
-        fed.portal.submit(XMATCH_2.format(radius=radius))
+    # Equal radii about distinct centres: no circle contains another, so
+    # every query is a genuine store.
+    fed = _fed(cache=CacheConfig(max_entries=2))
+    for ra in (184.95, 185.0, 185.05):
+        fed.portal.submit(CIRCLE_2.format(ra=ra))
     assert fed.cache.stats.evictions == 1
     # Oldest entry evicted: re-submitting it misses.
-    assert fed.portal.submit(XMATCH_2.format(radius=600.0)).cache is None
-    assert fed.portal.submit(XMATCH_2.format(radius=800.0)).cache == "exact"
+    assert fed.portal.submit(CIRCLE_2.format(ra=184.95)).cache is None
+    assert fed.portal.submit(CIRCLE_2.format(ra=185.05)).cache == "exact"
 
 
 def test_containment_serves_smaller_circle_locally():

@@ -259,8 +259,8 @@ class TestEndpointCandidateOrdering:
             slices.update(node.hostname for node in mirrors)
         (step,) = [s for s in result.plan.steps if s.archive == "SDSS"]
         assert _host_of(step.url) == fed.replicas["SDSS"][0].hostname
-        for url in (step.url, *step.replica_urls):
-            assert _host_of(url) not in slices
+        for candidate in fed.portal.planner.candidates("SDSS"):
+            assert _host_of(candidate["crossmatch"]) not in slices
 
     def test_candidates_are_tried_primary_first_in_registration_order(self):
         """Fault-free hops sit on the registered primaries; each death
@@ -277,10 +277,10 @@ class TestEndpointCandidateOrdering:
             for step in result.plan.steps:
                 if step.archive == "SDSS":
                     assert _host_of(step.url) == order[dead].hostname
-                    assert [_host_of(u) for u in step.replica_urls] == [
-                        node.hostname
-                        for node in order if node is not order[dead]
-                    ]
+                    assert [
+                        _host_of(c["crossmatch"])
+                        for c in fed.portal.planner.candidates("SDSS")
+                    ] == [node.hostname for node in order]
                 else:
                     assert _host_of(step.url) == (
                         fed.nodes[step.archive].hostname

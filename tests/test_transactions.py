@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db.schema import TableSchema
 from repro.errors import SoapFaultError, TransactionError
 from repro.federation.builder import FederationConfig, build_federation
 from repro.services.client import ServiceProxy
@@ -110,6 +111,63 @@ class TestParticipant:
         assert reply["vote"] == "abort"
         assert "no column" in reply["reason"]
 
+    @pytest.mark.parametrize("advance_epoch", [False, True])
+    def test_each_staged_batch_is_coerced_once_at_prepare(
+        self, fed, monkeypatch, advance_epoch
+    ):
+        """Prepare's coercion is the vote and the prepared state: each
+        staged batch is coerced exactly once, and Commit applies it (as a
+        plain append or as a new epoch) without converting a row."""
+        calls = []
+        for name in ("coerce_columns", "coerce_row"):
+            def counted(schema, *args, _name=name,
+                        _original=getattr(TableSchema, name), **kwargs):
+                calls.append(_name)
+                return _original(schema, *args, **kwargs)
+
+            monkeypatch.setattr(TableSchema, name, counted)
+        p = proxy(fed, "TWOMASS")
+        p.call("Begin", txn_id="once", advance_epoch=advance_epoch)
+        p.call("EnsureTable", table="counted",
+               columns=[{"name": "x", "type": "int"},
+                        {"name": "y", "type": "double"}])
+        for seq, rows in enumerate([[(1, 0.5), (2, 1.5)], [(3, 2.5)]]):
+            p.call("StageRows", txn_id="once", table="counted", seq=seq,
+                   rows=WireRowSet([("c.x", "int"), ("c.y", "double")], rows))
+        assert calls == []
+        assert p.call("Prepare", txn_id="once")["vote"] == "commit"
+        assert calls == ["coerce_columns", "coerce_columns"]
+        assert p.call("Commit", txn_id="once") is True
+        assert calls == ["coerce_columns", "coerce_columns"]
+        table = fed.node("TWOMASS").db.table("counted")
+        assert [table.row(i) for i in range(len(table))] == [
+            [1, 0.5], [2, 1.5], [3, 2.5]
+        ]
+
+    @pytest.mark.parametrize(
+        "columns, row, reason",
+        [
+            ([("ra", "double"), ("dec", "double")], (185.0, -0.5),
+             "column 'object_id' is NOT NULL"),
+            ([("object_id", "string"), ("ra", "double"), ("dec", "double")],
+             ("seven", 185.0, -0.5),
+             "column 'object_id' expects INT, got str"),
+            ([("object_id", "int"), ("nope", "int")], (7, 1),
+             "table 'Photo_Object' has no column 'nope'"),
+        ],
+    )
+    def test_a_bad_row_votes_abort_with_its_reason(
+        self, fed, columns, row, reason
+    ):
+        p = proxy(fed, "SDSS")
+        p.call("Begin", txn_id="bad")
+        p.call("StageRows", txn_id="bad", table="Photo_Object",
+               rows=WireRowSet(columns, [row]))
+        assert p.call("Prepare", txn_id="bad") == {
+            "vote": "abort", "reason": reason
+        }
+        assert p.call("GetStatus", txn_id="bad") == "aborted"
+
     def test_stage_unknown_txn_rejected(self, fed):
         p = proxy(fed, "SDSS")
         with pytest.raises(SoapFaultError):
@@ -173,6 +231,15 @@ class TestExchange:
         exchange = DataExchange(fed.portal, {"SDSS": txn_url(fed, "SDSS")})
         with pytest.raises(TransactionError):
             exchange.replicate_region("SDSS", ["TWOMASS"], AREA)
+
+    def test_unknown_target_rejected_before_the_pull(self, fed):
+        """A whole-table copy to a target without a Transaction service
+        is refused before a single source row is pulled."""
+        exchange = DataExchange(fed.portal, {"SDSS": txn_url(fed, "SDSS")})
+        sent = fed.network.metrics.message_count()
+        with pytest.raises(TransactionError, match="no Transaction service"):
+            exchange.replicate_region("SDSS", ["TWOMASS"], None)
+        assert fed.network.metrics.message_count() == sent
 
     def test_twin_federations_send_identical_bytes(self):
         """Txn ids are minted per Portal, so identically built federations
