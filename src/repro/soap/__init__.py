@@ -2,11 +2,13 @@
 
 The paper's whole argument rests on Web services: SOAP messages over HTTP
 with XML payloads, WSDL service descriptions, and a UDDI-style registry.
-This package implements a real (small) XML writer/parser, SOAP envelopes
-with RPC request/response/fault conventions, a typed value/rowset encoding,
-and WSDL generation — all as actual serialized text so that message sizes,
+This package implements a real (small) XML writer, SOAP envelopes with
+RPC request/response/fault conventions, a typed value/rowset encoding, and
+WSDL generation — all as actual serialized text so that message sizes,
 serialization overhead (paper Section 6), and the XML parser's memory
 ceiling (the ~10 MB failures the authors report) are genuinely exercised.
+Parsing is the stdlib's expat behind that memory model, refusing what SOAP
+1.1 forbids (a DOCTYPE, processing instructions) and bounding nesting.
 """
 
 from repro.soap.xmlwriter import Element, escape_attr, escape_text, render

@@ -34,7 +34,7 @@ from operator import sub
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import SoapError
-from repro.soap.xmlwriter import Element
+from repro.soap.xmlwriter import Element, check_xml_chars
 
 _TYPE_CODES = ("int", "double", "string", "boolean")
 
@@ -155,6 +155,8 @@ def encode_value(name: str, value: Any) -> Element:
         return node
     code = typecode_of(value)
     text = _scalar_to_text(value)
+    if code == "string":
+        check_xml_chars(text, f"string {name!r}")
     return Element(name, {"xsi:type": code}, [], text)
 
 
@@ -203,11 +205,17 @@ def _text_to_scalar(text: str, code: str) -> Any:
 # -- rowset XML form ---------------------------------------------------------
 
 
+def _encode_schema(node: Element, columns: List[Tuple[str, str]]) -> None:
+    schema = node.child("schema")
+    for col_name, code in columns:
+        schema.child(
+            "col", name=check_xml_chars(col_name, "a column name"), type=code
+        )
+
+
 def _encode_rowset(name: str, rowset: WireRowSet) -> Element:
     node = Element(name, {"xsi:type": "rowset", "rows": str(len(rowset.rows))})
-    schema = node.child("schema")
-    for col_name, code in rowset.columns:
-        schema.child("col", name=col_name, type=code)
+    _encode_schema(node, rowset.columns)
     data = node.child("data")
     for row in rowset.rows:
         if len(row) != len(rowset.columns):
@@ -221,9 +229,12 @@ def _encode_rowset(name: str, rowset: WireRowSet) -> Element:
                 row_el.child("c", nil="true")
             else:
                 _check_cell(value, col_name, code)
-                row_el.child("c", text=_scalar_to_text(
+                text = _scalar_to_text(
                     float(value) if code == "double" else value
-                ))
+                )
+                if code == "string":
+                    check_xml_chars(text, f"a cell of column {col_name!r}")
+                row_el.child("c", text=text)
     return node
 
 
@@ -363,9 +374,7 @@ def _encode_colset(name: str, rowset: WireRowSet) -> Element:
             f"a colset with no columns cannot carry {len(rows)} rows"
         )
     node = Element(name, {"xsi:type": "colset", "rows": str(len(rows))})
-    schema = node.child("schema")
-    for col_name, code in columns:
-        schema.child("col", name=col_name, type=code)
+    _encode_schema(node, columns)
     cols = node.child("cols")
     for values, (col_name, code) in zip(
         list(zip(*rows)) if rows else [()] * len(columns), columns
@@ -377,6 +386,7 @@ def _encode_colset(name: str, rowset: WireRowSet) -> Element:
             text, entries = _encode_cells(values, col_name, code)
         col_el = cols.child("col")
         if entries:
+            check_xml_chars("".join(entries), f"a cell of column {col_name!r}")
             dict_el = col_el.child("dict")
             for entry in entries:
                 dict_el.child("v", text=entry)

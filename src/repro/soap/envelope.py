@@ -17,7 +17,7 @@ from repro.budget import QueryBudget
 from repro.errors import SoapError, SoapFaultError
 from repro.soap.encoding import decode_value, encode_value
 from repro.soap.xmlparser import XMLParser
-from repro.soap.xmlwriter import Element, render
+from repro.soap.xmlwriter import Element, escape_non_xml_chars, render
 from repro.tracing.tracer import TraceContext
 
 SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
@@ -101,12 +101,13 @@ def build_rpc_response(operation: str, result: Any) -> str:
 
 
 def build_fault(faultcode: str, faultstring: str, detail: str = "") -> str:
-    """Serialize a SOAP Fault response."""
+    """Serialize a SOAP Fault response. It never raises: a character XML
+    cannot carry in the message or detail travels as its ``\\x08`` escape."""
     fault = Element("soap:Fault")
     fault.child("faultcode", text=faultcode)
-    fault.child("faultstring", text=faultstring)
+    fault.child("faultstring", text=escape_non_xml_chars(faultstring))
     if detail:
-        fault.child("detail", text=detail)
+        fault.child("detail", text=escape_non_xml_chars(detail))
     return render(_envelope(fault))
 
 

@@ -2,15 +2,38 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import SoapError
 
+#: What XML 1.0 cannot carry, raw or as a character reference: C0 controls
+#: other than TAB, LF and CR; surrogates; U+FFFE and U+FFFF.
+_NOT_XML_CHAR = re.compile(
+    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+)
+
+
+def check_xml_chars(text: str, what: str) -> str:
+    """``text``, or a :class:`SoapError` naming (as ``U+0008``, never raw)
+    the first character in it that XML 1.0 cannot carry."""
+    bad = _NOT_XML_CHAR.search(text)
+    if bad is None:
+        return text
+    raise SoapError(f"{what} holds U+{ord(bad.group()):04X}, which XML cannot carry")
+
+
+def escape_non_xml_chars(text: str) -> str:
+    """``text`` with what XML 1.0 cannot carry written as Python escapes
+    (``\\x08``, ``\\ud800``): for diagnostics, which may be lossy."""
+    return _NOT_XML_CHAR.sub(lambda bad: ascii(bad.group())[1:-1], text)
+
 
 def escape_text(text: str) -> str:
-    """Escape character data."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data (a CR as ``&#13;``, which parsers keep)."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace("\r", "&#13;"))
 
 
 def escape_attr(text: str) -> str:

@@ -3,9 +3,11 @@
 import math
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SoapError
 from repro.portal.plan import ExecutionPlan, PlanStep
 from repro.sphere.coords import radec_to_vector
 from repro.sphere.distance import angular_separation
@@ -14,6 +16,7 @@ from repro.sql.ast import AreaClause, PolygonClause
 from repro.units import arcsec_to_rad
 from repro.xmatch.stream import in_memory_search, run_chain
 from repro.xmatch.tuples import LocalObject
+from tests.xml_reference import wire_strings, xml_can_carry
 
 
 # -- the distributed matcher against a brute-force oracle ----------------------------
@@ -120,7 +123,7 @@ _step_strategy = st.builds(
         st.tuples(_ident, _ident, st.sampled_from(["int", "double", "string"])),
         max_size=4,
     ).map(tuple),
-    sql=st.text(max_size=40).filter(lambda s: "\r" not in s),
+    sql=st.text(max_size=40),
 )
 
 _area_strategy = st.one_of(
@@ -156,7 +159,12 @@ def test_plan_wire_roundtrip(steps, threshold, area):
     # Through the actual SOAP text, not just the struct form.
     from repro.soap.envelope import build_rpc_request, parse_rpc_request
 
-    text = build_rpc_request("PerformXMatch", {"plan": plan.to_wire()})
+    wire = plan.to_wire()
+    if not all(map(xml_can_carry, wire_strings(wire))):
+        with pytest.raises(SoapError, match=r"U\+[0-9A-F]{4}"):
+            build_rpc_request("PerformXMatch", {"plan": wire})
+        return
+    text = build_rpc_request("PerformXMatch", {"plan": wire})
     _, params = parse_rpc_request(text)
     assert ExecutionPlan.from_wire(params["plan"]) == plan
 

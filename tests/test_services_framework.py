@@ -166,6 +166,24 @@ class TestServiceHost:
         assert response.ok
         assert b"wsdl:definitions" in response.body
 
+    def test_fault_text_xml_cannot_carry_reaches_the_client_escaped(self):
+        # The message and the traceback detail hold U+0008 and a lone
+        # surrogate: the fault carries them as escapes, the client gets
+        # the fault (not an XML syntax error), and the service serves on.
+        net, host, url = self.make_net()
+
+        def garble():
+            raise ValueError("bad \x08 \ud800")
+
+        host.service_at("/calc").register("Garble", garble)
+        proxy = ServiceProxy(net, "client", url)
+        with pytest.raises(SoapFaultError) as fault:
+            proxy.call("Garble")
+        assert fault.value.faultcode == "soap:Server.Internal"
+        assert fault.value.faultstring == "ValueError: bad \\x08 \\ud800"
+        assert fault.value.detail.endswith("ValueError: bad \\x08 \\ud800\n")
+        assert proxy.call("Add", a=1, b=2) == 3
+
     def test_calls_handled_counter(self):
         net, host, url = self.make_net()
         proxy = ServiceProxy(net, "client", url)

@@ -21,13 +21,23 @@ from repro.soap.envelope import (
     parse_rpc_response,
 )
 from repro.soap.encoding import WireRowSet
+from repro.soap.xmlparser import MAX_DEPTH
 
+_DECL = '<?xml version="1.0" encoding="utf-8"?>'
 _OPEN = (
-    '<?xml version="1.0" encoding="utf-8"?>'
-    f'<soap:Envelope xmlns:soap="{SOAP_ENV_NS}" xmlns:xsi="{XSI_NS}" '
+    _DECL
+    + f'<soap:Envelope xmlns:soap="{SOAP_ENV_NS}" xmlns:xsi="{XSI_NS}" '
     f'xmlns:sky="{SKYQUERY_NS}"><soap:Body>'
 )
 _CLOSE = "</soap:Body></soap:Envelope>"
+_VALID = build_rpc_request(
+    "Take", {"value": WireRowSet([("c", "int")], [(1,)])}
+)
+
+
+def _take(value_xml):
+    """A ``Take`` request whose param is ``value_xml``."""
+    return _OPEN + "<sky:Take>" + value_xml + "</sky:Take>" + _CLOSE
 
 
 def _colset(code, data, extra=""):
@@ -68,20 +78,16 @@ def _service():
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_request_is_a_client_fault_and_the_service_serves_on(case):
     service = _service()
-    body = _OPEN + "<sky:Take>" + MALFORMED[case].format(tag="value") \
-        + "</sky:Take>" + _CLOSE
-    status, xml = service.handle_soap(body.encode("utf-8"))
+    status, xml = service.handle_soap(
+        _take(MALFORMED[case].format(tag="value")).encode("utf-8")
+    )
     assert status == 500
     with pytest.raises(SoapFaultError) as fault:
         parse_rpc_response(xml)
     assert fault.value.faultcode == "soap:Client"
     assert "malformed request" in fault.value.faultstring
     # The next valid request is answered as if nothing had happened.
-    status, xml = service.handle_soap(
-        build_rpc_request(
-            "Take", {"value": WireRowSet([("c", "int")], [(1,)])}
-        ).encode("utf-8")
-    )
+    status, xml = service.handle_soap(_VALID.encode("utf-8"))
     assert status == 200
     assert parse_rpc_response(xml) == 1
 
@@ -128,9 +134,40 @@ def test_negative_row_count_refused_even_with_columns():
     [
         b"\xff\xfe<not-utf8/>",
         ("<a>" * 5000 + "</a>" * 5000).encode(),
+        _VALID[: _VALID.index("<schema>") + 5].encode(),
+        _take('<value xsi:type="string">&x;</value>').replace(
+            _DECL, _DECL + '<!DOCTYPE soap:Envelope [<!ENTITY x "boom">]>'
+        ).encode(),
+        _take('<?pi ?><value xsi:type="int">1</value>').encode(),
+        _take(
+            '<value xsi:type="struct">' * 5000 + "</value>" * 5000
+        ).encode(),
     ],
-    ids=["not-utf8", "too-deep"],
+    ids=[
+        "not-utf8",
+        "too-deep",
+        "truncated",
+        "doctype-entity",
+        "processing-instruction",
+        "deep-struct-param",
+    ],
 )
 def test_undecodable_documents_are_client_faults(body):
-    status, xml = _service().handle_soap(body)
+    service = _service()
+    status, xml = service.handle_soap(body)
     assert status == 500 and "soap:Client" in xml
+    # The next valid request is answered as if nothing had happened.
+    status, xml = service.handle_soap(_VALID.encode("utf-8"))
+    assert status == 200
+    assert parse_rpc_response(xml) == 1
+
+
+@pytest.mark.parametrize("xsi_type", ["struct", "array"])
+def test_the_deepest_param_the_parser_admits_is_decoded(xsi_type):
+    # The depth bound is what keeps the recursive decoder safe: a param as
+    # deep as it admits (Envelope, Body and the call take three levels)
+    # decodes and is served.
+    levels = MAX_DEPTH - 3
+    body = _take(f'<value xsi:type="{xsi_type}">' * levels + "</value>" * levels)
+    status, xml = _service().handle_soap(body.encode("utf-8"))
+    assert status == 200 and parse_rpc_response(xml) == 1
