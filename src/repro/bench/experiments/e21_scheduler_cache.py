@@ -113,7 +113,7 @@ def run(
         n_bodies=n_bodies, scheduler=sched_config, cache=True
     )
     cold_makespan, cold_hits = scheduled_arm("scheduler + cache (cold)", cached)
-    tracer = cached.network.tracer
+    tracer = cached.tracer
     if tracer is not None:
         tracer.reset()
     warm_makespan, warm_hits = scheduled_arm("scheduler + cache (warm)", cached)

@@ -3,34 +3,31 @@
 A :class:`QueryBudget` is an *absolute* deadline on the simulated clock
 plus the portal-minted query id, propagated hop to hop in the
 ``<sq:QueryBudget>`` SOAP header (a sibling of ``<sq:TraceContext>``).
-Every layer reads the budget through a scope stack rather than plumbing
-it as an extra parameter:
+Every layer reads it from the request context
+(:class:`repro.tracing.tracer.RequestContext`), not from a parameter:
 
 * the caller side (:class:`~repro.services.client.ServiceProxy`) stamps
   the active budget into outgoing envelopes and clamps its per-call
   retry deadline to the remaining budget;
 * the server side (:meth:`~repro.services.framework.WebService.handle_soap`)
-  parses the header and re-scopes it for the handler, so chain
+  puts the header's budget in the context for the handler, so chain
   forwarding and batch pulls made *from inside* a handler inherit the
-  caller's budget automatically — exactly how the TraceContext header
-  threads one span tree through the federation.
+  caller's budget, as the TraceContext header threads one span tree.
 
 ``use_budget(None)`` deliberately *masks* any outer budget: a handler
 dispatching an unbudgeted request models a separate process that never
 saw the header, and cleanup RPCs (CancelQuery/AbortStream/AbortTransfer)
 run unbudgeted so an expired deadline can never block its own cleanup.
-
-The server side also needs "now" without owning a clock; the network
-pushes a request-scoped clock provider around each handler invocation
-(:func:`use_request_clock` / :func:`request_now`), mirroring
-``use_tracer``.
+The network delivering a request puts its clock in the same context, so
+the server side reads "now" (:func:`request_now`) without owning a clock.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import ContextManager, Optional
+
+from repro.tracing.tracer import request_context, request_scope
 
 
 @dataclass(frozen=True)
@@ -55,37 +52,18 @@ class QueryBudget:
 #: expired deadline, or cleanup could strand the very state it frees.
 CLEANUP_OPERATIONS = frozenset({"CancelQuery", "AbortStream", "AbortTransfer"})
 
-_ACTIVE_BUDGETS: List[Optional[QueryBudget]] = []
-
 
 def active_budget() -> Optional[QueryBudget]:
-    """The budget scoped around the current call, if any."""
-    return _ACTIVE_BUDGETS[-1] if _ACTIVE_BUDGETS else None
+    """The budget of the current call, if any."""
+    return request_context().budget
 
 
-@contextmanager
-def use_budget(budget: Optional[QueryBudget]) -> Iterator[None]:
+def use_budget(budget: Optional[QueryBudget]) -> ContextManager:
     """Scope a budget (or None, masking any outer one) for nested calls."""
-    _ACTIVE_BUDGETS.append(budget)
-    try:
-        yield
-    finally:
-        _ACTIVE_BUDGETS.pop()
-
-
-_ACTIVE_CLOCKS: List[Callable[[], float]] = []
+    return request_scope(budget=budget)
 
 
 def request_now() -> Optional[float]:
     """Sim-time of the network currently delivering a request, if any."""
-    return _ACTIVE_CLOCKS[-1]() if _ACTIVE_CLOCKS else None
-
-
-@contextmanager
-def use_request_clock(clock_fn: Callable[[], float]) -> Iterator[None]:
-    """Scope a clock provider as the active one for nested handlers."""
-    _ACTIVE_CLOCKS.append(clock_fn)
-    try:
-        yield
-    finally:
-        _ACTIVE_CLOCKS.pop()
+    clock = request_context().clock
+    return None if clock is None else clock()

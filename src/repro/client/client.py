@@ -90,13 +90,12 @@ class SkyQueryClient:
     def submit(self, sql: str, *, strategy: str = "") -> ClientResult:
         """Run a query; ``strategy`` overrides the plan ordering (benchmarks)."""
         tracer = self.network.tracer
-        before = len(tracer.trace_ids()) if tracer is not None else 0
+        # With no span open, this call's client span roots a fresh trace,
+        # which is then the newest one: hand its tree over.
+        fresh = tracer.current_span() is None
         with self.network.phase("client"):
             response = self._proxy.call("SubmitQuery", sql=sql, strategy=strategy)
-        # This call's client span rooted a fresh trace; hand its tree over.
-        trace = None
-        if tracer is not None and len(tracer.trace_ids()) > before:
-            trace = tracer.trace(tracer.trace_ids()[-1])
+        trace = tracer.trace() if fresh else None
         if not isinstance(response, dict):
             raise ExecutionError(f"malformed Portal response: {response!r}")
         rowset = response.get("rows")

@@ -22,6 +22,7 @@ from repro.shard import ZONE_KEY
 from repro.skynode.node import DEFAULT_PARSER_MEMORY_LIMIT, SkyNode
 from repro.skynode.wrapper import ArchiveInfo
 from repro.skynode.xmatch_proc import MATCH_ENGINE_ZONE, PROCEDURE_NAME
+from repro.tracing.tracer import NullTracer, Tracer
 from repro.transport.faults import FaultPlan
 from repro.transport.network import SimulatedNetwork
 from repro.workloads.skysim import (
@@ -178,7 +179,8 @@ class Federation:
     @property
     def tracer(self):
         """The network's tracer (None when built with ``tracing=False``)."""
-        return self.network.tracer
+        tracer = self.network.tracer
+        return None if isinstance(tracer, NullTracer) else tracer
 
     @property
     def scheduler(self):
@@ -264,8 +266,6 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
         default_bandwidth_bps=config.default_bandwidth_bps,
     )
     if config.tracing:
-        from repro.tracing.tracer import Tracer
-
         network.install_tracer(Tracer())
     portal = Portal(
         retry_policy=config.retry_policy,

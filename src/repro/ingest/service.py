@@ -20,9 +20,8 @@ _recover` exactly like any other in-doubt transaction.
 from __future__ import annotations
 
 import itertools
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ContextManager, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import IngestError
 from repro.services.framework import WebService
@@ -142,7 +141,7 @@ class IngestService(WebService):
         participants.extend(node.replica_transaction_urls)
         stages = [(session.table, batch) for batch in session.batches]
 
-        with self._span("ingest-commit"):
+        with network.tracer.span("ingest-commit", host=node.hostname):
             # An epoch exists on every mirror or on none: a participant
             # that cannot be staged aborts the upload everywhere.
             outcome = TwoPhaseCoordinator(
@@ -155,14 +154,13 @@ class IngestService(WebService):
                 rows_per_call=self.stage_rows_per_call,
                 advance_epoch=True,
             )
-            if network.tracer is not None:
-                network.tracer.annotate(
-                    "ingest",
-                    ingest_id=ingest_id,
-                    rows=session.row_count,
-                    committed=outcome.committed,
-                    epoch=node.db.committed_epoch,
-                )
+            network.tracer.annotate(
+                "ingest",
+                ingest_id=ingest_id,
+                rows=session.row_count,
+                committed=outcome.committed,
+                epoch=node.db.committed_epoch,
+            )
         del self._sessions[ingest_id]
         # Votes travel as parallel arrays: participant URLs cannot be XML
         # element names, so a URL-keyed struct would not encode.
@@ -210,12 +208,6 @@ class IngestService(WebService):
                 "drops open sessions; begin a new one)"
             )
         return session
-
-    def _span(self, name: str) -> ContextManager:
-        network = self._node.network
-        if network is None or network.tracer is None:
-            return nullcontext(None)
-        return network.tracer.span(name, host=self._node.hostname)
 
     def crash(self) -> None:
         """Lose volatile state: every open upload session vanishes.

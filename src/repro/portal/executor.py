@@ -104,8 +104,8 @@ class FederatedResult:
     #: mid-chain). A failed-over answer is complete, NOT degraded: every
     #: archive contributed, just not always through its primary endpoint.
     failovers: int = 0
-    #: The assembled distributed trace of this submission, when the
-    #: federation's network has a tracer installed (see repro.tracing).
+    #: The assembled distributed trace of this submission, when tracing
+    #: is on (see repro.tracing).
     trace: Optional["Trace"] = field(default=None, repr=False, compare=False)
     #: How the Portal's semantic cache answered this submission: None for
     #: a real federation run, else "exact", "fingerprint", or

@@ -143,12 +143,7 @@ class Planner:
             ),
             key=lambda hop: hop[1],
         )
-        tracer = network.tracer
-        with (
-            tracer.span("plan", host=portal.hostname)
-            if tracer is not None
-            else nullcontext()
-        ):
+        with network.tracer.span("plan", host=portal.hostname):
             done.counts = self.performance_counts(
                 decomposed,
                 failures=failures,
@@ -259,13 +254,12 @@ class Planner:
             elif chosen["crossmatch"] != url:
                 moved[alias] = chosen
                 network.metrics.failovers += 1
-                if network.tracer is not None:
-                    network.tracer.annotate(
-                        "failover",
-                        archive=archive,
-                        from_url=url,
-                        to_url=chosen["crossmatch"],
-                    )
+                network.tracer.annotate(
+                    "failover",
+                    archive=archive,
+                    from_url=url,
+                    to_url=chosen["crossmatch"],
+                )
                 if partition is None:
                     warnings.append(
                         f"archive {archive!r} {died.format(url=url)}; "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import replace
 from typing import (
     Any,
@@ -17,7 +16,7 @@ from typing import (
     Tuple,
 )
 
-from repro.budget import QueryBudget, use_budget
+from repro.budget import QueryBudget, active_budget, use_budget
 from repro.db.finish import output_columns
 from repro.errors import (
     DeadlineExceededError,
@@ -249,21 +248,20 @@ class Portal:
         committed epochs instead — a repeatable read of a past snapshot,
         valid until the epoch is garbage-collected.
 
-        With a tracer on the network, the whole submission runs under one
-        ``SubmitQuery`` root span and the returned result carries the
-        assembled :class:`~repro.tracing.Trace` as ``result.trace``.
+        The whole submission runs under one ``SubmitQuery`` root span, and
+        with tracing on the returned result carries the assembled
+        :class:`~repro.tracing.Trace` as ``result.trace``.
         """
         if deadline_s is not None and not math.isfinite(deadline_s):
             raise ValueError(f"deadline_s must be finite, not {deadline_s}")
         self.queries_served += 1
         query = parse_query(sql) if isinstance(sql, str) else sql
         analysis = validate_query(query)
-        qid = ""
-        budget_scope = nullcontext()
+        qid, budget = "", active_budget()
         if deadline_s is not None:
             qid = f"{self.hostname}-q{self.queries_served}"
-            budget_scope = use_budget(QueryBudget(float(deadline_s), qid))
-        tracer = self.network.tracer if self.network is not None else None
+            budget = QueryBudget(float(deadline_s), qid)
+        tracer = self.require_network().tracer
 
         def run() -> FederatedResult:
             try:
@@ -281,14 +279,12 @@ class Portal:
                     query, [f"query deadline exceeded: {exc}"]
                 )
 
-        with budget_scope:
-            if tracer is None:
-                return run()
-            with tracer.span("SubmitQuery", host=self.hostname) as root:
-                result = run()
-                trace_id = root.trace_id
-            result.trace = tracer.trace(trace_id)
-            return result
+        with use_budget(budget), tracer.span(
+            "SubmitQuery", host=self.hostname
+        ) as root:
+            result = run()
+        result.trace = tracer.trace(root.trace_id)
+        return result
 
     def _submit_federated(
         self,
@@ -308,7 +304,7 @@ class Portal:
         chain — skips the expensive chain but not the probes). Clean
         results are admitted to the cache on the way out.
         """
-        tracer = self.network.tracer if self.network is not None else None
+        tracer = self.require_network().tracer
         decomposed = decompose(query, self.catalog)
         cache = self.cache
         exact_key = None
@@ -322,8 +318,7 @@ class Portal:
             )
             served = cache.lookup_exact(exact_key)
             if served is not None:
-                if tracer is not None:
-                    tracer.annotate("cache", outcome="hit", kind="exact")
+                tracer.annotate("cache", outcome="hit", kind="exact")
                 return served
             finish = cache.finish_key(decomposed)
             containment_key = cache.containment_key(decomposed, profile)
@@ -334,16 +329,14 @@ class Portal:
                 if entry is not None:
                     served = self._serve_containment(entry, decomposed)
                     if served is not None:
-                        if tracer is not None:
-                            tracer.annotate(
-                                "cache",
-                                outcome="hit",
-                                kind="containment",
-                                source_fingerprint=entry.fingerprint,
-                            )
+                        tracer.annotate(
+                            "cache",
+                            outcome="hit",
+                            kind="containment",
+                            source_fingerprint=entry.fingerprint,
+                        )
                         return served
-            if tracer is not None:
-                tracer.annotate("cache", outcome="miss")
+            tracer.annotate("cache", outcome="miss")
         planned = self.planner.plan(
             decomposed,
             strategy=strategy,
@@ -375,10 +368,7 @@ class Portal:
                     planned.plan.fingerprint(0), finish
                 )
                 if served is not None:
-                    if tracer is not None:
-                        tracer.annotate(
-                            "cache", outcome="hit", kind="fingerprint"
-                        )
+                    tracer.annotate("cache", outcome="hit", kind="fingerprint")
                     return served
             result = self.executor.execute(
                 planned.plan,

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
 
@@ -388,13 +387,9 @@ class QueryScheduler:
                 outcome.error = reason
                 outcomes.append(outcome)
                 self.stats.expired += 1
-                if tracer is not None:
-                    tracer.annotate(
-                        "shed",
-                        job=job.seq,
-                        tenant=job.tenant,
-                        reason="deadline",
-                    )
+                tracer.annotate(
+                    "shed", job=job.seq, tenant=job.tenant, reason="deadline"
+                )
             wave = runnable
             if not wave:
                 continue
@@ -402,20 +397,14 @@ class QueryScheduler:
             self.stats.admitted += len(wave)
             wave_no = self.stats.waves
             wave_start = network.clock.now
-            span_scope = (
-                tracer.span("scheduler-wave", host=portal.hostname)
-                if tracer is not None
-                else nullcontext(None)
-            )
-            with span_scope:
-                if tracer is not None:
-                    tracer.annotate(
-                        "admission",
-                        wave=wave_no,
-                        admitted=len(wave),
-                        backlog=self.pending(),
-                        tenants=sorted({job.tenant for job in wave}),
-                    )
+            with tracer.span("scheduler-wave", host=portal.hostname):
+                tracer.annotate(
+                    "admission",
+                    wave=wave_no,
+                    admitted=len(wave),
+                    backlog=self.pending(),
+                    tenants=sorted({job.tenant for job in wave}),
+                )
                 wave_outcomes: List[QueryOutcome] = []
                 with network.parallel():
                     for job in wave:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Callable, Optional
 
 from repro.budget import CLEANUP_OPERATIONS, QueryBudget, active_budget
@@ -15,7 +14,7 @@ from repro.services.retry import CircuitBreaker, RetryPolicy
 from repro.soap.envelope import build_rpc_request, parse_rpc_response
 from repro.soap.wsdl import ServiceDescription, parse_wsdl
 from repro.soap.xmlparser import XMLParser
-from repro.tracing.tracer import TraceContext
+from repro.tracing.tracer import Span, TraceContext
 from repro.transport.http import HttpRequest, HttpResponse, soap_request
 from repro.transport.network import SimulatedNetwork
 
@@ -63,10 +62,10 @@ class ServiceProxy:
     def call(self, operation: str, **params: Any) -> Any:
         """Invoke one operation; raises SoapFaultError on remote faults.
 
-        With a tracer on the network, the call opens a *client* span and
-        stamps its trace context into the envelope's SOAP Header, so the
-        callee's server span threads under it; without a tracer the
-        envelope is byte-identical to the untraced wire format. An
+        The call opens a *client* span on the network's tracer and stamps
+        its trace context into the envelope's SOAP Header, so the callee's
+        server span threads under it; with tracing off there is no context
+        and the envelope is byte-identical to the untraced wire format. An
         active :class:`~repro.budget.QueryBudget` rides the same Header
         path and clamps the whole retry loop to the remaining budget —
         except for cleanup operations, which must outlive the deadline
@@ -131,20 +130,14 @@ class ServiceProxy:
         # The span opens INSIDE the branch block: a branch rewinds the
         # clock on exit (parallel siblings overlap), so the span must
         # close while the branch's own time is still on the clock.
-        with self.network.branch():
-            span_scope = (
-                tracer.span(operation, host=self.src_host, kind="client")
-                if tracer is not None
-                else nullcontext(None)
+        with self.network.branch(), tracer.span(
+            operation, host=self.src_host, kind="client"
+        ) as span:
+            request = build_request(tracer.context())
+            result = self._attempt_loop(
+                request, operation, decode, policy, deadline, span,
+                budget=budget,
             )
-            with span_scope as span:
-                request = build_request(
-                    tracer.context() if tracer is not None else None
-                )
-                result = self._attempt_loop(
-                    request, operation, decode, policy, deadline, span,
-                    budget=budget,
-                )
         return result
 
     def _attempt_loop(
@@ -154,7 +147,7 @@ class ServiceProxy:
         decode: Any,
         policy: Optional[RetryPolicy],
         deadline: Optional[float],
-        span: Any,
+        span: Span,
         budget: Optional[QueryBudget] = None,
     ) -> Any:
         clock = self.network.clock
@@ -205,9 +198,8 @@ class ServiceProxy:
                             f"(attempt {attempt}: {exc})"
                         ) from exc
                     raise
-                if span is not None:
-                    span.retries += 1
-                    span.annotate("retry", t=clock.now, attempt=attempt)
+                span.retries += 1
+                span.annotate("retry", t=clock.now, attempt=attempt)
                 self.network.sleep(backoff)
                 self.network.metrics.retries += 1
                 continue

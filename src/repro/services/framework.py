@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import traceback
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -109,10 +108,10 @@ class WebService:
     ) -> Tuple[int, str]:
         """Dispatch one SOAP request; returns (http status, response xml).
 
-        When the network delivering the request has a tracer installed, a
-        *server* span wraps the dispatch, parented under the caller's span
-        via the envelope's ``<sq:TraceContext>`` header; SOAP faults mark
-        the span as errored. The ``<sq:QueryBudget>`` header (or None —
+        A *server* span on the delivering network's tracer wraps the
+        dispatch, parented under the caller's span via the envelope's
+        ``<sq:TraceContext>`` header; SOAP faults mark the span as
+        errored. The ``<sq:QueryBudget>`` header (or None —
         a request without one models a caller that never saw a budget)
         is scoped around the dispatch, so nested RPCs this handler makes
         inherit the query's remaining budget.
@@ -126,27 +125,18 @@ class WebService:
             return self._fault("soap:Server.OutOfMemory", str(exc))
         except (SoapError, SkyQueryError) as exc:
             return self._fault("soap:Client", f"malformed request: {exc}")
-        tracer = active_tracer()
-        scope = (
-            tracer.span(
-                operation,
-                host=hostname or self.name,
-                kind="server",
-                context=context,
-            )
-            if tracer is not None
-            else nullcontext(None)
-        )
-        with scope as span:
-            if span is not None:
-                marks = {k: params[k] for k in _TRACED_PARAMS if k in params}
-                if marks:
-                    span.annotate("request", t=span.start_s, **marks)
+        with active_tracer().span(
+            operation, host=hostname or self.name, kind="server",
+            context=context,
+        ) as span:
+            marks = {k: params[k] for k in _TRACED_PARAMS if k in params}
+            if marks:
+                span.annotate("request", t=span.start_s, **marks)
             with use_budget(budget):
                 status, xml = self._dispatch(
                     operation, params, hostname=hostname
                 )
-            if span is not None and status != 200:
+            if status != 200:
                 span.status = "error"
                 span.error = self._last_fault
         return status, xml
@@ -203,13 +193,10 @@ class WebService:
         a typed ``DeadlineExceededError`` naming this hop. Cleanup
         operations are exempt: they free the dead query's state.
         """
-        if operation in CLEANUP_OPERATIONS:
+        budget, now = active_budget(), request_now()
+        if operation in CLEANUP_OPERATIONS or budget is None or now is None:
             return
-        budget = active_budget()
-        if budget is None:
-            return
-        now = request_now()
-        if now is not None and budget.expired(now):
+        if budget.expired(now):
             raise DeadlineExceededError(
                 f"query budget exhausted at {hostname or self.name} "
                 f"({now - budget.deadline_s:.3f}s past the deadline) "

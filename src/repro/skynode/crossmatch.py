@@ -445,9 +445,7 @@ class CrossMatchService(WebService):
         freed = self.leases.release_query(query_id)
         if self._node.network is not None:
             self._node.network.metrics.cancels += 1
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.annotate("cancel", query_id=query_id, freed=freed)
+        active_tracer().annotate("cancel", query_id=query_id, freed=freed)
         forwarded = False
         if plan:
             plan_obj = ExecutionPlan.from_wire(plan)

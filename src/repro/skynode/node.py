@@ -157,12 +157,9 @@ class SkyNode:
         elapsed = rows_examined * self.processing_seconds_per_row
         self.network.clock.advance(elapsed)
         self.network.metrics.processing_seconds += elapsed
-        if self.network.tracer is not None:
-            self.network.tracer.annotate(
-                "processing",
-                rows_examined=rows_examined,
-                elapsed_s=elapsed,
-            )
+        self.network.tracer.annotate(
+            "processing", rows_examined=rows_examined, elapsed_s=elapsed
+        )
 
     def attach(self, network: SimulatedNetwork) -> None:
         """Put this node on the (simulated) Internet."""

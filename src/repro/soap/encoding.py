@@ -27,13 +27,15 @@ with a ``soap:Client`` fault instead of a traceback.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import sub
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from repro.errors import SoapError
+from repro.errors import SoapError, XMLSyntaxError
+from repro.soap.xmlparser import parse_xml
 from repro.soap.xmlwriter import Element, check_xml_chars
 
 _TYPE_CODES = ("int", "double", "string", "boolean")
@@ -135,6 +137,22 @@ def typecode_of(value: Any) -> str:
     raise SoapError(f"cannot encode value of type {type(value).__name__}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _is_ncname(name: str) -> bool:
+    """True when ``name`` can be a struct key's tag: an XML NCName.
+
+    The receiver's parser decides: the name must parse, alone, as the tag
+    of an empty element (XML 1.0's Name production, in expat's 4th edition
+    tables), and hold no ``:``, which would read back as a prefix. Cached:
+    the same few keys repeat on every message.
+    """
+    try:
+        tag = parse_xml(f"<{name}/>").tag
+    except XMLSyntaxError:
+        return False
+    return tag == name and ":" not in name
+
+
 def encode_value(name: str, value: Any) -> Element:
     """Encode a python value (scalar, list, dict, WireRowSet) as an element."""
     if value is None:
@@ -146,7 +164,10 @@ def encode_value(name: str, value: Any) -> Element:
     if isinstance(value, dict):
         node = Element(name, {"xsi:type": "struct"})
         for key, item in value.items():
-            node.children.append(encode_value(str(key), item))
+            tag = str(key)
+            if not _is_ncname(tag):
+                raise SoapError(f"struct key {tag!r} is not an XML name")
+            node.children.append(encode_value(tag, item))
         return node
     if isinstance(value, (list, tuple)):
         node = Element(name, {"xsi:type": "array"})

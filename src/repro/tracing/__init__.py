@@ -18,20 +18,20 @@ from repro.tracing.tracer import (
     Span,
     Trace,
     TraceContext,
+    NullTracer,
     Tracer,
     active_tracer,
     span_from_dict,
     trace_from_dict,
-    use_tracer,
 )
 
 __all__ = [
     "Span",
     "Trace",
     "TraceContext",
+    "NullTracer",
     "Tracer",
     "active_tracer",
-    "use_tracer",
     "span_from_dict",
     "trace_from_dict",
     "render_flamegraph",

@@ -17,14 +17,25 @@ directly). The tracer is single-process and synchronous like the
 simulation itself: an explicit span stack replaces thread-locals, and the
 only cross-host propagation is the SOAP header — exactly the part a real
 distributed deployment would need.
+
+Tracing off is a :class:`NullTracer`, which records nothing, so no caller
+branches on it. A handler finds its network's tracer with
+:func:`active_tracer`, in the one :class:`RequestContext`.
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.budget import QueryBudget
 
 
 @dataclass(frozen=True)
@@ -393,26 +404,88 @@ class Tracer:
         self.untraced_bytes = 0
 
 
-# -- the request-scoped active tracer ---------------------------------------------
-#
-# The simulation is synchronous and single-process, so "which tracer is
-# active for this request" is a simple stack the network pushes around each
-# handler invocation. Service-side code (``WebService.handle_soap``) reads
-# it without needing a reference to the network.
+class _NoSpan:
+    """The span tracing off yields: every write to it is dropped.
 
-_ACTIVE_TRACERS: List[Optional[Tracer]] = []
+    It is its own context manager, so a ``with tracer.span(...)`` that
+    records nothing costs no generator.
+    """
+
+    __slots__ = ()
+    trace_id, start_s, retries, status, error = "", 0.0, 0, "ok", ""
+    annotations = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        pass
+
+    def annotate(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_NoSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        pass
 
 
-def active_tracer() -> Optional[Tracer]:
-    """The tracer of the network currently delivering a request, if any."""
-    return _ACTIVE_TRACERS[-1] if _ACTIVE_TRACERS else None
+_NO_SPAN = _NoSpan()
+
+
+class NullTracer(Tracer):
+    """Tracing off: :class:`Tracer`'s surface, recording nothing.
+
+    Every span is one inert span, ``context()`` is None (so no
+    ``<sq:TraceContext>`` header is written and untraced envelopes stay
+    byte-identical), ``trace()`` is None and ``trace_ids()`` is empty.
+    """
+
+    def begin(self, *args: Any, **kwargs: Any) -> Any:
+        return _NO_SPAN
+
+    span = begin
+
+    def finish(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    annotate = add_wire_bytes = finish
+
+    def trace(self, trace_id: Optional[str] = None) -> Optional[Trace]:
+        return None
+
+
+# -- the request context: one ContextVar holds the tracer of the network
+# delivering the request, that network's clock and the query's budget. A
+# scope sets a new record and restores the outer one, so scopes nest and mask.
+
+
+class RequestContext(NamedTuple):
+    """The tracer, clock and budget a request runs under."""
+
+    tracer: Tracer
+    clock: Optional[Callable[[], float]] = None
+    budget: Optional[QueryBudget] = None
+
+
+_REQUEST: ContextVar[RequestContext] = ContextVar(
+    "request", default=RequestContext(NullTracer())
+)
+
+
+def request_context() -> RequestContext:
+    """The context of the request being handled (outside one: tracing off)."""
+    return _REQUEST.get()
 
 
 @contextmanager
-def use_tracer(tracer: Optional[Tracer]) -> Iterator[None]:
-    """Scope a tracer (or None) as the active one for nested handlers."""
-    _ACTIVE_TRACERS.append(tracer)
+def request_scope(**changes: Any) -> Iterator[None]:
+    """Replace the named fields of the request context for the block."""
+    token = _REQUEST.set(_REQUEST.get()._replace(**changes))
     try:
         yield
     finally:
-        _ACTIVE_TRACERS.pop()
+        _REQUEST.reset(token)
+
+
+def active_tracer() -> Tracer:
+    """The tracer of the network delivering the current request."""
+    return _REQUEST.get().tracer

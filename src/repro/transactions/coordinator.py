@@ -21,11 +21,8 @@ via the :class:`CoordinatorCrash` fault hook.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import (
-    Callable, ContextManager, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SoapFaultError, TransactionError, TransportError
 from repro.services.client import ServiceProxy
@@ -105,13 +102,6 @@ class TwoPhaseCoordinator:
     def _proxy(self, url: str) -> ServiceProxy:
         return ServiceProxy(self.network, self.hostname, url)
 
-    def _span(self, name: str) -> ContextManager:
-        """An internal span for one 2PC exchange (no-op when untraced)."""
-        tracer = self.network.tracer
-        if tracer is None:
-            return nullcontext(None)
-        return tracer.span(name, host=self.hostname)
-
     def stage_and_complete(
         self,
         txn_id: str,
@@ -166,7 +156,9 @@ class TwoPhaseCoordinator:
 
     def complete(self, txn_id: str, participants: List[str]) -> TxnOutcome:
         """Run prepare + decision + delivery for an already-staged txn."""
-        with self.network.phase(PHASE), self._span("2pc-complete"):
+        with self.network.phase(PHASE), self.network.tracer.span(
+            "2pc-complete", host=self.hostname
+        ):
             self.log.append(
                 LogRecord(txn_id, "begin", participants=list(participants))
             )
@@ -202,10 +194,9 @@ class TwoPhaseCoordinator:
             LogRecord(txn_id, "decision", decision=decision,
                       participants=list(participants))
         )
-        if self.network.tracer is not None:
-            self.network.tracer.annotate(
-                "decision", txn_id=txn_id, decision=decision
-            )
+        self.network.tracer.annotate(
+            "decision", txn_id=txn_id, decision=decision
+        )
         if self._deliver_decision(txn_id, decision, participants):
             self.log.append(LogRecord(txn_id, "complete"))
         # else: the txn stays in doubt in the log; recover() replays it.
@@ -230,7 +221,9 @@ class TwoPhaseCoordinator:
     def recover(self) -> List[TxnOutcome]:
         """Replay logged decisions that never completed (after a crash)."""
         outcomes: List[TxnOutcome] = []
-        with self.network.phase(PHASE), self._span("2pc-recover"):
+        with self.network.phase(PHASE), self.network.tracer.span(
+            "2pc-recover", host=self.hostname
+        ):
             for txn_id, record in self.log.in_doubt().items():
                 if self._deliver_decision(
                     txn_id, record.decision, record.participants

@@ -16,7 +16,6 @@ ships each shard its own slice.
 from __future__ import annotations
 
 import itertools
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -101,24 +100,18 @@ class DataExchange:
         self._require_transaction_services(target_archives)
         table = target_table or f"{source_archive.lower()}_replica"
         tracer = self.portal.require_network().tracer
-        scope = (
-            tracer.span("replicate-region", host=self.portal.hostname)
-            if tracer is not None
-            else nullcontext(None)
-        )
-        with scope:
+        with tracer.span("replicate-region", host=self.portal.hostname):
             rowset = self.pull(source_archive, columns, area)
             result = self.ship(
                 source_archive.lower(),
                 {archive: [(table, rowset)] for archive in target_archives},
             )
-            if tracer is not None:
-                tracer.annotate(
-                    "exchange",
-                    txn_id=result.txn_id,
-                    committed=result.committed,
-                    rows_copied=result.rows_copied,
-                )
+            tracer.annotate(
+                "exchange",
+                txn_id=result.txn_id,
+                committed=result.committed,
+                rows_copied=result.rows_copied,
+            )
         return result
 
     def pull(

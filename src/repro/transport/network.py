@@ -19,9 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from repro.budget import use_request_clock
 from repro.errors import RequestTimeoutError, TransportError
-from repro.tracing.tracer import Tracer, use_tracer
+from repro.tracing.tracer import NullTracer, Tracer, request_scope
 from repro.transport.faults import FaultPlan
 from repro.transport.http import HttpRequest, HttpResponse
 from repro.transport.metrics import MessageRecord, NetworkMetrics
@@ -84,24 +83,26 @@ class SimulatedNetwork:
         self._parallel_stack: list[Tuple[int, list[float]]] = []
         self._request_depth = 0
         self.fault_plan: Optional[FaultPlan] = None
-        #: Distributed tracer (None = tracing off, zero wire/behaviour
-        #: difference). Install via :meth:`install_tracer`.
-        self.tracer: Optional[Tracer] = None
+        #: Distributed tracer; a :class:`~repro.tracing.NullTracer` (the
+        #: default) is tracing off, with zero wire/behaviour difference.
+        #: Install via :meth:`install_tracer`.
+        self.tracer: Tracer = NullTracer()
 
     # -- tracing --------------------------------------------------------------
 
+    def _now(self) -> float:
+        return self.clock.now
+
     def install_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Attach a tracer, binding it to the sim clock and phase labels."""
-        self.tracer = tracer
-        if tracer is not None:
-            tracer.clock_fn = lambda: self.clock.now
-            tracer.phase_fn = lambda: self.current_phase
+        """Attach a tracer bound to the sim clock and phase (None: off)."""
+        self.tracer = tracer or NullTracer()
+        self.tracer.clock_fn = self._now
+        self.tracer.phase_fn = lambda: self.current_phase
 
     def _trace_fault(self, kind: str) -> None:
         """Count an injected fault AND annotate the active span with it."""
         self.metrics.record_fault(kind)
-        if self.tracer is not None:
-            self.tracer.annotate("fault", kind=kind)
+        self.tracer.annotate("fault", kind=kind)
 
     # -- topology -------------------------------------------------------------
 
@@ -228,16 +229,13 @@ class SimulatedNetwork:
         branch of any enclosing block at the same depth.
         """
         start = self.clock.now
-        span = None
-        if self.tracer is not None:
-            # One internal span for the whole fan-out: every request issued
-            # in the block (count-star probes, batch pulls, ...) becomes a
-            # child, and the span's interval is the block's makespan.
-            enclosing = self.tracer.current_span()
-            span = self.tracer.begin(
-                "parallel",
-                host=enclosing.host if enclosing is not None else "",
-            )
+        # One internal span for the whole fan-out: every request issued in
+        # the block (count-star probes, batch pulls, ...) becomes a child,
+        # and the span's interval is the block's makespan.
+        enclosing = self.tracer.current_span()
+        span = self.tracer.begin(
+            "parallel", host=enclosing.host if enclosing is not None else ""
+        )
         self._parallel_stack.append((self._request_depth, []))
         try:
             yield
@@ -245,10 +243,9 @@ class SimulatedNetwork:
             _, durations = self._parallel_stack.pop()
             if durations:
                 self.clock.now = start + max(durations)
-            if span is not None:
-                # Close at the makespan instant, before any rewind for an
-                # enclosing block (which re-pools this block as one branch).
-                self.tracer.finish(span)
+            # Close at the makespan instant, before any rewind for an
+            # enclosing block (which re-pools this block as one branch).
+            self.tracer.finish(span)
             if self._in_parallel_block():
                 self._parallel_stack[-1][1].append(self.clock.now - start)
                 self.clock.now = start  # enclosing block advances by the max
@@ -346,11 +343,9 @@ class SimulatedNetwork:
                 self._trace_fault("crash-drop")
                 self._time_out(timeout_s, "request", src_host, dst_host,
                                operation)
-            # Handlers read "now" (for budget checks) through the same
-            # scope mechanism as the tracer — no server owns a clock.
-            with use_tracer(self.tracer), use_request_clock(
-                lambda: self.clock.now
-            ):
+            # Handlers find this network's tracer and "now" (for budget
+            # checks) in the request context: no server owns either.
+            with request_scope(tracer=self.tracer, clock=self._now):
                 response = handler(request)
             self._deliver(
                 dst_host, src_host, response.wire_bytes, "response", operation,
@@ -412,10 +407,9 @@ class SimulatedNetwork:
                 sim_time=self.clock.now,
             )
         )
-        if self.tracer is not None:
-            # Mirror the flat byte counters onto the span active on the
-            # caller's side of the wire, so the two views reconcile.
-            self.tracer.add_wire_bytes(wire_bytes)
+        # Mirror the flat byte counters onto the span active on the
+        # caller's side of the wire, so the two views reconcile.
+        self.tracer.add_wire_bytes(wire_bytes)
 
     def _time_out(
         self,
@@ -429,10 +423,9 @@ class SimulatedNetwork:
         wait = timeout_s if timeout_s is not None else self.default_timeout_s
         self.clock.advance(wait)
         self.metrics.timeouts += 1
-        if self.tracer is not None:
-            self.tracer.annotate(
-                "timeout", kind=kind, operation=operation, waited_s=wait
-            )
+        self.tracer.annotate(
+            "timeout", kind=kind, operation=operation, waited_s=wait
+        )
         label = f" ({operation})" if operation else ""
         raise RequestTimeoutError(
             f"{kind} from {src!r} to {dst!r}{label} timed out "

@@ -164,3 +164,15 @@ def test_infer_rowset_mixed_int_float():
 def test_infer_rowset_empty():
     rowset = infer_rowset(["a"], [])
     assert rowset.columns == [("a", "string")]
+
+
+@pytest.mark.parametrize("key", ["COUNT(*)", "1x", "a:b", "", "a b", "Ĳ"])
+def test_struct_key_that_is_no_xml_name_is_refused_at_the_sender(key):
+    # A tag the receiver would refuse (or, for "a:b", read back as "b").
+    with pytest.raises(SoapError, match="struct key"):
+        encode_value("v", {key: 1})
+
+
+def test_non_ascii_struct_keys_that_are_names_roundtrip():
+    value = {"étoile": 1, "x·y": 2, "中文": 3}
+    assert roundtrip(value) == value

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.budget import QueryBudget, active_budget, request_now, use_budget
 from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
 from repro.services.client import ServiceProxy
@@ -22,9 +23,12 @@ from repro.soap.envelope import (
     parse_trace_context,
 )
 from repro.soap.xmlparser import XMLParser
+from repro.sql.ast import AreaClause
 from repro.tracing import (
+    NullTracer,
     TraceContext,
     Tracer,
+    active_tracer,
     assert_overlapping,
     assert_serial,
     assert_span_tree,
@@ -37,9 +41,10 @@ from repro.tracing import (
     to_chrome_trace_json,
     trace_from_dict,
 )
+from repro.transactions.exchange import DataExchange
 from repro.transport.faults import FaultPlan
 from repro.transport.network import SimulatedNetwork
-from repro.workloads.skysim import SkyField
+from repro.workloads.skysim import SkyField, generate_bodies, observe_survey
 
 XMATCH_SQL = (
     "SELECT O.object_id, O.ra, T.obj_id "
@@ -380,6 +385,179 @@ class TestTracingToggle:
     def test_client_result_trace_is_none_when_tracing_off(self):
         fed = make_fed(tracing=False)
         assert fed.client().submit(XMATCH_SQL).trace is None
+
+
+#: Two archives, no drop-out: the cache's exact and containment routes.
+PAIR_SQL = (
+    "SELECT O.object_id, O.ra, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T "
+    "WHERE AREA(185.0, -0.5, {radius}) AND XMATCH(O, T) < 3.5"
+)
+#: A drop-out archive keeps containment out of the way: a reordered
+#: WHERE is then a fingerprint hit.
+DROPOUT_SQL = (
+    "SELECT O.object_id, T.obj_id "
+    "FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, "
+    "FIRST:Primary_Object P "
+    "WHERE AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, !P) < 3.5"
+)
+REORDERED_SQL = DROPOUT_SQL.replace(
+    "AREA(185.0, -0.5, 900.0) AND XMATCH(O, T, !P) < 3.5",
+    "XMATCH(O, T, !P) < 3.5 AND AREA(185.0, -0.5, 900.0)",
+)
+
+
+def _every_tracer_site(fed):
+    """Drive each place that instruments a span or an annotation: returns
+    the answers, and checks along the way that each place was reached."""
+    portal, network = fed.portal, fed.network
+    metrics = network.metrics
+    answers = []
+
+    def answer(result):
+        answers.append((result.columns, result.rows, result.degraded,
+                        result.failovers, result.cache))
+        return result
+
+    # The cache: a miss, an exact hit, a containment hit, a fingerprint hit.
+    wide, narrow = PAIR_SQL.format(radius=900.0), PAIR_SQL.format(radius=600.0)
+    assert answer(portal.submit(wide)).cache is None
+    assert answer(portal.submit(wide)).cache == "exact"
+    assert answer(portal.submit(narrow)).cache == "containment"
+    assert answer(portal.submit(DROPOUT_SQL)).cache is None
+    assert answer(portal.submit(REORDERED_SQL)).cache == "fingerprint"
+
+    # A scheduler wave, and a job it sheds because its deadline is gone.
+    scheduler = fed.scheduler
+    scheduler.enqueue(PAIR_SQL.format(radius=700.0), tenant="a")
+    scheduler.enqueue(PAIR_SQL.format(radius=800.0), tenant="b",
+                      deadline_s=network.clock.now - 1.0)
+    outcomes = scheduler.drain()
+    assert scheduler.stats.expired == 1
+    answers.append([
+        (type(o.error).__name__, None) if o.error else (None, o.result.rows)
+        for o in outcomes
+    ])
+
+    # A replicated ingest commit (2PC decision), its recovery pass, and a
+    # 2PC region copy through the exchange.
+    survey = next(s for s in fed.config.surveys if s.archive == "SDSS")
+    observed = observe_survey(
+        survey, generate_bodies(fed.config.sky_field, 40, 99), 99
+    )
+    columns = list(observed.rows[0])
+    committed = fed.ingest_client("SDSS").ingest_rows(
+        survey.primary_table, columns,
+        [tuple(row[c] for c in columns) for row in observed.rows],
+    )
+    assert committed.committed
+    answers.append(committed.epoch)
+    fed.ingest_client("SDSS").recover()
+    exchange = DataExchange(portal, {
+        name: node.enable_transactions() for name, node in fed.nodes.items()
+    })
+    copied = exchange.replicate_region(
+        "SDSS", ["TWOMASS"], AreaClause(185.0, -0.5, 600.0)
+    )
+    answers.append((copied.committed, copied.rows_copied))
+
+    # The chain itself, uncached from here on: one clean run times it.
+    portal.cache = None
+    started = network.clock.now
+    clean = answer(portal.submit(XMATCH_SQL))
+    chain_s = network.clock.now - started
+    # A dropped request: the caller times out and retries.
+    network.set_fault_plan(FaultPlan().drop_requests(rate=0.0, first_n=1))
+    answer(portal.submit(XMATCH_SQL))
+    network.set_fault_plan(None)
+    assert metrics.retries >= 1 and metrics.timeouts >= 1
+    # A deadline that runs out mid-chain: the Portal sends CancelQuery.
+    answer(portal.submit(XMATCH_SQL,
+                         deadline_s=network.clock.now + 0.5 * chain_s))
+    assert metrics.cancels >= 1
+    # A primary that crashes mid-chain: the chain fails over to its replica.
+    victim = clean.plan.steps[0].url.split("/")[2]
+    network.set_fault_plan(
+        FaultPlan().crash(victim, at_s=network.clock.now + 0.6 * chain_s)
+    )
+    failed_over = answer(portal.submit(XMATCH_SQL))
+    assert failed_over.failovers >= 1 and not failed_over.degraded
+    assert failed_over.rows == clean.rows
+    return answers
+
+
+class TestTracingOffReachesEverySite:
+    """Tracing off is a tracer that records nothing, on every path a
+    traced federation instruments."""
+
+    def test_tracing_off_sends_no_trace_and_answers_like_tracing_on(
+        self, monkeypatch
+    ):
+        bodies = {}
+        deliver = SimulatedNetwork.request
+
+        def request(network, src_host, http_request, **kwargs):
+            bodies.setdefault(id(network), []).append(http_request.body)
+            return deliver(network, src_host, http_request, **kwargs)
+
+        monkeypatch.setattr(SimulatedNetwork, "request", request)
+        config = dict(
+            n_bodies=240, replicas=1, ingest=True, cache=True, scheduler=True,
+            retry_policy=RetryPolicy(max_attempts=3, timeout_s=2.0,
+                                     base_backoff_s=0.1, jitter=0.0, seed=5),
+        )
+        off, on = make_fed(tracing=False, **config), make_fed(**config)
+        assert off.tracer is None
+        assert isinstance(off.network.tracer, NullTracer)
+        assert _every_tracer_site(off) == _every_tracer_site(on)
+        assert not any(b"TraceContext" in b for b in bodies[id(off.network)])
+        assert any(b"TraceContext" in b for b in bodies[id(on.network)])
+        assert on.tracer.traces()
+
+
+class TestRequestContext:
+    """One request context: the tracer, clock and budget a handler sees."""
+
+    @staticmethod
+    def probe_net(tracer):
+        net = SimulatedNetwork()
+        net.install_tracer(tracer)
+        seen = []
+        service = WebService("Probe")
+        service.register(
+            "Look",
+            lambda: seen.append((active_tracer(), request_now(),
+                                 net.clock.now, active_budget())) or 0,
+            params=(), returns="int",
+        )
+        host = ServiceHost("svc")
+        url = host.mount("/probe", service)
+        net.add_host("svc", host.handle)
+        return net, ServiceProxy(net, "cli", url), seen
+
+    @pytest.mark.parametrize("tracer", [Tracer(), None])
+    def test_handler_sees_the_network_and_the_header(self, tracer):
+        net, proxy, seen = self.probe_net(tracer)
+        budget = QueryBudget(60.0, "q1")
+        proxy.call("Look")
+        with use_budget(budget):
+            proxy.call("Look")
+        (tracer_1, now_1, clock_1, budget_1), (_, _, _, budget_2) = seen
+        assert tracer_1 is net.tracer
+        assert now_1 == clock_1 > 0.0
+        assert budget_1 is None and budget_2 == budget
+
+    def test_outside_any_request_tracing_is_off(self):
+        assert isinstance(active_tracer(), NullTracer)
+        assert request_now() is None and active_budget() is None
+        with active_tracer().span("x", host="h") as span:
+            span.annotate("ignored")
+            span.retries += 1
+            span.status = "error"
+        assert (span.retries, span.status, span.annotations) == (0, "ok", ())
+        assert active_tracer().context() is None
+        assert active_tracer().trace() is None
+        assert active_tracer().trace_ids() == []
 
 
 # -- exporters ------------------------------------------------------------------
