@@ -7,8 +7,8 @@
 * Alternative chain orderings live in
   :class:`repro.portal.planner.OrderingStrategy` (count-ascending, random,
   as-written) as baselines for the count-star ordering experiment.
-* The brute-force spatial scan baseline is the engine's
-  ``use_spatial_index = False`` mode (HTM experiment).
+* The brute-force spatial scan baseline is E8's full-scan arm: every
+  stored position tested against the AREA (HTM experiment).
 """
 
 from repro.baselines.pull_mediator import PullMediator

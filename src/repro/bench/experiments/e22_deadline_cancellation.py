@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.bench.registry import Experiment
 from repro.bench.reporting import ExperimentReport
@@ -15,11 +15,12 @@ class TtlOnlyExecutor(ChainExecutor):
     """E22's TTL-only arm: a deadline-dead chain is never cancelled.
 
     Every stream and transfer the query owned stays in server memory
-    until the nodes' TTL reapers find it. The shipped executor fans a
-    ``CancelQuery`` down the chain instead.
+    until the nodes' TTL reapers find it. The shipped executor sends one
+    parallel round of ``CancelQuery`` to every endpoint the plan names
+    instead.
     """
 
-    def _cancel_chain(self, chains: Sequence[ExecutionPlan], qid: str) -> None:
+    def _cancel_chain(self, plan: ExecutionPlan, qid: str) -> None:
         pass
 
 
@@ -65,13 +66,15 @@ def run(*, n_bodies: int, storm_queries: int) -> ExperimentReport:
     the store-forward mode, bounded pull waves for the pipelined mode
     provide budget-checked operations deep into the run). Twin arms on
     identical federations differ in one part, the Portal's executor. The
-    shipped one fans ``CancelQuery`` down the chain the moment the deadline
-    fault surfaces, and every stream, staging, and chunked transfer the
-    query owned is freed immediately; with :class:`TtlOnlyExecutor` the
+    shipped one sends ``CancelQuery`` to every endpoint the plan names, in
+    one parallel round, the moment the deadline fault surfaces, and every
+    stream, staging, and chunked transfer the query owned is freed
+    immediately; with :class:`TtlOnlyExecutor` the
     same state sits in server memory until the 600 s TTL reapers find it. The
     report measures that custody directly: leftover items and buffered KB
-    the instant the degraded answer returns, the reclaim latency, and the
-    wire cost of the cancel fan-out itself.
+    the instant the degraded answer returns, the reclaim latency, the
+    wire cost of the cancel fan-out itself, and how long after its
+    deadline the caller got the degraded answer.
 
     Honest framing: in this synchronous simulation the chain stops
     executing when the deadline fault propagates, so eager cancellation
@@ -92,6 +95,7 @@ def run(*, n_bodies: int, storm_queries: int) -> ExperimentReport:
         headers=[
             "arm", "mode", "cancels", "eager", "leftover items",
             "leftover KB", "reclaim s", "cancel KB", "answer after",
+            "returned after deadline (s)",
         ],
     )
 
@@ -136,6 +140,7 @@ def run(*, n_bodies: int, storm_queries: int) -> ExperimentReport:
                 fed.network.clock.now + fractions[chain_mode] * duration
             )
             result = portal.submit(sql, deadline_s=deadline)
+            late_s = fed.network.clock.now - deadline
             assert result.degraded and result.rows == [], (
                 f"E22 expected a mid-chain deadline fault "
                 f"({chain_mode}, eager={eager}); got {result!r}"
@@ -165,6 +170,7 @@ def run(*, n_bodies: int, storm_queries: int) -> ExperimentReport:
                 reclaim_s,
                 round(cancel_kb, 2),
                 "oracle" if follow_up.rows == oracle_result.rows else "NO",
+                round(late_s, 3),
             )
 
     # --- losing regime 1: the budget header taxes instant queries --------

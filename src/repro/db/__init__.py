@@ -12,7 +12,6 @@ from repro.db.schema import Column, TableSchema
 from repro.db.table import SpatialSpec, Table
 from repro.db.buffer import BufferPool
 from repro.db.engine import Database, ResultSet
-from repro.db.persist import load_database, save_database
 
 __all__ = [
     "ColumnType",
@@ -23,6 +22,4 @@ __all__ = [
     "BufferPool",
     "Database",
     "ResultSet",
-    "load_database",
-    "save_database",
 ]

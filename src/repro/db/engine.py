@@ -127,8 +127,6 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._procedures: Dict[str, ProcedureFn] = {}
         self._temp_counter = itertools.count(1)
-        #: Benchmarks flip this off to measure full scans against HTM scans.
-        self.use_spatial_index = True
         #: Snapshot bookkeeping: seed data belongs to epoch 0; every live
         #: ingest commit advances ``committed_epoch`` by one, and epoch GC
         #: raises ``oldest_epoch`` (the oldest still-pinnable snapshot).
@@ -488,15 +486,12 @@ class Database:
         visible = table.visible_count(epoch)
         n_exact = 0
         tested: Optional[np.ndarray] = None
-        use_index = (
-            region is not None
-            and table.spatial is not None
-            and self.use_spatial_index
-        )
-        stats.used_spatial_index = use_index
+        # ``_region_for`` refuses an AREA on a table with no SpatialSpec,
+        # so a region always has the HTM index to probe.
+        stats.used_spatial_index = region is not None
         if stop_after == 0:
             return _NO_ROWS
-        if use_index:
+        if region is not None:
             probe = spatial_probe(
                 table, region, limit=None if epoch is None else visible
             )
@@ -509,12 +504,7 @@ class Database:
                 (np.arange(n_exact), n_exact + np.flatnonzero(tested))
             )
         else:
-            order = np.arange(visible)
-            if region is not None:
-                tested = region.contains_many(table.position_matrix()[:visible])
-                hits = np.flatnonzero(tested)
-            else:
-                hits = order
+            order = hits = np.arange(visible)
         visited = len(order)
         try:
             if residual is not None:

@@ -19,30 +19,23 @@ from repro.htm.trixel import Trixel
 from repro.htm.mesh import (
     DEPTH_MAX,
     depth_of_id,
-    id_to_name,
-    name_to_id,
     roots,
     trixel_by_id,
-    trixel_by_name,
 )
 from repro.htm.index import id_for_point, id_for_radec, ids_for_points
 from repro.htm.ranges import HTMRanges
-from repro.htm.cover import Cover, cover, cover_adaptive
+from repro.htm.cover import Cover, cover
 
 __all__ = [
     "Trixel",
     "DEPTH_MAX",
     "depth_of_id",
-    "id_to_name",
-    "name_to_id",
     "roots",
     "trixel_by_id",
-    "trixel_by_name",
     "id_for_point",
     "id_for_radec",
     "ids_for_points",
     "HTMRanges",
     "Cover",
     "cover",
-    "cover_adaptive",
 ]

@@ -166,38 +166,3 @@ def walk_arrays(
         level += 1
     full_owner = None if owner is None else np.concatenate(owners)
     return np.concatenate(lows), np.concatenate(highs), full_owner, leaves, leaf_owner
-
-
-def cover_adaptive(region: Region, depth: int, max_ranges: int) -> Cover:
-    """A budgeted cover: refine boundary trixels only while the range count
-    stays within ``max_ranges``.
-
-    Real HTM deployments bound cover size because every range becomes a SQL
-    BETWEEN predicate. This variant splits PARTIAL trixels breadth-first
-    until further splitting could exceed the (soft) budget, then freezes
-    the remaining boundary trixels as PARTIAL ranges expressed at ``depth``.
-    Soundness is identical to :func:`cover`; only the partial fraction
-    (rows needing the geometric recheck) grows as the budget shrinks.
-    """
-    if not 0 <= depth <= DEPTH_MAX:
-        raise HTMError(f"depth {depth!r} outside [0, {DEPTH_MAX}]")
-    if max_ranges < 8:
-        raise HTMError(f"max_ranges must be >= 8, got {max_ranges}")
-
-    full: List[Tuple[int, int]] = []
-    partial: List[Tuple[int, int]] = []
-    frontier: List[Tuple[Trixel, int]] = [(t, 0) for t in roots()]
-    while frontier:
-        trixel, level = frontier.pop(0)
-        relation = region.classify_triangle(trixel.corners)
-        if relation is TrixelRelation.OUTSIDE:
-            continue
-        if relation is TrixelRelation.INSIDE:
-            full.append(id_range_at_depth(trixel.hid, depth))
-            continue
-        committed = len(full) + len(partial) + len(frontier)
-        if level >= depth or committed + 4 > max_ranges:
-            partial.append(id_range_at_depth(trixel.hid, depth))
-        else:
-            frontier.extend((kid, level + 1) for kid in trixel.children())
-    return Cover(depth=depth, full=HTMRanges(full), partial=HTMRanges(partial))

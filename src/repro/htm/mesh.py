@@ -1,4 +1,4 @@
-"""The HTM root octahedron, id/name arithmetic, and trixel reconstruction."""
+"""The HTM root octahedron, id arithmetic, and trixel reconstruction."""
 
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ _ROOTS: Tuple[Tuple[str, int, Tuple[int, int, int]], ...] = (
 )
 
 _NAME_BY_ROOT_ID = {hid: name for name, hid, _ in _ROOTS}
-_ROOT_ID_BY_NAME = {name: hid for name, hid, _ in _ROOTS}
 
 
 def roots() -> List[Trixel]:
@@ -76,34 +75,6 @@ def trixel_by_id(hid: int) -> Trixel:
 def _root_by_id(hid: int) -> Trixel:
     name, _, (a, b, c) = _ROOTS[hid - 8]
     return Trixel(hid, _V[a], _V[b], _V[c])
-
-
-def id_to_name(hid: int) -> str:
-    """Render an id as an HTM name like ``"N012"``."""
-    depth = depth_of_id(hid)
-    digits = []
-    h = hid
-    for _ in range(depth):
-        digits.append(str(h & 3))
-        h >>= 2
-    return _NAME_BY_ROOT_ID[h] + "".join(reversed(digits))
-
-
-def name_to_id(name: str) -> int:
-    """Parse an HTM name like ``"N012"`` into its integer id."""
-    if len(name) < 2 or name[:2] not in _ROOT_ID_BY_NAME:
-        raise HTMError(f"invalid HTM name {name!r}")
-    hid = _ROOT_ID_BY_NAME[name[:2]]
-    for ch in name[2:]:
-        if ch not in "0123":
-            raise HTMError(f"invalid HTM name {name!r}: digit {ch!r}")
-        hid = hid * 4 + int(ch)
-    return hid
-
-
-def trixel_by_name(name: str) -> Trixel:
-    """Reconstruct a trixel from its name."""
-    return trixel_by_id(name_to_id(name))
 
 
 def id_range_at_depth(hid: int, depth: int) -> Tuple[int, int]:

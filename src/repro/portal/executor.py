@@ -38,7 +38,6 @@ from typing import (
     Any,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -206,10 +205,14 @@ class ChainExecutor:
 
         ``qid`` is the Portal-minted query id of a budgeted submission; it
         doubles as the execution id below. When a chain dies on a
-        :class:`~repro.errors.DeadlineExceededError`, the executor fans a
-        ``CancelQuery`` down every chain and returns a degraded result
-        whose warning names the hop that ran out of budget — the query
-        never hangs.
+        :class:`~repro.errors.DeadlineExceededError`, the executor sends
+        one parallel round of ``CancelQuery`` to every endpoint the plan
+        names and returns a degraded result whose warning names the hop
+        that ran out of budget: the degraded answer comes back one cancel
+        round after the chain failed. That is not a bound on the
+        deadline itself — the failure surfaces only when the faulting
+        request returns, and a complete answer whose last hop was
+        dispatched before the deadline can still arrive after it.
         """
         network = self._portal.require_network()
         warnings = list(warnings or [])
@@ -238,15 +241,15 @@ class ChainExecutor:
             # shard: one stripe's every endpoint is gone, and no other
             # endpoint holds it — the warning names the shard, not the
             # whole archive (every other stripe was reachable). Either way
-            # don't wait out server TTLs: cancel every chain, then degrade
-            # instead of hanging or raising.
+            # don't wait out server TTLs: cancel every endpoint the plan
+            # names, then degrade instead of hanging or raising.
             label = (
                 "query deadline exceeded"
                 if isinstance(exc, DeadlineExceededError)
                 else "shard unavailable"
             )
             warnings.append(f"{label}: {exc}")
-            self._cancel_chain(chains, xid)
+            self._cancel_chain(plan, xid)
             return self.degraded(
                 decomposed.query, warnings, counters["failovers"],
                 plan if partitions else chains[0],
@@ -433,53 +436,41 @@ class ChainExecutor:
             plan.attr_columns_after(0),
         ), state["stats"]
 
-    def _cancel_chain(self, chains: Sequence[ExecutionPlan], qid: str) -> None:
-        """Eagerly free every hop's state for a dead query (best effort).
+    def _cancel_chain(self, plan: ExecutionPlan, qid: str) -> None:
+        """Eagerly free every endpoint's state for a dead query (best effort).
 
-        One ``CancelQuery`` to each chain's head fans hop-to-hop down that
-        chain; every other endpoint candidate of the chains' archives and
-        shards — replicas a failover moved away from, mirrors, the hops
-        of a chain whose head is gone — is cancelled directly. Every call
-        is fire-and-forget — a lost cancel leaves that hop to its TTL
-        reaper, never blocks the degraded answer — and runs under a
-        masked budget: cleanup must not be refused because the deadline
-        that triggered it has passed.
+        ``CancelQuery(qid)`` goes to every endpoint that could hold the
+        query's state: each endpoint candidate and partition member (shard
+        primary and mirrors) of every archive in ``plan`` as submitted,
+        before rerouting or drop-out pruning — so a replica a failover
+        moved to, and a pruned host that came back, are reached too. Each
+        URL is cancelled once, in plan order then candidate order, and the
+        calls are the branches of one ``parallel()`` round: the degraded
+        answer waits one round trip, not a walk. Every call is
+        fire-and-forget — a lost cancel leaves that endpoint to its TTL
+        reaper — and runs under a masked budget: cleanup must not be
+        refused because the deadline that triggered it has passed.
         """
+        urls: Dict[str, None] = {}
+        for step in plan.steps:
+            record = self._portal.catalog.node(step.archive)
+            for candidates in [
+                record.endpoint_candidates(),
+                *(members for _, members in record.partitions()),
+            ]:
+                for endpoints in candidates:
+                    if "crossmatch" in endpoints:
+                        urls.setdefault(endpoints["crossmatch"])
         network = self._portal.require_network()
-        seen: Set[str] = set()
-
-        def cancel(url: str, **chain: Any) -> Any:
-            try:
-                return self._portal.proxy(url).call(
-                    "CancelQuery", query_id=qid, **chain
-                )
-            except Exception:
-                return None  # fire-and-forget; the TTL reaper is the backstop
-
-        def cancel_once(endpoints: Mapping[str, str]) -> None:
-            url = endpoints.get("crossmatch")
-            if url is not None and url not in seen:
-                seen.add(url)
-                cancel(url)
-
-        with network.phase("cancel"), use_budget(None):
-            for chain in chains:
-                head = chain.step(0).url
-                seen.add(head)
-                answer = cancel(head, plan=chain.to_wire(), position=0)
-                if isinstance(answer, dict) and answer.get("forwarded"):
-                    seen.update(step.url for step in chain.steps)
-            for step in chains[0].steps:
-                record = self._portal.catalog.node(step.archive)
-                # Every candidate, seen dead or not (hence the empty dead
-                # set): a host that dropped off mid-query may be back and
-                # still hold what it finished.
-                for candidates in [
-                    record.endpoint_candidates(),
-                    *(members for _, members in record.partitions()),
-                ]:
-                    for _ in self._portal.walk(candidates, set(), cancel_once):
-                        pass
+        with network.phase("cancel"), use_budget(None), network.parallel():
+            for url in urls:
+                with network.branch():
+                    try:
+                        self._portal.proxy(url).call(
+                            "CancelQuery", query_id=qid
+                        )
+                    except Exception:
+                        pass  # the TTL reaper is the backstop
 
     def _recover(
         self,

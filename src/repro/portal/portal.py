@@ -237,9 +237,14 @@ class Portal:
         submission — performance queries, the chain, batch pulls, pings.
         Each hop clamps its retries to the remaining budget and refuses
         budget-expired work with a typed fault; when the budget runs out
-        anywhere, the Portal eagerly cancels the chain's server state and
+        anywhere, the Portal eagerly cancels the query's server state and
         returns a degraded empty result whose warning names the hop that
-        ran dry. A submission never hangs past its deadline.
+        ran dry. What that bounds: a degraded answer returns one parallel
+        cancel round (one round trip) after its chain fails, and the
+        chain fails when the request that ran out of budget returns. A
+        complete answer whose last hop was dispatched before the deadline
+        can still arrive after it, since a timeout bounds each transfer,
+        not the handler's time or the return trip.
 
         Snapshot isolation: the planner pins each archive at the epoch its
         count-star probe answered (returned as ``result.epochs``), so the

@@ -218,15 +218,10 @@ class CrossMatchService(WebService):
         self.register(
             "CancelQuery",
             self._cancel_query,
-            params=(
-                ("query_id", "string"),
-                ("plan", "struct"),
-                ("position", "int"),
-            ),
+            params=(("query_id", "string"),),
             returns="struct",
             doc="Eagerly free every stream and chunked transfer this "
-                "node holds for a query, then fan the "
-                "cancel down the chain (best effort — TTL reaping "
+                "node holds for a query (best effort — TTL reaping "
                 "remains the backstop for a lost cancel). Idempotent.",
         )
         self._stream_ids = itertools.count(1)
@@ -427,42 +422,19 @@ class CrossMatchService(WebService):
                 pass  # best effort; the downstream TTL is the backstop
         return {"aborted": True}
 
-    def _cancel_query(
-        self,
-        query_id: str,
-        plan: Optional[Dict[str, Any]] = None,
-        position: int = -1,
-    ) -> Dict[str, Any]:
-        """The ``CancelQuery`` operation body.
+    def _cancel_query(self, query_id: str) -> Dict[str, Any]:
+        """The ``CancelQuery`` operation body: free this node's leases.
 
-        Frees this node's leases for the query *first* (the local reclaim
-        must not depend on downstream reachability), then forwards the
-        cancel to the next chain hop when a plan is supplied. The
-        forward is best effort: a lost or delayed cancel leaves the TTL
-        reaper as the backstop, exactly as an abandoned drain does.
+        A cancel reaches every endpoint the Portal planned for the query
+        directly, so a node never forwards it; a lost cancel leaves this
+        node's state to its TTL reaper.
         """
         query_id = str(query_id)
         freed = self.leases.release_query(query_id)
         if self._node.network is not None:
             self._node.network.metrics.cancels += 1
         active_tracer().annotate("cancel", query_id=query_id, freed=freed)
-        forwarded = False
-        if plan:
-            plan_obj = ExecutionPlan.from_wire(plan)
-            position = int(position)
-            if 0 <= position < len(plan_obj.steps) - 1:
-                next_step = plan_obj.step(position + 1)
-                try:
-                    self._node.proxy(next_step.url).call(
-                        "CancelQuery",
-                        query_id=query_id,
-                        plan=plan,
-                        position=position + 1,
-                    )
-                    forwarded = True
-                except Exception:
-                    pass  # best effort; the downstream TTL is the backstop
-        return {"cancelled": True, "freed": freed, "forwarded": forwarded}
+        return {"cancelled": True, "freed": freed}
 
     # -- the one hop: partitions -> probe -> merge -> extend/filter -> stats --------
 
@@ -501,7 +473,7 @@ class CrossMatchService(WebService):
             table = db.table(me.table)
             positions = [row[-1] for row in result.rows]
             spec = table.spatial
-            if plan.area is None or spec is None or not db.use_spatial_index:
+            if plan.area is None or spec is None:
                 key_column = [seed_order_keys(positions)]
             else:
                 # Shard rows are stored in position order: one searchsorted

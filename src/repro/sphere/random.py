@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
 
-from repro.sphere.coords import radec_to_vector
 from repro.sphere.vector import Vec3, add, cross, normalize, scale
 
 
@@ -59,16 +57,3 @@ def tangent_basis(v: Vec3) -> tuple[Vec3, Vec3]:
     east = normalize(cross(pole, v))
     north = cross(v, east)
     return east, north
-
-
-def grid_in_cap(center_ra: float, center_dec: float, radius_arcsec: float,
-                count: int, seed: int) -> List[Vec3]:
-    """Deterministic pseudo-random positions in a cap (convenience helper)."""
-    from repro.units import arcsec_to_rad
-
-    rng = random.Random(seed)
-    center = radec_to_vector(center_ra, center_dec)
-    return [
-        random_in_cap(rng, center, arcsec_to_rad(radius_arcsec))
-        for _ in range(count)
-    ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 DEG_PER_RAD = 180.0 / math.pi
-ARCMIN_PER_DEG = 60.0
 ARCSEC_PER_DEG = 3600.0
 ARCSEC_PER_RAD = ARCSEC_PER_DEG * DEG_PER_RAD
 
@@ -35,29 +34,9 @@ def rad_to_arcsec(radians: float) -> float:
     return radians * ARCSEC_PER_RAD
 
 
-def arcmin_to_rad(arcmin: float) -> float:
-    """Convert arcminutes to radians."""
-    return deg_to_rad(arcmin / ARCMIN_PER_DEG)
-
-
-def rad_to_arcmin(radians: float) -> float:
-    """Convert radians to arcminutes."""
-    return rad_to_deg(radians) * ARCMIN_PER_DEG
-
-
 def normalize_ra_deg(ra: float) -> float:
     """Normalize a right ascension into [0, 360) degrees."""
     ra = math.fmod(ra, 360.0)
     if ra < 0.0:
         ra += 360.0
     return ra
-
-
-def validate_dec_deg(dec: float) -> float:
-    """Validate a declination in degrees, returning it unchanged.
-
-    Raises ``ValueError`` outside [-90, 90].
-    """
-    if not -90.0 <= dec <= 90.0:
-        raise ValueError(f"declination {dec!r} outside [-90, 90] degrees")
-    return dec

@@ -82,11 +82,7 @@ class ReferenceDatabase(Database):
         *,
         stop_after: Optional[int] = None,
     ) -> np.ndarray:
-        stats.used_spatial_index = (
-            region is not None
-            and table.spatial is not None
-            and self.use_spatial_index
-        )
+        stats.used_spatial_index = region is not None
         out: List[int] = []
         if stop_after != 0:
             rows = self._matching_positions(
@@ -126,10 +122,6 @@ class ReferenceDatabase(Database):
             return
         for pos in table.iter_positions(epoch):
             self._touch(table, pos, stats)
-            if region is not None:
-                stats.rows_tested_geometrically += 1
-                if not region.contains(self._vector(table, pos)):
-                    continue
             if self._residual_ok(table, alias, pos, residual):
                 yield pos
 

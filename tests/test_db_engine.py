@@ -12,6 +12,7 @@ from repro.errors import QueryError, SchemaError
 from repro.sphere.coords import radec_to_vector, vector_to_radec
 from repro.sphere.distance import angular_separation
 from repro.sphere.random import random_in_cap
+from repro.sphere.regions import Cap
 from repro.units import arcsec_to_rad
 
 
@@ -99,17 +100,24 @@ def test_area_with_index_examines_fewer_rows(db):
 
 
 def test_full_scan_when_index_disabled(db):
-    db.use_spatial_index = False
-    result = db.execute(
-        "SELECT count(*) FROM Photo_Object o WHERE AREA(185.0, -0.5, 300.0)"
-    )
+    # The same rows in a table created without a SpatialSpec have no
+    # positions to search: a full scan reads them all, and AREA is refused.
+    db.create_table("Photo_Scan", db.table("Photo_Object").schema.columns)
+    db.insert("Photo_Scan", db._test_rows)
+    result = db.execute("SELECT count(*) FROM Photo_Scan o")
     assert not result.stats.used_spatial_index
     assert result.stats.rows_examined == 300
-    db.use_spatial_index = True
+    with pytest.raises(QueryError, match="no spatial columns"):
+        db.execute(
+            "SELECT count(*) FROM Photo_Scan o WHERE AREA(185.0, -0.5, 300.0)"
+        )
+    # The index finds exactly what testing every stored position finds.
     indexed = db.execute(
         "SELECT count(*) FROM Photo_Object o WHERE AREA(185.0, -0.5, 300.0)"
     )
-    assert indexed.scalar() == result.scalar()
+    cap = Cap.from_radec(185.0, -0.5, 300.0)
+    positions = db.table("Photo_Object").position_matrix()
+    assert indexed.scalar() == int(cap.contains_many(positions).sum())
 
 
 def test_stats_buffer_accounting(db):

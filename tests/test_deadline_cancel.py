@@ -3,14 +3,15 @@
 The robustness contract (docs/RESILIENCE.md, deadline lifecycle): a
 ``QueryBudget`` stamped on a submission rides every hop's SOAP Header;
 budget-expired work is refused with a typed fault naming the hop; the
-Portal then fans a ``CancelQuery`` down the chain so streams, checkpoints,
-and chunked transfers are freed eagerly instead of waiting out their TTLs
-— and a cancel that is lost or delayed leaves the TTL reaper as the
-backstop. Cancellation and aborts are idempotent against the reaper in
+Portal then sends one parallel round of ``CancelQuery`` to every endpoint
+the plan names, so streams, checkpoints, and chunked transfers are freed
+eagerly instead of waiting out their TTLs — and a cancel that is lost
+leaves that endpoint's TTL reaper as the backstop. Cancellation and aborts are idempotent against the reaper in
 every interleaving.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.budget import (
 )
 from repro.errors import DeadlineExceededError, SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
+from repro.portal.executor import ChainExecutor
+from repro.portal.plan import ExecutionPlan
 from repro.services.chunked import ChunkedSender
 from repro.soap.encoding import WireRowSet
 from repro.soap.envelope import build_rpc_request, parse_rpc_call
@@ -284,7 +287,10 @@ class TestDeadlines:
 
 class TestCancelQuery:
     def open_chain_stream(self, federation, qid):
-        """Open a stream down the whole chain, tagged with ``qid``."""
+        """Open a stream down the whole chain, tagged with ``qid``.
+
+        Returns the plan (to hand to ``_cancel_chain``) and its wire form.
+        """
         portal = federation.portal
         plan_wire = portal.explain(XMATCH_SQL)["plan"]
         url = plan_wire["steps"][0]["url"]
@@ -297,7 +303,7 @@ class TestCancelQuery:
             start_seq=0,
         )
         assert opened["batch_count"] >= 2  # or the open would carry it all
-        return plan_wire, url, opened
+        return ExecutionPlan.from_wire(plan_wire), plan_wire
 
     def streams_holding(self, federation, qid):
         return [
@@ -309,15 +315,16 @@ class TestCancelQuery:
             )
         ]
 
+    @staticmethod
+    def hop_host(plan_wire, position):
+        return plan_wire["steps"][position]["url"].split("/")[2]
+
     def test_cancel_fans_down_the_whole_chain(self):
         federation = small_federation()
         qid = "portal.skyquery.net-q99"
-        plan_wire, url, _ = self.open_chain_stream(federation, qid)
+        plan, _ = self.open_chain_stream(federation, qid)
         assert len(self.streams_holding(federation, qid)) == 3
-        answer = federation.portal.proxy(url).call(
-            "CancelQuery", query_id=qid, plan=plan_wire, position=0
-        )
-        assert answer["cancelled"] and answer["forwarded"]
+        federation.portal.executor._cancel_chain(plan, qid)
         assert self.streams_holding(federation, qid) == []
         metrics = federation.network.metrics
         assert metrics.cancels == 3  # one per hop
@@ -327,14 +334,15 @@ class TestCancelQuery:
     def test_cancel_is_idempotent(self):
         federation = small_federation()
         qid = "portal.skyquery.net-q42"
-        plan_wire, url, _ = self.open_chain_stream(federation, qid)
-        proxy = federation.portal.proxy(url)
-        proxy.call("CancelQuery", query_id=qid, plan=plan_wire, position=0)
+        plan, plan_wire = self.open_chain_stream(federation, qid)
+        executor = federation.portal.executor
+        executor._cancel_chain(plan, qid)
         reclaims = federation.network.metrics.eager_reclaims
-        again = proxy.call(
-            "CancelQuery", query_id=qid, plan=plan_wire, position=0
+        again = federation.portal.proxy(plan_wire["steps"][0]["url"]).call(
+            "CancelQuery", query_id=qid
         )
         assert again["cancelled"] and again["freed"] == 0
+        executor._cancel_chain(plan, qid)
         assert federation.network.metrics.eager_reclaims == reclaims
 
     def test_cancel_after_ttl_reap_is_a_noop(self):
@@ -342,14 +350,11 @@ class TestCancelQuery:
 
         federation = small_federation()
         qid = "portal.skyquery.net-q7"
-        plan_wire, url, _ = self.open_chain_stream(federation, qid)
+        plan, _ = self.open_chain_stream(federation, qid)
         federation.network.clock.advance(STREAM_TTL_S + 1.0)
-        answer = federation.portal.proxy(url).call(
-            "CancelQuery", query_id=qid, plan=plan_wire, position=0
-        )
+        federation.portal.executor._cancel_chain(plan, qid)
         # The reaper won the race at every hop: the cancel frees nothing
         # and the reclaim stays accounted to the TTL, not to eagerness.
-        assert answer["freed"] == 0
         metrics = federation.network.metrics
         assert metrics.eager_reclaims == 0
         assert metrics.reclaimed_transfers >= 1
@@ -360,47 +365,42 @@ class TestCancelQuery:
 
         federation = small_federation()
         qid = "portal.skyquery.net-q13"
-        plan_wire, url, _ = self.open_chain_stream(federation, qid)
-        hop1 = plan_wire["steps"][0]["url"].split("/")[2]
-        hop2 = plan_wire["steps"][1]["url"].split("/")[2]
-        # The forwarded CancelQuery hop1 -> hop2 is lost in flight.
+        plan, plan_wire = self.open_chain_stream(federation, qid)
+        hop2 = self.hop_host(plan_wire, 1)
+        # The Portal's CancelQuery to hop2 is lost in flight.
         federation.network.set_fault_plan(
-            FaultPlan(seed=3).drop_requests(src=hop1, dst=hop2)
+            FaultPlan(seed=3).drop_requests(
+                src=federation.portal.hostname, dst=hop2
+            )
         )
-        answer = federation.portal.proxy(url).call(
-            "CancelQuery", query_id=qid, plan=plan_wire, position=0
-        )
+        federation.portal.executor._cancel_chain(plan, qid)
         federation.network.set_fault_plan(None)
         metrics = federation.network.metrics
-        assert answer["cancelled"] and not answer["forwarded"]
-        assert answer["freed"] == 1  # hop1 freed its own state regardless
-        assert metrics.eager_reclaims == 1
+        assert metrics.eager_reclaims == 2  # hop1 and hop3 freed theirs
         survivors = self.streams_holding(federation, qid)
-        assert len(survivors) == 2  # hop2 and hop3 never heard the cancel
-        # ... until their TTL reaper catches up.
+        assert survivors == [hop2]  # only hop2 never heard the cancel
+        # ... until its TTL reaper catches up.
         federation.network.clock.advance(STREAM_TTL_S + 1.0)
         for node in all_nodes(federation):
             node.crossmatch.leases.reap()
         assert self.streams_holding(federation, qid) == []
-        assert metrics.reclaimed_transfers == 2
-        assert metrics.eager_reclaims == 1  # TTL reaps never count as eager
+        assert metrics.reclaimed_transfers == 1
+        assert metrics.eager_reclaims == 2  # TTL reaps never count as eager
 
     def test_delayed_cancel_still_frees_everything(self):
         federation = small_federation()
         qid = "portal.skyquery.net-q14"
-        plan_wire, url, _ = self.open_chain_stream(federation, qid)
-        hop1 = plan_wire["steps"][0]["url"].split("/")[2]
-        hop2 = plan_wire["steps"][1]["url"].split("/")[2]
+        plan, plan_wire = self.open_chain_stream(federation, qid)
         federation.network.set_fault_plan(
             FaultPlan(seed=3).latency_spikes(
-                src=hop1, dst=hop2, rate=1.0, extra_s=5.0
+                src=federation.portal.hostname,
+                dst=self.hop_host(plan_wire, 1),
+                rate=1.0,
+                extra_s=5.0,
             )
         )
-        answer = federation.portal.proxy(url).call(
-            "CancelQuery", query_id=qid, plan=plan_wire, position=0
-        )
+        federation.portal.executor._cancel_chain(plan, qid)
         federation.network.set_fault_plan(None)
-        assert answer["cancelled"] and answer["forwarded"]
         assert self.streams_holding(federation, qid) == []
         assert federation.network.metrics.eager_reclaims == 3
 
@@ -417,12 +417,99 @@ class TestCancelQuery:
         assert len(downstream_requests()) == 2  # the whole chain ran
         assert downstream_requests() == []  # the head replays
         assert len(residual_state_for(federation, "cx-1")) == 3  # one per hop
-        federation.portal.proxy(plan_wire["steps"][0]["url"]).call(
-            "CancelQuery", query_id="cx-1", plan=plan_wire, position=0
+        federation.portal.executor._cancel_chain(
+            ExecutionPlan.from_wire(plan_wire), "cx-1"
         )
         assert residual_state_for(federation, "cx-1") == []
         assert federation.network.metrics.eager_reclaims == 3
         assert len(downstream_requests()) == 2
+
+
+class CancelClockExecutor(ChainExecutor):
+    """Records the sim clock on either side of the cancel round."""
+
+    def _cancel_chain(self, plan: ExecutionPlan, qid: str) -> None:
+        clock = self._portal.require_network().clock
+        self.cancel_started = clock.now
+        super()._cancel_chain(plan, qid)
+        self.cancel_finished = clock.now
+
+
+class TestOneCancelRound:
+    """A deadline-dead query is cancelled in one parallel round.
+
+    240 bodies with one replica per archive, deadline at half the clean
+    sim time: the chain dies mid-run, and every endpoint the plan names
+    (three primaries, three replicas) gets one ``CancelQuery`` that
+    carries the query id alone.
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        def build():
+            return small_federation(n_bodies=240, replicas=1, tracing=False)
+
+        oracle = build()
+        t0 = oracle.network.clock.now
+        oracle.portal.submit(XMATCH_SQL)
+        clean = oracle.network.clock.now - t0
+
+        federation = build()
+        network = federation.network
+        executor = CancelClockExecutor(federation.portal)
+        federation.portal.executor = executor
+        requests = []
+        deliver = network.request
+
+        def request(src_host, http_request, **kwargs):
+            if kwargs.get("operation") == "CancelQuery":
+                requests.append(http_request.body)
+            return deliver(src_host, http_request, **kwargs)
+
+        network.request = request
+        qid = qid_of_next_submit(federation.portal)
+        deadline = network.clock.now + 0.5 * clean
+        result = federation.portal.submit(XMATCH_SQL, deadline_s=deadline)
+        return SimpleNamespace(
+            federation=federation, executor=executor, requests=requests,
+            qid=qid, deadline=deadline, returned=network.clock.now,
+            result=result,
+        )
+
+    def test_degrades_and_returns_one_round_after_the_chain(self, run):
+        assert run.result.degraded and run.result.rows == []
+        assert run.returned - run.deadline <= 0.25
+        assert residual_state_for(run.federation, run.qid) == []
+
+    def test_cancels_are_one_parallel_round(self, run):
+        federation, executor = run.federation, run.executor
+        cancel = [
+            m for m in federation.network.metrics.messages
+            if m.phase == "cancel"
+        ]
+        assert len(cancel) == 12  # six endpoints, request + response each
+        sent = [m for m in cancel if m.kind == "request"]
+        answered = [m for m in cancel if m.kind == "response"]
+        # Every request lands before the first response: no cancel waits
+        # for another's answer.
+        assert max(m.sim_time for m in sent) < min(
+            m.sim_time for m in answered
+        )
+        link = federation.network.link(
+            federation.portal.hostname, sent[0].dst
+        )
+        one_round_trip = link.transfer_time(
+            max(m.wire_bytes for m in sent)
+        ) + link.transfer_time(max(m.wire_bytes for m in answered))
+        span = executor.cancel_finished - executor.cancel_started
+        assert span <= one_round_trip + 1e-9
+
+    def test_cancel_requests_carry_the_query_id_alone(self, run):
+        assert len(run.requests) == 6
+        for body in run.requests:
+            operation, params, _, _ = parse_rpc_call(body)
+            assert operation == "CancelQuery"
+            assert set(params) == {"query_id"}
 
 
 # -- ChunkedSender: abort racing the reaper -------------------------------------
@@ -545,9 +632,6 @@ class TestServerSideBudget:
         with use_budget(expired):
             # A dead budget must never block its own cleanup.
             answer = federation.portal.proxy(url).call(
-                "CancelQuery",
-                query_id="portal.skyquery.net-q1",
-                plan=plan_wire,
-                position=0,
+                "CancelQuery", query_id="portal.skyquery.net-q1"
             )
         assert answer["cancelled"]

@@ -1,14 +1,6 @@
-"""EXPLAIN plans and database persistence."""
+"""EXPLAIN plans."""
 
 import pytest
-
-from repro.db.persist import (
-    database_from_dict,
-    database_to_dict,
-    load_database,
-    save_database,
-)
-from repro.errors import SchemaError
 
 PAPER_SQL = (
     "SELECT O.object_id, T.obj_id, O.i_flux - T.i_flux AS color "
@@ -144,130 +136,3 @@ class TestExplain:
         assert [s["alias"] for s in explained["plan"]["steps"]] == [
             s["alias"] for s in executed.plan["steps"]
         ]
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path, small_federation):
-        original = small_federation.node("SDSS").db
-        path = tmp_path / "sdss.json"
-        save_database(original, path)
-        restored = load_database(path)
-        assert restored.name == original.name
-        assert restored.dialect == original.dialect
-        assert restored.table_names() == original.table_names()
-        table = original.table("Photo_Object")
-        restored_table = restored.table("Photo_Object")
-        assert len(restored_table) == len(table)
-        assert restored_table.spatial == table.spatial
-
-    def test_roundtrip_preserves_query_results(self, tmp_path, small_federation):
-        original = small_federation.node("SDSS").db
-        path = tmp_path / "sdss.json"
-        save_database(original, path)
-        restored = load_database(path)
-        sql = (
-            "SELECT o.object_id FROM Photo_Object o "
-            "WHERE AREA(185.0, -0.5, 600.0) AND o.type = GALAXY "
-            "ORDER BY o.object_id"
-        )
-        assert restored.execute(sql).rows == original.execute(sql).rows
-
-    def test_temp_tables_excluded(self, tmp_path):
-        from repro.db.engine import Database
-        from repro.db.schema import Column
-        from repro.db.types import ColumnType
-
-        db = Database("d")
-        db.create_table("keep", [Column("a", ColumnType.INT)])
-        db.create_temp_table("scratch", [Column("b", ColumnType.INT)])
-        data = database_to_dict(db)
-        assert [t["name"] for t in data["tables"]] == ["keep"]
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(SchemaError):
-            database_from_dict({"format_version": 99, "name": "x"})
-
-    def test_save_is_crash_atomic(self, tmp_path, small_federation):
-        """A crash mid-save never corrupts the previous good dump."""
-        db = small_federation.node("SDSS").db
-        path = tmp_path / "sdss.json"
-        save_database(db, path)
-        good = path.read_bytes()
-
-        class MidSaveCrash(RuntimeError):
-            pass
-
-        def die(tmp):
-            assert tmp.exists()  # the new dump was fully written...
-            raise MidSaveCrash("power cut before rename")
-
-        with pytest.raises(MidSaveCrash):
-            save_database(db, path, crash_hook=die)
-        # ...but the target still holds the old dump, bit for bit, and the
-        # temp file was cleaned up rather than left to confuse a reload.
-        assert path.read_bytes() == good
-        assert not (tmp_path / "sdss.json.tmp").exists()
-        assert load_database(path).table_names() == db.table_names()
-
-    def test_roundtrip_preserves_epoch_snapshots(self, tmp_path):
-        """Pinned visibility survives save/load: marks and counters."""
-        from repro.db.engine import Database
-        from repro.db.schema import Column
-        from repro.db.types import ColumnType
-
-        db = Database("epochal")
-        db.create_table(
-            "obs",
-            [
-                Column("object_id", ColumnType.INT, nullable=False),
-                Column("flux", ColumnType.FLOAT),
-            ],
-        )
-        db.insert("obs", [(1, 0.5), (2, 1.5)])
-        db.apply_epoch([("obs", [(3, 2.5)])])
-        db.apply_epoch([("obs", [(4, 3.5), (5, 4.5)])])
-        db.gc_epochs(1)
-        path = tmp_path / "epochal.json"
-        save_database(db, path)
-        restored = load_database(path)
-        assert restored.committed_epoch == db.committed_epoch == 2
-        assert restored.oldest_epoch == db.oldest_epoch == 1
-        for epoch in (1, 2):
-            want = db.table("obs").visible_count(epoch)
-            assert restored.table("obs").visible_count(epoch) == want
-        assert len(restored.table("obs")) == 5
-
-    def test_restored_db_serves_a_skynode(self, tmp_path, small_federation):
-        """A restored archive can stand in for the original in a federation."""
-        from repro.skynode.node import SkyNode
-        from repro.skynode.wrapper import ArchiveInfo
-
-        original = small_federation.node("TWOMASS")
-        path = tmp_path / "twomass.json"
-        save_database(original.db, path)
-        restored = load_database(path)
-        node = SkyNode(
-            restored,
-            ArchiveInfo(
-                archive="TWOMASS2",
-                sigma_arcsec=original.info.sigma_arcsec,
-                primary_table=original.info.primary_table,
-                object_id_column=original.info.object_id_column,
-                ra_column=original.info.ra_column,
-                dec_column=original.info.dec_column,
-            ),
-            hostname="twomass2.skyquery.net",
-        )
-        node.attach(small_federation.network)
-        node.register_with_portal(
-            small_federation.portal.service_url("registration")
-        )
-        result = small_federation.client().submit(
-            "SELECT O.object_id, T2.obj_id "
-            "FROM SDSS:Photo_Object O, TWOMASS2:Photo_Primary T2 "
-            "WHERE AREA(185.0, -0.5, 600.0) AND XMATCH(O, T2) < 3.5"
-        )
-        assert len(result) > 0
-        # Cleanup so other session-scoped tests see the original catalog.
-        small_federation.portal.catalog.unregister("TWOMASS2")
-        small_federation.network.remove_host("twomass2.skyquery.net")

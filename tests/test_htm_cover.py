@@ -96,62 +96,3 @@ def test_full_ranges_at_target_depth():
     for lo, hi in result.full:
         assert depth_of_id(lo) == 8
         assert depth_of_id(hi) == 8
-
-
-class TestAdaptiveCover:
-    def _cap(self):
-        from repro.sphere.regions import Cap
-
-        return Cap.from_radec(185.0, -0.5, 1800.0)
-
-    def test_adaptive_cover_sound(self):
-        import random
-
-        from repro.htm.cover import cover_adaptive
-
-        cap = self._cap()
-        result = cover_adaptive(cap, 10, max_ranges=24)
-        rng = random.Random(7)
-        for _ in range(800):
-            p = random_in_cap(rng, cap.center, cap.radius_rad * 1.3)
-            hid = id_for_point(p, 10)
-            if cap.contains(p):
-                assert result.full.contains(hid) or result.partial.contains(hid)
-            if result.full.contains(hid):
-                assert cap.contains(p)
-
-    def test_adaptive_cover_respects_budget(self):
-        from repro.htm.cover import cover_adaptive
-
-        cap = self._cap()
-        for budget in (8, 16, 64):
-            result = cover_adaptive(cap, 12, max_ranges=budget)
-            # Ranges merge after the fact, so the soft budget holds with a
-            # small slack for the final frontier flush.
-            total = len(result.full) + len(result.partial)
-            assert total <= budget + 8, (budget, total)
-
-    def test_tighter_budget_coarser_cover(self):
-        from repro.htm.cover import cover_adaptive
-
-        cap = self._cap()
-        tight = cover_adaptive(cap, 12, max_ranges=8)
-        loose = cover_adaptive(cap, 12, max_ranges=256)
-        # A coarser cover marks more ids as 'needs geometric recheck'.
-        assert tight.partial.id_count() >= loose.partial.id_count()
-
-    def test_adaptive_matches_exact_when_budget_huge(self):
-        from repro.htm.cover import cover, cover_adaptive
-
-        cap = self._cap()
-        exact = cover(cap, 8)
-        adaptive = cover_adaptive(cap, 8, max_ranges=100_000)
-        assert adaptive.full.union(adaptive.partial) == exact.full.union(
-            exact.partial
-        )
-
-    def test_bad_budget_rejected(self):
-        from repro.htm.cover import cover_adaptive
-
-        with pytest.raises(HTMError):
-            cover_adaptive(self._cap(), 8, max_ranges=2)

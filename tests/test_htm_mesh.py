@@ -6,11 +6,8 @@ from repro.errors import HTMError
 from repro.htm.mesh import (
     depth_of_id,
     id_range_at_depth,
-    id_to_name,
-    name_to_id,
     roots,
     trixel_by_id,
-    trixel_by_name,
 )
 from repro.sphere.random import random_on_sphere
 from repro.sphere.vector import norm
@@ -76,33 +73,12 @@ def test_children_tile_parent():
             assert sum(k.contains(p) for k in kids) >= 1
 
 
-def test_name_roundtrip():
-    for name in ("S0", "N3", "N012", "S20123", "N3000001"):
-        assert id_to_name(name_to_id(name)) == name
-
-
-def test_id_roundtrip():
-    for hid in (8, 15, 63, 10487853):
-        assert name_to_id(id_to_name(hid)) == hid
-
-
-def test_bad_names_rejected():
-    for bad in ("", "X0", "N", "N4", "S012X"):
-        with pytest.raises(HTMError):
-            name_to_id(bad)
-
-
 def test_trixel_by_id_consistent_with_children():
     root = roots()[0]
     kid = root.children()[2]
     rebuilt = trixel_by_id(kid.hid)
     for rebuilt_corner, kid_corner in zip(rebuilt.corners, kid.corners):
         assert rebuilt_corner == pytest.approx(kid_corner)
-
-
-def test_trixel_by_name():
-    t = trixel_by_name("N012")
-    assert t.hid == name_to_id("N012")
 
 
 def test_id_range_at_depth():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import SoapError, XMLSyntaxError
 from repro.htm.cover import cover
 from repro.htm.index import id_for_point
-from repro.htm.mesh import depth_of_id, id_to_name, name_to_id
+from repro.htm.mesh import depth_of_id
 from repro.htm.ranges import HTMRanges
 from repro.soap.encoding import WireRowSet, decode_binary_rowset, decode_value, \
     encode_binary_rowset, encode_value
@@ -44,12 +44,6 @@ def test_htm_point_inside_own_trixel(ra, dec, depth):
     hid = id_for_point(v, depth)
     assert depth_of_id(hid) == depth
     assert trixel_by_id(hid).contains(v)
-
-
-@given(ra=ra_strategy, dec=dec_strategy, depth=st.integers(0, 12))
-def test_htm_name_roundtrip(ra, dec, depth):
-    hid = id_for_point(radec_to_vector(ra, dec), depth)
-    assert name_to_id(id_to_name(hid)) == hid
 
 
 @given(

@@ -8,7 +8,6 @@ import pytest
 from repro.sphere.coords import radec_to_vector
 from repro.sphere.distance import angular_separation
 from repro.sphere.random import (
-    grid_in_cap,
     perturb_gaussian,
     random_in_cap,
     random_on_sphere,
@@ -80,11 +79,3 @@ def test_tangent_basis_orthonormal():
         assert dot(east, north) == pytest.approx(0.0, abs=1e-12)
         assert dot(east, v) == pytest.approx(0.0, abs=1e-12)
         assert dot(north, v) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_grid_in_cap_deterministic():
-    a = grid_in_cap(185.0, -0.5, 600.0, 10, seed=42)
-    b = grid_in_cap(185.0, -0.5, 600.0, 10, seed=42)
-    assert a == b
-    c = grid_in_cap(185.0, -0.5, 600.0, 10, seed=43)
-    assert a != c

@@ -15,10 +15,6 @@ def test_arcsec_rad_roundtrip():
     assert units.rad_to_arcsec(units.arcsec_to_rad(4.5)) == pytest.approx(4.5)
 
 
-def test_arcmin_rad_roundtrip():
-    assert units.rad_to_arcmin(units.arcmin_to_rad(30.0)) == pytest.approx(30.0)
-
-
 def test_degree_is_3600_arcsec():
     assert units.arcsec_to_rad(3600.0) == pytest.approx(units.deg_to_rad(1.0))
 
@@ -37,15 +33,3 @@ def test_normalize_ra_wraps_negative():
 
 def test_normalize_ra_identity_in_range():
     assert units.normalize_ra_deg(185.0) == pytest.approx(185.0)
-
-
-def test_validate_dec_accepts_poles():
-    assert units.validate_dec_deg(90.0) == 90.0
-    assert units.validate_dec_deg(-90.0) == -90.0
-
-
-def test_validate_dec_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        units.validate_dec_deg(90.001)
-    with pytest.raises(ValueError):
-        units.validate_dec_deg(-91.0)
