@@ -167,8 +167,8 @@ EXPERIMENT = Experiment(
     "2012, Nieto-Santisteban 2005)",
     shape="sharded makespan beats monolithic ~2.2x on compute-bound scans, "
     "on cluster and WAN links, with byte-equal rows; an AREA inside one "
-    "stripe gains nothing; wire bytes higher in every arm (x1.55 at 2k "
-    "bodies, x1.08 at 100k)",
+    "stripe gains nothing; wire bytes higher in every arm (x1.81 at 2k "
+    "bodies, x1.13 at 100k)",
     run=run,
     check=check,
     full=dict(body_counts=(2_000, 30_000, 100_000), shards=4, radius_arcsec=1800.0),

@@ -36,9 +36,10 @@ def _e22_residuals(federation, qid: str) -> Tuple[int, float]:
 
     Items are streams (open, or drained and kept as the hop's checkpoint)
     and chunked transfers; the KB figure sums every payload whose wire
-    size is directly measurable — the batch a stream served last and the
-    chunks a transfer still buffers (all of them while pending, the
-    parked final one once drained).
+    size is directly measurable — the batch a stream served last (held as
+    the parts it travels in: one, or its chunks) and the chunks a transfer
+    still buffers (all of them while pending, the parked final one once
+    drained).
     """
     from repro.transport.chunking import envelope_bytes
 
@@ -50,7 +51,7 @@ def _e22_residuals(federation, qid: str) -> Tuple[int, float]:
                 items += 1
                 if kind == "stream":
                     served = lease.value.served
-                    payloads = [served[0]] if served is not None else []
+                    payloads = served[0].parts if served is not None else []
                 elif lease.live:
                     payloads = lease.value  # a pending transfer's chunks
                 else:

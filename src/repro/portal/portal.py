@@ -239,12 +239,10 @@ class Portal:
         budget-expired work with a typed fault; when the budget runs out
         anywhere, the Portal eagerly cancels the query's server state and
         returns a degraded empty result whose warning names the hop that
-        ran dry. What that bounds: a degraded answer returns one parallel
-        cancel round (one round trip) after its chain fails, and the
-        chain fails when the request that ran out of budget returns. A
-        complete answer whose last hop was dispatched before the deadline
-        can still arrive after it, since a timeout bounds each transfer,
-        not the handler's time or the return trip.
+        ran dry. What that bounds: the deadline bounds every exchange
+        whole (request, the callee's handler, response), so a complete
+        answer never arrives after it; a degraded answer returns one
+        parallel cancel round (one round trip) after the deadline.
 
         Snapshot isolation: the planner pins each archive at the epoch its
         count-star probe answered (returned as ``result.epochs``), so the

@@ -7,28 +7,31 @@ when a caller pulls a large result. The sender returns either the rowset
 inline or a ``{chunked, transfer_id, chunk_count}`` descriptor; the caller
 then drains numbered ``FetchChunk`` calls and reassembles.
 
-Sender-side state is bounded: the prepared chunks are held as a lease
-(:mod:`repro.services.leases`), so a transfer a caller abandons mid-drain
-(crash, circuit opened, chain retried from scratch) is reclaimed by an
-explicit ``AbortTransfer``, by the owning query's ``CancelQuery``, or by
-the TTL on the simulated clock. A fully drained transfer settles onto its
-final chunk so a retry of the *last* fetch (response lost in flight) is
-served idempotently instead of failing with "unknown transfer".
+Each chunk is encoded once, when the sender prepares the transfer, and is
+held encoded. Sender-side state is bounded: the prepared chunks are held
+as a lease (:mod:`repro.services.leases`), so a transfer a caller abandons
+mid-drain (crash, circuit opened, chain retried from scratch) is reclaimed
+by an explicit ``AbortTransfer``, by the owning query's ``CancelQuery``,
+or by the TTL on the simulated clock. A fully drained transfer settles
+onto its final chunk so a retry of the *last* fetch (response lost in
+flight) is served idempotently instead of failing with "unknown transfer".
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ExecutionError, SoapError
 from repro.services.leases import LeaseTable
-from repro.soap.encoding import ColumnarRowSet, WireRowSet
+from repro.soap.encoding import ColumnarRowSet, EncodedColset, WireRowSet, seal
 from repro.transport.chunking import envelope_bytes, split_for_budget
 
-#: What a sender ships: a rowset, in whichever wire form it is wrapped in.
-Payload = Union[WireRowSet, ColumnarRowSet]
+#: What a sender ships: a rowset, in whichever wire form it is wrapped in
+#: (a colset already encoded, once it is kept for the wire).
+Payload = Union[WireRowSet, ColumnarRowSet, EncodedColset]
 
 #: Phase label for the bulk chunk-drain traffic, so reports separate
 #: payload bytes from chain-control bytes.
@@ -41,6 +44,21 @@ DEFAULT_TRANSFER_TTL_S = 600.0
 
 #: The lease kind of a chunked transfer's prepared chunks.
 TRANSFER = "transfer"
+
+
+@dataclass(frozen=True)
+class Shipment:
+    """A rowset made ready for the wire once: its parts as they travel (a
+    colset part encoded, see :func:`~repro.soap.encoding.seal`), inline
+    (one part) or as the chunks of a transfer. Sending it again encodes
+    nothing, and it holds about its wire size."""
+
+    parts: Tuple[Payload, ...]
+    chunked: bool
+
+    @property
+    def row_count(self) -> int:
+        return sum(map(len, self.parts))
 
 
 class ChunkedSender:
@@ -83,43 +101,54 @@ class ChunkedSender:
             doc="Free an abandoned chunked transfer before its TTL.",
         )
 
+    def prepare(self, rowset: Payload) -> Shipment:
+        """Encode a rowset for the wire once, chunked when over budget.
+
+        The budget is checked against ``rowset`` in the form it will
+        travel — a :class:`ColumnarRowSet` is sized as the colset it ships,
+        and its chunks stay colsets, each encoded once.
+        """
+        sealed = seal(rowset)
+        budget = self.chunk_budget_bytes
+        if budget is None or envelope_bytes(sealed) <= budget:
+            return Shipment((sealed,), False)
+        return Shipment(tuple(split_for_budget(rowset, budget)), True)
+
     def respond(
         self,
-        rowset: Payload,
+        shipment: Shipment,
         extra: Optional[Dict[str, Any]] = None,
         *,
         query_id: str = "",
     ) -> Dict[str, Any]:
-        """Wrap a rowset for the wire, chunking when over budget.
+        """The response carrying a prepared rowset (:meth:`prepare`):
+        inline, or the descriptor of a fresh chunked transfer of its parts.
 
-        The budget is checked against ``rowset`` in the form it will
-        travel — a :class:`ColumnarRowSet` is sized as the colset it ships,
-        and its chunks stay colsets. ``query_id`` tags the transfer with
-        the query it belongs to, so cancelling the query frees it without
-        knowing its id.
+        Nothing is encoded here, so a shipment kept and sent again costs
+        no encoding. ``query_id`` tags the transfer with the query it
+        belongs to, so cancelling the query frees it without knowing its
+        id.
         """
         self.leases.reap()
         response: Dict[str, Any] = dict(extra or {})
-        budget = self.chunk_budget_bytes
-        if budget is not None and envelope_bytes(rowset) > budget:
-            chunks = split_for_budget(rowset, budget)
-            transfer_id = f"{self.owner_name}-{next(self._transfer_ids)}"
-            self.leases.grant(
-                TRANSFER,
-                transfer_id,
-                chunks,
-                ttl_s=self.ttl_s,
-                qid=query_id,
-                abandonable=True,
-            )
-            response.update(
-                chunked=True,
-                transfer_id=transfer_id,
-                chunk_count=len(chunks),
-                row_count=len(rowset.rows),
-            )
-        else:
-            response.update(chunked=False, rows=rowset)
+        if not shipment.chunked:
+            response.update(chunked=False, rows=shipment.parts[0])
+            return response
+        transfer_id = f"{self.owner_name}-{next(self._transfer_ids)}"
+        self.leases.grant(
+            TRANSFER,
+            transfer_id,
+            list(shipment.parts),
+            ttl_s=self.ttl_s,
+            qid=query_id,
+            abandonable=True,
+        )
+        response.update(
+            chunked=True,
+            transfer_id=transfer_id,
+            chunk_count=len(shipment.parts),
+            row_count=shipment.row_count,
+        )
         return response
 
     def fetch_chunk(self, transfer_id: str, seq: int) -> Payload:

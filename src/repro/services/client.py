@@ -153,23 +153,16 @@ class ServiceProxy:
         clock = self.network.clock
         attempt = 0
         while True:
-            timeout_s = policy.timeout_s if policy is not None else None
-            if deadline is not None:
-                # Clamp the attempt's timeout to the remaining deadline
-                # budget: the last attempt must not overrun the caller's
-                # deadline by up to one whole per-attempt timeout.
-                remaining = max(deadline - clock.now, 0.0)
-                timeout_s = (
-                    remaining
-                    if timeout_s is None
-                    else min(timeout_s, remaining)
-                )
             try:
+                # The policy's timeout bounds each direction; the deadline
+                # bounds the whole exchange, the callee's handler included,
+                # so no attempt overruns it.
                 response = self.network.request(
                     self.src_host,
                     request,
                     operation=operation,
-                    timeout_s=timeout_s,
+                    timeout_s=policy.timeout_s if policy is not None else None,
+                    deadline_s=deadline,
                 )
                 result = decode(response)
             except TransportError as exc:

@@ -27,12 +27,13 @@ leased so the caller's retry of the last request can be answered, but
 nobody abandoned it, so its TTL expiry or abort moves no counter. What
 it still holds decides the rest. A transfer parks on its final chunk:
 freeing that reclaims nothing, so it ends silently however it ends. A
-drained stream keeps the whole batch it served last — the *checkpoint*
-a retried chain resumes from — so a cancel or its epoch's GC frees real
-state and is counted as for a live lease. Either way a settled lease is
-a retry cache and is bounded like one: a table keeps the
-:data:`SETTLED_KEPT` most recently settled leases of each kind and
-silently drops older ones, whose callers then recompute.
+drained stream keeps the batch it served last, encoded as it travelled
+(about its wire size) — the *checkpoint* a retried chain resumes from —
+so a cancel or its epoch's GC frees real state and is counted as for a
+live lease. Either way a settled lease is a retry cache and is bounded
+like one: a table keeps the :data:`SETTLED_KEPT` most recently settled
+leases of each kind and silently drops older ones, whose callers then
+recompute.
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ a batch size larger than the result *is* the paper's store-and-forward
 chain — N nested round trips, every node idle until its neighbour has
 shipped its entire tuple set — with no code of its own. Batches are
 pulled strictly in order; a request for the batch just served is answered
-from the cached payload (a lost response must not re-run the step or
-duplicate rows), anything else out of order faults deterministically.
+from the batch as it was encoded then (a lost response must not re-run the
+step, duplicate rows or encode again), anything else out of order faults
+deterministically.
 
 A stream is leased under its content — ``(qid, suffix fingerprint,
 batch_size)`` — so a retried or failed-over chain that opens it again
@@ -74,7 +75,7 @@ from repro.db.schema import Column
 from repro.db.types import ColumnType
 from repro.errors import ExecutionError, GeometryError
 from repro.portal.plan import ExecutionPlan, PlanStep, node_query
-from repro.services.chunked import ChunkedSender, receive_rowset
+from repro.services.chunked import ChunkedSender, Shipment, receive_rowset
 from repro.services.framework import WebService
 from repro.services.leases import Lease, LeaseTable
 from repro.shard import (
@@ -84,7 +85,6 @@ from repro.shard import (
 )
 from repro.skynode.xmatch_proc import PROCEDURE_NAME, XMatchProcResult
 from repro.tracing.tracer import active_tracer
-from repro.soap.encoding import ColumnarRowSet
 from repro.sphere.coords import radec_to_vector
 from repro.sql.area import region_for
 from repro.sql.ast import Query
@@ -138,12 +138,14 @@ class _Stream:
     position: int
     next_seq: int
     batch_count: int = 0
-    #: The batch most recently served — its payload and the response
-    #: fields that travel with it — so a request for it again (a lost
-    #: response, or a re-opened drained stream) is answered without
-    #: re-running the step. The payload is cached, not the wrapped
-    #: response: under a chunk budget every replay gets a fresh transfer.
-    served: Optional[Tuple[ColumnarRowSet, Dict[str, Any]]] = None
+    #: The batch most recently served — encoded once, as the shipment it
+    #: travels in, and the response fields that travel with it — so a
+    #: request for it again (a lost response, or a re-opened drained
+    #: stream) is answered without re-running the step or encoding again.
+    #: A drained stream's checkpoint so holds about its wire size. The
+    #: shipment is cached, not the wrapped response: under a chunk budget
+    #: every replay gets a fresh transfer of the same encoded chunks.
+    served: Optional[Tuple[Shipment, Dict[str, Any]]] = None
     #: This node's stats, accumulated across batches.
     stats: Dict[str, Any] = field(default_factory=dict)
     #: Per-batch tuples shipped upstream (batch-granular accounting).
@@ -265,7 +267,7 @@ class CrossMatchService(WebService):
             or start_seq != lease.value.batch_count - 1
         ):
             # Anything but a drained stream asked for its last batch again
-            # (that one is served below, from the cached payload, with no
+            # (that one is served below, from the cached shipment, with no
             # downstream call) is opened afresh under the same key.
             stream = _Stream(plan_obj, me, position, next_seq=start_seq)
             if position == len(plan_obj.steps) - 1:
@@ -390,11 +392,11 @@ class CrossMatchService(WebService):
                 ]
                 self.leases.settle(lease, checkpoint=True)
             stream.served = (
-                tuples_to_payload(
+                self.sender.prepare(tuples_to_payload(
                     out_rows,
                     plan.member_aliases_after(position),
                     plan.attr_columns_after(position),
-                ),
+                )),
                 extra,
             )
         # else: the caller asks again for the batch just served (its
@@ -402,8 +404,8 @@ class CrossMatchService(WebService):
         # stream) — no reprocessing, no duplicated rows, no double-counted
         # stats.
         self.leases.touch(lease)
-        payload, extra = stream.served
-        return self.sender.respond(payload, extra, query_id=lease.qid)
+        shipment, extra = stream.served
+        return self.sender.respond(shipment, extra, query_id=lease.qid)
 
     def _abort_stream(self, stream_id: str) -> Dict[str, Any]:
         held = self.leases.find(STREAM, str(stream_id))

@@ -89,4 +89,4 @@ class QueryService(WebService):
         return {"rows": self._run(sql, epoch=pinned), "epoch": pinned}
 
     def _execute_chunked(self, sql: str) -> Dict[str, Any]:
-        return self.sender.respond(self._run(sql))
+        return self.sender.respond(self.sender.prepare(self._run(sql)))

@@ -12,31 +12,46 @@ notes SOAP "is considered to be slower than other middleware, like, CORBA,
 because of the time spent for serialization and de-serialization").
 
 :class:`ColumnarRowSet` selects the compact column-major XML form
-(``colset``): per-column packed token streams with delta-encoded ints and
-dictionary-encoded strings. Decoding a colset yields a plain
-:class:`WireRowSet`, so only senders opt in — and every rowset the
-federation's services send opts in. The row form stays the encoder's
-default for a bare :class:`WireRowSet`: it is the paper's form, the "paper"
-arm of the serialization experiment (E7).
+(``colset``): one element per column, with delta-encoded ints and
+dictionary-encoded strings as packed token streams, and doubles as the
+``base64Binary`` of their little-endian float64 bytes (the form SOAP 1.1
+§5.2.3 gives byte arrays), so a double costs no decimal text either way.
+Decoding a colset yields a plain :class:`WireRowSet`, so only senders opt
+in — and every rowset the federation's services send opts in. A sender
+that may ship the same batch again keeps it as an :class:`EncodedColset`,
+encoded once. The row form stays the encoder's default for a bare
+:class:`WireRowSet`: it is the paper's form, the "paper" arm of the
+serialization experiment (E7).
 
 Every decode failure — a missing element, a non-numeric token, an
-out-of-range dictionary index, a row count the columns do not carry — is a
+out-of-range dictionary index, base64 of the wrong length or alphabet, a
+row count the columns do not carry — is a
 :class:`~repro.errors.SoapError`, so a service answers a malformed request
 with a ``soap:Client`` fault instead of a traceback.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import functools
 import struct
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import sub
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import SoapError, XMLSyntaxError
 from repro.soap.xmlparser import parse_xml
-from repro.soap.xmlwriter import Element, check_xml_chars
+from repro.soap.xmlwriter import (
+    Element,
+    Markup,
+    check_xml_chars,
+    render_content,
+)
 
 _TYPE_CODES = ("int", "double", "string", "boolean")
 
@@ -90,13 +105,16 @@ class ColumnarRowSet:
 
     Semantically identical to the wrapped :class:`WireRowSet`; only the
     XML shape differs. Instead of ``<r><c>`` per cell, each column travels
-    as one packed text stream: int columns are delta-encoded (first value
-    raw, then successive differences), string columns are
+    as one ``<data>`` element. Int columns are delta-encoded token streams
+    (first value raw, then successive differences), string columns are
     dictionary-encoded (unique values once as child elements, then integer
-    indexes), doubles and booleans are plain token streams. ``None`` cells
-    use the ``_`` sentinel in every stream. Decoding yields a plain
-    :class:`WireRowSet` again, so receivers are agnostic to which form the
-    sender chose.
+    indexes), booleans are ``t``/``f`` tokens; ``None`` cells use the ``_``
+    sentinel in those streams. A double column is the base64 of its
+    present values' little-endian float64 bytes, every bit kept; when it
+    holds NULLs a ``<nulls>`` child carries a base64 bitmap, bit ``i``
+    (least significant first) set for a NULL in row ``i``. Decoding yields
+    a plain :class:`WireRowSet` again, so receivers are agnostic to which
+    form the sender chose.
     """
 
     rowset: WireRowSet
@@ -122,6 +140,33 @@ class ColumnarRowSet:
     def slice(self, start: int, stop: int) -> "ColumnarRowSet":
         """A columnar view of a row subrange (for chunking)."""
         return ColumnarRowSet(self.rowset.slice(start, stop))
+
+
+@dataclass(frozen=True, slots=True)
+class EncodedColset:
+    """A colset encoded once, kept as the XML it travels as.
+
+    A sender that may ship the same rows again (a hop's checkpoint, a
+    chunked transfer's chunks) keeps this instead of the rows: serving it
+    again costs no encoding, and it holds about its wire size.
+    """
+
+    rows: int
+    #: The colset element's content (schema and column streams), rendered.
+    markup: str
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def seal(payload: Any) -> Any:
+    """``payload`` as it is kept for the wire: a :class:`ColumnarRowSet`
+    encoded once as an :class:`EncodedColset` (a :class:`SoapError` if it
+    cannot travel), anything else as it is."""
+    if isinstance(payload, ColumnarRowSet):
+        node = _encode_colset("colset", payload.rowset)
+        return EncodedColset(len(payload), render_content(node))
+    return payload
 
 
 def typecode_of(value: Any) -> str:
@@ -157,6 +202,8 @@ def encode_value(name: str, value: Any) -> Element:
     """Encode a python value (scalar, list, dict, WireRowSet) as an element."""
     if value is None:
         return Element(name, {"xsi:nil": "true"})
+    if isinstance(value, EncodedColset):
+        return Markup(name, _colset_attrib(value.rows), markup=value.markup)
     if isinstance(value, ColumnarRowSet):
         return _encode_colset(name, value.rowset)
     if isinstance(value, WireRowSet):
@@ -290,14 +337,14 @@ def _decode_rowset(node: Element) -> WireRowSet:
     return rowset
 
 
-# -- columnar form ("colset"): packed per-column token streams -----------------
+# -- columnar form ("colset"): one element per column --------------------------
 
-#: Token marking a NULL cell in a packed column stream. Unambiguous: int
-#: and index streams are decimal literals, doubles are ``repr`` floats,
-#: booleans are ``t``/``f``.
+#: Token marking a NULL cell in a packed token stream. Unambiguous: int
+#: and index streams are decimal literals, booleans are ``t``/``f``.
 _NIL_TOKEN = "_"
 _BOOL_TOKENS = {True: "t", False: "f"}
 _BOOL_VALUES = {"t": True, "f": False, _NIL_TOKEN: None}
+_NONE_TYPE = type(None)
 
 
 def _type_passes(kind: type, code: str) -> bool:
@@ -321,33 +368,67 @@ def _check_cell(value: Any, col_name: str, code: str) -> None:
         )
 
 
-_OVERFLOW = "an int in a double column does not fit a double"
+def _colset_attrib(rows: int) -> Dict[str, str]:
+    return {"xsi:type": "colset", "rows": str(rows)}
 
 
-def _double_text(value: Any) -> str:
+def _b64(raw: bytes) -> str:
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+if sys.version_info >= (3, 11):
+
+    def _unb64(text: str) -> bytes:
+        """Strict base64: a ``binascii.Error`` (a ValueError) for any
+        character outside the alphabet and for bad padding."""
+        return binascii.a2b_base64(text, strict_mode=True)
+
+else:  # a2b_base64's strict_mode is new in 3.11; b64decode is ~2x slower
+
+    def _unb64(text: str) -> bytes:
+        return base64.b64decode(text, validate=True)
+
+
+def _encode_doubles(
+    values: Sequence[Any], col_name: str, kinds: Set[type]
+) -> Tuple[str, Optional[str]]:
+    """One double column as (base64 of the present values' float64 bytes,
+    base64 NULL bitmap or None when no cell is NULL).
+
+    One ``struct.pack`` writes every value's bytes: it converts an int
+    exactly as ``float()`` does, and one too large for a double, like a
+    value of another type, is a :class:`SoapError`.
+    """
+    if not values:
+        return "", None
+    nulls = None
+    if _NONE_TYPE in kinds:
+        mask = [value is None for value in values]
+        nulls = _b64(np.packbits(mask, bitorder="little").tobytes())
+        values = [value for value in values if value is not None]
+        kinds = kinds - {_NONE_TYPE}
+    if not all(_type_passes(kind, "double") for kind in kinds):
+        for value in values:
+            _check_cell(value, col_name, "double")
     try:
-        return repr(float(value))
-    except OverflowError:
-        raise SoapError(_OVERFLOW) from None
+        return _b64(struct.pack(f"<{len(values)}d", *values)), nulls
+    except struct.error:  # the values passed the type check: an int overflows
+        raise SoapError(
+            f"an int in double column {col_name!r} does not fit a double"
+        ) from None
 
 
 def _encode_column(
     values: Sequence[Any], code: str, kinds: Set[type]
 ) -> Tuple[str, List[str]]:
-    """One NULL-free, type-checked column as (token stream, dictionary).
+    """One NULL-free, type-checked int, boolean or string column as (token
+    stream, dictionary).
 
     Int columns are delta-encoded: the first value raw, then differences
     from the previous value (ids are near-sorted, so deltas are short).
     String columns are dictionary-encoded: unique values once (as child
     elements, so arbitrary text stays XML-safe), then integer indexes.
     """
-    if code == "double":
-        if kinds != {float}:  # ints, float subclasses such as numpy.float64
-            try:
-                values = list(map(float, values))
-            except OverflowError:
-                raise SoapError(_OVERFLOW) from None
-        return " ".join(map(repr, values)), []
     if code == "int":
         return " ".join(map(str, map(sub, values, chain((0,), values)))), []
     if code == "boolean":
@@ -360,9 +441,9 @@ def _encode_column(
 def _encode_cells(
     values: Sequence[Any], col_name: str, code: str
 ) -> Tuple[str, List[str]]:
-    """The per-cell path, for columns that hold NULLs or a value of the
-    wrong type: NULLs travel as the nil token (int deltas skip them), and
-    the first bad value raises a :class:`SoapError` naming it."""
+    """The per-cell path, for token columns that hold NULLs or a value of
+    the wrong type: NULLs travel as the nil token (int deltas skip them),
+    and the first bad value raises a :class:`SoapError` naming it."""
     tokens: List[str] = []
     index: Dict[str, int] = {}
     prev = 0
@@ -376,10 +457,8 @@ def _encode_cells(
         elif code == "int":
             tokens.append(str(value - prev))
             prev = value
-        elif code == "boolean":
-            tokens.append(_BOOL_TOKENS[value])
         else:
-            tokens.append(_double_text(value))
+            tokens.append(_BOOL_TOKENS[value])
     return " ".join(tokens), list(index)
 
 
@@ -394,18 +473,24 @@ def _encode_colset(name: str, rowset: WireRowSet) -> Element:
         raise SoapError(
             f"a colset with no columns cannot carry {len(rows)} rows"
         )
-    node = Element(name, {"xsi:type": "colset", "rows": str(len(rows))})
+    node = Element(name, _colset_attrib(len(rows)))
     _encode_schema(node, columns)
     cols = node.child("cols")
     for values, (col_name, code) in zip(
         list(zip(*rows)) if rows else [()] * len(columns), columns
     ):
         kinds = set(map(type, values))
+        col_el = cols.child("col")
+        if code == "double":
+            text, nulls = _encode_doubles(values, col_name, kinds)
+            if nulls is not None:
+                col_el.child("nulls", text=nulls)
+            col_el.child("data", text=text)
+            continue
         if all(_type_passes(kind, code) for kind in kinds):
             text, entries = _encode_column(values, code, kinds)
         else:
             text, entries = _encode_cells(values, col_name, code)
-        col_el = cols.child("col")
         if entries:
             check_xml_chars("".join(entries), f"a cell of column {col_name!r}")
             dict_el = col_el.child("dict")
@@ -415,11 +500,45 @@ def _encode_colset(name: str, rowset: WireRowSet) -> Element:
     return node
 
 
+def _decode_doubles(
+    col_el: Element, col_name: str, n_rows: int
+) -> Sequence[Any]:
+    """One double column: one ``struct.unpack`` over its base64 bytes,
+    NULLs put back from the bitmap. Base64 that is malformed or of the
+    wrong length, and a bitmap with bits set past ``n_rows``, are refused."""
+    # Only a column holding NULLs has a child besides its <data>.
+    nulls_el = col_el.find("nulls") if len(col_el.children) > 1 else None
+    try:
+        raw = _unb64(col_el.require("data").text)
+        mask = None
+        present = n_rows
+        if nulls_el is not None:
+            bits = _unb64(nulls_el.text)
+            if len(bits) != (n_rows + 7) // 8:
+                raise ValueError(f"a {len(bits)}-byte NULL bitmap")
+            mask = np.unpackbits(
+                np.frombuffer(bits, dtype=np.uint8), bitorder="little"
+            )
+            if mask[n_rows:].any():
+                raise ValueError("NULL bits set past the last row")
+            mask = mask[:n_rows]
+            present -= int(mask.sum())
+        if len(raw) != 8 * present:
+            raise ValueError(f"{len(raw)} bytes for {present} doubles")
+    except ValueError as exc:  # binascii.Error is one
+        raise SoapError(
+            f"bad colset double column {col_name!r}: {exc}"
+        ) from None
+    values = struct.unpack(f"<{present}d", raw)
+    if mask is None:
+        return values
+    found = iter(values)
+    return [None if null else next(found) for null in mask.tolist()]
+
+
 def _decode_column(tokens: List[str], code: str, entries: List[str]) -> List[Any]:
     """One token stream, a whole stream per call; ValueError, KeyError or
     IndexError when it holds a nil token or a malformed one."""
-    if code == "double":
-        return list(map(float, tokens))
     if code == "int":
         return list(accumulate(map(int, tokens)))
     if code == "boolean":
@@ -442,9 +561,7 @@ def _decode_tokens(
             values.append(None)
             continue
         try:
-            if code == "double":
-                values.append(float(token))
-            elif code == "int":
+            if code == "int":
                 prev += int(token)
                 values.append(prev)
             elif code == "boolean":
@@ -480,8 +597,11 @@ def _decode_colset(node: Element) -> WireRowSet:
             f"colset has {len(col_elements)} column streams, "
             f"schema has {len(columns)}"
         )
-    decoded: List[List[Any]] = []
+    decoded: List[Sequence[Any]] = []
     for col_el, (col_name, code) in zip(col_elements, columns):
+        if code == "double":
+            decoded.append(_decode_doubles(col_el, col_name, n_rows))
+            continue
         tokens = col_el.require("data").text.split()
         if len(tokens) != n_rows:
             raise SoapError(

@@ -104,6 +104,24 @@ class Element:
             yield from node.iter()
 
 
+@dataclass
+class Markup(Element):
+    """An element whose content is XML rendered before, written verbatim:
+    how a payload encoded once travels inside a freshly built envelope."""
+
+    markup: str = ""
+
+
+def render_content(node: Element) -> str:
+    """``node``'s content (its children, or its escaped text) as XML."""
+    if not node.children:
+        return escape_text(node.text)
+    parts: List[str] = []
+    for kid in node.children:
+        _render_node(kid, parts, None, 0)
+    return "".join(parts)
+
+
 def render(root: Element, *, declaration: bool = True, indent: Optional[str] = None) -> str:
     """Serialize an element tree to XML text."""
     parts: List[str] = []
@@ -122,6 +140,11 @@ def _render_node(
     attrs = "".join(
         f' {name}="{escape_attr(value)}"' for name, value in node.attrib.items()
     )
+    if isinstance(node, Markup) and node.markup:
+        parts.append(f"{pad}<{node.tag}{attrs}>{node.markup}</{node.tag}>")
+        if indent is not None:
+            parts.append("\n")
+        return
     if not node.children and not node.text:
         parts.append(f"{pad}<{node.tag}{attrs}/>")
         if indent is not None:

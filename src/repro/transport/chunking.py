@@ -9,10 +9,10 @@ a sequence of chunk messages instead of one monolithic envelope.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import SoapError
-from repro.soap.encoding import WireRowSet
+from repro.soap.encoding import WireRowSet, seal
 from repro.soap.envelope import build_rpc_response
 
 
@@ -51,16 +51,19 @@ def batch_slices(total: int, batch_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def envelope_bytes(rowset: WireRowSet) -> int:
-    """Serialized size of a rowset inside a SOAP response envelope."""
+def envelope_bytes(rowset: Any) -> int:
+    """Serialized size of a rowset (in any wire form, encoded or not)
+    inside a SOAP response envelope."""
     return len(build_rpc_response("Chunk", rowset).encode("utf-8"))
 
 
-def split_for_budget(rowset: WireRowSet, byte_budget: int) -> List[WireRowSet]:
+def split_for_budget(rowset: WireRowSet, byte_budget: int) -> List[Any]:
     """Split so every chunk's SOAP envelope fits in ``byte_budget`` bytes.
 
     Estimates bytes-per-row from a sample serialization, then verifies each
     chunk and bisects any that still exceed the budget (rows vary in width).
+    Chunks come back as they are kept for the wire (:func:`seal`): a colset
+    chunk is encoded once, when it is measured, and never again.
     """
     if byte_budget < 1:
         raise SoapError(f"byte_budget must be >= 1, got {byte_budget}")
@@ -71,7 +74,7 @@ def split_for_budget(rowset: WireRowSet, byte_budget: int) -> List[WireRowSet]:
             f"{empty_overhead}"
         )
     if not rowset.rows:
-        return [rowset.slice(0, 0)]
+        return [seal(rowset.slice(0, 0))]
 
     sample = rowset.slice(0, min(len(rowset.rows), 64))
     per_row = max(
@@ -83,10 +86,11 @@ def split_for_budget(rowset: WireRowSet, byte_budget: int) -> List[WireRowSet]:
     pending = chunk_rowset(rowset, guess)
     while pending:
         chunk = pending.pop(0)
-        if len(chunk.rows) > 1 and envelope_bytes(chunk) > byte_budget:
+        sealed = seal(chunk)
+        if len(chunk.rows) > 1 and envelope_bytes(sealed) > byte_budget:
             half = len(chunk.rows) // 2
             pending.insert(0, chunk.slice(half, len(chunk.rows)))
             pending.insert(0, chunk.slice(0, half))
             continue
-        chunks.append(chunk)
+        chunks.append(sealed)
     return chunks

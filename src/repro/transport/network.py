@@ -296,6 +296,7 @@ class SimulatedNetwork:
         *,
         operation: str = "",
         timeout_s: Optional[float] = None,
+        deadline_s: Optional[float] = None,
     ) -> HttpResponse:
         """Deliver an HTTP request from ``src_host`` and return the response.
 
@@ -306,7 +307,11 @@ class SimulatedNetwork:
         ``timeout_s`` bounds each *transfer direction*: when the fault plan
         drops a message, or a latency spike makes a transfer slower than the
         timeout, the caller waits out the timeout on the sim clock and gets
-        a :class:`~repro.errors.RequestTimeoutError`.
+        a :class:`~repro.errors.RequestTimeoutError`. ``deadline_s`` (an
+        absolute sim time) bounds the whole exchange, as an HTTP client's
+        total timeout does: each direction may take at most what is left of
+        it, so request + handler + response never end past the deadline
+        with an answer.
         """
         dst_host = request.host
         self._fire_due_crashes()
@@ -333,7 +338,7 @@ class SimulatedNetwork:
         try:
             self._deliver(
                 src_host, dst_host, request.wire_bytes, "request", operation,
-                timeout_s,
+                self._left(timeout_s, deadline_s),
             )
             if self.fault_plan is not None and self.fault_plan.host_crashed(
                 dst_host, self.clock.now
@@ -341,15 +346,15 @@ class SimulatedNetwork:
                 # The destination crashed while the request was on the wire.
                 self._fire_due_crashes()
                 self._trace_fault("crash-drop")
-                self._time_out(timeout_s, "request", src_host, dst_host,
-                               operation)
+                self._time_out(self._left(timeout_s, deadline_s), "request",
+                               src_host, dst_host, operation)
             # Handlers find this network's tracer and "now" (for budget
             # checks) in the request context: no server owns either.
             with request_scope(tracer=self.tracer, clock=self._now):
                 response = handler(request)
             self._deliver(
                 dst_host, src_host, response.wire_bytes, "response", operation,
-                timeout_s,
+                self._left(timeout_s, deadline_s),
             )
         finally:
             self._request_depth -= 1
@@ -357,6 +362,15 @@ class SimulatedNetwork:
                 self._parallel_stack[-1][1].append(self.clock.now - started)
                 self.clock.now = started  # rewind; parallel() advances by max
         return response
+
+    def _left(
+        self, timeout_s: Optional[float], deadline_s: Optional[float]
+    ) -> Optional[float]:
+        """``timeout_s`` clamped to what is left until ``deadline_s``."""
+        if deadline_s is None:
+            return timeout_s
+        left = max(deadline_s - self.clock.now, 0.0)
+        return left if timeout_s is None else min(timeout_s, left)
 
     def _deliver(
         self,

@@ -3,13 +3,19 @@ in :mod:`repro.soap.encoding` is checked against.
 
 This is the codec as it first shipped: one Python-level pass per cell on
 encode (type check, token) and one on decode, rows rebuilt one generator
-per row. ``tests/test_soap_codec_oracle.py`` requires the production
-encoder to be byte-identical to :func:`encode_colset` and its decoder to
-round-trip what this one round-trips.
+per row. A double column is the one form that changed since: one
+``struct.pack('<d')`` per present cell, base64'd whole, plus a NULL bitmap
+(bit ``i``, least significant first, set for a NULL in row ``i``) built a
+bit at a time when the column holds NULLs.
+``tests/test_soap_codec_oracle.py`` requires the production encoder to be
+byte-identical to :func:`encode_colset` and its decoder to round-trip what
+this one round-trips.
 """
 
 from __future__ import annotations
 
+import base64
+import struct
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import SoapError
@@ -84,12 +90,18 @@ def encode_colset(name: str, rowset: WireRowSet) -> Element:
                 check_cell(value, col_name, code)
                 tokens.append("t" if value else "f")
         else:  # double
-            for value in values:
+            packed = bytearray()
+            bitmap = bytearray((len(values) + 7) // 8)
+            for i, value in enumerate(values):
                 if value is None:
-                    tokens.append(NIL_TOKEN)
+                    bitmap[i // 8] |= 1 << (i % 8)
                     continue
                 check_cell(value, col_name, code)
-                tokens.append(repr(float(value)))
+                packed += struct.pack("<d", float(value))
+            if any(value is None for value in values):
+                col_el.child("nulls", text=base64.b64encode(bitmap).decode())
+            col_el.child("data", text=base64.b64encode(packed).decode())
+            continue
         col_el.child("data", text=" ".join(tokens))
     return node
 
@@ -110,6 +122,19 @@ def decode_colset(node: Element) -> WireRowSet:
         raise SoapError("colset column count does not match its schema")
     decoded_columns: List[List[Any]] = []
     for col_el, (col_name, code) in zip(col_elements, columns):
+        if code == "double":
+            packed = base64.b64decode(col_el.require("data").text)
+            nulls_el = col_el.find("nulls")
+            bitmap = (
+                base64.b64decode(nulls_el.text) if nulls_el is not None else b""
+            )
+            present = iter(struct.unpack(f"<{len(packed) // 8}d", packed))
+            decoded_columns.append([
+                None if bitmap and bitmap[r // 8] >> (r % 8) & 1
+                else next(present)
+                for r in range(n_rows)
+            ])
+            continue
         tokens = col_el.require("data").text.split()
         if len(tokens) != n_rows:
             raise SoapError(f"colset column {col_name!r} has the wrong length")
@@ -131,13 +156,9 @@ def decode_colset(node: Element) -> WireRowSet:
                     continue
                 prev += int(token)
                 values.append(prev)
-        elif code == "boolean":
+        else:  # boolean
             values = [
                 None if token == NIL_TOKEN else token == "t" for token in tokens
-            ]
-        else:
-            values = [
-                None if token == NIL_TOKEN else float(token) for token in tokens
             ]
         decoded_columns.append(values)
     rowset = WireRowSet(columns)

@@ -525,7 +525,7 @@ class TestChunkedSenderIdempotency:
             [("a", "int"), ("b", "int")],
             [(i, i * 2) for i in range(100)],
         )
-        response = sender.respond(rowset, query_id="q-1")
+        response = sender.respond(sender.prepare(rowset), query_id="q-1")
         assert response["chunked"]
         return sender, state, reclaims, response["transfer_id"]
 
@@ -570,7 +570,7 @@ class TestChunkedSenderIdempotency:
         rowset = WireRowSet(
             [("a", "int")], [(i,) for i in range(100)]
         )
-        other = sender.respond(rowset, query_id="q-2")
+        other = sender.respond(sender.prepare(rowset), query_id="q-2")
         assert sender.leases.release_query("q-1") == 1
         assert sender.pending_transfers == 1
         chunk = sender.fetch_chunk(other["transfer_id"], 0)

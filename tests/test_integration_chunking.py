@@ -26,6 +26,14 @@ def make_fed(parser_memory_limit, chunk_budget_bytes, n_bodies=1200, **config):
     )
 
 
+#: The parser budget every test here shares. The parser charges 4x a
+#: document's bytes, so this refuses documents above 50,000 bytes: the
+#: monolithic partial result of SQL (about 60,000 bytes since doubles
+#: travel as base64 float64, 90,600 as decimal text) does not fit, and a
+#: chunk of at most 32,768 bytes does.
+PARSER_LIMIT = 200_000
+
+
 @pytest.fixture(scope="module")
 def reference_rows():
     fed = make_fed(parser_memory_limit=None, chunk_budget_bytes=None)
@@ -33,14 +41,14 @@ def reference_rows():
 
 
 def test_monolithic_oom_faults(reference_rows):
-    fed = make_fed(parser_memory_limit=300_000, chunk_budget_bytes=None)
+    fed = make_fed(parser_memory_limit=PARSER_LIMIT, chunk_budget_bytes=None)
     with pytest.raises(SoapFaultError) as err:
         fed.client().submit(SQL)
     assert "memory" in str(err.value).lower()
 
 
 def test_chunked_succeeds_under_same_limit(reference_rows):
-    fed = make_fed(parser_memory_limit=300_000, chunk_budget_bytes=32_768)
+    fed = make_fed(parser_memory_limit=PARSER_LIMIT, chunk_budget_bytes=32_768)
     result = fed.client().submit(SQL)
     assert sorted(result.rows) == reference_rows
 
@@ -57,7 +65,7 @@ BATCHED = {
 
 def test_one_pipelined_batch_ooms_like_store_forward(reference_rows):
     fed = make_fed(
-        parser_memory_limit=300_000, chunk_budget_bytes=None,
+        parser_memory_limit=PARSER_LIMIT, chunk_budget_bytes=None,
         **BATCHED["one-batch"],
     )
     with pytest.raises(SoapFaultError) as err:
@@ -70,7 +78,7 @@ def test_pulled_batches_are_chunked_under_the_same_limit(
     reference_rows, batching
 ):
     fed = make_fed(
-        parser_memory_limit=300_000, chunk_budget_bytes=32_768,
+        parser_memory_limit=PARSER_LIMIT, chunk_budget_bytes=32_768,
         **BATCHED[batching],
     )
     fed.network.metrics.reset()
@@ -84,7 +92,7 @@ def test_pulled_batches_are_chunked_under_the_same_limit(
 
 def test_chunk_messages_respect_budget(reference_rows):
     budget = 32_768
-    fed = make_fed(parser_memory_limit=300_000, chunk_budget_bytes=budget)
+    fed = make_fed(parser_memory_limit=PARSER_LIMIT, chunk_budget_bytes=budget)
     fed.network.metrics.reset()
     fed.client().submit(SQL)
     # Chunk drains carry their own phase label, separate from chain control.

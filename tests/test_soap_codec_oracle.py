@@ -10,6 +10,7 @@ refused here with a :class:`SoapError`.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -121,3 +122,64 @@ def test_zero_column_colset():
     # No column could carry them, so no decoder would accept them back.
     with pytest.raises(SoapError, match="no columns"):
         encode_value("v", ColumnarRowSet(WireRowSet([], [(), ()])))
+
+
+# -- doubles travel as base64 float64: every bit round-trips ---------------------
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+#: Doubles whose bits ``repr`` text would not all keep or that sit at the
+#: edges of the format: -0.0, NaNs with payload bits (quiet and
+#: signalling, either sign), infinities and subnormals.
+EDGE_DOUBLES = [
+    -0.0,
+    struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0],
+    struct.unpack("<d", struct.pack("<Q", 0xFFF0_0000_DEAD_BEEF))[0],
+    struct.unpack("<d", struct.pack("<Q", 0x7FF4_0000_0000_0000))[0],
+    math.inf,
+    -math.inf,
+    5e-324,
+    -2.225073858507201e-308,
+]
+
+DOUBLE_CELLS = st.one_of(
+    st.sampled_from(EDGE_DOUBLES),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(min_value=-(2**1000), max_value=2**1000),
+    st.sampled_from([2**53 + 1, -(2**53) - 1, 2**63, 2**1023]),
+    st.floats().map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), DOUBLE_CELLS), max_size=20))
+@example([])  # 0 rows
+@example([-0.0])  # 1 row
+@example([None, 1.0, 2.0])  # NULL first
+@example([1.0, 2.0, None])  # NULL last
+@example([None] * 9)  # NULL everywhere, past one bitmap byte
+@example(EDGE_DOUBLES)
+def test_double_column_round_trips_bit_for_bit(cells):
+    rowset = WireRowSet([("d", "double")], [(cell,) for cell in cells])
+    xml = render(encode_value("v", ColumnarRowSet(rowset)))
+    back = [row[0] for row in decode_value(parse_xml(xml)).rows]
+    assert len(back) == len(cells)
+    for sent, got in zip(cells, back):
+        if sent is None:
+            assert got is None
+        else:
+            # An int arrives as float() converts it; everything else keeps
+            # its bits, NaN payloads included.
+            assert type(got) is float and _bits(got) == _bits(float(sent))
+    if not cells:
+        assert "<data/>" in xml
+
+
+@pytest.mark.parametrize("cells", [[10**400], [None, 1.5, -(10**309)]])
+def test_an_int_no_double_holds_is_a_soap_error(cells):
+    rowset = WireRowSet([("d", "double")], [(cell,) for cell in cells])
+    with pytest.raises(SoapError, match="does not fit a double"):
+        encode_value("v", ColumnarRowSet(rowset))

@@ -2,7 +2,9 @@
 
 A service must answer a body it cannot decode with a ``soap:Client``
 fault — never a raw traceback out of ``handle_soap`` — and keep serving;
-a client parsing a malformed response gets a :class:`SoapError`. A colset's
+a client parsing a malformed response gets a :class:`SoapError` (base64
+doubles of the wrong length or alphabet, and NULL bitmaps that do not fit
+the row count, included). A colset's
 ``rows`` attribute is only a claim: a count no column backs is refused
 without materialising it.
 """
@@ -53,6 +55,13 @@ MALFORMED = {
     "colset-int-token": _colset("int", "12x"),
     "colset-double-token": _colset("double", "1.5.2"),
     "colset-dict-index": _colset("string", "zz", "<dict><v>a</v></dict>"),
+    # A double column is base64 float64: 10 bytes for one row, a character
+    # outside the alphabet, a NULL bitmap of 3 bytes for one row, and one
+    # whose bit for a second row is set.
+    "colset-double-base64-length": _colset("double", "AAAAAAAAAAAAAA=="),
+    "colset-double-base64-alphabet": _colset("double", "AAAA!AAAAAA="),
+    "colset-double-bitmap-length": _colset("double", "", "<nulls>AAAA</nulls>"),
+    "colset-double-bitmap-past-rows": _colset("double", "", "<nulls>Ag==</nulls>"),
     "colset-boolean-token": _colset("boolean", "yes"),
     "colset-no-cols": '<{tag} xsi:type="colset" rows="0"><schema/></{tag}>',
     "rowset-no-data": (

@@ -137,7 +137,7 @@ def make_sender(budget=2048, ttl_s=60.0):
 
 def test_sender_inline_when_under_budget():
     sender, _, _ = make_sender(budget=1_000_000)
-    response = sender.respond(make_rowset(5))
+    response = sender.respond(sender.prepare(make_rowset(5)))
     assert response["chunked"] is False
     assert response["rows"].rows == make_rowset(5).rows
     assert sender.pending_transfers == 0
@@ -145,7 +145,7 @@ def test_sender_inline_when_under_budget():
 
 def test_sender_ttl_reclaims_abandoned_transfer():
     sender, clock, reclaims = make_sender(ttl_s=60.0)
-    response = sender.respond(make_rowset(500))
+    response = sender.respond(sender.prepare(make_rowset(500)))
     assert response["chunked"] is True
     assert sender.pending_transfers == 1
     clock.advance(61.0)
@@ -158,7 +158,7 @@ def test_sender_ttl_reclaims_abandoned_transfer():
 
 def test_sender_fetch_activity_extends_the_deadline():
     sender, clock, reclaims = make_sender(ttl_s=60.0)
-    response = sender.respond(make_rowset(500))
+    response = sender.respond(sender.prepare(make_rowset(500)))
     transfer_id = response["transfer_id"]
     parts = []
     # Each fetch arrives 50 s after the last: past the *original* deadline
@@ -173,7 +173,7 @@ def test_sender_fetch_activity_extends_the_deadline():
 
 def test_final_chunk_reserved_idempotently_from_completed_cache():
     sender, _, reclaims = make_sender()
-    response = sender.respond(make_rowset(500))
+    response = sender.respond(sender.prepare(make_rowset(500)))
     transfer_id = response["transfer_id"]
     last = response["chunk_count"] - 1
     chunks = [
@@ -192,7 +192,7 @@ def test_final_chunk_reserved_idempotently_from_completed_cache():
 
 def test_completed_cache_expires_silently():
     sender, clock, reclaims = make_sender(ttl_s=60.0)
-    response = sender.respond(make_rowset(500))
+    response = sender.respond(sender.prepare(make_rowset(500)))
     transfer_id = response["transfer_id"]
     for seq in range(response["chunk_count"]):
         sender.fetch_chunk(transfer_id, seq)
@@ -204,13 +204,13 @@ def test_completed_cache_expires_silently():
 
 def test_abort_is_idempotent_and_counts_pending_reclaims_only():
     sender, _, reclaims = make_sender()
-    pending = sender.respond(make_rowset(500))
+    pending = sender.respond(sender.prepare(make_rowset(500)))
     assert sender.abort(pending["transfer_id"]) is True
     assert reclaims == [1]
     assert sender.abort(pending["transfer_id"]) is False
     # Aborting a fully drained transfer drops the cache entry without
     # counting a reclaim: its payload reached the caller.
-    drained = sender.respond(make_rowset(500))
+    drained = sender.respond(sender.prepare(make_rowset(500)))
     for seq in range(drained["chunk_count"]):
         sender.fetch_chunk(drained["transfer_id"], seq)
     assert sender.abort(drained["transfer_id"]) is True
@@ -234,7 +234,10 @@ def bulk_service_net(rowset, budget=4096):
     sender.leases.bind_clock(lambda: net.clock.now, on_reclaim)
     service = WebService("Bulk")
     service.register(
-        "Get", lambda: sender.respond(rowset), params=(), returns="struct"
+        "Get",
+        lambda: sender.respond(sender.prepare(rowset)),
+        params=(),
+        returns="struct",
     )
     service.register(
         "FetchChunk",
