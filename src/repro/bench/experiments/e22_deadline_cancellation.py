@@ -46,17 +46,16 @@ def _e22_residuals(federation, qid: str) -> Tuple[int, float]:
     items = 0
     held_bytes = 0
     for node in _e22_nodes(federation):
-        for leases in (node.crossmatch.leases, node.query.sender.leases):
-            for kind, _, lease in leases.owned_by(qid):
-                items += 1
-                if kind == "stream":
-                    served = lease.value.served
-                    payloads = served[0].parts if served is not None else []
-                elif lease.live:
-                    payloads = lease.value  # a pending transfer's chunks
-                else:
-                    payloads = [lease.value[1]]  # its parked final chunk
-                held_bytes += sum(envelope_bytes(p) for p in payloads)
+        for kind, _, lease in node.leases.owned_by(qid):
+            items += 1
+            if kind == "stream":
+                served = lease.value.served
+                payloads = served[0].parts if served is not None else []
+            elif lease.live:
+                payloads = lease.value  # a pending transfer's chunks
+            else:
+                payloads = [lease.value[1]]  # its parked final chunk
+            held_bytes += sum(envelope_bytes(p) for p in payloads)
     return items, held_bytes / 1024.0
 
 
@@ -86,7 +85,7 @@ def run(*, n_bodies: int, storm_queries: int) -> ExperimentReport:
     deadline, and a cancel storm over near-empty state ships more cancel
     bytes than it frees.
     """
-    from repro.skynode.crossmatch import STREAM_TTL_S
+    from repro.services.leases import LEASE_TTL_S
 
     report = ExperimentReport(
         exp_id="E22",
@@ -151,13 +150,12 @@ def run(*, n_bodies: int, storm_queries: int) -> ExperimentReport:
             if items:
                 # TTL-only custody: the state outlives the query by the
                 # full reaper horizon. Prove the backstop actually fires.
-                fed.network.clock.advance(STREAM_TTL_S + 1.0)
+                fed.network.clock.advance(LEASE_TTL_S + 1.0)
                 for node in _e22_nodes(fed):
-                    node.crossmatch.leases.reap()
-                    node.query.sender.leases.reap()
+                    node.leases.reap()
                 after_items, _ = _e22_residuals(fed, qid)
                 assert after_items == 0, "TTL backstop failed to reap"
-                reclaim_s = STREAM_TTL_S
+                reclaim_s = LEASE_TTL_S
             else:
                 reclaim_s = 0.0
             follow_up = portal.submit(sql)

@@ -350,7 +350,7 @@ def build_federation(config: Optional[FederationConfig] = None) -> Federation:
                 replica_urls.append(replica.enable_transactions())
                 replica.transaction.keep_epochs = config.keep_epochs
                 replica.transaction.on_epoch_commit = (
-                    lambda _epoch, r=replica: r.crossmatch.leases.reap()
+                    lambda _epoch, r=replica: r.leases.reap()
                 )
             node.enable_ingest(
                 keep_epochs=config.keep_epochs,

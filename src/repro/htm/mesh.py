@@ -20,27 +20,24 @@ _V: Tuple[Vec3, ...] = (
     (0.0, 0.0, -1.0),  # v5: south pole
 )
 
-# Root faces: name -> (id, corner indices). Ids 8..15 so every valid id's
-# base-4 representation has a fixed-width prefix ("10".."13" for S, ...).
-_ROOTS: Tuple[Tuple[str, int, Tuple[int, int, int]], ...] = (
-    ("S0", 8, (1, 5, 2)),
-    ("S1", 9, (2, 5, 3)),
-    ("S2", 10, (3, 5, 4)),
-    ("S3", 11, (4, 5, 1)),
-    ("N0", 12, (1, 0, 4)),
-    ("N1", 13, (4, 0, 3)),
-    ("N2", 14, (3, 0, 2)),
-    ("N3", 15, (2, 0, 1)),
+# Root faces S0..S3, N0..N3 as corner indices, for ids 8..15 in order. Ids
+# start at 8 so every valid id's base-4 representation has a fixed-width
+# prefix ("10".."13" for S, ...).
+_ROOTS: Tuple[Tuple[int, int, int], ...] = (
+    (1, 5, 2),
+    (2, 5, 3),
+    (3, 5, 4),
+    (4, 5, 1),
+    (1, 0, 4),
+    (4, 0, 3),
+    (3, 0, 2),
+    (2, 0, 1),
 )
-
-_NAME_BY_ROOT_ID = {hid: name for name, hid, _ in _ROOTS}
 
 
 def roots() -> List[Trixel]:
     """The 8 root trixels (depth 0), ids 8..15."""
-    return [
-        Trixel(hid, _V[a], _V[b], _V[c]) for _, hid, (a, b, c) in _ROOTS
-    ]
+    return [_root_by_id(hid) for hid in range(8, 16)]
 
 
 def depth_of_id(hid: int) -> int:
@@ -64,7 +61,7 @@ def trixel_by_id(hid: int) -> Trixel:
     for _ in range(depth):
         path.append(h & 3)
         h >>= 2
-    if h not in _NAME_BY_ROOT_ID:
+    if not 8 <= h <= 15:
         raise HTMError(f"invalid HTM id {hid!r}: bad root {h}")
     node = _root_by_id(h)
     for k in reversed(path):
@@ -73,7 +70,7 @@ def trixel_by_id(hid: int) -> Trixel:
 
 
 def _root_by_id(hid: int) -> Trixel:
-    name, _, (a, b, c) = _ROOTS[hid - 8]
+    a, b, c = _ROOTS[hid - 8]
     return Trixel(hid, _V[a], _V[b], _V[c])
 
 

@@ -11,10 +11,13 @@ replica and shard provisioning use too; a participant that cannot be
 staged aborts the epoch everywhere. In-flight queries keep reading the
 epoch they were planned at (see ``Portal.submit(pin_epochs=...)``).
 
-Upload sessions are *volatile*: a primary crash before CommitEpoch drops
-the session and the client starts over. The 2PC coordinator log is
-durable, so a crash mid-decision is replayed by :meth:`IngestService.
-_recover` exactly like any other in-doubt transaction.
+Upload sessions are *volatile* leases in the node's one table
+(:mod:`repro.services.leases`): every ``UploadBatch`` touches one, and
+CommitEpoch or AbortIngest frees it. One a client abandons expires after
+the TTL (a reclaim); a primary crash before CommitEpoch drops it and the
+client starts over. The 2PC coordinator log is durable, so a crash
+mid-decision is replayed by :meth:`IngestService._recover` exactly like
+any other in-doubt transaction.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ if TYPE_CHECKING:
 #: Metrics phase for upload + staging fan-out traffic (the 2PC decision
 #: itself stays in the coordinator's "transaction" phase).
 PHASE = "ingest"
+
+#: The lease kind of an open upload session.
+UPLOAD = "ingest session"
+
+#: Why a session an upload or commit names can be gone.
+_GONE = " (a primary crash drops open sessions; begin a new one)"
 
 
 @dataclass
@@ -62,7 +71,6 @@ class IngestService(WebService):
             parser_memory_limit=parser_memory_limit,
         )
         self._node = node
-        self._sessions: Dict[str, _IngestSession] = {}
         # Per-service (not module-global) so identically built federations
         # mint identical ids — txn-id byte lengths feed the simulated
         # transfer times, and the chaos tests rely on twin determinism.
@@ -120,18 +128,22 @@ class IngestService(WebService):
         ingest_id = (
             f"ing-{self._node.info.archive.lower()}-{next(self._counter)}"
         )
-        self._sessions[ingest_id] = _IngestSession(table=table)
+        self._node.leases.grant(
+            UPLOAD, ingest_id, _IngestSession(table=table), abandonable=True
+        )
         return {"ingest_id": ingest_id}
 
     def _upload(self, ingest_id: str, rows: WireRowSet) -> int:
-        session = self._require(ingest_id)
+        lease = self._node.leases.require(UPLOAD, ingest_id, IngestError, _GONE)
         if not isinstance(rows, WireRowSet):
             raise IngestError("UploadBatch needs a rowset payload")
-        session.batches.append(rows)
+        lease.value.batches.append(rows)
+        self._node.leases.touch(lease)
         return len(rows.rows)
 
     def _commit_epoch(self, ingest_id: str) -> Dict[str, Any]:
-        session = self._require(ingest_id)
+        lease = self._node.leases.require(UPLOAD, ingest_id, IngestError, _GONE)
+        session: _IngestSession = lease.value
         node = self._node
         network = node.network
         if network is None:
@@ -161,7 +173,7 @@ class IngestService(WebService):
                 committed=outcome.committed,
                 epoch=node.db.committed_epoch,
             )
-        del self._sessions[ingest_id]
+        node.leases.drop(lease)
         # Votes travel as parallel arrays: participant URLs cannot be XML
         # element names, so a URL-keyed struct would not encode.
         return {
@@ -174,7 +186,7 @@ class IngestService(WebService):
         }
 
     def _abort(self, ingest_id: str) -> bool:
-        self._sessions.pop(ingest_id, None)
+        self._node.leases.abort(UPLOAD, ingest_id)
         return True
 
     def _get_epoch(self) -> Dict[str, Any]:
@@ -197,22 +209,3 @@ class IngestService(WebService):
             "committed": sum(1 for o in outcomes if o.committed),
             "committed_epoch": node.db.committed_epoch,
         }
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _require(self, ingest_id: str) -> _IngestSession:
-        session = self._sessions.get(ingest_id)
-        if session is None:
-            raise IngestError(
-                f"unknown ingest session {ingest_id!r} (a primary crash "
-                "drops open sessions; begin a new one)"
-            )
-        return session
-
-    def crash(self) -> None:
-        """Lose volatile state: every open upload session vanishes.
-
-        The coordinator log is durable (it models a write-ahead log on
-        disk), so in-doubt epoch commits survive for :meth:`_recover`.
-        """
-        self._sessions.clear()

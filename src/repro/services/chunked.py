@@ -9,12 +9,13 @@ then drains numbered ``FetchChunk`` calls and reassembles.
 
 Each chunk is encoded once, when the sender prepares the transfer, and is
 held encoded. Sender-side state is bounded: the prepared chunks are held
-as a lease (:mod:`repro.services.leases`), so a transfer a caller abandons
-mid-drain (crash, circuit opened, chain retried from scratch) is reclaimed
-by an explicit ``AbortTransfer``, by the owning query's ``CancelQuery``,
-or by the TTL on the simulated clock. A fully drained transfer settles
-onto its final chunk so a retry of the *last* fetch (response lost in
-flight) is served idempotently instead of failing with "unknown transfer".
+as a lease in the node's table (:mod:`repro.services.leases`), so a
+transfer a caller abandons mid-drain (crash, circuit opened, chain
+retried from scratch) is reclaimed by an explicit ``AbortTransfer``, by
+the owning query's ``CancelQuery``, or by the TTL on the simulated clock.
+A fully drained transfer settles onto its final chunk so a retry of the
+*last* fetch (response lost in flight) is served idempotently instead of
+failing with "unknown transfer".
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ Payload = Union[WireRowSet, ColumnarRowSet, EncodedColset]
 #: Phase label for the bulk chunk-drain traffic, so reports separate
 #: payload bytes from chain-control bytes.
 CHUNK_TRANSFER_PHASE = "chunk-transfer"
-
-#: How long (simulated seconds) an unfetched transfer survives once the
-#: sender's lease table is bound to a clock. Generous relative to any
-#: retry budget.
-DEFAULT_TRANSFER_TTL_S = 600.0
 
 #: The lease kind of a chunked transfer's prepared chunks.
 TRANSFER = "transfer"
@@ -64,23 +60,20 @@ class Shipment:
 class ChunkedSender:
     """Sender half: lease prepared chunks until the caller fetches them.
 
-    ``leases`` is the table the chunks are held in — a service that also
-    holds other per-query state passes its own, so one ``CancelQuery``,
-    one TTL reaper, and one ``crash()`` cover all of it.
+    ``leases`` is the table the chunks are held in — the node's one
+    table, so one ``CancelQuery``, one TTL reaper, and one ``crash()``
+    cover them and everything else the node holds.
     """
 
     def __init__(
         self,
         owner_name: str,
         chunk_budget_bytes: Optional[int],
-        *,
-        ttl_s: float = DEFAULT_TRANSFER_TTL_S,
-        leases: Optional[LeaseTable] = None,
+        leases: LeaseTable,
     ) -> None:
         self.owner_name = owner_name
         self.chunk_budget_bytes = chunk_budget_bytes
-        self.ttl_s = ttl_s
-        self.leases = leases if leases is not None else LeaseTable()
+        self.leases = leases
         self._transfer_ids = itertools.count(1)
 
     def mount(self, service: Any, what: str) -> None:
@@ -139,7 +132,6 @@ class ChunkedSender:
             TRANSFER,
             transfer_id,
             list(shipment.parts),
-            ttl_s=self.ttl_s,
             qid=query_id,
             abandonable=True,
         )
@@ -188,11 +180,6 @@ class ChunkedSender:
         drained one does not (its payload was delivered).
         """
         return self.leases.abort(TRANSFER, transfer_id) is not None
-
-    @property
-    def pending_transfers(self) -> int:
-        """Number of transfers awaiting pickup (0 after clean runs)."""
-        return self.leases.held(TRANSFER)
 
 
 def receive_rowset(

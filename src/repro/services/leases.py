@@ -1,14 +1,15 @@
-"""One lease table for every piece of per-query server state.
+"""One lease table per SkyNode, for every piece of per-caller state.
 
 A service that holds state on a caller's behalf between two requests —
-a tuple stream, the chunks of a chunked transfer — holds it as a
-*lease*: granted with a TTL on the simulated clock, extended by every
-touch, tagged with the query that owns it and (where it matters) the
-snapshot epoch it was computed at. A query's tag is its execution id,
-or ``<execution id>/<attempt>`` when each attempt must compute afresh;
-whatever is said of a query id below covers both. Whatever the state
-is, it ends the same few ways, and each way is implemented here exactly
-once:
+a Cross match tuple stream, the chunks of a chunked transfer (either
+service's), an Ingest upload session — holds it as a *lease* in its
+node's one table (``SkyNode.leases``): granted for :data:`LEASE_TTL_S`
+on the simulated clock, extended by every touch, tagged with the query
+that owns it and (where it matters) the snapshot epoch it was computed
+at. A query's tag is its execution id, or ``<execution id>/<attempt>``
+when each attempt must compute afresh; whatever is said of a query id
+below covers both. Whatever the state is, it ends the same few ways, and
+each way is implemented here exactly once:
 
 * the TTL passes without a touch (:meth:`LeaseTable.reap`) — counted in
   ``reclaimed_transfers`` when the expiry means a caller abandoned live
@@ -19,6 +20,8 @@ once:
   counted in ``eager_reclaims``, disjoint from the TTL reaper's counter;
 * the holder aborts it explicitly (:meth:`~LeaseTable.abort`) — a
   reclaim, like the TTL expiry it pre-empts;
+* the holder consumes it (:meth:`~LeaseTable.drop`: a committed upload
+  session) — nothing is counted: nothing was abandoned;
 * the process crashes (:meth:`~LeaseTable.crash`) — nothing is counted:
   the process died, it did not tidy up.
 
@@ -39,15 +42,22 @@ recompute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SkyQueryError
 
-#: Settled leases a table keeps *per kind*. A chain execution settles one
+#: How long (simulated seconds) a lease survives between touches — an
+#: open stream awaiting its next pull, a drained one awaiting a replay, a
+#: transfer awaiting its next fetch, an upload session awaiting its next
+#: batch. Generous relative to any retry budget.
+LEASE_TTL_S = 600.0
+
+#: Settled leases a node keeps *per kind*. A chain execution settles one
 #: stream per node, so a node replays the last 8 executions that reached
 #: it (twice ``SchedulerConfig.max_inflight``'s default) however many
 #: transfers their batches were chunked into; a transfer's parked final
-#: chunk only ever answers the retry that immediately follows it.
+#: chunk (the Query service's and the Cross match service's alike) only
+#: ever answers the retry that immediately follows it.
 SETTLED_KEPT = 8
 
 
@@ -58,7 +68,6 @@ class Lease:
     kind: str
     key: str
     value: Any
-    ttl_s: float
     #: The owning query's id (empty when untagged); what
     #: :meth:`LeaseTable.release_query` matches on (with its attempts).
     qid: str = ""
@@ -115,9 +124,9 @@ class LeaseTable:
             callback(count)
 
     def touch(self, lease: Lease) -> None:
-        """Extend a lease by its TTL from now."""
+        """Extend a lease by the TTL from now."""
         if self._clock_fn is not None:
-            lease.deadline = self._clock_fn() + lease.ttl_s
+            lease.deadline = self._clock_fn() + LEASE_TTL_S
 
     def grant(
         self,
@@ -125,15 +134,13 @@ class LeaseTable:
         key: str,
         value: Any,
         *,
-        ttl_s: float,
         qid: str = "",
         epoch: Optional[int] = None,
         abandonable: bool,
     ) -> Lease:
         """Hold ``value`` under ``(kind, key)`` until one of the ends above."""
         lease = Lease(
-            kind, key, value, ttl_s,
-            qid=qid, epoch=epoch, abandonable=abandonable,
+            kind, key, value, qid=qid, epoch=epoch, abandonable=abandonable
         )
         self.touch(lease)
         self._leases[(kind, key)] = lease
@@ -180,8 +187,15 @@ class LeaseTable:
         self.reap()
         return self._leases.get((kind, key))
 
-    def require(self, kind: str, key: str) -> Lease:
-        """Like :meth:`find`, but a missing lease is a typed fault.
+    def require(
+        self,
+        kind: str,
+        key: str,
+        error: Type[SkyQueryError] = ExecutionError,
+        why: str = "",
+    ) -> Lease:
+        """Like :meth:`find`, but a missing lease is a typed fault
+        (``error``; ``why`` ends its message).
 
         State a caller refers to by id and the holder no longer has
         (crashed, cancelled, expired) must never read as "empty": the
@@ -189,7 +203,7 @@ class LeaseTable:
         """
         lease = self.find(kind, key)
         if lease is None:
-            raise ExecutionError(f"unknown {kind} {key!r}")
+            raise error(f"unknown {kind} {key!r}{why}")
         return lease
 
     def settle(self, lease: Lease, *, checkpoint: bool = False) -> None:
@@ -226,6 +240,10 @@ class LeaseTable:
                 self._on_reclaim, int(lease.live and lease.abandonable)
             )
         return lease
+
+    def drop(self, lease: Lease) -> None:
+        """The holder consumed the lease's state: free it silently."""
+        self._leases.pop((lease.kind, lease.key), None)
 
     def release_query(self, qid: str) -> int:
         """Free everything tagged with ``qid``; returns the reclaimable

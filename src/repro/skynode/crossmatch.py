@@ -48,14 +48,13 @@ with no downstream call (only the failed hop's bytes travel again), and
 anything else is opened afresh under the same key, orphaning nothing.
 
 Everything the service holds between two requests — tuple streams and
-chunked transfers — is a lease in one
+chunked transfers — is a lease in the node's one
 :class:`~repro.services.leases.LeaseTable`, so TTL expiry, ``CancelQuery``
 release, epoch-floor reaping and ``crash()`` each exist once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import (
@@ -77,7 +76,7 @@ from repro.errors import ExecutionError, GeometryError
 from repro.portal.plan import ExecutionPlan, PlanStep, node_query
 from repro.services.chunked import ChunkedSender, Shipment, receive_rowset
 from repro.services.framework import WebService
-from repro.services.leases import Lease, LeaseTable
+from repro.services.leases import Lease
 from repro.shard import (
     SHARD_POS_COLUMN,
     margin_table,
@@ -95,10 +94,6 @@ from repro.xmatch.wire import Row, tuple_rows, tuples_to_payload
 
 if TYPE_CHECKING:
     from repro.skynode.node import SkyNode
-
-#: How long (simulated seconds) a stream survives between touches — an
-#: open one awaiting its next pull, a drained one awaiting a replay.
-STREAM_TTL_S = 600.0
 
 #: The lease kind this service holds (chunked transfers are the other,
 #: held by the sender in the same table).
@@ -175,12 +170,9 @@ class CrossMatchService(WebService):
             parser_memory_limit=parser_memory_limit,
         )
         self._node = node
-        #: Every stream and chunked transfer this service holds.
-        #: Leases pinned to a snapshot epoch die when the epoch falls off
-        #: the engine's pinnable window.
-        self.leases = LeaseTable(lambda: node.wrapper.db.oldest_epoch)
+        self._leases = node.leases
         self.sender = ChunkedSender(
-            f"{node.info.archive}-xm", chunk_budget_bytes, leases=self.leases
+            f"{node.info.archive}-xm", chunk_budget_bytes, node.leases
         )
         self.register(
             "PerformXMatch",
@@ -204,7 +196,7 @@ class CrossMatchService(WebService):
         self.register(
             "PullBatch",
             lambda stream_id, seq: self._batch(
-                self.leases.require(STREAM, str(stream_id)), int(seq)
+                self._leases.require(STREAM, str(stream_id)), int(seq)
             ),
             params=(("stream_id", "string"), ("seq", "int")),
             returns="struct",
@@ -226,14 +218,13 @@ class CrossMatchService(WebService):
                 "node holds for a query (best effort — TTL reaping "
                 "remains the backstop for a lost cancel). Idempotent.",
         )
-        self._stream_ids = itertools.count(1)
 
     # -- what the service is holding (0 after clean runs) --------------------------
 
     @property
     def open_streams(self) -> int:
         """Streams still holding undrained server-side state."""
-        return self.leases.held(STREAM)
+        return self._leases.held(STREAM)
 
     # -- the chain transport: one stream per hop ----------------------------------
 
@@ -247,19 +238,16 @@ class CrossMatchService(WebService):
     ) -> Dict[str, Any]:
         plan_obj, position, me = self._decode_step(plan, position)
         qid, batch_size, start_seq = str(qid), int(batch_size), int(start_seq)
+        if not qid:
+            raise ExecutionError("PerformXMatch needs a qid to key its stream")
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
         if start_seq < 0:
             raise ExecutionError(f"start_seq must be >= 0, got {start_seq}")
-        # The fingerprint is URL-independent, so a keyed stream is found
-        # again after a replica substitution anywhere in the chain. An
-        # execution without an id gets unkeyed streams nothing re-opens.
-        stream_id = (
-            f"{qid}:{plan_obj.fingerprint(position)}:{batch_size}"
-            if qid
-            else f"{self._node.info.archive}-s{next(self._stream_ids)}"
-        )
-        lease = self.leases.find(STREAM, stream_id)
+        # The fingerprint is URL-independent, so a stream is found again
+        # after a replica substitution anywhere in the chain.
+        stream_id = f"{qid}:{plan_obj.fingerprint(position)}:{batch_size}"
+        lease = self._leases.find(STREAM, stream_id)
         opened: Optional[Dict[str, Any]] = None
         if (
             lease is None
@@ -307,11 +295,10 @@ class CrossMatchService(WebService):
                     f"{stream.batch_count} batches"
                 )
             stream.stats["batches"] = stream.batch_count
-            lease = self.leases.grant(
+            lease = self._leases.grant(
                 STREAM,
                 stream_id,
                 stream,
-                ttl_s=STREAM_TTL_S,
                 qid=qid,
                 epoch=me.epoch,
                 abandonable=True,
@@ -390,7 +377,7 @@ class CrossMatchService(WebService):
                 extra["stats"] = [
                     *(stream.downstream_stats or []), stream.stats
                 ]
-                self.leases.settle(lease, checkpoint=True)
+                self._leases.settle(lease, checkpoint=True)
             stream.served = (
                 self.sender.prepare(tuples_to_payload(
                     out_rows,
@@ -403,17 +390,17 @@ class CrossMatchService(WebService):
         # response was lost, or a retried chain re-opened the drained
         # stream) — no reprocessing, no duplicated rows, no double-counted
         # stats.
-        self.leases.touch(lease)
+        self._leases.touch(lease)
         shipment, extra = stream.served
         return self.sender.respond(shipment, extra, query_id=lease.qid)
 
     def _abort_stream(self, stream_id: str) -> Dict[str, Any]:
-        held = self.leases.find(STREAM, str(stream_id))
+        held = self._leases.find(STREAM, str(stream_id))
         if held is None or not held.live:
             # Nothing to reclaim: a drained stream (every hop below it has
             # drained too) stays as the retry cache it now is.
             return {"aborted": False}
-        self.leases.abort(STREAM, str(stream_id))
+        self._leases.abort(STREAM, str(stream_id))
         stream: _Stream = held.value
         if stream.downstream_id is not None and stream.downstream_url:
             try:
@@ -432,7 +419,7 @@ class CrossMatchService(WebService):
         node's state to its TTL reaper.
         """
         query_id = str(query_id)
-        freed = self.leases.release_query(query_id)
+        freed = self._leases.release_query(query_id)
         if self._node.network is not None:
             self._node.network.metrics.cancels += 1
         active_tracer().annotate("cancel", query_id=query_id, freed=freed)

@@ -8,6 +8,7 @@ from repro.db.engine import Database
 from repro.errors import RegistrationError
 from repro.services.client import ServiceProxy
 from repro.services.framework import ServiceHost
+from repro.services.leases import LeaseTable
 from repro.services.retry import BreakerRegistry, RetryPolicy
 from repro.skynode.crossmatch import CrossMatchService
 from repro.skynode.information import InformationService
@@ -59,8 +60,15 @@ class SkyNode:
             self.wrapper, parser_memory_limit=parser_memory_limit
         )
         self.processing_seconds_per_row = processing_seconds_per_row
+        #: Everything this node holds for a caller between two requests:
+        #: the Cross match service's streams and transfers, the Query
+        #: service's transfers and the Ingest service's upload sessions.
+        #: Leases pinned to a snapshot epoch die when the epoch falls off
+        #: the engine's pinnable window.
+        self.leases = LeaseTable(lambda: self.db.oldest_epoch)
         self.query = QueryService(
             self.wrapper,
+            self.leases,
             parser_memory_limit=parser_memory_limit,
             chunk_budget_bytes=chunk_budget_bytes,
             processing_charge=self.charge_processing,
@@ -128,9 +136,7 @@ class SkyNode:
         self.transaction.keep_epochs = keep_epochs
         # After an epoch is GC'd, streams (drained or not) pinned to it can
         # never be read again — reap them the moment the epoch commits.
-        self.transaction.on_epoch_commit = (
-            lambda _epoch: self.crossmatch.leases.reap()
-        )
+        self.transaction.on_epoch_commit = lambda _epoch: self.leases.reap()
         if self.ingest is None:
             from repro.ingest.service import IngestService
 
@@ -166,9 +172,8 @@ class SkyNode:
         network.add_host(self.hostname, self.host.handle)
         self.network = network
 
-        # Abandoned transfers and streams now expire
-        # against the sim clock, and every way a lease ends is counted in
-        # the network's metrics.
+        # Abandoned leases now expire against the sim clock, and every way
+        # a lease ends is counted in the network's metrics.
         def clock_fn() -> float:
             return network.clock.now
 
@@ -181,22 +186,16 @@ class SkyNode:
         def on_eager(count: int) -> None:
             network.metrics.eager_reclaims += count
 
-        self.query.sender.leases.bind_clock(clock_fn, on_reclaim)
-        self.crossmatch.leases.bind_clock(
-            clock_fn, on_reclaim, on_stale_reap, on_eager
-        )
+        self.leases.bind_clock(clock_fn, on_reclaim, on_stale_reap, on_eager)
         network.on_crash(self.hostname, self.crash_volatile_state)
 
     def crash_volatile_state(self) -> None:
         """Drop all in-memory service state, as a process crash would:
-        every lease (transfers, streams) dies with
-        the process, uncounted."""
-        self.query.sender.leases.crash()
-        self.crossmatch.leases.crash()
+        every lease (streams, transfers, upload sessions) dies with the
+        process, uncounted."""
+        self.leases.crash()
         if self.transaction is not None:
             self.transaction.simulate_crash()
-        if self.ingest is not None:
-            self.ingest.crash()
 
     def service_url(self, service: str) -> str:
         """Endpoint URL of one of the four services."""

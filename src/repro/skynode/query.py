@@ -6,6 +6,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.services.chunked import ChunkedSender
 from repro.services.framework import WebService
+from repro.services.leases import LeaseTable
 from repro.skynode.wrapper import ArchiveWrapper
 from repro.soap.encoding import ColumnarRowSet
 from repro.sql.parser import parse_query
@@ -26,6 +27,7 @@ class QueryService(WebService):
     def __init__(
         self,
         wrapper: ArchiveWrapper,
+        leases: LeaseTable,
         *,
         parser_memory_limit: Optional[int] = None,
         chunk_budget_bytes: Optional[int] = None,
@@ -38,7 +40,7 @@ class QueryService(WebService):
         self._wrapper = wrapper
         self._processing_charge = processing_charge
         self.sender = ChunkedSender(
-            f"{wrapper.info.archive}-q", chunk_budget_bytes
+            f"{wrapper.info.archive}-q", chunk_budget_bytes, leases
         )
         self.register(
             "ExecuteQuery",

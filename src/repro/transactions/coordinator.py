@@ -48,28 +48,30 @@ class LogRecord:
 
 
 class CoordinatorLog:
-    """The coordinator's durable log (survives coordinator restarts)."""
+    """The coordinator's durable log (survives coordinator restarts).
+
+    It holds unfinished transactions only: COMPLETE means nothing is left
+    to replay, so a transaction's records go when it completes.
+    """
 
     def __init__(self) -> None:
         self.records: List[LogRecord] = []
 
     def append(self, record: LogRecord) -> None:
-        """Durably append a record."""
-        self.records.append(record)
+        """Durably append a record (a COMPLETE one drops its transaction)."""
+        if record.kind == "complete":
+            self.records = [
+                kept for kept in self.records if kept.txn_id != record.txn_id
+            ]
+        else:
+            self.records.append(record)
 
     def in_doubt(self) -> Dict[str, LogRecord]:
         """Decision records that never reached COMPLETE (need replay)."""
-        decisions: Dict[str, LogRecord] = {}
-        completed: set[str] = set()
-        for record in self.records:
-            if record.kind == "decision":
-                decisions[record.txn_id] = record
-            elif record.kind == "complete":
-                completed.add(record.txn_id)
         return {
-            txn_id: record
-            for txn_id, record in decisions.items()
-            if txn_id not in completed
+            record.txn_id: record
+            for record in self.records
+            if record.kind == "decision"
         }
 
 

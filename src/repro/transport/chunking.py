@@ -17,18 +17,14 @@ from repro.soap.envelope import build_rpc_response
 
 
 def chunk_rowset(rowset: WireRowSet, rows_per_chunk: int) -> List[WireRowSet]:
-    """Split into chunks of at most ``rows_per_chunk`` rows.
-
-    An empty rowset still produces one (empty) chunk so receivers always
-    get the schema.
-    """
+    """Split into chunks of at most ``rows_per_chunk`` rows, over the
+    ranges of :func:`batch_slices` (so an empty rowset is one empty chunk,
+    and receivers always get the schema)."""
     if rows_per_chunk < 1:
         raise SoapError(f"rows_per_chunk must be >= 1, got {rows_per_chunk}")
-    if not rowset.rows:
-        return [rowset.slice(0, 0)]
     return [
-        rowset.slice(start, start + rows_per_chunk)
-        for start in range(0, len(rowset.rows), rows_per_chunk)
+        rowset.slice(start, stop)
+        for start, stop in batch_slices(len(rowset), rows_per_chunk)
     ]
 
 
@@ -37,7 +33,7 @@ def batch_slices(total: int, batch_size: int) -> List[Tuple[int, int]]:
 
     The streaming chain's planning helper: zero items still yield one
     (empty) batch so every stream serves at least one batch and the schema
-    always reaches the consumer — mirroring :func:`chunk_rowset`.
+    always reaches the consumer.
     """
     if batch_size < 1:
         raise SoapError(f"batch_size must be >= 1, got {batch_size}")

@@ -26,7 +26,8 @@ from repro.errors import DeadlineExceededError, SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
 from repro.portal.executor import ChainExecutor
 from repro.portal.plan import ExecutionPlan
-from repro.services.chunked import ChunkedSender
+from repro.services.chunked import TRANSFER, ChunkedSender
+from repro.services.leases import LEASE_TTL_S, LeaseTable
 from repro.soap.encoding import WireRowSet
 from repro.soap.envelope import build_rpc_request, parse_rpc_call
 from repro.transport.faults import FaultPlan
@@ -67,8 +68,7 @@ def residual_state_for(federation, qid: str):
     return [
         (node.hostname, kind, key)
         for node in all_nodes(federation)
-        for leases in (node.crossmatch.leases, node.query.sender.leases)
-        for kind, key, _ in leases.owned_by(qid)
+        for kind, key, _ in node.leases.owned_by(qid)
     ]
 
 
@@ -311,7 +311,7 @@ class TestCancelQuery:
             for node in all_nodes(federation)
             if any(
                 kind == "stream"
-                for kind, _, _ in node.crossmatch.leases.owned_by(qid)
+                for kind, _, _ in node.leases.owned_by(qid)
             )
         ]
 
@@ -346,12 +346,10 @@ class TestCancelQuery:
         assert federation.network.metrics.eager_reclaims == reclaims
 
     def test_cancel_after_ttl_reap_is_a_noop(self):
-        from repro.skynode.crossmatch import STREAM_TTL_S
-
         federation = small_federation()
         qid = "portal.skyquery.net-q7"
         plan, _ = self.open_chain_stream(federation, qid)
-        federation.network.clock.advance(STREAM_TTL_S + 1.0)
+        federation.network.clock.advance(LEASE_TTL_S + 1.0)
         federation.portal.executor._cancel_chain(plan, qid)
         # The reaper won the race at every hop: the cancel frees nothing
         # and the reclaim stays accounted to the TTL, not to eagerness.
@@ -361,8 +359,6 @@ class TestCancelQuery:
         assert self.streams_holding(federation, qid) == []
 
     def test_lost_cancel_leaves_ttl_backstop(self):
-        from repro.skynode.crossmatch import STREAM_TTL_S
-
         federation = small_federation()
         qid = "portal.skyquery.net-q13"
         plan, plan_wire = self.open_chain_stream(federation, qid)
@@ -380,9 +376,9 @@ class TestCancelQuery:
         survivors = self.streams_holding(federation, qid)
         assert survivors == [hop2]  # only hop2 never heard the cancel
         # ... until its TTL reaper catches up.
-        federation.network.clock.advance(STREAM_TTL_S + 1.0)
+        federation.network.clock.advance(LEASE_TTL_S + 1.0)
         for node in all_nodes(federation):
-            node.crossmatch.leases.reap()
+            node.leases.reap()
         assert self.streams_holding(federation, qid) == []
         assert metrics.reclaimed_transfers == 1
         assert metrics.eager_reclaims == 2  # TTL reaps never count as eager
@@ -518,7 +514,7 @@ class TestOneCancelRound:
 class TestChunkedSenderIdempotency:
     def make_sender(self):
         state = {"now": 0.0}
-        sender = ChunkedSender("svc", 700, ttl_s=10.0)
+        sender = ChunkedSender("svc", 700, LeaseTable())
         reclaims = []
         sender.leases.bind_clock(lambda: state["now"], reclaims.append)
         rowset = WireRowSet(
@@ -531,7 +527,7 @@ class TestChunkedSenderIdempotency:
 
     def test_abort_after_reap_is_noop(self):
         sender, state, reclaims, tid = self.make_sender()
-        state["now"] = 11.0
+        state["now"] = LEASE_TTL_S + 1.0
         assert sender.leases.reap() == 1
         assert reclaims == [1]
         assert sender.abort(tid) is False
@@ -542,7 +538,7 @@ class TestChunkedSenderIdempotency:
         sender, state, reclaims, tid = self.make_sender()
         assert sender.abort(tid) is True
         assert reclaims == [1]
-        state["now"] = 11.0
+        state["now"] = LEASE_TTL_S + 1.0
         assert sender.leases.reap() == 0
         assert reclaims == [1]
 
@@ -553,10 +549,10 @@ class TestChunkedSenderIdempotency:
         # the sender's own reclaim callback stays TTL/abort-only.
         assert reclaims == []
         assert sender.abort(tid) is False
-        state["now"] = 11.0
+        state["now"] = LEASE_TTL_S + 1.0
         assert sender.leases.reap() == 0
         assert reclaims == []
-        assert sender.pending_transfers == 0
+        assert sender.leases.held(TRANSFER) == 0
 
     def test_double_cancel_query_is_stable(self):
         sender, _, reclaims, _ = self.make_sender()
@@ -572,7 +568,7 @@ class TestChunkedSenderIdempotency:
         )
         other = sender.respond(sender.prepare(rowset), query_id="q-2")
         assert sender.leases.release_query("q-1") == 1
-        assert sender.pending_transfers == 1
+        assert sender.leases.held(TRANSFER) == 1
         chunk = sender.fetch_chunk(other["transfer_id"], 0)
         assert chunk.rows  # q-2 still drains normally
 
@@ -583,7 +579,7 @@ class TestChunkedSenderIdempotency:
             chunk = sender.fetch_chunk(tid, seq)
             if not chunk.rows:
                 break
-            if sender.pending_transfers == 0:
+            if sender.leases.held(TRANSFER) == 0:
                 count = seq + 1
                 break
         assert count is not None

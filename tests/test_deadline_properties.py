@@ -67,8 +67,7 @@ def _residuals(federation, qid):
     return [
         (node.hostname, kind, key)
         for node in _all_nodes(federation)
-        for leases in (node.crossmatch.leases, node.query.sender.leases)
-        for kind, key, _ in leases.owned_by(qid)
+        for kind, key, _ in node.leases.owned_by(qid)
     ]
 
 

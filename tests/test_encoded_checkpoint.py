@@ -139,7 +139,7 @@ def test_settled_checkpoint_holds_no_more_than_its_wire_size(config):
             )
     checked = 0
     for node in fed.nodes.values():
-        for kind, _, lease in node.crossmatch.leases.owned_by(qid):
+        for kind, _, lease in node.leases.owned_by(qid):
             if kind != "stream":
                 continue
             assert not lease.live  # drained: the settled checkpoint

@@ -17,10 +17,10 @@ import pytest
 
 from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
-from repro.services.chunked import receive_rowset
+from repro.services.chunked import TRANSFER, receive_rowset
 from repro.services.client import ServiceProxy
+from repro.services.leases import LEASE_TTL_S
 from repro.services.retry import RetryPolicy
-from repro.skynode.crossmatch import STREAM_TTL_S
 from repro.transport.faults import FaultPlan
 from repro.workloads.skysim import SkyField
 
@@ -351,7 +351,7 @@ class TestCheckpoints:
 
     def test_checkpoints_reaped_after_ttl(self, reopen_hop):
         fed, submitted, xid = self._submitted()
-        fed.network.clock.advance(STREAM_TTL_S + 1.0)
+        fed.network.clock.advance(LEASE_TTL_S + 1.0)
         _, downstream = reopen_hop(fed, submitted.plan, xid)
         assert len(downstream) == len(submitted.plan["steps"]) - 1
 
@@ -390,11 +390,11 @@ class TestCheckpoints:
         seeded = submitted.node_stats[0]
         assert len(replayed.rows) == seeded["tuples_out"] > 0
         for node in fed.nodes.values():
-            assert node.crossmatch.sender.pending_transfers == 0
+            assert node.leases.held(TRANSFER) == 0
 
 
 class TestStreamResume:
-    def _open(self, proxy, plan, start_seq, batch_size=25, qid=""):
+    def _open(self, proxy, plan, qid, start_seq, batch_size=25):
         return proxy.call(
             "PerformXMatch", plan=plan, position=0, qid=qid,
             batch_size=batch_size, start_seq=start_seq,
@@ -407,11 +407,27 @@ class TestStreamResume:
             fed.network, "tester.skyquery.net",
             submitted.plan["steps"][0]["url"],
         )
-        with pytest.raises(SoapFaultError):
-            self._open(proxy, submitted.plan, -1)
-        opened = self._open(proxy, submitted.plan, 0)
-        with pytest.raises(SoapFaultError):
-            self._open(proxy, submitted.plan, opened["batch_count"])
+        with pytest.raises(SoapFaultError, match="start_seq"):
+            self._open(proxy, submitted.plan, "q-before", -1)
+        opened = self._open(proxy, submitted.plan, "q-open", 0)
+        with pytest.raises(SoapFaultError, match="start_seq"):
+            self._open(
+                proxy, submitted.plan, "q-beyond", opened["batch_count"]
+            )
+
+    def test_open_without_a_qid_is_a_typed_fault(self):
+        """Every stream is keyed by its query: no id, no stream."""
+        fed = _build(replicas=0, chain_mode="pipelined")
+        submitted = fed.client().submit(XMATCH_SQL)
+        proxy = ServiceProxy(
+            fed.network, "tester.skyquery.net",
+            submitted.plan["steps"][0]["url"],
+        )
+        with pytest.raises(SoapFaultError, match="needs a qid") as excinfo:
+            self._open(proxy, submitted.plan, "", 0)
+        assert excinfo.value.detail == "ExecutionError"
+        for node in fed.nodes.values():
+            assert node.crossmatch.open_streams == 0
 
     @pytest.mark.parametrize("window", [1, 2])
     def test_pull_window_flow_control_preserves_rows(self, window):
@@ -432,7 +448,7 @@ class TestStreamResume:
             fed.network, "tester.skyquery.net",
             submitted.plan["steps"][0]["url"],
         )
-        full = self._open(proxy, submitted.plan, 0)
+        full = self._open(proxy, submitted.plan, "q-full", 0)
         count = full["batch_count"]
         assert count >= 2, "need a multi-batch stream to test resume"
         batches = [
@@ -440,7 +456,7 @@ class TestStreamResume:
             for seq in range(count)
         ]
         resume_at = count // 2
-        resumed = self._open(proxy, submitted.plan, resume_at)
+        resumed = self._open(proxy, submitted.plan, "q-tail", resume_at)
         assert resumed["batch_count"] == count
         # Already-acknowledged batches are gone: the stream starts at the
         # high-water mark and pulling before it is a protocol error.

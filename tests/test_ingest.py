@@ -179,6 +179,18 @@ class TestEpochCommit:
             client.upload(ingest_id, columns, rows)
         assert excinfo.value.detail == "IngestError"
 
+    def test_coordinator_log_forgets_finished_epochs(self):
+        """A completed epoch leaves nothing to replay, so the durable 2PC
+        log keeps none of its records."""
+        fed = _build()
+        client = fed.ingest_client("SDSS")
+        for i in range(3):
+            table, columns, rows = _new_observation(fed, "SDSS", 10, 50 + i)
+            assert client.ingest_rows(table, columns, rows).committed
+        log = fed.node("SDSS").ingest.coordinator_log
+        assert log.records == [] and log.in_doubt() == {}
+        assert client.recover()["replayed"] == 0
+
     def test_ingest_commit_is_traced(self):
         fed = _build()
         tracer = fed.tracer
@@ -206,7 +218,7 @@ class TestStaleEpochReaping:
         submitted = fed.client().submit(XMATCH_SQL)  # pinned at epoch 0
         xid = f"{fed.portal.hostname}-x1"
         for node in fed.nodes.values():
-            assert len(node.crossmatch.leases.owned_by(xid)) == 1
+            assert len(node.leases.owned_by(xid)) == 1
         client = fed.ingest_client("SDSS")
         for i in range(2):
             table, columns, rows = _new_observation(fed, "SDSS", 10, 30 + i)
@@ -215,7 +227,7 @@ class TestStaleEpochReaping:
         # with the GC, counted in the network's metrics, so the same
         # execution's re-open goes downstream again and then finds the
         # epoch it would recompute at collected.
-        assert fed.node("SDSS").crossmatch.leases.owned_by(xid) == []
+        assert fed.node("SDSS").leases.owned_by(xid) == []
         assert fed.network.metrics.stale_epoch_reaps >= 1
         steps = [step["archive"] for step in submitted.plan["steps"]]
         assert steps[-1] != "SDSS"  # SDSS has a neighbour to ask

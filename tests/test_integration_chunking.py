@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SoapFaultError
 from repro.federation.builder import FederationConfig, build_federation
 from repro.workloads.skysim import SkyField
+from repro.services.chunked import TRANSFER
 
 SQL = (
     "SELECT O.object_id, T.obj_id "
@@ -87,7 +88,7 @@ def test_pulled_batches_are_chunked_under_the_same_limit(
     assert fed.network.metrics.message_count(phase="chunk-transfer") > 0
     for node in fed.nodes.values():
         assert node.crossmatch.open_streams == 0
-        assert node.crossmatch.sender.pending_transfers == 0
+        assert node.leases.held(TRANSFER) == 0
 
 
 def test_chunk_messages_respect_budget(reference_rows):
@@ -129,5 +130,4 @@ def test_transfers_cleaned_up_after_fetch(reference_rows):
     fed = make_fed(parser_memory_limit=None, chunk_budget_bytes=16_384)
     fed.client().submit(SQL)
     for node in fed.nodes.values():
-        assert node.crossmatch.sender.pending_transfers == 0
-        assert node.query.sender.pending_transfers == 0
+        assert node.leases.held(TRANSFER) == 0

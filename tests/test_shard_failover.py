@@ -27,6 +27,7 @@ from repro.shard import prune_members
 from repro.sql.ast import AreaClause
 from repro.transport.faults import FaultPlan
 from repro.workloads.skysim import SkyField
+from repro.services.chunked import TRANSFER
 
 CHAOS_SEED = int(os.environ.get("SKYQUERY_CHAOS_SEED", "0"))
 
@@ -202,9 +203,9 @@ class TestShardFailover:
             if node.hostname != victim.hostname
         ]
         for node in [*survivors, *fed.nodes.values()]:
-            assert node.crossmatch.leases.owned_by(execution) == []
+            assert node.leases.owned_by(execution) == []
             assert node.crossmatch.open_streams == 0
-            assert node.crossmatch.sender.pending_transfers == 0
+            assert node.leases.held(TRANSFER) == 0
 
     def test_mid_chain_shard_death_with_mirror_stays_complete(self):
         """Same mid-chain kill, but a mirror exists: the fan-out slides to
@@ -311,6 +312,6 @@ class TestEndpointCandidateOrdering:
             for mirrors in mirrors_by_shard.values():
                 shard_nodes.extend(mirrors)
         for node in shard_nodes:
-            for kind, key, _ in node.crossmatch.leases.owned_by(qid):
+            for kind, key, _ in node.leases.owned_by(qid):
                 leftovers.append((node.hostname, kind, key))
         assert leftovers == []

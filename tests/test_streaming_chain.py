@@ -20,6 +20,7 @@ from repro.sphere.coords import radec_to_vector
 from repro.units import arcsec_to_rad
 from repro.workloads.skysim import SkyField
 from repro.xmatch import LocalObject, run_chain
+from repro.services.chunked import TRANSFER
 
 XMATCH_SQL = (
     "SELECT O.object_id, O.ra, T.obj_id, O.i_flux - T.i_flux AS color "
@@ -116,7 +117,7 @@ def test_every_batch_size_equals_the_in_memory_reference(
         assert len(stats["batch_rows"]) == stats["batches"] >= 1
     for node in fed.nodes.values():
         assert node.crossmatch.open_streams == 0
-        assert node.crossmatch.sender.pending_transfers == 0
+        assert node.leases.held(TRANSFER) == 0
 
 
 @pytest.mark.parametrize("sql", [XMATCH_SQL, DROPOUT_SQL])
@@ -253,6 +254,7 @@ def open_stream(fed, sql, batch_size=8):
         "PerformXMatch",
         plan=plan_wire,
         position=0,
+        qid="tester-q1",
         batch_size=batch_size,
     )
     return proxy, opened["stream_id"], opened["batch_count"]
@@ -375,8 +377,7 @@ def test_clean_run_leaves_no_stream_state():
     submit(fed, XMATCH_SQL)
     for node in fed.nodes.values():
         assert node.crossmatch.open_streams == 0
-        assert node.crossmatch.sender.pending_transfers == 0
-        assert node.query.sender.pending_transfers == 0
+        assert node.leases.held(TRANSFER) == 0
     assert fed.network.metrics.reclaimed_transfers == 0
 
 

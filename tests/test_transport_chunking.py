@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ExecutionError, SoapError
-from repro.services.chunked import ChunkedSender
+from repro.services.chunked import TRANSFER, ChunkedSender
+from repro.services.leases import LEASE_TTL_S, LeaseTable
 from repro.soap.encoding import WireRowSet
 from repro.transport.chunking import (
     batch_slices,
@@ -127,10 +128,10 @@ class FakeClock:
         self.now += dt
 
 
-def make_sender(budget=2048, ttl_s=60.0):
+def make_sender(budget=2048):
     clock = FakeClock()
     reclaims = []
-    sender = ChunkedSender("t", budget, ttl_s=ttl_s)
+    sender = ChunkedSender("t", budget, LeaseTable())
     sender.leases.bind_clock(lambda: clock.now, reclaims.append)
     return sender, clock, reclaims
 
@@ -140,34 +141,35 @@ def test_sender_inline_when_under_budget():
     response = sender.respond(sender.prepare(make_rowset(5)))
     assert response["chunked"] is False
     assert response["rows"].rows == make_rowset(5).rows
-    assert sender.pending_transfers == 0
+    assert sender.leases.held(TRANSFER) == 0
 
 
 def test_sender_ttl_reclaims_abandoned_transfer():
-    sender, clock, reclaims = make_sender(ttl_s=60.0)
+    sender, clock, reclaims = make_sender()
     response = sender.respond(sender.prepare(make_rowset(500)))
     assert response["chunked"] is True
-    assert sender.pending_transfers == 1
-    clock.advance(61.0)
+    assert sender.leases.held(TRANSFER) == 1
+    clock.advance(LEASE_TTL_S + 1.0)
     assert sender.leases.reap() == 1
-    assert sender.pending_transfers == 0
+    assert sender.leases.held(TRANSFER) == 0
     assert reclaims == [1]
     with pytest.raises(ExecutionError, match="unknown transfer"):
         sender.fetch_chunk(response["transfer_id"], 0)
 
 
 def test_sender_fetch_activity_extends_the_deadline():
-    sender, clock, reclaims = make_sender(ttl_s=60.0)
+    sender, clock, reclaims = make_sender()
     response = sender.respond(sender.prepare(make_rowset(500)))
     transfer_id = response["transfer_id"]
     parts = []
-    # Each fetch arrives 50 s after the last: past the *original* deadline
-    # by the end, but never 60 s idle, so the drain must survive.
+    # Each fetch arrives just inside the TTL after the last: past the
+    # *original* deadline by the end, but never a TTL idle, so the drain
+    # must survive.
     for seq in range(response["chunk_count"]):
-        clock.advance(50.0)
+        clock.advance(LEASE_TTL_S - 10.0)
         parts.append(sender.fetch_chunk(transfer_id, seq))
     assert WireRowSet.concat(parts).rows == make_rowset(500).rows
-    assert sender.pending_transfers == 0
+    assert sender.leases.held(TRANSFER) == 0
     assert reclaims == []
 
 
@@ -191,12 +193,12 @@ def test_final_chunk_reserved_idempotently_from_completed_cache():
 
 
 def test_completed_cache_expires_silently():
-    sender, clock, reclaims = make_sender(ttl_s=60.0)
+    sender, clock, reclaims = make_sender()
     response = sender.respond(sender.prepare(make_rowset(500)))
     transfer_id = response["transfer_id"]
     for seq in range(response["chunk_count"]):
         sender.fetch_chunk(transfer_id, seq)
-    clock.advance(61.0)
+    clock.advance(LEASE_TTL_S + 1.0)
     with pytest.raises(ExecutionError, match="unknown transfer"):
         sender.fetch_chunk(transfer_id, response["chunk_count"] - 1)
     assert reclaims == []
@@ -226,7 +228,7 @@ def bulk_service_net(rowset, budget=4096):
     from repro.transport.network import SimulatedNetwork
 
     net = SimulatedNetwork(default_latency_s=0.01, default_bandwidth_bps=1e9)
-    sender = ChunkedSender("bulk", budget)
+    sender = ChunkedSender("bulk", budget, LeaseTable())
 
     def on_reclaim(count):
         net.metrics.reclaimed_transfers += count
@@ -296,7 +298,7 @@ def test_dropped_final_fetch_response_retried_without_duplication():
     assert WireRowSet.concat(parts).rows == rowset.rows
     assert net.metrics.fault_count("response-drop") == 1
     assert net.metrics.retries > 0
-    assert sender.pending_transfers == 0
+    assert sender.leases.held(TRANSFER) == 0
 
 
 def test_dropped_fetch_responses_mid_drain_via_receive_rowset():
@@ -315,7 +317,7 @@ def test_dropped_fetch_responses_mid_drain_via_receive_rowset():
     reassembled = receive_rowset(response, proxy)
     assert reassembled.rows == rowset.rows
     assert net.metrics.fault_count("response-drop") > 0
-    assert sender.pending_transfers == 0
+    assert sender.leases.held(TRANSFER) == 0
 
 
 def test_failed_drain_aborts_the_transfer():
@@ -327,11 +329,11 @@ def test_failed_drain_aborts_the_transfer():
     net, url, sender = bulk_service_net(rowset)
     plain = ServiceProxy(net, "cli", url)  # no retry policy
     response = plain.call("Get")
-    assert sender.pending_transfers == 1
+    assert sender.leases.held(TRANSFER) == 1
     # Drop the first fetch's response; with no retries the drain dies, and
     # receive_rowset's best-effort abort must free the sender immediately.
     net.set_fault_plan(FaultPlan(seed=3).drop_responses(src="svc", first_n=1))
     with pytest.raises(Exception):
         receive_rowset(response, plain)
-    assert sender.pending_transfers == 0
+    assert sender.leases.held(TRANSFER) == 0
     assert net.metrics.reclaimed_transfers == 1
